@@ -85,6 +85,12 @@ class CostGame:
         return {(e.source, e.target): e.cost for e in self.edges}
 
     @cached_property
+    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        """(source, target) → the key a strategy's update table uses for
+        the edge: (source, cost, target), in edge order."""
+        return {(e.source, e.target): (e.source, e.cost, e.target) for e in self.edges}
+
+    @cached_property
     def odd_colors(self) -> tuple[int, ...]:
         """D, the odd colors in use, ascending."""
         return tuple(sorted({v.color for v in self.vertices if v.color % 2 == 1}))
@@ -109,8 +115,10 @@ class StrategySpec:
 
     Memory states are the integers 0..len(states)−1 (``states`` exists so
     builders can keep descriptive labels).  ``update`` is total on
-    M × E with edges keyed (source, cost, target); ``next_move`` maps
-    every (owned vertex, state) pair to a successor vertex.
+    M × E with edges keyed by the game's ``update_key``: (source, cost,
+    target) in a CostGame, (source, 0, target) in a CostStreettGame;
+    ``next_move`` maps every (owned vertex, state) pair to a successor
+    vertex.
     """
 
     player: int
@@ -244,6 +252,28 @@ def _strip_comment(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
+def _parse_vertex_line(line: str, parse_cost) -> tuple[Vertex, list[tuple[int, object]]]:
+    """``<id> <color> <owner> <succ:cost>[,...]`` → (vertex, [(succ, cost)]),
+    shared by .cpg and .cst; ``parse_cost`` reads one cost field."""
+    parts = line.split()
+    if len(parts) != 4:
+        raise FormatError(f"bad vertex line: {line!r}")
+    try:
+        vid, color, owner = int(parts[0]), int(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise FormatError(f"bad vertex line: {line!r}") from exc
+    succs = []
+    for succ in parts[3].split(","):
+        if ":" not in succ:
+            raise FormatError(f"bad successor {succ!r} in line: {line!r}")
+        t, w = succ.split(":", 1)
+        try:
+            succs.append((int(t), parse_cost(w)))
+        except ValueError as exc:
+            raise FormatError(f"bad successor {succ!r} in line: {line!r}") from exc
+    return Vertex(vid, owner, color), succs
+
+
 def parse_cpg(text: str) -> CostGame:
     lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
     if not lines:
@@ -263,22 +293,9 @@ def parse_cpg(text: str) -> CostGame:
     vertices: list[Vertex] = []
     edges: list[Edge] = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"bad vertex line: {line!r}")
-        try:
-            vid, color, owner = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"bad vertex line: {line!r}") from exc
-        vertices.append(Vertex(vid, owner, color))
-        for succ in parts[3].split(","):
-            if ":" not in succ:
-                raise FormatError(f"bad successor {succ!r} in line: {line!r}")
-            t, w = succ.split(":", 1)
-            try:
-                edges.append(Edge(vid, int(t), int(w)))
-            except ValueError as exc:
-                raise FormatError(f"bad successor {succ!r} in line: {line!r}") from exc
+        v, succs = _parse_vertex_line(line, int)
+        vertices.append(v)
+        edges.extend(Edge(v.id, t, w) for t, w in succs)
     game = CostGame(tuple(vertices), tuple(edges), initial, encoding)
     require_valid(game)
     return game
@@ -340,16 +357,19 @@ def parse_strat(text: str) -> StrategySpec:
 
 
 def validate_strategy(game: CostGame, strat: StrategySpec) -> list[str]:
-    """Well-formedness of a strategy against a game: totality and move legality."""
+    """Well-formedness of a strategy against a game: totality and move legality.
+
+    ``game`` is a CostGame or a CostStreettGame; both key their edges
+    through ``update_key``.
+    """
     report: list[str] = []
     if strat.player not in (0, 1):
         report.append(f"player must be 0 or 1, got {strat.player}")
     nstates = strat.size
     if not (0 <= strat.initial < nstates):
         report.append(f"initial state {strat.initial} out of range")
-    edges = [(e.source, e.cost, e.target) for e in game.edges]
     for m in range(nstates):
-        for ek in edges:
+        for ek in game.update_key.values():
             m2 = strat.update.get((m, ek))
             if m2 is None:
                 report.append(f"update missing for state {m}, edge {ek}")
@@ -374,9 +394,11 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
 
     Memory states are discovered by closure under ``update_fn`` over all
     edges of the arena, starting from ``initial_label``; they are numbered
-    in discovery order, which makes the result deterministic.
+    in discovery order, which makes the result deterministic.  ``game``
+    is a CostGame or a CostStreettGame: ``update_fn`` sees each edge as
+    its ``update_key``.
     """
-    edges = [(e.source, e.cost, e.target) for e in game.edges]
+    edges = list(game.update_key.values())
     index: dict = {initial_label: 0}
     labels = [initial_label]
     frontier = [initial_label]
@@ -419,22 +441,22 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
     dead state, which no consistent play ever reaches.
     """
     succ = game.successors
+    key = game.update_key
     index: dict = {initial_label: 0}
     labels = [initial_label]
     seen = {(game.initial, initial_label)}
     stack = [(game.initial, initial_label)]
     while stack:
         v, m = stack.pop()
-        for t, w in succ[v]:
-            m2 = update_fn(m, (v, w, t))
+        for t, _ in succ[v]:
+            m2 = update_fn(m, key[(v, t)])
             if m2 not in index:
                 index[m2] = len(labels)
                 labels.append(m2)
             if (t, m2) not in seen:
                 seen.add((t, m2))
                 stack.append((t, m2))
-    edges = [(e.source, e.cost, e.target) for e in game.edges]
-    update: dict[tuple[int, tuple[int, int, int]], int] = {}
+    edges = list(key.values())
     pending = {}
     for m in labels:
         for ek in edges:
@@ -459,3 +481,70 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
             else:
                 next_move[(v.id, index[m])] = next_move_fn(v.id, m)
     return StrategySpec(player, tuple(labels), 0, update, next_move)
+
+
+def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
+    """Spoiler strategy with the overflow counter reset to the least
+    value reachable under the product strategy.
+
+    ``tracker`` is the game's request tracker (``Tracker`` or
+    ``StreettTracker``) and ``move(v, o, r)`` the solved product's
+    Player 1 choice at (v, o, r), or None where it has none.  Memory
+    follows the tracker's update except at overflow positions, where
+    the counter restarts at o_v = min{o : (v, o, r_v) reachable under
+    the product strategy} instead of incrementing.
+    """
+    succ = game.successors
+    owner = game.owner
+    cost = game.edge_cost
+    n = game.n
+    o0, r0 = tracker.initial_state()
+    start = (game.initial, o0, r0)
+    seen = {start}
+    stack = [start]
+    o_min: dict[int, int] = {}
+    while stack:
+        v, o, r = stack.pop()
+        if r == tracker.initial_r(v):
+            o_min[v] = min(o, o_min.get(v, n))
+        if o >= n:
+            continue
+        if owner[v] == 1:
+            t = move(v, o, r)
+            moves = [t] if t is not None else [succ[v][0][0]]
+        else:
+            moves = [t for t, _ in succ[v]]
+        for t in moves:
+            o2, r2, _ = tracker.update(o, r, cost[(v, t)], t)
+            key = (t, o2, r2)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+
+    def upd(label, ek):
+        s, _, t = ek
+        o2, r2, ovf = tracker.update(label[0], label[1], cost[(s, t)], t)
+        return (o_min.get(t, n), r2) if ovf else (o2, r2)
+
+    def nxt(v, label):
+        t = move(v, *label)
+        return t if t is not None else succ[v][0][0]
+
+    return strategy_from_product(game, 1, (0, tracker.initial_r(game.initial)), upd, nxt)
+
+
+def _least_bound(probe, lo: int, hi: int, best=None):
+    """Least b in [lo, hi] whose probe succeeds, by bisection.
+
+    ``probe(b)`` returns None on failure and a result otherwise; the
+    caller has checked that the probe succeeds at ``hi`` (``best`` is
+    that result).  Returns b and the probe's result at b.
+    """
+    while lo < hi:
+        mid = (lo + hi) // 2
+        res = probe(mid)
+        if res is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, res
+    return lo, best

@@ -13,8 +13,7 @@ from typing import Optional, Union
 
 from .core import (BINARY, UNARY, CostGame, FormatError, StrategySpec, Vertex,
                    make_game, require_valid, strategy_from_functions)
-from .streett import (CostStreettGame, StreettEdge, StreettPair,
-                      _streett_strategy_from_functions, require_valid_streett)
+from .streett import CostStreettGame, StreettEdge, StreettPair, require_valid_streett
 
 
 @dataclass(frozen=True)
@@ -644,7 +643,7 @@ def streett_counter_family(d: int) -> GeneratedInstance:
             return ans[c]
         return game.successors[v][0][0]
 
-    sigma = _streett_strategy_from_functions(game, 0, 0, upd, nxt)
+    sigma = strategy_from_functions(game, 0, 0, upd, nxt)
     bound = 3 * (2 ** d - 1) + 2
     return GeneratedInstance("streett", d, game, bound,
                              (ReferenceStrategy("counter", sigma, bound,

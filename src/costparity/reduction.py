@@ -394,5 +394,7 @@ def build_quotient_game(game: CostGame, bound: int,
     owners = tuple(owner[v] for v, _, _ in order)
     parities = tuple(color[v] if o < n else 1 for v, o, _ in order)
     qg = QuotientGame(game, bound, tuple(order), owners, parities, tuple(succ_out))
-    assert qg.size <= qg.size_bound
+    if qg.size > qg.size_bound:
+        raise RuntimeError(f"quotient product has {qg.size} states, "
+                           f"above the bound {qg.size_bound}")
     return qg

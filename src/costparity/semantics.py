@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CostGame, StrategySpec, make_game, require_valid, validate_strategy
+from .core import (CostGame, StrategySpec, _least_bound, make_game, require_valid,
+                   validate_strategy)
 
 INF = math.inf
 
@@ -34,6 +35,8 @@ class Lasso:
 
 
 def validate_lasso(game: CostGame, lasso: Lasso) -> None:
+    """The lasso starts at the initial vertex and follows edges of
+    ``game`` (a CostGame or a CostStreettGame)."""
     if not lasso.cycle:
         raise ValueError("lasso cycle must be non-empty")
     seq = list(lasso.prefix) + list(lasso.cycle)
@@ -91,6 +94,44 @@ def play_cost(game: CostGame, lasso: Lasso) -> CostValue:
 
 # --- strategy cost ----------------------------------------------------------
 
+def _product_rows(game: CostGame, strat: StrategySpec
+                  ) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Reachable (vertex, state) pairs of ``game`` (a CostGame or a
+    CostStreettGame) under ``strat``, breadth-first from the initial
+    pair, with the owner's moves fixed; row i lists the successor ids
+    of pair i in move order.  Raises ValueError on an ill-formed
+    strategy.
+    """
+    report = validate_strategy(game, strat)
+    if report:
+        raise ValueError("ill-formed strategy: " + "; ".join(report))
+    succ = game.successors
+    owner = game.owner
+    key = game.update_key
+    index: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
+
+    def intern(v: int, m: int) -> int:
+        pair = (v, m)
+        if pair not in index:
+            index[pair] = len(order)
+            order.append(pair)
+        return index[pair]
+
+    intern(game.initial, strat.initial)
+    rows: list[list[int]] = []
+    head = 0
+    while head < len(order):
+        v, m = order[head]
+        head += 1
+        if owner[v] == strat.player:
+            moves = [strat.next_move[(v, m)]]
+        else:
+            moves = [t for t, _ in succ[v]]
+        rows.append([intern(t, strat.update[(m, key[(v, t)])]) for t in moves])
+    return order, rows
+
+
 def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dict]:
     """Restrict the game by a finite-state strategy.
 
@@ -99,56 +140,25 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
     and the opponent keeps all moves, plus the product-id → (vertex,
     state) map.  The product is itself a valid CostGame.
     """
-    report = validate_strategy(game, strat)
-    if report:
-        raise ValueError("ill-formed strategy: " + "; ".join(report))
-    succ = game.successors
-    owner = game.owner
-    color = game.color
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(v: int, m: int) -> int:
-        key = (v, m)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    intern(game.initial, strat.initial)
-    edges: list[tuple[int, int, int]] = []
-    head = 0
-    while head < len(order):
-        v, m = order[head]
-        pid = head
-        head += 1
-        if owner[v] == strat.player:
-            t = strat.next_move[(v, m)]
-            moves = [(t, game.edge_cost[(v, t)])]
-        else:
-            moves = list(succ[v])
-        for t, w in moves:
-            m2 = strat.update[(m, (v, w, t))]
-            edges.append((pid, intern(t, m2), w))
+    order, rows = _product_rows(game, strat)
+    owner, color, cost = game.owner, game.color, game.edge_cost
     vertices = [(i, owner[v], color[v]) for i, (v, m) in enumerate(order)]
+    edges = [(i, j, cost[(order[i][0], order[j][0])])
+             for i, row in enumerate(rows) for j in row]
     product = make_game(vertices, edges, 0, game.encoding)
-    return product, {i: key for key, i in index.items()}
+    return product, dict(enumerate(order))
 
 
 def _least_achievable_bound(product: CostGame, cap: int) -> CostValue:
     """Least b ≤ cap with decide_bounded_cost(product, b) achievable; ∞ if none."""
     from . import solver
 
-    if not solver.decide_bounded_cost(product, cap).achievable:
+    def achieved(b):
+        return solver.decide_bounded_cost(product, b).achievable or None
+
+    if achieved(cap) is None:
         return INF
-    lo, hi = 0, cap  # achievable(hi) holds; find the least achievable bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if solver.decide_bounded_cost(product, mid).achievable:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least_bound(achieved, 0, cap)[0]
 
 
 def strategy_cost(game: CostGame, strat: StrategySpec) -> CostValue:

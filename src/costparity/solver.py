@@ -14,8 +14,9 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (BINARY, UNARY, BudgetExceededError, CostGame, StrategySpec,
-                   require_valid, strategy_from_product)
-from .reduction import (QuotientGame, Tracker, _relevant_mask, build_quotient_game)
+                   _least_bound, _reset_spoiler, require_valid, strategy_from_product)
+from .reduction import (QuotientGame, Tracker, _r_dominated, _relevant_mask,
+                        build_quotient_game)
 
 INF = math.inf
 
@@ -407,7 +408,10 @@ def extract_player0_strategy(game: CostGame, bound: int, info) -> StrategySpec:
     strat = strategy_from_product(game, 0, tr.initial_state(), upd, nxt)
     # the dead state only exists when the reachable set is strict, so
     # the raw bound still holds
-    assert strat.size <= (game.n + 1) * (bound + 2) ** game.d
+    limit = (game.n + 1) * (bound + 2) ** game.d
+    if strat.size > limit:
+        raise RuntimeError(f"certificate has {strat.size} memory states, "
+                           f"above the bound {limit}")
     return strat
 
 
@@ -417,53 +421,10 @@ def extract_player1_strategy(game: CostGame, bound: int, info) -> StrategySpec:
 
     Memory follows Upd except at overflow positions, where the counter
     restarts at o_v = min{o : (v, o, r_v) reachable under the product
-    strategy} instead of incrementing.
+    strategy} instead of incrementing (see ``core._reset_spoiler``).
     """
-    tr = Tracker(game, bound)
-    succ = game.successors
-    owner = game.owner
-    n = game.n
-
-    # reachable states of the product under the positional spoiler strategy
-    o0, r0 = tr.initial_state()
-    start = (game.initial, o0, r0)
-    seen = {start}
-    stack = [start]
-    o_min: dict[int, int] = {}
-    while stack:
-        v, o, r = stack.pop()
-        if r == tr.initial_r(v):
-            o_min[v] = min(o, o_min.get(v, n))
-        if o >= n:
-            continue
-        if owner[v] == 1:
-            t = info.move(1, v, o, r)
-            moves = [t] if t is not None else [succ[v][0][0]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        for t in moves:
-            w = game.edge_cost[(v, t)]
-            o2, r2, _ = tr.update(o, r, w, t)
-            key = (t, o2, r2)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-
-    def upd(label, ek):
-        s, w, t = ek
-        o2, r2, ovf = tr.update(label[0], label[1], w, t)
-        if ovf:
-            return (o_min.get(t, n), r2)
-        return (o2, r2)
-
-    def nxt(v, label):
-        o, r = label
-        move = info.move(1, v, o, r)
-        if move is None:
-            move = succ[v][0][0]
-        return move
-
-    return strategy_from_product(game, 1, (0, tr.initial_r(game.initial)), upd, nxt)
+    return _reset_spoiler(game, Tracker(game, bound),
+                          lambda v, o, r: info.move(1, v, o, r))
 
 
 # --- finite-duration engine ---------------------------------------------------
@@ -539,10 +500,10 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
                 continue
             top = max(color[verts[j]] for j in range(k, i + 1))
             if top % 2 == 0:
-                ok = _r_dominated_t(rs[i], rs[k])
+                ok = _r_dominated(rs[i], rs[k])
                 winner = 0
             else:
-                ok = _r_dominated_t(rs[k], rs[i])
+                ok = _r_dominated(rs[k], rs[i])
                 winner = 1
             if ok:
                 best = (k, winner)
@@ -619,11 +580,6 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     return FiniteDurationResult(result, nodes)
 
 
-def _r_dominated_t(va: tuple, vb: tuple) -> bool:
-    from .reduction import _r_dominated
-    return _r_dominated(va, vb)
-
-
 # --- optimal cost -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -655,14 +611,10 @@ def optimal_cost(game: CostGame, *, method: str = "bisect",
             b += 1
     elif method != "bisect":
         raise ValueError(f"unknown method {method!r}")
-    lo, hi = 0, cap
-    best = top
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = decide_bounded_cost(game, mid, product_budget=product_budget)
-        if res.achievable:
-            hi = mid
-            best = res
-        else:
-            lo = mid + 1
-    return OptimalResult(lo, best.certificate)
+
+    def achieved(b):
+        res = decide_bounded_cost(game, b, product_budget=product_budget)
+        return res if res.achievable else None
+
+    value, best = _least_bound(achieved, 0, cap, top)
+    return OptimalResult(value, best.certificate)

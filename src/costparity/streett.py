@@ -13,6 +13,12 @@ membership patterns: Player 1's condition is a disjunction, so his
 nodes are unary and his synthesized strategies positional, while
 Player 0's nodes branch per pair, giving her strategies of at most d!
 memory, matching the known bounds.
+
+Certificates, verification and optimal-cost search run on the pipeline
+shared with parity games: ``core`` tabulates strategies, resets the
+spoiler's overflow counter and bisects bounds; ``semantics`` validates
+lassos and builds the one-player product.  This module adds the
+per-pair tracker, the reduction, the solver and the lasso analyses.
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .core import BudgetExceededError, CostGame, StrategySpec, Vertex
-from .semantics import INF, Lasso
+from .core import (BudgetExceededError, CostGame, FormatError, StrategySpec, Vertex,
+                   _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
+                   strategy_from_product)
+from .semantics import INF, Lasso, _product_rows, validate_lasso
 
 DEFAULT_STREETT_BUDGET = 5_000_000
 
@@ -68,8 +76,15 @@ class CostStreettGame:
         return {u: tuple(sorted(ts)) for u, ts in out.items()}
 
     @cached_property
-    def edge_costs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+    def edge_cost(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """(source, target) → the edge's costs, one per pair."""
         return {(e.source, e.target): e.costs for e in self.edges}
+
+    @cached_property
+    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        """(source, target) → the key a strategy's update table uses for
+        the edge: (source, 0, target), in edge order."""
+        return {(e.source, e.target): (e.source, 0, e.target) for e in self.edges}
 
     @cached_property
     def max_cost(self) -> int:
@@ -176,24 +191,11 @@ def require_valid_streett(game: CostStreettGame) -> None:
 
 # --- cost semantics on lassos ------------------------------------------------
 
-def _validate_streett_lasso(game: CostStreettGame, lasso: Lasso) -> None:
-    if not lasso.cycle:
-        raise ValueError("lasso cycle must be non-empty")
-    seq = list(lasso.prefix) + list(lasso.cycle)
-    if seq[0] != game.initial:
-        raise ValueError(f"lasso must start at the initial vertex {game.initial}")
-    costs = game.edge_costs
-    closed = seq + [lasso.cycle[0]]
-    for a, b in zip(closed, closed[1:]):
-        if (a, b) not in costs:
-            raise ValueError(f"lasso uses missing edge {a}->{b}")
-
-
 def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
     """max over pairs of the cost (under that pair's cost function) from
     position j to the first later answer of a request opened there; 0 if
     nothing is opened, ∞ if some opened request is never answered."""
-    _validate_streett_lasso(game, lasso)
+    validate_lasso(game, lasso)
     if not 0 <= j < len(lasso):
         raise ValueError(f"position {j} outside canonical range [0, {len(lasso)})")
     v = lasso.vertex_at(j)
@@ -201,7 +203,7 @@ def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
     if not opened:
         return 0
     worst: float = 0
-    costs = game.edge_costs
+    costs = game.edge_cost
     amask = game.answer_mask
     limit = len(lasso) + len(lasso.cycle)
     for c in range(game.d):
@@ -225,7 +227,7 @@ def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
 
 def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
     """limsup of StCor over positions = max over one cycle period."""
-    _validate_streett_lasso(game, lasso)
+    validate_lasso(game, lasso)
     p = len(lasso.prefix)
     return max(stcor(game, lasso, p + i) for i in range(len(lasso.cycle)))
 
@@ -233,7 +235,13 @@ def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
 # --- per-pair request tracking ------------------------------------------------
 
 class StreettTracker:
-    """Mirror of the parity tracker with one counter per Streett pair."""
+    """Request tracking with one counter per Streett pair.
+
+    The state is (o, r) as in ``reduction.Tracker``, with r holding one
+    entry per pair: ⊥, or the cost the oldest open request of that pair
+    has incurred under the pair's own cost function.  A target in P_c
+    closes pair c, and one in Q_c (outside P_c) opens it.
+    """
 
     def __init__(self, game: CostStreettGame, bound: int):
         if bound < 0:
@@ -711,79 +719,6 @@ def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
     return StreettBoundedResult(game, b, res.winner_from_initial == 0, red, res)
 
 
-def _streett_strategy_from_functions(game: CostStreettGame, player: int,
-                                     initial_label, update_fn, next_move_fn
-                                     ) -> StrategySpec:
-    edges = [(e.source, 0, e.target) for e in game.edges]
-    index = {initial_label: 0}
-    labels = [initial_label]
-    frontier = [initial_label]
-    while frontier:
-        label = frontier.pop()
-        for ek in edges:
-            nxt = update_fn(label, ek)
-            if nxt not in index:
-                index[nxt] = len(labels)
-                labels.append(nxt)
-                frontier.append(nxt)
-    update = {(index[l], ek): index[update_fn(l, ek)] for l in labels for ek in edges}
-    next_move = {}
-    for v in game.vertices:
-        if v.owner != player:
-            continue
-        for label in labels:
-            next_move[(v.id, index[label])] = next_move_fn(v.id, label)
-    return StrategySpec(player, tuple(labels), 0, update, next_move)
-
-
-def _streett_strategy_from_product(game: CostStreettGame, player: int,
-                                   initial_label, update_fn, next_move_fn
-                                   ) -> StrategySpec:
-    """Product-reachable memory only, with an absorbing dead state for
-    update queries no consistent play can pose."""
-    from .core import DEAD_MEMORY
-
-    succ = game.successors
-    index = {initial_label: 0}
-    labels = [initial_label]
-    seen = {(game.initial, initial_label)}
-    stack = [(game.initial, initial_label)]
-    while stack:
-        v, m = stack.pop()
-        for t, _ in succ[v]:
-            m2 = update_fn(m, (v, 0, t))
-            if m2 not in index:
-                index[m2] = len(labels)
-                labels.append(m2)
-            if (t, m2) not in seen:
-                seen.add((t, m2))
-                stack.append((t, m2))
-    edges = [(e.source, 0, e.target) for e in game.edges]
-    pending = {}
-    for m in labels:
-        for ek in edges:
-            pending[(index[m], ek)] = index.get(update_fn(m, ek))
-    if any(j is None for j in pending.values()):
-        index[DEAD_MEMORY] = len(labels)
-        labels.append(DEAD_MEMORY)
-        dead = index[DEAD_MEMORY]
-        for ek in edges:
-            pending[(dead, ek)] = dead
-        update = {k: (dead if j is None else j) for k, j in pending.items()}
-    else:
-        update = pending
-    next_move = {}
-    for v in game.vertices:
-        if v.owner != player:
-            continue
-        for m in labels:
-            if m is DEAD_MEMORY:
-                next_move[(v.id, index[m])] = succ[v.id][0][0]
-            else:
-                next_move[(v.id, index[m])] = next_move_fn(v.id, m)
-    return StrategySpec(player, tuple(labels), 0, update, next_move)
-
-
 def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:
     """Tracking memory × solver memory, with next moves projected."""
     game = red.game
@@ -794,8 +729,7 @@ def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> S
     def upd(label, ek):
         (o, r, s) = label
         src, _, t = ek
-        costs = game.edge_costs[(src, t)]
-        o2, r2, _ = tr.update(o, r, costs, t)
+        o2, r2, _ = tr.update(o, r, game.edge_cost[(src, t)], t)
         j = red.index.get((t, o2, r2))
         if j is None or s is None:
             return (o2, r2, None)
@@ -812,104 +746,25 @@ def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> S
 
     o0, r0 = tr.initial_state()
     start = (o0, r0, cell.init(red.index[(game.initial, o0, r0)]))
-    return _streett_strategy_from_product(game, 0, start, upd, nxt)
+    return strategy_from_product(game, 0, start, upd, nxt)
 
 
 def _extract_p1_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:
     """Spoiler memory with the overflow counter reset to the least value
-    reachable under the product strategy (mirror of the parity case)."""
-    game = red.game
-    tr = StreettTracker(game, red.bound)
-    succ = game.successors
-    owner = game.owner
-    n = game.n
+    reachable under the product strategy (``core._reset_spoiler``)."""
     cell = sol.cell(1)
 
-    def product_move(i: int) -> Optional[int]:
+    def move(v, o, r):
         # Player 1 cell states are position-determined, so the entry
-        # state at i already carries the positional choice.
-        return cell.move(i, cell.init(i))
-
-    start = red.states[0]
-    seen = {start}
-    stack = [start]
-    o_min: dict[int, int] = {}
-    while stack:
-        v, o, r = stack.pop()
-        if r == tr.initial_r(v):
-            o_min[v] = min(o, o_min.get(v, n))
-        if o >= n:
-            continue
-        i = red.index[(v, o, r)]
-        if owner[v] == 1:
-            j = product_move(i)
-            moves = [red.states[j][0]] if j is not None else [succ[v][0][0]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        for t in moves:
-            costs = game.edge_costs[(v, t)]
-            o2, r2, _ = tr.update(o, r, costs, t)
-            key = (t, o2, r2)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-
-    def upd(label, ek):
-        (o, r) = label
-        src, _, t = ek
-        costs = game.edge_costs[(src, t)]
-        o2, r2, ovf = tr.update(o, r, costs, t)
-        if ovf:
-            return (o_min.get(t, n), r2)
-        return (o2, r2)
-
-    def nxt(v, label):
-        (o, r) = label
+        # state at a product state already carries the positional choice.
         i = red.index.get((v, o, r))
-        if i is not None:
-            j = product_move(i)
-            if j is not None:
-                return red.states[j][0]
-        return succ[v][0][0]
+        j = None if i is None else cell.move(i, cell.init(i))
+        return None if j is None else red.states[j][0]
 
-    return _streett_strategy_from_product(game, 1, (0, tr.initial_r(game.initial)),
-                                          upd, nxt)
+    return _reset_spoiler(red.game, StreettTracker(red.game, red.bound), move)
 
 
 # --- strategy verification (one-player tracked products) -------------------------
-
-def _streett_strategy_product(game: CostStreettGame, strat: StrategySpec
-                              ) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Reachable (vertex, memory) product with the owner's moves fixed."""
-    succ = game.successors
-    owner = game.owner
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(v, m):
-        key = (v, m)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-        return index[key]
-
-    intern(game.initial, strat.initial)
-    rows: list[list[int]] = []
-    head = 0
-    while head < len(order):
-        v, m = order[head]
-        head += 1
-        if owner[v] == strat.player:
-            moves = [strat.next_move[(v, m)]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        row = []
-        for t in moves:
-            m2 = strat.update[(m, (v, 0, t))]
-            row.append(intern(t, m2))
-        rows.append(row)
-    return order, rows
-
 
 def _sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative."""
@@ -974,12 +829,19 @@ def _has_unanswered_cycle(game: CostStreettGame, order, rows) -> bool:
     return False
 
 
-def _overflow_cycle(game: CostStreettGame, strat: StrategySpec, bound: int) -> bool:
-    """Tracked one-player product: is some overflow edge on a cycle?"""
+def _tracked_product(game: CostStreettGame, strat: StrategySpec, bound: int,
+                     drop_overflow: bool
+                     ) -> tuple[list[tuple[int, int, tuple]], list[list[int]], list[list[bool]]]:
+    """One-player product of ``strat`` with per-pair tracking at ``bound``
+    (the overflow counter stays 0): states (vertex, memory, r), rows of
+    successor ids and the matching overflow flags.  With
+    ``drop_overflow`` overflow edges are left out while exploring."""
     tr = StreettTracker(game, bound)
     succ = game.successors
     owner = game.owner
-    o0, r0 = tr.initial_state()
+    key = game.update_key
+    cost = game.edge_cost
+    _, r0 = tr.initial_state()
     start = (game.initial, strat.initial, r0)
     index = {start: 0}
     order = [start]
@@ -995,18 +857,26 @@ def _overflow_cycle(game: CostStreettGame, strat: StrategySpec, bound: int) -> b
             moves = [t for t, _ in succ[v]]
         row, orow = [], []
         for t in moves:
-            m2 = strat.update[(m, (v, 0, t))]
-            _, r2, over = tr.update(0, r, game.edge_costs[(v, t)], t)
-            key = (t, m2, r2)
-            j = index.get(key)
+            m2 = strat.update[(m, key[(v, t)])]
+            _, r2, over = tr.update(0, r, cost[(v, t)], t)
+            if over and drop_overflow:
+                continue
+            state = (t, m2, r2)
+            j = index.get(state)
             if j is None:
                 j = len(order)
-                index[key] = j
-                order.append(key)
+                index[state] = j
+                order.append(state)
             row.append(j)
             orow.append(over)
         rows.append(row)
         ovf.append(orow)
+    return order, rows, ovf
+
+
+def _overflow_cycle(game: CostStreettGame, strat: StrategySpec, bound: int) -> bool:
+    """Tracked one-player product: is some overflow edge on a cycle?"""
+    order, rows, ovf = _tracked_product(game, strat, bound, drop_overflow=False)
     comp_of = {}
     for comp in _sccs(len(order), rows):
         cid = id(comp)
@@ -1025,55 +895,20 @@ def streett_strategy_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     require_valid_streett(game)
     if strat.player != 0:
         raise ValueError("streett_strategy_cost expects a Player 0 strategy")
-    order, rows = _streett_strategy_product(game, strat)
+    order, rows = _product_rows(game, strat)
     if _has_unanswered_cycle(game, order, rows):
         return INF
     cap = len(order) * max(1, game.max_cost)
     if _overflow_cycle(game, strat, cap):
         return INF
-    lo, hi = 0, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _overflow_cycle(game, strat, mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    return _least_bound(lambda b: None if _overflow_cycle(game, strat, b) else True,
+                        0, cap)[0]
 
 
 def _good_lasso(game: CostStreettGame, strat: StrategySpec, bound: int) -> bool:
     """Player 0 (sole mover against the fixed spoiler) reaches a cycle
     without overflow edges on which every requested pair is answered."""
-    tr = StreettTracker(game, bound)
-    succ = game.successors
-    owner = game.owner
-    o0, r0 = tr.initial_state()
-    start = (game.initial, strat.initial, r0)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    head = 0
-    while head < len(order):
-        v, m, r = order[head]
-        head += 1
-        if owner[v] == strat.player:
-            moves = [strat.next_move[(v, m)]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        row = []
-        for t in moves:
-            m2 = strat.update[(m, (v, 0, t))]
-            _, r2, over = tr.update(0, r, game.edge_costs[(v, t)], t)
-            if over:
-                continue  # good lassos avoid overflow edges
-            key = (t, m2, r2)
-            j = index.get(key)
-            if j is None:
-                j = len(order)
-                index[key] = j
-                order.append(key)
-            row.append(j)
-        rows.append(row)
+    order, rows, _ = _tracked_product(game, strat, bound, drop_overflow=True)
 
     def good(comp_ids: list[int], sub_rows) -> bool:
         for comp in _sccs(len(comp_ids), sub_rows):
@@ -1107,18 +942,12 @@ def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     require_valid_streett(game)
     if strat.player != 1:
         raise ValueError("streett_spoiler_cost expects a Player 1 strategy")
-    order, _ = _streett_strategy_product(game, strat)
+    order, _ = _product_rows(game, strat)
     cap = len(order) * max(1, game.max_cost)
     if not _good_lasso(game, strat, cap):
         return INF
-    lo, hi = 0, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _good_lasso(game, strat, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _least_bound(lambda b: True if _good_lasso(game, strat, b) else None,
+                        0, cap)[0]
 
 
 # --- optimal cost ----------------------------------------------------------------
@@ -1156,17 +985,13 @@ def optimal_cost_streett(game: CostStreettGame, *,
             return StreettOptimalResult(INF, None, True, cap)
         prev = probe
         probe = min(cap, 1 if probe == 0 else probe * 2)
-    lo, hi = prev + 1, probe
-    best = last
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = decide_bounded_cost_streett(game, mid, budget=budget)
-        if res.achievable:
-            hi = mid
-            best = res
-        else:
-            lo = mid + 1
-    return StreettOptimalResult(lo, best.certificate, False, cap)
+
+    def achieved(b):
+        res = decide_bounded_cost_streett(game, b, budget=budget)
+        return res if res.achievable else None
+
+    value, best = _least_bound(achieved, prev + 1, probe, last)
+    return StreettOptimalResult(value, best.certificate, False, cap)
 
 
 # --- bridges and file format -------------------------------------------------------
@@ -1189,8 +1014,6 @@ def streett_from_cost_parity(game: CostGame) -> CostStreettGame:
 
 
 def parse_cst(text: str) -> CostStreettGame:
-    from .core import FormatError, _strip_comment
-
     lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
     if not lines:
         raise FormatError("empty .cst file")
@@ -1206,29 +1029,26 @@ def parse_cst(text: str) -> CostStreettGame:
     vertices: list[Vertex] = []
     edges: list[StreettEdge] = []
     for line in lines[1:1 + n]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise FormatError(f"bad vertex line: {line!r}")
-        vid, color, owner = int(parts[0]), int(parts[1]), int(parts[2])
-        vertices.append(Vertex(vid, owner, color))
-        for succ in parts[3].split(","):
-            if ":" not in succ:
-                raise FormatError(f"bad successor {succ!r}")
-            t, ws = succ.split(":", 1)
-            costs = tuple(int(w) for w in ws.split("|"))
+        v, succs = _parse_vertex_line(
+            line, lambda field: tuple(int(w) for w in field.split("|")))
+        vertices.append(v)
+        for t, costs in succs:
             if len(costs) != d:
-                raise FormatError(f"expected {d} costs in {succ!r}")
-            edges.append(StreettEdge(vid, int(t), costs))
+                raise FormatError(f"expected {d} costs on edge {v.id}->{t}")
+            edges.append(StreettEdge(v.id, t, costs))
     pairs: list[StreettPair] = [None] * d  # type: ignore[list-item]
     for line in lines[1 + n:]:
+        # pair <index> Q: <ids> P: <ids>
         parts = line.replace("Q:", " Q: ").replace("P:", " P: ").split()
-        if parts[0] != "pair":
+        if parts[:1] != ["pair"] or parts[2:3] != ["Q:"] or "P:" not in parts:
             raise FormatError(f"bad pair line: {line!r}")
-        c = int(parts[1])
-        qi = parts.index("Q:")
         pi = parts.index("P:")
-        q = frozenset(int(x) for x in parts[qi + 1:pi])
-        p = frozenset(int(x) for x in parts[pi + 1:])
+        try:
+            c = int(parts[1])
+            q = frozenset(int(x) for x in parts[3:pi])
+            p = frozenset(int(x) for x in parts[pi + 1:])
+        except ValueError as exc:
+            raise FormatError(f"bad pair line: {line!r}") from exc
         if not 0 <= c < d or pairs[c] is not None:
             raise FormatError(f"bad pair index {c}")
         pairs[c] = StreettPair(q, p)

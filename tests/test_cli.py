@@ -136,6 +136,27 @@ def test_error_protocol(tmp_path, delay_path):
     code, _, err = invoke("solve", "--bound", "2", "--product-budget", "1",
                           delay_path)
     assert code == 2 and err.startswith("error: budget: ")
+    bad = tmp_path / "bad.cst"
+    for body in ("0 0 0 0:1\npair\n", "0 0 0 0:1\npair 0 P: 0\n",
+                 "0 0 0 0:1\npair x Q: P: 0\n", "0 x 0 0:1\npair 0 Q: P: 0\n",
+                 "0 0 0 0:a\npair 0 Q: P: 0\n"):
+        bad.write_text("coststreett 1 0 1\n" + body)
+        code, _, err = invoke("validate", str(bad))
+        assert code == 2 and err.startswith("error: format: ")
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("player", [0, 1])
+def test_verify_rejects_ill_formed_streett_strategy(tmp_path, player):
+    gen = str(tmp_path / "s")
+    assert invoke("generate", "streett", "--d", "1", "--outdir", gen)[0] == 0
+    strat = tmp_path / "partial.strat"
+    strat.write_text(f"strategy {player} 1 0\n")
+    code, out, err = invoke("verify", "--strategy", str(strat),
+                            f"{gen}/streett-d1.cst")
+    assert code == 2 and out == ""
+    assert err.startswith("error: strategy: ill-formed strategy: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_deterministic_outputs(delay_path):
