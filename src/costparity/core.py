@@ -60,10 +60,6 @@ class CostGame:
         return len(self.vertices)
 
     @cached_property
-    def vertex_by_id(self) -> dict[int, Vertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
     def color(self) -> dict[int, int]:
         return {v.id: v.color for v in self.vertices}
 
@@ -104,10 +100,6 @@ class CostGame:
         """W, the largest edge cost."""
         return max((e.cost for e in self.edges), default=0)
 
-    @cached_property
-    def max_color(self) -> int:
-        return max(v.color for v in self.vertices)
-
 
 @dataclass(frozen=True)
 class StrategySpec:
@@ -130,9 +122,6 @@ class StrategySpec:
     @property
     def size(self) -> int:
         return len(self.states)
-
-    def advance(self, state: int, edge: tuple[int, int, int]) -> int:
-        return self.update[(state, edge)]
 
 
 def make_game(vertices: Iterable[tuple[int, int, int]],
@@ -353,6 +342,10 @@ def parse_strat(text: str) -> StrategySpec:
                 raise FormatError(f"bad line: {line!r}")
         except ValueError as exc:
             raise FormatError(f"bad line: {line!r}") from exc
+    # a total table has at least one update entry per state (every game
+    # has an edge); a header-only file may still declare a single state
+    if nstates > max(1, len(update)):
+        raise FormatError(f"{nstates} states but only {len(update)} update entries")
     return StrategySpec(player, tuple(range(nstates)), initial, update, next_move)
 
 
@@ -368,23 +361,33 @@ def validate_strategy(game: CostGame, strat: StrategySpec) -> list[str]:
     nstates = strat.size
     if not (0 <= strat.initial < nstates):
         report.append(f"initial state {strat.initial} out of range")
-    for m in range(nstates):
-        for ek in game.update_key.values():
-            m2 = strat.update.get((m, ek))
-            if m2 is None:
-                report.append(f"update missing for state {m}, edge {ek}")
-            elif not (0 <= m2 < nstates):
-                report.append(f"update ({m}, {ek}) leaves the state space")
-    succ_sets = {u: {t for t, _ in ts} for u, ts in game.successors.items()}
-    for v in game.vertices:
-        if v.owner != strat.player:
-            continue
+    # a table with fewer entries than the walk would visit cannot be
+    # total; say so once instead of once per missing entry
+    edges = game.update_key.values()
+    owned = [v for v, owner in game.owner.items() if owner == strat.player]
+    if len(strat.update) < nstates * len(edges):
+        report.append(f"update table has {len(strat.update)} entries, "
+                      f"not {nstates} states × {len(edges)} edges")
+    else:
         for m in range(nstates):
-            t = strat.next_move.get((v.id, m))
-            if t is None:
-                report.append(f"next_move missing for vertex {v.id}, state {m}")
-            elif t not in succ_sets[v.id]:
-                report.append(f"next_move({v.id}, {m}) = {t} is not a successor")
+            for ek in edges:
+                m2 = strat.update.get((m, ek))
+                if m2 is None:
+                    report.append(f"update missing for state {m}, edge {ek}")
+                elif not (0 <= m2 < nstates):
+                    report.append(f"update ({m}, {ek}) leaves the state space")
+    if len(strat.next_move) < nstates * len(owned):
+        report.append(f"next_move table has {len(strat.next_move)} entries, "
+                      f"not {nstates} states × {len(owned)} owned vertices")
+    else:
+        for v in owned:
+            succs = {t for t, _ in game.successors[v]}
+            for m in range(nstates):
+                t = strat.next_move.get((v, m))
+                if t is None:
+                    report.append(f"next_move missing for vertex {v}, state {m}")
+                elif t not in succs:
+                    report.append(f"next_move({v}, {m}) = {t} is not a successor")
     return report
 
 
@@ -395,7 +398,8 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
     Memory states are discovered by closure under ``update_fn`` over all
     edges of the arena, starting from ``initial_label``; they are numbered
     in discovery order, which makes the result deterministic.  ``game``
-    is a CostGame or a CostStreettGame: ``update_fn`` sees each edge as
+    is a CostGame, a CostStreettGame or a classical StreettGame, read
+    through ``owner`` and ``update_key``: ``update_fn`` sees each edge as
     its ``update_key``.
     """
     edges = list(game.update_key.values())
@@ -411,12 +415,8 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
                 labels.append(nxt)
                 frontier.append(nxt)
     update = {(index[l], ek): index[update_fn(l, ek)] for l in labels for ek in edges}
-    next_move: dict[tuple[int, int], int] = {}
-    for v in game.vertices:
-        if v.owner != player:
-            continue
-        for label in labels:
-            next_move[(v.id, index[label])] = next_move_fn(v.id, label)
+    next_move = {(v, index[label]): next_move_fn(v, label)
+                 for v, owner in game.owner.items() if owner == player for label in labels}
     return StrategySpec(player, tuple(labels), 0, update, next_move)
 
 

@@ -115,6 +115,13 @@ def eval_qbf(phi: QbfFormula) -> bool:
     return rec(1, {})
 
 
+def _qdimacs_ints(fields: list[str], line: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise FormatError(f"bad number in line: {line!r}") from exc
+
+
 def parse_qdimacs(text: str) -> QbfFormula:
     """QDIMACS subset: a ``p cnf`` line, ``e``/``a`` scope lines, and
     0-terminated clause lines.  Clauses with fewer than three literals
@@ -130,16 +137,15 @@ def parse_qdimacs(text: str) -> QbfFormula:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"bad problem line: {line!r}")
-            nvars = int(parts[2])
+            nvars, _ = _qdimacs_ints(parts[2:], line)
         elif parts[0] in ("e", "a"):
             if parts[-1] != "0":
                 raise FormatError(f"scope line not 0-terminated: {line!r}")
-            for v in parts[1:-1]:
-                order.append((parts[0], int(v)))
+            order.extend((parts[0], v) for v in _qdimacs_ints(parts[1:-1], line))
         else:
             if parts[-1] != "0":
                 raise FormatError(f"clause line not 0-terminated: {line!r}")
-            lits = [int(x) for x in parts[:-1]]
+            lits = _qdimacs_ints(parts[:-1], line)
             if not 1 <= len(lits) <= 3:
                 raise FormatError(f"clause must have 1..3 literals: {line!r}")
             while len(lits) < 3:
@@ -150,13 +156,15 @@ def parse_qdimacs(text: str) -> QbfFormula:
     declared = [v for _, v in order]
     if sorted(declared) != list(range(1, nvars + 1)):
         raise FormatError("scope lines must declare each variable exactly once")
+    for cl in clauses:
+        for lit in cl:
+            if lit == 0 or abs(lit) > nvars:
+                raise FormatError(f"literal {lit} out of range for {nvars} variables")
     remap = {v: i + 1 for i, v in enumerate(declared)}
     prefix = tuple(q for q, _ in order)
     remapped = tuple(tuple(int(math.copysign(remap[abs(l)], l)) for l in cl)
                      for cl in clauses)
-    phi = QbfFormula(prefix, remapped)
-    phi.check()
-    return phi
+    return QbfFormula(prefix, remapped)
 
 
 def format_qdimacs(phi: QbfFormula) -> str:

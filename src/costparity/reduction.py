@@ -11,7 +11,9 @@ open the target's own request.
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
 the explicit reachable product G' whose parity winner characterizes
-bounded-cost strategy existence.
+bounded-cost strategy existence.  The settle and shortcut rules exist
+once, on an incremental prefix (``_PrefixStack``) that ``settled``,
+``shortcut_step`` and the finite-duration engine in ``solver`` share.
 """
 
 from __future__ import annotations
@@ -233,6 +235,16 @@ class SettleVerdict:
         return 1
 
 
+def _cycle_kind(color: Mapping[int, int], vertices: Sequence[int],
+                requests: Sequence[tuple], k: int, k2: int) -> str:
+    """even/odd dominating-cycle test of the infix k..k2, whose ends
+    share vertex and overflow below saturation; or none."""
+    top = max(color[vertices[i]] for i in range(k, k2 + 1))
+    if top % 2 == 0:
+        return "even" if _r_dominated(requests[k2], requests[k]) else "none"
+    return "odd" if _r_dominated(requests[k], requests[k2]) else "none"
+
+
 def classify_cycle(game: CostGame, bound: int, prefix: TrackedPrefix, k: int, k2: int) -> str:
     """even/odd dominating-cycle classification of the infix k..k2, or none."""
     if not 0 <= k < k2 < len(prefix):
@@ -241,31 +253,110 @@ def classify_cycle(game: CostGame, bound: int, prefix: TrackedPrefix, k: int, k2
         return "none"
     if prefix.overflows[k] != prefix.overflows[k2] or prefix.overflows[k] >= game.n:
         return "none"
-    color = game.color
-    top = max(color[prefix.vertices[i]] for i in range(k, k2 + 1))
-    if top % 2 == 0:
-        return "even" if _r_dominated(prefix.requests[k2], prefix.requests[k]) else "none"
-    return "odd" if _r_dominated(prefix.requests[k], prefix.requests[k2]) else "none"
+    return _cycle_kind(game.color, prefix.vertices, prefix.requests, k, k2)
+
+
+_UNSETTLED = SettleVerdict("unsettled")
+
+
+class _PrefixStack:
+    """An annotated prefix that grows and shrinks at its end, kept with
+    what the settle and shortcut rules read: the positions of each
+    (vertex, overflow) in ascending order, cumulative costs, relevance
+    masks, and the start of each maximal run of equal relevance masks.
+    ``settled``, ``shortcut_step`` and the finite-duration engine all
+    run on it."""
+
+    def __init__(self, game: CostGame, bound: int):
+        self.tracker = Tracker(game, bound)
+        self.bound = bound
+        self.binary = game.encoding == BINARY
+        self.n = game.n
+        self.color = game.color
+        self.vertices: list[int] = []
+        self.overflows: list[int] = []
+        self.requests: list[tuple] = []
+        self.cum: list[int] = []
+        self.relm: list[int] = []
+        self.runstart: list[int] = []
+        self.via: list[bool] = []
+        self.buckets: dict[tuple[int, int], list[int]] = {}
+
+    def push(self, v: int, o: int, r: tuple, cost: int, shortcut: bool = False) -> None:
+        i = len(self.vertices)
+        m = _relevant_mask(r)
+        self.vertices.append(v)
+        self.overflows.append(o)
+        self.requests.append(r)
+        self.cum.append(self.cum[-1] + cost if i else cost)
+        self.runstart.append(self.runstart[-1] if i and self.relm[-1] == m else i)
+        self.relm.append(m)
+        self.via.append(shortcut)
+        self.buckets.setdefault((v, o), []).append(i)
+
+    def pop(self) -> None:
+        self.buckets[(self.vertices.pop(), self.overflows.pop())].pop()
+        for column in (self.requests, self.cum, self.relm, self.runstart, self.via):
+            column.pop()
+
+    def verdict(self) -> SettleVerdict:
+        """Saturation at the top position, or the dominating cycle that
+        ends there with the earliest start; else unsettled."""
+        i = len(self.vertices) - 1
+        o = self.overflows[i]
+        if o == self.n:
+            return SettleVerdict("saturated", end=i)
+        for k in self.buckets[(self.vertices[i], o)]:
+            if k == i:
+                break
+            kind = _cycle_kind(self.color, self.vertices, self.requests, k, i)
+            if kind != "none":
+                if self.via[i]:
+                    return SettleVerdict("shortcut_settled", k, i, parity=kind)
+                return SettleVerdict(f"{kind}_cycle", k, i, parity=kind)
+        return _UNSETTLED
+
+    def step(self, t: int, w: int) -> tuple[int, tuple, int, bool]:
+        """The move from the top position to t at cost w: (o', r', the
+        charged cost, whether the shortcut fired).  In a binary game the
+        shortcut fast-forwards the latest cycle back to (t, o') that has
+        positive cost, keeps the relevance mask of r' throughout and fits
+        one more traversal under the bound."""
+        b = self.bound
+        o2, r2, _ = self.tracker.update(self.overflows[-1], self.requests[-1], w, t)
+        m2 = _relevant_mask(r2) if self.binary else 0
+        if not m2:
+            return o2, r2, w, False
+        top = len(self.vertices) - 1
+        lo = self.runstart[top] if self.relm[top] == m2 else top + 1
+        cstar = max(x for x in r2 if x is not None)
+        for j in range(top, lo - 1, -1):
+            if self.vertices[j] != t or self.overflows[j] != o2:
+                continue
+            s = self.cum[top] - self.cum[j] + w
+            if s > 0 and cstar + s <= b:
+                times = (b - cstar) // s
+                rstar = tuple(x if x is None else x + s * times for x in r2)
+                return o2, rstar, w + s * times, True
+        return o2, r2, w, False
+
+
+def _positions(prefix: TrackedPrefix):
+    """(vertex, overflow, requests, cost, via_shortcut) per position."""
+    return zip(prefix.vertices, prefix.overflows, prefix.requests, prefix.costs,
+               prefix.via_shortcut)
 
 
 def settled(game: CostGame, bound: int, prefix: TrackedPrefix) -> SettleVerdict:
     """Minimal verdict of a prefix: saturated overflow, or the first
     dominating cycle found scanning ends (and, per end, starts) upward."""
-    n = game.n
-    color = game.color
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for k2 in range(len(prefix)):
-        if prefix.overflows[k2] == n:
-            return SettleVerdict("saturated", end=k2)
-        key = (prefix.vertices[k2], prefix.overflows[k2])
-        for k in buckets.get(key, ()):
-            kind = classify_cycle(game, bound, prefix, k, k2)
-            if kind != "none":
-                if prefix.via_shortcut[k2]:
-                    return SettleVerdict("shortcut_settled", k, k2, parity=kind)
-                return SettleVerdict(f"{kind}_cycle", k, k2, parity=kind)
-        buckets.setdefault(key, []).append(k2)
-    return SettleVerdict("unsettled")
+    stack = _PrefixStack(game, bound)
+    for position in _positions(prefix):
+        stack.push(*position)
+        verdict = stack.verdict()
+        if verdict.settled:
+            return verdict
+    return _UNSETTLED
 
 
 def settled_bound(game: CostGame) -> int:
@@ -293,32 +384,10 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
         raise ValueError("shortcut_step is only meaningful for binary-encoded games")
     if edge.source != prefix.vertices[-1]:
         raise ValueError("edge does not extend the prefix")
-    tr = Tracker(game, bound)
-    o2, r2, _ = tr.update(prefix.overflows[-1], prefix.requests[-1], edge.cost, edge.target)
-    new_mask = _relevant_mask(r2)
-    L = len(prefix)
-    best = None
-    if new_mask:
-        cost_after = 0  # Cst of the infix from j' through the new position
-        stable = True
-        for j in range(L - 1, -1, -1):
-            cost_after += prefix.costs[j + 1] if j + 1 < L else edge.cost
-            if _relevant_mask(prefix.requests[j]) != new_mask:
-                stable = False
-            if not stable:
-                break
-            if prefix.vertices[j] != edge.target or prefix.overflows[j] != o2:
-                continue
-            cstar = max(x for x in r2 if x is not None)
-            if cost_after > 0 and cstar + cost_after <= bound:
-                best = (j, cost_after, cstar)
-                break  # maximal j' by scanning downward from the end
-    if best is None:
-        return prefix.extended(edge.target, o2, r2, edge.cost)
-    _, s, cstar = best
-    t = (bound - cstar) // s
-    rstar = tuple(x if x is None else x + s * t for x in r2)
-    return prefix.extended(edge.target, o2, rstar, edge.cost + s * t, shortcut=True)
+    stack = _PrefixStack(game, bound)
+    for position in _positions(prefix):
+        stack.push(*position)
+    return prefix.extended(edge.target, *stack.step(edge.target, edge.cost))
 
 
 # --- the quotient game G' ---------------------------------------------------

@@ -67,16 +67,20 @@ def cor(game: CostGame, lasso: Lasso, j: int) -> CostValue:
     request = color[lasso.vertex_at(j)]
     if answers(request, color[lasso.vertex_at(j)]):
         return 0
-    # An answer, if any, occurs within one further full cycle unrolling.
     costs = game.edge_cost
+    return _response_cost(lasso, j, lambda u, w: costs[(u, w)],
+                          lambda w: answers(request, color[w]))
+
+
+def _response_cost(lasso: Lasso, j: int, cost, answered) -> CostValue:
+    """Summed ``cost(u, w)`` from position j to the first later vertex
+    w with ``answered(w)``; ∞ if there is none.  An answer, if any,
+    occurs within one further full cycle unrolling."""
     total = 0
-    limit = len(lasso) + len(lasso.cycle)
-    k = j
-    while k - j < limit:
+    for k in range(j, j + len(lasso) + len(lasso.cycle)):
         u, w = lasso.vertex_at(k), lasso.vertex_at(k + 1)
-        total += costs[(u, w)]
-        k += 1
-        if answers(request, color[w]):
+        total += cost(u, w)
+        if answered(w):
             return total
     return INF
 

@@ -3,7 +3,8 @@
 Two independent decision procedures are provided: solving the explicit
 quotient parity game (the production path) and an alternating search
 over annotated play prefixes stopped at settled prefixes (the
-finite-duration game, used as an oracle at small scale).
+finite-duration game, used as an oracle at small scale), which applies
+``reduction``'s settle and shortcut rules.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import (BINARY, UNARY, BudgetExceededError, CostGame, StrategySpec,
+from .core import (UNARY, BudgetExceededError, CostGame, StrategySpec,
                    _least_bound, _reset_spoiler, require_valid, strategy_from_product)
-from .reduction import (QuotientGame, Tracker, _r_dominated, _relevant_mask,
-                        build_quotient_game)
+from .reduction import QuotientGame, Tracker, _PrefixStack, build_quotient_game
 
 INF = math.inf
 
@@ -42,16 +42,6 @@ class ParityGame:
     @staticmethod
     def from_quotient(qg: QuotientGame) -> "ParityGame":
         return ParityGame(qg.owners, qg.parities, qg.succ, qg.initial)
-
-    @staticmethod
-    def from_cost_game(game: CostGame) -> "ParityGame":
-        require_valid(game)
-        ids = sorted(v.id for v in game.vertices)
-        pos = {i: k for k, i in enumerate(ids)}
-        owners = tuple(game.owner[i] for i in ids)
-        colors = tuple(game.color[i] for i in ids)
-        succ = tuple(tuple(pos[t] for t, _ in game.successors[i]) for i in ids)
-        return ParityGame(owners, colors, succ, pos[game.initial])
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
@@ -120,7 +110,7 @@ def _attractor(pg: ParityGame, player: int, targets: list[int],
     return region, moves
 
 
-def _zielonka(pg: ParityGame, active: list[bool], count: int
+def _zielonka(pg: ParityGame, active: list[bool]
               ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
     """Recursive attractor-based solve of the active subgame.
 
@@ -142,7 +132,7 @@ def _zielonka(pg: ParityGame, active: list[bool], count: int
         sub_active = active[:]
         for v in region_a:
             sub_active[v] = False
-        w0, w1, s0, s1 = _zielonka(pg, sub_active, count - len(region_a))
+        w0, w1, s0, s1 = _zielonka(pg, sub_active)
         opp = w1 if sigma == 0 else w0
         if not opp:
             mine = acc[sigma]
@@ -169,15 +159,11 @@ def _zielonka(pg: ParityGame, active: list[bool], count: int
 
 def solve_parity(pg: ParityGame) -> SolveResult:
     """Full winning-region partition with positional strategies."""
-    w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n, pg.n)
+    w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
     winner = 0 if pg.initial in w0 else 1
     strat0 = {v: t for v, t in s0.items() if pg.owners[v] == 0} if winner == 0 else None
     strat1 = {v: t for v, t in s1.items() if pg.owners[v] == 1} if winner == 1 else None
     return SolveResult(winner, strat0, strat1, frozenset(w0), frozenset(w1))
-
-
-def _both_strategies(pg: ParityGame) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
-    return _zielonka(pg, [True] * pg.n, pg.n)
 
 
 # --- the layered explicit product -------------------------------------------
@@ -243,7 +229,7 @@ class _LevelGraph:
             succ.append((sink0,))
             succ.append((sink1,))
             pg = ParityGame(owners, colors, tuple(succ), 0)
-            w0, w1, s0, s1 = _both_strategies(pg)
+            w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
             cur = frozenset(v for v in w0 if v < m)
             moves0 = self._project_moves(s0, m, prev)
             moves1 = self._project_moves(s1, m, prev)
@@ -305,7 +291,7 @@ class _FlatSolveInfo:
         self.bound = bound
         self.quotient = build_quotient_game(game, bound, budget)
         pg = ParityGame.from_quotient(self.quotient)
-        w0, w1, s0, s1 = _both_strategies(pg)
+        w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
         self._w0 = w0
         self._s = (s0, s1)
         self._index = {st: i for i, st in enumerate(self.quotient.states)}
@@ -447,109 +433,31 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     Each branch stops at its minimal settled prefix: an even dominating
     cycle wins the branch for Player 0, saturation or an odd dominating
     cycle wins it for Player 1.  Binary-encoded games apply the shortcut
-    rule when generating successors.  The search is exact but only
+    rule when generating successors.  Both rules are the ones
+    ``reduction.settled`` and ``shortcut_step`` apply, run incrementally
+    on one ``reduction._PrefixStack``.  The search is exact but only
     intended for desk-scale oracle runs; it reports budget exhaustion
     instead of guessing.
     """
     require_valid(game)
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    b = clamp_bound(game, bound)
-    binary = game.encoding == BINARY
-    tr = Tracker(game, b)
+    stack = _PrefixStack(game, clamp_bound(game, bound))
     succ = game.successors
     owner = game.owner
-    color = game.color
-    n = game.n
-
-    verts: list[int] = []
-    os_: list[int] = []
-    rs: list[tuple] = []
-    cum: list[int] = []      # cumulative transition cost
-    relm: list[int] = []
-    runstart: list[int] = []  # start of the maximal constant-relevance run
-    via: list[bool] = []
-    buckets: dict[tuple[int, int], list[int]] = {}
-
-    def push(v: int, o: int, r: tuple, cost: int, shortcut: bool) -> None:
-        i = len(verts)
-        verts.append(v)
-        os_.append(o)
-        rs.append(r)
-        cum.append((cum[-1] if i else 0) + cost)
-        m = _relevant_mask(r)
-        relm.append(m)
-        runstart.append(i if i == 0 or relm[i - 1] != m else runstart[i - 1])
-        via.append(shortcut)
-        buckets.setdefault((v, o), []).append(i)
-
-    def pop() -> None:
-        i = len(verts) - 1
-        buckets[(verts[i], os_[i])].pop()
-        verts.pop(); os_.pop(); rs.pop(); cum.pop()
-        relm.pop(); runstart.pop(); via.pop()
-
-    def verdict_of_last() -> Optional[int]:
-        """Winner if the prefix just became settled, else None."""
-        i = len(verts) - 1
-        if os_[i] == n:
-            return 1
-        best: Optional[tuple[int, int]] = None  # (start, winner)
-        for k in buckets[(verts[i], os_[i])]:
-            if k == i or os_[k] != os_[i]:
-                continue
-            top = max(color[verts[j]] for j in range(k, i + 1))
-            if top % 2 == 0:
-                ok = _r_dominated(rs[i], rs[k])
-                winner = 0
-            else:
-                ok = _r_dominated(rs[k], rs[i])
-                winner = 1
-            if ok:
-                best = (k, winner)
-                break  # bucket is in ascending order: smallest start wins
-        return best[1] if best else None
-
-    def step(v: int, o: int, r: tuple, t: int, w: int) -> tuple[int, tuple, int, bool]:
-        """Successor state with the shortcut rule applied when mandated."""
-        o2, r2, _ = tr.update(o, r, w, t)
-        if not binary:
-            return o2, r2, w, False
-        m2 = _relevant_mask(r2)
-        if not m2:
-            return o2, r2, w, False
-        L = len(verts)
-        lo = L if relm[L - 1] != m2 else runstart[L - 1]
-        cstar = -1
-        for j in range(L - 1, lo - 1, -1):
-            if verts[j] != t or os_[j] != o2:
-                continue
-            s = cum[L - 1] - cum[j] + w
-            if s <= 0:
-                continue
-            if cstar < 0:
-                cstar = max(x for x in r2 if x is not None)
-            if cstar + s <= b:
-                tt = (b - cstar) // s
-                rstar = tuple(x if x is None else x + s * tt for x in r2)
-                return o2, rstar, w + s * tt, True
-        return o2, r2, w, False
-
     nodes = 0
-    o0, r0 = tr.initial_state()
-    push(game.initial, o0, r0, 0, False)
+    stack.push(game.initial, *stack.tracker.initial_state(), 0)
 
     # frames: [owner, moves, next-index, value]
     frames: list[list] = [[owner[game.initial], succ[game.initial], 0, None]]
-    result: Optional[bool] = None
-    exhausted = False
+    result: Optional[bool] = None  # stays None when the budget runs out
     while frames:
         fr = frames[-1]
         own, moves, idx, value = fr
         if value is not None or idx >= len(moves):
             if value is None:
                 value = own == 1  # all children lost for the mover
-            pop()
+            stack.pop()
             frames.pop()
             if not frames:
                 result = value
@@ -562,21 +470,16 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
         t, w = moves[idx]
         nodes += 1
         if nodes > node_budget:
-            exhausted = True
             break
-        v, o, r = verts[-1], os_[-1], rs[-1]
-        o2, r2, cost, sc = step(v, o, r, t, w)
-        push(t, o2, r2, cost, sc)
-        winner = verdict_of_last()
-        if winner is not None:
-            pop()
-            value = winner == 0
+        stack.push(t, *stack.step(t, w))
+        verdict = stack.verdict()
+        if verdict.settled:
+            stack.pop()
+            value = verdict.winner == 0
             if (own == 0 and value) or (own == 1 and not value):
                 fr[3] = value
         else:
             frames.append([owner[t], succ[t], 0, None])
-    if exhausted:
-        return FiniteDurationResult(None, nodes)
     return FiniteDurationResult(result, nodes)
 
 

@@ -15,7 +15,8 @@ Player 0's nodes branch per pair, giving her strategies of at most d!
 memory, matching the known bounds.
 
 Certificates, verification and optimal-cost search run on the pipeline
-shared with parity games: ``core`` tabulates strategies, resets the
+shared with parity games: ``core`` tabulates strategies (the
+classical solver's too, through ``StreettGame.update_key``), resets the
 spoiler's overflow counter and bisects bounds; ``semantics`` validates
 lassos and builds the one-player product.  This module adds the
 per-pair tracker, the reduction, the solver and the lasso analyses.
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .core import (BudgetExceededError, CostGame, FormatError, StrategySpec, Vertex,
-                   _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
-                   strategy_from_product)
-from .semantics import INF, Lasso, _product_rows, validate_lasso
+from .core import (DEAD_MEMORY, BudgetExceededError, CostGame, FormatError, StrategySpec,
+                   Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
+                   strategy_from_functions, strategy_from_product)
+from .semantics import INF, Lasso, _product_rows, _response_cost, validate_lasso
 
 DEFAULT_STREETT_BUDGET = 5_000_000
 
@@ -128,6 +129,15 @@ class StreettGame:
         return len(self.pairs_q)
 
     @cached_property
+    def owner(self) -> dict[int, int]:
+        return dict(enumerate(self.owners))
+
+    @cached_property
+    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        """(source, target) → (source, 0, target), as on CostStreettGame."""
+        return {(u, t): (u, 0, t) for u in range(self.n) for t in self.succ[u]}
+
+    @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
         pred: list[list[int]] = [[] for _ in range(self.n)]
         for u in range(self.n):
@@ -205,23 +215,13 @@ def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
     worst: float = 0
     costs = game.edge_cost
     amask = game.answer_mask
-    limit = len(lasso) + len(lasso.cycle)
     for c in range(game.d):
         if not opened >> c & 1:
             continue
         if amask[v] >> c & 1:
             continue  # answered on the spot with cost 0
-        total = 0
-        k = j
-        value: float = INF
-        while k - j < limit:
-            u, w = lasso.vertex_at(k), lasso.vertex_at(k + 1)
-            total += costs[(u, w)][c]
-            k += 1
-            if amask[w] >> c & 1:
-                value = total
-                break
-        worst = max(worst, value)
+        worst = max(worst, _response_cost(lasso, j, lambda u, w: costs[(u, w)][c],
+                                          lambda w: amask[w] >> c & 1))
     return worst
 
 
@@ -343,16 +343,6 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
 
 # --- classical Streett solving (Zielonka-tree recursion) -----------------------
 
-class _DeadState:
-    """Sentinel strategy state once play has left the assembled region."""
-
-    def __repr__(self):
-        return "<dead>"
-
-
-_DEAD = _DeadState()
-
-
 class _LeafCell:
     def __init__(self, moves: dict[int, int]):
         self.moves = moves
@@ -385,8 +375,8 @@ class _RotateCell:
         return self._enter(0, v)
 
     def step(self, state, w):
-        if state is _DEAD:
-            return _DEAD
+        if state is DEAD_MEMORY:
+            return DEAD_MEMORY
         idx, sub = state
         ch = self.children[idx]
         if w in ch["targets"]:
@@ -397,10 +387,10 @@ class _RotateCell:
             return (idx, ch["subcell"].step(sub, w))
         if w in ch["attr_region"]:
             return (idx, None)
-        return _DEAD
+        return DEAD_MEMORY
 
     def move(self, v, state):
-        if state is _DEAD:
+        if state is DEAD_MEMORY:
             return None
         idx, sub = state
         ch = self.children[idx]
@@ -424,7 +414,7 @@ class _PieceCell:
     def _enter(self, v):
         idx = self.piece_of.get(v)
         if idx is None:
-            return _DEAD
+            return DEAD_MEMORY
         pc = self.pieces[idx]
         if v in pc["sub_region"]:
             return (idx, pc["subcell"].init(v))
@@ -436,8 +426,8 @@ class _PieceCell:
     def step(self, state, w):
         idx2 = self.piece_of.get(w)
         if idx2 is None:
-            return _DEAD
-        if state is _DEAD or state[0] != idx2:
+            return DEAD_MEMORY
+        if state is DEAD_MEMORY or state[0] != idx2:
             return self._enter(w)
         idx, sub = state
         pc = self.pieces[idx]
@@ -448,7 +438,7 @@ class _PieceCell:
         return (idx, None)
 
     def move(self, v, state):
-        if state is _DEAD or self.piece_of.get(v) != state[0]:
+        if state is DEAD_MEMORY or self.piece_of.get(v) != state[0]:
             return None
         idx, sub = state
         pc = self.pieces[idx]
@@ -621,53 +611,25 @@ class StreettSolveResult:
         return _positional_from_cell(self.sg, 1, self._cells[1])
 
 
+def _cell_move(sg: StreettGame, cell, v: int, state) -> int:
+    mv = cell.move(v, state)
+    return min(sg.succ[v]) if mv is None else mv
+
+
 def _materialize_cell(sg: StreettGame, player: int, cell) -> StrategySpec:
-    """Tabulate a cell strategy into a StrategySpec over the Streett
-    arena (edges keyed with cost 0).  Memory states are the distinct
-    cell states reachable from any vertex, discovery-ordered."""
-    start = cell.init(sg.initial) if cell is not None else _DEAD
-    index = {start: 0}
-    labels = [start]
-    edges = [(u, 0, t) for u in range(sg.n) for t in sg.succ[u]]
-    frontier = [start]
-    while frontier:
-        st = frontier.pop()
-        for u in range(sg.n):
-            for t in sg.succ[u]:
-                nxt = cell.step(st, t) if cell is not None else _DEAD
-                if nxt not in index:
-                    index[nxt] = len(labels)
-                    labels.append(nxt)
-                    frontier.append(nxt)
-    update = {}
-    for st in labels:
-        for u, w, t in edges:
-            nxt = cell.step(st, t) if cell is not None else _DEAD
-            update[(index[st], (u, w, t))] = index[nxt]
-    next_move: dict[tuple[int, int], int] = {}
-    for v in range(sg.n):
-        if sg.owners[v] != player:
-            continue
-        for st in labels:
-            mv = cell.move(v, st) if cell is not None else None
-            if mv is None:
-                mv = min(sg.succ[v])
-            next_move[(v, index[st])] = mv
-    return StrategySpec(player, tuple(range(len(labels))), 0, update, next_move)
+    """Tabulate a cell strategy over the Streett arena: memory states are
+    the cell states reachable from the initial one under every edge."""
+    return strategy_from_functions(sg, player, cell.init(sg.initial),
+                                   lambda state, ek: cell.step(state, ek[2]),
+                                   lambda v, state: _cell_move(sg, cell, v, state))
 
 
 def _positional_from_cell(sg: StreettGame, player: int, cell) -> StrategySpec:
     """Positional strategy read off a cell whose states are functions of
     the current vertex (the case for Player 1: his condition being a
     disjunction, his tree nodes are unary, so nothing ever rotates)."""
-    update = {(0, (u, 0, t)): 0 for u in range(sg.n) for t in sg.succ[u]}
-    next_move = {}
-    for v in range(sg.n):
-        if sg.owners[v] != player:
-            continue
-        mv = cell.move(v, cell.init(v)) if cell is not None else None
-        next_move[(v, 0)] = mv if mv is not None else min(sg.succ[v])
-    return StrategySpec(player, (0,), 0, update, next_move)
+    return strategy_from_functions(sg, player, 0, lambda state, ek: 0,
+                                   lambda v, _: _cell_move(sg, cell, v, cell.init(v)))
 
 
 def solve_streett(sg: StreettGame) -> StreettSolveResult:

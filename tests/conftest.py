@@ -13,6 +13,7 @@ import pytest
 
 from costparity import make_game
 from costparity.semantics import INF, Lasso
+from costparity.streett import StreettGame
 
 
 def delay_game(free_idling: bool):
@@ -44,6 +45,19 @@ def random_cost_game(rng: random.Random, n: int, max_color: int,
         for t in rng.sample(range(n), rng.randint(1, n)):
             edges.append((i, t, rng.randint(0, max_cost)))
     return make_game(verts, edges, 0, encoding)
+
+
+def random_streett_game(rng):
+    n = rng.randint(1, 5)
+    d = rng.randint(1, 2)
+    owners = tuple(rng.randint(0, 1) for _ in range(n))
+    succ = tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
+                 for _ in range(n))
+    pairs_q = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
+                    for _ in range(d))
+    pairs_p = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
+                    for _ in range(d))
+    return StreettGame(owners, succ, pairs_q, pairs_p, 0)
 
 
 # --- oracle: play cost by unrolling ------------------------------------------

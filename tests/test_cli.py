@@ -144,6 +144,23 @@ def test_error_protocol(tmp_path, delay_path):
         code, _, err = invoke("validate", str(bad))
         assert code == 2 and err.startswith("error: format: ")
         assert len(err.splitlines()) == 1
+    # a state count no update table in the file can cover
+    gen = str(tmp_path / "p0")
+    assert invoke("generate", "p0mem", "--d", "1", "--outdir", gen)[0] == 0
+    huge = tmp_path / "huge.strat"
+    huge.write_text("strategy 0 20000000 0\n")
+    code, _, err = invoke("verify", "--strategy", str(huge), f"{gen}/p0mem-d1.cpg")
+    assert code == 2 and err.startswith("error: format: ")
+    assert len(err.splitlines()) == 1
+    qdimacs = tmp_path / "bad.qdimacs"
+    for body in ("p cnf 1 1\ne 1 0\n1 0 1 0\n", "p cnf 1 1\ne 1 0\n2 1 1 0\n",
+                 "p cnf x 1\ne 1 0\n1 0\n", "p cnf 1 1\ne y 0\n1 0\n",
+                 "p cnf 1 1\ne 1 0\n1 z 0\n"):
+        qdimacs.write_text(body)
+        code, _, err = invoke("generate", "qbf", "--qdimacs", str(qdimacs),
+                              "--outdir", str(tmp_path / "q"))
+        assert code == 2 and err.startswith("error: format: ")
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("player", [0, 1])

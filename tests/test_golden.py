@@ -4,13 +4,22 @@ One SHA-256 digest covers the exit code, stdout and stderr of each
 ``cli.run`` call and the contents of every file the calls write, with
 the temporary directory replaced by a fixed token.  A refactor that
 changes any decision, certificate, cost or message changes the digest.
+
+A second digest covers what the CLI families never reach: the
+finite-duration engine's (achievable, nodes) on seeded random unary and
+binary games, and the classical Streett solver's strategies on seeded
+random Streett games.
 """
 
 import hashlib
 import io
+import random
 import re
 
+from conftest import random_cost_game, random_streett_game
+from costparity import decide_bounded_cost, decide_bounded_cost_finite_duration, format_strat
 from costparity.cli import run
+from costparity.streett import solve_streett
 
 INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
              ("p1trade", 2), ("bintrade", 2), ("streett", 1)]
@@ -56,3 +65,33 @@ def test_cli_outputs_match_golden_digest(tmp_path):
     assert (len(log), len(files)) == (59, 45)
     assert all(code in (0, 1) and not err for _, code, _, err in log)
     assert h.hexdigest() == GOLDEN_DIGEST
+
+
+ENGINE_DIGEST = "f417da2da7d3e362af19cc27b7adff44a9bc67df55d2d24182cc16e6df6c5f43"
+
+
+def test_engine_and_streett_strategies_match_golden_digest():
+    rng = random.Random(3)
+    h = hashlib.sha256()
+    for _ in range(200):
+        g = random_cost_game(rng, rng.randint(1, 4), 3)
+        fd = decide_bounded_cost_finite_duration(g, rng.randint(0, 3), node_budget=20_000)
+        h.update(repr((fd.achievable, fd.nodes)).encode() + b"\1")
+    # binary games with costs up to 3 and bounds that leave room for the
+    # shortcut rule to fast-forward cost-positive cycles
+    decided = 0
+    for _ in range(200):
+        g = random_cost_game(rng, rng.randint(2, 4), 3, max_cost=3, encoding="binary")
+        b = rng.randint(2, 12)
+        fd = decide_bounded_cost_finite_duration(g, b, node_budget=20_000)
+        h.update(repr((fd.achievable, fd.nodes)).encode() + b"\1")
+        if not fd.exhausted:
+            assert fd.achievable == decide_bounded_cost(g, b).achievable
+            decided += 1
+    assert decided >= 190
+    for _ in range(200):
+        res = solve_streett(random_streett_game(rng))
+        for strat in (res.player0_strategy, res.player1_strategy):
+            if strat is not None:
+                h.update(format_strat(strat).encode() + b"\1")
+    assert h.hexdigest() == ENGINE_DIGEST

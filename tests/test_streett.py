@@ -1,6 +1,6 @@
 import random
 
-from conftest import brute_streett_winner, random_cost_game
+from conftest import brute_streett_winner, random_cost_game, random_streett_game
 from costparity import INF, Lasso, decide_bounded_cost
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, build_streett_reduction,
@@ -22,19 +22,6 @@ def tiny_streett(pairs, edges, owners, initial=0):
                for s, t, w in edges)
     ps = tuple(StreettPair(frozenset(q), frozenset(p)) for q, p in pairs)
     return CostStreettGame(verts, es, ps, initial)
-
-
-def random_streett_game(rng):
-    n = rng.randint(1, 5)
-    d = rng.randint(1, 2)
-    owners = tuple(rng.randint(0, 1) for _ in range(n))
-    succ = tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-                 for _ in range(n))
-    pairs_q = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
-                    for _ in range(d))
-    pairs_p = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
-                    for _ in range(d))
-    return StreettGame(owners, succ, pairs_q, pairs_p, 0)
 
 
 def test_stcor_examples():
