@@ -105,6 +105,10 @@ def cmd_verify(args, out) -> int:
         raise CliError("io", f"cannot read {args.strategy}: {exc}") from exc
     except core.FormatError as exc:
         raise CliError("format", f"{args.strategy}: {exc}") from exc
+    if strat.player not in (0, 1):
+        # neither verifier applies; the well-formedness report says why
+        report = core.validate_strategy(game, strat)
+        raise CliError("strategy", "ill-formed strategy: " + "; ".join(report))
     try:
         if isinstance(game, streett.CostStreettGame):
             fn = (streett.streett_strategy_cost if strat.player == 0

@@ -187,6 +187,16 @@ def qbf_to_game(phi: QbfFormula) -> GeneratedInstance:
     a mismatched pick costs 3n+6.
     """
     phi = normalize_qbf(phi)
+    game, psi, treq, fneg, entry_of = _qbf_arena(phi)
+    _qbf_distance_audit(game, phi, psi, treq, fneg, entry_of)
+    return GeneratedInstance("qbf", phi.n, game, 3 * phi.n + 5)
+
+
+def _qbf_arena(phi: QbfFormula):
+    """The game of a normalized formula, with the vertices the distance
+    audit reads: the clause-picking vertex ψ, the true- and false-request
+    vertices of each variable, and the entry of each literal's check
+    gadget."""
     n = phi.n
     vertices: list[tuple[int, int, int]] = []
     edges: list[tuple[int, int, int]] = []
@@ -253,18 +263,17 @@ def qbf_to_game(phi: QbfFormula) -> GeneratedInstance:
 
     game = make_game(vertices, edges, a[0], UNARY)
     require_valid(game)
-    _qbf_distance_audit(game, phi, a, psi, treq, fneg, entry_of)
-    return GeneratedInstance("qbf", n, game, 3 * n + 5)
+    return game, psi, treq, fneg, entry_of
 
 
-def _qbf_distance_audit(game: CostGame, phi: QbfFormula, a, psi, treq, fneg,
+def _qbf_distance_audit(game: CostGame, phi: QbfFormula, psi, treq, fneg,
                         entry_of) -> None:
     """The proof's step counts, enforced: a true-request reaches the
     clause-picking vertex in 3(n−j)+1 steps, a false-request in
     3(n−j)+2, and every check gadget answers its own literal after
     3j+2 (positive) or 3j+1 (negative) steps."""
     n = phi.n
-    dist = _bfs_dist(game)
+    dist = _bfs_dist(game, [*treq.values(), *fneg.values(), *entry_of.values()])
     for j in range(1, n + 1):
         if dist[treq[j]][psi] != 3 * (n - j) + 1:
             raise AssertionError(f"true-request distance broken at {j}")
@@ -281,11 +290,12 @@ def _qbf_distance_audit(game: CostGame, phi: QbfFormula, a, psi, treq, fneg,
             raise AssertionError(f"check gadget broken for literal {lit}")
 
 
-def _bfs_dist(game: CostGame) -> dict[int, dict[int, int]]:
+def _bfs_dist(game: CostGame, sources) -> dict[int, dict[int, int]]:
+    """Step distances from each source to every vertex it reaches."""
     out = {}
-    for v in game.vertices:
-        dist = {v.id: 0}
-        frontier = [v.id]
+    for v in sources:
+        dist = {v: 0}
+        frontier = [v]
         while frontier:
             nxt = []
             for u in frontier:
@@ -294,7 +304,7 @@ def _bfs_dist(game: CostGame) -> dict[int, dict[int, int]]:
                         dist[t] = dist[u] + 1
                         nxt.append(t)
             frontier = nxt
-        out[v.id] = dist
+        out[v] = dist
     return out
 
 

@@ -64,75 +64,67 @@ class SolveResult:
 def _attractor(pg: ParityGame, player: int, targets: list[int],
                active: list[bool]) -> tuple[list[int], dict[int, int]]:
     """Player's attractor of targets within the active subgame, with
-    deterministic progress moves for the player's attracted vertices."""
-    in_region = [False] * pg.n
-    rank = [0] * pg.n
+    deterministic progress moves for the player's attracted vertices.
+
+    The region doubles as the breadth-first queue, and the ranks and
+    opponent escape counts live in dicts over it, so a call costs time
+    in the region and its predecessors only.
+    """
+    owners, succ, pred = pg.owners, pg.succ, pg.pred
+    rank: dict[int, int] = {}
     region: list[int] = []
     for t in targets:
-        if active[t] and not in_region[t]:
-            in_region[t] = True
+        if active[t] and t not in rank:
+            rank[t] = 0
             region.append(t)
-    cnt = [0] * pg.n
-    queue = list(region)
-    qi = 0
-    while qi < len(queue):
-        w = queue[qi]
-        qi += 1
-        for u in pg.pred[w]:
-            if not active[u] or in_region[u]:
+    cnt: dict[int, int] = {}
+    for w in region:  # the loop reaches the vertices appended below
+        rw = rank[w] + 1
+        for u in pred[w]:
+            if u in rank or not active[u]:
                 continue
-            if pg.owners[u] == player:
-                in_region[u] = True
-                rank[u] = rank[w] + 1
-                region.append(u)
-                queue.append(u)
-            else:
-                if cnt[u] == 0:
-                    cnt[u] = sum(1 for s in pg.succ[u] if active[s])
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    in_region[u] = True
-                    rank[u] = rank[w] + 1
-                    region.append(u)
-                    queue.append(u)
+            if owners[u] != player:
+                k = cnt.get(u)
+                if k is None:
+                    k = sum(map(active.__getitem__, succ[u]))
+                cnt[u] = k = k - 1
+                if k:
+                    continue
+            rank[u] = rw
+            region.append(u)
     moves: dict[int, int] = {}
-    target_set = set(t for t in targets if active[t])
     for u in region:
-        if pg.owners[u] != player or u in target_set:
-            continue
-        best = None
-        for s in sorted(pg.succ[u]):
-            if active[s] and in_region[s] and rank[s] < rank[u]:
-                best = s
-                break
-        if best is not None:
-            moves[u] = best
+        ru = rank[u]
+        if owners[u] == player and ru:
+            moves[u] = min(s for s in succ[u] if rank.get(s, ru) < ru)
     return region, moves
 
 
-def _zielonka(pg: ParityGame, active: list[bool]
+def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
               ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
-    """Recursive attractor-based solve of the active subgame.
+    """Recursive attractor-based solve of the subgame on ``verts``.
 
+    ``verts`` is sorted, and ``active`` is a membership buffer shared by
+    the whole recursion that marks exactly ``verts`` on entry; it is
+    restored before returning, so a call costs time in its subgame only.
     Returns winning sets and positional strategies for both players.
     The loop peels opponent dominions so recursion depth is bounded by
     the number of distinct colors.
     """
+    colors, owners, succ = pg.colors, pg.owners, pg.succ
     win = ({}, {})  # accumulated strategies
     acc = (set(), set())  # accumulated winning sets
-    active = active[:]
-    while True:
-        verts = [v for v in range(pg.n) if active[v]]
-        if not verts:
-            return acc[0], acc[1], win[0], win[1]
-        c = max(pg.colors[v] for v in verts)
+    removed: list[int] = []  # opponent dominions peeled off in this call
+    while verts:
+        c = max(map(colors.__getitem__, verts))
         sigma = c % 2
-        tops = [v for v in verts if pg.colors[v] == c]
+        tops = [v for v in verts if colors[v] == c]
         region_a, moves_a = _attractor(pg, sigma, tops, active)
-        sub_active = active[:]
         for v in region_a:
-            sub_active[v] = False
-        w0, w1, s0, s1 = _zielonka(pg, sub_active)
+            active[v] = False
+        w0, w1, s0, s1 = _zielonka(pg, [v for v in verts if active[v]], active)
+        for v in region_a:
+            active[v] = True
         opp = w1 if sigma == 0 else w0
         if not opp:
             mine = acc[sigma]
@@ -141,25 +133,36 @@ def _zielonka(pg: ParityGame, active: list[bool]
             strat.update((s0, s1)[sigma])
             strat.update(moves_a)
             for v in tops:
-                if pg.owners[v] == sigma and v not in strat:
-                    strat[v] = min(s for s in pg.succ[v] if active[s])
-            return acc[0], acc[1], win[0], win[1]
+                if owners[v] == sigma and v not in strat:
+                    strat[v] = min(s for s in succ[v] if active[s])
+            break
         region_b, moves_b = _attractor(pg, 1 - sigma, sorted(opp), active)
         theirs = acc[1 - sigma]
         strat = win[1 - sigma]
         for v in region_b:
             theirs.add(v)
             active[v] = False
+        removed.extend(region_b)
         strat.update(moves_b)
         opp_strat = (s0, s1)[1 - sigma]
         for v in opp:
             if v in opp_strat:
                 strat[v] = opp_strat[v]
+        verts = [v for v in verts if active[v]]
+    for v in removed:
+        active[v] = True
+    return acc[0], acc[1], win[0], win[1]
+
+
+def _solve_all(pg: ParityGame
+               ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
+    """``_zielonka`` on the whole game."""
+    return _zielonka(pg, list(range(pg.n)), [True] * pg.n)
 
 
 def solve_parity(pg: ParityGame) -> SolveResult:
     """Full winning-region partition with positional strategies."""
-    w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
+    w0, w1, s0, s1 = _solve_all(pg)
     winner = 0 if pg.initial in w0 else 1
     strat0 = {v: t for v, t in s0.items() if pg.owners[v] == 0} if winner == 0 else None
     strat1 = {v: t for v, t in s1.items() if pg.owners[v] == 1} if winner == 1 else None
@@ -174,9 +177,12 @@ class _LevelGraph:
     Memory updates never depend on o (only the saturation clamp does),
     so G' is n+1 copies of one graph over (vertex, request-function)
     nodes, with overflow edges stepping one level up.  Levels are solved
-    from the saturated level downward; the winner map of a level is a
-    function of the next level's map, so iteration stops as soon as the
-    map repeats.
+    from the saturated level downward.  A level's game, and so its
+    winners and moves, depends on the next level's winning set only at
+    the targets of overflow edges, so iteration stops as soon as the
+    winning set restricted to those targets repeats; every lower level
+    is served by the last iterate.  Each level is one Zielonka solve,
+    whose recursive calls cost time in their own subgame only.
     """
 
     def __init__(self, game: CostGame, bound: int, budget: int):
@@ -219,6 +225,7 @@ class _LevelGraph:
         owners = self.owners + (1, 0)
         colors = self.colors + (0, 1)
         n_levels = self.game.n
+        overflow_targets = frozenset(j for row in self.rows for j, ovf, _ in row if ovf)
         prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
         iterates: list[tuple[frozenset[int], dict[int, int], dict[int, int]]] = []
         for _ in range(n_levels):
@@ -229,13 +236,13 @@ class _LevelGraph:
             succ.append((sink0,))
             succ.append((sink1,))
             pg = ParityGame(owners, colors, tuple(succ), 0)
-            w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
+            w0, w1, s0, s1 = _solve_all(pg)
             cur = frozenset(v for v in w0 if v < m)
             moves0 = self._project_moves(s0, m, prev)
             moves1 = self._project_moves(s1, m, prev)
             iterates.append((cur, moves0, moves1))
-            if cur == prev:
-                break
+            if cur & overflow_targets == prev & overflow_targets:
+                break  # the next level's game would be this one again
             prev = cur
         self.iterates = iterates
 
@@ -291,7 +298,7 @@ class _FlatSolveInfo:
         self.bound = bound
         self.quotient = build_quotient_game(game, bound, budget)
         pg = ParityGame.from_quotient(self.quotient)
-        w0, w1, s0, s1 = _zielonka(pg, [True] * pg.n)
+        w0, w1, s0, s1 = _solve_all(pg)
         self._w0 = w0
         self._s = (s0, s1)
         self._index = {st: i for i, st in enumerate(self.quotient.states)}

@@ -152,6 +152,16 @@ def test_error_protocol(tmp_path, delay_path):
     code, _, err = invoke("verify", "--strategy", str(huge), f"{gen}/p0mem-d1.cpg")
     assert code == 2 and err.startswith("error: format: ")
     assert len(err.splitlines()) == 1
+    # a player other than 0 or 1 is reported by validation, for both game kinds
+    assert invoke("generate", "streett", "--d", "1", "--outdir", gen)[0] == 0
+    player2 = tmp_path / "player2.strat"
+    player2.write_text("strategy 2 1 0\n")
+    for game in (f"{gen}/p0mem-d1.cpg", f"{gen}/streett-d1.cst"):
+        code, out, err = invoke("verify", "--strategy", str(player2), game)
+        assert code == 2 and out == ""
+        assert err.startswith("error: strategy: ")
+        assert "player must be 0 or 1, got 2" in err
+        assert len(err.splitlines()) == 1
     qdimacs = tmp_path / "bad.qdimacs"
     for body in ("p cnf 1 1\ne 1 0\n1 0 1 0\n", "p cnf 1 1\ne 1 0\n2 1 1 0\n",
                  "p cnf x 1\ne 1 0\n1 0\n", "p cnf 1 1\ne y 0\n1 0\n",

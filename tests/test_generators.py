@@ -9,6 +9,7 @@ from costparity import (QbfFormula, binary_tradeoff_family,
                         p1_memory_family, p1_tradeoff_family, parse_qdimacs,
                         qbf_to_game, streett_counter_family, validate_game)
 from costparity.core import FormatError
+from costparity.generators import _qbf_arena, _qbf_distance_audit
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.streett import (streett_strategy_cost, validate_streett_game)
 
@@ -77,6 +78,22 @@ def test_qbf_distance_audit_runs_for_n_up_to_4():
     phi = QbfFormula(("e", "a", "e", "a"), ((1, 2, 3), (4, 4, 4)))
     inst = qbf_to_game(phi)
     assert inst.target_bound == 3 * 5 + 5
+
+
+def test_narrowed_distance_audit_catches_tampered_maps():
+    phi = normalize_qbf(QbfFormula(("e", "a", "e"), ((1, -2, 3), (-1, 2, -3))))
+    game, psi, treq, fneg, entry_of = _qbf_arena(phi)
+    _qbf_distance_audit(game, phi, psi, treq, fneg, entry_of)
+    with pytest.raises(AssertionError, match="true-request distance broken at 1"):
+        _qbf_distance_audit(game, phi, psi, fneg, treq, entry_of)
+    # each literal's entry pointing at its negation's gadget, then at
+    # another variable's gadget
+    swapped = {lit: entry_of[-lit] for lit in entry_of}
+    with pytest.raises(AssertionError, match="check gadget broken for literal 1"):
+        _qbf_distance_audit(game, phi, psi, treq, fneg, swapped)
+    shifted = {lit: entry_of[1] if lit == 3 else e for lit, e in entry_of.items()}
+    with pytest.raises(AssertionError, match="check gadget broken for literal 3"):
+        _qbf_distance_audit(game, phi, psi, treq, fneg, shifted)
 
 
 def test_qdimacs_roundtrip():

@@ -8,7 +8,9 @@ changes any decision, certificate, cost or message changes the digest.
 A second digest covers what the CLI families never reach: the
 finite-duration engine's (achievable, nodes) on seeded random unary and
 binary games, and the classical Streett solver's strategies on seeded
-random Streett games.
+random Streett games.  A third covers the layered engine's winners and
+positional moves at every state of its product, on seeded QBF games and
+seeded random cost games.
 """
 
 import hashlib
@@ -17,7 +19,8 @@ import random
 import re
 
 from conftest import random_cost_game, random_streett_game
-from costparity import decide_bounded_cost, decide_bounded_cost_finite_duration, format_strat
+from costparity import (QbfFormula, decide_bounded_cost,
+                        decide_bounded_cost_finite_duration, format_strat, qbf_to_game)
 from costparity.cli import run
 from costparity.streett import solve_streett
 
@@ -95,3 +98,34 @@ def test_engine_and_streett_strategies_match_golden_digest():
             if strat is not None:
                 h.update(format_strat(strat).encode() + b"\1")
     assert h.hexdigest() == ENGINE_DIGEST
+
+
+LAYERED_DIGEST = "33912c02a40d0d4e8382804753cd71ea0d75dc8b7ffe5b29d07b820a72ca63ac"
+
+
+def _hash_layered_solve(h, game, bound):
+    info = decide_bounded_cost(game, bound).info
+    winner, move = info.winner, info.move
+    rows = [[(winner(v, o, r), move(0, v, o, r), move(1, v, o, r))
+             for o in range(game.n + 1)] for v, r in info.nodes]
+    h.update(repr(rows).encode() + b"\1")
+
+
+def test_layered_solve_matches_golden_digest():
+    """Pins every overflow level's winners and both players' moves,
+    including the levels served by the last fixpoint iterate."""
+    rng = random.Random(5)
+    h = hashlib.sha256()
+    # (variables, formulas, most clauses): the products grow fast with both
+    for n, count, most in ((2, 22, 2), (3, 14, 1), (4, 4, 1)):
+        for _ in range(count):
+            prefix = tuple(rng.choice("ea") for _ in range(n))
+            clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                            for _ in range(rng.randint(1, most)))
+            inst = qbf_to_game(QbfFormula(prefix, clauses))
+            _hash_layered_solve(h, inst.game, inst.target_bound)
+    for _ in range(50):
+        _hash_layered_solve(h, random_cost_game(rng, rng.randint(1, 4), 4), rng.randint(0, 4))
+        _hash_layered_solve(h, random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3,
+                                                encoding="binary"), rng.randint(0, 6))
+    assert h.hexdigest() == LAYERED_DIGEST

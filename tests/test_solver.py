@@ -75,8 +75,12 @@ def test_decide_layered_equals_flat():
             g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3,
                                  encoding="binary")
         b = rng.randint(0, 4)
-        assert decide_bounded_cost(g, b).achievable == \
-            decide_bounded_cost(g, b, engine="flat").achievable
+        layered = decide_bounded_cost(g, b)
+        flat = decide_bounded_cost(g, b, engine="flat")
+        assert layered.achievable == flat.achievable
+        # every overflow level, the ones the last fixpoint iterate serves included
+        for v, o, r in flat.info.quotient.states:
+            assert layered.info.winner(v, o, r) == flat.info.winner(v, o, r)
 
 
 def test_decide_clamps_to_regime_bound():
