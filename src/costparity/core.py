@@ -457,20 +457,14 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
                 seen.add((t, m2))
                 stack.append((t, m2))
     edges = list(key.values())
-    pending = {}
-    for m in labels:
-        for ek in edges:
-            m2 = update_fn(m, ek)
-            pending[(index[m], ek)] = index.get(m2)
-    if any(j is None for j in pending.values()):
-        index[DEAD_MEMORY] = len(labels)
+    dead = len(labels)
+    get = index.get
+    update = {(i, ek): get(update_fn(m, ek), dead)
+              for i, m in enumerate(labels) for ek in edges}
+    if dead in update.values():
+        index[DEAD_MEMORY] = dead
         labels.append(DEAD_MEMORY)
-        dead = index[DEAD_MEMORY]
-        for ek in edges:
-            pending[(dead, ek)] = dead
-        update = {k: (dead if j is None else j) for k, j in pending.items()}
-    else:
-        update = pending
+        update.update(((dead, ek), dead) for ek in edges)
     next_move: dict[tuple[int, int], int] = {}
     for v in game.vertices:
         if v.owner != player:

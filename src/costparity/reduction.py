@@ -101,42 +101,69 @@ def dominates(a: TrackState, b: TrackState) -> bool:
     return _r_dominated(a.requests.values, b.requests.values)
 
 
-class Tracker:
-    """Prepared update machinery for one (game, bound) pair."""
+class _MemoizedStep:
+    """What both request trackers share: the set-up, the step memo and
+    the overflow bump.
 
-    def __init__(self, game: CostGame, bound: int):
+    A step changes r using only the edge cost and the target's class
+    (``target_class[target]``), and changes o only by the bump on an
+    overflow.  So ``_step(r, cost, class)`` -> (r', overflowed) runs once
+    per distinct key and is looked up afterwards.  The memo belongs to
+    the tracker and grows only with its distinct steps, which the
+    product it explores bounds.
+    """
+
+    def __init__(self, game, bound: int, target_class: Mapping[int, object]):
         if bound < 0:
             raise ValueError("bound must be non-negative")
         self.game = game
         self.bound = bound
+        self.n = game.n
+        self.target_class = target_class
+        self._memo: dict = {}
+
+    def initial_state(self) -> tuple[int, tuple]:
+        return (0, self.initial_r(self.game.initial))
+
+    def update(self, o: int, r: tuple, cost, target: int) -> tuple[int, tuple, bool]:
+        """One memory step; returns (o', r', overflowed)."""
+        tc = self.target_class[target]
+        key = (r, cost, tc)
+        step = self._memo.get(key)
+        if step is None:
+            step = self._memo[key] = self._step(r, cost, tc)
+        r, overflow = step
+        if overflow:
+            o = min(o + 1, self.n)
+        return o, r, overflow
+
+
+class Tracker(_MemoizedStep):
+    """Prepared update machinery for one (game, bound) pair; the target
+    class of a step is the target's color."""
+
+    def __init__(self, game: CostGame, bound: int):
+        super().__init__(game, bound, game.color)
         self.colors = game.odd_colors
         self.index = {c: i for i, c in enumerate(self.colors)}
         self.d = len(self.colors)
-        self.n = game.n
-        self.color_of = game.color
         self.bot = (BOT,) * self.d
 
     def initial_r(self, vertex: int) -> tuple:
-        c = self.color_of[vertex]
+        c = self.game.color[vertex]
         if c % 2 == 0:
             return self.bot
         r = [BOT] * self.d
         r[self.index[c]] = 0
         return tuple(r)
 
-    def initial_state(self) -> tuple[int, tuple]:
-        return (0, self.initial_r(self.game.initial))
-
-    def update(self, o: int, r: tuple, cost: int, target: int) -> tuple[int, tuple, bool]:
-        """One memory step; returns (o', r', overflowed)."""
+    def _step(self, r: tuple, cost: int, tc: int) -> tuple[tuple, bool]:
         b = self.bound
         if cost:
             r = tuple(x if x is None else x + cost for x in r)
         overflow = any(x is not None and x > b for x in r)
         if overflow:
             r = self.bot
-            o = min(o + 1, self.n)
-        tc = self.color_of[target]
         if tc % 2 == 0:
             if tc > 0 and any(x is not None for x in r):
                 r = tuple(BOT if c <= tc else x for c, x in zip(self.colors, r))
@@ -146,7 +173,7 @@ class Tracker:
                 lst = list(r)
                 lst[i] = 0
                 r = tuple(lst)
-        return o, r, overflow
+        return r, overflow
 
 
 def initial_request_function(game: CostGame, vertex: int) -> RequestFunction:

@@ -189,7 +189,6 @@ class _LevelGraph:
         tr = Tracker(game, bound)
         self.game = game
         self.bound = bound
-        self.tracker = tr
         succ = game.successors
         o0, r0 = tr.initial_state()
         index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
@@ -225,17 +224,37 @@ class _LevelGraph:
         owners = self.owners + (1, 0)
         colors = self.colors + (0, 1)
         n_levels = self.game.n
+        # Only rows with an overflow edge, and so the two sinks'
+        # predecessors, depend on the next level's winning set; every
+        # other row and predecessor list is built once for all levels.
+        succ = [tuple(j for j, _, _ in row) for row in self.rows] + [(sink0,), (sink1,)]
+        pred: list[list[int]] = [[] for _ in range(m)]
+        ovf_rows = []
+        for i, row in enumerate(self.rows):
+            if any(ovf for _, ovf, _ in row):
+                ovf_rows.append(i)
+            for j, ovf, _ in row:
+                if not ovf:
+                    pred[j].append(i)
+        fixed_pred = tuple(map(tuple, pred))
         overflow_targets = frozenset(j for row in self.rows for j, ovf, _ in row if ovf)
         prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
         iterates: list[tuple[frozenset[int], dict[int, int], dict[int, int]]] = []
         for _ in range(n_levels):
-            succ = []
-            for i in range(m):
-                succ.append(tuple((sink0 if j in prev else sink1) if ovf else j
-                                  for j, ovf, _ in self.rows[i]))
-            succ.append((sink0,))
-            succ.append((sink1,))
+            to_sink = ([], [])
+            for i in ovf_rows:
+                row = []
+                for j, ovf, _ in self.rows[i]:
+                    if ovf:
+                        sink = 0 if j in prev else 1
+                        to_sink[sink].append(i)
+                        j = m + sink
+                    row.append(j)
+                succ[i] = tuple(row)
             pg = ParityGame(owners, colors, tuple(succ), 0)
+            # seed the cached predecessor lists instead of recomputing them
+            vars(pg)["pred"] = fixed_pred + (tuple(to_sink[0]) + (sink0,),
+                                             tuple(to_sink[1]) + (sink1,))
             w0, w1, s0, s1 = _solve_all(pg)
             cur = frozenset(v for v in w0 if v < m)
             moves0 = self._project_moves(s0, m, prev)

@@ -32,6 +32,7 @@ from typing import Mapping, Optional, Sequence
 from .core import (DEAD_MEMORY, BudgetExceededError, CostGame, FormatError, StrategySpec,
                    Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
                    strategy_from_functions, strategy_from_product)
+from .reduction import _MemoizedStep
 from .semantics import INF, Lasso, _product_rows, _response_cost, validate_lasso
 
 DEFAULT_STREETT_BUDGET = 5_000_000
@@ -73,13 +74,13 @@ class CostStreettGame:
     def successors(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
         out: dict[int, list] = {v.id: [] for v in self.vertices}
         for e in self.edges:
-            out[e.source].append((e.target, e.costs))
+            out[e.source].append((e.target, tuple(e.costs)))
         return {u: tuple(sorted(ts)) for u, ts in out.items()}
 
     @cached_property
     def edge_cost(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """(source, target) → the edge's costs, one per pair."""
-        return {(e.source, e.target): e.costs for e in self.edges}
+        return {(e.source, e.target): tuple(e.costs) for e in self.edges}
 
     @cached_property
     def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -234,48 +235,40 @@ def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
 
 # --- per-pair request tracking ------------------------------------------------
 
-class StreettTracker:
+class StreettTracker(_MemoizedStep):
     """Request tracking with one counter per Streett pair.
 
     The state is (o, r) as in ``reduction.Tracker``, with r holding one
     entry per pair: ⊥, or the cost the oldest open request of that pair
     has incurred under the pair's own cost function.  A target in P_c
-    closes pair c, and one in Q_c (outside P_c) opens it.
+    closes pair c, and one in Q_c (outside P_c) opens it; the target
+    class of a step is the pair of those masks.
     """
 
     def __init__(self, game: CostStreettGame, bound: int):
-        if bound < 0:
-            raise ValueError("bound must be non-negative")
-        self.game = game
-        self.bound = bound
+        qmask = game.request_mask
+        super().__init__(game, bound,
+                         {v: (p, qmask[v] & ~p) for v, p in game.answer_mask.items()})
         self.d = game.d
-        self.n = game.n
-        self.qmask = game.request_mask
-        self.pmask = game.answer_mask
         self.bot = (None,) * self.d
 
     def initial_r(self, vertex: int) -> tuple:
-        fresh = self.qmask[vertex] & ~self.pmask[vertex]
+        fresh = self.target_class[vertex][1]
         return tuple(0 if fresh >> c & 1 else None for c in range(self.d))
 
-    def initial_state(self) -> tuple[int, tuple]:
-        return (0, self.initial_r(self.game.initial))
-
-    def update(self, o: int, r: tuple, costs: Sequence[int], target: int
-               ) -> tuple[int, tuple, bool]:
+    def _step(self, r: tuple, costs: tuple[int, ...], tc: tuple[int, int]
+              ) -> tuple[tuple, bool]:
         b = self.bound
         r = tuple(x if x is None else x + w for x, w in zip(r, costs))
         overflow = any(x is not None and x > b for x in r)
         if overflow:
             r = self.bot
-            o = min(o + 1, self.n)
-        close = self.pmask[target]
-        open_ = self.qmask[target] & ~close
+        close, open_ = tc
         if close or open_:
             r = tuple(None if close >> c & 1 else
                       (0 if (open_ >> c & 1) and x is None else x)
                       for c, x in enumerate(r))
-        return o, r, overflow
+        return r, overflow
 
 
 # --- reduction to a classical Streett game ------------------------------------

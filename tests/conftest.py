@@ -60,6 +60,24 @@ def random_streett_game(rng):
     return StreettGame(owners, succ, pairs_q, pairs_p, 0)
 
 
+def tracker_queries(rng, tracker, steps):
+    """A shuffled stream of update queries (o, r, cost, target): each
+    request function a random walk over ``steps`` meets, paired with
+    every step in ``steps``, under the overflow counters 0, n−1, n and
+    one random value, so each (r, cost, target) repeats under several o."""
+    n = tracker.n
+    seen = {}  # ordered, unlike a set of tuples holding None
+    o, r = tracker.initial_state()
+    for _ in range(30):
+        seen[r] = None
+        cost, t = rng.choice(steps)
+        o, r, _ = tracker.update(o, r, cost, t)
+    queries = [(o, r, cost, t) for r in seen for cost, t in steps
+               for o in (0, n - 1, n, rng.randint(0, n))]
+    rng.shuffle(queries)
+    return queries
+
+
 # --- oracle: play cost by unrolling ------------------------------------------
 
 def unrolled_play_cost(game, lasso: Lasso, horizon_factor: int = 4):

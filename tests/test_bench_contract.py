@@ -4,7 +4,7 @@
 rename or a moved helper would silently drop a span from the traced
 benchmark.  This test installs the tracer on the package, checks that
 every span a per-layer metric names is a wrapped function, and runs one
-optimal-cost search under it.
+optimal-cost search and one Streett decision under it.
 """
 
 import importlib.util
@@ -52,9 +52,15 @@ def test_tracer_wraps_every_named_span_and_counts_probes():
         tracer.begin_op()
         res = costparity.solver.optimal_cost(delay_game(True))
         counts = tracer.op_counters()
+        tracer.begin_op()
+        counter = costparity.generators.streett_counter_family(1).game
+        streett_res = costparity.streett.decide_bounded_cost_streett(counter, 5)
+        streett_counts = tracer.op_counters()
     finally:
         tracer.remove()
     assert res.value == 2
     assert counts["solver.bisection_probes"] > 0
     assert counts["reduction.tracker_updates"] > 0
+    assert streett_res.achievable
+    assert streett_counts["streett.tracker_updates"] > 0
     assert {s: _lookup(s) for s in spans} == originals

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cost_game
+from conftest import random_cost_game, tracker_queries
 from costparity import (Edge, build_quotient_game, classify_cycle, dominates,
                         initial_request_function, make_game, relevant_requests,
                         settled, settled_bound, shortcut_step, track_play,
@@ -166,6 +166,18 @@ def test_update_never_exceeds_bounds():
             o, r, _ = tr.update(o, r, e.cost, e.target)
             assert o <= g.n
             assert all(x is None or 0 <= x <= b for x in r)
+
+
+def test_tracker_memo_answers_like_a_fresh_tracker():
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_cost_game(rng, rng.randint(1, 4), 5, max_cost=3, encoding="binary")
+        b = rng.randint(0, 3)
+        queries = tracker_queries(rng, Tracker(g, b), [(e.cost, e.target) for e in g.edges])
+        shared = Tracker(g, b)
+        for q in queries:
+            assert shared.update(*q) == Tracker(g, b).update(*q), q
+        assert len(shared._memo) < len(queries)
 
 
 def test_classify_cycle():

@@ -1,9 +1,11 @@
 import random
 
-from conftest import brute_streett_winner, random_cost_game, random_streett_game
-from costparity import INF, Lasso, decide_bounded_cost
+from conftest import (brute_streett_winner, random_cost_game, random_streett_game,
+                      tracker_queries)
+from costparity import INF, Lasso, decide_bounded_cost, format_strat
+from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
-                                StreettPair, build_streett_reduction,
+                                StreettPair, StreettTracker, build_streett_reduction,
                                 decide_bounded_cost_streett, format_cst,
                                 optimal_cost_streett, parse_cst, solve_streett,
                                 stcor, streett_from_cost_parity,
@@ -198,6 +200,61 @@ def test_streett_certificates_verify():
         else:
             assert cert.player == 1
             assert streett_spoiler_cost(g, cert) > res.bound
+
+
+def test_list_costs_decide_like_tuple_costs():
+    # StreettEdge.costs is typed as a tuple but not enforced; the tracker
+    # memo keys on the costs, so the game must hand them out as tuples
+    rng = random.Random(67)
+    for _ in range(30):
+        g = random_cost_streett(rng)
+        lg = CostStreettGame(g.vertices,
+                             tuple(StreettEdge(e.source, e.target, list(e.costs))
+                                   for e in g.edges), g.pairs, g.initial)
+        for b in range(3):
+            res, lres = decide_bounded_cost_streett(g, b), decide_bounded_cost_streett(lg, b)
+            assert lres.achievable == res.achievable
+            assert lres.reduction.states == res.reduction.states
+            assert format_strat(lres.certificate) == format_strat(res.certificate)
+            verify = streett_strategy_cost if res.achievable else streett_spoiler_cost
+            assert verify(lg, lres.certificate) == verify(g, res.certificate)
+
+
+def test_streett_tracker_memo_answers_like_a_fresh_tracker():
+    rng = random.Random(71)
+    for _ in range(40):
+        g = random_cost_streett(rng)
+        b = rng.randint(0, 3)
+        steps = [(e.costs, e.target) for e in g.edges]
+        queries = tracker_queries(rng, StreettTracker(g, b), steps)
+        shared = StreettTracker(g, b)
+        for q in queries:
+            assert shared.update(*q) == StreettTracker(g, b).update(*q), q
+        assert len(shared._memo) < len(queries)
+
+
+def test_streett_tracker_agrees_with_parity_tracker():
+    # on the embedding the Streett tracker steps exactly as the parity one
+    rng = random.Random(73)
+    walked = 0
+    for _ in range(320):
+        g = random_cost_game(rng, rng.randint(1, 5), 5,
+                             max_cost=rng.choice([1, 3]), encoding="binary")
+        if not g.odd_colors:
+            continue  # the embedding adds one empty pair: r has another length
+        b = rng.randint(0, 3)
+        sg = streett_from_cost_parity(g)
+        tp, tst = Tracker(g, b), StreettTracker(sg, b)
+        state = tp.initial_state()
+        assert tst.initial_state() == state
+        v = g.initial
+        for _ in range(50):
+            t, w = rng.choice(g.successors[v])
+            step = tp.update(*state, w, t)
+            assert tst.update(*state, sg.edge_cost[(v, t)], t) == step
+            state, v = step[:2], t
+            walked += 1
+    assert walked > 10_000
 
 
 def test_streett_generalizes_cost_parity():
