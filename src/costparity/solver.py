@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .core import (UNARY, BudgetExceededError, CostGame, StrategySpec,
                    _least_bound, _reset_spoiler, require_valid, strategy_from_product)
@@ -45,11 +45,16 @@ class ParityGame:
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
-        pred: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for v in self.succ[u]:
-                pred[v].append(u)
-        return tuple(tuple(p) for p in pred)
+        return _predecessors(self.succ)
+
+
+def _predecessors(succ: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Predecessor lists of dense successor lists, each in source order."""
+    pred: list[list[int]] = [[] for _ in succ]
+    for u, row in enumerate(succ):
+        for v in row:
+            pred[v].append(u)
+    return tuple(map(tuple, pred))
 
 
 @dataclass(frozen=True)
@@ -172,25 +177,32 @@ def solve_parity(pg: ParityGame) -> SolveResult:
 # --- the layered explicit product -------------------------------------------
 
 class _LevelGraph:
-    """The quotient game factored by the overflow counter.
+    """A tracked product factored by the overflow counter and solved
+    level by level: the one layered engine for parity and Streett games.
 
-    Memory updates never depend on o (only the saturation clamp does),
-    so G' is n+1 copies of one graph over (vertex, request-function)
-    nodes, with overflow edges stepping one level up.  Levels are solved
-    from the saturated level downward.  A level's game, and so its
-    winners and moves, depends on the next level's winning set only at
-    the targets of overflow edges, so iteration stops as soon as the
-    winning set restricted to those targets repeats; every lower level
-    is served by the last iterate.  Each level is one Zielonka solve,
-    whose recursive calls cost time in their own subgame only.
+    Why the levels can be solved one at a time: a tracker step never
+    depends on o apart from the saturation clamp, so the product is n+1
+    copies of one graph over (vertex, request-function) nodes, overflow
+    edges go exactly one level up, and o never decreases.  A play thus
+    either stays in one level forever, or leaves level o on an overflow
+    edge, and from then on is won by whoever wins the state it enters
+    at level o+1, because parity and Streett objectives are
+    prefix-independent.  Level n is lost for Player 0: every saturated
+    state has the odd color 1 (parity) or requests the saturation pair,
+    which nothing answers (Streett).  So level o's game is the level
+    graph with each overflow edge sent to a won or a lost sink,
+    according to the winner of its target at level o+1, and the levels
+    are solved from the saturated one downward.  A level's game depends
+    on the next level's winning set only at the targets of overflow
+    edges, so iteration stops as soon as the winning set restricted to
+    those targets repeats; every lower level is served by the last
+    iterate.
     """
 
-    def __init__(self, game: CostGame, bound: int, budget: int):
-        tr = Tracker(game, bound)
+    def __init__(self, game, tracker, budget: int, what: str):
         self.game = game
-        self.bound = bound
         succ = game.successors
-        o0, r0 = tr.initial_state()
+        _, r0 = tracker.initial_state()
         index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
         order: list[tuple[int, tuple]] = [(game.initial, r0)]
         rows: list[tuple[tuple[int, bool, int], ...]] = []
@@ -200,14 +212,13 @@ class _LevelGraph:
             head += 1
             row = []
             for t, w in succ[v]:
-                _, r2, ovf = tr.update(0, r, w, t)
+                _, r2, ovf = tracker.update(0, r, w, t)
                 key = (t, r2)
                 j = index.get(key)
                 if j is None:
                     j = len(order)
                     if j >= budget:
-                        raise BudgetExceededError(
-                            f"quotient product exceeds budget {budget} states")
+                        raise BudgetExceededError(f"{what} exceeds budget {budget} states")
                     index[key] = j
                     order.append(key)
                 row.append((j, ovf, t))
@@ -215,15 +226,21 @@ class _LevelGraph:
         self.nodes = order
         self.index = index
         self.rows = tuple(rows)
-        self.owners = tuple(game.owner[v] for v, _ in order)
-        self.colors = tuple(game.color[v] for v, _ in order)
+        # the nodes' owners, then the won sink's and the lost sink's
+        self.owners = tuple(game.owner[v] for v, _ in order) + (1, 0)
 
-    def solve(self) -> None:
+    def solve(self, solve_level: Callable[[tuple, tuple, frozenset[int]], tuple]) -> None:
+        """Solves the levels n−1, n−2, … until the stop rule holds.
+
+        ``solve_level(succ, pred, prev)`` solves one level's game: its
+        successor and predecessor lists cover the nodes 0..m−1, then the
+        won sink m and the lost sink m+1, each looping on itself, and
+        ``prev`` is Player 0's winning set one level up.  It returns
+        Player 0's winning nodes (below m) at this level, followed by
+        whatever else the caller keeps per level (the parity moves).
+        """
         m = len(self.nodes)
         sink0, sink1 = m, m + 1
-        owners = self.owners + (1, 0)
-        colors = self.colors + (0, 1)
-        n_levels = self.game.n
         # Only rows with an overflow edge, and so the two sinks'
         # predecessors, depend on the next level's winning set; every
         # other row and predecessor list is built once for all levels.
@@ -239,8 +256,8 @@ class _LevelGraph:
         fixed_pred = tuple(map(tuple, pred))
         overflow_targets = frozenset(j for row in self.rows for j, ovf, _ in row if ovf)
         prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
-        iterates: list[tuple[frozenset[int], dict[int, int], dict[int, int]]] = []
-        for _ in range(n_levels):
+        iterates: list[tuple] = []
+        for _ in range(self.game.n):
             to_sink = ([], [])
             for i in ovf_rows:
                 row = []
@@ -251,23 +268,18 @@ class _LevelGraph:
                         j = m + sink
                     row.append(j)
                 succ[i] = tuple(row)
-            pg = ParityGame(owners, colors, tuple(succ), 0)
-            # seed the cached predecessor lists instead of recomputing them
-            vars(pg)["pred"] = fixed_pred + (tuple(to_sink[0]) + (sink0,),
-                                             tuple(to_sink[1]) + (sink1,))
-            w0, w1, s0, s1 = _solve_all(pg)
-            cur = frozenset(v for v in w0 if v < m)
-            moves0 = self._project_moves(s0, m, prev)
-            moves1 = self._project_moves(s1, m, prev)
-            iterates.append((cur, moves0, moves1))
+            level = solve_level(tuple(succ), fixed_pred + (tuple(to_sink[0]) + (sink0,),
+                                                           tuple(to_sink[1]) + (sink1,)), prev)
+            iterates.append(level)
+            cur = level[0]
             if cur & overflow_targets == prev & overflow_targets:
                 break  # the next level's game would be this one again
             prev = cur
         self.iterates = iterates
 
-    def _project_moves(self, strat: dict[int, int], m: int,
-                       prev: frozenset[int]) -> dict[int, int]:
+    def project_moves(self, strat: dict[int, int], prev: frozenset[int]) -> dict[int, int]:
         """Positional level-game choices mapped to arena successor ids."""
+        m = len(self.nodes)
         out: dict[int, int] = {}
         for i, j in strat.items():
             if i >= m:
@@ -297,6 +309,7 @@ class _LevelGraph:
         return 0 if node in self._iterate_for_level(o)[0] else 1
 
     def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
+        """The parity level solve's positional move, as an arena successor."""
         if o >= self.game.n:
             return None
         node = self.index.get((v, r))
@@ -307,6 +320,25 @@ class _LevelGraph:
     @property
     def size(self) -> int:
         return len(self.nodes)
+
+
+def _parity_levels(game: CostGame, bound: int, budget: int) -> _LevelGraph:
+    """The layered engine on a cost-parity game: each level is one
+    Zielonka solve with the won sink colored 0 and the lost sink 1, and
+    both players' moves are kept, projected to arena successors."""
+    levels = _LevelGraph(game, Tracker(game, bound), budget, "quotient product")
+    m = levels.size
+    colors = tuple(game.color[v] for v, _ in levels.nodes) + (0, 1)
+
+    def solve_level(succ, pred, prev):
+        pg = ParityGame(levels.owners, colors, succ, 0)
+        vars(pg)["pred"] = pred  # seed the cached predecessor lists
+        w0, _, s0, s1 = _solve_all(pg)
+        return (frozenset(v for v in w0 if v < m),
+                levels.project_moves(s0, prev), levels.project_moves(s1, prev))
+
+    levels.solve(solve_level)
+    return levels
 
 
 class _FlatSolveInfo:
@@ -387,8 +419,7 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
         raise ValueError("bound must be non-negative")
     b = clamp_bound(game, bound)
     if engine == "layered":
-        info = _LevelGraph(game, b, product_budget)
-        info.solve()
+        info = _parity_levels(game, b, product_budget)
     elif engine == "flat":
         info = _FlatSolveInfo(game, b, product_budget)
     else:

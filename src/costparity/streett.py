@@ -7,19 +7,23 @@ per-position maximal pair cost is finite.
 
 Bounded-cost existence reduces to a classical Streett game over the
 arena extended with per-pair request tracking plus one extra pair that
-fires once the overflow counter saturates.  Classical Streett games are
-solved directly by a Zielonka-tree recursion over the request/answer
-membership patterns: Player 1's condition is a disjunction, so his
-nodes are unary and his synthesized strategies positional, while
-Player 0's nodes branch per pair, giving her strategies of at most d!
-memory, matching the known bounds.
+fires once the overflow counter saturates.  Decisions solve that game
+level by level over the overflow counter, on the layered engine shared
+with parity games (``solver._LevelGraph``); the flat reduction
+(``build_streett_reduction``) is built only when a certificate is asked
+for.  Classical Streett games are solved directly by a Zielonka-tree
+recursion over the request/answer membership patterns, whose
+attractors are the parity solver's: Player 1's condition is a
+disjunction, so his nodes are unary and his synthesized strategies
+positional, while Player 0's nodes branch per pair, giving her
+strategies of at most d! memory, matching the known bounds.
 
 Certificates, verification and optimal-cost search run on the pipeline
 shared with parity games: ``core`` tabulates strategies (the
 classical solver's too, through ``StreettGame.update_key``), resets the
 spoiler's overflow counter and bisects bounds; ``semantics`` validates
 lassos and builds the one-player product.  This module adds the
-per-pair tracker, the reduction, the solver and the lasso analyses.
+per-pair tracker, the reductions, the solver and the lasso analyses.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .core import (DEAD_MEMORY, BudgetExceededError, CostGame, FormatError, Stra
                    strategy_from_functions, strategy_from_product)
 from .reduction import _MemoizedStep
 from .semantics import INF, Lasso, _product_rows, _response_cost, validate_lasso
+from .solver import _attractor, _LevelGraph, _predecessors
 
 DEFAULT_STREETT_BUDGET = 5_000_000
 
@@ -140,11 +145,7 @@ class StreettGame:
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
-        pred: list[list[int]] = [[] for _ in range(self.n)]
-        for u in range(self.n):
-            for v in self.succ[u]:
-                pred[v].append(u)
-        return tuple(tuple(p) for p in pred)
+        return _predecessors(self.succ)
 
     @cached_property
     def qmask(self) -> tuple[int, ...]:
@@ -440,43 +441,6 @@ class _PieceCell:
         return pc["attr_moves"].get(v)
 
 
-def _streett_attractor(sg: StreettGame, player: int, targets, active: set
-                       ) -> tuple[set, dict[int, int]]:
-    in_region = {t for t in targets if t in active}
-    rank = {t: 0 for t in in_region}
-    queue = sorted(in_region)
-    cnt: dict[int, int] = {}
-    qi = 0
-    while qi < len(queue):
-        w = queue[qi]
-        qi += 1
-        for u in sg.pred[w]:
-            if u not in active or u in in_region:
-                continue
-            if sg.owners[u] == player:
-                in_region.add(u)
-                rank[u] = rank[w] + 1
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for s in sg.succ[u] if s in active)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    in_region.add(u)
-                    rank[u] = rank[w] + 1
-                    queue.append(u)
-    moves: dict[int, int] = {}
-    tset = set(targets) & active
-    for u in in_region:
-        if sg.owners[u] != player or u in tset:
-            continue
-        for s in sorted(sg.succ[u]):
-            if s in in_region and rank[s] < rank[u]:
-                moves[u] = s
-                break
-    return in_region, moves
-
-
 class _StreettSolver:
     def __init__(self, sg: StreettGame):
         self.sg = sg
@@ -516,48 +480,61 @@ class _StreettSolver:
             cur = frozenset(p for p in cur if not self.pat_q[p] & viol)
         return [cur] if cur else []
 
-    def solve(self, active: set, colors: frozenset[int]):
-        """Returns (win0, win1, cell0, cell1) on the active subgame."""
+    def solve(self, verts: list[int], colors: frozenset[int], active: list[bool]):
+        """Returns (win0, win1, cell0, cell1) on the subgame on ``verts``.
+
+        ``verts`` is sorted, and ``active`` is a membership buffer shared
+        by the whole recursion that marks exactly ``verts`` on entry; it
+        is restored before returning, as in ``solver._zielonka``.
+        """
         sg = self.sg
-        if not active:
+        if not verts:
             return set(), set(), None, None
+        owners, succ, pattern_of = sg.owners, sg.succ, self.pattern_of
         fav = 0 if not self._violated(colors) else 1
         opp = 1 - fav
         children = self._children(colors, fav)
         if not children:
-            moves = {v: min(s for s in sg.succ[v] if s in active)
-                     for v in active if sg.owners[v] == fav}
+            moves = {v: min(s for s in succ[v] if active[s])
+                     for v in verts if owners[v] == fav}
             cells = [None, None]
             cells[fav] = _LeafCell(moves)
             wins = [set(), set()]
-            wins[fav] = set(active)
+            wins[fav] = set(verts)
             return wins[0], wins[1], cells[0], cells[1]
 
-        active = set(active)
         pieces: list[dict] = []
         piece_of: dict[int, int] = {}
         opp_total: set = set()
+        removed: list[int] = []  # opponent pieces peeled off in this call
         while True:
             progressed = False
             recorded: list[dict] = []
             for cu in children:
-                targets = {v for v in active if self.pattern_of[v] not in cu}
-                attr, amoves = _streett_attractor(sg, fav, targets, active)
-                zone = active - attr
-                entry = {"targets": targets, "attr_region": attr,
-                         "attr_moves": amoves, "zone": zone or None, "subcell": None}
+                targets = [v for v in verts if pattern_of[v] not in cu]
+                attr, amoves = _attractor(sg, fav, targets, active)
+                for v in attr:
+                    active[v] = False
+                zone = [v for v in verts if active[v]]
+                entry = {"targets": set(targets), "attr_region": set(attr),
+                         "attr_moves": amoves, "zone": set(zone) or None, "subcell": None}
                 if zone:
-                    w0, w1, c0, c1 = self.solve(zone, cu)
+                    w0, w1, c0, c1 = self.solve(zone, cu, active)
+                for v in attr:
+                    active[v] = True
+                if zone:
                     wopp = (w0, w1)[opp]
                     if wopp:
-                        region, dmoves = _streett_attractor(sg, opp, sorted(wopp), active)
+                        region, dmoves = _attractor(sg, opp, sorted(wopp), active)
                         idx = len(pieces)
                         pieces.append({"sub_region": set(wopp), "attr_moves": dmoves,
                                        "subcell": (c0, c1)[opp]})
                         for v in region:
                             piece_of[v] = idx
-                        opp_total |= region
-                        active -= region
+                            active[v] = False
+                        opp_total.update(region)
+                        removed.extend(region)
+                        verts = [v for v in verts if active[v]]
                         progressed = True
                         break
                     entry["subcell"] = (c0, c1)[fav]
@@ -565,16 +542,18 @@ class _StreettSolver:
             if not progressed:
                 break
         for entry in recorded:
-            entry["stay"] = {v: min(s for s in sg.succ[v] if s in active)
-                             for v in entry["targets"] if sg.owners[v] == fav}
+            entry["stay"] = {v: min(s for s in succ[v] if active[s])
+                             for v in entry["targets"] if owners[v] == fav}
         cells = [None, None]
-        if active:
+        if verts:
             cells[fav] = _RotateCell(recorded)
         if opp_total:
             cells[opp] = _PieceCell(pieces, piece_of)
         wins = [None, None]
-        wins[fav] = set(active)
+        wins[fav] = set(verts)
         wins[opp] = opp_total
+        for v in removed:
+            active[v] = True
         return wins[0], wins[1], cells[0], cells[1]
 
 
@@ -629,7 +608,7 @@ def solve_streett(sg: StreettGame) -> StreettSolveResult:
     """Winner and strategies of a classical Streett game."""
     solver = _StreettSolver(sg)
     colors = frozenset(range(len(solver.pat_q)))
-    w0, w1, c0, c1 = solver.solve(set(range(sg.n)), colors)
+    w0, w1, c0, c1 = solver.solve(list(range(sg.n)), colors, [True] * sg.n)
     winner = 0 if sg.initial in w0 else 1
     return StreettSolveResult(sg, winner, w0, w1, (c0, c1))
 
@@ -641,21 +620,61 @@ def streett_regime_cap(game: CostStreettGame) -> int:
     return game.n * max(1, game.max_cost) * (2 ** game.d) * math.factorial(2 * game.d)
 
 
+def _streett_levels(game: CostStreettGame, bound: int, budget: int) -> _LevelGraph:
+    """The layered engine (``solver._LevelGraph``) on a cost-Streett game.
+
+    Each level is one classical Streett solve over the level graph's
+    nodes and two sinks: the game's pairs lifted to the nodes, plus the
+    saturation pair of ``build_streett_reduction``, which only the lost
+    sink requests and nothing answers; the won sink requests nothing.
+    Only the winners are kept.
+    """
+    levels = _LevelGraph(game, StreettTracker(game, bound), budget, "streett reduction")
+    m = levels.size
+    qmask, pmask = game.request_mask, game.answer_mask
+    pairs_q = tuple(frozenset(i for i, (v, _) in enumerate(levels.nodes) if qmask[v] >> c & 1)
+                    for c in range(game.d)) + (frozenset({m + 1}),)
+    pairs_p = tuple(frozenset(i for i, (v, _) in enumerate(levels.nodes) if pmask[v] >> c & 1)
+                    for c in range(game.d)) + (frozenset(),)
+
+    def solve_level(succ, pred, prev):
+        sg = StreettGame(levels.owners, succ, pairs_q, pairs_p, 0)
+        vars(sg)["pred"] = pred  # seed the cached predecessor lists
+        return (frozenset(v for v in solve_streett(sg).win0 if v < m),)
+
+    levels.solve(solve_level)
+    return levels
+
+
 class StreettBoundedResult:
+    """Decision from the layered engine, plus a certificate for the
+    winning side.  The flat reduction and its classical solve, which the
+    certificate reads, are built on first use, with the same budget."""
+
     def __init__(self, game: CostStreettGame, bound: int, achievable: bool,
-                 reduction: StreettReduction, solve: StreettSolveResult):
+                 levels: _LevelGraph, budget: int):
         self.game = game
         self.bound = bound
         self.achievable = achievable
-        self.reduction = reduction
-        self.solve = solve
+        self.levels = levels
+        self.budget = budget
+
+    @cached_property
+    def reduction(self) -> StreettReduction:
+        return build_streett_reduction(self.game, self.bound, self.budget)
+
+    @cached_property
+    def solve(self) -> StreettSolveResult:
+        return solve_streett(self.reduction.streett)
 
     @property
     def product_states(self) -> int:
-        return self.reduction.size
+        return self.levels.size
 
     @cached_property
     def certificate(self) -> StrategySpec:
+        if (self.solve.winner_from_initial == 0) != self.achievable:
+            raise RuntimeError("the layered and the flat Streett solves disagree")
         if self.achievable:
             return _compose_p0_certificate(self.reduction, self.solve)
         return _extract_p1_certificate(self.reduction, self.solve)
@@ -664,14 +683,18 @@ class StreettBoundedResult:
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
                                 budget: int = DEFAULT_STREETT_BUDGET
                                 ) -> StreettBoundedResult:
-    """Does Player 0 have a strategy of cost at most ``bound``?"""
+    """Does Player 0 have a strategy of cost at most ``bound``?
+
+    Decided level by level (``_streett_levels``); ``budget`` caps the
+    level graph here and the flat reduction a certificate builds.
+    """
     require_valid_streett(game)
     if bound < 0:
         raise ValueError("bound must be non-negative")
     b = min(bound, streett_regime_cap(game))
-    red = build_streett_reduction(game, b, budget)
-    res = solve_streett(red.streett)
-    return StreettBoundedResult(game, b, res.winner_from_initial == 0, red, res)
+    levels = _streett_levels(game, b, budget)
+    v0, r0 = levels.nodes[0]
+    return StreettBoundedResult(game, b, levels.winner(v0, 0, r0) == 0, levels, budget)
 
 
 def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:

@@ -4,7 +4,7 @@
 rename or a moved helper would silently drop a span from the traced
 benchmark.  This test installs the tracer on the package, checks that
 every span a per-layer metric names is a wrapped function, and runs one
-optimal-cost search and one Streett decision under it.
+optimal-cost search and Streett decisions under it.
 """
 
 import importlib.util
@@ -56,6 +56,11 @@ def test_tracer_wraps_every_named_span_and_counts_probes():
         counter = costparity.generators.streett_counter_family(1).game
         streett_res = costparity.streett.decide_bounded_cost_streett(counter, 5)
         streett_counts = tracer.op_counters()
+        tracer.begin_op()
+        counter2 = costparity.generators.streett_counter_family(2).game
+        decision = costparity.streett.decide_bounded_cost_streett(counter2, 11)
+        decision_calls = dict(tracer.op_calls)
+        decision_counts = tracer.op_counters()
     finally:
         tracer.remove()
     assert res.value == 2
@@ -63,4 +68,11 @@ def test_tracer_wraps_every_named_span_and_counts_probes():
     assert counts["reduction.tracker_updates"] > 0
     assert streett_res.achievable
     assert streett_counts["streett.tracker_updates"] > 0
+    # a pure decision is layered: it solves levels, and builds the flat
+    # reduction only when a certificate is asked for
+    assert decision.achievable
+    assert decision_calls.get("streett.solve_streett", 0) > 0
+    assert "streett.build_streett_reduction" not in decision_calls
+    assert decision_counts["streett.tracker_updates"] > 0
+    assert decision_counts["streett.reduction_states"] == 0
     assert {s: _lookup(s) for s in spans} == originals

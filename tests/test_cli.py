@@ -162,6 +162,16 @@ def test_error_protocol(tmp_path, delay_path):
         assert err.startswith("error: strategy: ")
         assert "player must be 0 or 1, got 2" in err
         assert len(err.splitlines()) == 1
+    # Streett budgets: the layered decision meets one, and so does the
+    # flat reduction a certificate builds (22 level-graph nodes and 220
+    # reduction states at bound 5), before anything is printed
+    cst = f"{gen}/streett-d1.cst"
+    for argv in (("solve", "--bound", "5", "--product-budget", "1", cst),
+                 ("optimal", "--product-budget", "1", cst),
+                 ("solve", "--bound", "5", "--product-budget", "100", cst)):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == "" and err.startswith("error: budget: ")
+        assert len(err.splitlines()) == 1
     qdimacs = tmp_path / "bad.qdimacs"
     for body in ("p cnf 1 1\ne 1 0\n1 0 1 0\n", "p cnf 1 1\ne 1 0\n2 1 1 0\n",
                  "p cnf x 1\ne 1 0\n1 0\n", "p cnf 1 1\ne y 0\n1 0\n",

@@ -1,8 +1,9 @@
 import random
 
+import pytest
 from conftest import (brute_streett_winner, random_cost_game, random_streett_game,
                       tracker_queries)
-from costparity import INF, Lasso, decide_bounded_cost, format_strat
+from costparity import INF, BudgetExceededError, Lasso, decide_bounded_cost, format_strat
 from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, StreettTracker, build_streett_reduction,
@@ -185,6 +186,55 @@ def random_cost_streett(rng):
         tuple(StreettEdge(s, t, c) for s, t, c in edges),
         tuple(StreettPair(frozenset(q), frozenset(p)) for q, p in pairs),
         0)
+
+
+def _levels_against_flat(g, b) -> tuple[int, int]:
+    """Asserts that the layered decision's winner equals the flat
+    reduction's at every reduction state; returns the number of states
+    and of those at levels below the lowest one solved."""
+    res = decide_bounded_cost_streett(g, b)
+    red = build_streett_reduction(g, res.bound)
+    flat = solve_streett(red.streett)
+    assert res.achievable == (flat.winner_from_initial == 0)
+    assert res.product_states == len({(v, r) for v, _, r in red.states})
+    lowest = g.n - len(res.levels.iterates)
+    served = 0
+    for i, (v, o, r) in enumerate(red.states):
+        assert res.levels.winner(v, o, r) == (0 if i in flat.win0 else 1), (b, v, o, r)
+        served += o < lowest
+    return len(red.states), served
+
+
+def test_layered_streett_winners_equal_flat_at_every_state():
+    states = served = 0
+    for d, bounds in ((1, (3, 4, 5, 6)), (2, (10, 11, 12))):
+        g = streett_counter_family(d).game
+        for b in bounds:
+            count, below = _levels_against_flat(g, b)
+            states, served = states + count, served + below
+    rng = random.Random(79)
+    for k in range(300):
+        if k % 2:
+            g = streett_from_cost_parity(random_cost_game(
+                rng, rng.randint(1, 4), 4, max_cost=rng.choice([1, 2]), encoding="binary"))
+        else:
+            g = random_cost_streett(rng)
+        for b in range(7):
+            count, below = _levels_against_flat(g, b)
+            states, served = states + count, served + below
+    assert served > 0 and states > served
+
+
+def test_budget_caps_the_decision_and_the_certificate():
+    g = streett_counter_family(1).game
+    res = decide_bounded_cost_streett(g, 5)
+    assert (res.product_states, build_streett_reduction(g, 5).size) == (22, 220)
+    with pytest.raises(BudgetExceededError):
+        decide_bounded_cost_streett(g, 5, budget=21)
+    res = decide_bounded_cost_streett(g, 5, budget=100)
+    assert res.achievable and res.product_states == 22
+    with pytest.raises(BudgetExceededError):
+        res.certificate
 
 
 def test_streett_certificates_verify():
