@@ -2,8 +2,11 @@
 
 One SHA-256 digest covers the exit code, stdout and stderr of each
 ``cli.run`` call and the contents of every file the calls write, with
-the temporary directory replaced by a fixed token.  A refactor that
-changes any decision, certificate, cost or message changes the digest.
+the temporary directory replaced by a fixed token, except the
+certificates that ``solve``/``optimal`` write (``*.opt.strat``,
+``*.b<k>.strat``).  Those are hashed on their own, so a change to how
+certificates are tabulated shows up apart from any change to a
+decision, a printed cost, a message or a generated file.
 
 A second digest covers what the CLI families never reach: the
 finite-duration engine's (achievable, nodes) on seeded random unary and
@@ -27,7 +30,11 @@ from costparity.streett import solve_streett
 INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
              ("p1trade", 2), ("bintrade", 2), ("streett", 1)]
 
-GOLDEN_DIGEST = "547610584cb59a3311654077c4933fa937d21ff06e5844403ca280284edf857d"
+GOLDEN_DIGEST = "4c5d20748ef99524fb6e99534151518e282429ae967561b51c6ff983049e10aa"
+CERT_DIGEST = "6c7650446baa349476e2d89b7a8d0783ac7be5e011e5af5c86582b65f3ffedbd"
+
+# certificates written by ``optimal --output`` and ``solve --output``
+_CERTIFICATE = re.compile(r"\.(opt|b\d+)\.strat$")
 
 
 def _run_calls(tmp_path):
@@ -59,15 +66,17 @@ def _run_calls(tmp_path):
 def test_cli_outputs_match_golden_digest(tmp_path):
     log, files = _run_calls(tmp_path)
     root = str(tmp_path)
-    h = hashlib.sha256()
+    h, cert = hashlib.sha256(), hashlib.sha256()
     for argv, code, out, err in log:
         record = "\0".join([" ".join(argv), str(code), out, err])
         h.update(record.replace(root, "<tmp>").encode() + b"\1")
     for name, data in files:
-        h.update(name.encode() + b"\0" + data + b"\1")
+        (cert if _CERTIFICATE.search(name) else h).update(name.encode() + b"\0" + data + b"\1")
     assert (len(log), len(files)) == (59, 45)
+    assert sum(bool(_CERTIFICATE.search(name)) for name, _ in files) == 21
     assert all(code in (0, 1) and not err for _, code, _, err in log)
     assert h.hexdigest() == GOLDEN_DIGEST
+    assert cert.hexdigest() == CERT_DIGEST
 
 
 ENGINE_DIGEST = "f417da2da7d3e362af19cc27b7adff44a9bc67df55d2d24182cc16e6df6c5f43"
