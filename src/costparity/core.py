@@ -432,23 +432,43 @@ DEAD_MEMORY = _DeadMemory()
 
 def strategy_from_product(game: CostGame, player: int, initial_label,
                           update_fn, next_move_fn) -> StrategySpec:
-    """Tabulate a strategy, restricting memory to product-reachable states.
+    """Tabulate a strategy over the plays consistent with it.
 
-    Memory values are collected along the reachable (vertex, memory)
-    product only — update sequences that no play can realize do not
-    enlarge the state space.  Totality over M × E is preserved by
-    routing any update that leaves the collected set into an absorbing
-    dead state, which no consistent play ever reaches.
+    A DFS walks the (vertex, memory) product from the initial vertex and
+    ``initial_label``.  At a vertex of ``player`` it follows only the
+    strategy's own move ``next_move_fn(v, m)``; at an opponent's vertex
+    it follows every successor.  The memory states are the labels it
+    meets, numbered in discovery order: exactly the memory values that
+    plays consistent with the strategy visit.  Each move is computed
+    once, during the DFS or, at the pairs it never reached, when the
+    move table is filled.
+
+    The table stays total over M × E: every update whose result is not
+    a collected label goes to an absorbing dead state (``DEAD_MEMORY``).
+    A consistent play never reaches it.  By induction along the play,
+    each of its positions (v, m) is one the DFS visited: at an owned
+    vertex the play takes ``next_move_fn(v, m)``, the move the DFS
+    followed, and at an opponent's vertex the DFS followed every move,
+    so the next memory value was collected.  The consistent plays, and
+    so the cost, are those of a total table over every label the
+    update function can produce.
     """
     succ = game.successors
     key = game.update_key
+    owner = game.owner
     index: dict = {initial_label: 0}
     labels = [initial_label]
+    moves: dict = {}
     seen = {(game.initial, initial_label)}
     stack = [(game.initial, initial_label)]
     while stack:
         v, m = stack.pop()
-        for t, _ in succ[v]:
+        if owner[v] == player:
+            t = moves[(v, m)] = next_move_fn(v, m)
+            targets = (t,)
+        else:
+            targets = [t for t, _ in succ[v]]
+        for t in targets:
             m2 = update_fn(m, key[(v, t)])
             if m2 not in index:
                 index[m2] = len(labels)
@@ -461,19 +481,13 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
     get = index.get
     update = {(i, ek): get(update_fn(m, ek), dead)
               for i, m in enumerate(labels) for ek in edges}
+    owned = [v for v, o in owner.items() if o == player]
+    next_move = {(v, i): moves[(v, m)] if (v, m) in moves else next_move_fn(v, m)
+                 for v in owned for i, m in enumerate(labels)}
     if dead in update.values():
-        index[DEAD_MEMORY] = dead
         labels.append(DEAD_MEMORY)
         update.update(((dead, ek), dead) for ek in edges)
-    next_move: dict[tuple[int, int], int] = {}
-    for v in game.vertices:
-        if v.owner != player:
-            continue
-        for m in labels:
-            if m is DEAD_MEMORY:
-                next_move[(v.id, index[m])] = game.successors[v.id][0][0]
-            else:
-                next_move[(v.id, index[m])] = next_move_fn(v.id, m)
+        next_move.update(((v, dead), succ[v][0][0]) for v in owned)
     return StrategySpec(player, tuple(labels), 0, update, next_move)
 
 

@@ -12,8 +12,9 @@ import random
 import pytest
 
 from costparity import make_game
+from costparity.core import Vertex
 from costparity.semantics import INF, Lasso
-from costparity.streett import StreettGame
+from costparity.streett import CostStreettGame, StreettEdge, StreettGame, StreettPair
 
 
 def delay_game(free_idling: bool):
@@ -58,6 +59,23 @@ def random_streett_game(rng):
     pairs_p = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
                     for _ in range(d))
     return StreettGame(owners, succ, pairs_q, pairs_p, 0)
+
+
+def random_cost_streett(rng):
+    n = rng.randint(1, 4)
+    d = rng.randint(1, 2)
+    verts = [(i, rng.randint(0, 1)) for i in range(n)]
+    edges = []
+    for i in range(n):
+        for t in rng.sample(range(n), rng.randint(1, n)):
+            edges.append((i, t, tuple(rng.randint(0, 2) for _ in range(d))))
+    pairs = [(set(v for v in range(n) if rng.random() < 0.4),
+              set(v for v in range(n) if rng.random() < 0.4)) for _ in range(d)]
+    return CostStreettGame(
+        tuple(Vertex(i, o, 0) for i, o in verts),
+        tuple(StreettEdge(s, t, c) for s, t, c in edges),
+        tuple(StreettPair(frozenset(q), frozenset(p)) for q, p in pairs),
+        0)
 
 
 def tracker_queries(rng, tracker, steps):

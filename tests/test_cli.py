@@ -214,3 +214,33 @@ def test_roundtrip_every_family_at_manifest_bound(tmp_path):
         manifest = open(f"{gen}/{family}-d{d}.manifest").read()
         bound = int(manifest.split("bound=")[1].split()[0])
         assert invoke("solve", "--bound", str(bound), game_file)[0] == 0
+
+
+@pytest.mark.parametrize("text, achievable", [
+    # ∃x1 ∀x2 ∃x3: x1 = true, x3 = ¬x2 satisfies both clauses
+    ("p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -2 -3 0\n", True),
+    # ∀x1 ∃x2 ∀x3: x3 = x2 falsifies (x1 ∨ x2 ∨ ¬x3) or (¬x1 ∨ ¬x2 ∨ x3)
+    ("p cnf 3 3\na 1 0\ne 2 0\na 3 0\n1 2 -3 0\n-1 -2 3 0\n2 3 0\n", False),
+], ids=["true", "false"])
+def test_qbf_certificate_solves_and_verifies(tmp_path, text, achievable):
+    """The certificate of a QBF game holds the memory its consistent
+    plays visit (49 states on the true formula, 321 on the false one)
+    and verifies on the right side of 3n+5, n counting the variables
+    normalization adds."""
+    (tmp_path / "phi.qdimacs").write_text(text)
+    assert invoke("generate", "qbf", "--qdimacs", str(tmp_path / "phi.qdimacs"),
+                  "--outdir", str(tmp_path))[0] == 0
+    (manifest,) = tmp_path.glob("qbf-d*.manifest")
+    fields = dict(part.split("=", 1) for part in manifest.read_text().split())
+    bound = int(fields["bound"])
+    assert bound == 3 * int(fields["d"]) + 5
+    game = str(manifest.with_suffix(".cpg"))
+    cert = str(tmp_path / "phi.strat")
+    code, out, err = invoke("solve", "--bound", str(bound), "--output", cert, game)
+    assert (code, out.splitlines()[0], err) == \
+        ((0, "ACHIEVABLE", "") if achievable else (1, "NOT-ACHIEVABLE", ""))
+    strat = parse_strat(open(cert).read())
+    assert strat.player == (0 if achievable else 1) and strat.size < 1000
+    code, out, err = invoke("verify", "--strategy", cert, game)
+    cost = int(out.split()[1])
+    assert code == 0 and err == "" and (cost <= bound if achievable else cost > bound)

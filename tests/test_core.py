@@ -1,9 +1,15 @@
+import math
+import random
+
 import pytest
 
-from costparity import (BudgetExceededError, Edge, FormatError, Vertex,
-                        export_dot, format_cpg, format_strat, make_game,
-                        parse_cpg, parse_strat, subdivide_costs, validate_game)
-from costparity.core import CostGame
+from conftest import random_cost_game, random_cost_streett
+from costparity import (BudgetExceededError, Edge, FormatError, Vertex, core,
+                        decide_bounded_cost, export_dot, format_cpg, format_strat,
+                        generators, make_game, optimal_cost, parse_cpg, parse_strat,
+                        solver, streett, subdivide_costs, validate_game)
+from costparity.core import CostGame, strategy_from_functions, validate_strategy
+from costparity.semantics import spoiler_cost, strategy_cost
 
 
 def test_minimal_legal_game_is_clean():
@@ -120,8 +126,6 @@ def test_cpg_comments_ignored():
 
 
 def test_strat_roundtrip(delay_won):
-    from costparity.core import strategy_from_functions
-
     strat = strategy_from_functions(
         delay_won, 0, "only", lambda m, e: m, lambda v, m: delay_won.successors[v][0][0])
     text = format_strat(strat)
@@ -129,3 +133,106 @@ def test_strat_roundtrip(delay_won):
     assert back.player == 0 and back.size == 1
     assert back.update == dict(strat.update)
     assert back.next_move == dict(strat.next_move)
+
+
+# --- certificates over the plays consistent with them -------------------------
+
+def _spy_tabulations(monkeypatch):
+    """Records every ``strategy_from_product`` call from here on as
+    ((game, player, initial label, update_fn, next_move_fn), result)."""
+    calls = []
+    real = core.strategy_from_product
+
+    def spy(*args):
+        strat = real(*args)
+        calls.append((args, strat))
+        return strat
+
+    for module in (core, solver, streett):
+        monkeypatch.setattr(module, "strategy_from_product", spy)
+    return calls
+
+
+def _verified_cost(game, strat):
+    if isinstance(game, streett.CostStreettGame):
+        fn = streett.streett_strategy_cost if strat.player == 0 else streett.streett_spoiler_cost
+    else:
+        fn = strategy_cost if strat.player == 0 else spoiler_cost
+    return fn(game, strat)
+
+
+def _certify_around_optimum(game):
+    """Builds the optimum's witness and the spoiler one bound below it."""
+    if isinstance(game, streett.CostStreettGame):
+        value = streett.optimal_cost_streett(game).value
+        decide = streett.decide_bounded_cost_streett
+    else:
+        value = optimal_cost(game).value
+        decide = decide_bounded_cost
+    if 0 < value < math.inf:
+        assert decide(game, int(value) - 1).certificate.player == 1
+
+
+def _dense_table(game, player, initial_label, update_fn, next_move_fn):
+    """A dense table of the same functions: memory collected under every
+    move of both players, made total over M × E by
+    ``strategy_from_functions``, with every update that leaves the
+    collected labels sent to an absorbing dead label.  (Closing over
+    every edge from every label instead does not fit in memory on p1mem
+    d=2.)"""
+    succ, key = game.successors, game.update_key
+    labels = {initial_label}
+    seen = {(game.initial, initial_label)}
+    stack = [(game.initial, initial_label)]
+    while stack:
+        v, m = stack.pop()
+        for t, _ in succ[v]:
+            m2 = update_fn(m, key[(v, t)])
+            labels.add(m2)
+            if (t, m2) not in seen:
+                seen.add((t, m2))
+                stack.append((t, m2))
+    dead = object()
+
+    def upd(m, ek):
+        m2 = dead if m is dead else update_fn(m, ek)
+        return m2 if m2 in labels else dead
+
+    def nxt(v, m):
+        return succ[v][0][0] if m is dead else next_move_fn(v, m)
+
+    return strategy_from_functions(game, player, initial_label, upd, nxt)
+
+
+def test_certificates_verify_like_their_dense_tables(monkeypatch):
+    """Each certificate keeps only the memory that consistent plays
+    visit.  The dense table of the same update and move functions, read
+    back from its .strat text, verifies at exactly the certificate's
+    cost and has at least as many states."""
+    families = [generators.p0_memory_family(1), generators.p0_memory_family(2),
+                generators.p1_memory_family(1), generators.p1_memory_family(2),
+                generators.p1_tradeoff_family(2), generators.binary_tradeoff_family(2),
+                generators.streett_counter_family(1)]
+    games = [inst.game for inst in families]
+    rng = random.Random(83)
+    # binary costs up to 2: the verifiers decide first at the pumping cap
+    # n·|M|·W, which with costs of 3 can exhaust memory on an ∞ spoiler
+    for _ in range(100):
+        games.append(random_cost_game(rng, rng.randint(1, 4), 4))
+        games.append(random_cost_game(rng, rng.randint(1, 4), 4, max_cost=2,
+                                      encoding="binary"))
+        games.append(random_cost_streett(rng))
+    calls = _spy_tabulations(monkeypatch)
+    kinds, smaller, checked = set(), 0, 0
+    for g in games:
+        _certify_around_optimum(g)
+        for (game, player, label, upd, nxt), cert in calls:
+            dense = parse_strat(format_strat(_dense_table(game, player, label, upd, nxt)))
+            assert validate_strategy(game, dense) == []
+            assert _verified_cost(game, dense) == _verified_cost(game, cert)
+            assert cert.size <= dense.size
+            kinds.add((type(game), player))
+            smaller += cert.size < dense.size
+            checked += 1
+        calls.clear()  # the closures hold the solved products
+    assert len(kinds) == 4 and smaller > checked // 4

@@ -31,7 +31,8 @@ INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
              ("p1trade", 2), ("bintrade", 2), ("streett", 1)]
 
 GOLDEN_DIGEST = "4c5d20748ef99524fb6e99534151518e282429ae967561b51c6ff983049e10aa"
-CERT_DIGEST = "6c7650446baa349476e2d89b7a8d0783ac7be5e011e5af5c86582b65f3ffedbd"
+# GOLDEN_DIGEST also pins each certificate's cost, through ``verify``
+CERT_DIGEST = "77c40ec99a2cc52d8a1e0389a0abb954bb999dace8781bd2a6a2c0e197d00ad7"
 
 # certificates written by ``optimal --output`` and ``solve --output``
 _CERTIFICATE = re.compile(r"\.(opt|b\d+)\.strat$")

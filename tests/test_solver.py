@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import brute_parity_winner, random_cost_game
-from costparity import (INF, BudgetExceededError, ParityGame,
+from costparity import (INF, BudgetExceededError, ParityGame, binary_tradeoff_family,
                         decide_bounded_cost, decide_bounded_cost_finite_duration,
-                        make_game, optimal_cost, solve_parity, subdivide_costs)
+                        make_game, optimal_cost, p0_memory_family, p1_memory_family,
+                        solve_parity, subdivide_costs)
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.solver import clamp_bound
 
@@ -223,3 +224,13 @@ def test_binary_matches_subdivision():
         for b in range(5):
             assert decide_bounded_cost(g, b).achievable == \
                 decide_bounded_cost(sub, b).achievable
+
+
+@pytest.mark.parametrize("family, d, states", [
+    (p0_memory_family, 2, 26), (p1_memory_family, 3, 23), (binary_tradeoff_family, 2, 18)])
+def test_optimal_certificates_hold_the_memory_consistent_plays_visit(family, d, states):
+    """Pinned memory sizes of the optimal certificates, which hold only
+    what plays consistent with them visit: a change that collects memory
+    under moves the certificate never makes fails here."""
+    witness = optimal_cost(family(d).game).witness
+    assert (witness.player, witness.size) == (0, states)

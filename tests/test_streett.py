@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from conftest import (brute_streett_winner, random_cost_game, random_streett_game,
-                      tracker_queries)
+from conftest import (brute_streett_winner, random_cost_game, random_cost_streett,
+                      random_streett_game, tracker_queries)
 from costparity import INF, BudgetExceededError, Lasso, decide_bounded_cost, format_strat
 from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
@@ -167,25 +167,6 @@ def test_streett_decide_monotone():
         g = random_cost_streett(rng)
         vals = [decide_bounded_cost_streett(g, b).achievable for b in range(4)]
         assert all(b or not a for a, b in zip(vals, vals[1:]))
-
-
-def random_cost_streett(rng):
-    n = rng.randint(1, 4)
-    d = rng.randint(1, 2)
-    verts = [(i, rng.randint(0, 1)) for i in range(n)]
-    edges = []
-    for i in range(n):
-        for t in rng.sample(range(n), rng.randint(1, n)):
-            edges.append((i, t, tuple(rng.randint(0, 2) for _ in range(d))))
-    pairs = [(set(v for v in range(n) if rng.random() < 0.4),
-              set(v for v in range(n) if rng.random() < 0.4)) for _ in range(d)]
-    from costparity.core import Vertex
-
-    return CostStreettGame(
-        tuple(Vertex(i, o, 0) for i, o in verts),
-        tuple(StreettEdge(s, t, c) for s, t, c in edges),
-        tuple(StreettPair(frozenset(q), frozenset(p)) for q, p in pairs),
-        0)
 
 
 def _levels_against_flat(g, b) -> tuple[int, int]:
