@@ -96,6 +96,21 @@ class CostGame:
         return len(self.odd_colors)
 
     @cached_property
+    def request_mask(self) -> dict[int, int]:
+        """id → bit i set iff the vertex requests the i-th odd color (pair
+        i of the Streett image ``streett.streett_from_cost_parity``)."""
+        bit = {c: 1 << i for i, c in enumerate(self.odd_colors)}
+        return {v.id: bit.get(v.color, 0) for v in self.vertices}
+
+    @cached_property
+    def answer_mask(self) -> dict[int, int]:
+        """id → bit i set iff the vertex's even color answers the i-th odd color."""
+        odd = self.odd_colors
+        return {v.id: 0 if v.color % 2 else sum(1 << i for i, c in enumerate(odd)
+                                                if c < v.color)
+                for v in self.vertices}
+
+    @cached_property
     def max_cost(self) -> int:
         """W, the largest edge cost."""
         return max((e.cost for e in self.edges), default=0)

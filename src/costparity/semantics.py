@@ -4,15 +4,22 @@ A play is represented as a lasso prefix·cycle^ω.  Every cost value
 realized in a finite game is witnessed by a lasso of the relevant
 product, so exact evaluation on lassos suffices; arbitrary infinite
 plays are not represented.
+
+Strategy costs come from one verifier for parity and Streett games,
+which never calls the solver: lasso analysis (SCC checks) on the
+strategy's one-player product, tracked at each probed bound by the
+request tracker of the game's class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (CostGame, StrategySpec, _least_bound, make_game, require_valid,
                    validate_strategy)
+from .reduction import Tracker
 
 INF = math.inf
 
@@ -98,42 +105,52 @@ def play_cost(game: CostGame, lasso: Lasso) -> CostValue:
 
 # --- strategy cost ----------------------------------------------------------
 
-def _product_rows(game: CostGame, strat: StrategySpec
-                  ) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Reachable (vertex, state) pairs of ``game`` (a CostGame or a
-    CostStreettGame) under ``strat``, breadth-first from the initial
-    pair, with the owner's moves fixed; row i lists the successor ids
-    of pair i in move order.  Raises ValueError on an ill-formed
-    strategy.
+def _product(game, strat: StrategySpec, tracker=None
+             ) -> tuple[list[tuple], list[list[int]], list[list[bool]]]:
+    """Reachable product of ``game`` (a CostGame or a CostStreettGame)
+    under ``strat``, breadth-first from the initial state, with the
+    owner's moves fixed: states (vertex, memory, r), rows of successor
+    ids in move order, and the matching overflow flags.  r is the
+    request function of ``tracker`` at its bound, with the overflow
+    counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
+    None without a tracker.  Every edge is explored, overflow edges too.
     """
-    report = validate_strategy(game, strat)
-    if report:
-        raise ValueError("ill-formed strategy: " + "; ".join(report))
     succ = game.successors
     owner = game.owner
     key = game.update_key
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-
-    def intern(v: int, m: int) -> int:
-        pair = (v, m)
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-        return index[pair]
-
-    intern(game.initial, strat.initial)
+    cost = game.edge_cost
+    start = (game.initial, strat.initial,
+             None if tracker is None else tracker.initial_state()[1])
+    index = {start: 0}
+    order = [start]
     rows: list[list[int]] = []
-    head = 0
-    while head < len(order):
-        v, m = order[head]
-        head += 1
+    ovf: list[list[bool]] = []
+    for v, m, r in order:  # grows while it is walked
         if owner[v] == strat.player:
             moves = [strat.next_move[(v, m)]]
         else:
             moves = [t for t, _ in succ[v]]
-        rows.append([intern(t, strat.update[(m, key[(v, t)])]) for t in moves])
-    return order, rows
+        row, orow = [], []
+        for t in moves:
+            r2, over = r, False
+            if tracker is not None:
+                _, r2, over = tracker.update(0, r, cost[(v, t)], t)
+            state = (t, strat.update[(m, key[(v, t)])], r2)
+            j = index.get(state)
+            if j is None:
+                j = index[state] = len(order)
+                order.append(state)
+            row.append(j)
+            orow.append(over)
+        rows.append(row)
+        ovf.append(orow)
+    return order, rows, ovf
+
+
+def _require_well_formed(game, strat: StrategySpec) -> None:
+    report = validate_strategy(game, strat)
+    if report:
+        raise ValueError("ill-formed strategy: " + "; ".join(report))
 
 
 def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dict]:
@@ -144,51 +161,180 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
     and the opponent keeps all moves, plus the product-id → (vertex,
     state) map.  The product is itself a valid CostGame.
     """
-    order, rows = _product_rows(game, strat)
+    _require_well_formed(game, strat)
+    order, rows, _ = _product(game, strat)
     owner, color, cost = game.owner, game.color, game.edge_cost
-    vertices = [(i, owner[v], color[v]) for i, (v, m) in enumerate(order)]
+    vertices = [(i, owner[v], color[v]) for i, (v, m, _) in enumerate(order)]
     edges = [(i, j, cost[(order[i][0], order[j][0])])
              for i, row in enumerate(rows) for j in row]
     product = make_game(vertices, edges, 0, game.encoding)
-    return product, dict(enumerate(order))
+    return product, {i: (v, m) for i, (v, m, _) in enumerate(order)}
 
 
-def _least_achievable_bound(product: CostGame, cap: int) -> CostValue:
-    """Least b ≤ cap with decide_bounded_cost(product, b) achievable; ∞ if none."""
-    from . import solver
+# --- strategy cost: lasso analysis on the tracked one-player product ---------
+#
+# Both game classes share this verifier: a CostGame's odd colors act as
+# Streett pairs (``CostGame.request_mask``/``answer_mask``), and the caller
+# passes the request tracker of its class (``Tracker`` or
+# ``streett.StreettTracker``).
 
-    def achieved(b):
-        return solver.decide_bounded_cost(product, b).achievable or None
+def _sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative."""
+    indexv = [-1] * n
+    low = [0] * n
+    onstack = [False] * n
+    stack: list[int] = []
+    out: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if indexv[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                indexv[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                onstack[v] = True
+            recurse = False
+            for i in range(pi, len(rows[v])):
+                w = rows[v][i]
+                if indexv[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if onstack[w]:
+                    low[v] = min(low[v], indexv[w])
+            if recurse:
+                continue
+            if low[v] == indexv[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                out.append(comp)
+            work.pop()
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return out
 
-    if achieved(cap) is None:
+
+def _cyclic_sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The SCCs of ``rows`` that contain a cycle."""
+    return [c for c in _sccs(n, rows) if len(c) > 1 or c[0] in rows[c[0]]]
+
+
+def _subgraph(rows: Sequence[Sequence[int]], keep: list[int]) -> list[list[int]]:
+    """``rows`` restricted to the ids in ``keep``, renumbered by position."""
+    pos = {i: k for k, i in enumerate(keep)}
+    return [[pos[j] for j in rows[i] if j in pos] for i in keep]
+
+
+def _has_unanswered_cycle(game, verts, rows) -> bool:
+    """A cycle of ``rows`` opening some pair's request and never answering
+    it; row k sits at arena vertex verts[k]."""
+    request, answer = game.request_mask, game.answer_mask
+    for c in range(game.d):
+        keep = [k for k, v in enumerate(verts) if not answer[v] >> c & 1]
+        for comp in _cyclic_sccs(len(keep), _subgraph(rows, keep)):
+            if any(request[verts[keep[k]]] >> c & 1 for k in comp):
+                return True
+    return False
+
+
+def _good_cycle(game, verts, rows) -> bool:
+    """A cycle of ``rows`` on which every requested pair is also answered,
+    by nested SCC decomposition; row k sits at arena vertex verts[k]."""
+    request, answer = game.request_mask, game.answer_mask
+    for comp in _cyclic_sccs(len(rows), rows):
+        qhit = phit = 0
+        for k in comp:
+            qhit |= request[verts[k]]
+            phit |= answer[verts[k]]
+        viol = qhit & ~phit
+        if not viol:
+            return True
+        keep = [k for k in comp if not request[verts[k]] & viol]
+        if keep and _good_cycle(game, [verts[k] for k in keep], _subgraph(rows, keep)):
+            return True
+    return False
+
+
+def _overflow_cycle(game, strat: StrategySpec, tracker) -> bool:
+    """Some overflow edge of the tracked product lies on a cycle."""
+    order, rows, ovf = _product(game, strat, tracker)
+    comp_of = [0] * len(order)
+    for k, comp in enumerate(_sccs(len(order), rows)):
+        for i in comp:
+            comp_of[i] = k
+    return any(over and comp_of[i] == comp_of[j]
+               for i, row in enumerate(rows) for j, over in zip(row, ovf[i]))
+
+
+def _good_lasso(game, strat: StrategySpec, tracker) -> bool:
+    """Player 0, the sole mover, reaches a cycle of the tracked product
+    that takes no overflow edge and answers every pair it requests.
+    Finitely many overflows in the prefix are free, so the product is
+    explored over every edge and only the cycle avoids overflows."""
+    order, rows, ovf = _product(game, strat, tracker)
+    calm = [[j for j, over in zip(row, orow) if not over]
+            for row, orow in zip(rows, ovf)]
+    return _good_cycle(game, [s[0] for s in order], calm)
+
+
+def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
+    """Cst of ``strat`` in ``game`` (a CostGame or a CostStreettGame),
+    with ``tracker_class`` the request tracker of its class.
+
+    A Player 0 strategy σ costs the sup over consistent plays: ∞ if a
+    cycle of the σ-product leaves a request unanswered, else the least
+    b at which no overflow edge of the b-tracked product lies on a
+    cycle.  A Player 1 strategy τ costs the inf: the least b at which
+    Player 0 finds a good lasso (``_good_lasso``), ∞ if the untracked
+    τ-product has no good cycle, since every good tracked cycle projects
+    to one.  Bounds are searched up to the pumping cap |product|·W.
+    """
+    _require_well_formed(game, strat)
+    order, rows, _ = _product(game, strat)
+    verts = [s[0] for s in order]
+    if strat.player == 0:
+        if _has_unanswered_cycle(game, verts, rows):
+            return INF
+
+        def fits(b):
+            return None if _overflow_cycle(game, strat, tracker_class(game, b)) else True
+    else:
+        if not _good_cycle(game, verts, rows):
+            return INF
+
+        def fits(b):
+            return True if _good_lasso(game, strat, tracker_class(game, b)) else None
+    cap = len(order) * max(1, game.max_cost)
+    if fits(cap) is None:
         return INF
-    return _least_bound(achieved, 0, cap)[0]
+    return _least_bound(fits, 0, cap)[0]
 
 
 def strategy_cost(game: CostGame, strat: StrategySpec) -> CostValue:
-    """Cst(σ) = sup over plays consistent with σ of the play cost.
-
-    Computed as the least b for which the bounded-cost decision holds on
-    the one-player game fixing Player 0's moves by σ; the search is
-    capped at n·|M|·W by the pumping bound on the product.
-    """
+    """Cst(σ) = sup over plays consistent with σ of the play cost, by
+    lasso analysis on the σ-restricted one-player product."""
     require_valid(game)
     if strat.player != 0:
         raise ValueError("strategy_cost expects a Player 0 strategy")
-    product, _ = strategy_product(game, strat)
-    cap = product.n * max(1, product.max_cost)
-    return _least_achievable_bound(product, cap)
+    return _verified_cost(game, strat, Tracker)
 
 
 def spoiler_cost(game: CostGame, strat: StrategySpec) -> CostValue:
-    """Cst(τ) = inf over plays consistent with the Player 1 strategy τ.
-
-    Dual of strategy_cost: in the τ-restricted product Player 0 is the
-    sole mover, so the inf is the least b she can realize there.
-    """
+    """Cst(τ) = inf over plays consistent with the Player 1 strategy τ:
+    the least b for which Player 0 finds a good lasso in the τ-restricted
+    product."""
     require_valid(game)
     if strat.player != 1:
         raise ValueError("spoiler_cost expects a Player 1 strategy")
-    product, _ = strategy_product(game, strat)
-    cap = product.n * max(1, product.max_cost)
-    return _least_achievable_bound(product, cap)
+    return _verified_cost(game, strat, Tracker)

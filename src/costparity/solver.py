@@ -405,25 +405,19 @@ class BoundedCostResult:
 
 
 def decide_bounded_cost(game: CostGame, bound: int, *,
-                        product_budget: int = DEFAULT_PRODUCT_BUDGET,
-                        engine: str = "layered") -> BoundedCostResult:
+                        product_budget: int = DEFAULT_PRODUCT_BUDGET) -> BoundedCostResult:
     """Does Player 0 have a strategy of cost at most ``bound``?
 
-    Builds the reachable quotient G' and solves it as a parity game;
-    ``engine="flat"`` materializes all overflow levels explicitly,
-    ``engine="layered"`` (default, same semantics) solves one level per
-    overflow value and stops at the fixpoint.
+    Solves the reachable quotient G' as a parity game one overflow level
+    at a time, stopping at the fixpoint (``_parity_levels``);
+    ``_FlatSolveInfo`` materializes all levels at once and serves as
+    the tests' reference.
     """
     require_valid(game)
     if bound < 0:
         raise ValueError("bound must be non-negative")
     b = clamp_bound(game, bound)
-    if engine == "layered":
-        info = _parity_levels(game, b, product_budget)
-    elif engine == "flat":
-        info = _FlatSolveInfo(game, b, product_budget)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    info = _parity_levels(game, b, product_budget)
     tr = Tracker(game, b)
     o0, r0 = tr.initial_state()
     achievable = info.winner(game.initial, o0, r0) == 0
@@ -549,28 +543,15 @@ class OptimalResult:
     #                       Player 1 certificate when the value is ∞
 
 
-def optimal_cost(game: CostGame, *, method: str = "bisect",
+def optimal_cost(game: CostGame, *,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
-    """Least b with an achievable bound, by bisection over [0, cap].
-
-    Monotonicity of achievability in b justifies the bisection; the
-    ``sweep`` method checks every bound upward and exists for debugging
-    monotonicity violations.
-    """
+    """Least b with an achievable bound, by bisection over [0, cap];
+    monotonicity of achievability in b justifies the bisection."""
     require_valid(game)
     cap = clamp_bound(game, 10 ** 18)
     top = decide_bounded_cost(game, cap, product_budget=product_budget)
     if not top.achievable:
         return OptimalResult(INF, top.certificate)
-    if method == "sweep":
-        b = 0
-        while True:
-            res = decide_bounded_cost(game, b, product_budget=product_budget)
-            if res.achievable:
-                return OptimalResult(b, res.certificate)
-            b += 1
-    elif method != "bisect":
-        raise ValueError(f"unknown method {method!r}")
 
     def achieved(b):
         res = decide_bounded_cost(game, b, product_budget=product_budget)

@@ -22,8 +22,8 @@ Certificates, verification and optimal-cost search run on the pipeline
 shared with parity games: ``core`` tabulates strategies (the
 classical solver's too, through ``StreettGame.update_key``), resets the
 spoiler's overflow counter and bisects bounds; ``semantics`` validates
-lassos and builds the one-player product.  This module adds the
-per-pair tracker, the reductions, the solver and the lasso analyses.
+lassos and verifies strategies, given this module's tracker.  This
+module adds the per-pair tracker, the reductions and the solver.
 """
 
 from __future__ import annotations
@@ -31,13 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (DEAD_MEMORY, BudgetExceededError, CostGame, FormatError, StrategySpec,
                    Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
                    strategy_from_functions, strategy_from_product)
 from .reduction import _MemoizedStep
-from .semantics import INF, Lasso, _product_rows, _response_cost, validate_lasso
+from .semantics import INF, Lasso, _response_cost, _verified_cost, validate_lasso
 from .solver import _attractor, _LevelGraph, _predecessors
 
 DEFAULT_STREETT_BUDGET = 5_000_000
@@ -742,176 +742,15 @@ def _extract_p1_certificate(red: StreettReduction, sol: StreettSolveResult) -> S
     return _reset_spoiler(red.game, StreettTracker(red.game, red.bound), move)
 
 
-# --- strategy verification (one-player tracked products) -------------------------
-
-def _sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    indexv = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if indexv[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indexv[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            recurse = False
-            for i in range(pi, len(rows[v])):
-                w = rows[v][i]
-                if indexv[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], indexv[w])
-            if recurse:
-                continue
-            if low[v] == indexv[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return out
-
-
-def _has_unanswered_cycle(game: CostStreettGame, order, rows) -> bool:
-    """A reachable cycle opening some pair's request and never answering it."""
-    for c in range(game.d):
-        keep = [i for i, (v, _) in enumerate(order)
-                if not game.answer_mask[v] >> c & 1]
-        pos = {i: k for k, i in enumerate(keep)}
-        sub = [[pos[j] for j in rows[i] if j in pos] for i in keep]
-        for comp in _sccs(len(keep), sub):
-            cyclic = len(comp) > 1 or any(x in sub[comp[0]] for x in comp)
-            if not cyclic:
-                continue
-            if any(game.request_mask[order[keep[k]][0]] >> c & 1 for k in comp):
-                return True
-    return False
-
-
-def _tracked_product(game: CostStreettGame, strat: StrategySpec, bound: int,
-                     drop_overflow: bool
-                     ) -> tuple[list[tuple[int, int, tuple]], list[list[int]], list[list[bool]]]:
-    """One-player product of ``strat`` with per-pair tracking at ``bound``
-    (the overflow counter stays 0): states (vertex, memory, r), rows of
-    successor ids and the matching overflow flags.  With
-    ``drop_overflow`` overflow edges are left out while exploring."""
-    tr = StreettTracker(game, bound)
-    succ = game.successors
-    owner = game.owner
-    key = game.update_key
-    cost = game.edge_cost
-    _, r0 = tr.initial_state()
-    start = (game.initial, strat.initial, r0)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    ovf: list[list[bool]] = []
-    head = 0
-    while head < len(order):
-        v, m, r = order[head]
-        head += 1
-        if owner[v] == strat.player:
-            moves = [strat.next_move[(v, m)]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        row, orow = [], []
-        for t in moves:
-            m2 = strat.update[(m, key[(v, t)])]
-            _, r2, over = tr.update(0, r, cost[(v, t)], t)
-            if over and drop_overflow:
-                continue
-            state = (t, m2, r2)
-            j = index.get(state)
-            if j is None:
-                j = len(order)
-                index[state] = j
-                order.append(state)
-            row.append(j)
-            orow.append(over)
-        rows.append(row)
-        ovf.append(orow)
-    return order, rows, ovf
-
-
-def _overflow_cycle(game: CostStreettGame, strat: StrategySpec, bound: int) -> bool:
-    """Tracked one-player product: is some overflow edge on a cycle?"""
-    order, rows, ovf = _tracked_product(game, strat, bound, drop_overflow=False)
-    comp_of = {}
-    for comp in _sccs(len(order), rows):
-        cid = id(comp)
-        for v in comp:
-            comp_of[v] = cid
-    for i, row in enumerate(rows):
-        for j, over in zip(row, ovf[i]):
-            if over and comp_of[i] == comp_of[j]:
-                return True
-    return False
-
+# --- strategy verification ---------------------------------------------------------
 
 def streett_strategy_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     """Cst(σ) = sup over consistent plays, by lasso analysis on the
-    σ-restricted one-player product."""
+    σ-restricted one-player product (``semantics._verified_cost``)."""
     require_valid_streett(game)
     if strat.player != 0:
         raise ValueError("streett_strategy_cost expects a Player 0 strategy")
-    order, rows = _product_rows(game, strat)
-    if _has_unanswered_cycle(game, order, rows):
-        return INF
-    cap = len(order) * max(1, game.max_cost)
-    if _overflow_cycle(game, strat, cap):
-        return INF
-    return _least_bound(lambda b: None if _overflow_cycle(game, strat, b) else True,
-                        0, cap)[0]
-
-
-def _good_lasso(game: CostStreettGame, strat: StrategySpec, bound: int) -> bool:
-    """Player 0 (sole mover against the fixed spoiler) reaches a cycle
-    without overflow edges on which every requested pair is answered."""
-    order, rows, _ = _tracked_product(game, strat, bound, drop_overflow=True)
-
-    def good(comp_ids: list[int], sub_rows) -> bool:
-        for comp in _sccs(len(comp_ids), sub_rows):
-            cyclic = len(comp) > 1 or any(x in sub_rows[comp[0]] for x in comp)
-            if not cyclic:
-                continue
-            qhit = phit = 0
-            for k in comp:
-                v = order[comp_ids[k]][0]
-                qhit |= game.request_mask[v]
-                phit |= game.answer_mask[v]
-            viol = qhit & ~phit
-            if not viol:
-                return True
-            keep = [k for k in comp
-                    if not game.request_mask[order[comp_ids[k]][0]] & viol]
-            if not keep:
-                continue
-            pos = {k: i for i, k in enumerate(keep)}
-            nested = [[pos[j] for j in sub_rows[k] if j in pos] for k in keep]
-            if good([comp_ids[k] for k in keep], nested):
-                return True
-        return False
-
-    return good(list(range(len(order))), rows)
+    return _verified_cost(game, strat, StreettTracker)
 
 
 def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
@@ -920,12 +759,7 @@ def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     require_valid_streett(game)
     if strat.player != 1:
         raise ValueError("streett_spoiler_cost expects a Player 1 strategy")
-    order, _ = _product_rows(game, strat)
-    cap = len(order) * max(1, game.max_cost)
-    if not _good_lasso(game, strat, cap):
-        return INF
-    return _least_bound(lambda b: True if _good_lasso(game, strat, b) else None,
-                        0, cap)[0]
+    return _verified_cost(game, strat, StreettTracker)
 
 
 # --- optimal cost ----------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from costparity import make_game
-from costparity.core import Vertex
+from costparity.core import StrategySpec, Vertex
 from costparity.semantics import INF, Lasso
 from costparity.streett import CostStreettGame, StreettEdge, StreettGame, StreettPair
 
@@ -76,6 +76,17 @@ def random_cost_streett(rng):
         tuple(StreettEdge(s, t, c) for s, t, c in edges),
         tuple(StreettPair(frozenset(q), frozenset(p)) for q, p in pairs),
         0)
+
+
+def random_strategy(rng, game, player: int, size: int) -> StrategySpec:
+    """A random ``size``-state strategy of ``player`` in ``game`` (a
+    CostGame or a CostStreettGame): random updates and moves."""
+    keys = list(game.update_key.values())
+    update = {(m, ek): rng.randrange(size) for m in range(size) for ek in keys}
+    next_move = {(v, m): rng.choice(game.successors[v])[0]
+                 for v, o in sorted(game.owner.items()) if o == player
+                 for m in range(size)}
+    return StrategySpec(player, tuple(range(size)), 0, update, next_move)
 
 
 def tracker_queries(rng, tracker, steps):
@@ -160,7 +171,7 @@ def _all_reachable_cycles_even(rows, colors, initial) -> bool:
 
 
 def _has_cycle_through(rows, active, targets) -> bool:
-    from costparity.streett import _sccs
+    from costparity.semantics import _sccs
 
     ids = sorted(active)
     index = {v: i for i, v in enumerate(ids)}
@@ -175,7 +186,7 @@ def _has_cycle_through(rows, active, targets) -> bool:
 # --- oracle: Streett winner by positional spoiler enumeration -----------------
 
 def good_streett_cycle_exists(n, rows, qmask, pmask, ids=None) -> bool:
-    from costparity.streett import _sccs
+    from costparity.semantics import _sccs
 
     ids = list(range(n)) if ids is None else ids
     for comp in _sccs(n, rows):
@@ -219,3 +230,44 @@ def brute_streett_winner(sg) -> int:
         if not good_streett_cycle_exists(len(ids), sub, sg.qmask, sg.pmask, ids):
             return 1
     return 0
+
+
+# --- oracle: strategy cost by bisecting the bounded-cost decision -------------
+
+def bisected_cost(decide, product) -> float:
+    """Least b ≤ |product|·W with ``decide(product, b).achievable`` on the
+    one-player product of a strategy; ∞ if even that cap fails.  On such
+    a product the decision is the strategy's own bounded cost."""
+    cap = product.n * max(1, product.max_cost)
+    if not decide(product, cap).achievable:
+        return INF
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if decide(product, mid).achievable:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def streett_strategy_product(game: CostStreettGame, strat: StrategySpec) -> CostStreettGame:
+    """The reachable product of ``game`` with ``strat``, the owner's moves
+    fixed, as a CostStreettGame whose pairs and costs are the arena's."""
+    index = {(game.initial, strat.initial): 0}
+    order = [(game.initial, strat.initial)]
+    edges = []
+    for i, (v, m) in enumerate(order):  # grows while it is walked
+        moves = [strat.next_move[(v, m)]] if game.owner[v] == strat.player \
+            else [t for t, _ in game.successors[v]]
+        for t in moves:
+            nxt = (t, strat.update[(m, game.update_key[(v, t)])])
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            edges.append(StreettEdge(i, index[nxt], game.edge_cost[(v, t)]))
+    pairs = tuple(StreettPair(frozenset(i for i, (v, _) in enumerate(order) if v in p.requests),
+                              frozenset(i for i, (v, _) in enumerate(order) if v in p.answers))
+                  for p in game.pairs)
+    vertices = tuple(Vertex(i, game.owner[v], 0) for i, (v, _) in enumerate(order))
+    return CostStreettGame(vertices, tuple(edges), pairs, 0)

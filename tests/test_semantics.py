@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from conftest import random_cost_game, unrolled_play_cost
-from costparity import INF, Lasso, answers, cor, make_game, play_cost
+from conftest import bisected_cost, random_cost_game, random_strategy, unrolled_play_cost
+from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, make_game,
+                        optimal_cost, parse_cpg, play_cost, streett_from_cost_parity)
 from costparity.core import strategy_from_functions
-from costparity.semantics import spoiler_cost, strategy_cost, validate_lasso
+from costparity.semantics import spoiler_cost, strategy_cost, strategy_product, validate_lasso
 
 
 def test_answers():
@@ -138,3 +139,32 @@ def test_strat_file_verify_roundtrip(delay_won):
     sigma = stay_strategy(delay_won, 0)
     back = parse_strat(format_strat(sigma))
     assert strategy_cost(delay_won, back) == strategy_cost(delay_won, sigma)
+
+
+def test_verifier_matches_bisected_decisions():
+    # the lasso analysis against the bounded-cost solver bisected on the
+    # one-player product: random strategies of both players, certificates
+    rng = random.Random(89)
+    for i in range(550):
+        if i % 2:
+            g = random_cost_game(rng, rng.randint(1, 4), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
+        sg = streett_from_cost_parity(g)
+        assert (g.request_mask, g.answer_mask) == (sg.request_mask, sg.answer_mask)
+        strats = [random_strategy(rng, g, player, rng.randint(1, 3)) for player in (0, 1)]
+        strats.append(decide_bounded_cost(g, rng.randint(0, 4)).certificate)
+        for strat in strats:
+            verify = (strategy_cost, spoiler_cost)[strat.player]
+            assert verify(g, strat) == bisected_cost(decide_bounded_cost,
+                                                     strategy_product(g, strat)[0])
+
+
+def test_spoiler_without_good_cycle_is_infinite_at_once():
+    # Player 0 has no good cycle in the witness's product, so no bound
+    # is probed: a tracked product at the cap 297 would not fit in memory
+    g = parse_cpg("costparity 4 0 binary\n0 3 1 3:3\n1 3 1 3:3\n"
+                  "2 4 1 0:0,1:2,2:3\n3 1 0 0:0,1:2,3:3\n")
+    witness = optimal_cost(g).witness
+    assert witness.player == 1
+    assert spoiler_cost(g, witness) == INF

@@ -8,7 +8,7 @@ from costparity import (INF, BudgetExceededError, ParityGame, binary_tradeoff_fa
                         make_game, optimal_cost, p0_memory_family, p1_memory_family,
                         solve_parity, subdivide_costs)
 from costparity.semantics import spoiler_cost, strategy_cost
-from costparity.solver import clamp_bound
+from costparity.solver import DEFAULT_PRODUCT_BUDGET, _FlatSolveInfo, clamp_bound
 
 
 def test_solve_parity_single_vertex():
@@ -77,11 +77,12 @@ def test_decide_layered_equals_flat():
                                  encoding="binary")
         b = rng.randint(0, 4)
         layered = decide_bounded_cost(g, b)
-        flat = decide_bounded_cost(g, b, engine="flat")
-        assert layered.achievable == flat.achievable
+        flat = _FlatSolveInfo(g, layered.bound, DEFAULT_PRODUCT_BUDGET)
+        initial = flat.quotient.states[0]  # the quotient's BFS starts there
+        assert layered.achievable == (flat.winner(*initial) == 0)
         # every overflow level, the ones the last fixpoint iterate serves included
-        for v, o, r in flat.info.quotient.states:
-            assert layered.info.winner(v, o, r) == flat.info.winner(v, o, r)
+        for v, o, r in flat.quotient.states:
+            assert layered.info.winner(v, o, r) == flat.winner(v, o, r)
 
 
 def test_decide_clamps_to_regime_bound():
@@ -98,8 +99,6 @@ def test_decide_clamps_to_regime_bound():
 def test_decide_rejects_bad_input(delay_won):
     with pytest.raises(ValueError):
         decide_bounded_cost(delay_won, -1)
-    with pytest.raises(ValueError):
-        decide_bounded_cost(delay_won, 1, engine="quantum")
     with pytest.raises(BudgetExceededError):
         decide_bounded_cost(delay_won, 2, product_budget=1)
 
@@ -178,7 +177,9 @@ def test_optimal_bisect_equals_sweep():
     rng = random.Random(19)
     for _ in range(50):
         g = random_cost_game(rng, rng.randint(1, 4), 4)
-        assert optimal_cost(g).value == optimal_cost(g, method="sweep").value
+        # unary: every bound beyond n is n
+        sweep = next((b for b in range(g.n + 1) if decide_bounded_cost(g, b).achievable), INF)
+        assert optimal_cost(g).value == sweep
 
 
 def test_certificates_verify():

@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from conftest import (brute_streett_winner, random_cost_game, random_cost_streett,
-                      random_streett_game, tracker_queries)
-from costparity import INF, BudgetExceededError, Lasso, decide_bounded_cost, format_strat
+from conftest import (bisected_cost, brute_streett_winner, random_cost_game,
+                      random_cost_streett, random_strategy, random_streett_game,
+                      streett_strategy_product, tracker_queries)
+from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, decide_bounded_cost,
+                        format_strat)
 from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, StreettTracker, build_streett_reduction,
@@ -77,7 +79,7 @@ def test_solve_streett_matches_brute_force():
 
 def test_solve_streett_strategies_win():
     from conftest import good_streett_cycle_exists
-    from costparity.streett import _sccs
+    from costparity.semantics import _sccs
 
     rng = random.Random(43)
     for _ in range(200):
@@ -231,6 +233,32 @@ def test_streett_certificates_verify():
         else:
             assert cert.player == 1
             assert streett_spoiler_cost(g, cert) > res.bound
+
+
+def test_spoiler_cost_counts_prefix_overflows_as_free():
+    # the Streett image of a 3-vertex parity game: the play 0·1^ω leaves
+    # its one request in the prefix and costs 0, though its step 0→1
+    # overflows every bound below 2
+    g = tiny_streett(pairs=[({0}, {2})],
+                     edges=[(0, 0, 0), (0, 1, 2), (1, 1, 3), (2, 0, 0), (2, 2, 3)],
+                     owners=[0, 0, 0])
+    tau = StrategySpec(1, (0,), 0, {(0, ek): 0 for ek in g.update_key.values()}, {})
+    assert streett_play_cost(g, Lasso((0,), (1,))) == 0
+    assert optimal_cost_streett(g).value == 0
+    assert streett_spoiler_cost(g, tau) == 0
+
+
+def test_streett_verifier_matches_bisected_decisions():
+    # random strategies of both players against the layered decision,
+    # bisected on their one-player products
+    rng = random.Random(83)
+    for _ in range(300):
+        g = random_cost_streett(rng)
+        for player, verify in ((0, streett_strategy_cost), (1, streett_spoiler_cost)):
+            strat = random_strategy(rng, g, player, rng.randint(1, 3))
+            expected = bisected_cost(decide_bounded_cost_streett,
+                                     streett_strategy_product(g, strat))
+            assert verify(g, strat) == expected
 
 
 def test_list_costs_decide_like_tuple_costs():
