@@ -6,14 +6,18 @@ to the cost the oldest open request of that color has incurred so far,
 capped by the active bound b.  Traversing an edge updates (o, r) in four
 steps: add the edge cost to open requests, reset everything and bump o
 on an excess over b, close requests answered by the target's color, and
-open the target's own request.
+open the target's own request.  Streett games track one entry per pair
+alike, and both game classes share the one step (``_MemoizedStep``).
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
-the explicit reachable product G' whose parity winner characterizes
-bounded-cost strategy existence.  The settle and shortcut rules exist
-once, on an incremental prefix (``_PrefixStack``) that ``settled``,
-``shortcut_step`` and the finite-duration engine in ``solver`` share.
+the reachable product with the tracking memory, explored once over
+(vertex, request function) nodes (``_LevelProduct``) and unrolled over
+the overflow counter into the explicit product G' whose parity winner
+characterizes bounded-cost strategy existence.  The settle and shortcut
+rules exist once, on an incremental prefix (``_PrefixStack``) that
+``settled``, ``shortcut_step`` and the finite-duration engine in
+``solver`` share.
 """
 
 from __future__ import annotations
@@ -102,28 +106,40 @@ def dominates(a: TrackState, b: TrackState) -> bool:
 
 
 class _MemoizedStep:
-    """What both request trackers share: the set-up, the step memo and
-    the overflow bump.
+    """The request tracker of both game classes: entry i of r belongs
+    to pair i of the Streett image (``request_mask`` / ``answer_mask``).
 
     A step changes r using only the edge cost and the target's class
-    (``target_class[target]``), and changes o only by the bump on an
-    overflow.  So ``_step(r, cost, class)`` -> (r', overflowed) runs once
-    per distinct key and is looked up afterwards.  The memo belongs to
-    the tracker and grows only with its distinct steps, which the
+    ``answer mask | fresh mask << d``, and changes o only by the bump on
+    an overflow.  So ``_step(r, cost, class)`` -> (r', overflowed) runs
+    once per distinct key and is looked up afterwards.  The memo belongs
+    to the tracker and grows only with its distinct steps, which the
     product it explores bounds.
     """
 
-    def __init__(self, game, bound: int, target_class: Mapping[int, object]):
+    def __init__(self, game, bound: int):
         if bound < 0:
             raise ValueError("bound must be non-negative")
         self.game = game
         self.bound = bound
         self.n = game.n
-        self.target_class = target_class
+        self.d = d = game.d
+        self.bot = (BOT,) * d
+        qmask = game.request_mask
+        self.target_class = {v: a | (qmask[v] & ~a) << d
+                             for v, a in game.answer_mask.items()}
+        # per class, the pairs a step closes and the pairs it opens
+        self._pairs = {tc: ([i for i in range(d) if tc >> i & 1],
+                            [i for i in range(d) if tc >> d + i & 1])
+                       for tc in set(self.target_class.values())}
         self._memo: dict = {}
 
     def initial_state(self) -> tuple[int, tuple]:
         return (0, self.initial_r(self.game.initial))
+
+    def initial_r(self, vertex: int) -> tuple:
+        fresh = self.target_class[vertex] >> self.d
+        return tuple(0 if fresh >> i & 1 else BOT for i in range(self.d))
 
     def update(self, o: int, r: tuple, cost, target: int) -> tuple[int, tuple, bool]:
         """One memory step; returns (o', r', overflowed)."""
@@ -137,43 +153,40 @@ class _MemoizedStep:
             o = min(o + 1, self.n)
         return o, r, overflow
 
+    @staticmethod
+    def _charge(r: tuple, costs: tuple[int, ...]) -> tuple:
+        """Each pair's own edge cost added to its open entry."""
+        return tuple(x if x is None else x + w for x, w in zip(r, costs))
 
-class Tracker(_MemoizedStep):
-    """Prepared update machinery for one (game, bound) pair; the target
-    class of a step is the target's color."""
-
-    def __init__(self, game: CostGame, bound: int):
-        super().__init__(game, bound, game.color)
-        self.colors = game.odd_colors
-        self.index = {c: i for i, c in enumerate(self.colors)}
-        self.d = len(self.colors)
-        self.bot = (BOT,) * self.d
-
-    def initial_r(self, vertex: int) -> tuple:
-        c = self.game.color[vertex]
-        if c % 2 == 0:
-            return self.bot
-        r = [BOT] * self.d
-        r[self.index[c]] = 0
-        return tuple(r)
-
-    def _step(self, r: tuple, cost: int, tc: int) -> tuple[tuple, bool]:
+    def _step(self, r: tuple, cost, tc: int) -> tuple[tuple, bool]:
         b = self.bound
-        if cost:
-            r = tuple(x if x is None else x + cost for x in r)
+        r = self._charge(r, cost)
         overflow = any(x is not None and x > b for x in r)
         if overflow:
             r = self.bot
-        if tc % 2 == 0:
-            if tc > 0 and any(x is not None for x in r):
-                r = tuple(BOT if c <= tc else x for c, x in zip(self.colors, r))
-        else:
-            i = self.index[tc]
-            if r[i] is None:
-                lst = list(r)
-                lst[i] = 0
-                r = tuple(lst)
+        close, fresh = self._pairs[tc]
+        if close or fresh:
+            r = list(r)
+            for i in close:
+                r[i] = BOT
+            for i in fresh:
+                if r[i] is None:
+                    r[i] = 0
+            r = tuple(r)
         return r, overflow
+
+
+class Tracker(_MemoizedStep):
+    """The tracker of a cost-parity game: r is indexed by the odd colors
+    ``colors``, and one edge cost applies to every pair."""
+
+    def __init__(self, game: CostGame, bound: int):
+        super().__init__(game, bound)
+        self.colors = game.odd_colors
+
+    @staticmethod
+    def _charge(r: tuple, cost: int) -> tuple:
+        return tuple(x if x is None else x + cost for x in r) if cost else r
 
 
 def initial_request_function(game: CostGame, vertex: int) -> RequestFunction:
@@ -456,40 +469,92 @@ class QuotientGame:
         return {i: f"({v},{o},{r})" for i, (v, o, r) in enumerate(self.states)}
 
 
+class _LevelProduct:
+    """The tracked product, explored once over (vertex, request
+    function) nodes.  A tracker step never depends on o apart from the
+    saturation clamp, so the product with the memory (o, r) is n+1
+    copies of this graph, with overflow edges one level up.  ``rows[i]``
+    lists (node, overflowed, arena target) per arena move of node i."""
+
+    def __init__(self, game, tracker, budget: int, what: str):
+        self.game = game
+        self.budget = budget
+        self.what = what
+        succ = game.successors
+        _, r0 = tracker.initial_state()
+        index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
+        order: list[tuple[int, tuple]] = [(game.initial, r0)]
+        rows: list[tuple[tuple[int, bool, int], ...]] = []
+        head = 0
+        while head < len(order):
+            v, r = order[head]
+            head += 1
+            row = []
+            for t, w in succ[v]:
+                _, r2, ovf = tracker.update(0, r, w, t)
+                key = (t, r2)
+                j = index.get(key)
+                if j is None:
+                    j = len(order)
+                    if j >= budget:
+                        raise BudgetExceededError(f"{what} exceeds budget {budget} states")
+                    index[key] = j
+                    order.append(key)
+                row.append((j, ovf, t))
+            rows.append(tuple(row))
+        self.nodes = order
+        self.index = index
+        self.rows = tuple(rows)
+
+    @property
+    def size(self) -> int:
+        return len(self.nodes)
+
+    def unroll(self) -> tuple[tuple, tuple, frozenset]:
+        """The flat reachable product from (v_I, 0, r_{v_I}) in
+        breadth-first order: states (v, o, r), successor ids and overflow
+        edges (i, j).  A move from level o lies at level min(o +
+        overflowed, n), so no tracker step is needed."""
+        n = self.game.n
+        rows = self.rows
+        index = {(0, 0): 0}
+        order = [(0, 0)]
+        succ: list[tuple[int, ...]] = []
+        ovf_edges = set()
+        head = 0
+        while head < len(order):
+            i, o = order[head]
+            head += 1
+            row = []
+            for j, ovf, _ in rows[i]:
+                key = (j, min(o + 1, n)) if ovf else (j, o)
+                k = index.get(key)
+                if k is None:
+                    k = len(order)
+                    if k >= self.budget:
+                        raise BudgetExceededError(
+                            f"{self.what} exceeds budget {self.budget} states")
+                    index[key] = k
+                    order.append(key)
+                if ovf:
+                    ovf_edges.add((head - 1, k))
+                row.append(k)
+            succ.append(tuple(row))
+        nodes = self.nodes
+        states = tuple((nodes[i][0], o, nodes[i][1]) for i, o in order)
+        return states, tuple(succ), frozenset(ovf_edges)
+
+
 def build_quotient_game(game: CostGame, bound: int,
                         budget: int = 5_000_000) -> QuotientGame:
-    """Breadth-first reachable product from (v_I, 0, r_{v_I})."""
+    """Breadth-first reachable product from (v_I, 0, r_{v_I}), unrolled
+    from the level product."""
     require_valid(game)
-    tr = Tracker(game, bound)
-    succ = game.successors
-    owner = game.owner
-    color = game.color
-    n = game.n
-    o0, r0 = tr.initial_state()
-    index: dict[tuple[int, int, tuple], int] = {(game.initial, o0, r0): 0}
-    order: list[tuple[int, int, tuple]] = [(game.initial, o0, r0)]
-    succ_out: list[tuple[int, ...]] = []
-    head = 0
-    while head < len(order):
-        v, o, r = order[head]
-        head += 1
-        row = []
-        for t, w in succ[v]:
-            o2, r2, _ = tr.update(o, r, w, t)
-            key = (t, o2, r2)
-            j = index.get(key)
-            if j is None:
-                j = len(order)
-                if j >= budget:
-                    raise BudgetExceededError(
-                        f"quotient product exceeds budget {budget} states")
-                index[key] = j
-                order.append(key)
-            row.append(j)
-        succ_out.append(tuple(row))
-    owners = tuple(owner[v] for v, _, _ in order)
-    parities = tuple(color[v] if o < n else 1 for v, o, _ in order)
-    qg = QuotientGame(game, bound, tuple(order), owners, parities, tuple(succ_out))
+    product = _LevelProduct(game, Tracker(game, bound), budget, "quotient product")
+    states, succ, _ = product.unroll()
+    owners = tuple(game.owner[v] for v, _, _ in states)
+    parities = tuple(game.color[v] if o < game.n else 1 for v, o, _ in states)
+    qg = QuotientGame(game, bound, states, owners, parities, succ)
     if qg.size > qg.size_bound:
         raise RuntimeError(f"quotient product has {qg.size} states, "
                            f"above the bound {qg.size_bound}")

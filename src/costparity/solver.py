@@ -1,10 +1,12 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
-Two independent decision procedures are provided: solving the explicit
-quotient parity game (the production path) and an alternating search
-over annotated play prefixes stopped at settled prefixes (the
-finite-duration game, used as an oracle at small scale), which applies
-``reduction``'s settle and shortcut rules.
+Decisions solve the quotient parity game one overflow level at a time
+(``_LevelGraph``, the layered engine).  Two independent procedures
+serve the tests as references: solving the explicit quotient game all
+at once (``_FlatSolveInfo``), and an alternating search over annotated
+play prefixes stopped at settled prefixes (the finite-duration game,
+used as an oracle at small scale), which applies ``reduction``'s settle
+and shortcut rules.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .core import (UNARY, BudgetExceededError, CostGame, StrategySpec,
-                   _least_bound, _reset_spoiler, require_valid, strategy_from_product)
-from .reduction import QuotientGame, Tracker, _PrefixStack, build_quotient_game
+from .core import (UNARY, CostGame, StrategySpec, _least_bound, _reset_spoiler, require_valid,
+                   strategy_from_product)
+from .reduction import (QuotientGame, Tracker, _LevelProduct, _PrefixStack,
+                        build_quotient_game)
 
 INF = math.inf
 
@@ -176,13 +179,12 @@ def solve_parity(pg: ParityGame) -> SolveResult:
 
 # --- the layered explicit product -------------------------------------------
 
-class _LevelGraph:
-    """A tracked product factored by the overflow counter and solved
-    level by level: the one layered engine for parity and Streett games.
+class _LevelGraph(_LevelProduct):
+    """The tracked product solved level by level over the overflow
+    counter: the one layered engine for parity and Streett games.
 
-    Why the levels can be solved one at a time: a tracker step never
-    depends on o apart from the saturation clamp, so the product is n+1
-    copies of one graph over (vertex, request-function) nodes, overflow
+    Why the levels can be solved one at a time: the product is n+1
+    copies of the level graph (``reduction._LevelProduct``), overflow
     edges go exactly one level up, and o never decreases.  A play thus
     either stays in one level forever, or leaves level o on an overflow
     edge, and from then on is won by whoever wins the state it enters
@@ -200,34 +202,9 @@ class _LevelGraph:
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
-        self.game = game
-        succ = game.successors
-        _, r0 = tracker.initial_state()
-        index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
-        order: list[tuple[int, tuple]] = [(game.initial, r0)]
-        rows: list[tuple[tuple[int, bool, int], ...]] = []
-        head = 0
-        while head < len(order):
-            v, r = order[head]
-            head += 1
-            row = []
-            for t, w in succ[v]:
-                _, r2, ovf = tracker.update(0, r, w, t)
-                key = (t, r2)
-                j = index.get(key)
-                if j is None:
-                    j = len(order)
-                    if j >= budget:
-                        raise BudgetExceededError(f"{what} exceeds budget {budget} states")
-                    index[key] = j
-                    order.append(key)
-                row.append((j, ovf, t))
-            rows.append(tuple(row))
-        self.nodes = order
-        self.index = index
-        self.rows = tuple(rows)
+        super().__init__(game, tracker, budget, what)
         # the nodes' owners, then the won sink's and the lost sink's
-        self.owners = tuple(game.owner[v] for v, _ in order) + (1, 0)
+        self.owners = tuple(game.owner[v] for v, _ in self.nodes) + (1, 0)
 
     def solve(self, solve_level: Callable[[tuple, tuple, frozenset[int]], tuple]) -> None:
         """Solves the levels n−1, n−2, … until the stop rule holds.
@@ -316,10 +293,6 @@ class _LevelGraph:
         if node is None:
             return None
         return self._iterate_for_level(o)[1 + player].get(node)
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
 
 def _parity_levels(game: CostGame, bound: int, budget: int) -> _LevelGraph:
@@ -418,9 +391,8 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
         raise ValueError("bound must be non-negative")
     b = clamp_bound(game, bound)
     info = _parity_levels(game, b, product_budget)
-    tr = Tracker(game, b)
-    o0, r0 = tr.initial_state()
-    achievable = info.winner(game.initial, o0, r0) == 0
+    v0, r0 = info.nodes[0]
+    achievable = info.winner(v0, 0, r0) == 0
     return BoundedCostResult(game, b, achievable, info)
 
 

@@ -9,21 +9,22 @@ Bounded-cost existence reduces to a classical Streett game over the
 arena extended with per-pair request tracking plus one extra pair that
 fires once the overflow counter saturates.  Decisions solve that game
 level by level over the overflow counter, on the layered engine shared
-with parity games (``solver._LevelGraph``); the flat reduction
-(``build_streett_reduction``) is built only when a certificate is asked
-for.  Classical Streett games are solved directly by a Zielonka-tree
-recursion over the request/answer membership patterns, whose
-attractors are the parity solver's: Player 1's condition is a
-disjunction, so his nodes are unary and his synthesized strategies
-positional, while Player 0's nodes branch per pair, giving her
-strategies of at most d! memory, matching the known bounds.
+with parity games (``solver._LevelGraph``).  The flat reduction
+(``build_streett_reduction``) is that level graph unrolled over the
+counter; a certificate unrolls the decision's own level graph, so the
+product is explored once.  Classical Streett games are solved directly
+by a Zielonka-tree recursion over the request/answer membership
+patterns, whose attractors are the parity solver's: Player 1's
+condition is a disjunction, so his nodes are unary and his synthesized
+strategies positional, while Player 0's nodes branch per pair, giving
+her strategies of at most d! memory, matching the known bounds.
 
 Certificates, verification and optimal-cost search run on the pipeline
 shared with parity games: ``core`` tabulates strategies (the
 classical solver's too, through ``StreettGame.update_key``), resets the
 spoiler's overflow counter and bisects bounds; ``semantics`` validates
-lassos and verifies strategies, given this module's tracker.  This
-module adds the per-pair tracker, the reductions and the solver.
+lassos and verifies strategies, given this module's tracker, whose step
+is ``reduction``'s.  This module adds the reductions and the solver.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .core import (DEAD_MEMORY, BudgetExceededError, CostGame, FormatError, StrategySpec,
-                   Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
-                   strategy_from_functions, strategy_from_product)
-from .reduction import _MemoizedStep
+from .core import (DEAD_MEMORY, CostGame, FormatError, StrategySpec, Vertex, _least_bound,
+                   _parse_vertex_line, _reset_spoiler, _strip_comment, strategy_from_functions,
+                   strategy_from_product)
+from .reduction import _LevelProduct, _MemoizedStep
 from .semantics import INF, Lasso, _response_cost, _verified_cost, validate_lasso
 from .solver import _attractor, _LevelGraph, _predecessors
 
@@ -168,7 +169,13 @@ def validate_streett_game(game: CostStreettGame) -> list[str]:
     report: list[str] = []
     if game.d < 1:
         report.append("game: needs at least one Streett pair")
-    ids = {v.id for v in game.vertices}
+    ids: set[int] = set()
+    for v in game.vertices:
+        if v.id in ids:
+            report.append(f"vertex {v.id}: duplicate id")
+        ids.add(v.id)
+        if v.owner not in (0, 1):
+            report.append(f"vertex {v.id}: owner must be 0 or 1, got {v.owner}")
     if game.initial not in ids:
         report.append(f"game: initial vertex {game.initial} does not exist")
     seen: set[tuple[int, int]] = set()
@@ -242,34 +249,8 @@ class StreettTracker(_MemoizedStep):
     The state is (o, r) as in ``reduction.Tracker``, with r holding one
     entry per pair: ⊥, or the cost the oldest open request of that pair
     has incurred under the pair's own cost function.  A target in P_c
-    closes pair c, and one in Q_c (outside P_c) opens it; the target
-    class of a step is the pair of those masks.
+    closes pair c, and one in Q_c (outside P_c) opens it.
     """
-
-    def __init__(self, game: CostStreettGame, bound: int):
-        qmask = game.request_mask
-        super().__init__(game, bound,
-                         {v: (p, qmask[v] & ~p) for v, p in game.answer_mask.items()})
-        self.d = game.d
-        self.bot = (None,) * self.d
-
-    def initial_r(self, vertex: int) -> tuple:
-        fresh = self.target_class[vertex][1]
-        return tuple(0 if fresh >> c & 1 else None for c in range(self.d))
-
-    def _step(self, r: tuple, costs: tuple[int, ...], tc: tuple[int, int]
-              ) -> tuple[tuple, bool]:
-        b = self.bound
-        r = tuple(x if x is None else x + w for x, w in zip(r, costs))
-        overflow = any(x is not None and x > b for x in r)
-        if overflow:
-            r = self.bot
-        close, open_ = tc
-        if close or open_:
-            r = tuple(None if close >> c & 1 else
-                      (0 if (open_ >> c & 1) and x is None else x)
-                      for c, x in enumerate(r))
-        return r, overflow
 
 
 # --- reduction to a classical Streett game ------------------------------------
@@ -293,46 +274,30 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
     """Reachable product with per-pair tracking; pairs are lifted and one
     extra pair (saturated states, ∅) dooms Player 0 past n overflows."""
     require_valid_streett(game)
-    tr = StreettTracker(game, bound)
-    succ = game.successors
-    owner = game.owner
-    n = game.n
-    o0, r0 = tr.initial_state()
-    start = (game.initial, o0, r0)
-    index: dict[tuple[int, int, tuple], int] = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    ovf_edges: set[tuple[int, int]] = set()
-    head = 0
-    while head < len(order):
-        v, o, r = order[head]
-        head += 1
-        row = []
-        for t, costs in succ[v]:
-            o2, r2, ovf = tr.update(o, r, costs, t)
-            key = (t, o2, r2)
-            j = index.get(key)
-            if j is None:
-                j = len(order)
-                if j >= budget:
-                    raise BudgetExceededError(
-                        f"streett reduction exceeds budget {budget} states")
-                index[key] = j
-                order.append(key)
-            if ovf:
-                ovf_edges.add((head - 1, j))
-            row.append(j)
-        rows.append(tuple(row))
-    owners = tuple(owner[v] for v, _, _ in order)
-    d = game.d
-    pairs_q = [frozenset(i for i, (v, _, _) in enumerate(order)
-                         if game.request_mask[v] >> c & 1) for c in range(d)]
-    pairs_p = [frozenset(i for i, (v, _, _) in enumerate(order)
-                         if game.answer_mask[v] >> c & 1) for c in range(d)]
-    pairs_q.append(frozenset(i for i, (_, o, _) in enumerate(order) if o >= n))
-    pairs_p.append(frozenset())
-    sg = StreettGame(owners, tuple(rows), tuple(pairs_q), tuple(pairs_p), 0)
-    return StreettReduction(game, bound, sg, tuple(order), index, frozenset(ovf_edges))
+    return _unrolled_reduction(
+        _LevelProduct(game, StreettTracker(game, bound), budget, "streett reduction"), bound)
+
+
+def _unrolled_reduction(levels: _LevelProduct, bound: int) -> StreettReduction:
+    """``build_streett_reduction`` on an explored level product."""
+    game = levels.game
+    states, rows, ovf_edges = levels.unroll()
+    owners = tuple(game.owner[v] for v, _, _ in states)
+    pairs_q, pairs_p = _lifted_pairs(game, [v for v, _, _ in states],
+                                     (i for i, (_, o, _) in enumerate(states) if o >= game.n))
+    sg = StreettGame(owners, rows, pairs_q, pairs_p, 0)
+    index = {state: i for i, state in enumerate(states)}
+    return StreettReduction(game, bound, sg, states, index, ovf_edges)
+
+
+def _lifted_pairs(game: CostStreettGame, vertices, saturated) -> tuple[tuple, tuple]:
+    """(Q, P): the game's pairs lifted to the product ids i with arena
+    vertex ``vertices[i]``, then the saturation pair (``saturated``, ∅)."""
+    def lift(mask):
+        return tuple(frozenset(i for i, v in enumerate(vertices) if mask[v] >> c & 1)
+                     for c in range(game.d))
+    return (lift(game.request_mask) + (frozenset(saturated),),
+            lift(game.answer_mask) + (frozenset(),))
 
 
 # --- classical Streett solving (Zielonka-tree recursion) -----------------------
@@ -631,11 +596,7 @@ def _streett_levels(game: CostStreettGame, bound: int, budget: int) -> _LevelGra
     """
     levels = _LevelGraph(game, StreettTracker(game, bound), budget, "streett reduction")
     m = levels.size
-    qmask, pmask = game.request_mask, game.answer_mask
-    pairs_q = tuple(frozenset(i for i, (v, _) in enumerate(levels.nodes) if qmask[v] >> c & 1)
-                    for c in range(game.d)) + (frozenset({m + 1}),)
-    pairs_p = tuple(frozenset(i for i, (v, _) in enumerate(levels.nodes) if pmask[v] >> c & 1)
-                    for c in range(game.d)) + (frozenset(),)
+    pairs_q, pairs_p = _lifted_pairs(game, [v for v, _ in levels.nodes], {m + 1})
 
     def solve_level(succ, pred, prev):
         sg = StreettGame(levels.owners, succ, pairs_q, pairs_p, 0)
@@ -648,20 +609,20 @@ def _streett_levels(game: CostStreettGame, bound: int, budget: int) -> _LevelGra
 
 class StreettBoundedResult:
     """Decision from the layered engine, plus a certificate for the
-    winning side.  The flat reduction and its classical solve, which the
-    certificate reads, are built on first use, with the same budget."""
+    winning side.  The flat reduction, unrolled from the decision's
+    level graph under the same budget, and its classical solve, which
+    the certificate reads, are built on first use."""
 
     def __init__(self, game: CostStreettGame, bound: int, achievable: bool,
-                 levels: _LevelGraph, budget: int):
+                 levels: _LevelGraph):
         self.game = game
         self.bound = bound
         self.achievable = achievable
         self.levels = levels
-        self.budget = budget
 
     @cached_property
     def reduction(self) -> StreettReduction:
-        return build_streett_reduction(self.game, self.bound, self.budget)
+        return _unrolled_reduction(self.levels, self.bound)
 
     @cached_property
     def solve(self) -> StreettSolveResult:
@@ -694,7 +655,7 @@ def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
     b = min(bound, streett_regime_cap(game))
     levels = _streett_levels(game, b, budget)
     v0, r0 = levels.nodes[0]
-    return StreettBoundedResult(game, b, levels.winner(v0, 0, r0) == 0, levels, budget)
+    return StreettBoundedResult(game, b, levels.winner(v0, 0, r0) == 0, levels)
 
 
 def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:

@@ -107,6 +107,56 @@ def tracker_queries(rng, tracker, steps):
     return queries
 
 
+# --- oracles: the tracked product and the parity tracker step ----------------
+
+def direct_tracked_product(game, tracker):
+    """The flat tracked product by a direct breadth-first search over
+    (v, o, r) from (v_I, 0, r_{v_I}), stepping ``tracker`` on every
+    state: (states, successor rows, overflow edges (i, j))."""
+    start = (game.initial, *tracker.initial_state())
+    index = {start: 0}
+    order = [start]
+    succ, overflow_edges = [], set()
+    for i, (v, o, r) in enumerate(order):  # grows while it is walked
+        row = []
+        for t, w in game.successors[v]:
+            o2, r2, overflowed = tracker.update(o, r, w, t)
+            key = (t, o2, r2)
+            if key not in index:
+                index[key] = len(order)
+                order.append(key)
+            j = index[key]
+            if overflowed:
+                overflow_edges.add((i, j))
+            row.append(j)
+        succ.append(tuple(row))
+    return tuple(order), tuple(succ), frozenset(overflow_edges)
+
+
+def parity_initial_r(game, vertex):
+    """r_v on colors: Ω(v) ↦ 0 for an odd Ω(v), every other color ⊥."""
+    return tuple(0 if c == game.color[vertex] else None for c in game.odd_colors)
+
+
+def parity_step(game, bound, o, r, cost, target):
+    """The tracker step of a cost-parity game on colors, in four parts:
+    add the cost to the open requests; reset r and bump o on an excess
+    over the bound; close the odd colors below an even target color;
+    open the target's own odd color.  Returns (o', r', overflowed)."""
+    colors = game.odd_colors
+    r = [x if x is None else x + cost for x in r]
+    overflowed = any(x is not None and x > bound for x in r)
+    if overflowed:
+        r = [None] * len(colors)
+        o = min(o + 1, game.n)
+    tc = game.color[target]
+    if tc % 2 == 0:
+        r = [None if c < tc else x for c, x in zip(colors, r)]
+    elif r[colors.index(tc)] is None:
+        r[colors.index(tc)] = 0
+    return o, tuple(r), overflowed
+
+
 # --- oracle: play cost by unrolling ------------------------------------------
 
 def unrolled_play_cost(game, lasso: Lasso, horizon_factor: int = 4):

@@ -183,6 +183,19 @@ def test_error_protocol(tmp_path, delay_path):
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("vertex_lines", ["0 0 0 1:0\n1 0 0 1:0\n1 0 1 0:1\n",
+                                          "0 0 2 1:0\n1 0 5 0:1\n2 0 0 2:0\n"],
+                         ids=["duplicate-id", "owners-2-and-5"])
+def test_cst_duplicate_ids_and_bad_owners_are_format_errors(tmp_path, vertex_lines):
+    path = tmp_path / "bad.cst"
+    path.write_text("coststreett 3 0 1\n" + vertex_lines + "pair 0 Q: 1 P:\n")
+    for argv in (("validate", str(path)), ("solve", "--bound", "1", str(path))):
+        code, out, err = invoke(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: format: ") and len(err.splitlines()) == 1
+    assert not path.with_suffix(".strat").exists()
+
+
 @pytest.mark.parametrize("player", [0, 1])
 def test_verify_rejects_ill_formed_streett_strategy(tmp_path, player):
     gen = str(tmp_path / "s")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cost_game, tracker_queries
+from conftest import (direct_tracked_product, parity_initial_r, parity_step,
+                      random_cost_game, tracker_queries)
 from costparity import (Edge, build_quotient_game, classify_cycle, dominates,
                         initial_request_function, make_game, relevant_requests,
                         settled, settled_bound, shortcut_step, track_play,
@@ -178,6 +179,42 @@ def test_tracker_memo_answers_like_a_fresh_tracker():
         for q in queries:
             assert shared.update(*q) == Tracker(g, b).update(*q), q
         assert len(shared._memo) < len(queries)
+
+
+def test_tracker_steps_like_the_color_based_parity_step():
+    # the one mask-based step, read through the Streett image, against
+    # the parity step written on colors
+    rng = random.Random(37)
+    walked = 0
+    for _ in range(300):
+        g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3, encoding="binary")
+        b = rng.randint(0, 3)
+        tr = Tracker(g, b)
+        assert all(tr.initial_r(v) == parity_initial_r(g, v) for v in g.color)
+        o, r = tr.initial_state()
+        v = g.initial
+        for _ in range(50):
+            t, w = rng.choice(g.successors[v])
+            step = tr.update(o, r, w, t)
+            assert step == parity_step(g, b, o, r, w, t), (o, r, w, t)
+            (o, r, _), v = step, t
+            walked += 1
+    assert walked > 10_000
+
+
+def test_quotient_game_equals_the_direct_search():
+    # the quotient game is the level product unrolled over o, with no
+    # tracker step; a search that steps the tracker on every state of
+    # the flat product must find the same states in the same order
+    rng = random.Random(29)
+    for k in range(200):
+        binary = k % 2
+        g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
+                             encoding="binary" if binary else "unary")
+        for b in range(5):
+            qg = build_quotient_game(g, b)
+            states, succ, _ = direct_tracked_product(g, Tracker(g, b))
+            assert (qg.states, qg.succ) == (states, succ), (k, b)
 
 
 def test_classify_cycle():

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 
 import pytest
-from conftest import (bisected_cost, brute_streett_winner, random_cost_game,
-                      random_cost_streett, random_strategy, random_streett_game,
-                      streett_strategy_product, tracker_queries)
+from conftest import (bisected_cost, brute_streett_winner, direct_tracked_product,
+                      random_cost_game, random_cost_streett, random_strategy,
+                      random_streett_game, streett_strategy_product, tracker_queries)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, decide_bounded_cost,
                         format_strat)
 from costparity.reduction import Tracker
@@ -136,6 +137,14 @@ def test_validate_streett():
     report = validate_streett_game(bad)
     assert any("expected 1 costs" in r for r in report)
     assert any("terminal" in r for r in report)
+    # duplicate ids and owners outside {0, 1}, worded as for .cpg games
+    v0, v1 = g.vertices
+    dup = CostStreettGame((v0, v1, v1), g.edges, g.pairs, 0)
+    assert validate_streett_game(dup) == ["vertex 1: duplicate id"]
+    owners = CostStreettGame((replace(v0, owner=2), replace(v1, owner=5)),
+                             g.edges, g.pairs, 0)
+    assert validate_streett_game(owners) == ["vertex 0: owner must be 0 or 1, got 2",
+                                             "vertex 1: owner must be 0 or 1, got 5"]
 
 
 def test_reduction_shape():
@@ -277,6 +286,22 @@ def test_list_costs_decide_like_tuple_costs():
             assert format_strat(lres.certificate) == format_strat(res.certificate)
             verify = streett_strategy_cost if res.achievable else streett_spoiler_cost
             assert verify(lg, lres.certificate) == verify(g, res.certificate)
+
+
+def test_streett_reduction_equals_the_direct_search():
+    # the flat reduction, and the one a certificate unrolls from the
+    # decision's level graph, against a search that steps the tracker
+    # on every flat state
+    rng = random.Random(31)
+    games = [random_cost_streett(rng) for _ in range(120)]
+    cases = [(g, b) for g in games for b in range(5)]
+    cases.append((streett_counter_family(2).game, 11))
+    for g, b in cases:
+        expected = direct_tracked_product(g, StreettTracker(g, b))
+        red = build_streett_reduction(g, b)
+        assert (red.states, red.streett.succ, red.overflow_edge) == expected, b
+        red = decide_bounded_cost_streett(g, b).reduction
+        assert (red.states, red.streett.succ, red.overflow_edge) == expected, b
 
 
 def test_streett_tracker_memo_answers_like_a_fresh_tracker():
