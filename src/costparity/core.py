@@ -556,18 +556,30 @@ def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
     return strategy_from_product(game, 1, (0, tracker.initial_r(game.initial)), upd, nxt)
 
 
-def _least_bound(probe, lo: int, hi: int, best=None):
-    """Least b in [lo, hi] whose probe succeeds, by bisection.
+def _least_bound(probe, lo: int, hi: int):
+    """Least b in [lo, hi] whose probe succeeds, searched upward from lo.
 
-    ``probe(b)`` returns None on failure and a result otherwise; the
-    caller has checked that the probe succeeds at ``hi`` (``best`` is
-    that result).  Returns b and the probe's result at b.
+    ``probe(b)`` returns (ok, result), and it succeeds at every bound
+    above one where it succeeds.  It runs at lo, then at lo+1, lo+2,
+    lo+4, ... (clamped at hi) until it succeeds, and the last gap is
+    bisected; so no probe lies above hi, nor above lo + 2(b − lo) for
+    the answer b.  Returns b and the probe's result at b, or None and
+    the result at hi when even hi fails.
     """
-    while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(mid)
-        if res is None:
-            lo = mid + 1
+    b, step = lo, 1
+    ok, res = probe(b)
+    failed = lo - 1  # the greatest bound known to fail
+    while not ok:
+        if b >= hi:
+            return None, res
+        failed, b = b, min(hi, lo + step)
+        step *= 2
+        ok, res = probe(b)
+    while failed + 1 < b:
+        mid = (failed + 1 + b) // 2
+        ok, mid_res = probe(mid)
+        if ok:
+            b, res = mid, mid_res
         else:
-            hi, best = mid, res
-    return lo, best
+            failed = mid
+    return b, res

@@ -510,17 +510,16 @@ class _LevelProduct:
     def size(self) -> int:
         return len(self.nodes)
 
-    def unroll(self) -> tuple[tuple, tuple, frozenset]:
+    def unroll(self) -> tuple[tuple, tuple]:
         """The flat reachable product from (v_I, 0, r_{v_I}) in
-        breadth-first order: states (v, o, r), successor ids and overflow
-        edges (i, j).  A move from level o lies at level min(o +
+        breadth-first order: states (v, o, r) and successor ids, one per
+        move of ``rows``.  A move from level o lies at level min(o +
         overflowed, n), so no tracker step is needed."""
         n = self.game.n
         rows = self.rows
         index = {(0, 0): 0}
         order = [(0, 0)]
         succ: list[tuple[int, ...]] = []
-        ovf_edges = set()
         head = 0
         while head < len(order):
             i, o = order[head]
@@ -536,13 +535,11 @@ class _LevelProduct:
                             f"{self.what} exceeds budget {self.budget} states")
                     index[key] = k
                     order.append(key)
-                if ovf:
-                    ovf_edges.add((head - 1, k))
                 row.append(k)
             succ.append(tuple(row))
         nodes = self.nodes
         states = tuple((nodes[i][0], o, nodes[i][1]) for i, o in order)
-        return states, tuple(succ), frozenset(ovf_edges)
+        return states, tuple(succ)
 
 
 def build_quotient_game(game: CostGame, bound: int,
@@ -551,7 +548,7 @@ def build_quotient_game(game: CostGame, bound: int,
     from the level product."""
     require_valid(game)
     product = _LevelProduct(game, Tracker(game, bound), budget, "quotient product")
-    states, succ, _ = product.unroll()
+    states, succ = product.unroll()
     owners = tuple(game.owner[v] for v, _, _ in states)
     parities = tuple(game.color[v] if o < game.n else 1 for v, o, _ in states)
     qg = QuotientGame(game, bound, states, owners, parities, succ)

@@ -298,7 +298,9 @@ def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
     cycle.  A Player 1 strategy τ costs the inf: the least b at which
     Player 0 finds a good lasso (``_good_lasso``), ∞ if the untracked
     τ-product has no good cycle, since every good tracked cycle projects
-    to one.  Bounds are searched up to the pumping cap |product|·W.
+    to one.  Bounds are searched upward from 0 (``core._least_bound``),
+    and a strategy that fits no bound up to the pumping cap |product|·W
+    costs ∞.
     """
     _require_well_formed(game, strat)
     order, rows, _ = _product(game, strat)
@@ -308,17 +310,15 @@ def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
             return INF
 
         def fits(b):
-            return None if _overflow_cycle(game, strat, tracker_class(game, b)) else True
+            return not _overflow_cycle(game, strat, tracker_class(game, b)), None
     else:
         if not _good_cycle(game, verts, rows):
             return INF
 
         def fits(b):
-            return True if _good_lasso(game, strat, tracker_class(game, b)) else None
-    cap = len(order) * max(1, game.max_cost)
-    if fits(cap) is None:
-        return INF
-    return _least_bound(fits, 0, cap)[0]
+            return _good_lasso(game, strat, tracker_class(game, b)), None
+    value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
+    return INF if value is None else value
 
 
 def strategy_cost(game: CostGame, strat: StrategySpec) -> CostValue:

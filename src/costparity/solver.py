@@ -517,17 +517,16 @@ class OptimalResult:
 
 def optimal_cost(game: CostGame, *,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
-    """Least b with an achievable bound, by bisection over [0, cap];
-    monotonicity of achievability in b justifies the bisection."""
+    """Least b with an achievable bound, searched upward from 0 up to
+    the cap (``core._least_bound``), which monotonicity of achievability
+    in b justifies.  Only the products the search probes are built; the
+    cap's is built only when no smaller bound is achievable, and then
+    its decision gives Player 1's certificate."""
     require_valid(game)
-    cap = clamp_bound(game, 10 ** 18)
-    top = decide_bounded_cost(game, cap, product_budget=product_budget)
-    if not top.achievable:
-        return OptimalResult(INF, top.certificate)
 
     def achieved(b):
         res = decide_bounded_cost(game, b, product_budget=product_budget)
-        return res if res.achievable else None
+        return res.achievable, res
 
-    value, best = _least_bound(achieved, 0, cap, top)
-    return OptimalResult(value, best.certificate)
+    value, best = _least_bound(achieved, 0, clamp_bound(game, 10 ** 18))
+    return OptimalResult(INF if value is None else value, best.certificate)

@@ -22,9 +22,9 @@ her strategies of at most d! memory, matching the known bounds.
 Certificates, verification and optimal-cost search run on the pipeline
 shared with parity games: ``core`` tabulates strategies (the
 classical solver's too, through ``StreettGame.update_key``), resets the
-spoiler's overflow counter and bisects bounds; ``semantics`` validates
-lassos and verifies strategies, given this module's tracker, whose step
-is ``reduction``'s.  This module adds the reductions and the solver.
+spoiler's overflow counter and searches least bounds upward from 0;
+``semantics`` validates lassos and verifies strategies, given this
+module's tracker, whose step is ``reduction``'s.  This module adds the reductions and the solver.
 """
 
 from __future__ import annotations
@@ -262,7 +262,6 @@ class StreettReduction:
     streett: StreettGame
     states: tuple[tuple[int, int, tuple], ...]  # (vertex, overflow, r)
     index: Mapping[tuple[int, int, tuple], int]
-    overflow_edge: frozenset[tuple[int, int]]
 
     @property
     def size(self) -> int:
@@ -281,13 +280,13 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
 def _unrolled_reduction(levels: _LevelProduct, bound: int) -> StreettReduction:
     """``build_streett_reduction`` on an explored level product."""
     game = levels.game
-    states, rows, ovf_edges = levels.unroll()
+    states, rows = levels.unroll()
     owners = tuple(game.owner[v] for v, _, _ in states)
     pairs_q, pairs_p = _lifted_pairs(game, [v for v, _, _ in states],
                                      (i for i, (_, o, _) in enumerate(states) if o >= game.n))
     sg = StreettGame(owners, rows, pairs_q, pairs_p, 0)
     index = {state: i for i, state in enumerate(states)}
-    return StreettReduction(game, bound, sg, states, index, ovf_edges)
+    return StreettReduction(game, bound, sg, states, index)
 
 
 def _lifted_pairs(game: CostStreettGame, vertices, saturated) -> tuple[tuple, tuple]:
@@ -736,7 +735,7 @@ class StreettOptimalResult:
 def optimal_cost_streett(game: CostStreettGame, *,
                          practical_cap: Optional[int] = None,
                          budget: int = DEFAULT_STREETT_BUDGET) -> StreettOptimalResult:
-    """Least achievable bound by ramp-up then bisection.
+    """Least achievable bound, searched upward from 0 (``core._least_bound``).
 
     The theoretical cap nW·2^d·(2d)! is astronomically large, so the
     search stops at a practical cap (default n·W·2^d) and reports
@@ -747,24 +746,17 @@ def optimal_cost_streett(game: CostStreettGame, *,
     cap = practical_cap if practical_cap is not None else \
         game.n * max(1, game.max_cost) * 2 ** game.d
     cap = min(cap, streett_regime_cap(game))
-    probe, prev = 0, -1
-    while True:
-        last = decide_bounded_cost_streett(game, probe, budget=budget)
-        if last.achievable:
-            break
-        if probe >= cap:
-            if cap >= streett_regime_cap(game):
-                return StreettOptimalResult(INF, last.certificate, False, cap)
-            return StreettOptimalResult(INF, None, True, cap)
-        prev = probe
-        probe = min(cap, 1 if probe == 0 else probe * 2)
 
     def achieved(b):
         res = decide_bounded_cost_streett(game, b, budget=budget)
-        return res if res.achievable else None
+        return res.achievable, res
 
-    value, best = _least_bound(achieved, prev + 1, probe, last)
-    return StreettOptimalResult(value, best.certificate, False, cap)
+    value, best = _least_bound(achieved, 0, cap)
+    if value is not None:
+        return StreettOptimalResult(value, best.certificate, False, cap)
+    if cap >= streett_regime_cap(game):
+        return StreettOptimalResult(INF, best.certificate, False, cap)
+    return StreettOptimalResult(INF, None, True, cap)
 
 
 # --- bridges and file format -------------------------------------------------------

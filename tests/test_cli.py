@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,32 @@ def test_optimal_inf(tmp_path):
     code, out, _ = invoke("optimal", str(path))
     assert code == 0
     assert out.splitlines()[0] == "optimal inf"
+
+
+def test_optimal_budget_bounds_only_the_probed_products(tmp_path):
+    # the least-bound search never builds the cap's product when a
+    # smaller bound is achievable, so 5,000 states suffice for bintrade
+    # d=3, whose cap product has about 29,000
+    gen = str(tmp_path / "gen")
+    assert invoke("generate", "bintrade", "--d", "3", "--outdir", gen)[0] == 0
+    game_file = f"{gen}/bintrade-d3.cpg"
+    code, out, err = invoke("optimal", "--product-budget", "5000", game_file)
+    assert (code, out.splitlines()[0], err) == (0, "optimal 36", "")
+    code, out, _ = invoke("verify", "--strategy", f"{gen}/bintrade-d3.strat", game_file)
+    assert (code, out.strip()) == (0, "cost 36")
+
+
+def test_python_m_costparity_runs_the_cli(tmp_path):
+    gen = tmp_path / "gen"
+    assert invoke("generate", "p0mem", "--d", "1", "--outdir", str(gen))[0] == 0
+    assert "bound=3" in (gen / "p0mem-d1.manifest").read_text()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "costparity", "optimal",
+                           str(gen / "p0mem-d1.cpg")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "optimal 3"
 
 
 def test_solve_exit_codes(delay_path):

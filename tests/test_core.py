@@ -236,3 +236,30 @@ def test_certificates_verify_like_their_dense_tables(monkeypatch):
             checked += 1
         calls.clear()  # the closures hold the solved products
     assert len(kinds) == 4 and smaller > checked // 4
+
+
+def test_least_bound_searches_upward_with_few_probes():
+    # monotone predicates "b >= t" with t in [lo, hi], or failing
+    # everywhere (t = hi + 1); compared with a linear scan, and the
+    # probes counted, which is the same on every machine
+    rng = random.Random(41)
+    cases = [(0, 0), (3, 3), (5, 6)]
+    cases += [(0, rng.randint(0, 2000)) for _ in range(150)]
+    cases += [(lo, lo + rng.randint(0, 500)) for lo in (rng.randint(1, 100) for _ in range(150))]
+    for lo, hi in cases:
+        for t in {lo, hi, hi + 1, rng.randint(lo, hi), rng.randint(lo, hi + 1)}:
+            probes = []
+
+            def probe(b):
+                probes.append(b)
+                return b >= t, ("result", b)
+
+            b, res = core._least_bound(probe, lo, hi)
+            scan = next((c for c in range(lo, hi + 1) if c >= t), None)
+            assert b == scan, (lo, hi, t)
+            assert res == ("result", hi if b is None else b)
+            assert all(lo <= p <= hi for p in probes)
+            assert len(set(probes)) == len(probes)
+            if b is not None:
+                assert max(probes) <= min(hi, lo + 2 * (b - lo))
+                assert len(probes) <= 2 * math.ceil(math.log2(b - lo + 2)) + 1

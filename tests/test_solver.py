@@ -5,7 +5,7 @@ import pytest
 from conftest import brute_parity_winner, random_cost_game
 from costparity import (INF, BudgetExceededError, ParityGame, binary_tradeoff_family,
                         decide_bounded_cost, decide_bounded_cost_finite_duration,
-                        make_game, optimal_cost, p0_memory_family, p1_memory_family,
+                        format_strat, make_game, optimal_cost, p0_memory_family, p1_memory_family,
                         solve_parity, subdivide_costs)
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.solver import DEFAULT_PRODUCT_BUDGET, _FlatSolveInfo, clamp_bound
@@ -180,6 +180,24 @@ def test_optimal_bisect_equals_sweep():
         # unary: every bound beyond n is n
         sweep = next((b for b in range(g.n + 1) if decide_bounded_cost(g, b).achievable), INF)
         assert optimal_cost(g).value == sweep
+
+
+def test_optimal_witness_is_the_certificate_at_the_value():
+    # the value is the least achievable bound of a full scan, and the
+    # witness is byte for byte the decision's certificate at the value,
+    # or at the cap when the value is ∞
+    rng = random.Random(53)
+    for i in range(400):
+        if i % 2:
+            g = random_cost_game(rng, rng.randint(1, 4), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 4), 3, max_cost=3, encoding="binary")
+        cap = clamp_bound(g, 10 ** 18)
+        scan = next((b for b in range(cap + 1) if decide_bounded_cost(g, b).achievable), INF)
+        res = optimal_cost(g)
+        assert res.value == scan
+        at = cap if scan == INF else scan
+        assert format_strat(res.witness) == format_strat(decide_bounded_cost(g, at).certificate)
 
 
 def test_certificates_verify():

@@ -7,12 +7,12 @@ from conftest import (bisected_cost, brute_streett_winner, direct_tracked_produc
                       random_streett_game, streett_strategy_product, tracker_queries)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, decide_bounded_cost,
                         format_strat)
-from costparity.reduction import Tracker
+from costparity.reduction import Tracker, _LevelProduct
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, StreettTracker, build_streett_reduction,
                                 decide_bounded_cost_streett, format_cst,
                                 optimal_cost_streett, parse_cst, solve_streett,
-                                stcor, streett_from_cost_parity,
+                                stcor, streett_regime_cap, streett_from_cost_parity,
                                 streett_play_cost, streett_spoiler_cost,
                                 streett_strategy_cost, validate_streett_game)
 from costparity.generators import streett_counter_family
@@ -296,12 +296,23 @@ def test_streett_reduction_equals_the_direct_search():
     games = [random_cost_streett(rng) for _ in range(120)]
     cases = [(g, b) for g in games for b in range(5)]
     cases.append((streett_counter_family(2).game, 11))
+    def overflow_edges(red, levels):
+        # the flat edges (i, k) whose move overflows in the level row
+        # that state i unrolls; the reduction keeps no edge set itself
+        return frozenset(
+            (i, k) for i, (v, _, r) in enumerate(red.states)
+            for (_, ovf, _), k in zip(levels.rows[levels.index[(v, r)]], red.streett.succ[i])
+            if ovf)
+
     for g, b in cases:
         expected = direct_tracked_product(g, StreettTracker(g, b))
         red = build_streett_reduction(g, b)
-        assert (red.states, red.streett.succ, red.overflow_edge) == expected, b
-        red = decide_bounded_cost_streett(g, b).reduction
-        assert (red.states, red.streett.succ, red.overflow_edge) == expected, b
+        levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product")
+        assert (red.states, red.streett.succ, overflow_edges(red, levels)) == expected, b
+        decision = decide_bounded_cost_streett(g, b)
+        red = decision.reduction
+        assert (red.states, red.streett.succ,
+                overflow_edges(red, decision.levels)) == expected, b
 
 
 def test_streett_tracker_memo_answers_like_a_fresh_tracker():
@@ -374,9 +385,45 @@ def test_streett_optimal_proven_loss_vs_cap_hit():
     g = tiny_streett(pairs=[({0}, set())], edges=[(0, 0, 1)], owners=[0])
     capped = optimal_cost_streett(g)  # default practical cap < theoretical
     assert capped.cap_hit and capped.value == INF and capped.witness is None
-    from costparity.streett import streett_regime_cap
-
     proven = optimal_cost_streett(g, practical_cap=streett_regime_cap(g))
     assert not proven.cap_hit and proven.value == INF
     assert proven.witness is not None and proven.witness.player == 1
     assert streett_spoiler_cost(g, proven.witness) == INF
+
+
+def test_streett_optimal_witness_is_the_certificate_at_the_value():
+    # the value is a full scan's up to the practical cap; the witness is
+    # byte for byte the decision's certificate at the value.  Past the
+    # practical cap the value is unknown (cap_hit, no witness); past
+    # the regime cap Player 0 provably loses, and the certificate at the
+    # cap is the witness.  Regime caps above 192 are left out: their
+    # products reach 10^5–10^6 states.
+    rng = random.Random(59)
+    for _ in range(150):
+        g = random_cost_streett(rng)
+        cap = g.n * max(1, g.max_cost) * 2 ** g.d
+        scan = next((b for b in range(cap + 1)
+                     if decide_bounded_cost_streett(g, b).achievable), INF)
+        res = optimal_cost_streett(g)
+        assert (res.value, res.searched_up_to) == (scan, cap)
+        if scan == INF:
+            assert res.cap_hit and res.witness is None
+        else:
+            assert not res.cap_hit
+            assert format_strat(res.witness) == format_strat(
+                decide_bounded_cost_streett(g, scan).certificate)
+            continue
+        regime = streett_regime_cap(g)
+        if regime > 192:
+            continue
+        proven = optimal_cost_streett(g, practical_cap=regime)
+        top = decide_bounded_cost_streett(g, regime)
+        assert not proven.cap_hit and proven.searched_up_to == regime
+        if top.achievable:
+            value = proven.value
+            assert cap < value <= regime
+            assert not decide_bounded_cost_streett(g, value - 1).achievable
+            top = decide_bounded_cost_streett(g, value)
+        else:
+            assert proven.value == INF
+        assert format_strat(proven.witness) == format_strat(top.certificate)
