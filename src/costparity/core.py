@@ -18,6 +18,9 @@ from typing import Iterable, Mapping
 UNARY = "unary"
 BINARY = "binary"
 
+# states a tracked product may reach: the solver's, and the verifier's
+DEFAULT_PRODUCT_BUDGET = 5_000_000
+
 
 class FormatError(ValueError):
     """Raised on malformed .cpg/.cst/.strat/QDIMACS input."""

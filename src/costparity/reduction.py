@@ -26,7 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import BINARY, UNARY, BudgetExceededError, CostGame, Edge, require_valid
+from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame, Edge,
+                   require_valid)
 
 BOT = None  # ⊥
 
@@ -543,7 +544,7 @@ class _LevelProduct:
 
 
 def build_quotient_game(game: CostGame, bound: int,
-                        budget: int = 5_000_000) -> QuotientGame:
+                        budget: int = DEFAULT_PRODUCT_BUDGET) -> QuotientGame:
     """Breadth-first reachable product from (v_I, 0, r_{v_I}), unrolled
     from the level product."""
     require_valid(game)

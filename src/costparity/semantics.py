@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (CostGame, StrategySpec, _least_bound, make_game, require_valid,
-                   validate_strategy)
+from .core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, CostGame, StrategySpec,
+                   _least_bound, make_game, require_valid, validate_strategy)
 from .reduction import Tracker
 
 INF = math.inf
@@ -114,6 +114,8 @@ def _product(game, strat: StrategySpec, tracker=None
     request function of ``tracker`` at its bound, with the overflow
     counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
     None without a tracker.  Every edge is explored, overflow edges too.
+    Reaching ``DEFAULT_PRODUCT_BUDGET`` states raises
+    ``BudgetExceededError``.
     """
     succ = game.successors
     owner = game.owner
@@ -138,7 +140,11 @@ def _product(game, strat: StrategySpec, tracker=None
             state = (t, strat.update[(m, key[(v, t)])], r2)
             j = index.get(state)
             if j is None:
-                j = index[state] = len(order)
+                j = len(order)
+                if j >= DEFAULT_PRODUCT_BUDGET:
+                    raise BudgetExceededError(
+                        f"strategy product exceeds budget {DEFAULT_PRODUCT_BUDGET} states")
+                index[state] = j
                 order.append(state)
             row.append(j)
             orow.append(over)
@@ -179,49 +185,47 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
 # ``streett.StreettTracker``).
 
 def _sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    indexv = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
+    """Tarjan's algorithm, iterative: the strongly connected components,
+    each emitted after every component it has an edge into."""
+    indexv = [0] * n  # depth-first number + 1; 0 while unvisited
+    low = [0] * n  # n + 1 once the vertex's component is emitted
+    done = n + 1
     stack: list[int] = []
     out: list[list[int]] = []
     counter = 0
     for root in range(n):
-        if indexv[root] != -1:
+        if indexv[root]:
             continue
-        work = [(root, 0)]
+        counter += 1
+        indexv[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(rows[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indexv[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            recurse = False
-            for i in range(pi, len(rows[v])):
-                w = rows[v][i]
-                if indexv[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
+            v, succ = work[-1]
+            for w in succ:  # resumes where the last visit of v stopped
+                if not indexv[w]:
+                    counter += 1
+                    indexv[w] = low[w] = counter
+                    stack.append(w)
+                    work.append((w, iter(rows[w])))
                     break
-                if onstack[w]:
-                    low[v] = min(low[v], indexv[w])
-            if recurse:
-                continue
-            if low[v] == indexv[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(comp)
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if low[w] < low[v]:
+                    low[v] = low[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == indexv[v]:
+                    k = len(stack) - 1
+                    while stack[k] != v:
+                        k -= 1
+                    comp = stack[k:]
+                    del stack[k:]
+                    comp.reverse()
+                    for w in comp:
+                        low[w] = done
+                    out.append(comp)
+                elif low[work[-1][0]] > lv:  # v is no root, so its parent is on work
+                    low[work[-1][0]] = lv
     return out
 
 

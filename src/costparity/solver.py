@@ -1,12 +1,11 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
 Decisions solve the quotient parity game one overflow level at a time
-(``_LevelGraph``, the layered engine).  Two independent procedures
-serve the tests as references: solving the explicit quotient game all
-at once (``_FlatSolveInfo``), and an alternating search over annotated
-play prefixes stopped at settled prefixes (the finite-duration game,
-used as an oracle at small scale), which applies ``reduction``'s settle
-and shortcut rules.
+(``_LevelGraph``, the layered engine), each level SCC by SCC and for
+the winners only.  An alternating search over annotated play prefixes
+stopped at settled prefixes (the finite-duration game, used as an
+oracle at small scale), which applies ``reduction``'s settle and
+shortcut rules, serves the tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -16,14 +15,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .core import (UNARY, CostGame, StrategySpec, _least_bound, _reset_spoiler, require_valid,
-                   strategy_from_product)
-from .reduction import (QuotientGame, Tracker, _LevelProduct, _PrefixStack,
-                        build_quotient_game)
+from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
+                   _reset_spoiler, require_valid, strategy_from_product)
+from .reduction import QuotientGame, Tracker, _LevelProduct, _PrefixStack
+from .semantics import _sccs
 
 INF = math.inf
 
-DEFAULT_PRODUCT_BUDGET = 5_000_000
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
@@ -168,6 +166,48 @@ def _solve_all(pg: ParityGame
     return _zielonka(pg, list(range(pg.n)), [True] * pg.n)
 
 
+def _winners_by_scc(pg: ParityGame, sccs: Sequence[list[int]]) -> list[int]:
+    """Player 0's winning region, solved one strongly connected
+    component at a time (Friedmann & Lange, "Solving Parity Games in
+    Practice", ATVA 2009).
+
+    ``sccs`` partitions the vertices, each component sorted and listed
+    after every component it has an edge into (the order of
+    ``semantics._sccs``).  Each component's undecided rest is solved by
+    ``_zielonka`` alone, and both players' new winning regions are then
+    attracted over all undecided vertices.
+
+    Each rest is a proper subgame with the winners it has in ``pg``.
+    An edge that leaves the rest leads into a decided vertex: either
+    into an earlier component, all decided, or to a vertex of this
+    component that was attracted before.  The edge's owner has lost
+    that target, or would have been attracted into their own region.
+    And a vertex is attracted as soon as its last successor is decided,
+    so every vertex of the rest keeps a successor, which lies in the
+    same component and so in the rest.
+    """
+    undecided = [True] * pg.n
+    inside = [False] * pg.n  # ``_zielonka``'s buffer, marking exactly the rest
+    won0: list[int] = []
+    for comp in sccs:
+        rest = [v for v in comp if undecided[v]]
+        if not rest:
+            continue
+        for v in rest:
+            inside[v] = True
+        wins = _zielonka(pg, rest, inside)
+        for v in rest:
+            inside[v] = False
+        for player in (0, 1):
+            if wins[player]:
+                region, _ = _attractor(pg, player, list(wins[player]), undecided)
+                for v in region:
+                    undecided[v] = False
+                if player == 0:
+                    won0.extend(region)
+    return won0
+
+
 def solve_parity(pg: ParityGame) -> SolveResult:
     """Full winning-region partition with positional strategies."""
     w0, w1, s0, s1 = _solve_all(pg)
@@ -199,12 +239,25 @@ class _LevelGraph(_LevelProduct):
     edges, so iteration stops as soon as the winning set restricted to
     those targets repeats; every lower level is served by the last
     iterate.
+
+    Each iterate keeps Player 0's winning set only.  The parity moves
+    that certificates read (``move``) are built on first use, level by
+    level: the level's game is rebuilt from the stored winning set one
+    level up, which is all it depends on, and solved whole by
+    ``_solve_all``, so the moves are those of the eager solve.
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
         super().__init__(game, tracker, budget, what)
         # the nodes' owners, then the won sink's and the lost sink's
         self.owners = tuple(game.owner[v] for v, _ in self.nodes) + (1, 0)
+        self._moves: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+
+    @cached_property
+    def colors(self) -> tuple[int, ...]:
+        """The nodes' colors, then the won sink's 0 and the lost sink's 1
+        (cost-parity games only)."""
+        return tuple(self.game.color[v] for v, _ in self.nodes) + (0, 1)
 
     def solve(self, solve_level: Callable[[tuple, tuple, frozenset[int]], tuple]) -> None:
         """Solves the levels n−1, n−2, … until the stop rule holds.
@@ -213,8 +266,7 @@ class _LevelGraph(_LevelProduct):
         successor and predecessor lists cover the nodes 0..m−1, then the
         won sink m and the lost sink m+1, each looping on itself, and
         ``prev`` is Player 0's winning set one level up.  It returns
-        Player 0's winning nodes (below m) at this level, followed by
-        whatever else the caller keeps per level (the parity moves).
+        a tuple of Player 0's winning nodes (below m) at this level.
         """
         m = len(self.nodes)
         sink0, sink1 = m, m + 1
@@ -273,9 +325,8 @@ class _LevelGraph(_LevelProduct):
                 out[i] = min(cand)
         return out
 
-    def _iterate_for_level(self, o: int):
-        idx = self.game.n - 1 - o
-        return self.iterates[min(idx, len(self.iterates) - 1)]
+    def _iterate_index(self, o: int) -> int:
+        return min(self.game.n - 1 - o, len(self.iterates) - 1)
 
     def winner(self, v: int, o: int, r: tuple) -> int:
         if o >= self.game.n:
@@ -283,7 +334,25 @@ class _LevelGraph(_LevelProduct):
         node = self.index.get((v, r))
         if node is None:
             raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
-        return 0 if node in self._iterate_for_level(o)[0] else 1
+        return 0 if node in self.iterates[self._iterate_index(o)][0] else 1
+
+    def level_moves(self, k: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Both players' positional moves, as arena successors, in the
+        game of the k-th iterate, whose overflow edges lead to the sinks
+        by the winning set of iterate k−1 (none won for k = 0).  The
+        predecessor lists that ``ParityGame.pred`` derives list the
+        sources in the order ``solve`` seeds them, so ``_solve_all``
+        picks the moves the level's solve would have picked."""
+        moves = self._moves.get(k)
+        if moves is None:
+            prev = self.iterates[k - 1][0] if k else frozenset()
+            m = len(self.nodes)
+            succ = tuple(tuple(m + (j not in prev) if ovf else j for j, ovf, _ in row)
+                         for row in self.rows) + ((m,), (m + 1,))
+            _, _, s0, s1 = _solve_all(ParityGame(self.owners, self.colors, succ, 0))
+            moves = self._moves[k] = (self.project_moves(s0, prev),
+                                      self.project_moves(s1, prev))
+        return moves
 
     def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
         """The parity level solve's positional move, as an arena successor."""
@@ -292,57 +361,32 @@ class _LevelGraph(_LevelProduct):
         node = self.index.get((v, r))
         if node is None:
             return None
-        return self._iterate_for_level(o)[1 + player].get(node)
+        return self.level_moves(self._iterate_index(o))[player].get(node)
 
 
 def _parity_levels(game: CostGame, bound: int, budget: int) -> _LevelGraph:
-    """The layered engine on a cost-parity game: each level is one
-    Zielonka solve with the won sink colored 0 and the lost sink 1, and
-    both players' moves are kept, projected to arena successors."""
+    """The layered engine on a cost-parity game, with the won sink
+    colored 0 and the lost sink 1.
+
+    The level graph's SCCs are computed once per decision, from the
+    rows without their overflow edges: those edges lead only to the
+    sinks, which loop on themselves, so every level's game has these
+    components, after the two sinks'.  Each level is solved SCC by SCC
+    for Player 0's winners only (``_winners_by_scc``); moves are built
+    when a certificate asks (``_LevelGraph.level_moves``).
+    """
     levels = _LevelGraph(game, Tracker(game, bound), budget, "quotient product")
     m = levels.size
-    colors = tuple(game.color[v] for v, _ in levels.nodes) + (0, 1)
+    comps = _sccs(m, [[j for j, ovf, _ in row if not ovf] for row in levels.rows])
+    sccs = [[m], [m + 1]] + [sorted(comp) for comp in comps]
 
     def solve_level(succ, pred, prev):
-        pg = ParityGame(levels.owners, colors, succ, 0)
+        pg = ParityGame(levels.owners, levels.colors, succ, 0)
         vars(pg)["pred"] = pred  # seed the cached predecessor lists
-        w0, _, s0, s1 = _solve_all(pg)
-        return (frozenset(v for v in w0 if v < m),
-                levels.project_moves(s0, prev), levels.project_moves(s1, prev))
+        return (frozenset(v for v in _winners_by_scc(pg, sccs) if v < m),)
 
     levels.solve(solve_level)
     return levels
-
-
-class _FlatSolveInfo:
-    """The same interface backed by the flat explicit product."""
-
-    def __init__(self, game: CostGame, bound: int, budget: int):
-        self.game = game
-        self.bound = bound
-        self.quotient = build_quotient_game(game, bound, budget)
-        pg = ParityGame.from_quotient(self.quotient)
-        w0, w1, s0, s1 = _solve_all(pg)
-        self._w0 = w0
-        self._s = (s0, s1)
-        self._index = {st: i for i, st in enumerate(self.quotient.states)}
-
-    def winner(self, v: int, o: int, r: tuple) -> int:
-        i = self._index.get((v, o, r))
-        if i is None:
-            raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
-        return 0 if i in self._w0 else 1
-
-    def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
-        i = self._index.get((v, o, r))
-        if i is None:
-            return None
-        j = self._s[player].get(i)
-        return None if j is None else self.quotient.states[j][0]
-
-    @property
-    def size(self) -> int:
-        return self.quotient.size
 
 
 def clamp_bound(game: CostGame, bound: int) -> int:
@@ -382,9 +426,9 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     """Does Player 0 have a strategy of cost at most ``bound``?
 
     Solves the reachable quotient G' as a parity game one overflow level
-    at a time, stopping at the fixpoint (``_parity_levels``);
-    ``_FlatSolveInfo`` materializes all levels at once and serves as
-    the tests' reference.
+    at a time, stopping at the fixpoint (``_parity_levels``).  The
+    decision keeps the winners only; the certificate's moves are built
+    on its first use.
     """
     require_valid(game)
     if bound < 0:

@@ -11,9 +11,11 @@ import random
 
 import pytest
 
-from costparity import make_game
-from costparity.core import StrategySpec, Vertex
+from costparity import QbfFormula, make_game, qbf_to_game
+from costparity.core import DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex
+from costparity.reduction import Tracker, build_quotient_game
 from costparity.semantics import INF, Lasso
+from costparity.solver import ParityGame, _LevelGraph, _solve_all
 from costparity.streett import CostStreettGame, StreettEdge, StreettGame, StreettPair
 
 
@@ -46,6 +48,25 @@ def random_cost_game(rng: random.Random, n: int, max_color: int,
         for t in rng.sample(range(n), rng.randint(1, n)):
             edges.append((i, t, rng.randint(0, max_cost)))
     return make_game(verts, edges, 0, encoding)
+
+
+def layered_corpus():
+    """The (game, bound) pairs whose layered solves ``LAYERED_DIGEST``
+    pins: seeded QBF games at their target bounds, then seeded random
+    unary and binary cost games."""
+    rng = random.Random(5)
+    # (variables, formulas, most clauses): the products grow fast with both
+    for n, count, most in ((2, 22, 2), (3, 14, 1), (4, 4, 1)):
+        for _ in range(count):
+            prefix = tuple(rng.choice("ea") for _ in range(n))
+            clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                            for _ in range(rng.randint(1, most)))
+            inst = qbf_to_game(QbfFormula(prefix, clauses))
+            yield inst.game, inst.target_bound
+    for _ in range(50):
+        yield random_cost_game(rng, rng.randint(1, 4), 4), rng.randint(0, 4)
+        yield (random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary"),
+               rng.randint(0, 6))
 
 
 def random_streett_game(rng):
@@ -155,6 +176,42 @@ def parity_step(game, bound, o, r, cost, target):
     elif r[colors.index(tc)] is None:
         r[colors.index(tc)] = 0
     return o, tuple(r), overflowed
+
+
+# --- oracle: the flat explicit product solved all at once ------------------
+
+class FlatSolveInfo:
+    """The layered engine's ``winner``, backed by the flat quotient
+    product of every overflow level, solved whole."""
+
+    def __init__(self, game, bound: int):
+        self.quotient = build_quotient_game(game, bound)
+        self._w0 = _solve_all(ParityGame.from_quotient(self.quotient))[0]
+        self._index = {st: i for i, st in enumerate(self.quotient.states)}
+
+    def winner(self, v: int, o: int, r: tuple) -> int:
+        i = self._index.get((v, o, r))
+        if i is None:
+            raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
+        return 0 if i in self._w0 else 1
+
+
+def eager_parity_levels(game, bound: int) -> list[tuple]:
+    """The layered engine's iterates with every level game solved whole
+    by ``_solve_all``: (Player 0's winners, Player 0's moves, Player 1's
+    moves) per level, the moves projected to arena successors."""
+    levels = _LevelGraph(game, Tracker(game, bound), DEFAULT_PRODUCT_BUDGET, "quotient product")
+    m = levels.size
+
+    def solve_level(succ, pred, prev):
+        pg = ParityGame(levels.owners, levels.colors, succ, 0)
+        vars(pg)["pred"] = pred
+        w0, _, s0, s1 = _solve_all(pg)
+        return (frozenset(v for v in w0 if v < m),
+                levels.project_moves(s0, prev), levels.project_moves(s1, prev))
+
+    levels.solve(solve_level)
+    return levels.iterates
 
 
 # --- oracle: play cost by unrolling ------------------------------------------

@@ -66,6 +66,22 @@ def test_optimal_budget_bounds_only_the_probed_products(tmp_path):
     assert (code, out.strip()) == (0, "cost 36")
 
 
+@pytest.mark.parametrize("family, suffix", [("p0mem", "cpg"), ("streett", "cst")])
+def test_verify_budget_ends_in_one_error_line(tmp_path, monkeypatch, family, suffix):
+    # the verifier's product stops at the product budget, like the solver's
+    from costparity import semantics
+
+    gen = tmp_path / "gen"
+    assert invoke("generate", family, "--d", "1", "--outdir", str(gen))[0] == 0
+    strat = sorted(gen.glob("*.strat"))[0]  # a reference strategy
+    argv = ("verify", "--strategy", str(strat), str(gen / f"{family}-d1.{suffix}"))
+    assert invoke(*argv)[0] == 0
+    monkeypatch.setattr(semantics, "DEFAULT_PRODUCT_BUDGET", 3)
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: budget: strategy product exceeds budget 3 states"]
+
+
 def test_python_m_costparity_runs_the_cli(tmp_path):
     gen = tmp_path / "gen"
     assert invoke("generate", "p0mem", "--d", "1", "--outdir", str(gen))[0] == 0

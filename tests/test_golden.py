@@ -21,9 +21,8 @@ import io
 import random
 import re
 
-from conftest import random_cost_game, random_streett_game
-from costparity import (QbfFormula, decide_bounded_cost,
-                        decide_bounded_cost_finite_duration, format_strat, qbf_to_game)
+from conftest import layered_corpus, random_cost_game, random_streett_game
+from costparity import decide_bounded_cost, decide_bounded_cost_finite_duration, format_strat
 from costparity.cli import run
 from costparity.streett import solve_streett
 
@@ -124,18 +123,7 @@ def _hash_layered_solve(h, game, bound):
 def test_layered_solve_matches_golden_digest():
     """Pins every overflow level's winners and both players' moves,
     including the levels served by the last fixpoint iterate."""
-    rng = random.Random(5)
     h = hashlib.sha256()
-    # (variables, formulas, most clauses): the products grow fast with both
-    for n, count, most in ((2, 22, 2), (3, 14, 1), (4, 4, 1)):
-        for _ in range(count):
-            prefix = tuple(rng.choice("ea") for _ in range(n))
-            clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
-                            for _ in range(rng.randint(1, most)))
-            inst = qbf_to_game(QbfFormula(prefix, clauses))
-            _hash_layered_solve(h, inst.game, inst.target_bound)
-    for _ in range(50):
-        _hash_layered_solve(h, random_cost_game(rng, rng.randint(1, 4), 4), rng.randint(0, 4))
-        _hash_layered_solve(h, random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3,
-                                                encoding="binary"), rng.randint(0, 6))
+    for game, bound in layered_corpus():
+        _hash_layered_solve(h, game, bound)
     assert h.hexdigest() == LAYERED_DIGEST

@@ -6,7 +6,8 @@ from conftest import bisected_cost, random_cost_game, random_strategy, unrolled_
 from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, make_game,
                         optimal_cost, parse_cpg, play_cost, streett_from_cost_parity)
 from costparity.core import strategy_from_functions
-from costparity.semantics import spoiler_cost, strategy_cost, strategy_product, validate_lasso
+from costparity.semantics import (_sccs, spoiler_cost, strategy_cost, strategy_product,
+                                  validate_lasso)
 
 
 def test_answers():
@@ -168,3 +169,27 @@ def test_spoiler_without_good_cycle_is_infinite_at_once():
     witness = optimal_cost(g).witness
     assert witness.player == 1
     assert spoiler_cost(g, witness) == INF
+
+
+def test_sccs_are_the_reachability_classes_bottom_up():
+    """``_sccs`` partitions the vertices into the classes of mutual
+    reachability, and lists each after every class it has an edge into."""
+    rng = random.Random(71)
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        rows = [rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)]
+        reach = []
+        for v in range(n):
+            seen, todo = {v}, [v]
+            while todo:
+                for w in rows[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            reach.append(seen)
+        comps = _sccs(n, rows)
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        pos = {v: k for k, c in enumerate(comps) for v in c}
+        for v in range(n):
+            assert {w for w in reach[v] if v in reach[w]} == set(comps[pos[v]])
+            assert all(pos[w] <= pos[v] for w in rows[v])

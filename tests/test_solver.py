@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import brute_parity_winner, random_cost_game
+from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, layered_corpus,
+                      random_cost_game)
 from costparity import (INF, BudgetExceededError, ParityGame, binary_tradeoff_family,
                         decide_bounded_cost, decide_bounded_cost_finite_duration,
                         format_strat, make_game, optimal_cost, p0_memory_family, p1_memory_family,
                         solve_parity, subdivide_costs)
-from costparity.semantics import spoiler_cost, strategy_cost
-from costparity.solver import DEFAULT_PRODUCT_BUDGET, _FlatSolveInfo, clamp_bound
+from costparity.semantics import _sccs, spoiler_cost, strategy_cost
+from costparity.solver import _solve_all, _winners_by_scc, clamp_bound
 
 
 def test_solve_parity_single_vertex():
@@ -60,6 +61,60 @@ def test_solve_parity_winner_strategy_wins():
             assert _all_reachable_cycles_even(rows, flipped, 0)
 
 
+def test_scc_winners_equal_the_whole_solve():
+    """SCC-by-SCC winners against ``_solve_all``: on seeded random
+    parity games with self-loops, trivial SCCs, self-looping sinks and
+    vertices that reach only sinks, and on every level game the
+    ``LAYERED_DIGEST`` corpus solves."""
+    rng = random.Random(61)
+    seen = {"self-loop": 0, "trivial SCC": 0, "only sinks": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        sinks = rng.randint(0, min(2, n - 1))
+        succ = []
+        for v in range(n):
+            if v >= n - sinks:
+                row = [v]
+            elif sinks and rng.random() < 0.2:
+                row = rng.sample(range(n - sinks, n), rng.randint(1, sinks))
+                seen["only sinks"] += 1
+            else:  # few successors, so that many SCCs are trivial
+                row = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            succ.append(tuple(sorted(row)))
+        pg = ParityGame(tuple(rng.randint(0, 1) for _ in range(n)),
+                        tuple(rng.randint(0, 5) for _ in range(n)), tuple(succ), 0)
+        sccs = [sorted(comp) for comp in _sccs(n, succ)]
+        seen["self-loop"] += sum(v in row for v, row in enumerate(succ[:n - sinks]))
+        seen["trivial SCC"] += sum(len(c) == 1 and c[0] not in succ[c[0]] for c in sccs)
+        assert sorted(_winners_by_scc(pg, sccs)) == sorted(_solve_all(pg)[0]), pg
+    assert min(seen.values()) >= 1000, seen
+    for game, bound in layered_corpus():
+        res = decide_bounded_cost(game, bound)
+        eager = eager_parity_levels(game, res.bound)
+        assert [w for w, in res.info.iterates] == [w for w, _, _ in eager]
+
+
+def test_moves_on_demand_equal_the_eager_solve():
+    """Every kept level's moves, built on first use from the stored
+    winning set one level up, against the eager solve that kept both
+    players' moves at every level."""
+    rng = random.Random(67)
+    for i in range(300):
+        if i % 2:
+            g = random_cost_game(rng, rng.randint(1, 5), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
+        res = decide_bounded_cost(g, rng.randint(0, 6))
+        info = res.info
+        eager = eager_parity_levels(g, res.bound)
+        assert len(info.iterates) == len(eager)
+        for k, (_, s0, s1) in enumerate(eager):
+            o = g.n - 1 - k
+            for node, (v, r) in enumerate(info.nodes):
+                assert info.move(0, v, o, r) == s0.get(node)
+                assert info.move(1, v, o, r) == s1.get(node)
+
+
 def test_decide_delay_games(delay_won, delay_lost):
     assert decide_bounded_cost(delay_won, 2).achievable
     assert not decide_bounded_cost(delay_won, 1).achievable
@@ -77,7 +132,7 @@ def test_decide_layered_equals_flat():
                                  encoding="binary")
         b = rng.randint(0, 4)
         layered = decide_bounded_cost(g, b)
-        flat = _FlatSolveInfo(g, layered.bound, DEFAULT_PRODUCT_BUDGET)
+        flat = FlatSolveInfo(g, layered.bound)
         initial = flat.quotient.states[0]  # the quotient's BFS starts there
         assert layered.achievable == (flat.winner(*initial) == 0)
         # every overflow level, the ones the last fixpoint iterate serves included
