@@ -418,7 +418,9 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
     in discovery order, which makes the result deterministic.  ``game``
     is a CostGame, a CostStreettGame or a classical StreettGame, read
     through ``owner`` and ``update_key``: ``update_fn`` sees each edge as
-    its ``update_key``.
+    its ``update_key``.  The update table has one entry per label and
+    edge; ``BudgetExceededError`` is raised as soon as the labels found
+    would need more than ``DEFAULT_PRODUCT_BUDGET`` entries.
     """
     edges = list(game.update_key.values())
     index: dict = {initial_label: 0}
@@ -429,6 +431,9 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
         for ek in edges:
             nxt = update_fn(label, ek)
             if nxt not in index:
+                if (len(labels) + 1) * len(edges) > DEFAULT_PRODUCT_BUDGET:
+                    raise BudgetExceededError(
+                        f"strategy update table exceeds budget {DEFAULT_PRODUCT_BUDGET} entries")
                 index[nxt] = len(labels)
                 labels.append(nxt)
                 frontier.append(nxt)

@@ -155,26 +155,25 @@ class _MemoizedStep:
         return o, r, overflow
 
     @staticmethod
-    def _charge(r: tuple, costs: tuple[int, ...]) -> tuple:
+    def _charge(r: tuple, costs: tuple[int, ...]) -> list:
         """Each pair's own edge cost added to its open entry."""
-        return tuple(x if x is None else x + w for x, w in zip(r, costs))
+        return [x if x is None else x + w for x, w in zip(r, costs)]
 
     def _step(self, r: tuple, cost, tc: int) -> tuple[tuple, bool]:
         b = self.bound
         r = self._charge(r, cost)
-        overflow = any(x is not None and x > b for x in r)
-        if overflow:
-            r = self.bot
+        overflow = False
+        for x in r:
+            if x is not None and x > b:
+                r, overflow = list(self.bot), True
+                break
         close, fresh = self._pairs[tc]
-        if close or fresh:
-            r = list(r)
-            for i in close:
-                r[i] = BOT
-            for i in fresh:
-                if r[i] is None:
-                    r[i] = 0
-            r = tuple(r)
-        return r, overflow
+        for i in close:
+            r[i] = BOT
+        for i in fresh:
+            if r[i] is None:
+                r[i] = 0
+        return tuple(r), overflow
 
 
 class Tracker(_MemoizedStep):
@@ -186,8 +185,8 @@ class Tracker(_MemoizedStep):
         self.colors = game.odd_colors
 
     @staticmethod
-    def _charge(r: tuple, cost: int) -> tuple:
-        return tuple(x if x is None else x + cost for x in r) if cost else r
+    def _charge(r: tuple, cost: int) -> list:
+        return [x if x is None else x + cost for x in r]
 
 
 def initial_request_function(game: CostGame, vertex: int) -> RequestFunction:
@@ -474,25 +473,30 @@ class _LevelProduct:
     """The tracked product, explored once over (vertex, request
     function) nodes.  A tracker step never depends on o apart from the
     saturation clamp, so the product with the memory (o, r) is n+1
-    copies of this graph, with overflow edges one level up.  ``rows[i]``
-    lists (node, overflowed, arena target) per arena move of node i."""
+    copies of this graph, with overflow edges one level up.  ``succ[i]``
+    lists node i's successors, one per arena move in move order; a move
+    into j targets ``nodes[j][0]``, as the arena has no parallel edges.
+    ``overflow[i]`` is the set of ids that i's overflow moves reach (for
+    the rows with one), ``pred[j]`` the ascending sources of j's other
+    moves."""
 
     def __init__(self, game, tracker, budget: int, what: str):
         self.game = game
         self.budget = budget
         self.what = what
-        succ = game.successors
+        moves = game.successors
+        update = tracker.update
         _, r0 = tracker.initial_state()
         index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
         order: list[tuple[int, tuple]] = [(game.initial, r0)]
-        rows: list[tuple[tuple[int, bool, int], ...]] = []
-        head = 0
-        while head < len(order):
-            v, r = order[head]
-            head += 1
+        succ: list[tuple[int, ...]] = []
+        pred: list[list[int]] = [[]]
+        overflow: dict[int, frozenset[int]] = {}
+        for i, (v, r) in enumerate(order):  # grows while it is walked
             row = []
-            for t, w in succ[v]:
-                _, r2, ovf = tracker.update(0, r, w, t)
+            over = []
+            for t, w in moves[v]:
+                _, r2, ovf = update(0, r, w, t)
                 key = (t, r2)
                 j = index.get(key)
                 if j is None:
@@ -501,11 +505,20 @@ class _LevelProduct:
                         raise BudgetExceededError(f"{what} exceeds budget {budget} states")
                     index[key] = j
                     order.append(key)
-                row.append((j, ovf, t))
-            rows.append(tuple(row))
+                    pred.append([])
+                if ovf:
+                    over.append(j)
+                else:
+                    pred[j].append(i)
+                row.append(j)
+            succ.append(tuple(row))
+            if over:
+                overflow[i] = frozenset(over)
         self.nodes = order
         self.index = index
-        self.rows = tuple(rows)
+        self.succ = tuple(succ)
+        self.pred = tuple(pred)
+        self.overflow = overflow
 
     @property
     def size(self) -> int:
@@ -514,20 +527,18 @@ class _LevelProduct:
     def unroll(self) -> tuple[tuple, tuple]:
         """The flat reachable product from (v_I, 0, r_{v_I}) in
         breadth-first order: states (v, o, r) and successor ids, one per
-        move of ``rows``.  A move from level o lies at level min(o +
+        move of ``succ``.  A move from level o lies at level min(o +
         overflowed, n), so no tracker step is needed."""
         n = self.game.n
-        rows = self.rows
+        succ, overflow = self.succ, self.overflow
         index = {(0, 0): 0}
         order = [(0, 0)]
-        succ: list[tuple[int, ...]] = []
-        head = 0
-        while head < len(order):
-            i, o = order[head]
-            head += 1
+        rows: list[tuple[int, ...]] = []
+        for i, o in order:  # grows while it is walked
+            over = overflow.get(i, ())
             row = []
-            for j, ovf, _ in rows[i]:
-                key = (j, min(o + 1, n)) if ovf else (j, o)
+            for j in succ[i]:
+                key = (j, min(o + 1, n)) if j in over else (j, o)
                 k = index.get(key)
                 if k is None:
                     k = len(order)
@@ -537,10 +548,10 @@ class _LevelProduct:
                     index[key] = k
                     order.append(key)
                 row.append(k)
-            succ.append(tuple(row))
+            rows.append(tuple(row))
         nodes = self.nodes
         states = tuple((nodes[i][0], o, nodes[i][1]) for i, o in order)
-        return states, tuple(succ)
+        return states, tuple(rows)
 
 
 def build_quotient_game(game: CostGame, bound: int,

@@ -242,63 +242,57 @@ class _LevelGraph(_LevelProduct):
 
     Each iterate keeps Player 0's winning set only.  The parity moves
     that certificates read (``move``) are built on first use, level by
-    level: the level's game is rebuilt from the stored winning set one
-    level up, which is all it depends on, and solved whole by
-    ``_solve_all``, so the moves are those of the eager solve.
+    level: the level's game (``_level_game``) is rebuilt from the
+    stored winning set one level up, which is all it depends on, and
+    solved whole by ``_solve_all``, so the moves are the eager solve's.
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
         super().__init__(game, tracker, budget, what)
         # the nodes' owners, then the won sink's and the lost sink's
-        self.owners = tuple(game.owner[v] for v, _ in self.nodes) + (1, 0)
+        self.owners = tuple([game.owner[v] for v, _ in self.nodes]) + (1, 0)
         self._moves: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
 
     @cached_property
     def colors(self) -> tuple[int, ...]:
         """The nodes' colors, then the won sink's 0 and the lost sink's 1
         (cost-parity games only)."""
-        return tuple(self.game.color[v] for v, _ in self.nodes) + (0, 1)
+        return tuple([self.game.color[v] for v, _ in self.nodes]) + (0, 1)
+
+    def _level_game(self, prev: frozenset[int]) -> tuple[tuple, tuple]:
+        """Successor and predecessor lists of the level game whose
+        overflow edges lead to the won sink m if their target is in
+        ``prev``, else to the lost sink m+1; the sinks loop on themselves.
+        Only the overflow rows and the sinks' predecessors are new."""
+        m = len(self.nodes)
+        succ = list(self.succ)
+        to_sink: tuple[list[int], list[int]] = ([], [])
+        for i, over in self.overflow.items():
+            row = []
+            for j in succ[i]:
+                if j in over:
+                    sink = 0 if j in prev else 1
+                    to_sink[sink].append(i)
+                    j = m + sink
+                row.append(j)
+            succ[i] = tuple(row)
+        return (tuple(succ) + ((m,), (m + 1,)),
+                self.pred + (tuple(to_sink[0]) + (m,), tuple(to_sink[1]) + (m + 1,)))
 
     def solve(self, solve_level: Callable[[tuple, tuple, frozenset[int]], tuple]) -> None:
         """Solves the levels n−1, n−2, … until the stop rule holds.
 
-        ``solve_level(succ, pred, prev)`` solves one level's game: its
-        successor and predecessor lists cover the nodes 0..m−1, then the
-        won sink m and the lost sink m+1, each looping on itself, and
-        ``prev`` is Player 0's winning set one level up.  It returns
-        a tuple of Player 0's winning nodes (below m) at this level.
+        ``solve_level(succ, pred, prev)`` solves one level's game
+        (``_level_game``): its successor and predecessor lists cover the
+        nodes 0..m−1, then the won sink m and the lost sink m+1, and
+        ``prev`` is Player 0's winning set one level up.  It returns a
+        tuple of Player 0's winning nodes (below m) at this level.
         """
-        m = len(self.nodes)
-        sink0, sink1 = m, m + 1
-        # Only rows with an overflow edge, and so the two sinks'
-        # predecessors, depend on the next level's winning set; every
-        # other row and predecessor list is built once for all levels.
-        succ = [tuple(j for j, _, _ in row) for row in self.rows] + [(sink0,), (sink1,)]
-        pred: list[list[int]] = [[] for _ in range(m)]
-        ovf_rows = []
-        for i, row in enumerate(self.rows):
-            if any(ovf for _, ovf, _ in row):
-                ovf_rows.append(i)
-            for j, ovf, _ in row:
-                if not ovf:
-                    pred[j].append(i)
-        fixed_pred = tuple(map(tuple, pred))
-        overflow_targets = frozenset(j for row in self.rows for j, ovf, _ in row if ovf)
+        overflow_targets = frozenset().union(*self.overflow.values())
         prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
         iterates: list[tuple] = []
         for _ in range(self.game.n):
-            to_sink = ([], [])
-            for i in ovf_rows:
-                row = []
-                for j, ovf, _ in self.rows[i]:
-                    if ovf:
-                        sink = 0 if j in prev else 1
-                        to_sink[sink].append(i)
-                        j = m + sink
-                    row.append(j)
-                succ[i] = tuple(row)
-            level = solve_level(tuple(succ), fixed_pred + (tuple(to_sink[0]) + (sink0,),
-                                                           tuple(to_sink[1]) + (sink1,)), prev)
+            level = solve_level(*self._level_game(prev), prev)
             iterates.append(level)
             cur = level[0]
             if cur & overflow_targets == prev & overflow_targets:
@@ -307,22 +301,19 @@ class _LevelGraph(_LevelProduct):
         self.iterates = iterates
 
     def project_moves(self, strat: dict[int, int], prev: frozenset[int]) -> dict[int, int]:
-        """Positional level-game choices mapped to arena successor ids."""
-        m = len(self.nodes)
+        """Positional level-game choices mapped to arena successors; a
+        sink stands for the least target of the overflow moves sent there."""
+        nodes = self.nodes
+        m = len(nodes)
         out: dict[int, int] = {}
         for i, j in strat.items():
             if i >= m:
                 continue
             if j < m:
-                # several arena moves can share a product successor; the
-                # cheapest one realizes the same memory update
-                cand = [t for jj, _, t in self.rows[i] if jj == j]
-                out[i] = min(cand)
+                out[i] = nodes[j][0]
             else:
                 want0 = j == m
-                cand = [t for jj, ovf, t in self.rows[i]
-                        if ovf and ((jj in prev) == want0)]
-                out[i] = min(cand)
+                out[i] = min(nodes[k][0] for k in self.overflow[i] if (k in prev) == want0)
         return out
 
     def _iterate_index(self, o: int) -> int:
@@ -339,17 +330,17 @@ class _LevelGraph(_LevelProduct):
     def level_moves(self, k: int) -> tuple[dict[int, int], dict[int, int]]:
         """Both players' positional moves, as arena successors, in the
         game of the k-th iterate, whose overflow edges lead to the sinks
-        by the winning set of iterate k−1 (none won for k = 0).  The
-        predecessor lists that ``ParityGame.pred`` derives list the
-        sources in the order ``solve`` seeds them, so ``_solve_all``
-        picks the moves the level's solve would have picked."""
+        by the winning set of iterate k−1 (none won for k = 0).  The game
+        is the one ``solve`` solved, predecessor lists included, so
+        ``_solve_all`` picks the moves the level's solve would have
+        picked."""
         moves = self._moves.get(k)
         if moves is None:
             prev = self.iterates[k - 1][0] if k else frozenset()
-            m = len(self.nodes)
-            succ = tuple(tuple(m + (j not in prev) if ovf else j for j, ovf, _ in row)
-                         for row in self.rows) + ((m,), (m + 1,))
-            _, _, s0, s1 = _solve_all(ParityGame(self.owners, self.colors, succ, 0))
+            succ, pred = self._level_game(prev)
+            pg = ParityGame(self.owners, self.colors, succ, 0)
+            vars(pg)["pred"] = pred  # seed the cached predecessor lists
+            _, _, s0, s1 = _solve_all(pg)
             moves = self._moves[k] = (self.project_moves(s0, prev),
                                       self.project_moves(s1, prev))
         return moves
@@ -369,15 +360,19 @@ def _parity_levels(game: CostGame, bound: int, budget: int) -> _LevelGraph:
     colored 0 and the lost sink 1.
 
     The level graph's SCCs are computed once per decision, from the
-    rows without their overflow edges: those edges lead only to the
-    sinks, which loop on themselves, so every level's game has these
-    components, after the two sinks'.  Each level is solved SCC by SCC
-    for Player 0's winners only (``_winners_by_scc``); moves are built
-    when a certificate asks (``_LevelGraph.level_moves``).
+    rows without their overflow edges (only the rows in ``overflow``
+    are filtered): those edges lead only to the sinks, which loop on
+    themselves, so every level's game has these components, after the
+    two sinks'.  Each level is solved SCC by SCC for Player 0's winners
+    only (``_winners_by_scc``); moves are built when a certificate asks
+    (``_LevelGraph.level_moves``).
     """
     levels = _LevelGraph(game, Tracker(game, bound), budget, "quotient product")
     m = levels.size
-    comps = _sccs(m, [[j for j, ovf, _ in row if not ovf] for row in levels.rows])
+    rows = list(levels.succ)
+    for i, over in levels.overflow.items():
+        rows[i] = [j for j in rows[i] if j not in over]
+    comps = _sccs(m, rows)
     sccs = [[m], [m + 1]] + [sorted(comp) for comp in comps]
 
     def solve_level(succ, pred, prev):

@@ -178,6 +178,32 @@ def parity_step(game, bound, o, r, cost, target):
     return o, tuple(r), overflowed
 
 
+def streett_initial_r(game, vertex):
+    """r_v on pairs: pair c ↦ 0 if v requests c without answering it,
+    every other pair ⊥."""
+    return tuple(0 if vertex in p.requests and vertex not in p.answers else None
+                 for p in game.pairs)
+
+
+def streett_step(game, bound, o, r, costs, target):
+    """The tracker step of a cost-Streett game on its pairs, in four
+    parts: add each pair's own cost to its open entry; reset r and bump
+    o on an excess over the bound; close the pairs the target answers;
+    open the pairs it requests and leaves unanswered.  Returns (o', r',
+    overflowed)."""
+    r = [x if x is None else x + w for x, w in zip(r, costs)]
+    overflowed = any(x is not None and x > bound for x in r)
+    if overflowed:
+        r = [None] * game.d
+        o = min(o + 1, game.n)
+    for c, pair in enumerate(game.pairs):
+        if target in pair.answers:
+            r[c] = None
+        elif target in pair.requests and r[c] is None:
+            r[c] = 0
+    return o, tuple(r), overflowed
+
+
 # --- oracle: the flat explicit product solved all at once ------------------
 
 class FlatSolveInfo:

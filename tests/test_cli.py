@@ -82,6 +82,20 @@ def test_verify_budget_ends_in_one_error_line(tmp_path, monkeypatch, family, suf
     assert err.splitlines() == ["error: budget: strategy product exceeds budget 3 states"]
 
 
+@pytest.mark.parametrize("family", ["p0mem", "p1mem", "p1trade", "bintrade", "streett"])
+def test_generate_budget_ends_in_one_error_line(tmp_path, monkeypatch, family):
+    # a family whose strategy tables outgrow the product budget stops
+    # while tabulating, before anything is written
+    from costparity import core
+
+    gen = tmp_path / "gen"
+    monkeypatch.setattr(core, "DEFAULT_PRODUCT_BUDGET", 3)
+    code, out, err = invoke("generate", family, "--d", "2", "--outdir", str(gen))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: budget: strategy update table exceeds budget 3 entries"]
+    assert not gen.exists()
+
+
 def test_python_m_costparity_runs_the_cli(tmp_path):
     gen = tmp_path / "gen"
     assert invoke("generate", "p0mem", "--d", "1", "--outdir", str(gen))[0] == 0

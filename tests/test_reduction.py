@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (direct_tracked_product, parity_initial_r, parity_step,
-                      random_cost_game, tracker_queries)
+                      random_cost_game, random_cost_streett, tracker_queries)
 from costparity import (Edge, build_quotient_game, classify_cycle, dominates,
                         initial_request_function, make_game, relevant_requests,
                         settled, settled_bound, shortcut_step, track_play,
                         update_track_state)
 from costparity.core import BudgetExceededError
-from costparity.reduction import (RequestFunction, TrackState, Tracker,
+from costparity.reduction import (RequestFunction, TrackState, Tracker, _LevelProduct,
                                   start_prefix)
+from costparity.streett import StreettTracker
 
 
 def rf(mapping):
@@ -200,6 +201,39 @@ def test_tracker_steps_like_the_color_based_parity_step():
             (o, r, _), v = step, t
             walked += 1
     assert walked > 10_000
+
+
+def test_level_product_rows_are_the_arena_moves():
+    # succ lists one node per arena move in move order, overflow holds
+    # exactly the ids of the overflowing moves, pred the other moves'
+    # sources in ascending order
+    rng = random.Random(83)
+    games = []
+    for k in range(150):
+        binary = k % 2
+        games.append((random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
+                                       encoding="binary" if binary else "unary"), Tracker))
+        games.append((random_cost_streett(rng), StreettTracker))
+    overflowing = 0
+    for g, tracker_class in games:
+        for b in range(4):
+            tracker = tracker_class(g, b)
+            levels = _LevelProduct(g, tracker, 10 ** 6, "level product")
+            nodes, succ, overflow = levels.nodes, levels.succ, levels.overflow
+            assert len(succ) == len(nodes) == len(levels.pred)
+            pred = [[] for _ in nodes]
+            for i, ((v, r), row) in enumerate(zip(nodes, succ)):
+                moves = g.successors[v]
+                assert [nodes[j][0] for j in row] == [t for t, _ in moves]
+                over = overflow.get(i, frozenset())
+                assert over <= set(row) and (i not in overflow or over)
+                for j, (t, w) in zip(row, moves):
+                    assert (j in over) == tracker.update(0, r, w, t)[2]
+                    if j not in over:
+                        pred[j].append(i)
+            assert list(map(list, levels.pred)) == pred
+            overflowing += len(overflow)
+    assert overflowing > 200
 
 
 def test_quotient_game_equals_the_direct_search():

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 from conftest import (bisected_cost, brute_streett_winner, direct_tracked_product,
                       random_cost_game, random_cost_streett, random_strategy,
-                      random_streett_game, streett_strategy_product, tracker_queries)
+                      random_streett_game, streett_initial_r, streett_step,
+                      streett_strategy_product, tracker_queries)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, decide_bounded_cost,
                         format_strat)
 from costparity.reduction import Tracker, _LevelProduct
@@ -299,10 +300,12 @@ def test_streett_reduction_equals_the_direct_search():
     def overflow_edges(red, levels):
         # the flat edges (i, k) whose move overflows in the level row
         # that state i unrolls; the reduction keeps no edge set itself
+        overflow = levels.overflow
         return frozenset(
             (i, k) for i, (v, _, r) in enumerate(red.states)
-            for (_, ovf, _), k in zip(levels.rows[levels.index[(v, r)]], red.streett.succ[i])
-            if ovf)
+            for node in [levels.index[(v, r)]]
+            for j, k in zip(levels.succ[node], red.streett.succ[i])
+            if j in overflow.get(node, ()))
 
     for g, b in cases:
         expected = direct_tracked_product(g, StreettTracker(g, b))
@@ -326,6 +329,30 @@ def test_streett_tracker_memo_answers_like_a_fresh_tracker():
         for q in queries:
             assert shared.update(*q) == StreettTracker(g, b).update(*q), q
         assert len(shared._memo) < len(queries)
+
+
+def test_streett_tracker_steps_like_the_pair_based_step():
+    # the one mask-based step against the Streett step written on pairs,
+    # on walks with per-pair costs; many steps overflow at exactly b+1
+    rng = random.Random(79)
+    walked = exact = 0
+    for _ in range(300):
+        g = random_cost_streett(rng)
+        b = rng.randint(0, 3)
+        tr = StreettTracker(g, b)
+        assert all(tr.initial_r(v) == streett_initial_r(g, v) for v in g.owner)
+        o, r = tr.initial_state()
+        v = g.initial
+        for _ in range(50):
+            t, w = rng.choice(g.successors[v])
+            step = tr.update(o, r, w, t)
+            assert step == streett_step(g, b, o, r, w, t), (o, r, w, t)
+            charged = [x + c for x, c in zip(r, w) if x is not None]
+            exact += step[2] and max(charged) == b + 1
+            (o, r, _), v = step, t
+            walked += 1
+    assert walked > 10_000
+    assert exact > 500
 
 
 def test_streett_tracker_agrees_with_parity_tracker():
