@@ -4,9 +4,11 @@ One SHA-256 digest covers the exit code, stdout and stderr of each
 ``cli.run`` call and the contents of every file the calls write, with
 the temporary directory replaced by a fixed token, except the
 certificates that ``solve``/``optimal`` write (``*.opt.strat``,
-``*.b<k>.strat``).  Those are hashed on their own, so a change to how
-certificates are tabulated shows up apart from any change to a
-decision, a printed cost, a message or a generated file.
+``*.b<k>.strat``).  Those are hashed on their own, the parity games'
+and the Streett game's apart, so a change to how either class's
+certificates are built shows up apart from the other class's and from
+any change to a decision, a printed cost, a message or a generated
+file.
 
 A second digest covers what the CLI families never reach: the
 finite-duration engine's (achievable, nodes) on seeded random unary and
@@ -31,7 +33,8 @@ INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
 
 GOLDEN_DIGEST = "4c5d20748ef99524fb6e99534151518e282429ae967561b51c6ff983049e10aa"
 # GOLDEN_DIGEST also pins each certificate's cost, through ``verify``
-CERT_DIGEST = "77c40ec99a2cc52d8a1e0389a0abb954bb999dace8781bd2a6a2c0e197d00ad7"
+PARITY_CERT_DIGEST = "a929512a1d8743eaefd5d4790589360aec396f728fe8400e0a2bb0d0ceee7eab"
+STREETT_CERT_DIGEST = "33c71b831ffeee8acc8dcffa78f9893501a5b96bb369471699d9d5088e415e38"
 
 # certificates written by ``optimal --output`` and ``solve --output``
 _CERTIFICATE = re.compile(r"\.(opt|b\d+)\.strat$")
@@ -66,17 +69,22 @@ def _run_calls(tmp_path):
 def test_cli_outputs_match_golden_digest(tmp_path):
     log, files = _run_calls(tmp_path)
     root = str(tmp_path)
-    h, cert = hashlib.sha256(), hashlib.sha256()
+    h, parity_cert, streett_cert = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for argv, code, out, err in log:
         record = "\0".join([" ".join(argv), str(code), out, err])
         h.update(record.replace(root, "<tmp>").encode() + b"\1")
     for name, data in files:
-        (cert if _CERTIFICATE.search(name) else h).update(name.encode() + b"\0" + data + b"\1")
+        if _CERTIFICATE.search(name):
+            sink = streett_cert if name.startswith("streett") else parity_cert
+        else:
+            sink = h
+        sink.update(name.encode() + b"\0" + data + b"\1")
     assert (len(log), len(files)) == (59, 45)
     assert sum(bool(_CERTIFICATE.search(name)) for name, _ in files) == 21
     assert all(code in (0, 1) and not err for _, code, _, err in log)
     assert h.hexdigest() == GOLDEN_DIGEST
-    assert cert.hexdigest() == CERT_DIGEST
+    assert (parity_cert.hexdigest(), streett_cert.hexdigest()) == \
+        (PARITY_CERT_DIGEST, STREETT_CERT_DIGEST)
 
 
 ENGINE_DIGEST = "f417da2da7d3e362af19cc27b7adff44a9bc67df55d2d24182cc16e6df6c5f43"
