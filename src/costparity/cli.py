@@ -73,8 +73,8 @@ def cmd_solve(args, out) -> int:
     else:
         res = solver.decide_bounded_cost(game, args.bound,
                                          product_budget=args.product_budget)
-    # a Streett certificate builds the flat reduction, which can exceed
-    # the budget the decision met: fail before printing anything
+    # the certificate's update table has a budget of its own, which it
+    # can exceed after the decision: fail before printing anything
     certificate = core.format_strat(res.certificate)
     print("ACHIEVABLE" if res.achievable else "NOT-ACHIEVABLE", file=out)
     target = Path(args.output) if args.output else Path(args.file).with_suffix(".strat")

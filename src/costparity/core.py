@@ -474,10 +474,13 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
     followed, and at an opponent's vertex the DFS followed every move,
     so the next memory value was collected.  The consistent plays, and
     so the cost, are those of a total table over every label the
-    update function can produce.
+    update function can produce.  As in ``strategy_from_functions``,
+    ``BudgetExceededError`` is raised as soon as the labels found would
+    need more than ``DEFAULT_PRODUCT_BUDGET`` update entries.
     """
     succ = game.successors
     key = game.update_key
+    edges = list(key.values())
     owner = game.owner
     index: dict = {initial_label: 0}
     labels = [initial_label]
@@ -494,12 +497,14 @@ def strategy_from_product(game: CostGame, player: int, initial_label,
         for t in targets:
             m2 = update_fn(m, key[(v, t)])
             if m2 not in index:
+                if (len(labels) + 1) * len(edges) > DEFAULT_PRODUCT_BUDGET:
+                    raise BudgetExceededError(
+                        f"strategy update table exceeds budget {DEFAULT_PRODUCT_BUDGET} entries")
                 index[m2] = len(labels)
                 labels.append(m2)
             if (t, m2) not in seen:
                 seen.add((t, m2))
                 stack.append((t, m2))
-    edges = list(key.values())
     dead = len(labels)
     get = index.get
     update = {(i, ek): get(update_fn(m, ek), dead)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
                    _reset_spoiler, require_valid, strategy_from_product)
@@ -240,24 +240,21 @@ class _LevelGraph(_LevelProduct):
     those targets repeats; every lower level is served by the last
     iterate.
 
-    Each iterate keeps Player 0's winning set only.  The parity moves
-    that certificates read (``move``) are built on first use, level by
-    level: the level's game (``_level_game``) is rebuilt from the
-    stored winning set one level up, which is all it depends on, and
-    solved whole by ``_solve_all``, so the moves are the eager solve's.
+    Each iterate keeps Player 0's winning set only.  What certificates
+    read is built on first use, level by level (``level_solve``): the
+    level's game (``_level_game``) is rebuilt from the stored winning
+    set one level up, which is all it depends on, and solved whole.
+
+    A subclass solves one game class's levels: ``solve_level(succ,
+    pred, prev)`` for the decision, ``solve_whole`` for certificates
+    (see ``solve`` and ``level_solve``).
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
         super().__init__(game, tracker, budget, what)
         # the nodes' owners, then the won sink's and the lost sink's
         self.owners = tuple([game.owner[v] for v, _ in self.nodes]) + (1, 0)
-        self._moves: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-
-    @cached_property
-    def colors(self) -> tuple[int, ...]:
-        """The nodes' colors, then the won sink's 0 and the lost sink's 1
-        (cost-parity games only)."""
-        return tuple([self.game.color[v] for v, _ in self.nodes]) + (0, 1)
+        self._solved: dict[int, tuple] = {}
 
     def _level_game(self, prev: frozenset[int]) -> tuple[tuple, tuple]:
         """Successor and predecessor lists of the level game whose
@@ -279,7 +276,7 @@ class _LevelGraph(_LevelProduct):
         return (tuple(succ) + ((m,), (m + 1,)),
                 self.pred + (tuple(to_sink[0]) + (m,), tuple(to_sink[1]) + (m + 1,)))
 
-    def solve(self, solve_level: Callable[[tuple, tuple, frozenset[int]], tuple]) -> None:
+    def solve(self) -> None:
         """Solves the levels n−1, n−2, … until the stop rule holds.
 
         ``solve_level(succ, pred, prev)`` solves one level's game
@@ -288,6 +285,7 @@ class _LevelGraph(_LevelProduct):
         ``prev`` is Player 0's winning set one level up.  It returns a
         tuple of Player 0's winning nodes (below m) at this level.
         """
+        solve_level = self.solve_level
         overflow_targets = frozenset().union(*self.overflow.values())
         prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
         iterates: list[tuple] = []
@@ -300,21 +298,20 @@ class _LevelGraph(_LevelProduct):
             prev = cur
         self.iterates = iterates
 
-    def project_moves(self, strat: dict[int, int], prev: frozenset[int]) -> dict[int, int]:
-        """Positional level-game choices mapped to arena successors; a
-        sink stands for the least target of the overflow moves sent there."""
+    def project(self, i: int, j: int, prev: frozenset[int]) -> int:
+        """The level-game move i → j as an arena successor; a sink
+        stands for the least target of the overflow moves sent there."""
         nodes = self.nodes
         m = len(nodes)
-        out: dict[int, int] = {}
-        for i, j in strat.items():
-            if i >= m:
-                continue
-            if j < m:
-                out[i] = nodes[j][0]
-            else:
-                want0 = j == m
-                out[i] = min(nodes[k][0] for k in self.overflow[i] if (k in prev) == want0)
-        return out
+        if j < m:
+            return nodes[j][0]
+        want0 = j == m
+        return min(nodes[k][0] for k in self.overflow[i] if (k in prev) == want0)
+
+    def project_moves(self, strat: dict[int, int], prev: frozenset[int]) -> dict[int, int]:
+        """Positional level-game choices of the nodes, projected."""
+        m = len(self.nodes)
+        return {i: self.project(i, j, prev) for i, j in strat.items() if i < m}
 
     def _iterate_index(self, o: int) -> int:
         return min(self.game.n - 1 - o, len(self.iterates) - 1)
@@ -327,61 +324,76 @@ class _LevelGraph(_LevelProduct):
             raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
         return 0 if node in self.iterates[self._iterate_index(o)][0] else 1
 
-    def level_moves(self, k: int) -> tuple[dict[int, int], dict[int, int]]:
-        """Both players' positional moves, as arena successors, in the
-        game of the k-th iterate, whose overflow edges lead to the sinks
-        by the winning set of iterate k−1 (none won for k = 0).  The game
-        is the one ``solve`` solved, predecessor lists included, so
-        ``_solve_all`` picks the moves the level's solve would have
-        picked."""
-        moves = self._moves.get(k)
-        if moves is None:
-            prev = self.iterates[k - 1][0] if k else frozenset()
-            succ, pred = self._level_game(prev)
-            pg = ParityGame(self.owners, self.colors, succ, 0)
-            vars(pg)["pred"] = pred  # seed the cached predecessor lists
-            _, _, s0, s1 = _solve_all(pg)
-            moves = self._moves[k] = (self.project_moves(s0, prev),
-                                      self.project_moves(s1, prev))
-        return moves
+    def prev(self, k: int) -> frozenset[int]:
+        """Player 0's winning set one level up from iterate k's level."""
+        return self.iterates[k - 1][0] if k else frozenset()
+
+    def level_solve(self, k: int) -> tuple:
+        """What ``solve_whole(succ, pred, prev)`` keeps of the game of
+        the k-th iterate, whose overflow edges lead to the sinks by
+        ``prev(k)``, built on first use: a pair, indexed by player, of
+        what each player's certificate reads (``move`` reads positional
+        moves from an entry by ``get(node)``).  The game is the one
+        ``solve`` solved, predecessor lists included, so the whole solve
+        picks the moves the level's solve would have picked, and the
+        winners it returns with the pair must be the stored ones."""
+        kept = self._solved.get(k)
+        if kept is None:
+            prev = self.prev(k)
+            won, kept = self.solve_whole(*self._level_game(prev), prev)
+            if won != self.iterates[k][0]:
+                raise RuntimeError(f"level {k} re-solved with winners other than the decision's")
+            self._solved[k] = kept
+        return kept
 
     def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
-        """The parity level solve's positional move, as an arena successor."""
+        """The level solve's positional move, as an arena successor."""
         if o >= self.game.n:
             return None
         node = self.index.get((v, r))
         if node is None:
             return None
-        return self.level_moves(self._iterate_index(o))[player].get(node)
+        return self.level_solve(self._iterate_index(o))[player].get(node)
 
 
-def _parity_levels(game: CostGame, bound: int, budget: int) -> _LevelGraph:
+class _ParityLevels(_LevelGraph):
     """The layered engine on a cost-parity game, with the won sink
-    colored 0 and the lost sink 1.
+    colored 0 and the lost sink 1; the decision is made on construction.
 
     The level graph's SCCs are computed once per decision, from the
     rows without their overflow edges (only the rows in ``overflow``
     are filtered): those edges lead only to the sinks, which loop on
     themselves, so every level's game has these components, after the
     two sinks'.  Each level is solved SCC by SCC for Player 0's winners
-    only (``_winners_by_scc``); moves are built when a certificate asks
-    (``_LevelGraph.level_moves``).
+    only (``_winners_by_scc``).  When a certificate asks, a level is
+    solved whole by ``_solve_all`` for both players' positional moves.
     """
-    levels = _LevelGraph(game, Tracker(game, bound), budget, "quotient product")
-    m = levels.size
-    rows = list(levels.succ)
-    for i, over in levels.overflow.items():
-        rows[i] = [j for j in rows[i] if j not in over]
-    comps = _sccs(m, rows)
-    sccs = [[m], [m + 1]] + [sorted(comp) for comp in comps]
 
-    def solve_level(succ, pred, prev):
-        pg = ParityGame(levels.owners, levels.colors, succ, 0)
+    def __init__(self, game: CostGame, bound: int, budget: int):
+        super().__init__(game, Tracker(game, bound), budget, "quotient product")
+        m = self.size
+        self.colors = tuple([game.color[v] for v, _ in self.nodes]) + (0, 1)
+        rows = list(self.succ)
+        for i, over in self.overflow.items():
+            rows[i] = [j for j in rows[i] if j not in over]
+        self.sccs = [[m], [m + 1]] + [sorted(comp) for comp in _sccs(m, rows)]
+        self.solve()
+
+    def _parity_game(self, succ, pred) -> ParityGame:
+        pg = ParityGame(self.owners, self.colors, succ, 0)
         vars(pg)["pred"] = pred  # seed the cached predecessor lists
-        return (frozenset(v for v in _winners_by_scc(pg, sccs) if v < m),)
+        return pg
 
-    levels.solve(solve_level)
-    return levels
+    def solve_level(self, succ, pred, prev):
+        m = self.size
+        return (frozenset(v for v in _winners_by_scc(self._parity_game(succ, pred), self.sccs)
+                          if v < m),)
+
+    def solve_whole(self, succ, pred, prev):
+        m = self.size
+        w0, _, s0, s1 = _solve_all(self._parity_game(succ, pred))
+        return (frozenset(v for v in w0 if v < m),
+                (self.project_moves(s0, prev), self.project_moves(s1, prev)))
 
 
 def clamp_bound(game: CostGame, bound: int) -> int:
@@ -421,7 +433,7 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     """Does Player 0 have a strategy of cost at most ``bound``?
 
     Solves the reachable quotient G' as a parity game one overflow level
-    at a time, stopping at the fixpoint (``_parity_levels``).  The
+    at a time, stopping at the fixpoint (``_ParityLevels``).  The
     decision keeps the winners only; the certificate's moves are built
     on its first use.
     """
@@ -429,7 +441,7 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     if bound < 0:
         raise ValueError("bound must be non-negative")
     b = clamp_bound(game, bound)
-    info = _parity_levels(game, b, product_budget)
+    info = _ParityLevels(game, b, product_budget)
     v0, r0 = info.nodes[0]
     achievable = info.winner(v0, 0, r0) == 0
     return BoundedCostResult(game, b, achievable, info)

@@ -9,15 +9,17 @@ Bounded-cost existence reduces to a classical Streett game over the
 arena extended with per-pair request tracking plus one extra pair that
 fires once the overflow counter saturates.  Decisions solve that game
 level by level over the overflow counter, on the layered engine shared
-with parity games (``solver._LevelGraph``).  The flat reduction
-(``build_streett_reduction``) is that level graph unrolled over the
-counter; a certificate unrolls the decision's own level graph, so the
-product is explored once.  Classical Streett games are solved directly
-by a Zielonka-tree recursion over the request/answer membership
-patterns, whose attractors are the parity solver's: Player 1's
-condition is a disjunction, so his nodes are unary and his synthesized
-strategies positional, while Player 0's nodes branch per pair, giving
-her strategies of at most d! memory, matching the known bounds.
+with parity games (``solver._LevelGraph``), and certificates read the
+same level games' classical solves: playing optimally needs nothing
+beyond winning each level.  The flat reduction
+(``build_streett_reduction``), that level graph unrolled over the
+counter, is kept as the tests' reference.  Classical Streett games are
+solved directly by a Zielonka-tree recursion over the request/answer
+membership patterns, whose attractors are the parity solver's: Player
+1's condition is a disjunction, so his nodes are unary and his
+synthesized strategies positional, while Player 0's nodes branch per
+pair, giving her strategies of at most d! memory, matching the known
+bounds.
 
 Certificates, verification and optimal-cost search run on the pipeline
 shared with parity games: ``core`` tabulates strategies (the
@@ -100,21 +102,20 @@ class CostStreettGame:
 
     @cached_property
     def request_mask(self) -> dict[int, int]:
-        ids = {v.id for v in self.vertices}
-        out = {i: 0 for i in ids}
-        for c, p in enumerate(self.pairs):
-            for v in p.requests:
-                out[v] |= 1 << c
-        return out
+        return _pair_masks([v.id for v in self.vertices], [p.requests for p in self.pairs])
 
     @cached_property
     def answer_mask(self) -> dict[int, int]:
-        ids = {v.id for v in self.vertices}
-        out = {i: 0 for i in ids}
-        for c, p in enumerate(self.pairs):
-            for v in p.answers:
-                out[v] |= 1 << c
-        return out
+        return _pair_masks([v.id for v in self.vertices], [p.answers for p in self.pairs])
+
+
+def _pair_masks(ids, sides) -> dict[int, int]:
+    """id → the bit set of the pairs c with the id in ``sides[c]``."""
+    out = dict.fromkeys(ids, 0)
+    for c, side in enumerate(sides):
+        for v in side:
+            out[v] |= 1 << c
+    return out
 
 
 @dataclass(frozen=True)
@@ -150,19 +151,11 @@ class StreettGame:
 
     @cached_property
     def qmask(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for c, qs in enumerate(self.pairs_q):
-            for v in qs:
-                out[v] |= 1 << c
-        return tuple(out)
+        return tuple(_pair_masks(range(self.n), self.pairs_q).values())
 
     @cached_property
     def pmask(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for c, ps in enumerate(self.pairs_p):
-            for v in ps:
-                out[v] |= 1 << c
-        return tuple(out)
+        return tuple(_pair_masks(range(self.n), self.pairs_p).values())
 
 
 def validate_streett_game(game: CostStreettGame) -> list[str]:
@@ -273,14 +266,8 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
     """Reachable product with per-pair tracking; pairs are lifted and one
     extra pair (saturated states, ∅) dooms Player 0 past n overflows."""
     require_valid_streett(game)
-    return _unrolled_reduction(
-        _LevelProduct(game, StreettTracker(game, bound), budget, "streett reduction"), bound)
-
-
-def _unrolled_reduction(levels: _LevelProduct, bound: int) -> StreettReduction:
-    """``build_streett_reduction`` on an explored level product."""
-    game = levels.game
-    states, rows = levels.unroll()
+    states, rows = _LevelProduct(game, StreettTracker(game, bound), budget,
+                                 "streett reduction").unroll()
     owners = tuple(game.owner[v] for v, _, _ in states)
     pairs_q, pairs_p = _lifted_pairs(game, [v for v, _, _ in states],
                                      (i for i, (_, o, _) in enumerate(states) if o >= game.n))
@@ -408,17 +395,12 @@ class _PieceCell:
 class _StreettSolver:
     def __init__(self, sg: StreettGame):
         self.sg = sg
-        # distinct (request-mask, answer-mask) patterns
+        # distinct (request-mask, answer-mask) patterns, numbered in order of appearance
         pat_index: dict[tuple[int, int], int] = {}
-        pattern_of = []
-        for v in range(sg.n):
-            key = (sg.qmask[v], sg.pmask[v])
-            if key not in pat_index:
-                pat_index[key] = len(pat_index)
-            pattern_of.append(pat_index[key])
-        self.pattern_of = pattern_of
-        self.pat_q = [q for (q, _), _ in sorted(pat_index.items(), key=lambda kv: kv[1])]
-        self.pat_p = [p for (_, p), _ in sorted(pat_index.items(), key=lambda kv: kv[1])]
+        self.pattern_of = [pat_index.setdefault(key, len(pat_index))
+                           for key in zip(sg.qmask, sg.pmask)]
+        self.pat_q = [q for q, _ in pat_index]
+        self.pat_p = [p for _, p in pat_index]
 
     def _violated(self, colors: frozenset[int]) -> int:
         q = p = 0
@@ -522,50 +504,42 @@ class _StreettSolver:
 
 
 class StreettSolveResult:
-    """Winner, regions, and lazily materialized winner strategy."""
+    """Winner, regions, both players' cells (None for a player who wins
+    nowhere), and lazily materialized winner strategy."""
 
     def __init__(self, sg: StreettGame, winner: int, win0, win1, cells):
         self.sg = sg
         self.winner_from_initial = winner
         self.win0 = frozenset(win0)
         self.win1 = frozenset(win1)
-        self._cells = cells
-
-    def cell(self, player: int):
-        return self._cells[player]
+        self.cells = cells
 
     @cached_property
     def player0_strategy(self) -> Optional[StrategySpec]:
+        """Player 0's cell tabulated over the arena: memory states are
+        the cell states reachable from the initial one under every edge."""
         if self.winner_from_initial != 0:
             return None
-        return _materialize_cell(self.sg, 0, self._cells[0])
+        sg, cell = self.sg, self.cells[0]
+        return strategy_from_functions(sg, 0, cell.init(sg.initial),
+                                       lambda state, ek: cell.step(state, ek[2]),
+                                       lambda v, state: _cell_move(sg, cell, v, state))
 
     @cached_property
     def player1_strategy(self) -> Optional[StrategySpec]:
+        """Positional: Player 1's cell states are functions of the current
+        vertex (his condition being a disjunction, his tree nodes are
+        unary, so nothing ever rotates)."""
         if self.winner_from_initial != 1:
             return None
-        return _positional_from_cell(self.sg, 1, self._cells[1])
+        sg, cell = self.sg, self.cells[1]
+        return strategy_from_functions(sg, 1, 0, lambda state, ek: 0,
+                                       lambda v, _: _cell_move(sg, cell, v, cell.init(v)))
 
 
 def _cell_move(sg: StreettGame, cell, v: int, state) -> int:
     mv = cell.move(v, state)
     return min(sg.succ[v]) if mv is None else mv
-
-
-def _materialize_cell(sg: StreettGame, player: int, cell) -> StrategySpec:
-    """Tabulate a cell strategy over the Streett arena: memory states are
-    the cell states reachable from the initial one under every edge."""
-    return strategy_from_functions(sg, player, cell.init(sg.initial),
-                                   lambda state, ek: cell.step(state, ek[2]),
-                                   lambda v, state: _cell_move(sg, cell, v, state))
-
-
-def _positional_from_cell(sg: StreettGame, player: int, cell) -> StrategySpec:
-    """Positional strategy read off a cell whose states are functions of
-    the current vertex (the case for Player 1: his condition being a
-    disjunction, his tree nodes are unary, so nothing ever rotates)."""
-    return strategy_from_functions(sg, player, 0, lambda state, ek: 0,
-                                   lambda v, _: _cell_move(sg, cell, v, cell.init(v)))
 
 
 def solve_streett(sg: StreettGame) -> StreettSolveResult:
@@ -584,33 +558,49 @@ def streett_regime_cap(game: CostStreettGame) -> int:
     return game.n * max(1, game.max_cost) * (2 ** game.d) * math.factorial(2 * game.d)
 
 
-def _streett_levels(game: CostStreettGame, bound: int, budget: int) -> _LevelGraph:
-    """The layered engine (``solver._LevelGraph``) on a cost-Streett game.
+class _StreettLevels(_LevelGraph):
+    """The layered engine (``solver._LevelGraph``) on a cost-Streett
+    game; the decision is made on construction.
 
     Each level is one classical Streett solve over the level graph's
     nodes and two sinks: the game's pairs lifted to the nodes, plus the
     saturation pair of ``build_streett_reduction``, which only the lost
     sink requests and nothing answers; the won sink requests nothing.
-    Only the winners are kept.
+    The decision keeps the winners only.  A certificate's whole solve
+    of a level keeps Player 0's cell, and Player 1's positional moves:
+    his cell's states are functions of the node, so the state he enters
+    a node with carries his choice there.
     """
-    levels = _LevelGraph(game, StreettTracker(game, bound), budget, "streett reduction")
-    m = levels.size
-    pairs_q, pairs_p = _lifted_pairs(game, [v for v, _ in levels.nodes], {m + 1})
 
-    def solve_level(succ, pred, prev):
-        sg = StreettGame(levels.owners, succ, pairs_q, pairs_p, 0)
+    def __init__(self, game: CostStreettGame, bound: int, budget: int):
+        super().__init__(game, StreettTracker(game, bound), budget, "streett reduction")
+        self.pairs = _lifted_pairs(game, [v for v, _ in self.nodes], {self.size + 1})
+        self.solve()
+
+    def _streett_game(self, succ, pred) -> StreettGame:
+        sg = StreettGame(self.owners, succ, *self.pairs, 0)
         vars(sg)["pred"] = pred  # seed the cached predecessor lists
-        return (frozenset(v for v in solve_streett(sg).win0 if v < m),)
+        return sg
 
-    levels.solve(solve_level)
-    return levels
+    def solve_level(self, succ, pred, prev):
+        m = self.size
+        won = solve_streett(self._streett_game(succ, pred)).win0
+        return (frozenset(v for v in won if v < m),)
+
+    def solve_whole(self, succ, pred, prev):
+        m, owners = self.size, self.owners
+        res = solve_streett(self._streett_game(succ, pred))
+        cell = res.cells[1]
+        moves1 = self.project_moves(
+            {i: j for i in res.win1 if owners[i] == 1
+             for j in [cell.move(i, cell.init(i))] if j is not None}, prev)
+        return frozenset(v for v in res.win0 if v < m), (res.cells[0], moves1)
 
 
 class StreettBoundedResult:
     """Decision from the layered engine, plus a certificate for the
-    winning side.  The flat reduction, unrolled from the decision's
-    level graph under the same budget, and its classical solve, which
-    the certificate reads, are built on first use."""
+    winning side, built on first use from the classical solves of the
+    decision's own level games (``_LevelGraph.level_solve``)."""
 
     def __init__(self, game: CostStreettGame, bound: int, achievable: bool,
                  levels: _LevelGraph):
@@ -619,25 +609,15 @@ class StreettBoundedResult:
         self.achievable = achievable
         self.levels = levels
 
-    @cached_property
-    def reduction(self) -> StreettReduction:
-        return _unrolled_reduction(self.levels, self.bound)
-
-    @cached_property
-    def solve(self) -> StreettSolveResult:
-        return solve_streett(self.reduction.streett)
-
     @property
     def product_states(self) -> int:
         return self.levels.size
 
     @cached_property
     def certificate(self) -> StrategySpec:
-        if (self.solve.winner_from_initial == 0) != self.achievable:
-            raise RuntimeError("the layered and the flat Streett solves disagree")
         if self.achievable:
-            return _compose_p0_certificate(self.reduction, self.solve)
-        return _extract_p1_certificate(self.reduction, self.solve)
+            return _compose_p0_certificate(self.levels, self.bound)
+        return _extract_p1_certificate(self.levels, self.bound)
 
 
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
@@ -645,61 +625,64 @@ def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
                                 ) -> StreettBoundedResult:
     """Does Player 0 have a strategy of cost at most ``bound``?
 
-    Decided level by level (``_streett_levels``); ``budget`` caps the
-    level graph here and the flat reduction a certificate builds.
+    Decided level by level (``_StreettLevels``); ``budget`` caps the level graph.
     """
     require_valid_streett(game)
     if bound < 0:
         raise ValueError("bound must be non-negative")
     b = min(bound, streett_regime_cap(game))
-    levels = _streett_levels(game, b, budget)
+    levels = _StreettLevels(game, b, budget)
     v0, r0 = levels.nodes[0]
     return StreettBoundedResult(game, b, levels.winner(v0, 0, r0) == 0, levels)
 
 
-def _compose_p0_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:
-    """Tracking memory × solver memory, with next moves projected."""
-    game = red.game
-    tr = StreettTracker(game, red.bound)
-    succ = game.successors
-    cell = sol.cell(0)
+def _compose_p0_certificate(levels: _LevelGraph, bound: int) -> StrategySpec:
+    """Tracking memory × the memory of Player 0's cell in the level
+    game that serves the overflow counter, with next moves projected.
+
+    A label is (o, r, s), with s a state of the cell of level o.  A
+    move into node j that does not overflow steps the cell; an overflow
+    move restarts it at j in the cell of level o+1: the level game sent
+    that move to the won sink, so j is won there.
+    """
+    game = levels.game
+    tr = StreettTracker(game, bound)
+    index = levels.index
+    cells = {game.n: None}  # o → the cell of level o, looked up once
+
+    def cell(o):
+        if o not in cells:
+            cells[o] = levels.level_solve(levels._iterate_index(o))[0]
+        return cells[o]
 
     def upd(label, ek):
-        (o, r, s) = label
+        o, r, s = label
         src, _, t = ek
-        o2, r2, _ = tr.update(o, r, game.edge_cost[(src, t)], t)
-        j = red.index.get((t, o2, r2))
-        if j is None or s is None:
+        o2, r2, overflowed = tr.update(o, r, game.edge_cost[(src, t)], t)
+        c, j = cell(o2), index.get((t, r2))
+        if c is None or j is None or (s is None and not overflowed):
             return (o2, r2, None)
-        return (o2, r2, cell.step(s, j))
+        return (o2, r2, c.init(j) if overflowed else c.step(s, j))
 
     def nxt(v, label):
-        (o, r, s) = label
-        i = red.index.get((v, o, r))
-        if i is not None and s is not None:
-            j = cell.move(i, s)
-            if j is not None:
-                return red.states[j][0]
-        return succ[v][0][0]
+        o, r, s = label
+        c, i = cell(o), index.get((v, r))
+        j = None if c is None or i is None or s is None else c.move(i, s)
+        if j is None:
+            return game.successors[v][0][0]
+        return levels.project(i, j, levels.prev(levels._iterate_index(o)))
 
     o0, r0 = tr.initial_state()
-    start = (o0, r0, cell.init(red.index[(game.initial, o0, r0)]))
-    return strategy_from_product(game, 0, start, upd, nxt)
+    return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
 
 
-def _extract_p1_certificate(red: StreettReduction, sol: StreettSolveResult) -> StrategySpec:
+def _extract_p1_certificate(levels: _LevelGraph, bound: int) -> StrategySpec:
     """Spoiler memory with the overflow counter reset to the least value
-    reachable under the product strategy (``core._reset_spoiler``)."""
-    cell = sol.cell(1)
-
-    def move(v, o, r):
-        # Player 1 cell states are position-determined, so the entry
-        # state at a product state already carries the positional choice.
-        i = red.index.get((v, o, r))
-        j = None if i is None else cell.move(i, cell.init(i))
-        return None if j is None else red.states[j][0]
-
-    return _reset_spoiler(red.game, StreettTracker(red.game, red.bound), move)
+    reachable under the level solves' positional moves
+    (``core._reset_spoiler``)."""
+    game = levels.game
+    return _reset_spoiler(game, StreettTracker(game, bound),
+                          lambda v, o, r: levels.move(1, v, o, r))
 
 
 # --- strategy verification ---------------------------------------------------------

@@ -12,11 +12,13 @@ import random
 import pytest
 
 from costparity import QbfFormula, make_game, qbf_to_game
-from costparity.core import DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex
-from costparity.reduction import Tracker, build_quotient_game
+from costparity.core import (DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex, _reset_spoiler,
+                             strategy_from_product)
+from costparity.reduction import build_quotient_game
 from costparity.semantics import INF, Lasso
-from costparity.solver import ParityGame, _LevelGraph, _solve_all
-from costparity.streett import CostStreettGame, StreettEdge, StreettGame, StreettPair
+from costparity.solver import ParityGame, _ParityLevels, _solve_all
+from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
+                                StreettTracker, build_streett_reduction, solve_streett)
 
 
 def delay_game(free_idling: bool):
@@ -222,22 +224,21 @@ class FlatSolveInfo:
         return 0 if i in self._w0 else 1
 
 
+class _EagerParityLevels(_ParityLevels):
+    """The layered engine with every level game solved whole by
+    ``_solve_all``, keeping both players' moves in the iterates."""
+
+    def solve_level(self, succ, pred, prev):
+        w0, _, s0, s1 = _solve_all(self._parity_game(succ, pred))
+        return (frozenset(v for v in w0 if v < self.size),
+                self.project_moves(s0, prev), self.project_moves(s1, prev))
+
+
 def eager_parity_levels(game, bound: int) -> list[tuple]:
     """The layered engine's iterates with every level game solved whole
     by ``_solve_all``: (Player 0's winners, Player 0's moves, Player 1's
     moves) per level, the moves projected to arena successors."""
-    levels = _LevelGraph(game, Tracker(game, bound), DEFAULT_PRODUCT_BUDGET, "quotient product")
-    m = levels.size
-
-    def solve_level(succ, pred, prev):
-        pg = ParityGame(levels.owners, levels.colors, succ, 0)
-        vars(pg)["pred"] = pred
-        w0, _, s0, s1 = _solve_all(pg)
-        return (frozenset(v for v in w0 if v < m),
-                levels.project_moves(s0, prev), levels.project_moves(s1, prev))
-
-    levels.solve(solve_level)
-    return levels.iterates
+    return _EagerParityLevels(game, bound, DEFAULT_PRODUCT_BUDGET).iterates
 
 
 # --- oracle: play cost by unrolling ------------------------------------------
@@ -404,3 +405,43 @@ def streett_strategy_product(game: CostStreettGame, strat: StrategySpec) -> Cost
                   for p in game.pairs)
     vertices = tuple(Vertex(i, game.owner[v], 0) for i, (v, _) in enumerate(order))
     return CostStreettGame(vertices, tuple(edges), pairs, 0)
+
+
+# --- oracle: Streett certificates on the flat reduction ---------------------
+
+def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
+    """The winner's certificate read off the flat reduction at ``bound``,
+    solved whole by ``solve_streett``.  Player 0's memory is the tracker
+    state × her cell's state over the flat product, with her moves
+    projected to the arena; Player 1 plays his cell's positional flat
+    moves, with the overflow counter reset as in ``core._reset_spoiler``."""
+    red = build_streett_reduction(game, bound)
+    sol = solve_streett(red.streett)
+    tr = StreettTracker(game, bound)
+    succ = game.successors
+    if sol.winner_from_initial == 1:
+        cell = sol.cells[1]
+
+        def move(v, o, r):
+            i = red.index.get((v, o, r))
+            j = None if i is None else cell.move(i, cell.init(i))
+            return None if j is None else red.states[j][0]
+
+        return _reset_spoiler(game, tr, move)
+    cell = sol.cells[0]
+
+    def upd(label, ek):
+        o, r, s = label
+        src, _, t = ek
+        o2, r2, _ = tr.update(o, r, game.edge_cost[(src, t)], t)
+        j = red.index.get((t, o2, r2))
+        return (o2, r2, None if j is None or s is None else cell.step(s, j))
+
+    def nxt(v, label):
+        o, r, s = label
+        i = red.index.get((v, o, r))
+        j = None if i is None or s is None else cell.move(i, s)
+        return succ[v][0][0] if j is None else red.states[j][0]
+
+    o0, r0 = tr.initial_state()
+    return strategy_from_product(game, 0, (o0, r0, cell.init(0)), upd, nxt)

@@ -4,7 +4,7 @@
 rename or a moved helper would silently drop a span from the traced
 benchmark.  This test installs the tracer on the package, checks that
 every span a per-layer metric names is a wrapped function, and runs one
-optimal-cost search and Streett decisions under it.
+optimal-cost search, Streett decisions and their certificates under it.
 """
 
 import importlib.util
@@ -61,6 +61,11 @@ def test_tracer_wraps_every_named_span_and_counts_probes():
         decision = costparity.streett.decide_bounded_cost_streett(counter2, 11)
         decision_calls = dict(tracer.op_calls)
         decision_counts = tracer.op_counters()
+        spoiler = costparity.streett.decide_bounded_cost_streett(counter2, 10)
+        tracer.begin_op()
+        certificates = (spoiler.certificate, decision.certificate)
+        certificate_calls = dict(tracer.op_calls)
+        certificate_counts = tracer.op_counters()
     finally:
         tracer.remove()
     assert res.value == 2
@@ -75,4 +80,12 @@ def test_tracer_wraps_every_named_span_and_counts_probes():
     assert "streett.build_streett_reduction" not in decision_calls
     assert decision_counts["streett.tracker_updates"] > 0
     assert decision_counts["streett.reduction_states"] == 0
+    # both certificates read classical solves of the level games, and
+    # neither builds the flat reduction
+    assert [c.player for c in certificates] == [1, 0]
+    assert certificate_calls.get("streett.solve_streett", 0) > 0
+    assert certificate_calls["streett._extract_p1_certificate"] == 1
+    assert certificate_calls["streett._compose_p0_certificate"] == 1
+    assert "streett.build_streett_reduction" not in certificate_calls
+    assert certificate_counts["streett.reduction_states"] == 0
     assert {s: _lookup(s) for s in spans} == originals

@@ -96,6 +96,25 @@ def test_generate_budget_ends_in_one_error_line(tmp_path, monkeypatch, family):
     assert not gen.exists()
 
 
+def test_streett_commands_build_no_flat_state(tmp_path, monkeypatch):
+    # Streett decisions and certificates run on the level graph alone:
+    # the flat product is never unrolled
+    from costparity.reduction import _LevelProduct
+
+    def unroll(self):
+        raise AssertionError("the flat product was unrolled")
+
+    gen = str(tmp_path / "gen")
+    assert invoke("generate", "streett", "--d", "2", "--outdir", gen)[0] == 0
+    monkeypatch.setattr(_LevelProduct, "unroll", unroll)
+    cst = f"{gen}/streett-d2.cst"
+    for argv, expected in ((("solve", "--bound", "10", cst), (1, "NOT-ACHIEVABLE")),
+                           (("solve", "--bound", "11", cst), (0, "ACHIEVABLE")),
+                           (("optimal", cst), (0, "optimal 11"))):
+        code, out, err = invoke(*argv)
+        assert (code, out.splitlines()[0], err) == (*expected, "")
+
+
 def test_python_m_costparity_runs_the_cli(tmp_path):
     gen = tmp_path / "gen"
     assert invoke("generate", "p0mem", "--d", "1", "--outdir", str(gen))[0] == 0
@@ -188,7 +207,7 @@ def test_export_dot(delay_path):
     assert out == invoke("export", "--dot", delay_path)[1]
 
 
-def test_error_protocol(tmp_path, delay_path):
+def test_error_protocol(tmp_path, delay_path, monkeypatch):
     code, _, err = invoke("solve", delay_path)
     assert code == 2 and err.startswith("error: usage: ")
     code, _, err = invoke("validate", str(tmp_path / "missing.cpg"))
@@ -222,16 +241,24 @@ def test_error_protocol(tmp_path, delay_path):
         assert err.startswith("error: strategy: ")
         assert "player must be 0 or 1, got 2" in err
         assert len(err.splitlines()) == 1
-    # Streett budgets: the layered decision meets one, and so does the
-    # flat reduction a certificate builds (22 level-graph nodes and 220
-    # reduction states at bound 5), before anything is printed
+    # Streett budgets: the layered decision meets one (22 level-graph
+    # nodes at bound 5), and the certificate's update table meets its
+    # own, before anything is printed
     cst = f"{gen}/streett-d1.cst"
     for argv in (("solve", "--bound", "5", "--product-budget", "1", cst),
-                 ("optimal", "--product-budget", "1", cst),
-                 ("solve", "--bound", "5", "--product-budget", "100", cst)):
+                 ("optimal", "--product-budget", "1", cst)):
         code, out, err = invoke(*argv)
         assert code == 2 and out == "" and err.startswith("error: budget: ")
         assert len(err.splitlines()) == 1
+    assert invoke("solve", "--bound", "5", "--product-budget", "100", cst)[0] == 0
+    from costparity import core
+
+    monkeypatch.setattr(core, "DEFAULT_PRODUCT_BUDGET", 100)
+    for argv in (("solve", "--bound", "5", cst), ("optimal", cst)):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: budget: strategy update table exceeds budget 100 entries"]
     qdimacs = tmp_path / "bad.qdimacs"
     for body in ("p cnf 1 1\ne 1 0\n1 0 1 0\n", "p cnf 1 1\ne 1 0\n2 1 1 0\n",
                  "p cnf x 1\ne 1 0\n1 0\n", "p cnf 1 1\ne y 0\n1 0\n",

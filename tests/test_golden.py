@@ -34,7 +34,7 @@ INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
 GOLDEN_DIGEST = "4c5d20748ef99524fb6e99534151518e282429ae967561b51c6ff983049e10aa"
 # GOLDEN_DIGEST also pins each certificate's cost, through ``verify``
 PARITY_CERT_DIGEST = "a929512a1d8743eaefd5d4790589360aec396f728fe8400e0a2bb0d0ceee7eab"
-STREETT_CERT_DIGEST = "33c71b831ffeee8acc8dcffa78f9893501a5b96bb369471699d9d5088e415e38"
+STREETT_CERT_DIGEST = "635639e769a018bfd5dddc80de69bb451394449ad6ee806b84b67eb0d0f88142"
 
 # certificates written by ``optimal --output`` and ``solve --output``
 _CERTIFICATE = re.compile(r"\.(opt|b\d+)\.strat$")

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -308,3 +310,27 @@ def test_optimal_certificates_hold_the_memory_consistent_plays_visit(family, d, 
     under moves the certificate never makes fails here."""
     witness = optimal_cost(family(d).game).witness
     assert (witness.player, witness.size) == (0, states)
+
+
+def test_dropped_results_free_their_level_graphs(delay_won, delay_lost):
+    # a level graph holds no reference cycle, its certificate cache
+    # included, so dropping a result frees its product at once instead
+    # of at the next run of the cyclic garbage collector
+    from costparity.generators import streett_counter_family
+    from costparity.streett import decide_bounded_cost_streett
+
+    counter = streett_counter_family(1).game
+    decisions = [lambda: (r := decide_bounded_cost(delay_won, 2), r.info),
+                 lambda: (r := decide_bounded_cost(delay_lost, 2), r.info),
+                 lambda: (r := decide_bounded_cost_streett(counter, 4), r.levels),
+                 lambda: (r := decide_bounded_cost_streett(counter, 5), r.levels)]
+    gc.disable()
+    try:
+        for decide in decisions:
+            res, levels = decide()
+            res.certificate  # fills the per-level cache
+            graph = weakref.ref(levels)
+            del res, levels
+            assert graph() is None
+    finally:
+        gc.enable()

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import pytest
 from conftest import (bisected_cost, brute_streett_winner, direct_tracked_product,
-                      random_cost_game, random_cost_streett, random_strategy,
-                      random_streett_game, streett_initial_r, streett_step,
+                      flat_streett_certificate, random_cost_game, random_cost_streett,
+                      random_strategy, random_streett_game, streett_initial_r, streett_step,
                       streett_strategy_product, tracker_queries)
-from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, decide_bounded_cost,
-                        format_strat)
+from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
+                        decide_bounded_cost, format_strat)
+from costparity.core import DEAD_MEMORY
 from costparity.reduction import Tracker, _LevelProduct
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, StreettTracker, build_streett_reduction,
@@ -218,7 +219,7 @@ def test_layered_streett_winners_equal_flat_at_every_state():
     assert served > 0 and states > served
 
 
-def test_budget_caps_the_decision_and_the_certificate():
+def test_budget_caps_the_decision_and_the_certificate(monkeypatch):
     g = streett_counter_family(1).game
     res = decide_bounded_cost_streett(g, 5)
     assert (res.product_states, build_streett_reduction(g, 5).size) == (22, 220)
@@ -226,8 +227,14 @@ def test_budget_caps_the_decision_and_the_certificate():
         decide_bounded_cost_streett(g, 5, budget=21)
     res = decide_bounded_cost_streett(g, 5, budget=100)
     assert res.achievable and res.product_states == 22
-    with pytest.raises(BudgetExceededError):
+    # the certificate reads the level solves, under the decision's
+    # budget; its update table meets the table budget
+    assert streett_strategy_cost(g, res.certificate) <= 5
+    monkeypatch.setattr(core, "DEFAULT_PRODUCT_BUDGET", 100)
+    res = decide_bounded_cost_streett(g, 5, budget=100)
+    with pytest.raises(BudgetExceededError) as exc:
         res.certificate
+    assert str(exc.value) == "strategy update table exceeds budget 100 entries"
 
 
 def test_streett_certificates_verify():
@@ -243,6 +250,63 @@ def test_streett_certificates_verify():
         else:
             assert cert.player == 1
             assert streett_spoiler_cost(g, cert) > res.bound
+
+
+def _overflow_landings(g, res) -> int:
+    """Checks that Player 0's certificate restarts its memory on every
+    overflow move: the memory after the move depends only on the state
+    (t, o, r) it lands in, as the cell restarts at the entered node.
+    Returns the number of overflow moves checked."""
+    cert = res.certificate
+    tr = StreettTracker(g, res.bound)
+    landed: dict = {}
+    for m, label in enumerate(cert.states):
+        if label is DEAD_MEMORY:
+            continue
+        o, r, _ = label
+        for (src, t), ek in g.update_key.items():
+            o2, r2, overflowed = tr.update(o, r, g.edge_cost[(src, t)], t)
+            if overflowed:
+                after = cert.update[(m, ek)]
+                assert landed.setdefault((t, o2, r2), after) == after, (label, src, t)
+    return len(landed)
+
+
+def test_layered_certificates_against_the_flat_route():
+    # every certificate read off the level solves holds its side of the
+    # bound, and Player 0's restarts its memory on overflow moves; on
+    # the counter each costs what the flat reduction's certificate
+    # costs, and every optimal witness costs the value
+    def cost(g, cert):
+        verify = streett_strategy_cost if cert.player == 0 else streett_spoiler_cost
+        return verify(g, cert)
+
+    rng = random.Random(97)
+    checked = [0, 0]
+    landings = 0
+    for _ in range(300):
+        g = random_cost_streett(rng)
+        for b in range(7):
+            res = decide_bounded_cost_streett(g, b)
+            c = cost(g, res.certificate)
+            assert c <= res.bound if res.achievable else c > res.bound, (b, c)
+            checked[res.certificate.player] += 1
+            if res.achievable:
+                landings += _overflow_landings(g, res)
+        opt = optimal_cost_streett(g)
+        if opt.witness is not None:
+            assert cost(g, opt.witness) == opt.value
+    assert min(checked) > 500
+    for d in (1, 2):
+        g = streett_counter_family(d).game
+        opt = optimal_cost_streett(g)
+        assert cost(g, opt.witness) == opt.value
+        for b in (opt.value - 1, opt.value):
+            res = decide_bounded_cost_streett(g, b)
+            assert res.achievable == (b == opt.value)
+            assert cost(g, res.certificate) == cost(g, flat_streett_certificate(g, b))
+        landings += _overflow_landings(g, res)
+    assert landings > 400
 
 
 def test_spoiler_cost_counts_prefix_overflows_as_free():
@@ -283,16 +347,16 @@ def test_list_costs_decide_like_tuple_costs():
         for b in range(3):
             res, lres = decide_bounded_cost_streett(g, b), decide_bounded_cost_streett(lg, b)
             assert lres.achievable == res.achievable
-            assert lres.reduction.states == res.reduction.states
+            assert (lres.levels.nodes, lres.levels.succ) == (res.levels.nodes, res.levels.succ)
             assert format_strat(lres.certificate) == format_strat(res.certificate)
             verify = streett_strategy_cost if res.achievable else streett_spoiler_cost
             assert verify(lg, lres.certificate) == verify(g, res.certificate)
 
 
 def test_streett_reduction_equals_the_direct_search():
-    # the flat reduction, and the one a certificate unrolls from the
-    # decision's level graph, against a search that steps the tracker
-    # on every flat state
+    # the flat reduction against a search that steps the tracker on
+    # every flat state, and the decision's level product against a
+    # fresh one
     rng = random.Random(31)
     games = [random_cost_streett(rng) for _ in range(120)]
     cases = [(g, b) for g in games for b in range(5)]
@@ -312,10 +376,9 @@ def test_streett_reduction_equals_the_direct_search():
         red = build_streett_reduction(g, b)
         levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product")
         assert (red.states, red.streett.succ, overflow_edges(red, levels)) == expected, b
-        decision = decide_bounded_cost_streett(g, b)
-        red = decision.reduction
-        assert (red.states, red.streett.succ,
-                overflow_edges(red, decision.levels)) == expected, b
+        decided = decide_bounded_cost_streett(g, b).levels
+        assert (decided.nodes, decided.index, decided.succ, decided.pred, decided.overflow) == \
+            (levels.nodes, levels.index, levels.succ, levels.pred, levels.overflow), b
 
 
 def test_streett_tracker_memo_answers_like_a_fresh_tracker():
