@@ -2,8 +2,8 @@
 
 Exit protocol: 0 for a clean validate / ACHIEVABLE solve, 1 for
 NOT-ACHIEVABLE, 2 on any error (one machine-parsable line
-``error: <code>: <msg>`` on stderr; budget exhaustion uses code
-``budget``).
+``error: <code>: <msg>`` on stderr; budget exhaustion, running out of
+memory included, uses code ``budget``).
 """
 
 from __future__ import annotations
@@ -86,17 +86,13 @@ def cmd_optimal(args, out) -> int:
     game = _load_game(args.file)
     if isinstance(game, streett.CostStreettGame):
         res = streett.optimal_cost_streett(game, budget=args.product_budget)
-        if res.cap_hit:
-            raise CliError("budget",
-                           f"not achievable up to the practical cap {res.searched_up_to}")
-        value, witness = res.value, res.witness
     else:
         res = solver.optimal_cost(game, product_budget=args.product_budget)
-        value, witness = res.value, res.witness
-    print(f"optimal {_fmt_cost(value)}", file=out)
-    if witness is not None:
-        target = Path(args.output) if args.output else Path(args.file).with_suffix(".strat")
-        _write(target, core.format_strat(witness), out)
+    if res.cap_hit:
+        raise CliError("budget", f"not achievable up to the practical cap {res.searched_up_to}")
+    print(f"optimal {_fmt_cost(res.value)}", file=out)
+    target = Path(args.output) if args.output else Path(args.file).with_suffix(".strat")
+    _write(target, core.format_strat(res.witness), out)
     return 0
 
 
@@ -272,6 +268,9 @@ def run(argv: list[str], out=None, err=None) -> int:
         return 2
     except core.BudgetExceededError as exc:
         print(f"error: budget: {exc}", file=err)
+        return 2
+    except MemoryError:
+        print("error: budget: out of memory", file=err)
         return 2
     except (ValueError, core.FormatError) as exc:
         print(f"error: invalid: {exc}", file=err)

@@ -1,11 +1,13 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
 Decisions solve the quotient parity game one overflow level at a time
-(``_LevelGraph``, the layered engine), each level SCC by SCC and for
-the winners only.  An alternating search over annotated play prefixes
-stopped at settled prefixes (the finite-duration game, used as an
-oracle at small scale), which applies ``reduction``'s settle and
-shortcut rules, serves the tests as an independent reference.
+on the layered engine, each level SCC by SCC and for the winners only;
+the engine's level graph (``BoundedCostResult``, shared with Streett
+games) is the decision's result, and it builds its certificate on first
+use.  An alternating search over annotated play prefixes stopped at
+settled prefixes (the finite-duration game, used as an oracle at small
+scale), which applies ``reduction``'s settle and shortcut rules, serves
+the tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -219,9 +221,13 @@ def solve_parity(pg: ParityGame) -> SolveResult:
 
 # --- the layered explicit product -------------------------------------------
 
-class _LevelGraph(_LevelProduct):
+class BoundedCostResult(_LevelProduct):
     """The tracked product solved level by level over the overflow
-    counter: the one layered engine for parity and Streett games.
+    counter: the one layered engine for parity and Streett games, and
+    the result of their bounded-cost decisions.  ``achievable`` says
+    whether Player 0 wins from the initial state, and ``certificate``
+    is a Player 0 strategy of cost at most ``bound`` when she does,
+    else a Player 1 strategy of cost above it.
 
     Why the levels can be solved one at a time: the product is n+1
     copies of the level graph (``reduction._LevelProduct``), overflow
@@ -247,11 +253,14 @@ class _LevelGraph(_LevelProduct):
 
     A subclass solves one game class's levels: ``solve_level(succ,
     pred, prev)`` for the decision, ``solve_whole`` for certificates
-    (see ``solve`` and ``level_solve``).
+    (see ``solve`` and ``level_solve``); its ``certificate`` is built
+    from the latter on first use.
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
         super().__init__(game, tracker, budget, what)
+        self.bound = tracker.bound
+        self.product_states = self.size
         # the nodes' owners, then the won sink's and the lost sink's
         self.owners = tuple([game.owner[v] for v, _ in self.nodes]) + (1, 0)
         self._solved: dict[int, tuple] = {}
@@ -277,7 +286,8 @@ class _LevelGraph(_LevelProduct):
                 self.pred + (tuple(to_sink[0]) + (m,), tuple(to_sink[1]) + (m + 1,)))
 
     def solve(self) -> None:
-        """Solves the levels n−1, n−2, … until the stop rule holds.
+        """Solves the levels n−1, n−2, … until the stop rule holds,
+        then decides whether node 0, the initial state, is won at level 0.
 
         ``solve_level(succ, pred, prev)`` solves one level's game
         (``_level_game``): its successor and predecessor lists cover the
@@ -297,6 +307,7 @@ class _LevelGraph(_LevelProduct):
                 break  # the next level's game would be this one again
             prev = cur
         self.iterates = iterates
+        self.achievable = 0 in iterates[self._iterate_index(0)][0]
 
     def project(self, i: int, j: int, prev: frozenset[int]) -> int:
         """The level-game move i → j as an arena successor; a sink
@@ -356,7 +367,7 @@ class _LevelGraph(_LevelProduct):
         return self.level_solve(self._iterate_index(o))[player].get(node)
 
 
-class _ParityLevels(_LevelGraph):
+class _ParityLevels(BoundedCostResult):
     """The layered engine on a cost-parity game, with the won sink
     colored 0 and the lost sink 1; the decision is made on construction.
 
@@ -395,37 +406,18 @@ class _ParityLevels(_LevelGraph):
         return (frozenset(v for v in w0 if v < m),
                 (self.project_moves(s0, prev), self.project_moves(s1, prev)))
 
+    @cached_property
+    def certificate(self) -> StrategySpec:
+        if self.achievable:
+            return extract_player0_strategy(self.game, self.bound, self)
+        return extract_player1_strategy(self.game, self.bound, self)
+
 
 def clamp_bound(game: CostGame, bound: int) -> int:
     """Bounds beyond the regime cap (n for unary, nW for binary) are
     equivalent to plain winning; clamp to the cap."""
     cap = game.n if game.encoding == UNARY else game.n * game.max_cost
     return min(bound, cap)
-
-
-class BoundedCostResult:
-    """Decision plus a certificate for the winning side.
-
-    The certificate is materialized lazily from the solved product: a
-    Player 0 strategy with strategy_cost ≤ b when achievable, otherwise
-    a Player 1 strategy with spoiler_cost > b.
-    """
-
-    def __init__(self, game: CostGame, bound: int, achievable: bool, info):
-        self.game = game
-        self.bound = bound
-        self.achievable = achievable
-        self.info = info
-
-    @cached_property
-    def certificate(self) -> StrategySpec:
-        if self.achievable:
-            return extract_player0_strategy(self.game, self.bound, self.info)
-        return extract_player1_strategy(self.game, self.bound, self.info)
-
-    @property
-    def product_states(self) -> int:
-        return self.info.size
 
 
 def decide_bounded_cost(game: CostGame, bound: int, *,
@@ -438,13 +430,7 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     on its first use.
     """
     require_valid(game)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    b = clamp_bound(game, bound)
-    info = _ParityLevels(game, b, product_budget)
-    v0, r0 = info.nodes[0]
-    achievable = info.winner(v0, 0, r0) == 0
-    return BoundedCostResult(game, b, achievable, info)
+    return _ParityLevels(game, clamp_bound(game, bound), product_budget)
 
 
 def extract_player0_strategy(game: CostGame, bound: int, info) -> StrategySpec:
@@ -514,8 +500,6 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     instead of guessing.
     """
     require_valid(game)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
     stack = _PrefixStack(game, clamp_bound(game, bound))
     succ = game.successors
     owner = game.owner
@@ -561,9 +545,14 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
 
 @dataclass(frozen=True)
 class OptimalResult:
-    value: float  # natural or ∞
-    witness: StrategySpec  # Player 0 strategy at the optimum, or the
-    #                       Player 1 certificate when the value is ∞
+    """The least achievable bound up to ``searched_up_to``, natural or
+    ∞, and its certificate; ``cap_hit`` (no witness) when a practical
+    cap below the regime cap is not achievable either (Streett games)."""
+
+    value: float
+    witness: Optional[StrategySpec]
+    cap_hit: bool = False
+    searched_up_to: int = 0
 
 
 def optimal_cost(game: CostGame, *,
@@ -579,5 +568,6 @@ def optimal_cost(game: CostGame, *,
         res = decide_bounded_cost(game, b, product_budget=product_budget)
         return res.achievable, res
 
-    value, best = _least_bound(achieved, 0, clamp_bound(game, 10 ** 18))
-    return OptimalResult(INF if value is None else value, best.certificate)
+    cap = clamp_bound(game, 10 ** 18)
+    value, best = _least_bound(achieved, 0, cap)
+    return OptimalResult(INF if value is None else value, best.certificate, False, cap)

@@ -9,9 +9,10 @@ Bounded-cost existence reduces to a classical Streett game over the
 arena extended with per-pair request tracking plus one extra pair that
 fires once the overflow counter saturates.  Decisions solve that game
 level by level over the overflow counter, on the layered engine shared
-with parity games (``solver._LevelGraph``), and certificates read the
-same level games' classical solves: playing optimally needs nothing
-beyond winning each level.  The flat reduction
+with parity games, whose level graph (``solver.BoundedCostResult``) is
+the decision's result; certificates read the same level games'
+classical solves: playing optimally needs nothing beyond winning each
+level.  The flat reduction
 (``build_streett_reduction``), that level graph unrolled over the
 counter, is kept as the tests' reference.  Classical Streett games are
 solved directly by a Zielonka-tree recursion over the request/answer
@@ -26,7 +27,9 @@ shared with parity games: ``core`` tabulates strategies (the
 classical solver's too, through ``StreettGame.update_key``), resets the
 spoiler's overflow counter and searches least bounds upward from 0;
 ``semantics`` validates lassos and verifies strategies, given this
-module's tracker, whose step is ``reduction``'s.  This module adds the reductions and the solver.
+module's tracker, whose step is ``reduction``'s; ``solver`` holds the
+decision and optimal-cost results.  This module adds the reductions and
+the solver.
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .core import (DEAD_MEMORY, CostGame, FormatError, StrategySpec, Vertex, _least_bound,
-                   _parse_vertex_line, _reset_spoiler, _strip_comment, strategy_from_functions,
-                   strategy_from_product)
+from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
+                   Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
+                   strategy_from_functions, strategy_from_product)
 from .reduction import _LevelProduct, _MemoizedStep
 from .semantics import INF, Lasso, _response_cost, _verified_cost, validate_lasso
-from .solver import _attractor, _LevelGraph, _predecessors
-
-DEFAULT_STREETT_BUDGET = 5_000_000
+from .solver import BoundedCostResult, OptimalResult, _attractor, _predecessors
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,7 @@ class StreettReduction:
 
 
 def build_streett_reduction(game: CostStreettGame, bound: int,
-                            budget: int = DEFAULT_STREETT_BUDGET) -> StreettReduction:
+                            budget: int = DEFAULT_PRODUCT_BUDGET) -> StreettReduction:
     """Reachable product with per-pair tracking; pairs are lifted and one
     extra pair (saturated states, ∅) dooms Player 0 past n overflows."""
     require_valid_streett(game)
@@ -558,9 +559,9 @@ def streett_regime_cap(game: CostStreettGame) -> int:
     return game.n * max(1, game.max_cost) * (2 ** game.d) * math.factorial(2 * game.d)
 
 
-class _StreettLevels(_LevelGraph):
-    """The layered engine (``solver._LevelGraph``) on a cost-Streett
-    game; the decision is made on construction.
+class _StreettLevels(BoundedCostResult):
+    """The layered engine (``solver.BoundedCostResult``) on a
+    cost-Streett game; the decision is made on construction.
 
     Each level is one classical Streett solve over the level graph's
     nodes and two sinks: the game's pairs lifted to the nodes, plus the
@@ -596,47 +597,24 @@ class _StreettLevels(_LevelGraph):
              for j in [cell.move(i, cell.init(i))] if j is not None}, prev)
         return frozenset(v for v in res.win0 if v < m), (res.cells[0], moves1)
 
-
-class StreettBoundedResult:
-    """Decision from the layered engine, plus a certificate for the
-    winning side, built on first use from the classical solves of the
-    decision's own level games (``_LevelGraph.level_solve``)."""
-
-    def __init__(self, game: CostStreettGame, bound: int, achievable: bool,
-                 levels: _LevelGraph):
-        self.game = game
-        self.bound = bound
-        self.achievable = achievable
-        self.levels = levels
-
-    @property
-    def product_states(self) -> int:
-        return self.levels.size
-
     @cached_property
     def certificate(self) -> StrategySpec:
         if self.achievable:
-            return _compose_p0_certificate(self.levels, self.bound)
-        return _extract_p1_certificate(self.levels, self.bound)
+            return _compose_p0_certificate(self, self.bound)
+        return _extract_p1_certificate(self, self.bound)
 
 
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
-                                budget: int = DEFAULT_STREETT_BUDGET
-                                ) -> StreettBoundedResult:
+                                budget: int = DEFAULT_PRODUCT_BUDGET) -> BoundedCostResult:
     """Does Player 0 have a strategy of cost at most ``bound``?
 
     Decided level by level (``_StreettLevels``); ``budget`` caps the level graph.
     """
     require_valid_streett(game)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    b = min(bound, streett_regime_cap(game))
-    levels = _StreettLevels(game, b, budget)
-    v0, r0 = levels.nodes[0]
-    return StreettBoundedResult(game, b, levels.winner(v0, 0, r0) == 0, levels)
+    return _StreettLevels(game, min(bound, streett_regime_cap(game)), budget)
 
 
-def _compose_p0_certificate(levels: _LevelGraph, bound: int) -> StrategySpec:
+def _compose_p0_certificate(levels: BoundedCostResult, bound: int) -> StrategySpec:
     """Tracking memory × the memory of Player 0's cell in the level
     game that serves the overflow counter, with next moves projected.
 
@@ -676,7 +654,7 @@ def _compose_p0_certificate(levels: _LevelGraph, bound: int) -> StrategySpec:
     return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
 
 
-def _extract_p1_certificate(levels: _LevelGraph, bound: int) -> StrategySpec:
+def _extract_p1_certificate(levels: BoundedCostResult, bound: int) -> StrategySpec:
     """Spoiler memory with the overflow counter reset to the least value
     reachable under the level solves' positional moves
     (``core._reset_spoiler``)."""
@@ -707,17 +685,9 @@ def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
 
 # --- optimal cost ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StreettOptimalResult:
-    value: float  # natural, or ∞ (Player 0 loses outright)
-    witness: Optional[StrategySpec]
-    cap_hit: bool = False
-    searched_up_to: int = 0
-
-
 def optimal_cost_streett(game: CostStreettGame, *,
                          practical_cap: Optional[int] = None,
-                         budget: int = DEFAULT_STREETT_BUDGET) -> StreettOptimalResult:
+                         budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
     """Least achievable bound, searched upward from 0 (``core._least_bound``).
 
     The theoretical cap nW·2^d·(2d)! is astronomically large, so the
@@ -735,11 +705,9 @@ def optimal_cost_streett(game: CostStreettGame, *,
         return res.achievable, res
 
     value, best = _least_bound(achieved, 0, cap)
-    if value is not None:
-        return StreettOptimalResult(value, best.certificate, False, cap)
-    if cap >= streett_regime_cap(game):
-        return StreettOptimalResult(INF, best.certificate, False, cap)
-    return StreettOptimalResult(INF, None, True, cap)
+    if value is None and cap < streett_regime_cap(game):
+        return OptimalResult(INF, None, True, cap)
+    return OptimalResult(INF if value is None else value, best.certificate, False, cap)
 
 
 # --- bridges and file format -------------------------------------------------------

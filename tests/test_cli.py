@@ -135,6 +135,38 @@ def test_solve_exit_codes(delay_path):
     assert code == 1 and out.splitlines()[0] == "NOT-ACHIEVABLE"
 
 
+@pytest.mark.parametrize("engine", ["explicit", "finite-duration"])
+def test_solve_negative_bound_is_invalid(tmp_path, delay_path, engine):
+    cst = tmp_path / "loop.cst"
+    cst.write_text("coststreett 1 0 1\n0 0 0 0:1\npair 0 Q: 0 P:\n")
+    for game in (delay_path, str(cst)):
+        code, out, err = invoke("solve", "--engine", engine, "--bound", "-1", game)
+        assert (code, out, err) == (2, "", "error: invalid: bound must be non-negative\n")
+
+
+def test_optimal_streett_cap_hit_is_a_budget_error(tmp_path):
+    # a Player 1 loop that requests pair 0 forever: no bound up to the
+    # practical cap n·W·2^d = 2 is achievable, and nothing proves ∞
+    cst = tmp_path / "loop.cst"
+    cst.write_text("coststreett 1 0 1\n0 0 0 0:1\npair 0 Q: 0 P:\n")
+    code, out, err = invoke("optimal", str(cst))
+    assert (code, out, err) == (2, "", "error: budget: not achievable up to the practical cap 2\n")
+    assert not cst.with_suffix(".strat").exists()
+
+
+def test_out_of_memory_ends_in_one_error_line(tmp_path, monkeypatch):
+    from costparity import cli
+
+    def family(d):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._FAMILIES, "p0mem", family)
+    gen = tmp_path / "gen"
+    code, out, err = invoke("generate", "p0mem", "--d", "12", "--outdir", str(gen))
+    assert (code, out, err) == (2, "", "error: budget: out of memory\n")
+    assert not gen.exists()
+
+
 def test_solve_finite_duration_engine(delay_path):
     code, out, _ = invoke("solve", "--bound", "2", "--engine", "finite-duration",
                           delay_path)

@@ -121,10 +121,10 @@ LAYERED_DIGEST = "33912c02a40d0d4e8382804753cd71ea0d75dc8b7ffe5b29d07b820a72ca63
 
 
 def _hash_layered_solve(h, game, bound):
-    info = decide_bounded_cost(game, bound).info
-    winner, move = info.winner, info.move
+    res = decide_bounded_cost(game, bound)
+    winner, move = res.winner, res.move
     rows = [[(winner(v, o, r), move(0, v, o, r), move(1, v, o, r))
-             for o in range(game.n + 1)] for v, r in info.nodes]
+             for o in range(game.n + 1)] for v, r in res.nodes]
     h.update(repr(rows).encode() + b"\1")
 
 

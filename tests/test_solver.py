@@ -6,10 +6,11 @@ import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, layered_corpus,
                       random_cost_game)
-from costparity import (INF, BudgetExceededError, ParityGame, binary_tradeoff_family,
-                        decide_bounded_cost, decide_bounded_cost_finite_duration,
+from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
+                        binary_tradeoff_family, decide_bounded_cost,
+                        decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
                         format_strat, make_game, optimal_cost, p0_memory_family, p1_memory_family,
-                        solve_parity, subdivide_costs)
+                        solve_parity, streett_from_cost_parity, subdivide_costs)
 from costparity.semantics import _sccs, spoiler_cost, strategy_cost
 from costparity.solver import _solve_all, _winners_by_scc, clamp_bound
 
@@ -93,7 +94,7 @@ def test_scc_winners_equal_the_whole_solve():
     for game, bound in layered_corpus():
         res = decide_bounded_cost(game, bound)
         eager = eager_parity_levels(game, res.bound)
-        assert [w for w, in res.info.iterates] == [w for w, _, _ in eager]
+        assert [w for w, in res.iterates] == [w for w, _, _ in eager]
 
 
 def test_moves_on_demand_equal_the_eager_solve():
@@ -107,14 +108,30 @@ def test_moves_on_demand_equal_the_eager_solve():
         else:
             g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
         res = decide_bounded_cost(g, rng.randint(0, 6))
-        info = res.info
         eager = eager_parity_levels(g, res.bound)
-        assert len(info.iterates) == len(eager)
+        assert len(res.iterates) == len(eager)
         for k, (_, s0, s1) in enumerate(eager):
             o = g.n - 1 - k
-            for node, (v, r) in enumerate(info.nodes):
-                assert info.move(0, v, o, r) == s0.get(node)
-                assert info.move(1, v, o, r) == s1.get(node)
+            for node, (v, r) in enumerate(res.nodes):
+                assert res.move(0, v, o, r) == s0.get(node)
+                assert res.move(1, v, o, r) == s1.get(node)
+
+
+@pytest.mark.parametrize("decide", [decide_bounded_cost, decide_bounded_cost_finite_duration,
+                                    decide_bounded_cost_streett])
+def test_deciders_reject_a_negative_bound(decide, delay_won):
+    # the tracker each decider builds makes the one bound check
+    game = streett_from_cost_parity(delay_won) if decide is decide_bounded_cost_streett \
+        else delay_won
+    with pytest.raises(ValueError, match="^bound must be non-negative$"):
+        decide(game, -1)
+
+
+def test_decisions_are_level_graphs(delay_won):
+    for res in (decide_bounded_cost(delay_won, 2),
+                decide_bounded_cost_streett(streett_from_cost_parity(delay_won), 2)):
+        assert isinstance(res, BoundedCostResult)
+        assert res.achievable and res.bound == 2 and res.product_states == res.size
 
 
 def test_decide_delay_games(delay_won, delay_lost):
@@ -139,7 +156,7 @@ def test_decide_layered_equals_flat():
         assert layered.achievable == (flat.winner(*initial) == 0)
         # every overflow level, the ones the last fixpoint iterate serves included
         for v, o, r in flat.quotient.states:
-            assert layered.info.winner(v, o, r) == flat.winner(v, o, r)
+            assert layered.winner(v, o, r) == flat.winner(v, o, r)
 
 
 def test_decide_clamps_to_regime_bound():
@@ -317,20 +334,19 @@ def test_dropped_results_free_their_level_graphs(delay_won, delay_lost):
     # included, so dropping a result frees its product at once instead
     # of at the next run of the cyclic garbage collector
     from costparity.generators import streett_counter_family
-    from costparity.streett import decide_bounded_cost_streett
 
     counter = streett_counter_family(1).game
-    decisions = [lambda: (r := decide_bounded_cost(delay_won, 2), r.info),
-                 lambda: (r := decide_bounded_cost(delay_lost, 2), r.info),
-                 lambda: (r := decide_bounded_cost_streett(counter, 4), r.levels),
-                 lambda: (r := decide_bounded_cost_streett(counter, 5), r.levels)]
+    decisions = [lambda: decide_bounded_cost(delay_won, 2),
+                 lambda: decide_bounded_cost(delay_lost, 2),
+                 lambda: decide_bounded_cost_streett(counter, 4),
+                 lambda: decide_bounded_cost_streett(counter, 5)]
     gc.disable()
     try:
         for decide in decisions:
-            res, levels = decide()
+            res = decide()
             res.certificate  # fills the per-level cache
-            graph = weakref.ref(levels)
-            del res, levels
+            graph = weakref.ref(res)
+            del res
             assert graph() is None
     finally:
         gc.enable()

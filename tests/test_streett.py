@@ -191,10 +191,10 @@ def _levels_against_flat(g, b) -> tuple[int, int]:
     flat = solve_streett(red.streett)
     assert res.achievable == (flat.winner_from_initial == 0)
     assert res.product_states == len({(v, r) for v, _, r in red.states})
-    lowest = g.n - len(res.levels.iterates)
+    lowest = g.n - len(res.iterates)
     served = 0
     for i, (v, o, r) in enumerate(red.states):
-        assert res.levels.winner(v, o, r) == (0 if i in flat.win0 else 1), (b, v, o, r)
+        assert res.winner(v, o, r) == (0 if i in flat.win0 else 1), (b, v, o, r)
         served += o < lowest
     return len(red.states), served
 
@@ -347,7 +347,7 @@ def test_list_costs_decide_like_tuple_costs():
         for b in range(3):
             res, lres = decide_bounded_cost_streett(g, b), decide_bounded_cost_streett(lg, b)
             assert lres.achievable == res.achievable
-            assert (lres.levels.nodes, lres.levels.succ) == (res.levels.nodes, res.levels.succ)
+            assert (lres.nodes, lres.succ) == (res.nodes, res.succ)
             assert format_strat(lres.certificate) == format_strat(res.certificate)
             verify = streett_strategy_cost if res.achievable else streett_spoiler_cost
             assert verify(lg, lres.certificate) == verify(g, res.certificate)
@@ -376,7 +376,7 @@ def test_streett_reduction_equals_the_direct_search():
         red = build_streett_reduction(g, b)
         levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product")
         assert (red.states, red.streett.succ, overflow_edges(red, levels)) == expected, b
-        decided = decide_bounded_cost_streett(g, b).levels
+        decided = decide_bounded_cost_streett(g, b)
         assert (decided.nodes, decided.index, decided.succ, decided.pred, decided.overflow) == \
             (levels.nodes, levels.index, levels.succ, levels.pred, levels.overflow), b
 
