@@ -46,16 +46,9 @@ def _fmt_cost(value) -> str:
 
 
 def cmd_validate(args, out) -> int:
-    game = _load_game(args.file)
-    if isinstance(game, streett.CostStreettGame):
-        report = streett.validate_streett_game(game)
-    else:
-        report = core.validate_game(game)
-    for line in report:
-        print(line, file=out)
-    if not report:
-        print("ok", file=out)
-    return 0 if not report else 2
+    _load_game(args.file)  # the parsers validate: an invalid game ends in a format error
+    print("ok", file=out)
+    return 0
 
 
 def cmd_solve(args, out) -> int:
@@ -150,14 +143,26 @@ def cmd_generate(args, out) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     base = f"{inst.family}-d{inst.d}"
-    if isinstance(inst.game, streett.CostStreettGame):
-        _write(outdir / f"{base}.cst", streett.format_cst(inst.game), out)
-    else:
-        _write(outdir / f"{base}.cpg", core.format_cpg(inst.game), out)
-    for ref in inst.reference_strategies:
-        _write(outdir / f"{base}.{ref.name}.strat",
-               core.format_strat(ref.strategy), out)
-    _write(outdir / f"{base}.manifest", inst.manifest(), out)
+    created: list[Path] = []  # the files this run adds, removed again if it fails
+
+    def write(name: str, text: str) -> None:
+        path = outdir / name
+        if not path.exists():
+            created.append(path)
+        _write(path, text, out)
+
+    try:
+        if isinstance(inst.game, streett.CostStreettGame):
+            write(f"{base}.cst", streett.format_cst(inst.game))
+        else:
+            write(f"{base}.cpg", core.format_cpg(inst.game))
+        for ref in inst.reference_strategies:
+            write(f"{base}.{ref.name}.strat", core.format_strat(ref.strategy))
+        write(f"{base}.manifest", inst.manifest())
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
     return 0
 
 

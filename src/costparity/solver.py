@@ -1,7 +1,7 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
 Decisions solve the quotient parity game one overflow level at a time
-on the layered engine, each level SCC by SCC and for the winners only;
+on the layered engine, each level sink-first and for the winners only;
 the engine's level graph (``BoundedCostResult``, shared with Streett
 games) is the decision's result, and it builds its certificate on first
 use.  An alternating search over annotated play prefixes stopped at
@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
                    _reset_spoiler, require_valid, strategy_from_product)
 from .reduction import QuotientGame, Tracker, _LevelProduct, _PrefixStack
-from .semantics import _sccs
 
 INF = math.inf
 
@@ -71,8 +70,9 @@ class SolveResult:
 
 def _attractor(pg: ParityGame, player: int, targets: list[int],
                active: list[bool]) -> tuple[list[int], dict[int, int]]:
-    """Player's attractor of targets within the active subgame, with
-    deterministic progress moves for the player's attracted vertices.
+    """Player's attractor of targets within the active subgame, and the
+    rank of each attracted vertex: the round it was attracted in, 0 for
+    the targets (``_progress_moves`` reads moves off the ranks).
 
     The region doubles as the breadth-first queue, and the ranks and
     opponent escape counts live in dicts over it, so a call costs time
@@ -100,12 +100,20 @@ def _attractor(pg: ParityGame, player: int, targets: list[int],
                     continue
             rank[u] = rw
             region.append(u)
+    return region, rank
+
+
+def _progress_moves(pg: ParityGame, player: int, region: list[int],
+                    rank: dict[int, int]) -> dict[int, int]:
+    """Deterministic progress moves of the player's vertices in an
+    attractor region above rank 0: the least successor of lower rank."""
+    owners, succ = pg.owners, pg.succ
     moves: dict[int, int] = {}
     for u in region:
         ru = rank[u]
         if owners[u] == player and ru:
             moves[u] = min(s for s in succ[u] if rank.get(s, ru) < ru)
-    return region, moves
+    return moves
 
 
 def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
@@ -127,7 +135,7 @@ def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
         c = max(map(colors.__getitem__, verts))
         sigma = c % 2
         tops = [v for v in verts if colors[v] == c]
-        region_a, moves_a = _attractor(pg, sigma, tops, active)
+        region_a, rank_a = _attractor(pg, sigma, tops, active)
         for v in region_a:
             active[v] = False
         w0, w1, s0, s1 = _zielonka(pg, [v for v in verts if active[v]], active)
@@ -139,19 +147,19 @@ def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
             mine.update(verts)
             strat = win[sigma]
             strat.update((s0, s1)[sigma])
-            strat.update(moves_a)
+            strat.update(_progress_moves(pg, sigma, region_a, rank_a))
             for v in tops:
                 if owners[v] == sigma and v not in strat:
                     strat[v] = min(s for s in succ[v] if active[s])
             break
-        region_b, moves_b = _attractor(pg, 1 - sigma, sorted(opp), active)
+        region_b, rank_b = _attractor(pg, 1 - sigma, sorted(opp), active)
         theirs = acc[1 - sigma]
         strat = win[1 - sigma]
         for v in region_b:
             theirs.add(v)
             active[v] = False
         removed.extend(region_b)
-        strat.update(moves_b)
+        strat.update(_progress_moves(pg, 1 - sigma, region_b, rank_b))
         opp_strat = (s0, s1)[1 - sigma]
         for v in opp:
             if v in opp_strat:
@@ -168,46 +176,37 @@ def _solve_all(pg: ParityGame
     return _zielonka(pg, list(range(pg.n)), [True] * pg.n)
 
 
-def _winners_by_scc(pg: ParityGame, sccs: Sequence[list[int]]) -> list[int]:
-    """Player 0's winning region, solved one strongly connected
-    component at a time (Friedmann & Lange, "Solving Parity Games in
-    Practice", ATVA 2009).
+def _sink_first_winners(game, solve_rest) -> frozenset[int]:
+    """Player 0's winning vertices of a level game below its two sinks,
+    the won sink n−2 (won by Player 0) and the lost sink n−1, each
+    looping on itself.  ``game`` has ``owners``, ``succ`` and ``pred``.
 
-    ``sccs`` partitions the vertices, each component sorted and listed
-    after every component it has an edge into (the order of
-    ``semantics._sccs``).  Each component's undecided rest is solved by
-    ``_zielonka`` alone, and both players' new winning regions are then
-    attracted over all undecided vertices.
+    Player 0's attractor of the won sink is taken over the whole game,
+    then Player 1's attractor of the lost sink over what is left, and
+    ``solve_rest(game, rest, active)`` returns Player 0's winners of the
+    rest: the sorted undecided vertices, which ``active`` marks exactly
+    (the buffer contract of ``_zielonka`` and ``_StreettSolver.solve``).
+    It is not called when the sinks decide every vertex.
 
-    Each rest is a proper subgame with the winners it has in ``pg``.
-    An edge that leaves the rest leads into a decided vertex: either
-    into an earlier component, all decided, or to a vertex of this
-    component that was attracted before.  The edge's owner has lost
-    that target, or would have been attracted into their own region.
-    And a vertex is attracted as soon as its last successor is decided,
-    so every vertex of the rest keeps a successor, which lies in the
-    same component and so in the rest.
+    The attracted parts are won by the attracting player, and the
+    complement of a player's attractor is a trap for that player.  So
+    every vertex of the rest keeps a successor in the rest, and a player
+    who leaves it enters a region the opponent wins: the rest is a
+    subgame with the winners it has in the whole game.
     """
-    undecided = [True] * pg.n
-    inside = [False] * pg.n  # ``_zielonka``'s buffer, marking exactly the rest
-    won0: list[int] = []
-    for comp in sccs:
-        rest = [v for v in comp if undecided[v]]
-        if not rest:
-            continue
-        for v in rest:
-            inside[v] = True
-        wins = _zielonka(pg, rest, inside)
-        for v in rest:
-            inside[v] = False
-        for player in (0, 1):
-            if wins[player]:
-                region, _ = _attractor(pg, player, list(wins[player]), undecided)
-                for v in region:
-                    undecided[v] = False
-                if player == 0:
-                    won0.extend(region)
-    return won0
+    m = game.n - 2
+    undecided = [True] * game.n
+    won: list[int] = []
+    for player in (0, 1):
+        region, _ = _attractor(game, player, [m + player], undecided)
+        for v in region:
+            undecided[v] = False
+        if player == 0:
+            won = region[1:]  # the region starts with its target, the won sink
+    rest = [v for v in range(m) if undecided[v]]
+    if rest:
+        won.extend(solve_rest(game, rest, undecided))
+    return frozenset(won)
 
 
 def solve_parity(pg: ParityGame) -> SolveResult:
@@ -246,15 +245,21 @@ class BoundedCostResult(_LevelProduct):
     those targets repeats; every lower level is served by the last
     iterate.
 
-    Each iterate keeps Player 0's winning set only.  What certificates
-    read is built on first use, level by level (``level_solve``): the
-    level's game (``_level_game``) is rebuilt from the stored winning
-    set one level up, which is all it depends on, and solved whole.
+    Each level is solved sink-first for Player 0's winners only
+    (``solve_level``): the sinks' attractors over the whole level graph
+    decide most nodes, and only the undecided rest goes to the game
+    class's own solver.  Each iterate keeps Player 0's winning set only.
+    What certificates read is built on first use, level by level
+    (``level_solve``): the level's game (``_level_game``) is rebuilt
+    from the stored winning set one level up, which is all it depends
+    on, and solved whole.
 
-    A subclass solves one game class's levels: ``solve_level(succ,
-    pred, prev)`` for the decision, ``solve_whole`` for certificates
-    (see ``solve`` and ``level_solve``); its ``certificate`` is built
-    from the latter on first use.
+    A subclass solves one game class's levels: ``classical_game(succ,
+    pred)`` is its classical game on a level's lists, ``solve_rest``
+    solves the rest for the decision (see ``_sink_first_winners``), and
+    ``solve_whole`` a whole level for certificates (see
+    ``level_solve``); its ``certificate`` is built from the latter on
+    first use.
     """
 
     def __init__(self, game, tracker, budget: int, what: str):
@@ -308,6 +313,10 @@ class BoundedCostResult(_LevelProduct):
             prev = cur
         self.iterates = iterates
         self.achievable = 0 in iterates[self._iterate_index(0)][0]
+
+    def solve_level(self, succ, pred, prev) -> tuple:
+        """Player 0's winners of a level's game, solved sink-first."""
+        return (_sink_first_winners(self.classical_game(succ, pred), self.solve_rest),)
 
     def project(self, i: int, j: int, prev: frozenset[int]) -> int:
         """The level-game move i → j as an arena successor; a sink
@@ -371,38 +380,28 @@ class _ParityLevels(BoundedCostResult):
     """The layered engine on a cost-parity game, with the won sink
     colored 0 and the lost sink 1; the decision is made on construction.
 
-    The level graph's SCCs are computed once per decision, from the
-    rows without their overflow edges (only the rows in ``overflow``
-    are filtered): those edges lead only to the sinks, which loop on
-    themselves, so every level's game has these components, after the
-    two sinks'.  Each level is solved SCC by SCC for Player 0's winners
-    only (``_winners_by_scc``).  When a certificate asks, a level is
-    solved whole by ``_solve_all`` for both players' positional moves.
+    Each level is solved sink-first for Player 0's winners only, the
+    rest by ``_zielonka``.  When a certificate asks, a level is solved
+    whole by ``_solve_all`` for both players' positional moves.
     """
 
     def __init__(self, game: CostGame, bound: int, budget: int):
         super().__init__(game, Tracker(game, bound), budget, "quotient product")
-        m = self.size
         self.colors = tuple([game.color[v] for v, _ in self.nodes]) + (0, 1)
-        rows = list(self.succ)
-        for i, over in self.overflow.items():
-            rows[i] = [j for j in rows[i] if j not in over]
-        self.sccs = [[m], [m + 1]] + [sorted(comp) for comp in _sccs(m, rows)]
         self.solve()
 
-    def _parity_game(self, succ, pred) -> ParityGame:
+    def classical_game(self, succ, pred) -> ParityGame:
         pg = ParityGame(self.owners, self.colors, succ, 0)
         vars(pg)["pred"] = pred  # seed the cached predecessor lists
         return pg
 
-    def solve_level(self, succ, pred, prev):
-        m = self.size
-        return (frozenset(v for v in _winners_by_scc(self._parity_game(succ, pred), self.sccs)
-                          if v < m),)
+    @staticmethod
+    def solve_rest(pg: ParityGame, rest: list[int], active: list[bool]) -> set[int]:
+        return _zielonka(pg, rest, active)[0]
 
     def solve_whole(self, succ, pred, prev):
         m = self.size
-        w0, _, s0, s1 = _solve_all(self._parity_game(succ, pred))
+        w0, _, s0, s1 = _solve_all(self.classical_game(succ, pred))
         return (frozenset(v for v in w0 if v < m),
                 (self.project_moves(s0, prev), self.project_moves(s1, prev)))
 

@@ -44,7 +44,8 @@ from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, S
                    strategy_from_functions, strategy_from_product)
 from .reduction import _LevelProduct, _MemoizedStep
 from .semantics import INF, Lasso, _response_cost, _verified_cost, validate_lasso
-from .solver import BoundedCostResult, OptimalResult, _attractor, _predecessors
+from .solver import (BoundedCostResult, OptimalResult, _attractor, _predecessors,
+                     _progress_moves)
 
 
 @dataclass(frozen=True)
@@ -459,12 +460,13 @@ class _StreettSolver:
             recorded: list[dict] = []
             for cu in children:
                 targets = [v for v in verts if pattern_of[v] not in cu]
-                attr, amoves = _attractor(sg, fav, targets, active)
+                attr, arank = _attractor(sg, fav, targets, active)
                 for v in attr:
                     active[v] = False
                 zone = [v for v in verts if active[v]]
                 entry = {"targets": set(targets), "attr_region": set(attr),
-                         "attr_moves": amoves, "zone": set(zone) or None, "subcell": None}
+                         "attr_moves": _progress_moves(sg, fav, attr, arank),
+                         "zone": set(zone) or None, "subcell": None}
                 if zone:
                     w0, w1, c0, c1 = self.solve(zone, cu, active)
                 for v in attr:
@@ -472,9 +474,10 @@ class _StreettSolver:
                 if zone:
                     wopp = (w0, w1)[opp]
                     if wopp:
-                        region, dmoves = _attractor(sg, opp, sorted(wopp), active)
+                        region, drank = _attractor(sg, opp, sorted(wopp), active)
                         idx = len(pieces)
-                        pieces.append({"sub_region": set(wopp), "attr_moves": dmoves,
+                        pieces.append({"sub_region": set(wopp),
+                                       "attr_moves": _progress_moves(sg, opp, region, drank),
                                        "subcell": (c0, c1)[opp]})
                         for v in region:
                             piece_of[v] = idx
@@ -543,11 +546,16 @@ def _cell_move(sg: StreettGame, cell, v: int, state) -> int:
     return min(sg.succ[v]) if mv is None else mv
 
 
-def solve_streett(sg: StreettGame) -> StreettSolveResult:
-    """Winner and strategies of a classical Streett game."""
+def solve_streett(sg: StreettGame, verts: Optional[list[int]] = None) -> StreettSolveResult:
+    """Winner and strategies of a classical Streett game, or of its
+    subgame on ``verts`` (sorted, each vertex with a successor in it)."""
     solver = _StreettSolver(sg)
     colors = frozenset(range(len(solver.pat_q)))
-    w0, w1, c0, c1 = solver.solve(list(range(sg.n)), colors, [True] * sg.n)
+    verts = list(range(sg.n)) if verts is None else verts
+    active = [False] * sg.n
+    for v in verts:
+        active[v] = True
+    w0, w1, c0, c1 = solver.solve(verts, colors, active)
     winner = 0 if sg.initial in w0 else 1
     return StreettSolveResult(sg, winner, w0, w1, (c0, c1))
 
@@ -563,11 +571,12 @@ class _StreettLevels(BoundedCostResult):
     """The layered engine (``solver.BoundedCostResult``) on a
     cost-Streett game; the decision is made on construction.
 
-    Each level is one classical Streett solve over the level graph's
+    Each level's game is a classical Streett game over the level graph's
     nodes and two sinks: the game's pairs lifted to the nodes, plus the
     saturation pair of ``build_streett_reduction``, which only the lost
     sink requests and nothing answers; the won sink requests nothing.
-    The decision keeps the winners only.  A certificate's whole solve
+    The decision solves it sink-first for the winners only, the rest by
+    ``solve_streett`` on the rest's vertices.  A certificate's whole solve
     of a level keeps Player 0's cell, and Player 1's positional moves:
     his cell's states are functions of the node, so the state he enters
     a node with carries his choice there.
@@ -578,19 +587,18 @@ class _StreettLevels(BoundedCostResult):
         self.pairs = _lifted_pairs(game, [v for v, _ in self.nodes], {self.size + 1})
         self.solve()
 
-    def _streett_game(self, succ, pred) -> StreettGame:
+    def classical_game(self, succ, pred) -> StreettGame:
         sg = StreettGame(self.owners, succ, *self.pairs, 0)
         vars(sg)["pred"] = pred  # seed the cached predecessor lists
         return sg
 
-    def solve_level(self, succ, pred, prev):
-        m = self.size
-        won = solve_streett(self._streett_game(succ, pred)).win0
-        return (frozenset(v for v in won if v < m),)
+    @staticmethod
+    def solve_rest(sg: StreettGame, rest: list[int], active: list[bool]) -> frozenset[int]:
+        return solve_streett(sg, rest).win0
 
     def solve_whole(self, succ, pred, prev):
         m, owners = self.size, self.owners
-        res = solve_streett(self._streett_game(succ, pred))
+        res = solve_streett(self.classical_game(succ, pred))
         cell = res.cells[1]
         moves1 = self.project_moves(
             {i: j for i in res.win1 if owners[i] == 1

@@ -71,6 +71,26 @@ def layered_corpus():
                rng.randint(0, 6))
 
 
+def random_level_rows(rng, seen) -> tuple[tuple[int, ...], ...]:
+    """Successor rows of a random level-shaped game: nodes 0..m−1, then
+    the won sink m and the lost sink m+1, each looping on itself.  Rows
+    have few successors, some a self-loop, and some reach only sinks;
+    ``seen`` counts those two kinds of rows."""
+    m = rng.randint(1, 9)
+    rows = []
+    for v in range(m):
+        if rng.random() < 0.2:
+            row = set(rng.sample((m, m + 1), rng.randint(1, 2)))
+            seen["only sinks"] += 1
+        else:  # few successors, so that the sinks' attractors reach far
+            row = set(rng.sample(range(m + 2), rng.randint(1, 3)))
+            if rng.random() < 0.2:
+                row.add(v)
+            seen["self-loop"] += v in row
+        rows.append(tuple(sorted(row)))
+    return tuple(rows) + ((m,), (m + 1,))
+
+
 def random_streett_game(rng):
     n = rng.randint(1, 5)
     d = rng.randint(1, 2)
@@ -229,7 +249,7 @@ class _EagerParityLevels(_ParityLevels):
     ``_solve_all``, keeping both players' moves in the iterates."""
 
     def solve_level(self, succ, pred, prev):
-        w0, _, s0, s1 = _solve_all(self._parity_game(succ, pred))
+        w0, _, s0, s1 = _solve_all(self.classical_game(succ, pred))
         return (frozenset(v for v in w0 if v < self.size),
                 self.project_moves(s0, prev), self.project_moves(s1, prev))
 

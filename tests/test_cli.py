@@ -96,6 +96,28 @@ def test_generate_budget_ends_in_one_error_line(tmp_path, monkeypatch, family):
     assert not gen.exists()
 
 
+def test_failed_generate_removes_only_its_own_files(tmp_path, monkeypatch):
+    # running out of memory on the second strategy removes the game file
+    # and the first strategy this run wrote, and nothing that was there
+    from costparity import core
+
+    kept = tmp_path / "notes.txt"
+    kept.write_text("written before\n")
+    format_strat, formatted = core.format_strat, []
+
+    def format_or_fail(strat):
+        formatted.append(strat)
+        if len(formatted) == 2:
+            raise MemoryError
+        return format_strat(strat)
+
+    monkeypatch.setattr(core, "format_strat", format_or_fail)
+    code, out, err = invoke("generate", "p0mem", "--d", "2", "--outdir", str(tmp_path))
+    assert code == 2 and err.splitlines() == ["error: budget: out of memory"]
+    assert len(out.splitlines()) == 2  # the game file and the first strategy were written
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "written before\n"
+
+
 def test_streett_commands_build_no_flat_state(tmp_path, monkeypatch):
     # Streett decisions and certificates run on the level graph alone:
     # the flat product is never unrolled

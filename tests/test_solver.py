@@ -1,18 +1,20 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, layered_corpus,
-                      random_cost_game)
+                      random_cost_game, random_level_rows)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
                         decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
                         format_strat, make_game, optimal_cost, p0_memory_family, p1_memory_family,
-                        solve_parity, streett_from_cost_parity, subdivide_costs)
-from costparity.semantics import _sccs, spoiler_cost, strategy_cost
-from costparity.solver import _solve_all, _winners_by_scc, clamp_bound
+                        semantics, solve_parity, solver, streett_from_cost_parity, subdivide_costs)
+from costparity.generators import QbfFormula, qbf_to_game
+from costparity.semantics import spoiler_cost, strategy_cost
+from costparity.solver import _ParityLevels, _sink_first_winners, _solve_all, clamp_bound
 
 
 def test_solve_parity_single_vertex():
@@ -64,37 +66,57 @@ def test_solve_parity_winner_strategy_wins():
             assert _all_reachable_cycles_even(rows, flipped, 0)
 
 
-def test_scc_winners_equal_the_whole_solve():
-    """SCC-by-SCC winners against ``_solve_all``: on seeded random
-    parity games with self-loops, trivial SCCs, self-looping sinks and
-    vertices that reach only sinks, and on every level game the
-    ``LAYERED_DIGEST`` corpus solves."""
+def test_sink_first_winners_equal_the_whole_solve():
+    """Sink-first winners against ``_solve_all``: on seeded random
+    level-shaped parity games (the won sink, owner 1 and color 0, and the
+    lost sink, owner 0 and color 1, last), with self-loops and rows that
+    reach only sinks, both where the sinks decide every node and where a
+    rest is left; and on every level game the ``LAYERED_DIGEST`` corpus
+    solves."""
     rng = random.Random(61)
-    seen = {"self-loop": 0, "trivial SCC": 0, "only sinks": 0}
+    seen = Counter()
+
+    def solve_rest(pg, rest, active):
+        seen["rest solved"] += 1
+        return _ParityLevels.solve_rest(pg, rest, active)
+
     for _ in range(3000):
-        n = rng.randint(1, 10)
-        sinks = rng.randint(0, min(2, n - 1))
-        succ = []
-        for v in range(n):
-            if v >= n - sinks:
-                row = [v]
-            elif sinks and rng.random() < 0.2:
-                row = rng.sample(range(n - sinks, n), rng.randint(1, sinks))
-                seen["only sinks"] += 1
-            else:  # few successors, so that many SCCs are trivial
-                row = rng.sample(range(n), rng.randint(1, min(n, 3)))
-            succ.append(tuple(sorted(row)))
-        pg = ParityGame(tuple(rng.randint(0, 1) for _ in range(n)),
-                        tuple(rng.randint(0, 5) for _ in range(n)), tuple(succ), 0)
-        sccs = [sorted(comp) for comp in _sccs(n, succ)]
-        seen["self-loop"] += sum(v in row for v, row in enumerate(succ[:n - sinks]))
-        seen["trivial SCC"] += sum(len(c) == 1 and c[0] not in succ[c[0]] for c in sccs)
-        assert sorted(_winners_by_scc(pg, sccs)) == sorted(_solve_all(pg)[0]), pg
+        rows = random_level_rows(rng, seen)
+        m = len(rows) - 2
+        pg = ParityGame(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0),
+                        tuple(rng.randint(0, 5) for _ in range(m)) + (0, 1), rows, 0)
+        whole = frozenset(v for v in _solve_all(pg)[0] if v < m)
+        assert _sink_first_winners(pg, solve_rest) == whole, pg
+    seen["sinks decide all"] = 3000 - seen["rest solved"]
     assert min(seen.values()) >= 1000, seen
     for game, bound in layered_corpus():
         res = decide_bounded_cost(game, bound)
         eager = eager_parity_levels(game, res.bound)
         assert [w for w, in res.iterates] == [w for w, _, _ in eager]
+
+
+def test_parity_decisions_compute_no_sccs(monkeypatch):
+    """A parity decision never computes SCCs, and on one fixed QBF
+    decision it calls ``_zielonka`` and ``_attractor`` no more often
+    than the SCC-by-SCC solve did (10 times each)."""
+    def no_sccs(*args):
+        raise AssertionError("a parity decision computed SCCs")
+
+    monkeypatch.setattr(semantics, "_sccs", no_sccs)
+    assert not hasattr(solver, "_sccs")
+    calls = Counter()
+    for name in ("_zielonka", "_attractor"):
+        def spy(*args, _name=name, _original=getattr(solver, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(solver, name, spy)
+    inst = qbf_to_game(QbfFormula(("e", "e", "a"), ((-3, -2, 3), (-3, -2, 2), (3, -1, 3),
+                                                   (-2, -1, 1), (1, -1, 1))))
+    res = decide_bounded_cost(inst.game, inst.target_bound)
+    assert res.achievable and res.product_states == 1030 and len(res.iterates) == 2
+    assert calls["_zielonka"] <= 10 and calls["_attractor"] <= 10, calls
+    for game, bound in layered_corpus():
+        decide_bounded_cost(game, bound)
 
 
 def test_moves_on_demand_equal_the_eager_solve():

@@ -1,23 +1,26 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from conftest import (bisected_cost, brute_streett_winner, direct_tracked_product,
                       flat_streett_certificate, random_cost_game, random_cost_streett,
-                      random_strategy, random_streett_game, streett_initial_r, streett_step,
-                      streett_strategy_product, tracker_queries)
+                      random_level_rows, random_strategy, random_streett_game,
+                      streett_initial_r, streett_step, streett_strategy_product,
+                      tracker_queries)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat)
 from costparity.core import DEAD_MEMORY
 from costparity.reduction import Tracker, _LevelProduct
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
-                                StreettPair, StreettTracker, build_streett_reduction,
-                                decide_bounded_cost_streett, format_cst,
+                                StreettPair, StreettTracker, _StreettLevels,
+                                build_streett_reduction, decide_bounded_cost_streett, format_cst,
                                 optimal_cost_streett, parse_cst, solve_streett,
                                 stcor, streett_regime_cap, streett_from_cost_parity,
                                 streett_play_cost, streett_spoiler_cost,
                                 streett_strategy_cost, validate_streett_game)
 from costparity.generators import streett_counter_family
+from costparity.solver import _sink_first_winners
 
 
 def tiny_streett(pairs, edges, owners, initial=0):
@@ -217,6 +220,44 @@ def test_layered_streett_winners_equal_flat_at_every_state():
             count, below = _levels_against_flat(g, b)
             states, served = states + count, served + below
     assert served > 0 and states > served
+
+
+def test_sink_first_winners_equal_the_whole_streett_solve(monkeypatch):
+    """Sink-first winners against ``solve_streett(sg).win0``: on seeded
+    random level-shaped Streett games (the won sink requests nothing,
+    the lost sink requests a pair nothing answers), both where the sinks
+    decide every node and where a rest is left; and at every level the
+    counter family's decisions solve, with a rest left at some."""
+    rng = random.Random(83)
+    seen = Counter()
+    original = _StreettLevels.solve_rest
+
+    def solve_rest(sg, rest, active):
+        seen["rest solved"] += 1
+        return original(sg, rest, active)
+
+    for _ in range(1500):
+        rows = random_level_rows(rng, seen)
+        m = len(rows) - 2
+        d = rng.randint(1, 2)
+        q, p = ([frozenset(v for v in range(m) if rng.random() < 0.4) for _ in range(d)]
+                for _ in range(2))
+        sg = StreettGame(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0), rows,
+                         tuple(q) + (frozenset({m + 1}),), tuple(p) + (frozenset(),), 0)
+        whole = frozenset(v for v in solve_streett(sg).win0 if v < m)
+        assert _sink_first_winners(sg, solve_rest) == whole, sg
+    seen["sinks decide all"] = 1500 - seen["rest solved"]
+    assert min(seen.values()) >= 500, seen
+    monkeypatch.setattr(_StreettLevels, "solve_rest", staticmethod(solve_rest))
+    seen["rest solved"] = 0
+    for d, bounds in ((1, (3, 4, 5, 6)), (2, (9, 10, 11, 12))):
+        g = streett_counter_family(d).game
+        for b in bounds:
+            res = decide_bounded_cost_streett(g, b)
+            for k, (won,) in enumerate(res.iterates):
+                sg = res.classical_game(*res._level_game(res.prev(k)))
+                assert won == frozenset(v for v in solve_streett(sg).win0 if v < res.size)
+    assert seen["rest solved"] > 0
 
 
 def test_budget_caps_the_decision_and_the_certificate(monkeypatch):
