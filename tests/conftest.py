@@ -289,6 +289,43 @@ def unrolled_play_cost(game, lasso: Lasso, horizon_factor: int = 4):
     return max(cor_at(j) for j in range(start, start + c))
 
 
+def unrolled_streett_play_cost(game, lasso: Lasso, horizon_factor: int = 4):
+    """limsup of StCor computed on a long explicit unrolling, pair by
+    pair: each pair's own edge costs from a position that requests it
+    (and does not answer it on the spot) to the pair's next answer."""
+    p, c = len(lasso.prefix), len(lasso.cycle)
+    start = p + horizon_factor * c
+    horizon = start + 3 * c
+    costs = {(e.source, e.target): e.costs for e in game.edges}
+
+    def pair_cor_at(j, i, pair):
+        v = lasso.vertex_at(j)
+        if v not in pair.requests or v in pair.answers:
+            return 0
+        total = 0
+        for k in range(j, horizon + 2 * c):
+            if k > j and lasso.vertex_at(k) in pair.answers:
+                return total
+            total += costs[(lasso.vertex_at(k), lasso.vertex_at(k + 1))][i]
+        return INF
+
+    return max(pair_cor_at(j, i, pair) for j in range(start, start + c)
+               for i, pair in enumerate(game.pairs))
+
+
+def random_lasso(rng, game, most: int = 7):
+    """A lasso of ``game`` from a random walk of 1..``most`` steps from
+    the initial vertex, closed at the walk's last vertex where it first
+    occurred; None when that vertex occurs only once."""
+    walk = [game.initial]
+    for _ in range(rng.randint(1, most)):
+        walk.append(rng.choice(game.successors[walk[-1]])[0])
+    first = walk.index(walk[-1])
+    if first == len(walk) - 1:
+        return None
+    return Lasso(tuple(walk[:first]), tuple(walk[first:-1]))
+
+
 # --- oracle: parity winner by positional enumeration --------------------------
 
 def brute_parity_winner(owners, colors, succ, initial) -> int:
