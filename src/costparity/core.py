@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 UNARY = "unary"
@@ -44,8 +45,42 @@ class Edge:
     cost: int
 
 
+class _Arena:
+    """The views that a CostGame and a CostStreettGame derive alike from
+    their vertices and edges.  A subclass says how an edge's cost reads
+    (``_cost``) and what its update keys hold as cost (``_key_cost``)."""
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.vertices)
+
+    @cached_property
+    def owner(self) -> dict[int, int]:
+        return {v.id: v.owner for v in self.vertices}
+
+    @cached_property
+    def successors(self) -> dict[int, tuple]:
+        """id → ((target, cost), ...), targets in ascending order."""
+        out: dict[int, list] = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            if e.source in out:
+                out[e.source].append((e.target, self._cost(e)))
+        return {u: tuple(sorted(ts)) for u, ts in out.items()}
+
+    @cached_property
+    def edge_cost(self) -> dict[tuple[int, int], object]:
+        """(source, target) → the edge's cost."""
+        return {(e.source, e.target): self._cost(e) for e in self.edges}
+
+    @cached_property
+    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        """(source, target) → the key a strategy's update table uses for
+        the edge: (source, key cost, target), in edge order."""
+        return {(e.source, e.target): (e.source, self._key_cost(e), e.target) for e in self.edges}
+
+
 @dataclass(frozen=True)
-class CostGame:
+class CostGame(_Arena):
     """Arena with coloring Ω (on vertices) and cost function (on edges).
 
     ``encoding`` selects the solver regime: ``unary`` games carry only
@@ -58,36 +93,11 @@ class CostGame:
     initial: int
     encoding: str = UNARY
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.vertices)
+    _cost = _key_cost = staticmethod(attrgetter("cost"))
 
     @cached_property
     def color(self) -> dict[int, int]:
         return {v.id: v.color for v in self.vertices}
-
-    @cached_property
-    def owner(self) -> dict[int, int]:
-        return {v.id: v.owner for v in self.vertices}
-
-    @cached_property
-    def successors(self) -> dict[int, tuple[tuple[int, int], ...]]:
-        """id → ((target, cost), ...), targets in ascending order."""
-        out: dict[int, list[tuple[int, int]]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            if e.source in out:
-                out[e.source].append((e.target, e.cost))
-        return {u: tuple(sorted(ts)) for u, ts in out.items()}
-
-    @cached_property
-    def edge_cost(self) -> dict[tuple[int, int], int]:
-        return {(e.source, e.target): e.cost for e in self.edges}
-
-    @cached_property
-    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        """(source, target) → the key a strategy's update table uses for
-        the edge: (source, cost, target), in edge order."""
-        return {(e.source, e.target): (e.source, e.cost, e.target) for e in self.edges}
 
     @cached_property
     def odd_colors(self) -> tuple[int, ...]:
@@ -255,8 +265,21 @@ def export_dot(game: CostGame) -> str:
 # line 1:  costparity <n> <initial-id> <encoding>
 # then n lines:  <id> <color> <owner> <succ:cost>[,<succ:cost>...] [# comment]
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+def _read_header(text: str, suffix: str, magic: str, fields,
+                 bad: str = "bad header") -> tuple[list, list[str]]:
+    """The fields of the header ``<magic> <f1> <f2> <f3>`` of a .cpg, .cst or .strat
+    text, read by the callables ``fields`` (``bad`` begins the message if one
+    fails), and the non-blank lines, comments stripped, the header first."""
+    lines = [s for s in (l.split("#", 1)[0].strip() for l in text.splitlines()) if s]
+    if not lines:
+        raise FormatError(f"empty {suffix} file")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] != magic:
+        raise FormatError(f"bad header: {lines[0]!r}")
+    try:
+        return [read(f) for read, f in zip(fields, head[1:])], lines
+    except ValueError as exc:
+        raise FormatError(f"{bad}: {lines[0]!r}") from exc
 
 
 def _parse_vertex_line(line: str, parse_cost) -> tuple[Vertex, list[tuple[int, object]]]:
@@ -282,17 +305,8 @@ def _parse_vertex_line(line: str, parse_cost) -> tuple[Vertex, list[tuple[int, o
 
 
 def parse_cpg(text: str) -> CostGame:
-    lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
-    if not lines:
-        raise FormatError("empty .cpg file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "costparity":
-        raise FormatError(f"bad header: {lines[0]!r}")
-    try:
-        n, initial = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError(f"bad header numbers: {lines[0]!r}") from exc
-    encoding = head[3]
+    (n, initial, encoding), lines = _read_header(text, ".cpg", "costparity", (int, int, str),
+                                                 "bad header numbers")
     if encoding not in (UNARY, BINARY):
         raise FormatError(f"unknown encoding {encoding!r}")
     if len(lines) - 1 != n:
@@ -335,16 +349,7 @@ def format_strat(strat: StrategySpec) -> str:
 
 
 def parse_strat(text: str) -> StrategySpec:
-    lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
-    if not lines:
-        raise FormatError("empty .strat file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "strategy":
-        raise FormatError(f"bad header: {lines[0]!r}")
-    try:
-        player, nstates, initial = int(head[1]), int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise FormatError(f"bad header: {lines[0]!r}") from exc
+    (player, nstates, initial), lines = _read_header(text, ".strat", "strategy", (int,) * 3)
     update: dict[tuple[int, tuple[int, int, int]], int] = {}
     next_move: dict[tuple[int, int], int] = {}
     for line in lines[1:]:

@@ -67,40 +67,54 @@ def cor(game: CostGame, lasso: Lasso, j: int) -> CostValue:
     j must lie in the canonical range [0, |prefix|+|cycle|); later
     positions repeat one of these by periodicity.
     """
+    return _cost_of_response(game, lasso, j, _shared_cost)
+
+
+def _shared_cost(cost: int, c: int) -> int:
+    return cost  # every pair of a parity game reads the edge's one cost
+
+
+def _cost_of_response(game, lasso: Lasso, j: int, pair_cost) -> CostValue:
+    """Max over the pairs c opened at position j (``request_mask`` less
+    ``answer_mask``) of the summed ``pair_cost(edge cost, c)`` up to the
+    next vertex answering c, ∞ if none does; ``game`` is a CostGame or a
+    CostStreettGame.  An answer, if any, occurs within one further full
+    cycle unrolling."""
     validate_lasso(game, lasso)
     if not 0 <= j < len(lasso):
         raise ValueError(f"position {j} outside canonical range [0, {len(lasso)})")
-    color = game.color
-    request = color[lasso.vertex_at(j)]
-    if answers(request, color[lasso.vertex_at(j)]):
-        return 0
-    costs = game.edge_cost
-    return _response_cost(lasso, j, lambda u, w: costs[(u, w)],
-                          lambda w: answers(request, color[w]))
-
-
-def _response_cost(lasso: Lasso, j: int, cost, answered) -> CostValue:
-    """Summed ``cost(u, w)`` from position j to the first later vertex
-    w with ``answered(w)``; ∞ if there is none.  An answer, if any,
-    occurs within one further full cycle unrolling."""
-    total = 0
-    for k in range(j, j + len(lasso) + len(lasso.cycle)):
-        u, w = lasso.vertex_at(k), lasso.vertex_at(k + 1)
-        total += cost(u, w)
-        if answered(w):
-            return total
-    return INF
+    amask, costs = game.answer_mask, game.edge_cost
+    v = lasso.vertex_at(j)
+    opened = game.request_mask[v] & ~amask[v]
+    worst: CostValue = 0
+    for c in range(game.d):
+        if not opened >> c & 1:
+            continue
+        total = 0
+        for k in range(j, j + len(lasso) + len(lasso.cycle)):
+            u, w = lasso.vertex_at(k), lasso.vertex_at(k + 1)
+            total += pair_cost(costs[(u, w)], c)
+            if amask[w] >> c & 1:
+                break
+        else:
+            return INF
+        worst = max(worst, total)
+    return worst
 
 
 def play_cost(game: CostGame, lasso: Lasso) -> CostValue:
-    """limsup of Cor over positions = max of Cor over one cycle period.
+    """limsup of Cor over positions = max of Cor over one cycle period."""
+    return _limsup(game, lasso, _shared_cost)
 
-    Prefix positions occur once and are ignored by the limsup; each cycle
-    position recurs with the same cost-of-response forever.
-    """
+
+def _limsup(game, lasso: Lasso, pair_cost) -> CostValue:
+    """limsup of ``_cost_of_response`` over positions = its max over one
+    cycle period: prefix positions occur once, and each cycle position
+    recurs with the same cost-of-response forever."""
     validate_lasso(game, lasso)
     p = len(lasso.prefix)
-    return max(cor(game, lasso, p + i) for i in range(len(lasso.cycle)))
+    return max(_cost_of_response(game, lasso, p + i, pair_cost)
+               for i in range(len(lasso.cycle)))
 
 
 # --- strategy cost ----------------------------------------------------------

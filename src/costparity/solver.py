@@ -359,6 +359,8 @@ class BoundedCostResult(_LevelProduct):
         winners it returns with the pair must be the stored ones."""
         kept = self._solved.get(k)
         if kept is None:
+            # solved whole: the sinks' attractor moves plus the rest's
+            # strategies grew optimal certificates 25–54 times (README)
             prev = self.prev(k)
             won, kept = self.solve_whole(*self._level_game(prev), prev)
             if won != self.iterates[k][0]:
@@ -408,8 +410,8 @@ class _ParityLevels(BoundedCostResult):
     @cached_property
     def certificate(self) -> StrategySpec:
         if self.achievable:
-            return extract_player0_strategy(self.game, self.bound, self)
-        return extract_player1_strategy(self.game, self.bound, self)
+            return extract_player0_strategy(self)
+        return extract_player1_strategy(self)
 
 
 def clamp_bound(game: CostGame, bound: int) -> int:
@@ -432,10 +434,11 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     return _ParityLevels(game, clamp_bound(game, bound), product_budget)
 
 
-def extract_player0_strategy(game: CostGame, bound: int, info) -> StrategySpec:
-    """Finite-state strategy from a won quotient: memory is the closure
-    of the tracking states under Upd, next moves project the positional
-    product strategy."""
+def extract_player0_strategy(levels: BoundedCostResult) -> StrategySpec:
+    """Finite-state strategy from a won decision on a cost-parity game:
+    memory is the closure of the tracking states under Upd, next moves
+    project the positional product strategy."""
+    game, bound = levels.game, levels.bound
     tr = Tracker(game, bound)
 
     def upd(label, ek):
@@ -445,7 +448,7 @@ def extract_player0_strategy(game: CostGame, bound: int, info) -> StrategySpec:
 
     def nxt(v, label):
         o, r = label
-        move = info.move(0, v, o, r)
+        move = levels.move(0, v, o, r)
         if move is None:
             move = game.successors[v][0][0]
         return move
@@ -460,7 +463,7 @@ def extract_player0_strategy(game: CostGame, bound: int, info) -> StrategySpec:
     return strat
 
 
-def extract_player1_strategy(game: CostGame, bound: int, info) -> StrategySpec:
+def extract_player1_strategy(levels: BoundedCostResult) -> StrategySpec:
     """Spoiler strategy with the overflow counter reset to the least
     value from which the product strategy still wins.
 
@@ -468,8 +471,8 @@ def extract_player1_strategy(game: CostGame, bound: int, info) -> StrategySpec:
     restarts at o_v = min{o : (v, o, r_v) reachable under the product
     strategy} instead of incrementing (see ``core._reset_spoiler``).
     """
-    return _reset_spoiler(game, Tracker(game, bound),
-                          lambda v, o, r: info.move(1, v, o, r))
+    return _reset_spoiler(levels.game, Tracker(levels.game, levels.bound),
+                          lambda v, o, r: levels.move(1, v, o, r))
 
 
 # --- finite-duration engine ---------------------------------------------------
@@ -556,17 +559,26 @@ class OptimalResult:
 
 def optimal_cost(game: CostGame, *,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
-    """Least b with an achievable bound, searched upward from 0 up to
-    the cap (``core._least_bound``), which monotonicity of achievability
-    in b justifies.  Only the products the search probes are built; the
-    cap's is built only when no smaller bound is achievable, and then
-    its decision gives Player 1's certificate."""
+    """Least b with an achievable bound, up to the regime cap
+    (``_least_achievable``); only the products the search probes are built."""
     require_valid(game)
+    cap = clamp_bound(game, 10 ** 18)
+    return _least_achievable(
+        lambda b: decide_bounded_cost(game, b, product_budget=product_budget), cap, cap)
 
+
+def _least_achievable(decide, cap: int, regime_cap: int) -> OptimalResult:
+    """Least b ≤ ``cap`` with ``decide(b)`` achievable, searched upward
+    from 0 (``core._least_bound``; achievability is monotone in b), and
+    the decision's certificate.  If the cap fails too: ∞ with the cap's
+    certificate when it is ``regime_cap``, above which bounds are
+    immaterial, else ``cap_hit``.  ``decide`` looks its decider up at
+    call time, so wrappers installed on the module see every probe."""
     def achieved(b):
-        res = decide_bounded_cost(game, b, product_budget=product_budget)
+        res = decide(b)
         return res.achievable, res
 
-    cap = clamp_bound(game, 10 ** 18)
     value, best = _least_bound(achieved, 0, cap)
+    if value is None and cap < regime_cap:
+        return OptimalResult(INF, None, True, cap)
     return OptimalResult(INF if value is None else value, best.certificate, False, cap)

@@ -22,30 +22,29 @@ synthesized strategies positional, while Player 0's nodes branch per
 pair, giving her strategies of at most d! memory, matching the known
 bounds.
 
-Certificates, verification and optimal-cost search run on the pipeline
-shared with parity games: ``core`` tabulates strategies (the
-classical solver's too, through ``StreettGame.update_key``), resets the
-spoiler's overflow counter and searches least bounds upward from 0;
-``semantics`` validates lassos and verifies strategies, given this
-module's tracker, whose step is ``reduction``'s; ``solver`` holds the
-decision and optimal-cost results.  This module adds the reductions and
-the solver.
+The rest is shared with parity games: ``core`` derives the arena's
+views and tabulates strategies (the classical solver's too, through
+``StreettGame.update_key``); ``semantics`` evaluates lassos and
+verifies strategies, given this module's tracker, whose step is
+``reduction``'s; ``solver`` runs the layered decisions and the one
+optimal-cost search.  This module adds the reductions and the solver.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
-                   Vertex, _least_bound, _parse_vertex_line, _reset_spoiler, _strip_comment,
+                   Vertex, _Arena, _parse_vertex_line, _read_header, _reset_spoiler,
                    strategy_from_functions, strategy_from_product)
 from .reduction import _LevelProduct, _MemoizedStep
-from .semantics import INF, Lasso, _response_cost, _verified_cost, validate_lasso
-from .solver import (BoundedCostResult, OptimalResult, _attractor, _predecessors,
-                     _progress_moves)
+from .semantics import INF, Lasso, _cost_of_response, _limsup, _verified_cost
+from .solver import (BoundedCostResult, OptimalResult, _attractor, _least_achievable,
+                     _predecessors, _progress_moves)
 
 
 @dataclass(frozen=True)
@@ -62,41 +61,23 @@ class StreettEdge:
 
 
 @dataclass(frozen=True)
-class CostStreettGame:
+class CostStreettGame(_Arena):
     vertices: tuple[Vertex, ...]  # colors unused, conventionally 0
     edges: tuple[StreettEdge, ...]
     pairs: tuple[StreettPair, ...]
     initial: int
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.vertices)
+    @staticmethod
+    def _cost(e: StreettEdge) -> tuple[int, ...]:
+        return tuple(e.costs)
+
+    @staticmethod
+    def _key_cost(e: StreettEdge) -> int:
+        return 0
 
     @property
     def d(self) -> int:
         return len(self.pairs)
-
-    @cached_property
-    def owner(self) -> dict[int, int]:
-        return {v.id: v.owner for v in self.vertices}
-
-    @cached_property
-    def successors(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        out: dict[int, list] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.source].append((e.target, tuple(e.costs)))
-        return {u: tuple(sorted(ts)) for u, ts in out.items()}
-
-    @cached_property
-    def edge_cost(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(source, target) → the edge's costs, one per pair."""
-        return {(e.source, e.target): tuple(e.costs) for e in self.edges}
-
-    @cached_property
-    def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        """(source, target) → the key a strategy's update table uses for
-        the edge: (source, 0, target), in edge order."""
-        return {(e.source, e.target): (e.source, 0, e.target) for e in self.edges}
 
     @cached_property
     def max_cost(self) -> int:
@@ -209,31 +190,12 @@ def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
     """max over pairs of the cost (under that pair's cost function) from
     position j to the first later answer of a request opened there; 0 if
     nothing is opened, ∞ if some opened request is never answered."""
-    validate_lasso(game, lasso)
-    if not 0 <= j < len(lasso):
-        raise ValueError(f"position {j} outside canonical range [0, {len(lasso)})")
-    v = lasso.vertex_at(j)
-    opened = game.request_mask[v]
-    if not opened:
-        return 0
-    worst: float = 0
-    costs = game.edge_cost
-    amask = game.answer_mask
-    for c in range(game.d):
-        if not opened >> c & 1:
-            continue
-        if amask[v] >> c & 1:
-            continue  # answered on the spot with cost 0
-        worst = max(worst, _response_cost(lasso, j, lambda u, w: costs[(u, w)][c],
-                                          lambda w: amask[w] >> c & 1))
-    return worst
+    return _cost_of_response(game, lasso, j, operator.getitem)
 
 
 def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
     """limsup of StCor over positions = max over one cycle period."""
-    validate_lasso(game, lasso)
-    p = len(lasso.prefix)
-    return max(stcor(game, lasso, p + i) for i in range(len(lasso.cycle)))
+    return _limsup(game, lasso, operator.getitem)
 
 
 # --- per-pair request tracking ------------------------------------------------
@@ -608,8 +570,8 @@ class _StreettLevels(BoundedCostResult):
     @cached_property
     def certificate(self) -> StrategySpec:
         if self.achievable:
-            return _compose_p0_certificate(self, self.bound)
-        return _extract_p1_certificate(self, self.bound)
+            return _compose_p0_certificate(self)
+        return _extract_p1_certificate(self)
 
 
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
@@ -622,7 +584,7 @@ def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
     return _StreettLevels(game, min(bound, streett_regime_cap(game)), budget)
 
 
-def _compose_p0_certificate(levels: BoundedCostResult, bound: int) -> StrategySpec:
+def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
     """Tracking memory × the memory of Player 0's cell in the level
     game that serves the overflow counter, with next moves projected.
 
@@ -632,7 +594,7 @@ def _compose_p0_certificate(levels: BoundedCostResult, bound: int) -> StrategySp
     that move to the won sink, so j is won there.
     """
     game = levels.game
-    tr = StreettTracker(game, bound)
+    tr = StreettTracker(game, levels.bound)
     index = levels.index
     cells = {game.n: None}  # o → the cell of level o, looked up once
 
@@ -662,12 +624,11 @@ def _compose_p0_certificate(levels: BoundedCostResult, bound: int) -> StrategySp
     return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
 
 
-def _extract_p1_certificate(levels: BoundedCostResult, bound: int) -> StrategySpec:
+def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
     """Spoiler memory with the overflow counter reset to the least value
     reachable under the level solves' positional moves
     (``core._reset_spoiler``)."""
-    game = levels.game
-    return _reset_spoiler(game, StreettTracker(game, bound),
+    return _reset_spoiler(levels.game, StreettTracker(levels.game, levels.bound),
                           lambda v, o, r: levels.move(1, v, o, r))
 
 
@@ -696,7 +657,7 @@ def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
 def optimal_cost_streett(game: CostStreettGame, *,
                          practical_cap: Optional[int] = None,
                          budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
-    """Least achievable bound, searched upward from 0 (``core._least_bound``).
+    """Least achievable bound, searched upward from 0 (``solver._least_achievable``).
 
     The theoretical cap nW·2^d·(2d)! is astronomically large, so the
     search stops at a practical cap (default n·W·2^d) and reports
@@ -704,18 +665,11 @@ def optimal_cost_streett(game: CostStreettGame, *,
     then exceeds the cap but Player 0 is not proven to lose.
     """
     require_valid_streett(game)
+    regime_cap = streett_regime_cap(game)
     cap = practical_cap if practical_cap is not None else \
         game.n * max(1, game.max_cost) * 2 ** game.d
-    cap = min(cap, streett_regime_cap(game))
-
-    def achieved(b):
-        res = decide_bounded_cost_streett(game, b, budget=budget)
-        return res.achievable, res
-
-    value, best = _least_bound(achieved, 0, cap)
-    if value is None and cap < streett_regime_cap(game):
-        return OptimalResult(INF, None, True, cap)
-    return OptimalResult(INF if value is None else value, best.certificate, False, cap)
+    return _least_achievable(lambda b: decide_bounded_cost_streett(game, b, budget=budget),
+                             min(cap, regime_cap), regime_cap)
 
 
 # --- bridges and file format -------------------------------------------------------
@@ -738,16 +692,7 @@ def streett_from_cost_parity(game: CostGame) -> CostStreettGame:
 
 
 def parse_cst(text: str) -> CostStreettGame:
-    lines = [s for s in (_strip_comment(l) for l in text.splitlines()) if s]
-    if not lines:
-        raise FormatError("empty .cst file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "coststreett":
-        raise FormatError(f"bad header: {lines[0]!r}")
-    try:
-        n, initial, d = int(head[1]), int(head[2]), int(head[3])
-    except ValueError as exc:
-        raise FormatError(f"bad header: {lines[0]!r}") from exc
+    (n, initial, d), lines = _read_header(text, ".cst", "coststreett", (int,) * 3)
     if len(lines) != 1 + n + d:
         raise FormatError(f"expected {n} vertex and {d} pair lines")
     vertices: list[Vertex] = []
