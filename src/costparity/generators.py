@@ -11,9 +11,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import (BINARY, UNARY, CostGame, FormatError, StrategySpec, Vertex,
-                   make_game, require_valid, strategy_from_functions)
+from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame,
+                   FormatError, StrategySpec, Vertex, make_game, require_valid,
+                   strategy_from_functions)
 from .streett import CostStreettGame, StreettEdge, StreettPair, require_valid_streett
+
+
+FAMILY_TABLE_BUDGET = 2 * DEFAULT_PRODUCT_BUDGET  # see _require_family_budget
 
 
 @dataclass(frozen=True)
@@ -348,18 +352,13 @@ def _p0_arena(d: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]
     return vertices, edges, role, entries[0]
 
 
-def _incseq_states(d: int, j: int) -> list[tuple[int, ...]]:
-    """IncSeq_d^j: non-decreasing odd sequences ending in the 2d−1
-    plateau, with at most j−1 entries below 2d−1."""
-    import itertools
-
-    top = 2 * d - 1
-    smaller = [2 * i + 1 for i in range(d - 1)]
-    out = []
-    for k in range(j):
-        for combo in itertools.combinations(smaller, k):
-            out.append(tuple(combo) + (top,) * (d - k))
-    return sorted(out)
+def _require_family_budget(game, sizes) -> None:
+    """Before any table is built, the family's claimed states × |E| update
+    entries fit ``FAMILY_TABLE_BUDGET``, which admits every family up to d = 11."""
+    entries = sum(sizes) * len(game.edges)
+    if entries > FAMILY_TABLE_BUDGET:
+        raise BudgetExceededError(f"reference strategies need {entries} update entries "
+                                  f"together, budget {FAMILY_TABLE_BUDGET}")
 
 
 def _p0_strategy(d: int, j: int, game: CostGame,
@@ -397,6 +396,16 @@ def _p0_strategy(d: int, j: int, game: CostGame,
     return strategy_from_functions(game, 0, m_init, upd, nxt)
 
 
+def _p0_references(d: int, game: CostGame, role, cost) -> tuple[ReferenceStrategy, ...]:
+    """σ_1, …, σ_d; σ_j claims cost ``cost(j)`` and |IncSeq_d^j| states, the odd
+    sequences ending in the 2d−1 plateau with at most j−1 entries below it:
+    one per set of k < j of the d−1 odd numbers below 2d−1, ascending."""
+    sizes = [sum(math.comb(d - 1, k) for k in range(j)) for j in range(1, d + 1)]
+    _require_family_budget(game, sizes)
+    return tuple(ReferenceStrategy(f"sigma{j}", _p0_strategy(d, j, game, role), cost(j), size)
+                 for j, size in enumerate(sizes, 1))
+
+
 def p0_memory_family(d: int) -> GeneratedInstance:
     """The d-odd-color family where playing at cost d²+2d needs 2^{d−1}
     memory; σ_j trades cost d²+3d−j for |IncSeq_d^j| states."""
@@ -405,12 +414,8 @@ def p0_memory_family(d: int) -> GeneratedInstance:
     vertices, raw_edges, role, initial = _p0_arena(d)
     game = make_game(vertices, [(u, v, 1) for u, v in raw_edges], initial, UNARY)
     require_valid(game)
-    refs = []
-    for j in range(1, d + 1):
-        strat = _p0_strategy(d, j, game, role)
-        refs.append(ReferenceStrategy(
-            f"sigma{j}", strat, d * d + 3 * d - j, len(_incseq_states(d, j))))
-    return GeneratedInstance("p0mem", d, game, d * d + 2 * d, tuple(refs))
+    return GeneratedInstance("p0mem", d, game, d * d + 2 * d,
+                             _p0_references(d, game, role, lambda j: d * d + 3 * d - j))
 
 
 def binary_tradeoff_family(d: int) -> GeneratedInstance:
@@ -443,15 +448,8 @@ def binary_tradeoff_family(d: int) -> GeneratedInstance:
         edges.append((u, v, w))
     game = make_game(vertices, edges, initial, BINARY)
     require_valid(game)
-    refs = []
-    for j in range(1, d + 1):
-        strat = _p0_strategy(d, j, game, role)
-        refs.append(ReferenceStrategy(
-            f"sigma{j}", strat,
-            (d + 1) * 2 ** d + d * 2 ** (d - 1) - 2 ** j,
-            len(_incseq_states(d, j))))
-    return GeneratedInstance("bintrade", d, game,
-                             (d + 1) * 2 ** d + (d - 2) * 2 ** (d - 1), tuple(refs))
+    refs = _p0_references(d, game, role, lambda j: (d + 1) * 2 ** d + d * 2 ** (d - 1) - 2 ** j)
+    return GeneratedInstance("bintrade", d, game, (d + 1) * 2 ** d + (d - 2) * 2 ** (d - 1), refs)
 
 
 # --- Player 1 memory / tradeoff families -----------------------------------------
@@ -560,6 +558,7 @@ def p1_memory_family(d: int) -> GeneratedInstance:
     vertices, raw_edges, info, v_init = _p1_arena(d)
     game = make_game(vertices, [(u, v, 1) for u, v in raw_edges], v_init, UNARY)
     require_valid(game)
+    _require_family_budget(game, [2 ** d])
     upd, make_nxt = _p1_strategy_functions(d, info, v_init)
     tau = strategy_from_functions(game, 1, 0, upd, make_nxt(game))
     bound = 5 * (d - 1) + 7
@@ -585,6 +584,7 @@ def p1_tradeoff_family(d: int) -> GeneratedInstance:
         base += len(vs)
     game = make_game(vertices, [(u, v, 1) for u, v in edges], 0, UNARY)
     require_valid(game)
+    _require_family_budget(game, [2 ** jj for jj, _, _ in sub])
     refs = []
     for jj, info, v_init in sub:
         upd_j, make_nxt_j = _p1_strategy_functions(jj, info, v_init)

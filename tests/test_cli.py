@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -398,3 +399,18 @@ def test_qbf_certificate_solves_and_verifies(tmp_path, text, achievable):
     code, out, err = invoke("verify", "--strategy", cert, game)
     cost = int(out.split()[1])
     assert code == 0 and err == "" and (cost <= bound if achievable else cost > bound)
+
+
+@pytest.mark.parametrize("family", ["p0mem", "bintrade"])
+def test_generate_family_budget_ends_at_once(tmp_path, family):
+    # at d=12 each reference strategy fits the per-table budget, but the
+    # twelve need 15,015,936 update entries together: refused before
+    # any table is built, so nothing is written
+    gen = tmp_path / "gen"
+    start = time.process_time()
+    code, out, err = invoke("generate", family, "--d", "12", "--outdir", str(gen))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: budget: reference strategies need 15015936 "
+                                "update entries together, budget 10000000"]
+    assert not gen.exists()
+    assert time.process_time() - start < 5

@@ -276,3 +276,39 @@ def test_p1_game_values_match_spoiler_bounds():
     for d in (1, 2):
         inst = p1_memory_family(d)
         assert optimal_cost(inst.game).value == 5 * (d - 1) + 7
+
+
+class _Tabulating(Exception):
+    """Raised in place of the first strategy table a family builds."""
+
+
+@pytest.mark.parametrize("family, d, refused", [
+    (p0_memory_family, 11, False), (binary_tradeoff_family, 11, False),
+    (p1_memory_family, 11, False), (p1_tradeoff_family, 11, False),
+    (p0_memory_family, 12, True), (binary_tradeoff_family, 12, True),
+    (p1_memory_family, 12, False), (p1_tradeoff_family, 12, True),
+])
+def test_family_budget_is_checked_before_any_table(monkeypatch, family, d, refused):
+    # the reference strategies' claimed states × |E|, summed: 5,812,224
+    # (p0mem, bintrade) and 6,079,590 (p1trade) at d=11, 15,015,936 and
+    # 14,398,020 at d=12, against a family budget of 10^7
+    from costparity import BudgetExceededError, generators
+
+    def tabulating(*args):
+        raise _Tabulating
+
+    monkeypatch.setattr(generators, "strategy_from_functions", tabulating)
+    with pytest.raises(BudgetExceededError if refused else _Tabulating) as info:
+        family(d)
+    if refused:
+        assert str(info.value).endswith("update entries together, budget 10000000")
+
+
+def test_incseq_sizes_in_closed_form():
+    # the claimed size of σ_j, |IncSeq_d^j| in closed form, is the size
+    # of the table built, beyond the d ≤ 3 that the cost checks reach;
+    # σ_d needs the 2^(d−1) states of the paper's lower bound
+    for d in range(1, 7):
+        refs = p0_memory_family(d).reference_strategies
+        assert [r.claimed_size for r in refs] == [r.strategy.size for r in refs]
+        assert refs[-1].claimed_size == 2 ** (d - 1)
