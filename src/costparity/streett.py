@@ -693,7 +693,7 @@ def streett_from_cost_parity(game: CostGame) -> CostStreettGame:
 
 def parse_cst(text: str) -> CostStreettGame:
     (n, initial, d), lines = _read_header(text, ".cst", "coststreett", (int,) * 3)
-    if len(lines) != 1 + n + d:
+    if n < 0 or len(lines) != 1 + n + d:
         raise FormatError(f"expected {n} vertex and {d} pair lines")
     vertices: list[Vertex] = []
     edges: list[StreettEdge] = []

@@ -414,3 +414,15 @@ def test_generate_family_budget_ends_at_once(tmp_path, family):
                                 "update entries together, budget 10000000"]
     assert not gen.exists()
     assert time.process_time() - start < 5
+
+
+@pytest.mark.parametrize("text", ["coststreett -2 0 3\npair 0 Q: P:\n", "coststreett -1 0 1\n"])
+def test_negative_vertex_count_in_cst_is_a_format_error(tmp_path, text):
+    # a negative count once sliced the pair lines out of the header and
+    # left pairs unset, which ended in an AttributeError traceback
+    path = tmp_path / "neg.cst"
+    path.write_text(text)
+    code, out, err = invoke("validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: format: {path}: expected {text.split()[1]} vertex "
+                                f"and {text.split()[3]} pair lines"]
