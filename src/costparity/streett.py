@@ -42,7 +42,7 @@ from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, S
                    Vertex, _Arena, _parse_vertex_line, _read_header, _reset_spoiler,
                    strategy_from_functions, strategy_from_product)
 from .reduction import _LevelProduct, _MemoizedStep
-from .semantics import INF, Lasso, _cost_of_response, _limsup, _verified_cost
+from .semantics import Lasso, _cost_of_response, _limsup, _verified_cost
 from .solver import (BoundedCostResult, OptimalResult, _attractor, _least_achievable,
                      _predecessors, _progress_moves)
 
