@@ -12,10 +12,10 @@ import random
 import pytest
 
 from costparity import QbfFormula, make_game, qbf_to_game
-from costparity.core import (DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex, _reset_spoiler,
-                             strategy_from_product)
+from costparity.core import (DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex, _least_bound,
+                             _reset_spoiler, strategy_from_product)
 from costparity.reduction import build_quotient_game
-from costparity.semantics import INF, Lasso
+from costparity.semantics import INF, Lasso, _product, _sccs
 from costparity.solver import ParityGame, _ParityLevels, _solve_all
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
                                 StreettTracker, build_streett_reduction, solve_streett)
@@ -440,6 +440,39 @@ def bisected_cost(decide, product) -> float:
         else:
             lo = mid + 1
     return lo
+
+
+# --- oracle: Player 0 strategy cost by a bound search on tracked products ---
+
+def tracked_strategy_cost(game, strat: StrategySpec, tracker_class) -> float:
+    """Cst of the Player 0 strategy ``strat`` by a bound search over
+    tracked products: ∞ if a cycle of the untracked σ-product opens some
+    pair's request and never answers it; else the least b ≤ |product|·W
+    (``core._least_bound``) at which no overflow edge of the σ-product
+    tracked by ``tracker_class(game, b)`` lies on a cycle, ∞ if none."""
+    order, rows, _ = _product(game, strat)
+    verts = [s[0] for s in order]
+    request, answer = game.request_mask, game.answer_mask
+    for c in range(game.d):
+        keep = [k for k, v in enumerate(verts) if not answer[v] >> c & 1]
+        pos = {k: i for i, k in enumerate(keep)}
+        sub = [[pos[j] for j in rows[k] if j in pos] for k in keep]
+        for comp in _sccs(len(sub), sub):
+            cyclic = len(comp) > 1 or comp[0] in sub[comp[0]]
+            if cyclic and any(request[verts[keep[i]]] >> c & 1 for i in comp):
+                return INF
+
+    def fits(b):
+        order, rows, ovf = _product(game, strat, tracker_class(game, b))
+        comp_of = [0] * len(order)
+        for k, comp in enumerate(_sccs(len(order), rows)):
+            for i in comp:
+                comp_of[i] = k
+        return not any(over and comp_of[i] == comp_of[j]
+                       for i, row in enumerate(rows) for j, over in zip(row, ovf[i])), None
+
+    value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
+    return INF if value is None else value
 
 
 def streett_strategy_product(game: CostStreettGame, strat: StrategySpec) -> CostStreettGame:

@@ -2,10 +2,14 @@ import random
 
 import pytest
 
-from conftest import bisected_cost, random_cost_game, random_strategy, unrolled_play_cost
-from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, make_game,
+from conftest import (bisected_cost, random_cost_game, random_cost_streett, random_strategy,
+                      tracked_strategy_cost, unrolled_play_cost)
+from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, generators, make_game,
                         optimal_cost, parse_cpg, play_cost, streett_from_cost_parity)
 from costparity.core import strategy_from_functions
+from costparity.reduction import Tracker
+from costparity.streett import (CostStreettGame, StreettTracker, decide_bounded_cost_streett,
+                                streett_strategy_cost)
 from costparity.semantics import (_sccs, spoiler_cost, strategy_cost, strategy_product,
                                   validate_lasso)
 
@@ -193,3 +197,54 @@ def test_sccs_are_the_reachability_classes_bottom_up():
         for v in range(n):
             assert {w for w in reach[v] if v in reach[w]} == set(comps[pos[v]])
             assert all(pos[w] <= pos[v] for w in rows[v])
+
+
+def _player0_strategies():
+    """(game, Player 0 strategy) pairs: random strategies of unary,
+    binary and cost-Streett games, optimal witnesses of random unary
+    games, the families' optimal certificates and Player 0 reference
+    strategies, and Streett counter certificates."""
+    rng = random.Random(11)
+    for i in range(1500):
+        if i % 3 == 0:
+            g = random_cost_game(rng, rng.randint(1, 4), 4)
+        elif i % 3 == 1:
+            g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
+        else:
+            g = random_cost_streett(rng)
+        yield g, random_strategy(rng, g, 0, rng.randint(1, 3))
+    rng, witnesses = random.Random(7), 0
+    while witnesses < 200:  # about 60% of these games have a finite value
+        g = random_cost_game(rng, rng.randint(3, 8), 4)
+        witness = optimal_cost(g).witness
+        witnesses += witness.player == 0
+        yield g, witness
+    for family, ds in ((generators.p0_memory_family, (2, 3)), (generators.p1_memory_family, (3, 4)),
+                       (generators.p1_tradeoff_family, (3,)),
+                       (generators.binary_tradeoff_family, (2, 3))):
+        for d in ds:
+            inst = family(d)
+            yield inst.game, optimal_cost(inst.game).witness
+            for ref in inst.reference_strategies:
+                yield inst.game, ref.strategy
+    for d, b in ((2, 11), (3, 23)):
+        g = generators.streett_counter_family(d).game
+        yield g, decide_bounded_cost_streett(g, b).certificate
+
+
+def test_player0_cost_matches_the_tracked_bound_search():
+    """Every Player 0 strategy costs what the bound search over tracked
+    products (``tracked_strategy_cost``) gives."""
+    checked = finite = 0
+    for g, strat in _player0_strategies():
+        if strat.player != 0:
+            continue
+        if isinstance(g, CostStreettGame):
+            cost, oracle = streett_strategy_cost(g, strat), tracked_strategy_cost(g, strat,
+                                                                                  StreettTracker)
+        else:
+            cost, oracle = strategy_cost(g, strat), tracked_strategy_cost(g, strat, Tracker)
+        assert cost == oracle
+        checked += 1
+        finite += cost < INF
+    assert checked >= 1700 and finite >= 900
