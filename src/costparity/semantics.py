@@ -6,14 +6,18 @@ product, so exact evaluation on lassos suffices; arbitrary infinite
 plays are not represented.
 
 Strategy costs come from one verifier for parity and Streett games,
-which never calls the solver: lasso analysis (SCC checks) on the
-strategy's one-player product, tracked at each probed bound by the
-request tracker of the game's class.
+which never calls the solver.  A Player 0 strategy's cost is the most
+cost of a response path inside the SCCs of its untracked one-player
+product, found in one pass with no bound search.  A spoiler's is the
+least bound at which Player 0 finds a good lasso (SCC checks) in its
+one-player product, tracked at each probed bound by the request
+tracker of the game's class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,7 +195,7 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
     return product, {i: (v, m) for i, (v, m, _) in enumerate(order)}
 
 
-# --- strategy cost: lasso analysis on the tracked one-player product ---------
+# --- strategy cost: response paths and lasso analysis on one-player products --
 #
 # Both game classes share this verifier: a CostGame's odd colors act as
 # Streett pairs (``CostGame.request_mask``/``answer_mask``), and the caller
@@ -254,18 +258,6 @@ def _subgraph(rows: Sequence[Sequence[int]], keep: list[int]) -> list[list[int]]
     return [[pos[j] for j in rows[i] if j in pos] for i in keep]
 
 
-def _has_unanswered_cycle(game, verts, rows) -> bool:
-    """A cycle of ``rows`` opening some pair's request and never answering
-    it; row k sits at arena vertex verts[k]."""
-    request, answer = game.request_mask, game.answer_mask
-    for c in range(game.d):
-        keep = [k for k, v in enumerate(verts) if not answer[v] >> c & 1]
-        for comp in _cyclic_sccs(len(keep), _subgraph(rows, keep)):
-            if any(request[verts[keep[k]]] >> c & 1 for k in comp):
-                return True
-    return False
-
-
 def _good_cycle(game, verts, rows) -> bool:
     """A cycle of ``rows`` on which every requested pair is also answered,
     by nested SCC decomposition; row k sits at arena vertex verts[k]."""
@@ -284,17 +276,6 @@ def _good_cycle(game, verts, rows) -> bool:
     return False
 
 
-def _overflow_cycle(game, strat: StrategySpec, tracker) -> bool:
-    """Some overflow edge of the tracked product lies on a cycle."""
-    order, rows, ovf = _product(game, strat, tracker)
-    comp_of = [0] * len(order)
-    for k, comp in enumerate(_sccs(len(order), rows)):
-        for i in comp:
-            comp_of[i] = k
-    return any(over and comp_of[i] == comp_of[j]
-               for i, row in enumerate(rows) for j, over in zip(row, ovf[i]))
-
-
 def _good_lasso(game, strat: StrategySpec, tracker) -> bool:
     """Player 0, the sole mover, reaches a cycle of the tracked product
     that takes no overflow edge and answers every pair it requests.
@@ -306,35 +287,84 @@ def _good_lasso(game, strat: StrategySpec, tracker) -> bool:
     return _good_cycle(game, [s[0] for s in order], calm)
 
 
+def _response_cost(game, verts, rows) -> CostValue:
+    """Cst of a Player 0 strategy σ off its untracked σ-product ``rows``
+    (row k at arena vertex verts[k]): the most pair-c cost of a response
+    path, over the cyclic SCCs C and the pairs c.  Such a path starts at
+    a c-request of C (``request_mask`` less ``answer_mask``), stays on
+    vertices of C that do not answer c, and ends with its first edge
+    into a c-answering vertex of C.  This is exact: a consistent play
+    ends up inside one cyclic SCC C, its prefix costs nothing under the
+    limsup, and every response path inside C can be repeated forever,
+    since C is strongly connected and σ's opponent moves alone.  The
+    cost is ∞ when a request reaches a cyclic component of C's
+    non-answering vertices that holds a request (never answered) or has
+    an edge of positive pair-c cost (taken as often as wanted).
+    best[i], the most cost from i to an answer, is filled in the order
+    ``_sccs`` emits the components, so successors come first.
+    """
+    request, answer, cost = game.request_mask, game.answer_mask, game.edge_cost
+    pair_cost = _shared_cost if isinstance(game, CostGame) else operator.getitem
+    worst: CostValue = 0
+    for comp in _cyclic_sccs(len(rows), rows):
+        inside = set(comp)
+        opened = 0
+        for k in comp:
+            opened |= request[verts[k]] & ~answer[verts[k]]
+        for c in range(game.d):
+            if not opened >> c & 1:
+                continue
+            keep = [k for k in comp if not answer[verts[k]] >> c & 1]
+            pos = {k: i for i, k in enumerate(keep)}
+            best: list = [None] * len(keep)  # None until the component is walked
+            for part in _sccs(len(keep), _subgraph(rows, keep)):
+                value, cyclic = 0, False
+                for i in part:
+                    v = verts[keep[i]]
+                    for j in rows[keep[i]]:
+                        step = pair_cost(cost[(v, verts[j])], c)
+                        y = pos.get(j)
+                        if y is None:
+                            if j in inside:  # an answer inside C
+                                value = max(value, step)
+                        elif best[y] is None:  # an edge inside the component
+                            cyclic = True
+                            if step:
+                                value = INF
+                        else:
+                            value = max(value, step + best[y])
+                for i in part:
+                    best[i] = value
+                if any(request[verts[keep[i]]] >> c & 1 for i in part):
+                    if cyclic or value == INF:
+                        return INF
+                    worst = max(worst, value)
+    return worst
+
+
 def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
     """Cst of ``strat`` in ``game`` (a CostGame or a CostStreettGame),
     with ``tracker_class`` the request tracker of its class.
 
-    A Player 0 strategy σ costs the sup over consistent plays: ∞ if a
-    cycle of the σ-product leaves a request unanswered, else the least
-    b at which no overflow edge of the b-tracked product lies on a
-    cycle.  A Player 1 strategy τ costs the inf: the least b at which
-    Player 0 finds a good lasso (``_good_lasso``), ∞ if the untracked
-    τ-product has no good cycle, since every good tracked cycle projects
-    to one.  Bounds are searched upward from 0 (``core._least_bound``),
-    and a strategy that fits no bound up to the pumping cap |product|·W
-    costs ∞.
+    A Player 0 strategy σ costs the sup over consistent plays, the most
+    cost of a response path in its untracked σ-product
+    (``_response_cost``).  A Player 1 strategy τ costs the inf: the
+    least b at which Player 0 finds a good lasso (``_good_lasso``), ∞ if
+    the untracked τ-product has no good cycle, since every good tracked
+    cycle projects to one.  Its bounds are searched upward from 0
+    (``core._least_bound``), and a τ that fits no bound up to the
+    pumping cap |product|·W costs ∞.
     """
     _require_well_formed(game, strat)
     order, rows, _ = _product(game, strat)
     verts = [s[0] for s in order]
     if strat.player == 0:
-        if _has_unanswered_cycle(game, verts, rows):
-            return INF
+        return _response_cost(game, verts, rows)
+    if not _good_cycle(game, verts, rows):
+        return INF
 
-        def fits(b):
-            return not _overflow_cycle(game, strat, tracker_class(game, b)), None
-    else:
-        if not _good_cycle(game, verts, rows):
-            return INF
-
-        def fits(b):
-            return _good_lasso(game, strat, tracker_class(game, b)), None
+    def fits(b):
+        return _good_lasso(game, strat, tracker_class(game, b)), None
     value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
     return INF if value is None else value
 

@@ -98,6 +98,55 @@ def test_strategy_cost_trivial_game():
     assert strategy_cost(g, stay_strategy(g, 0)) == 0
 
 
+
+def test_zero_cost_cycle_between_request_and_answer_is_finite(delay_won):
+    # Player 1 may idle forever on the free self-loop of vertex 1: the
+    # request before it stays open, but only in the prefix
+    assert strategy_cost(delay_won, stay_strategy(delay_won, 0)) == 2
+
+
+def test_reachable_positive_cycle_without_an_answer_is_infinite(delay_lost):
+    # the costly self-loop holds no request, but the request of vertex 0
+    # reaches it unanswered, and Player 1 loops there ever longer
+    assert strategy_cost(delay_lost, stay_strategy(delay_lost, 0)) == INF
+    # the same loop behind the answer costs nothing: the request of
+    # vertex 2 is answered on the next step
+    g = make_game([(0, 0, 2), (1, 1, 0), (2, 0, 1)],
+                  [(0, 1, 1), (1, 1, 1), (1, 2, 1), (2, 0, 1)], 0)
+    assert strategy_cost(g, stay_strategy(g, 0)) == 1
+
+
+def test_binary_strategy_cost_is_exact_at_a_large_edge_cost():
+    # Player 1 picks the dearer of two answers: 5 + 10^9
+    g = make_game([(0, 0, 1), (1, 1, 0), (2, 0, 2), (3, 0, 2)],
+                  [(0, 1, 5), (1, 2, 10**9), (1, 3, 7), (2, 0, 0), (3, 0, 0)], 0, "binary")
+    assert strategy_cost(g, stay_strategy(g, 0)) == 5 + 10**9
+
+
+def test_player0_verifiers_build_one_untracked_product(monkeypatch):
+    # one walk over the σ-product, and no tracked product at any bound
+    from costparity import semantics
+
+    built, real = [], semantics._product
+
+    def spy(game, strat, tracker=None):
+        built.append(tracker)
+        return real(game, strat, tracker)
+
+    monkeypatch.setattr(semantics, "_product", spy)
+    cases = [(strategy_cost, generators.p0_memory_family(2).game),
+             (strategy_cost, generators.binary_tradeoff_family(2).game),
+             (streett_strategy_cost, generators.streett_counter_family(1).game)]
+    for verify, g in cases:
+        if isinstance(g, CostStreettGame):
+            strat = decide_bounded_cost_streett(g, 5).certificate
+        else:
+            strat = optimal_cost(g).witness
+        assert strat.player == 0
+        built.clear()
+        assert 0 < verify(g, strat) < INF
+        assert built == [None]
+
 def test_strategy_cost_rejects_wrong_player(delay_won):
     with pytest.raises(ValueError):
         strategy_cost(delay_won, stay_strategy(delay_won, 1))
