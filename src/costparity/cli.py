@@ -9,6 +9,7 @@ memory included, uses code ``budget``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -258,13 +259,19 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first run
+
+
 def run(argv: list[str], out=None, err=None) -> int:
+    global _PARSER
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    ap = build_parser()
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
         try:
-            args = ap.parse_args(argv)
+            with contextlib.redirect_stdout(out):  # argparse prints --help there
+                args = _PARSER.parse_args(argv)
         except SystemExit as exc:  # --help
             return 0 if not exc.code else 2
         return _COMMANDS[args.command](args, out)

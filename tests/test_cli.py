@@ -262,6 +262,33 @@ def test_export_dot(delay_path):
     assert out == invoke("export", "--dot", delay_path)[1]
 
 
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: costparity "),
+                                         (["verify", "--help"], "usage: costparity verify ")])
+def test_help_goes_to_out(argv, usage, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(usage)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_parser_is_built_once(monkeypatch, delay_path):
+    from costparity import cli
+
+    built = []
+    real = cli.build_parser
+
+    def spy():
+        built.append(real())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(3):
+        assert invoke("validate", delay_path)[:2] == (0, "ok\n")
+    assert invoke("solve", delay_path)[0] == 2
+    assert len(built) == 1
+
 def test_error_protocol(tmp_path, delay_path, monkeypatch):
     code, _, err = invoke("solve", delay_path)
     assert code == 2 and err.startswith("error: usage: ")
