@@ -78,6 +78,16 @@ class _Arena:
         the edge: (source, key cost, target), in edge order."""
         return {(e.source, e.target): (e.source, self._key_cost(e), e.target) for e in self.edges}
 
+    def _require(self, validate, what: str) -> None:
+        """Raises ValueError listing ``validate(self)``'s violations, if
+        any.  A passed check is remembered, since the arena is frozen:
+        a valid arena is validated once, an invalid one on every call."""
+        if "_valid" not in vars(self):
+            report = validate(self)
+            if report:
+                raise ValueError(f"invalid {what}: " + "; ".join(report))
+            vars(self)["_valid"] = True
+
 
 @dataclass(frozen=True)
 class CostGame(_Arena):
@@ -119,9 +129,9 @@ class CostGame(_Arena):
     def answer_mask(self) -> dict[int, int]:
         """id → bit i set iff the vertex's even color answers the i-th odd color."""
         odd = self.odd_colors
-        return {v.id: 0 if v.color % 2 else sum(1 << i for i, c in enumerate(odd)
-                                                if c < v.color)
-                for v in self.vertices}
+        mask = {c: 0 if c % 2 else sum(1 << i for i, o in enumerate(odd) if o < c)
+                for c in set(self.color.values())}
+        return {v: mask[c] for v, c in self.color.items()}
 
     @cached_property
     def max_cost(self) -> int:
@@ -211,9 +221,7 @@ def validate_game(game: CostGame) -> list[str]:
 
 
 def require_valid(game: CostGame) -> None:
-    report = validate_game(game)
-    if report:
-        raise ValueError("invalid game: " + "; ".join(report))
+    game._require(validate_game, "game")
 
 
 def subdivide_costs(game: CostGame, vertex_budget: int = 1_000_000) -> CostGame:

@@ -275,41 +275,47 @@ def _qbf_distance_audit(game: CostGame, phi: QbfFormula, psi, treq, fneg,
     """The proof's step counts, enforced: a true-request reaches the
     clause-picking vertex in 3(n−j)+1 steps, a false-request in
     3(n−j)+2, and every check gadget answers its own literal after
-    3j+2 (positive) or 3j+1 (negative) steps."""
+    3j+2 (positive) or 3j+1 (negative) steps.
+
+    Only the distances these checks read are searched: once backward
+    from ψ, and once forward from each gadget entry, each search cut at
+    the most steps it checks."""
     n = phi.n
-    dist = _bfs_dist(game, [*treq.values(), *fneg.values(), *entry_of.values()])
+    pred: dict[int, list[int]] = {v.id: [] for v in game.vertices}
+    for e in game.edges:
+        pred[e.target].append(e.source)
+    to_psi = _bfs_dist(pred, psi, 3 * n - 1)
     for j in range(1, n + 1):
-        if dist[treq[j]][psi] != 3 * (n - j) + 1:
+        if to_psi.get(treq[j]) != 3 * (n - j) + 1:
             raise AssertionError(f"true-request distance broken at {j}")
-        if dist[fneg[j]][psi] != 3 * (n - j) + 2:
+        if to_psi.get(fneg[j]) != 3 * (n - j) + 2:
             raise AssertionError(f"false-request distance broken at {j}")
+    succ = {u: [t for t, _ in moves] for u, moves in game.successors.items()}
     color = game.color
     for lit, entry in entry_of.items():
         j = abs(lit)
         want_color = 4 * j + 4 if lit > 0 else 4 * j + 2
         steps = 3 * j + 2 if lit > 0 else 3 * j + 1
-        answer = [v for v, dd in dist[entry].items()
+        answer = [v for v, dd in _bfs_dist(succ, entry, steps).items()
                   if dd == steps and color[v] == want_color]
         if not answer:
             raise AssertionError(f"check gadget broken for literal {lit}")
 
 
-def _bfs_dist(game: CostGame, sources) -> dict[int, dict[int, int]]:
-    """Step distances from each source to every vertex it reaches."""
-    out = {}
-    for v in sources:
-        dist = {v: 0}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for t, _ in game.successors[u]:
-                    if t not in dist:
-                        dist[t] = dist[u] + 1
-                        nxt.append(t)
-            frontier = nxt
-        out[v] = dist
-    return out
+def _bfs_dist(neighbours, source: int, depth: int) -> dict[int, int]:
+    """Step distances from ``source`` along ``neighbours`` (vertex →
+    vertices) to every vertex it reaches within ``depth`` steps."""
+    dist = {source: 0}
+    frontier = [source]
+    for k in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            for t in neighbours[u]:
+                if t not in dist:
+                    dist[t] = k
+                    nxt.append(t)
+        frontier = nxt
+    return dist
 
 
 # --- Player 0 memory / tradeoff family -----------------------------------------

@@ -1,7 +1,8 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
 Decisions solve the quotient parity game one overflow level at a time
-on the layered engine, each level sink-first and for the winners only;
+on the layered engine, each level sink-first and for the winners only,
+until a level wins the initial state;
 the engine's level graph (``BoundedCostResult``, shared with Streett
 games) is the decision's result, and it builds its certificate on first
 use.  An alternating search over annotated play prefixes stopped at
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
@@ -245,6 +247,19 @@ class BoundedCostResult(_LevelProduct):
     those targets repeats; every lower level is served by the last
     iterate.
 
+    A decision stops earlier, at the first iterate that wins node 0,
+    the initial state.  That is sound because Player 0's winning sets
+    only grow from one iterate to the next.  Iterate 0 starts from
+    prev = ∅, so its winning set contains its prev.  A larger prev only
+    sends more overflow edges to the won sink instead of the lost one,
+    so each winning strategy of hers stays winning: its plays never
+    enter the lost sink, those that enter the won sink still do, and
+    the rest are unchanged.  By induction each iterate's winning set
+    contains the one before.  Level 0 reads the last iterate, so node 0
+    won in any iterate means ``achievable``.  The remaining iterates are
+    solved by the same loop, resumed the first time anything reads
+    ``iterates`` (``winner``, ``move``, ``level_solve``, certificates).
+
     Each level is solved sink-first for Player 0's winners only
     (``solve_level``): the sinks' attractors over the whole level graph
     decide most nodes, and only the undecided rest goes to the game
@@ -266,8 +281,9 @@ class BoundedCostResult(_LevelProduct):
         super().__init__(game, tracker, budget, what)
         self.bound = tracker.bound
         self.product_states = self.size
+        self.vertex_of = list(map(itemgetter(0), self.nodes))  # node → arena vertex
         # the nodes' owners, then the won sink's and the lost sink's
-        self.owners = tuple([game.owner[v] for v, _ in self.nodes]) + (1, 0)
+        self.owners = tuple(map(game.owner.__getitem__, self.vertex_of)) + (1, 0)
         self._solved: dict[int, tuple] = {}
 
     def _level_game(self, prev: frozenset[int]) -> tuple[tuple, tuple]:
@@ -291,8 +307,10 @@ class BoundedCostResult(_LevelProduct):
                 self.pred + (tuple(to_sink[0]) + (m,), tuple(to_sink[1]) + (m + 1,)))
 
     def solve(self) -> None:
-        """Solves the levels n−1, n−2, … until the stop rule holds,
-        then decides whether node 0, the initial state, is won at level 0.
+        """Solves the levels n−1, n−2, … until an iterate wins node 0 or
+        the stop rule holds, then decides whether node 0, the initial
+        state, is won at level 0: it is if the last iterate solved wins
+        it (see the class docstring).
 
         ``solve_level(succ, pred, prev)`` solves one level's game
         (``_level_game``): its successor and predecessor lists cover the
@@ -300,19 +318,37 @@ class BoundedCostResult(_LevelProduct):
         ``prev`` is Player 0's winning set one level up.  It returns a
         tuple of Player 0's winning nodes (below m) at this level.
         """
-        solve_level = self.solve_level
+        self._levels: list[tuple] = []
+        # P0 wins nothing at the saturated level
+        self._prev: Optional[frozenset[int]] = frozenset()
+        self._run(stop_at_win=True)
+        self.achievable = 0 in self._levels[-1][0]
+
+    def _run(self, stop_at_win: bool) -> None:
+        """Solves further levels until the stop rule holds, or, with
+        ``stop_at_win``, until an iterate wins node 0.  ``_prev`` is the
+        winning set the next level reads, None once the rule has held."""
         overflow_targets = frozenset().union(*self.overflow.values())
-        prev: frozenset[int] = frozenset()  # P0 wins nothing at the saturated level
-        iterates: list[tuple] = []
-        for _ in range(self.game.n):
-            level = solve_level(*self._level_game(prev), prev)
-            iterates.append(level)
+        levels, prev = self._levels, self._prev
+        while prev is not None:
+            level = self.solve_level(*self._level_game(prev), prev)
+            levels.append(level)
             cur = level[0]
-            if cur & overflow_targets == prev & overflow_targets:
-                break  # the next level's game would be this one again
-            prev = cur
-        self.iterates = iterates
-        self.achievable = 0 in iterates[self._iterate_index(0)][0]
+            if len(levels) == self.game.n or cur & overflow_targets == prev & overflow_targets:
+                prev = None  # level 0 is solved, or the next level's game repeats this one
+            else:
+                prev = cur
+            if stop_at_win and 0 in cur:
+                break
+        self._prev = prev
+
+    @cached_property
+    def iterates(self) -> list[tuple]:
+        """What ``solve_level`` returned for each level solved, from
+        level n−1 down to the fixpoint; the levels a decision skipped
+        are solved on first read."""
+        self._run(stop_at_win=False)
+        return self._levels
 
     def solve_level(self, succ, pred, prev) -> tuple:
         """Player 0's winners of a level's game, solved sink-first."""
@@ -389,7 +425,7 @@ class _ParityLevels(BoundedCostResult):
 
     def __init__(self, game: CostGame, bound: int, budget: int):
         super().__init__(game, Tracker(game, bound), budget, "quotient product")
-        self.colors = tuple([game.color[v] for v, _ in self.nodes]) + (0, 1)
+        self.colors = tuple(map(game.color.__getitem__, self.vertex_of)) + (0, 1)
         self.solve()
 
     def classical_game(self, succ, pred) -> ParityGame:
@@ -426,9 +462,9 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
     """Does Player 0 have a strategy of cost at most ``bound``?
 
     Solves the reachable quotient G' as a parity game one overflow level
-    at a time, stopping at the fixpoint (``_ParityLevels``).  The
-    decision keeps the winners only; the certificate's moves are built
-    on its first use.
+    at a time, stopping at the first level that wins the initial state,
+    or else at the fixpoint (``_ParityLevels``).  The decision keeps the
+    winners only; the certificate's moves are built on its first use.
     """
     require_valid(game)
     return _ParityLevels(game, clamp_bound(game, bound), product_budget)

@@ -179,9 +179,7 @@ def validate_streett_game(game: CostStreettGame) -> list[str]:
 
 
 def require_valid_streett(game: CostStreettGame) -> None:
-    report = validate_streett_game(game)
-    if report:
-        raise ValueError("invalid Streett game: " + "; ".join(report))
+    game._require(validate_streett_game, "Streett game")
 
 
 # --- cost semantics on lassos ------------------------------------------------
@@ -546,7 +544,7 @@ class _StreettLevels(BoundedCostResult):
 
     def __init__(self, game: CostStreettGame, bound: int, budget: int):
         super().__init__(game, StreettTracker(game, bound), budget, "streett reduction")
-        self.pairs = _lifted_pairs(game, [v for v, _ in self.nodes], {self.size + 1})
+        self.pairs = _lifted_pairs(game, self.vertex_of, {self.size + 1})
         self.solve()
 
     def classical_game(self, succ, pred) -> StreettGame:

@@ -18,7 +18,8 @@ from costparity.reduction import build_quotient_game
 from costparity.semantics import INF, Lasso, _product, _sccs
 from costparity.solver import ParityGame, _ParityLevels, _solve_all
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
-                                StreettTracker, build_streett_reduction, solve_streett)
+                                StreettTracker, _StreettLevels, build_streett_reduction,
+                                solve_streett)
 
 
 def delay_game(free_idling: bool):
@@ -259,6 +260,21 @@ def eager_parity_levels(game, bound: int) -> list[tuple]:
     by ``_solve_all``: (Player 0's winners, Player 0's moves, Player 1's
     moves) per level, the moves projected to arena successors."""
     return _EagerParityLevels(game, bound, DEFAULT_PRODUCT_BUDGET).iterates
+
+
+class _EagerStreettLevels(_StreettLevels):
+    """The layered Streett engine with every level game solved whole by
+    ``solve_streett``."""
+
+    def solve_level(self, succ, pred, prev):
+        return (frozenset(v for v in solve_streett(self.classical_game(succ, pred)).win0
+                          if v < self.size),)
+
+
+def eager_streett_levels(game, bound: int) -> list[tuple]:
+    """The layered Streett engine's iterates with every level game
+    solved whole by ``solve_streett``: (Player 0's winners,) per level."""
+    return _EagerStreettLevels(game, bound, DEFAULT_PRODUCT_BUDGET).iterates
 
 
 # --- oracle: play cost by unrolling ------------------------------------------

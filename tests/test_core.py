@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -263,3 +264,52 @@ def test_least_bound_searches_upward_with_few_probes():
             if b is not None:
                 assert max(probes) <= min(hi, lo + 2 * (b - lo))
                 assert len(probes) <= 2 * math.ceil(math.log2(b - lo + 2)) + 1
+
+
+def test_a_game_is_validated_once(monkeypatch):
+    """``require_valid`` remembers a passed check on the frozen game:
+    building a QBF game and deciding it validates it once, and so does
+    an ``optimal`` search over all its probes; likewise for a Streett
+    game."""
+    calls = Counter()
+    for module, name in ((core, "validate_game"), (streett, "validate_streett_game")):
+        def spy(game, _original=getattr(module, name)):
+            calls[id(game)] += 1
+            return _original(game)
+        monkeypatch.setattr(module, name, spy)
+    games = []
+    for clauses in (((1, -2, 2), (-1, 2, 2)), ((1, 1, 1), (-1, -1, -1))):
+        inst = generators.qbf_to_game(generators.QbfFormula(("e", "a"), clauses))
+        decide_bounded_cost(inst.game, inst.target_bound)
+        games.append(inst.game)
+    family = generators.p1_memory_family(3)
+    assert optimal_cost(family.game).value == family.target_bound
+    counter = generators.streett_counter_family(1)
+    assert streett.optimal_cost_streett(counter.game).value == counter.target_bound
+    family, counter = family.game, counter.game
+    games += [family, counter]
+    assert [calls[id(g)] for g in games] == [1, 1, 1, 1]
+    assert len(calls) == len(games)
+
+
+def test_an_invalid_game_raises_on_every_check(monkeypatch):
+    calls = Counter()
+    original = core.validate_game
+
+    def spy(game):
+        calls["validate"] += 1
+        return original(game)
+
+    monkeypatch.setattr(core, "validate_game", spy)
+    bad = make_game([(0, 0, 0), (1, 1, 2)], [(0, 1, 1)], 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^invalid game: vertex 1: terminal vertex"):
+            decide_bounded_cost(bad, 1)
+    assert calls["validate"] == 2
+    bad_streett = streett.CostStreettGame((Vertex(0, 0, 0),), (), (), 0)
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^invalid Streett game: ") as err:
+            streett.decide_bounded_cost_streett(bad_streett, 1)
+        messages.add(str(err.value))
+    assert len(messages) == 1

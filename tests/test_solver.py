@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -372,3 +373,85 @@ def test_dropped_results_free_their_level_graphs(delay_won, delay_lost):
             assert graph() is None
     finally:
         gc.enable()
+
+
+def test_decisions_stop_at_the_first_iterate_that_wins_node_0():
+    """The answer of a decision that stopped early is the one the last
+    iterate of the whole fixpoint gives, and the iterates it completes on
+    first read are the eager engine's."""
+    rng = random.Random(71)
+    stopped = 0
+    for i in range(400):
+        if i % 2:
+            g = random_cost_game(rng, rng.randint(1, 5), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
+        res = decide_bounded_cost(g, rng.randint(0, 6))
+        assert "iterates" not in vars(res)
+        solved = len(res._levels)
+        eager = eager_parity_levels(g, res.bound)
+        assert res.achievable == (0 in eager[-1][0])
+        assert [w for w, in res.iterates] == [w for w, _, _ in eager]
+        won = [w for w, in res.iterates]
+        assert all(a <= b for a, b in zip(won, won[1:]))  # the soundness argument
+        if solved < len(eager):
+            assert [0 in w for w in won[:solved]] == [False] * (solved - 1) + [True]
+            stopped += 1
+    assert stopped >= 40, stopped
+
+
+def test_qbf_decisions_solve_one_level(monkeypatch):
+    """Every decision of a seeded round of QBF games (every quantifier
+    prefix of 2–4 variables × 2–5 clauses) solves exactly one level: the
+    true formulas win node 0 in the first iterate, and the false ones
+    reach the fixpoint there."""
+    calls = []
+    original = _ParityLevels.solve_level
+
+    def solve_level(self, *args):
+        calls[-1] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(_ParityLevels, "solve_level", solve_level)
+    rng = random.Random(1)
+    answers = Counter()
+    for n in (2, 3, 4):
+        for prefix in itertools.product("ea", repeat=n):
+            for m in (2, 3, 4, 5):
+                clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+                                for _ in range(m))
+                inst = qbf_to_game(QbfFormula(prefix, clauses))
+                calls.append(0)
+                answers[decide_bounded_cost(inst.game, inst.target_bound).achievable] += 1
+    assert len(calls) == 112 and set(calls) == {1}
+    assert min(answers.values()) >= 30, answers
+
+
+def test_reads_after_an_early_stop_match_the_completed_fixpoint():
+    """A hand-made game whose fixpoint needs three iterates.  At bound 1
+    Player 0 wins only by moving on to the cost-0 loop at vertex 2 while
+    vertex 0's request is open, which overflows once.  Iterate 0 sends
+    that overflow to the lost sink, so node 0 is first won in iterate 1,
+    and the decision stops there.  Whichever of ``winner``, ``move`` and
+    ``certificate`` is read first completes the fixpoint, and all three
+    read as on a decision whose iterates were completed before any read."""
+    g = make_game([(0, 1, 3), (1, 0, 2), (2, 0, 0)],
+                  [(0, 1, 1), (1, 2, 1), (1, 0, 1), (2, 2, 0)], 0)
+    flat = FlatSolveInfo(g, 1)
+    complete = decide_bounded_cost(g, 1)
+    assert len(complete.iterates) == 3
+    states = flat.quotient.states
+    for first in ("winner", "move", "certificate"):
+        res = decide_bounded_cost(g, 1)
+        assert res.achievable and len(res._levels) == 2 and "iterates" not in vars(res)
+        if first == "winner":
+            res.winner(*states[0])
+        elif first == "move":
+            res.move(1, *states[0])
+        cert = res.certificate
+        assert len(res._levels) == 3
+        assert cert == complete.certificate and strategy_cost(g, cert) <= 1
+        for v, o, r in states:
+            assert res.winner(v, o, r) == complete.winner(v, o, r) == flat.winner(v, o, r)
+            for player in (0, 1):
+                assert res.move(player, v, o, r) == complete.move(player, v, o, r)

@@ -21,6 +21,7 @@ from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 streett_strategy_cost, validate_streett_game)
 from costparity.generators import streett_counter_family
 from costparity.solver import _sink_first_winners
+from conftest import eager_streett_levels
 
 
 def tiny_streett(pairs, edges, owners, initial=0):
@@ -558,3 +559,57 @@ def test_streett_optimal_witness_is_the_certificate_at_the_value():
         else:
             assert proven.value == INF
         assert format_strat(proven.witness) == format_strat(top.certificate)
+
+
+def test_streett_decisions_stop_at_the_first_iterate_that_wins_node_0():
+    """On random cost-Streett games, the answer of a decision that
+    stopped early is the one the last iterate of the whole fixpoint
+    gives, and the iterates it completes on first read are those of the
+    engine that solves every level whole."""
+    rng = random.Random(73)
+    stopped = 0
+    for _ in range(300):
+        g = random_cost_streett(rng)
+        res = decide_bounded_cost_streett(g, rng.randint(0, 6))
+        assert "iterates" not in vars(res)
+        solved = len(res._levels)
+        eager = eager_streett_levels(g, res.bound)
+        assert res.achievable == (0 in eager[-1][0])
+        assert res.iterates == eager
+        won = [w for w, in res.iterates]
+        assert all(a <= b for a, b in zip(won, won[1:]))
+        stopped += solved < len(eager)
+    assert stopped >= 20, stopped
+
+
+def test_counter_decision_solves_one_level(monkeypatch):
+    """At d=3 and b=23 the counter's decision wins node 0 in the first
+    iterate and solves no other level; the second, which the fixpoint
+    needs, is solved when ``iterates`` is first read."""
+    calls = Counter()
+    original = _StreettLevels.solve_level
+
+    def solve_level(self, *args):
+        calls["levels"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(_StreettLevels, "solve_level", solve_level)
+    res = decide_bounded_cost_streett(streett_counter_family(3).game, 23)
+    assert res.achievable and calls["levels"] == 1
+    assert len(res.iterates) == 2 and calls["levels"] == 2
+
+
+def test_streett_certificates_after_an_early_stop():
+    """The counter's Player 0 certificate at d=2, b=11, built from a
+    decision that stopped at its first iterate, equals the one built
+    after the fixpoint was completed, and so do the winners."""
+    g = streett_counter_family(2).game
+    early = decide_bounded_cost_streett(g, 11)
+    complete = decide_bounded_cost_streett(g, 11)
+    assert len(complete.iterates) == 2
+    assert early.achievable and len(early._levels) == 1
+    assert early.certificate == complete.certificate
+    assert streett_strategy_cost(g, early.certificate) == 11
+    for v, r in early.nodes:
+        for o in range(g.n + 1):
+            assert early.winner(v, o, r) == complete.winner(v, o, r)
