@@ -54,19 +54,18 @@ def cmd_validate(args, out) -> int:
 
 def cmd_solve(args, out) -> int:
     game = _load_game(args.file)
-    if isinstance(game, streett.CostStreettGame):
-        res = streett.decide_bounded_cost_streett(game, args.bound,
-                                                  budget=args.product_budget)
-    elif args.engine == "finite-duration":
+    is_streett = isinstance(game, streett.CostStreettGame)
+    if args.engine == "finite-duration":
+        if is_streett:
+            raise CliError("usage", "solve --engine finite-duration applies to .cpg games only")
         fd = solver.decide_bounded_cost_finite_duration(game, args.bound,
                                                         node_budget=args.budget)
         if fd.exhausted:
             raise CliError("budget", f"node budget {args.budget} exhausted")
         print("ACHIEVABLE" if fd.achievable else "NOT-ACHIEVABLE", file=out)
         return 0 if fd.achievable else 1
-    else:
-        res = solver.decide_bounded_cost(game, args.bound,
-                                         product_budget=args.product_budget)
+    decide = streett.decide_bounded_cost_streett if is_streett else solver.decide_bounded_cost
+    res = decide(game, args.bound, product_budget=args.product_budget)
     # the certificate's update table has a budget of its own, which it
     # can exceed after the decision: fail before printing anything
     certificate = core.format_strat(res.certificate)
@@ -78,10 +77,9 @@ def cmd_solve(args, out) -> int:
 
 def cmd_optimal(args, out) -> int:
     game = _load_game(args.file)
-    if isinstance(game, streett.CostStreettGame):
-        res = streett.optimal_cost_streett(game, budget=args.product_budget)
-    else:
-        res = solver.optimal_cost(game, product_budget=args.product_budget)
+    optimal = (streett.optimal_cost_streett if isinstance(game, streett.CostStreettGame)
+               else solver.optimal_cost)
+    res = optimal(game, product_budget=args.product_budget)
     if res.cap_hit:
         raise CliError("budget", f"not achievable up to the practical cap {res.searched_up_to}")
     print(f"optimal {_fmt_cost(res.value)}", file=out)
@@ -98,17 +96,13 @@ def cmd_verify(args, out) -> int:
         raise CliError("io", f"cannot read {args.strategy}: {exc}") from exc
     except core.FormatError as exc:
         raise CliError("format", f"{args.strategy}: {exc}") from exc
-    if strat.player not in (0, 1):
-        # neither verifier applies; the well-formedness report says why
-        report = core.validate_strategy(game, strat)
-        raise CliError("strategy", "ill-formed strategy: " + "; ".join(report))
+    # a player outside {0, 1} fails the verifiers' well-formedness check
+    if isinstance(game, streett.CostStreettGame):
+        verify = streett.streett_spoiler_cost if strat.player == 1 else streett.streett_strategy_cost
+    else:
+        verify = semantics.spoiler_cost if strat.player == 1 else semantics.strategy_cost
     try:
-        if isinstance(game, streett.CostStreettGame):
-            fn = (streett.streett_strategy_cost if strat.player == 0
-                  else streett.streett_spoiler_cost)
-        else:
-            fn = semantics.strategy_cost if strat.player == 0 else semantics.spoiler_cost
-        value = fn(game, strat)
+        value = verify(game, strat)
     except ValueError as exc:
         raise CliError("strategy", str(exc)) from exc
     print(f"cost {_fmt_cost(value)}", file=out)

@@ -175,48 +175,58 @@ def make_game(vertices: Iterable[tuple[int, int, int]],
     )
 
 
-def validate_game(game: CostGame) -> list[str]:
-    """Check all structural invariants; returns a list of violations (empty = valid)."""
+def _arena_report(game: _Arena) -> list[str]:
+    """The violations of the rules every arena keeps, parity or Streett:
+    distinct ids, owners 0 or 1, an existing initial vertex, edges
+    between known vertices, at most one edge from a vertex to another,
+    and a successor for every vertex."""
     report: list[str] = []
-    ids = [v.id for v in game.vertices]
-    seen: set[int] = set()
-    for i in ids:
-        if i in seen:
-            report.append(f"vertex {i}: duplicate id")
-        seen.add(i)
-    if game.encoding not in (UNARY, BINARY):
-        report.append(f"game: unknown encoding {game.encoding!r}")
-    if not game.vertices:
-        report.append("game: no vertices")
-        return report
-    if game.initial not in seen:
-        report.append(f"game: initial vertex {game.initial} does not exist")
+    ids: set[int] = set()
     for v in game.vertices:
+        if v.id in ids:
+            report.append(f"vertex {v.id}: duplicate id")
+        ids.add(v.id)
         if v.owner not in (0, 1):
             report.append(f"vertex {v.id}: owner must be 0 or 1, got {v.owner}")
-        if v.color < 0:
-            report.append(f"vertex {v.id}: negative color {v.color}")
-    out_count = {i: 0 for i in seen}
-    seen_pairs: set[tuple[int, int]] = set()
+    if game.initial not in ids:
+        report.append(f"game: initial vertex {game.initial} does not exist")
+    seen: set[tuple[int, int]] = set()
     for e in game.edges:
-        if e.source not in seen:
+        if e.source not in ids:
             report.append(f"edge {e.source}->{e.target}: unknown source")
-            continue
-        if e.target not in seen:
+        elif e.target not in ids:
             report.append(f"edge {e.source}->{e.target}: unknown target")
-            continue
-        if (e.source, e.target) in seen_pairs:
+        elif (e.source, e.target) in seen:
             report.append(f"edge {e.source}->{e.target}: parallel edge")
-        seen_pairs.add((e.source, e.target))
+        else:
+            seen.add((e.source, e.target))
+    sources = {s for s, _ in seen}
+    report.extend(f"vertex {i}: terminal vertex (no outgoing edge)"
+                  for i in sorted(ids - sources))
+    return report
+
+
+def _known_edges(game: _Arena) -> list:
+    """The edges between known vertices: the ones a class's own checks
+    read, as ``_arena_report`` names the others."""
+    ids = game.owner
+    return [e for e in game.edges if e.source in ids and e.target in ids]
+
+
+def validate_game(game: CostGame) -> list[str]:
+    """Violations (empty = valid): the arena rules (``_arena_report``),
+    then the encoding, the colors and the costs."""
+    report = _arena_report(game) if game.vertices else ["game: no vertices"]
+    if game.encoding not in (UNARY, BINARY):
+        report.append(f"game: unknown encoding {game.encoding!r}")
+    report.extend(f"vertex {v.id}: negative color {v.color}"
+                  for v in game.vertices if v.color < 0)
+    for e in _known_edges(game):
         if e.cost < 0:
             report.append(f"edge {e.source}->{e.target}: negative cost {e.cost}")
-        if game.encoding == UNARY and e.cost > 1:
+        elif game.encoding == UNARY and e.cost > 1:
             report.append(
                 f"edge {e.source}->{e.target}: non-abstract cost {e.cost} in unary game")
-        out_count[e.source] += 1
-    for i, k in sorted(out_count.items()):
-        if k == 0:
-            report.append(f"vertex {i}: terminal vertex (no outgoing edge)")
     return report
 
 

@@ -475,7 +475,7 @@ class _LevelProduct:
     saturation clamp, so the product with the memory (o, r) is n+1
     copies of this graph, with overflow edges one level up.  ``succ[i]``
     lists node i's successors, one per arena move in move order; a move
-    into j targets ``nodes[j][0]``, as the arena has no parallel edges.
+    into j targets ``nodes[j][0]``, as no two arena edges share both ends.
     ``overflow[i]`` is the set of ids that i's overflow moves reach (for
     the rows with one), ``pred[j]`` the ascending sources of j's other
     moves."""

@@ -342,9 +342,14 @@ def _response_cost(game, verts, rows) -> CostValue:
     return worst
 
 
-def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
-    """Cst of ``strat`` in ``game`` (a CostGame or a CostStreettGame),
-    with ``tracker_class`` the request tracker of its class.
+def _verified_cost(game, strat: StrategySpec, player: int, require,
+                   tracker_class) -> CostValue:
+    """Cst of ``strat`` in ``game`` (a CostGame or a CostStreettGame):
+    the one checked body of the four verifiers.  ``require`` validates
+    the game and ``tracker_class`` is the request tracker of its class.
+    The checks run in this order: the game is valid, the strategy is
+    well-formed (so a player outside {0, 1} is reported as ill-formed),
+    and it is a strategy of ``player``.
 
     A Player 0 strategy σ costs the sup over consistent plays, the most
     cost of a response path in its untracked σ-product
@@ -355,7 +360,10 @@ def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
     (``core._least_bound``), and a τ that fits no bound up to the
     pumping cap |product|·W costs ∞.
     """
+    require(game)
     _require_well_formed(game, strat)
+    if strat.player != player:
+        raise ValueError(f"expected a Player {player} strategy, got Player {strat.player}'s")
     order, rows, _ = _product(game, strat)
     verts = [s[0] for s in order]
     if strat.player == 0:
@@ -372,17 +380,11 @@ def _verified_cost(game, strat: StrategySpec, tracker_class) -> CostValue:
 def strategy_cost(game: CostGame, strat: StrategySpec) -> CostValue:
     """Cst(σ) = sup over plays consistent with σ of the play cost, by
     lasso analysis on the σ-restricted one-player product."""
-    require_valid(game)
-    if strat.player != 0:
-        raise ValueError("strategy_cost expects a Player 0 strategy")
-    return _verified_cost(game, strat, Tracker)
+    return _verified_cost(game, strat, 0, require_valid, Tracker)
 
 
 def spoiler_cost(game: CostGame, strat: StrategySpec) -> CostValue:
     """Cst(τ) = inf over plays consistent with the Player 1 strategy τ:
     the least b for which Player 0 finds a good lasso in the τ-restricted
     product."""
-    require_valid(game)
-    if strat.player != 1:
-        raise ValueError("spoiler_cost expects a Player 1 strategy")
-    return _verified_cost(game, strat, Tracker)
+    return _verified_cost(game, strat, 1, require_valid, Tracker)

@@ -405,7 +405,10 @@ class BoundedCostResult(_LevelProduct):
         return kept
 
     def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
-        """The level solve's positional move, as an arena successor."""
+        """The level solve's positional move, as an arena successor.  On a
+        Streett game Player 0 has none: her level strategies need memory,
+        so ``move(0, …)`` raises ValueError there; ``certificate`` holds
+        her moves."""
         if o >= self.game.n:
             return None
         node = self.index.get((v, r))
@@ -424,7 +427,7 @@ class _ParityLevels(BoundedCostResult):
     """
 
     def __init__(self, game: CostGame, bound: int, budget: int):
-        super().__init__(game, Tracker(game, bound), budget, "quotient product")
+        super().__init__(game, Tracker(game, bound), budget, "level graph")
         self.colors = tuple(map(game.color.__getitem__, self.vertex_of)) + (0, 1)
         self.solve()
 

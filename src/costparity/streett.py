@@ -39,8 +39,9 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
-                   Vertex, _Arena, _parse_vertex_line, _read_header, _reset_spoiler,
-                   strategy_from_functions, strategy_from_product)
+                   Vertex, _Arena, _arena_report, _known_edges, _parse_vertex_line,
+                   _read_header, _reset_spoiler, strategy_from_functions,
+                   strategy_from_product)
 from .reduction import _LevelProduct, _MemoizedStep
 from .semantics import Lasso, _cost_of_response, _limsup, _verified_cost
 from .solver import (BoundedCostResult, OptimalResult, _attractor, _least_achievable,
@@ -142,39 +143,18 @@ class StreettGame:
 
 
 def validate_streett_game(game: CostStreettGame) -> list[str]:
-    report: list[str] = []
+    """The arena rules (``core._arena_report``), then the pair count,
+    the cost arity, negative costs and the pairs' vertices."""
+    report = _arena_report(game)
     if game.d < 1:
         report.append("game: needs at least one Streett pair")
-    ids: set[int] = set()
-    for v in game.vertices:
-        if v.id in ids:
-            report.append(f"vertex {v.id}: duplicate id")
-        ids.add(v.id)
-        if v.owner not in (0, 1):
-            report.append(f"vertex {v.id}: owner must be 0 or 1, got {v.owner}")
-    if game.initial not in ids:
-        report.append(f"game: initial vertex {game.initial} does not exist")
-    seen: set[tuple[int, int]] = set()
-    out = {i: 0 for i in ids}
-    for e in game.edges:
-        if e.source not in ids or e.target not in ids:
-            report.append(f"edge {e.source}->{e.target}: unknown endpoint")
-            continue
-        if (e.source, e.target) in seen:
-            report.append(f"edge {e.source}->{e.target}: parallel edge")
-        seen.add((e.source, e.target))
+    for e in _known_edges(game):
         if len(e.costs) != game.d:
             report.append(f"edge {e.source}->{e.target}: expected {game.d} costs")
         if any(w < 0 for w in e.costs):
             report.append(f"edge {e.source}->{e.target}: negative cost")
-        out[e.source] += 1
-    for i, k in sorted(out.items()):
-        if k == 0:
-            report.append(f"vertex {i}: terminal vertex (no outgoing edge)")
-    for c, p in enumerate(game.pairs):
-        for v in p.requests | p.answers:
-            if v not in ids:
-                report.append(f"pair {c}: unknown vertex {v}")
+    report.extend(f"pair {c}: unknown vertex {v}" for c, p in enumerate(game.pairs)
+                  for v in p.requests | p.answers if v not in game.owner)
     return report
 
 
@@ -543,7 +523,7 @@ class _StreettLevels(BoundedCostResult):
     """
 
     def __init__(self, game: CostStreettGame, bound: int, budget: int):
-        super().__init__(game, StreettTracker(game, bound), budget, "streett reduction")
+        super().__init__(game, StreettTracker(game, bound), budget, "level graph")
         self.pairs = _lifted_pairs(game, self.vertex_of, {self.size + 1})
         self.solve()
 
@@ -565,6 +545,11 @@ class _StreettLevels(BoundedCostResult):
              for j in [cell.move(i, cell.init(i))] if j is not None}, prev)
         return frozenset(v for v in res.win0 if v < m), (res.cells[0], moves1)
 
+    def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
+        if player == 0:
+            raise ValueError("Player 0 has no positional Streett moves: read certificate")
+        return super().move(player, v, o, r)
+
     @cached_property
     def certificate(self) -> StrategySpec:
         if self.achievable:
@@ -573,13 +558,15 @@ class _StreettLevels(BoundedCostResult):
 
 
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,
-                                budget: int = DEFAULT_PRODUCT_BUDGET) -> BoundedCostResult:
+                                product_budget: int = DEFAULT_PRODUCT_BUDGET
+                                ) -> BoundedCostResult:
     """Does Player 0 have a strategy of cost at most ``bound``?
 
-    Decided level by level (``_StreettLevels``); ``budget`` caps the level graph.
+    Decided level by level (``_StreettLevels``); ``product_budget`` caps
+    the level graph, as in ``solver.decide_bounded_cost``.
     """
     require_valid_streett(game)
-    return _StreettLevels(game, min(bound, streett_regime_cap(game)), budget)
+    return _StreettLevels(game, min(bound, streett_regime_cap(game)), product_budget)
 
 
 def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
@@ -635,26 +622,20 @@ def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
 def streett_strategy_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     """Cst(σ) = sup over consistent plays, by lasso analysis on the
     σ-restricted one-player product (``semantics._verified_cost``)."""
-    require_valid_streett(game)
-    if strat.player != 0:
-        raise ValueError("streett_strategy_cost expects a Player 0 strategy")
-    return _verified_cost(game, strat, StreettTracker)
+    return _verified_cost(game, strat, 0, require_valid_streett, StreettTracker)
 
 
 def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     """Cst(τ) = inf over consistent plays: least b for which Player 0
     finds a good lasso in the τ-restricted product."""
-    require_valid_streett(game)
-    if strat.player != 1:
-        raise ValueError("streett_spoiler_cost expects a Player 1 strategy")
-    return _verified_cost(game, strat, StreettTracker)
+    return _verified_cost(game, strat, 1, require_valid_streett, StreettTracker)
 
 
 # --- optimal cost ----------------------------------------------------------------
 
 def optimal_cost_streett(game: CostStreettGame, *,
                          practical_cap: Optional[int] = None,
-                         budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
+                         product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
     """Least achievable bound, searched upward from 0 (``solver._least_achievable``).
 
     The theoretical cap nW·2^d·(2d)! is astronomically large, so the
@@ -666,8 +647,9 @@ def optimal_cost_streett(game: CostStreettGame, *,
     regime_cap = streett_regime_cap(game)
     cap = practical_cap if practical_cap is not None else \
         game.n * max(1, game.max_cost) * 2 ** game.d
-    return _least_achievable(lambda b: decide_bounded_cost_streett(game, b, budget=budget),
-                             min(cap, regime_cap), regime_cap)
+    return _least_achievable(
+        lambda b: decide_bounded_cost_streett(game, b, product_budget=product_budget),
+        min(cap, regime_cap), regime_cap)
 
 
 # --- bridges and file format -------------------------------------------------------

@@ -162,9 +162,14 @@ def test_solve_exit_codes(delay_path):
 def test_solve_negative_bound_is_invalid(tmp_path, delay_path, engine):
     cst = tmp_path / "loop.cst"
     cst.write_text("coststreett 1 0 1\n0 0 0 0:1\npair 0 Q: 0 P:\n")
-    for game in (delay_path, str(cst)):
-        code, out, err = invoke("solve", "--engine", engine, "--bound", "-1", game)
-        assert (code, out, err) == (2, "", "error: invalid: bound must be non-negative\n")
+    invalid = (2, "", "error: invalid: bound must be non-negative\n")
+    code, out, err = invoke("solve", "--engine", engine, "--bound", "-1", delay_path)
+    assert (code, out, err) == invalid
+    # the finite-duration engine decides .cpg games only
+    code, out, err = invoke("solve", "--engine", engine, "--bound", "-1", str(cst))
+    assert (code, out, err) == (invalid if engine == "explicit" else (
+        2, "", "error: usage: solve --engine finite-duration applies to .cpg games only\n"))
+    assert not cst.with_suffix(".strat").exists()
 
 
 def test_optimal_streett_cap_hit_is_a_budget_error(tmp_path):
@@ -453,3 +458,46 @@ def test_negative_vertex_count_in_cst_is_a_format_error(tmp_path, text):
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: format: {path}: expected {text.split()[1]} vertex "
                                 f"and {text.split()[3]} pair lines"]
+
+
+def test_budget_errors_name_the_level_graph(tmp_path):
+    # both game classes decide on the layered engine's level graph
+    gen = str(tmp_path / "gen")
+    for family in ("p0mem", "streett"):
+        assert invoke("generate", family, "--d", "1", "--outdir", gen)[0] == 0
+    for game in (f"{gen}/p0mem-d1.cpg", f"{gen}/streett-d1.cst"):
+        for argv in (("solve", "--bound", "5"), ("optimal",)):
+            code, out, err = invoke(*argv, "--product-budget", "3", game)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == ["error: budget: level graph exceeds budget 3 states"]
+
+
+def test_rarely_taken_error_branches(tmp_path, delay_path):
+    gen = str(tmp_path / "gen")
+    assert invoke("generate", "streett", "--d", "1", "--outdir", gen)[0] == 0
+    cst = f"{gen}/streett-d1.cst"
+    missing = str(tmp_path / "missing")
+    cases = [
+        (("verify", "--strategy", missing, delay_path), f"io: cannot read {missing}: "),
+        (("generate", "qbf", "--outdir", gen), "usage: generate qbf requires --qdimacs"),
+        (("generate", "qbf", "--qdimacs", missing, "--outdir", gen),
+         f"io: cannot read {missing}: "),
+        (("generate", "streett", "--d", "-1", "--outdir", gen),
+         "usage: d must be non-negative"),
+        (("convert", delay_path), "usage: convert requires --subdivide"),
+        (("convert", "--subdivide", cst), "usage: convert --subdivide applies to .cpg games only"),
+        (("export", delay_path), "usage: export requires --dot"),
+        (("export", "--dot", cst), "usage: export --dot applies to .cpg games only"),
+    ] + [(("generate", family, "--d", "0", "--outdir", gen), "usage: d must be at least 1")
+         for family in ("p0mem", "p1mem", "p1trade", "bintrade")]
+    for argv, message in cases:
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), argv
+
+
+def test_export_dot_to_a_file(tmp_path, delay_path):
+    target = tmp_path / "delay.dot"
+    code, out, err = invoke("export", "--dot", "--output", str(target), delay_path)
+    assert (code, out, err) == (0, f"wrote {target}\n", "")
+    assert target.read_text() == invoke("export", "--dot", delay_path)[1]

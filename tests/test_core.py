@@ -121,6 +121,35 @@ def test_cpg_parse_errors():
         parse_cpg("costparity 1 0 trinary\n0 0 0 0:0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("costparity x 0 unary\n", "bad header numbers: 'costparity x 0 unary'"),
+    ("# nothing but a comment\n", "empty .cpg file"),
+    ("costparity 1 0 unary\n0 -1 0 0:0\n", "invalid game: vertex 0: negative color -1"),
+])
+def test_cpg_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_cpg(text)
+    assert str(err.value) == message
+
+
+def test_validate_names_unknown_sources_and_encodings():
+    assert validate_game(make_game([(0, 0, 0)], [(0, 0, 0), (4, 0, 0)], 0)) == [
+        "edge 4->0: unknown source"]
+    assert validate_game(make_game([(0, 0, 0)], [(0, 0, 0)], 0, "ternary")) == [
+        "game: unknown encoding 'ternary'"]
+    # an edge with an unknown end gets no cost check of its own
+    assert validate_game(make_game([(0, 0, 0)], [(0, 0, 0), (0, 4, -3)], 0, "binary")) == [
+        "edge 0->4: unknown target"]
+
+
+def test_strat_initial_state_out_of_range():
+    g = make_game([(0, 0, 0)], [(0, 0, 0)], 0)
+    strat = parse_strat("strategy 0 1 3\nu 0 0 0 0 0\nn 0 0 0\n")
+    assert validate_strategy(g, strat) == ["initial state 3 out of range"]
+    with pytest.raises(ValueError, match=r"^ill-formed strategy: initial state 3 out of range$"):
+        strategy_cost(g, strat)
+
+
 def test_cpg_comments_ignored():
     g = parse_cpg("# a game\ncostparity 1 0 unary\n0 0 0 0:0  # self loop\n")
     assert g.n == 1

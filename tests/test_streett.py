@@ -153,6 +153,52 @@ def test_validate_streett():
                                              "vertex 1: owner must be 0 or 1, got 5"]
 
 
+def test_validate_streett_names_unknown_endpoints_as_for_cpg_games():
+    g = tiny_streett(pairs=[({0}, {1})], edges=[(0, 1, 1), (1, 0, 1)], owners=[0, 1])
+    for edge, message in ((StreettEdge(7, 0, (1,)), "edge 7->0: unknown source"),
+                          (StreettEdge(0, 7, (-1,)), "edge 0->7: unknown target")):
+        assert validate_streett_game(replace(g, edges=g.edges + (edge,))) == [message]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0 0 0 0:1\npair 0 Q: 0 P:\npair 1 Q: P:\n", "expected 2 costs on edge 0->0"),
+    ("0 0 0 0:1|1\npair 0 Q: 0 P:\npair 0 Q: P:\n", "bad pair index 0"),
+    ("0 0 0 0:1|1\npair 0 Q: 0 P:\npair 2 Q: P:\n", "bad pair index 2"),
+    ("0 0 0 0:-1|0\npair 0 Q: 0 P:\npair 1 Q: P:\n",
+     "invalid Streett game: edge 0->0: negative cost"),
+])
+def test_cst_error_messages(body, message):
+    with pytest.raises(ValueError) as err:
+        parse_cst("coststreett 1 0 2\n" + body)
+    assert str(err.value) == message
+
+
+def test_streett_verifiers_reject_the_other_players_strategy():
+    inst = streett_counter_family(1)
+    sigma = inst.reference_strategies[0].strategy
+    assert sigma.player == 0 and streett_strategy_cost(inst.game, sigma) == inst.target_bound
+    with pytest.raises(ValueError, match=r"^expected a Player 1 strategy, got Player 0's$"):
+        streett_spoiler_cost(inst.game, sigma)
+    tau = decide_bounded_cost_streett(inst.game, inst.target_bound - 1).certificate
+    assert tau.player == 1
+    with pytest.raises(ValueError, match=r"^expected a Player 0 strategy, got Player 1's$"):
+        streett_strategy_cost(inst.game, tau)
+
+
+def test_player0_has_no_positional_streett_move():
+    # Player 0's level strategies are cells with memory: her moves are
+    # read off the certificate; Player 1's stay positional
+    g = streett_counter_family(1).game
+    for bound in (4, 5):
+        res = decide_bounded_cost_streett(g, bound)
+        for v, r in res.nodes:
+            with pytest.raises(ValueError, match="read certificate"):
+                res.move(0, v, 0, r)
+        moves = {(v, r): res.move(1, v, 0, r) for v, r in res.nodes if g.owner[v] == 1}
+        assert all(t is None or (v, t) in g.edge_cost for (v, _), t in moves.items())
+        assert any(t is not None for t in moves.values()) == (not res.achievable)
+
+
 def test_reduction_shape():
     inst = streett_counter_family(1)
     red = build_streett_reduction(inst.game, 5)
@@ -266,14 +312,14 @@ def test_budget_caps_the_decision_and_the_certificate(monkeypatch):
     res = decide_bounded_cost_streett(g, 5)
     assert (res.product_states, build_streett_reduction(g, 5).size) == (22, 220)
     with pytest.raises(BudgetExceededError):
-        decide_bounded_cost_streett(g, 5, budget=21)
-    res = decide_bounded_cost_streett(g, 5, budget=100)
+        decide_bounded_cost_streett(g, 5, product_budget=21)
+    res = decide_bounded_cost_streett(g, 5, product_budget=100)
     assert res.achievable and res.product_states == 22
     # the certificate reads the level solves, under the decision's
     # budget; its update table meets the table budget
     assert streett_strategy_cost(g, res.certificate) <= 5
     monkeypatch.setattr(core, "DEFAULT_PRODUCT_BUDGET", 100)
-    res = decide_bounded_cost_streett(g, 5, budget=100)
+    res = decide_bounded_cost_streett(g, 5, product_budget=100)
     with pytest.raises(BudgetExceededError) as exc:
         res.certificate
     assert str(exc.value) == "strategy update table exceeds budget 100 entries"
