@@ -6,11 +6,9 @@ from .core import (BINARY, UNARY, BudgetExceededError, CostGame, Edge,
                    subdivide_costs, validate_game, validate_strategy)
 from .semantics import (INF, Lasso, answers, cor, play_cost, spoiler_cost,
                         strategy_cost)
-from .reduction import (QuotientGame, RequestFunction, SettleVerdict,
-                        TrackState, TrackedPrefix, build_quotient_game,
-                        classify_cycle, dominates, initial_request_function,
+from .reduction import (SettleVerdict, TrackedPrefix, classify_cycle, dominates,
                         relevant_requests, settled, settled_bound,
-                        shortcut_step, track_play, update_track_state)
+                        shortcut_step, track_play)
 from .solver import (BoundedCostResult, FiniteDurationResult, OptimalResult,
                      ParityGame, SolveResult, decide_bounded_cost,
                      decide_bounded_cost_finite_duration,

@@ -53,19 +53,26 @@ def cmd_validate(args, out) -> int:
 
 
 def cmd_solve(args, out) -> int:
+    finite_duration = args.engine == "finite-duration"
+    for option, value, applies in (("--budget", args.budget, finite_duration),
+                                   ("--product-budget", args.product_budget, not finite_duration),
+                                   ("--output", args.output, not finite_duration)):
+        if value is not None and not applies:
+            raise CliError("usage", f"solve {option} does not apply to --engine {args.engine}")
     game = _load_game(args.file)
     is_streett = isinstance(game, streett.CostStreettGame)
-    if args.engine == "finite-duration":
+    if finite_duration:
         if is_streett:
             raise CliError("usage", "solve --engine finite-duration applies to .cpg games only")
-        fd = solver.decide_bounded_cost_finite_duration(game, args.bound,
-                                                        node_budget=args.budget)
+        budget = solver.DEFAULT_NODE_BUDGET if args.budget is None else args.budget
+        fd = solver.decide_bounded_cost_finite_duration(game, args.bound, node_budget=budget)
         if fd.exhausted:
-            raise CliError("budget", f"node budget {args.budget} exhausted")
+            raise CliError("budget", f"node budget {budget} exhausted")
         print("ACHIEVABLE" if fd.achievable else "NOT-ACHIEVABLE", file=out)
         return 0 if fd.achievable else 1
+    budget = solver.DEFAULT_PRODUCT_BUDGET if args.product_budget is None else args.product_budget
     decide = streett.decide_bounded_cost_streett if is_streett else solver.decide_bounded_cost
-    res = decide(game, args.bound, product_budget=args.product_budget)
+    res = decide(game, args.bound, product_budget=budget)
     # the certificate's update table has a budget of its own, which it
     # can exceed after the decision: fail before printing anything
     certificate = core.format_strat(res.certificate)
@@ -205,11 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", "-b", type=int, required=True)
     p.add_argument("--engine", choices=["explicit", "finite-duration"],
                    default="explicit")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=int,
                    help="node budget for the finite-duration engine")
     p.add_argument("--product-budget", type=int,
-                   default=solver.DEFAULT_PRODUCT_BUDGET)
-    p.add_argument("--output", "-o")
+                   help="state budget for the explicit engine")
+    p.add_argument("--output", "-o", help="certificate file of the explicit engine")
     p.add_argument("file")
 
     p = sub.add_parser("optimal", help="compute the optimal strategy cost")

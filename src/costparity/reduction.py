@@ -1,4 +1,4 @@
-"""Request tracking and the quotient parity game.
+"""Request tracking and the tracked product.
 
 The memory element is a pair (o, r): an overflow counter o ∈ [0, n] and
 a request function r mapping each odd color to ⊥ (no open request) or
@@ -11,13 +11,13 @@ alike, and both game classes share the one step (``_MemoizedStep``).
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
-the reachable product with the tracking memory, explored once over
-(vertex, request function) nodes (``_LevelProduct``) and unrolled over
-the overflow counter into the explicit product G' whose parity winner
-characterizes bounded-cost strategy existence.  The settle and shortcut
-rules exist once, on an incremental prefix (``_PrefixStack``) that
-``settled``, ``shortcut_step`` and the finite-duration engine in
-``solver`` share.
+the reachable product with the tracking memory, whose parity winner
+characterizes bounded-cost strategy existence.  It is explored once
+over (vertex, request function) nodes (``_LevelProduct``), one copy per
+overflow level; ``unroll`` flattens the copies for the classical
+Streett reduction.  The settle and shortcut rules exist once, on an
+incremental prefix (``_PrefixStack``) that ``settled``,
+``shortcut_step`` and the finite-duration engine in ``solver`` share.
 """
 
 from __future__ import annotations
@@ -26,35 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame, Edge,
-                   require_valid)
+from .core import BINARY, UNARY, BudgetExceededError, CostGame, Edge
 
 BOT = None  # ⊥
-
-
-@dataclass(frozen=True)
-class RequestFunction:
-    """Map from the odd colors D to ⊥ or a natural in [0, b]."""
-
-    colors: tuple[int, ...]
-    values: tuple[int | None, ...]
-
-    @staticmethod
-    def from_mapping(mapping: Mapping[int, int | None]) -> "RequestFunction":
-        colors = tuple(sorted(mapping))
-        return RequestFunction(colors, tuple(mapping[c] for c in colors))
-
-    def get(self, color: int) -> int | None:
-        return self.values[self.colors.index(color)]
-
-    def as_dict(self) -> dict[int, int | None]:
-        return dict(zip(self.colors, self.values))
-
-
-@dataclass(frozen=True)
-class TrackState:
-    overflow: int
-    requests: RequestFunction
 
 
 def _relevant_mask(values: Sequence[int | None]) -> int:
@@ -87,23 +61,23 @@ def _r_dominated(values_a: Sequence[int | None], values_b: Sequence[int | None])
     return ok
 
 
-def relevant_requests(r: RequestFunction | Mapping[int, int | None]) -> frozenset[int]:
+def relevant_requests(r: Mapping[int, int | None]) -> frozenset[int]:
     """{c : r(c) ≠ ⊥ and no c' > c has r(c') ≥ r(c)}."""
-    if not isinstance(r, RequestFunction):
-        r = RequestFunction.from_mapping(r)
-    mask = _relevant_mask(r.values)
-    return frozenset(c for i, c in enumerate(r.colors) if mask >> i & 1)
+    colors = sorted(r)
+    mask = _relevant_mask([r[c] for c in colors])
+    return frozenset(c for i, c in enumerate(colors) if mask >> i & 1)
 
 
-def dominates(a: TrackState, b: TrackState) -> bool:
-    """a ⊑ b: larger overflow dominates; at equal overflow every relevant
-    request of a is covered by a relevant request of b that is at least
-    as large in color and incurred cost."""
-    if a.overflow != b.overflow:
-        return a.overflow < b.overflow
-    if a.requests.colors != b.requests.colors:
+def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
+    """(o, r) ⊑ (o', r'): larger overflow dominates; at equal overflow
+    every relevant request of r is covered by a relevant request of r'
+    that is at least as large in color and incurred cost."""
+    (oa, ra), (ob, rb) = a, b
+    if oa != ob:
+        return oa < ob
+    if len(ra) != len(rb):
         raise ValueError("request functions over different color sets")
-    return _r_dominated(a.requests.values, b.requests.values)
+    return _r_dominated(ra, rb)
 
 
 class _MemoizedStep:
@@ -189,20 +163,6 @@ class Tracker(_MemoizedStep):
         return [x if x is None else x + cost for x in r]
 
 
-def initial_request_function(game: CostGame, vertex: int) -> RequestFunction:
-    """r_v: all ⊥ for an even-colored v, else Ω(v) ↦ 0 and the rest ⊥."""
-    tr = Tracker(game, 0)
-    return RequestFunction(tr.colors, tr.initial_r(vertex))
-
-
-def update_track_state(game: CostGame, bound: int, state: TrackState, edge: Edge) -> TrackState:
-    tr = Tracker(game, bound)
-    if state.requests.colors != tr.colors:
-        raise ValueError("request function does not match the game's odd colors")
-    o, r, _ = tr.update(state.overflow, state.requests.values, edge.cost, edge.target)
-    return TrackState(o, RequestFunction(tr.colors, r))
-
-
 # --- annotated prefixes, dominating cycles, settledness ---------------------
 
 @dataclass(frozen=True)
@@ -219,25 +179,24 @@ class TrackedPrefix:
     requests: tuple[tuple, ...]
     costs: tuple[int, ...]
     via_shortcut: tuple[bool, ...]
-    colors: tuple[int, ...]  # the odd-color domain D
 
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def state_at(self, i: int) -> TrackState:
-        return TrackState(self.overflows[i], RequestFunction(self.colors, self.requests[i]))
+    def state_at(self, i: int) -> tuple[int, tuple]:
+        """The memory state (o, r) at position i."""
+        return self.overflows[i], self.requests[i]
 
     def extended(self, v: int, o: int, r: tuple, cost: int,
                  shortcut: bool = False) -> "TrackedPrefix":
         return TrackedPrefix(self.vertices + (v,), self.overflows + (o,),
                              self.requests + (r,), self.costs + (cost,),
-                             self.via_shortcut + (shortcut,), self.colors)
+                             self.via_shortcut + (shortcut,))
 
 
 def start_prefix(game: CostGame, bound: int) -> TrackedPrefix:
-    tr = Tracker(game, bound)
-    o, r = tr.initial_state()
-    return TrackedPrefix((game.initial,), (o,), (r,), (0,), (False,), tr.colors)
+    o, r = Tracker(game, bound).initial_state()
+    return TrackedPrefix((game.initial,), (o,), (r,), (0,), (False,))
 
 
 def track_play(game: CostGame, bound: int, vertices: Sequence[int]) -> TrackedPrefix:
@@ -430,44 +389,7 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
     return prefix.extended(edge.target, *stack.step(edge.target, edge.cost))
 
 
-# --- the quotient game G' ---------------------------------------------------
-
-@dataclass(frozen=True)
-class QuotientGame:
-    """Explicit reachable product of the arena with the tracking memory.
-
-    A parity game: state i is (vertex, overflow, request tuple), with
-    the arena owner, color Ω(v) for o < n and color 1 once saturated.
-    """
-
-    game: CostGame
-    bound: int
-    states: tuple[tuple[int, int, tuple], ...]
-    owners: tuple[int, ...]
-    parities: tuple[int, ...]
-    succ: tuple[tuple[int, ...], ...]
-    initial: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
-
-    @property
-    def size_bound(self) -> int:
-        g = self.game
-        return g.n * (g.n + 1) * (self.bound + 2) ** g.d
-
-    def to_cost_game(self) -> CostGame:
-        """Parity subset of .cpg: all edge costs 0, states named in comments."""
-        from .core import make_game
-
-        verts = [(i, self.owners[i], self.parities[i]) for i in range(self.size)]
-        edges = [(i, j, 0) for i in range(self.size) for j in self.succ[i]]
-        return make_game(verts, edges, self.initial, UNARY)
-
-    def state_comments(self) -> dict[int, str]:
-        return {i: f"({v},{o},{r})" for i, (v, o, r) in enumerate(self.states)}
-
+# --- the tracked product ---------------------------------------------------
 
 class _LevelProduct:
     """The tracked product, explored once over (vertex, request
@@ -552,19 +474,3 @@ class _LevelProduct:
         nodes = self.nodes
         states = tuple((nodes[i][0], o, nodes[i][1]) for i, o in order)
         return states, tuple(rows)
-
-
-def build_quotient_game(game: CostGame, bound: int,
-                        budget: int = DEFAULT_PRODUCT_BUDGET) -> QuotientGame:
-    """Breadth-first reachable product from (v_I, 0, r_{v_I}), unrolled
-    from the level product."""
-    require_valid(game)
-    product = _LevelProduct(game, Tracker(game, bound), budget, "quotient product")
-    states, succ = product.unroll()
-    owners = tuple(game.owner[v] for v, _, _ in states)
-    parities = tuple(game.color[v] if o < game.n else 1 for v, o, _ in states)
-    qg = QuotientGame(game, bound, states, owners, parities, succ)
-    if qg.size > qg.size_bound:
-        raise RuntimeError(f"quotient product has {qg.size} states, "
-                           f"above the bound {qg.size_bound}")
-    return qg

@@ -1,14 +1,14 @@
 """Bounded-cost decisions, optimal cost, and strategy extraction.
 
-Decisions solve the quotient parity game one overflow level at a time
-on the layered engine, each level sink-first and for the winners only,
-until a level wins the initial state;
-the engine's level graph (``BoundedCostResult``, shared with Streett
-games) is the decision's result, and it builds its certificate on first
-use.  An alternating search over annotated play prefixes stopped at
-settled prefixes (the finite-duration game, used as an oracle at small
-scale), which applies ``reduction``'s settle and shortcut rules, serves
-the tests as an independent reference.
+Decisions solve the parity game on the tracked product one overflow
+level at a time on the layered engine, each level sink-first and for
+the winners only, until a level wins the initial state; the engine's
+level graph (``BoundedCostResult``, shared with Streett games) is the
+decision's result, and it builds its certificate on first use.  An
+alternating search over annotated play prefixes stopped at settled
+prefixes (the finite-duration game, used as an oracle at small scale),
+which applies ``reduction``'s settle and shortcut rules, serves the
+tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
                    _reset_spoiler, require_valid, strategy_from_product)
-from .reduction import QuotientGame, Tracker, _LevelProduct, _PrefixStack
+from .reduction import Tracker, _LevelProduct, _PrefixStack
 
 INF = math.inf
 
@@ -42,10 +42,6 @@ class ParityGame:
     @property
     def n(self) -> int:
         return len(self.owners)
-
-    @staticmethod
-    def from_quotient(qg: QuotientGame) -> "ParityGame":
-        return ParityGame(qg.owners, qg.parities, qg.succ, qg.initial)
 
     @cached_property
     def pred(self) -> tuple[tuple[int, ...], ...]:
@@ -464,8 +460,8 @@ def decide_bounded_cost(game: CostGame, bound: int, *,
                         product_budget: int = DEFAULT_PRODUCT_BUDGET) -> BoundedCostResult:
     """Does Player 0 have a strategy of cost at most ``bound``?
 
-    Solves the reachable quotient G' as a parity game one overflow level
-    at a time, stopping at the first level that wins the initial state,
+    Solves the reachable tracked product as a parity game one overflow
+    level at a time, stopping at the first level that wins the initial state,
     or else at the fixpoint (``_ParityLevels``).  The decision keeps the
     winners only; the certificate's moves are built on its first use.
     """

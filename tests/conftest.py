@@ -14,7 +14,7 @@ import pytest
 from costparity import QbfFormula, make_game, qbf_to_game
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex, _least_bound,
                              _reset_spoiler, strategy_from_product)
-from costparity.reduction import build_quotient_game
+from costparity.reduction import Tracker
 from costparity.semantics import INF, Lasso, _product, _sccs
 from costparity.solver import ParityGame, _ParityLevels, _solve_all
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
@@ -229,14 +229,25 @@ def streett_step(game, bound, o, r, costs, target):
 
 # --- oracle: the flat explicit product solved all at once ------------------
 
+def flat_parity_game(game, bound: int):
+    """The tracked product at ``bound`` as one classical parity game,
+    read off ``direct_tracked_product``: (its states (v, o, r), the
+    ParityGame), each state with its vertex's owner and color Ω(v), or
+    color 1 once o = n."""
+    states, succ, _ = direct_tracked_product(game, Tracker(game, bound))
+    owners = tuple(game.owner[v] for v, _, _ in states)
+    colors = tuple(game.color[v] if o < game.n else 1 for v, o, _ in states)
+    return states, ParityGame(owners, colors, succ, 0)
+
+
 class FlatSolveInfo:
-    """The layered engine's ``winner``, backed by the flat quotient
-    product of every overflow level, solved whole."""
+    """The layered engine's ``winner``, backed by the flat product of
+    every overflow level (``flat_parity_game``), solved whole."""
 
     def __init__(self, game, bound: int):
-        self.quotient = build_quotient_game(game, bound)
-        self._w0 = _solve_all(ParityGame.from_quotient(self.quotient))[0]
-        self._index = {st: i for i, st in enumerate(self.quotient.states)}
+        self.states, pg = flat_parity_game(game, bound)
+        self._w0 = _solve_all(pg)[0]
+        self._index = {st: i for i, st in enumerate(self.states)}
 
     def winner(self, v: int, o: int, r: tuple) -> int:
         i = self._index.get((v, o, r))

@@ -204,6 +204,24 @@ def test_solve_finite_duration_engine(delay_path):
     assert code == 2 and "error: budget" in err
 
 
+@pytest.mark.parametrize("engine, option, value", [
+    ("explicit", "--budget", "1"),
+    ("finite-duration", "--product-budget", "1"),
+    ("finite-duration", "--output", "x.strat"),
+])
+def test_solve_rejects_the_options_of_the_other_engine(tmp_path, delay_path, engine, option,
+                                                       value):
+    # an option the chosen engine would ignore is a usage error, and
+    # nothing is decided or written
+    if option == "--output":
+        value = str(tmp_path / value)
+    code, out, err = invoke("solve", "--engine", engine, option, value, "--bound", "2",
+                            delay_path)
+    assert (code, out) == (2, "")
+    assert err == f"error: usage: solve {option} does not apply to --engine {engine}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delay-won.cpg"]
+
+
 def test_verify_roundtrip(delay_path, tmp_path):
     invoke("solve", "--bound", "2", delay_path)
     code, out, _ = invoke("verify", "--strategy",

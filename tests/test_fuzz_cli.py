@@ -27,8 +27,8 @@ TOKENS = ("", "0", "1", "2", "-1", "7", "99999", " ", "\n", ":", ",", "|", "x", 
 CASES = {
     "validate-cpg": ("cpg", ["validate"]),
     "validate-cst": ("cst", ["validate"]),
-    "solve-explicit-cpg": ("cpg", ["solve", "--budget", "2000", "--product-budget", "5000"]),
-    "solve-explicit-cst": ("cst", ["solve", "--budget", "2000", "--product-budget", "5000"]),
+    "solve-explicit-cpg": ("cpg", ["solve", "--product-budget", "5000"]),
+    "solve-explicit-cst": ("cst", ["solve", "--product-budget", "5000"]),
     "solve-finite-duration": ("cpg", ["solve", "--engine", "finite-duration",
                                       "--budget", "2000"]),
     "optimal-cpg": ("cpg", ["optimal", "--product-budget", "5000"]),

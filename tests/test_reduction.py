@@ -4,32 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (direct_tracked_product, parity_initial_r, parity_step,
+from conftest import (direct_tracked_product, flat_parity_game, parity_initial_r, parity_step,
                       random_cost_game, random_cost_streett, tracker_queries)
-from costparity import (Edge, build_quotient_game, classify_cycle, dominates,
-                        initial_request_function, make_game, relevant_requests,
-                        settled, settled_bound, shortcut_step, track_play,
-                        update_track_state)
-from costparity.core import BudgetExceededError
-from costparity.reduction import (RequestFunction, TrackState, Tracker, _LevelProduct,
-                                  start_prefix)
+from costparity import (Edge, classify_cycle, dominates, make_game, relevant_requests,
+                        settled, settled_bound, shortcut_step, track_play)
+from costparity.reduction import Tracker, _LevelProduct, start_prefix
 from costparity.streett import StreettTracker
 
 
-def rf(mapping):
-    return RequestFunction.from_mapping(mapping)
-
-
-def ts(o, mapping):
-    return TrackState(o, rf(mapping))
-
-
 def test_initial_request_function():
+    # r_v on the odd colors (1, 3): Ω(v) ↦ 0 for an odd Ω(v), else all ⊥
     g = make_game([(0, 0, 0), (1, 1, 3), (2, 0, 2), (3, 1, 1)],
                   [(i, (i + 1) % 4, 1) for i in range(4)], 0)
-    assert initial_request_function(g, 0).as_dict() == {1: None, 3: None}
-    assert initial_request_function(g, 1).as_dict() == {1: None, 3: 0}
-    assert initial_request_function(g, 2).as_dict() == {1: None, 3: None}
+    tr = Tracker(g, 0)
+    assert tr.colors == (1, 3)
+    assert tr.initial_r(0) == (None, None)
+    assert tr.initial_r(1) == (None, 0)
+    assert tr.initial_r(2) == (None, None)
 
 
 def eight_vertex_trace_game():
@@ -42,15 +33,14 @@ def eight_vertex_trace_game():
 
 def test_update_track_state_steps():
     g = eight_vertex_trace_game()
+    tr = Tracker(g, 2)
+    assert tr.colors == (1, 3)
     # column 0 -> 1: ε-edge to a color-0 vertex leaves (0, {1:⊥,3:0}) alone
-    s = update_track_state(g, 2, ts(0, {1: None, 3: 0}), Edge(0, 1, 0))
-    assert s == ts(0, {1: None, 3: 0})
+    assert tr.update(0, (None, 0), 0, 1) == (0, (None, 0), False)
     # column 3 -> 4: ε-edge to the color-2 vertex closes the request for 1
-    s = update_track_state(g, 2, ts(0, {1: 1, 3: 2}), Edge(3, 4, 0))
-    assert s == ts(0, {1: None, 3: 2})
+    assert tr.update(0, (1, 2), 0, 4) == (0, (None, 2), False)
     # column 4 -> 5: increment to the color-4 vertex overflows, then answers
-    s = update_track_state(g, 2, ts(0, {1: None, 3: 2}), Edge(4, 5, 1))
-    assert s == ts(1, {1: None, 3: None})
+    assert tr.update(0, (None, 2), 1, 5) == (1, (None, None), True)
 
 
 def test_track_play_reproduces_reference_rows():
@@ -60,10 +50,7 @@ def test_track_play_reproduces_reference_rows():
     want_r1 = [None, None, 0, 1, None, None, 0, 1]
     want_r3 = [0, 0, 1, 2, 2, None, None, None]
     for i in range(8):
-        s = prefix.state_at(i)
-        assert s.overflow == want_o[i]
-        assert s.requests.get(1) == want_r1[i]
-        assert s.requests.get(3) == want_r3[i]
+        assert prefix.state_at(i) == (want_o[i], (want_r1[i], want_r3[i]))
 
 
 def test_relevant_requests():
@@ -74,19 +61,23 @@ def test_relevant_requests():
 
 
 def test_dominates_examples():
-    assert dominates(ts(0, {1: None}), ts(0, {1: 0}))
-    assert dominates(ts(0, {1: 2}), ts(1, {1: None}))
-    assert dominates(ts(0, {1: 2, 3: None}), ts(0, {1: None, 3: 2}))
-    assert not dominates(ts(0, {1: None, 3: 2}), ts(0, {1: 2, 3: None}))
+    # states (o, r) with r over the odd colors (1,) or (1, 3)
+    assert dominates((0, (None,)), (0, (0,)))
+    assert dominates((0, (2,)), (1, (None,)))
+    assert dominates((0, (2, None)), (0, (None, 2)))
+    assert not dominates((0, (None, 2)), (0, (2, None)))
+    with pytest.raises(ValueError):
+        dominates((0, (None,)), (0, (None, 2)))
 
 
 reqvals = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
+COLORS = (1, 3)
 
 
 @st.composite
-def states(draw, colors=(1, 3)):
+def states(draw):
     o = draw(st.integers(min_value=0, max_value=3))
-    return ts(o, {c: draw(reqvals) for c in colors})
+    return o, tuple(draw(reqvals) for _ in COLORS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,11 +96,11 @@ def test_domination_transitive(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(states(), states())
 def test_equivalent_states_share_relevant_requests(a, b):
-    if a.overflow == b.overflow and dominates(a, b) and dominates(b, a):
-        ra, rb = a.requests, b.requests
+    if a[0] == b[0] and dominates(a, b) and dominates(b, a):
+        ra, rb = dict(zip(COLORS, a[1])), dict(zip(COLORS, b[1]))
         rel = relevant_requests(ra)
         assert rel == relevant_requests(rb)
-        assert all(ra.get(c) == rb.get(c) for c in rel)
+        assert all(ra[c] == rb[c] for c in rel)
 
 
 def test_largest_and_costliest_requests_always_relevant():
@@ -142,17 +133,12 @@ def test_stability_under_concatenation_exhaustive():
             for o2, r2 in states_all:
                 if o2 >= g.n:
                     continue
-                a, bb = TrackState(o1, RequestFunction(tr.colors, r1)), \
-                    TrackState(o2, RequestFunction(tr.colors, r2))
-                if not dominates(a, bb):
+                if not dominates((o1, r1), (o2, r2)):
                     continue
                 for e in g.edges:
                     o1n, r1n, _ = tr.update(o1, r1, e.cost, e.target)
                     o2n, r2n, _ = tr.update(o2, r2, e.cost, e.target)
-                    assert dominates(
-                        TrackState(o1n, RequestFunction(tr.colors, r1n)),
-                        TrackState(o2n, RequestFunction(tr.colors, r2n))), \
-                        (r1, r2, o1, o2, e)
+                    assert dominates((o1n, r1n), (o2n, r2n)), (r1, r2, o1, o2, e)
 
 
 def test_update_never_exceeds_bounds():
@@ -236,19 +222,23 @@ def test_level_product_rows_are_the_arena_moves():
     assert overflowing > 200
 
 
-def test_quotient_game_equals_the_direct_search():
-    # the quotient game is the level product unrolled over o, with no
+def test_unrolled_level_product_equals_the_direct_search():
+    # the flat product is the level product unrolled over o, with no
     # tracker step; a search that steps the tracker on every state of
-    # the flat product must find the same states in the same order
+    # the flat product must find the same states in the same order, for
+    # both game classes
     rng = random.Random(29)
+    games = []
     for k in range(200):
         binary = k % 2
-        g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
-                             encoding="binary" if binary else "unary")
+        games.append((random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
+                                       encoding="binary" if binary else "unary"), Tracker))
+    streett_rng = random.Random(31)
+    games += [(random_cost_streett(streett_rng), StreettTracker) for _ in range(160)]
+    for k, (g, tracker_class) in enumerate(games):
         for b in range(5):
-            qg = build_quotient_game(g, b)
-            states, succ, _ = direct_tracked_product(g, Tracker(g, b))
-            assert (qg.states, qg.succ) == (states, succ), (k, b)
+            unrolled = _LevelProduct(g, tracker_class(g, b), 10 ** 6, "level product").unroll()
+            assert unrolled == direct_tracked_product(g, tracker_class(g, b))[:2], (k, b)
 
 
 def test_classify_cycle():
@@ -364,43 +354,14 @@ def test_shortcut_rejects_unary_games(delay_won):
         shortcut_step(delay_won, 2, prefix, Edge(0, 1, 1))
 
 
-def test_quotient_delay_game(delay_won):
-    qg = build_quotient_game(delay_won, 2)
-    assert qg.size <= 3 * 4 * 4
-    assert qg.states[0] == (0, 0, (0,))  # (v_I, 0, r_{v_I})
-    for i, (v, o, r) in enumerate(qg.states):
-        if o == delay_won.n:
-            assert qg.parities[i] == 1
-        else:
-            assert qg.parities[i] == delay_won.color[v]
-        assert qg.owners[i] == delay_won.owner[v]
-
-
-def test_quotient_budget(delay_won):
-    with pytest.raises(BudgetExceededError):
-        build_quotient_game(delay_won, 2, budget=2)
-
-
-def test_quotient_cpg_export(delay_won):
-    from costparity import format_cpg, validate_game
-
-    qg = build_quotient_game(delay_won, 1)
-    pgame = qg.to_cost_game()
-    assert validate_game(pgame) == []
-    text = format_cpg(pgame, qg.state_comments())
-    assert text == format_cpg(pgame, qg.state_comments())
-    assert "(0,0,(0,))" in text
-
-
 def test_saturated_region_stays_color_one():
     # any play that reaches o = n stays in color-1 product states
     rng = random.Random(23)
     for _ in range(20):
         g = random_cost_game(rng, rng.randint(1, 3), 3)
-        qg = build_quotient_game(g, 0)
-        idx = {s: i for i, s in enumerate(qg.states)}
-        for i, (v, o, r) in enumerate(qg.states):
+        states, pg = flat_parity_game(g, 0)
+        for i, (v, o, r) in enumerate(states):
             if o == g.n:
-                for j in qg.succ[i]:
-                    assert qg.states[j][1] == g.n
-                    assert qg.parities[j] == 1
+                for j in pg.succ[i]:
+                    assert states[j][1] == g.n
+                    assert pg.colors[j] == 1

@@ -6,8 +6,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, layered_corpus,
-                      random_cost_game, random_level_rows)
+from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, flat_parity_game,
+                      layered_corpus, random_cost_game, random_level_rows)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
                         decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
@@ -175,10 +175,10 @@ def test_decide_layered_equals_flat():
         b = rng.randint(0, 4)
         layered = decide_bounded_cost(g, b)
         flat = FlatSolveInfo(g, layered.bound)
-        initial = flat.quotient.states[0]  # the quotient's BFS starts there
+        initial = flat.states[0]  # the product's BFS starts there
         assert layered.achievable == (flat.winner(*initial) == 0)
         # every overflow level, the ones the last fixpoint iterate serves included
-        for v, o, r in flat.quotient.states:
+        for v, o, r in flat.states:
             assert layered.winner(v, o, r) == flat.winner(v, o, r)
 
 
@@ -219,11 +219,10 @@ def test_finite_duration_budget_exhaustion(delay_won):
 
 
 def test_first_cycle_oracle_triangle():
-    """decide == finite-duration == first-cycle minimax over explicit G'."""
-    from costparity.reduction import build_quotient_game
+    """decide == finite-duration == first-cycle minimax over the flat product."""
 
     def first_cycle_minimax(game, b, node_budget=400_000):
-        qg = build_quotient_game(game, b)
+        _, pg = flat_parity_game(game, b)
         budget = [node_budget]
 
         def rec(path, seen):
@@ -233,14 +232,14 @@ def test_first_cycle_oracle_triangle():
             cur = path[-1]
             if cur in seen:
                 k = path.index(cur)
-                top = max(qg.parities[i] for i in path[k:])
+                top = max(pg.colors[i] for i in path[k:])
                 return top % 2 == 0
-            owner = qg.owners[cur]
+            owner = pg.owners[cur]
             seen = seen | {cur}
-            results = (rec(path + [j], seen) for j in qg.succ[cur])
+            results = (rec(path + [j], seen) for j in pg.succ[cur])
             return any(results) if owner == 0 else all(results)
 
-        return rec([qg.initial], frozenset())
+        return rec([pg.initial], frozenset())
 
     rng = random.Random(12)
     checked = 0
@@ -440,7 +439,7 @@ def test_reads_after_an_early_stop_match_the_completed_fixpoint():
     flat = FlatSolveInfo(g, 1)
     complete = decide_bounded_cost(g, 1)
     assert len(complete.iterates) == 3
-    states = flat.quotient.states
+    states = flat.states
     for first in ("winner", "move", "certificate"):
         res = decide_bounded_cost(g, 1)
         assert res.achievable and len(res._levels) == 2 and "iterates" not in vars(res)
