@@ -71,7 +71,9 @@ def relevant_requests(r: Mapping[int, int | None]) -> frozenset[int]:
 def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
     """(o, r) ⊑ (o', r'): larger overflow dominates; at equal overflow
     every relevant request of r is covered by a relevant request of r'
-    that is at least as large in color and incurred cost."""
+    that is at least as large in color and incurred cost.  Both states
+    must come from the same tracker: r and r' are compared entry by
+    entry, and only a difference in length is caught."""
     (oa, ra), (ob, rb) = a, b
     if oa != ob:
         return oa < ob

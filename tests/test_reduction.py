@@ -239,6 +239,8 @@ def test_unrolled_level_product_equals_the_direct_search():
         for b in range(5):
             unrolled = _LevelProduct(g, tracker_class(g, b), 10 ** 6, "level product").unroll()
             assert unrolled == direct_tracked_product(g, tracker_class(g, b))[:2], (k, b)
+            if tracker_class is Tracker:  # n vertices x (n+1) overflows x (b+2)^d requests
+                assert len(unrolled[0]) <= g.n * (g.n + 1) * (b + 2) ** g.d, (k, b)
 
 
 def test_classify_cycle():
