@@ -8,6 +8,10 @@ steps: add the edge cost to open requests, reset everything and bump o
 on an excess over b, close requests answered by the target's color, and
 open the target's own request.  Streett games track one entry per pair
 alike, and both game classes share the one step (``_MemoizedStep``).
+The tracker, the product and the certificates carry r as one int, a
+request word of open bits and cost fields, whose step is a few integer
+operations; code that reads single entries (prefixes, ``dominates``)
+works on the tuple of ⊥ or costs that ``unpack`` gives.
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
@@ -71,9 +75,9 @@ def relevant_requests(r: Mapping[int, int | None]) -> frozenset[int]:
 def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
     """(o, r) ⊑ (o', r'): larger overflow dominates; at equal overflow
     every relevant request of r is covered by a relevant request of r'
-    that is at least as large in color and incurred cost.  Both states
-    must come from the same tracker: r and r' are compared entry by
-    entry, and only a difference in length is caught."""
+    that is at least as large in color and incurred cost.  r and r' are
+    tuples (``unpack`` of one tracker's words), compared entry by entry;
+    only a difference in length is caught."""
     (oa, ra), (ob, rb) = a, b
     if oa != ob:
         return oa < ob
@@ -86,7 +90,20 @@ class _MemoizedStep:
     """The request tracker of both game classes: entry i of r belongs
     to pair i of the Streett image (``request_mask`` / ``answer_mask``).
 
-    A step changes r using only the edge cost and the target's class
+    r is one int, a request word.  Its low d bits are the open mask;
+    above them sit d fields of F = b.bit_length() + 1 bits, field i
+    holding the cost pair i has incurred, 0 while the pair is closed.
+    So words and tuples over {⊥} ∪ [0, b] correspond one to one
+    (``pack`` / ``unpack``).  A step adds the edge cost under the open
+    fields, each component clamped to b+1: an open entry overflows
+    after the step iff it would unclamped, and otherwise the clamp
+    changed nothing.  A field thus never exceeds 2b+1 < 2^F, so no carry
+    crosses fields, and one add of 2^(F−1)−1−b to every field
+    (``_bias``) sets a field's top bit (``_tops``) iff it exceeds b.
+    Then the target's class closes the pairs it answers (``& keep``)
+    and opens its fresh requests at 0 (``| fresh``).
+
+    The step changes r using only the edge cost and the target's class
     ``answer mask | fresh mask << d``, and changes o only by the bump on
     an overflow.  So ``_step(r, cost, class)`` -> (r', overflowed) runs
     once per distinct key and is looked up afterwards.  The memo belongs
@@ -101,24 +118,52 @@ class _MemoizedStep:
         self.bound = bound
         self.n = game.n
         self.d = d = game.d
-        self.bot = (BOT,) * d
+        width = bound.bit_length() + 1
+        self._field = field = (1 << width) - 1
+        self._shifts = shifts = tuple(d + i * width for i in range(d))
+        self._ones = ones = sum(1 << s for s in shifts)
+        self._bias = ((1 << width - 1) - 1 - bound) * ones
+        self._tops = ones << width - 1
+        self._low = low = (1 << d) - 1
         qmask = game.request_mask
         self.target_class = {v: a | (qmask[v] & ~a) << d
                              for v, a in game.answer_mask.items()}
-        # per class, the pairs a step closes and the pairs it opens
-        self._pairs = {tc: ([i for i in range(d) if tc >> i & 1],
-                            [i for i in range(d) if tc >> d + i & 1])
-                       for tc in set(self.target_class.values())}
+        # per class, the word mask of the pairs a step keeps (those it
+        # does not close), and the open bits of the pairs it opens
+        self._classes = {tc: (self._fields(low & ~tc), tc >> d)
+                         for tc in set(self.target_class.values())}
+        # per (open mask, edge cost), what a step adds to the word
+        self._charges: dict = {}
         self._memo: dict = {}
 
-    def initial_state(self) -> tuple[int, tuple]:
+    def _fields(self, mask: int) -> int:
+        """The open bits and the fields of the pairs in ``mask``."""
+        return mask & self._low | sum(
+            self._field << s for i, s in enumerate(self._shifts) if mask >> i & 1)
+
+    def pack(self, values: Sequence[int | None]) -> int:
+        """The request word of a tuple whose entries are ⊥ or in [0, b]."""
+        word = 0
+        for i, (x, s) in enumerate(zip(values, self._shifts)):
+            if x is not None:
+                if not 0 <= x <= self.bound:
+                    raise ValueError(f"request entry {x} outside [0, {self.bound}]")
+                word |= 1 << i | x << s
+        return word
+
+    def unpack(self, word: int) -> tuple:
+        """The tuple of a request word: ⊥ or the cost, pair by pair."""
+        field = self._field
+        return tuple(word >> s & field if word >> i & 1 else BOT
+                     for i, s in enumerate(self._shifts))
+
+    def initial_state(self) -> tuple[int, int]:
         return (0, self.initial_r(self.game.initial))
 
-    def initial_r(self, vertex: int) -> tuple:
-        fresh = self.target_class[vertex] >> self.d
-        return tuple(0 if fresh >> i & 1 else BOT for i in range(self.d))
+    def initial_r(self, vertex: int) -> int:
+        return self.target_class[vertex] >> self.d
 
-    def update(self, o: int, r: tuple, cost, target: int) -> tuple[int, tuple, bool]:
+    def update(self, o: int, r: int, cost, target: int) -> tuple[int, int, bool]:
         """One memory step; returns (o', r', overflowed)."""
         tc = self.target_class[target]
         key = (r, cost, tc)
@@ -130,26 +175,22 @@ class _MemoizedStep:
             o = min(o + 1, self.n)
         return o, r, overflow
 
-    @staticmethod
-    def _charge(r: tuple, costs: tuple[int, ...]) -> list:
-        """Each pair's own edge cost added to its open entry."""
-        return [x if x is None else x + w for x, w in zip(r, costs)]
+    def _packed(self, costs: tuple[int, ...]) -> int:
+        """Each pair's own edge cost, clamped to b+1, in its field."""
+        cap = self.bound + 1
+        return sum(min(w, cap) << s for w, s in zip(costs, self._shifts))
 
-    def _step(self, r: tuple, cost, tc: int) -> tuple[tuple, bool]:
-        b = self.bound
-        r = self._charge(r, cost)
-        overflow = False
-        for x in r:
-            if x is not None and x > b:
-                r, overflow = list(self.bot), True
-                break
-        close, fresh = self._pairs[tc]
-        for i in close:
-            r[i] = BOT
-        for i in fresh:
-            if r[i] is None:
-                r[i] = 0
-        return tuple(r), overflow
+    def _step(self, r: int, cost, tc: int) -> tuple[int, bool]:
+        key = (r & self._low, cost)
+        charge = self._charges.get(key)
+        if charge is None:
+            charge = self._charges[key] = self._packed(cost) & self._fields(key[0])
+        r += charge
+        overflow = r + self._bias & self._tops != 0
+        if overflow:
+            r = 0
+        keep, fresh = self._classes[tc]
+        return r & keep | fresh, overflow
 
 
 class Tracker(_MemoizedStep):
@@ -160,9 +201,8 @@ class Tracker(_MemoizedStep):
         super().__init__(game, bound)
         self.colors = game.odd_colors
 
-    @staticmethod
-    def _charge(r: tuple, cost: int) -> list:
-        return [x if x is None else x + cost for x in r]
+    def _packed(self, cost: int) -> int:
+        return min(cost, self.bound + 1) * self._ones
 
 
 # --- annotated prefixes, dominating cycles, settledness ---------------------
@@ -197,8 +237,9 @@ class TrackedPrefix:
 
 
 def start_prefix(game: CostGame, bound: int) -> TrackedPrefix:
-    o, r = Tracker(game, bound).initial_state()
-    return TrackedPrefix((game.initial,), (o,), (r,), (0,), (False,))
+    tr = Tracker(game, bound)
+    o, r = tr.initial_state()
+    return TrackedPrefix((game.initial,), (o,), (tr.unpack(r),), (0,), (False,))
 
 
 def track_play(game: CostGame, bound: int, vertices: Sequence[int]) -> TrackedPrefix:
@@ -207,12 +248,13 @@ def track_play(game: CostGame, bound: int, vertices: Sequence[int]) -> TrackedPr
         raise ValueError("prefix must start at the initial vertex")
     tr = Tracker(game, bound)
     prefix = start_prefix(game, bound)
+    o, r = tr.initial_state()
     for u, v in zip(vertices, vertices[1:]):
         w = game.edge_cost.get((u, v))
         if w is None:
             raise ValueError(f"missing edge {u}->{v}")
-        o, r, _ = tr.update(prefix.overflows[-1], prefix.requests[-1], w, v)
-        prefix = prefix.extended(v, o, r, w)
+        o, r, _ = tr.update(o, r, w, v)
+        prefix = prefix.extended(v, o, tr.unpack(r), w)
     return prefix
 
 
@@ -266,7 +308,8 @@ class _PrefixStack:
     (vertex, overflow) in ascending order, cumulative costs, relevance
     masks, and the start of each maximal run of equal relevance masks.
     ``settled``, ``shortcut_step`` and the finite-duration engine all
-    run on it."""
+    run on it.  Its request functions are tuples: ``step`` packs the top
+    one for the tracker and unpacks the tracker's answer."""
 
     def __init__(self, game: CostGame, bound: int):
         self.tracker = Tracker(game, bound)
@@ -324,7 +367,9 @@ class _PrefixStack:
         positive cost, keeps the relevance mask of r' throughout and fits
         one more traversal under the bound."""
         b = self.bound
-        o2, r2, _ = self.tracker.update(self.overflows[-1], self.requests[-1], w, t)
+        tr = self.tracker
+        o2, r2, _ = tr.update(self.overflows[-1], tr.pack(self.requests[-1]), w, t)
+        r2 = tr.unpack(r2)
         m2 = _relevant_mask(r2) if self.binary else 0
         if not m2:
             return o2, r2, w, False
@@ -394,8 +439,8 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
 # --- the tracked product ---------------------------------------------------
 
 class _LevelProduct:
-    """The tracked product, explored once over (vertex, request
-    function) nodes.  A tracker step never depends on o apart from the
+    """The tracked product, explored once over (vertex, request word)
+    nodes.  A tracker step never depends on o apart from the
     saturation clamp, so the product with the memory (o, r) is n+1
     copies of this graph, with overflow edges one level up.  ``succ[i]``
     lists node i's successors, one per arena move in move order; a move
@@ -411,8 +456,8 @@ class _LevelProduct:
         moves = game.successors
         update = tracker.update
         _, r0 = tracker.initial_state()
-        index: dict[tuple[int, tuple], int] = {(game.initial, r0): 0}
-        order: list[tuple[int, tuple]] = [(game.initial, r0)]
+        index: dict[tuple[int, int], int] = {(game.initial, r0): 0}
+        order: list[tuple[int, int]] = [(game.initial, r0)]
         succ: list[tuple[int, ...]] = []
         pred: list[list[int]] = [[]]
         overflow: dict[int, frozenset[int]] = {}

@@ -129,7 +129,7 @@ def _product(game, strat: StrategySpec, tracker=None
     under ``strat``, breadth-first from the initial state, with the
     owner's moves fixed: states (vertex, memory, r), rows of successor
     ids in move order, and the matching overflow flags.  r is the
-    request function of ``tracker`` at its bound, with the overflow
+    request word of ``tracker`` at its bound, with the overflow
     counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
     None without a tracker.  Every edge is explored, overflow edges too.
     Reaching ``DEFAULT_PRODUCT_BUDGET`` states raises

@@ -368,7 +368,9 @@ class BoundedCostResult(_LevelProduct):
     def _iterate_index(self, o: int) -> int:
         return min(self.game.n - 1 - o, len(self.iterates) - 1)
 
-    def winner(self, v: int, o: int, r: tuple) -> int:
+    def winner(self, v: int, o: int, r: int) -> int:
+        """Who wins the state (v, o, r), r a request word of the
+        decision's tracker; KeyError if (v, r) is not a node."""
         if o >= self.game.n:
             return 1
         node = self.index.get((v, r))
@@ -400,8 +402,9 @@ class BoundedCostResult(_LevelProduct):
             self._solved[k] = kept
         return kept
 
-    def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
-        """The level solve's positional move, as an arena successor.  On a
+    def move(self, player: int, v: int, o: int, r: int) -> Optional[int]:
+        """The level solve's positional move at (v, o, r), r a request
+        word, as an arena successor; None off the nodes.  On a
         Streett game Player 0 has none: her level strategies need memory,
         so ``move(0, …)`` raises ValueError there; ``certificate`` holds
         her moves."""
@@ -541,7 +544,8 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     succ = game.successors
     owner = game.owner
     nodes = 0
-    stack.push(game.initial, *stack.tracker.initial_state(), 0)
+    o, r = stack.tracker.initial_state()
+    stack.push(game.initial, o, stack.tracker.unpack(r), 0)
 
     # frames: [owner, moves, next-index, value]
     frames: list[list] = [[owner[game.initial], succ[game.initial], 0, None]]

@@ -183,8 +183,9 @@ class StreettTracker(_MemoizedStep):
 
     The state is (o, r) as in ``reduction.Tracker``, with r holding one
     entry per pair: ⊥, or the cost the oldest open request of that pair
-    has incurred under the pair's own cost function.  A target in P_c
-    closes pair c, and one in Q_c (outside P_c) opens it.
+    has incurred under the pair's own cost function, each in its field
+    of the request word.  A target in P_c closes pair c, and one in Q_c
+    (outside P_c) opens it.
     """
 
 
@@ -195,8 +196,8 @@ class StreettReduction:
     game: CostStreettGame
     bound: int
     streett: StreettGame
-    states: tuple[tuple[int, int, tuple], ...]  # (vertex, overflow, r)
-    index: Mapping[tuple[int, int, tuple], int]
+    states: tuple[tuple[int, int, int], ...]  # (vertex, overflow, request word)
+    index: Mapping[tuple[int, int, int], int]
 
     @property
     def size(self) -> int:
@@ -545,7 +546,7 @@ class _StreettLevels(BoundedCostResult):
              for j in [cell.move(i, cell.init(i))] if j is not None}, prev)
         return frozenset(v for v in res.win0 if v < m), (res.cells[0], moves1)
 
-    def move(self, player: int, v: int, o: int, r: tuple) -> Optional[int]:
+    def move(self, player: int, v: int, o: int, r: int) -> Optional[int]:
         if player == 0:
             raise ValueError("Player 0 has no positional Streett moves: read certificate")
         return super().move(player, v, o, r)

@@ -243,9 +243,10 @@ def test_11_domination_stability():
                     continue
                 checked_pairs += 1
                 for e in g.edges:
-                    o1n, r1n, _ = tr.update(o1, r1, e.cost, e.target)
-                    o2n, r2n, _ = tr.update(o2, r2, e.cost, e.target)
-                    assert o1n < o2n or (o1n == o2n and _r_dominated(r1n, r2n))
+                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
+                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
+                    assert o1n < o2n or (o1n == o2n and _r_dominated(tr.unpack(r1n),
+                                                                     tr.unpack(r2n)))
     assert time.time() - t0 < 120
     report(11, f"⊑ stability under every edge, {checked_pairs} ⊑-pairs checked", t0)
 
@@ -257,16 +258,16 @@ def _walk_settles(game, bound, rng, max_len):
     o, r = tr.initial_state()
     verts = [game.initial]
     os_ = [o]
-    rs = [r]
+    rs = [tr.unpack(r)]
     buckets = {(game.initial, o): [0]}
     color = game.color
     n = game.n
     for step in range(1, max_len + 1):
         t, w = rng.choice(game.successors[verts[-1]])
-        o, r, _ = tr.update(os_[-1], rs[-1], w, t)
+        o, r, _ = tr.update(o, r, w, t)
         verts.append(t)
         os_.append(o)
-        rs.append(r)
+        rs.append(tr.unpack(r))
         i = len(verts) - 1
         if o == n:
             return step

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (direct_tracked_product, flat_parity_game, parity_initial_r, parity_step,
-                      random_cost_game, random_cost_streett, tracker_queries)
-from costparity import (Edge, classify_cycle, dominates, make_game, relevant_requests,
+                      random_cost_game, random_cost_streett, streett_step, tracker_queries)
+from costparity import (Edge, Vertex, classify_cycle, dominates, make_game, relevant_requests,
                         settled, settled_bound, shortcut_step, track_play)
+from costparity.generators import QbfFormula, qbf_to_game, streett_counter_family
 from costparity.reduction import Tracker, _LevelProduct, start_prefix
-from costparity.streett import StreettTracker
+from costparity.solver import decide_bounded_cost
+from costparity.streett import (CostStreettGame, StreettEdge, StreettPair, StreettTracker,
+                                decide_bounded_cost_streett)
 
 
 def test_initial_request_function():
@@ -18,9 +22,9 @@ def test_initial_request_function():
                   [(i, (i + 1) % 4, 1) for i in range(4)], 0)
     tr = Tracker(g, 0)
     assert tr.colors == (1, 3)
-    assert tr.initial_r(0) == (None, None)
-    assert tr.initial_r(1) == (None, 0)
-    assert tr.initial_r(2) == (None, None)
+    assert tr.unpack(tr.initial_r(0)) == (None, None)
+    assert tr.unpack(tr.initial_r(1)) == (None, 0)
+    assert tr.unpack(tr.initial_r(2)) == (None, None)
 
 
 def eight_vertex_trace_game():
@@ -35,12 +39,17 @@ def test_update_track_state_steps():
     g = eight_vertex_trace_game()
     tr = Tracker(g, 2)
     assert tr.colors == (1, 3)
+
+    def step(o, r, w, t):
+        o2, r2, overflowed = tr.update(o, tr.pack(r), w, t)
+        return o2, tr.unpack(r2), overflowed
+
     # column 0 -> 1: ε-edge to a color-0 vertex leaves (0, {1:⊥,3:0}) alone
-    assert tr.update(0, (None, 0), 0, 1) == (0, (None, 0), False)
+    assert step(0, (None, 0), 0, 1) == (0, (None, 0), False)
     # column 3 -> 4: ε-edge to the color-2 vertex closes the request for 1
-    assert tr.update(0, (1, 2), 0, 4) == (0, (None, 2), False)
+    assert step(0, (1, 2), 0, 4) == (0, (None, 2), False)
     # column 4 -> 5: increment to the color-4 vertex overflows, then answers
-    assert tr.update(0, (None, 2), 1, 5) == (1, (None, None), True)
+    assert step(0, (None, 2), 1, 5) == (1, (None, None), True)
 
 
 def test_track_play_reproduces_reference_rows():
@@ -136,9 +145,10 @@ def test_stability_under_concatenation_exhaustive():
                 if not dominates((o1, r1), (o2, r2)):
                     continue
                 for e in g.edges:
-                    o1n, r1n, _ = tr.update(o1, r1, e.cost, e.target)
-                    o2n, r2n, _ = tr.update(o2, r2, e.cost, e.target)
-                    assert dominates((o1n, r1n), (o2n, r2n)), (r1, r2, o1, o2, e)
+                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
+                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
+                    assert dominates((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
+                        (r1, r2, o1, o2, e)
 
 
 def test_update_never_exceeds_bounds():
@@ -153,7 +163,7 @@ def test_update_never_exceeds_bounds():
             e = rng.choice([e for e in g.edges])
             o, r, _ = tr.update(o, r, e.cost, e.target)
             assert o <= g.n
-            assert all(x is None or 0 <= x <= b for x in r)
+            assert all(x is None or 0 <= x <= b for x in tr.unpack(r))
 
 
 def test_tracker_memo_answers_like_a_fresh_tracker():
@@ -177,16 +187,104 @@ def test_tracker_steps_like_the_color_based_parity_step():
         g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3, encoding="binary")
         b = rng.randint(0, 3)
         tr = Tracker(g, b)
-        assert all(tr.initial_r(v) == parity_initial_r(g, v) for v in g.color)
+        assert all(tr.unpack(tr.initial_r(v)) == parity_initial_r(g, v) for v in g.color)
         o, r = tr.initial_state()
         v = g.initial
         for _ in range(50):
             t, w = rng.choice(g.successors[v])
-            step = tr.update(o, r, w, t)
-            assert step == parity_step(g, b, o, r, w, t), (o, r, w, t)
-            (o, r, _), v = step, t
+            o2, r2, overflowed = tr.update(o, r, w, t)
+            step, values = (o2, tr.unpack(r2), overflowed), tr.unpack(r)
+            assert step == parity_step(g, b, o, values, w, t), (o, values, w, t)
+            o, r, v = o2, r2, t
             walked += 1
     assert walked > 10_000
+
+
+def _pairless_streett_game(d: int) -> CostStreettGame:
+    """One vertex with a self-loop and d pairs that request and answer
+    nothing: a tracker of width d with nothing else in the way."""
+    return CostStreettGame((Vertex(0, 0, 0),), (StreettEdge(0, 0, (0,) * d),),
+                           (StreettPair(frozenset(), frozenset()),) * d, 0)
+
+
+def _request_tuples(rng, d: int, values: list, most: int = 40) -> list[tuple]:
+    """Every tuple over ⊥ and ``values`` of length d, or ``most`` random ones."""
+    choices = [None] + values
+    if len(choices) ** d <= most:
+        return list(itertools.product(choices, repeat=d))
+    return [tuple(rng.choice(choices) for _ in range(d)) for _ in range(most)]
+
+
+@pytest.mark.parametrize("b", [0, 1, 7, 8, 10 ** 6])
+def test_word_step_matches_the_tuple_oracles_at_the_edges(b):
+    # the packed step against the tuple steps written on colors and
+    # pairs, from entries at 0, b−1 and b, under edge costs of 0, b, b+1
+    # and far above b (the clamp), with Streett costs of mixed size per
+    # pair; bounds of the form 2^k−1 and 2^k change the field width
+    rng = random.Random(b)
+    values = sorted({0, b // 2, max(b - 1, 0), b})
+    costs = sorted({0, 1, b, b + 1, b + 2, 2 * b + 3, 10 ** 7})
+    parity = [random_cost_game(rng, rng.randint(1, 4), 5) for _ in range(12)]
+    parity.append(make_game([(0, 0, 0), (1, 1, 2)], [(0, 1, 1), (1, 0, 0)], 0))  # d = 0
+    streett = [random_cost_streett(rng) for _ in range(12)] + [_pairless_streett_game(0),
+                                                                streett_counter_family(3).game]
+    checked = overflowed = 0
+    for games, tracker_class, oracle in ((parity, Tracker, parity_step),
+                                         (streett, StreettTracker, streett_step)):
+        for g in games:
+            tr = tracker_class(g, b)
+            for r in _request_tuples(rng, g.d, values):
+                word = tr.pack(r)
+                assert tr.unpack(word) == r
+                edge_costs = costs if tracker_class is Tracker else \
+                    [tuple(rng.choice(costs) for _ in range(g.d)) for _ in costs]
+                for t in g.owner:
+                    for w in edge_costs:
+                        for o in (0, g.n - 1, g.n):
+                            o2, r2, ovf = tr.update(o, word, w, t)
+                            assert (o2, tr.unpack(r2), ovf) == oracle(g, b, o, r, w, t), \
+                                (b, o, r, w, t)
+                            checked += 1
+                            overflowed += ovf
+    assert checked > 2_000 and 0 < overflowed < checked
+
+
+def test_pack_is_one_to_one_and_unpack_inverts_it():
+    # every tuple over ({⊥} ∪ [0, b])^d for d ≤ 3 and b ≤ 4 has its own
+    # word, and entries outside [0, b] have none
+    for d in range(4):
+        g = _pairless_streett_game(d)
+        for b in range(5):
+            tr = StreettTracker(g, b)
+            tuples = list(itertools.product([None, *range(b + 1)], repeat=d))
+            words = [tr.pack(r) for r in tuples]
+            assert len(set(words)) == len(tuples), (d, b)
+            assert [tr.unpack(word) for word in words] == tuples, (d, b)
+            if d:
+                for bad in (-1, b + 1):
+                    with pytest.raises(ValueError, match="outside"):
+                        tr.pack((bad,) + (None,) * (d - 1))
+
+
+def test_decisions_step_the_tracker_once_per_product_move(monkeypatch):
+    # the traced benchmark counts tracker steps by wrapping the trackers'
+    # update: a decision's product must call it once per level-graph move
+    calls = {}
+    for cls in (Tracker, StreettTracker):
+        def counted(self, *args, update=cls.update, cls=cls):
+            calls[cls] += 1
+            return update(self, *args)
+        monkeypatch.setattr(cls, "update", counted)
+    formula = QbfFormula(("e", "a", "e"), ((1, -2, 3), (-1, 2, 3), (-3, 2, 1)))
+    inst = qbf_to_game(formula)
+    counter = streett_counter_family(2).game
+    for decide, game, bound, cls in ((decide_bounded_cost, inst.game, inst.target_bound, Tracker),
+                                     (decide_bounded_cost_streett, counter, 8, StreettTracker)):
+        calls.update({Tracker: 0, StreettTracker: 0})
+        res = decide(game, bound)
+        moves = sum(len(row) for row in res.succ)
+        assert moves > 50
+        assert calls[cls] == sum(calls.values()) == moves
 
 
 def test_level_product_rows_are_the_arena_moves():
@@ -306,8 +404,8 @@ def test_long_prefixes_are_settled():
         tr = Tracker(g, b)
         for _ in range(bound + 1):
             t, w = rng.choice(g.successors[walk[-1]])
-            o, r, _ = tr.update(prefix.overflows[-1], prefix.requests[-1], w, t)
-            prefix = prefix.extended(t, o, r, w)
+            o, r, _ = tr.update(prefix.overflows[-1], tr.pack(prefix.requests[-1]), w, t)
+            prefix = prefix.extended(t, o, tr.unpack(r), w)
             walk.append(t)
             if settled(g, b, prefix).settled:
                 break

@@ -491,16 +491,18 @@ def test_streett_tracker_steps_like_the_pair_based_step():
         g = random_cost_streett(rng)
         b = rng.randint(0, 3)
         tr = StreettTracker(g, b)
-        assert all(tr.initial_r(v) == streett_initial_r(g, v) for v in g.owner)
+        assert all(tr.unpack(tr.initial_r(v)) == streett_initial_r(g, v) for v in g.owner)
         o, r = tr.initial_state()
         v = g.initial
         for _ in range(50):
             t, w = rng.choice(g.successors[v])
-            step = tr.update(o, r, w, t)
-            assert step == streett_step(g, b, o, r, w, t), (o, r, w, t)
-            charged = [x + c for x, c in zip(r, w) if x is not None]
-            exact += step[2] and max(charged) == b + 1
-            (o, r, _), v = step, t
+            o2, r2, overflowed = tr.update(o, r, w, t)
+            step = o2, tr.unpack(r2), overflowed
+            values = tr.unpack(r)
+            assert step == streett_step(g, b, o, values, w, t), (o, values, w, t)
+            charged = [x + c for x, c in zip(values, w) if x is not None]
+            exact += overflowed and max(charged) == b + 1
+            o, r, v = o2, r2, t
             walked += 1
     assert walked > 10_000
     assert exact > 500
