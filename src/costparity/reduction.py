@@ -19,9 +19,10 @@ the reachable product with the tracking memory, whose parity winner
 characterizes bounded-cost strategy existence.  It is explored once
 over (vertex, request function) nodes (``_LevelProduct``), one copy per
 overflow level; ``unroll`` flattens the copies for the classical
-Streett reduction.  The settle and shortcut rules exist once, on an
-incremental prefix (``_PrefixStack``) that ``settled``,
-``shortcut_step`` and the finite-duration engine in ``solver`` share.
+Streett reduction, and the verifier's spoiler probes run on it too.
+The settle and shortcut rules exist once, on an incremental prefix
+(``_PrefixStack``) that ``settled``, ``shortcut_step`` and the
+finite-duration engine in ``solver`` share.
 """
 
 from __future__ import annotations
@@ -195,11 +196,12 @@ class _MemoizedStep:
 
 class Tracker(_MemoizedStep):
     """The tracker of a cost-parity game: r is indexed by the odd colors
-    ``colors``, and one edge cost applies to every pair."""
+    ``colors`` (read off ``game`` on use, so an arena without colors
+    works too), and one edge cost applies to every pair."""
 
-    def __init__(self, game: CostGame, bound: int):
-        super().__init__(game, bound)
-        self.colors = game.odd_colors
+    @property
+    def colors(self) -> tuple[int, ...]:
+        return self.game.odd_colors
 
     def _packed(self, cost: int) -> int:
         return min(cost, self.bound + 1) * self._ones
@@ -440,14 +442,18 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
 
 class _LevelProduct:
     """The tracked product, explored once over (vertex, request word)
-    nodes.  A tracker step never depends on o apart from the
-    saturation clamp, so the product with the memory (o, r) is n+1
-    copies of this graph, with overflow edges one level up.  ``succ[i]``
-    lists node i's successors, one per arena move in move order; a move
-    into j targets ``nodes[j][0]``, as no two arena edges share both ends.
-    ``overflow[i]`` is the set of ids that i's overflow moves reach (for
-    the rows with one), ``pred[j]`` the ascending sources of j's other
-    moves."""
+    nodes: the one such search, for decisions and the verifier's spoiler
+    probes alike.  It reads ``initial`` and ``successors`` (id →
+    ((target, cost), ...)) of ``game``, a CostGame, a CostStreettGame or
+    a ``semantics._StrategyArena``; its tracker also reads ``n``, ``d``,
+    ``request_mask`` and ``answer_mask``.  A tracker step never depends
+    on o apart from the saturation clamp, so the product with the memory
+    (o, r) is n+1 copies of this graph, with overflow edges one level
+    up.  ``succ[i]`` lists node i's successors, one per arena move in
+    move order; a move into j targets ``nodes[j][0]``, as no two arena
+    edges share both ends.  ``overflow[i]`` is the set of ids that i's
+    overflow moves reach (for the rows with one), ``pred[j]`` the
+    ascending sources of j's other moves."""
 
     def __init__(self, game, tracker, budget: int, what: str):
         self.game = game

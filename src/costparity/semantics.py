@@ -6,12 +6,12 @@ product, so exact evaluation on lassos suffices; arbitrary infinite
 plays are not represented.
 
 Strategy costs come from one verifier for parity and Streett games,
-which never calls the solver.  A Player 0 strategy's cost is the most
-cost of a response path inside the SCCs of its untracked one-player
-product, found in one pass with no bound search.  A spoiler's is the
-least bound at which Player 0 finds a good lasso (SCC checks) in its
-one-player product, tracked at each probed bound by the request
-tracker of the game's class.
+which never calls the solver and builds the strategy's one-player arena
+once (``_StrategyArena``).  A Player 0 strategy's cost is the most cost
+of a response path inside the SCCs of that arena, found in one pass.  A
+spoiler's is the least bound at which Player 0 finds a good lasso (SCC
+checks) in the arena tracked at that bound by ``reduction._LevelProduct``,
+the one search of tracked products for decisions and verification.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, CostGame, StrategySpec,
                    _least_bound, make_game, require_valid, validate_strategy)
-from .reduction import Tracker
+from .reduction import Tracker, _LevelProduct
 
 INF = math.inf
 
@@ -123,52 +123,50 @@ def _limsup(game, lasso: Lasso, pair_cost) -> CostValue:
 
 # --- strategy cost ----------------------------------------------------------
 
-def _product(game, strat: StrategySpec, tracker=None
-             ) -> tuple[list[tuple], list[list[int]], list[list[bool]]]:
-    """Reachable product of ``game`` (a CostGame or a CostStreettGame)
-    under ``strat``, breadth-first from the initial state, with the
-    owner's moves fixed: states (vertex, memory, r), rows of successor
-    ids in move order, and the matching overflow flags.  r is the
-    request word of ``tracker`` at its bound, with the overflow
-    counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
-    None without a tracker.  Every edge is explored, overflow edges too.
-    Reaching ``DEFAULT_PRODUCT_BUDGET`` states raises
-    ``BudgetExceededError``.
-    """
-    succ = game.successors
-    owner = game.owner
-    key = game.update_key
-    cost = game.edge_cost
-    start = (game.initial, strat.initial,
-             None if tracker is None else tracker.initial_state()[1])
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = []
-    ovf: list[list[bool]] = []
-    for v, m, r in order:  # grows while it is walked
-        if owner[v] == strat.player:
-            moves = [strat.next_move[(v, m)]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        row, orow = [], []
-        for t in moves:
-            r2, over = r, False
-            if tracker is not None:
-                _, r2, over = tracker.update(0, r, cost[(v, t)], t)
-            state = (t, strat.update[(m, key[(v, t)])], r2)
-            j = index.get(state)
-            if j is None:
-                j = len(order)
-                if j >= DEFAULT_PRODUCT_BUDGET:
-                    raise BudgetExceededError(
-                        f"strategy product exceeds budget {DEFAULT_PRODUCT_BUDGET} states")
-                index[state] = j
-                order.append(state)
-            row.append(j)
-            orow.append(over)
-        rows.append(row)
-        ovf.append(orow)
-    return order, rows, ovf
+class _StrategyArena:
+    """``game`` (a CostGame or a CostStreettGame) restricted by ``strat``:
+    a vertex per reachable (vertex, memory) pair ``states[i]``, numbered
+    breadth-first, at arena vertex ``verts[i]``, with the arena's moves in
+    move order, the owner's cut to ``next_move``; ``rows[i]`` holds the
+    successor ids.  It carries what ``_LevelProduct`` and the trackers
+    read of an arena, by id: ``initial``, ``successors``, ``n``, ``d``,
+    ``request_mask`` and ``answer_mask``.  Reaching
+    ``DEFAULT_PRODUCT_BUDGET`` vertices raises ``BudgetExceededError``."""
+
+    initial = 0
+
+    def __init__(self, game, strat: StrategySpec):
+        succ, owner, key, cost = game.successors, game.owner, game.update_key, game.edge_cost
+        start = (game.initial, strat.initial)
+        index = {start: 0}
+        states = [start]
+        successors: list[tuple] = []
+        for v, m in states:  # grows while it is walked
+            moves = succ[v]
+            if owner[v] == strat.player:
+                t = strat.next_move[(v, m)]
+                moves = ((t, cost[(v, t)]),)
+            row = []
+            for t, w in moves:
+                state = (t, strat.update[(m, key[(v, t)])])
+                j = index.get(state)
+                if j is None:
+                    j = len(states)
+                    if j >= DEFAULT_PRODUCT_BUDGET:
+                        raise BudgetExceededError(
+                            f"strategy product exceeds budget {DEFAULT_PRODUCT_BUDGET} states")
+                    index[state] = j
+                    states.append(state)
+                row.append((j, w))
+            successors.append(tuple(row))
+        self.states = states
+        self.verts = verts = [v for v, _ in states]
+        self.successors = successors
+        self.rows = [[j for j, _ in row] for row in successors]
+        self.n, self.d = len(states), game.d
+        request, answer = game.request_mask, game.answer_mask
+        self.request_mask = {i: request[v] for i, v in enumerate(verts)}
+        self.answer_mask = {i: answer[v] for i, v in enumerate(verts)}
 
 
 def _require_well_formed(game, strat: StrategySpec) -> None:
@@ -186,13 +184,12 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
     state) map.  The product is itself a valid CostGame.
     """
     _require_well_formed(game, strat)
-    order, rows, _ = _product(game, strat)
-    owner, color, cost = game.owner, game.color, game.edge_cost
-    vertices = [(i, owner[v], color[v]) for i, (v, m, _) in enumerate(order)]
-    edges = [(i, j, cost[(order[i][0], order[j][0])])
-             for i, row in enumerate(rows) for j in row]
+    arena = _StrategyArena(game, strat)
+    owner, color = game.owner, game.color
+    vertices = [(i, owner[v], color[v]) for i, v in enumerate(arena.verts)]
+    edges = [(i, j, w) for i, row in enumerate(arena.successors) for j, w in row]
     product = make_game(vertices, edges, 0, game.encoding)
-    return product, {i: (v, m) for i, (v, m, _) in enumerate(order)}
+    return product, dict(enumerate(arena.states))
 
 
 # --- strategy cost: response paths and lasso analysis on one-player products --
@@ -276,17 +273,6 @@ def _good_cycle(game, verts, rows) -> bool:
     return False
 
 
-def _good_lasso(game, strat: StrategySpec, tracker) -> bool:
-    """Player 0, the sole mover, reaches a cycle of the tracked product
-    that takes no overflow edge and answers every pair it requests.
-    Finitely many overflows in the prefix are free, so the product is
-    explored over every edge and only the cycle avoids overflows."""
-    order, rows, ovf = _product(game, strat, tracker)
-    calm = [[j for j, over in zip(row, orow) if not over]
-            for row, orow in zip(rows, ovf)]
-    return _good_cycle(game, [s[0] for s in order], calm)
-
-
 def _response_cost(game, verts, rows) -> CostValue:
     """Cst of a Player 0 strategy σ off its untracked σ-product ``rows``
     (row k at arena vertex verts[k]): the most pair-c cost of a response
@@ -352,28 +338,32 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
     and it is a strategy of ``player``.
 
     A Player 0 strategy σ costs the sup over consistent plays, the most
-    cost of a response path in its untracked σ-product
-    (``_response_cost``).  A Player 1 strategy τ costs the inf: the
-    least b at which Player 0 finds a good lasso (``_good_lasso``), ∞ if
-    the untracked τ-product has no good cycle, since every good tracked
-    cycle projects to one.  Its bounds are searched upward from 0
-    (``core._least_bound``), and a τ that fits no bound up to the
-    pumping cap |product|·W costs ∞.
+    cost of a response path in the untracked σ-arena (``_response_cost``).
+    A Player 1 strategy τ costs the inf: the least b at which Player 0
+    reaches a cycle of the τ-arena tracked at b (a ``_LevelProduct``) that
+    takes no overflow edge and answers every pair it requests, a good
+    cycle of the product's ``pred`` (its other moves reversed, with the
+    same cycles); overflows in the prefix are free.  It is ∞ if the
+    untracked τ-arena has no good cycle, since every good tracked cycle
+    projects to one.  Bounds are searched upward from 0
+    (``core._least_bound``); a τ that fits none up to the pumping cap
+    |arena|·W costs ∞.
     """
     require(game)
     _require_well_formed(game, strat)
     if strat.player != player:
         raise ValueError(f"expected a Player {player} strategy, got Player {strat.player}'s")
-    order, rows, _ = _product(game, strat)
-    verts = [s[0] for s in order]
+    arena = _StrategyArena(game, strat)
     if strat.player == 0:
-        return _response_cost(game, verts, rows)
-    if not _good_cycle(game, verts, rows):
+        return _response_cost(game, arena.verts, arena.rows)
+    if not _good_cycle(game, arena.verts, arena.rows):
         return INF
 
     def fits(b):
-        return _good_lasso(game, strat, tracker_class(game, b)), None
-    value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
+        level = _LevelProduct(arena, tracker_class(arena, b), DEFAULT_PRODUCT_BUDGET,
+                              "strategy product")
+        return _good_cycle(arena, [i for i, _ in level.nodes], level.pred), None
+    value, _ = _least_bound(fits, 0, arena.n * max(1, game.max_cost))
     return INF if value is None else value
 
 

@@ -12,10 +12,10 @@ import random
 import pytest
 
 from costparity import QbfFormula, make_game, qbf_to_game
-from costparity.core import (DEFAULT_PRODUCT_BUDGET, StrategySpec, Vertex, _least_bound,
-                             _reset_spoiler, strategy_from_product)
+from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
+                             _least_bound, _reset_spoiler, strategy_from_product)
 from costparity.reduction import Tracker
-from costparity.semantics import INF, Lasso, _product, _sccs
+from costparity.semantics import INF, Lasso, _good_cycle, _sccs
 from costparity.solver import ParityGame, _ParityLevels, _solve_all
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
                                 StreettTracker, _StreettLevels, build_streett_reduction,
@@ -469,7 +469,75 @@ def bisected_cost(decide, product) -> float:
     return lo
 
 
-# --- oracle: Player 0 strategy cost by a bound search on tracked products ---
+# --- oracles: strategy costs by bound searches on walked strategy products ---
+
+def strategy_walk(game, strat: StrategySpec, tracker=None):
+    """Reachable product of ``game`` (a CostGame or a CostStreettGame)
+    under ``strat``, breadth-first from the initial state, with the
+    owner's moves fixed: states (vertex, memory, r), rows of successor
+    ids in move order, and the matching overflow flags.  r is the
+    request word of ``tracker`` at its bound, with the overflow
+    counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
+    None without a tracker.  Every edge is explored, overflow edges too.
+    Reaching ``DEFAULT_PRODUCT_BUDGET`` states raises
+    ``BudgetExceededError``.  The oracles' own BFS, independent of the
+    verifier's ``reduction._LevelProduct``.
+    """
+    succ = game.successors
+    owner = game.owner
+    key = game.update_key
+    cost = game.edge_cost
+    start = (game.initial, strat.initial,
+             None if tracker is None else tracker.initial_state()[1])
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = []
+    ovf: list[list[bool]] = []
+    for v, m, r in order:  # grows while it is walked
+        if owner[v] == strat.player:
+            moves = [strat.next_move[(v, m)]]
+        else:
+            moves = [t for t, _ in succ[v]]
+        row, orow = [], []
+        for t in moves:
+            r2, over = r, False
+            if tracker is not None:
+                _, r2, over = tracker.update(0, r, cost[(v, t)], t)
+            state = (t, strat.update[(m, key[(v, t)])], r2)
+            j = index.get(state)
+            if j is None:
+                j = len(order)
+                if j >= DEFAULT_PRODUCT_BUDGET:
+                    raise BudgetExceededError(
+                        f"strategy product exceeds budget {DEFAULT_PRODUCT_BUDGET} states")
+                index[state] = j
+                order.append(state)
+            row.append(j)
+            orow.append(over)
+        rows.append(row)
+        ovf.append(orow)
+    return order, rows, ovf
+
+
+def walked_spoiler_cost(game, strat: StrategySpec, tracker_class) -> float:
+    """Cst of the Player 1 strategy ``strat`` by the upward bound search
+    on walked products: ∞ if the untracked τ-product has no good cycle,
+    else the least b ≤ |product|·W (``core._least_bound``) at which a
+    cycle of the τ-product tracked by ``tracker_class(game, b)`` takes
+    no overflow edge and answers every pair it requests, ∞ if none."""
+    order, rows, _ = strategy_walk(game, strat)
+    if not _good_cycle(game, [s[0] for s in order], rows):
+        return INF
+
+    def fits(b):
+        order, rows, ovf = strategy_walk(game, strat, tracker_class(game, b))
+        calm = [[j for j, over in zip(row, orow) if not over]
+                for row, orow in zip(rows, ovf)]
+        return _good_cycle(game, [s[0] for s in order], calm), None
+
+    value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
+    return INF if value is None else value
+
 
 def tracked_strategy_cost(game, strat: StrategySpec, tracker_class) -> float:
     """Cst of the Player 0 strategy ``strat`` by a bound search over
@@ -477,7 +545,7 @@ def tracked_strategy_cost(game, strat: StrategySpec, tracker_class) -> float:
     pair's request and never answers it; else the least b ≤ |product|·W
     (``core._least_bound``) at which no overflow edge of the σ-product
     tracked by ``tracker_class(game, b)`` lies on a cycle, ∞ if none."""
-    order, rows, _ = _product(game, strat)
+    order, rows, _ = strategy_walk(game, strat)
     verts = [s[0] for s in order]
     request, answer = game.request_mask, game.answer_mask
     for c in range(game.d):
@@ -490,7 +558,7 @@ def tracked_strategy_cost(game, strat: StrategySpec, tracker_class) -> float:
                 return INF
 
     def fits(b):
-        order, rows, ovf = _product(game, strat, tracker_class(game, b))
+        order, rows, ovf = strategy_walk(game, strat, tracker_class(game, b))
         comp_of = [0] * len(order)
         for k, comp in enumerate(_sccs(len(order), rows)):
             for i in comp:

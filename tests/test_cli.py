@@ -9,7 +9,7 @@ import pytest
 
 from costparity import format_cpg, make_game, parse_strat
 from costparity.cli import run
-from conftest import delay_game
+from conftest import delay_game, strategy_walk
 
 
 def invoke(*argv):
@@ -81,6 +81,27 @@ def test_verify_budget_ends_in_one_error_line(tmp_path, monkeypatch, family, suf
     code, out, err = invoke(*argv)
     assert (code, out) == (2, "")
     assert err.splitlines() == ["error: budget: strategy product exceeds budget 3 states"]
+
+
+def test_verify_spoiler_budget_ends_in_one_error_line(tmp_path, monkeypatch):
+    # the spoiler's τ-arena fits the budget, and its tracked product at
+    # a probed bound does not: that product stops at the same budget
+    from costparity import semantics
+    from costparity.streett import StreettTracker, parse_cst
+
+    gen = tmp_path / "gen"
+    assert invoke("generate", "streett", "--d", "2", "--outdir", str(gen))[0] == 0
+    game_file, strat = gen / "streett-d2.cst", tmp_path / "tau.strat"
+    assert invoke("solve", "--bound", "10", "--output", str(strat), str(game_file))[0] == 1
+    argv = ("verify", "--strategy", str(strat), str(game_file))
+    assert invoke(*argv)[:2] == (0, "cost 11\n")
+    game, tau = parse_cst(game_file.read_text()), parse_strat(strat.read_text())
+    budget = len(strategy_walk(game, tau)[0])
+    assert budget < len(strategy_walk(game, tau, StreettTracker(game, 2))[0])
+    monkeypatch.setattr(semantics, "DEFAULT_PRODUCT_BUDGET", budget)
+    code, out, err = invoke(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: budget: strategy product exceeds budget {budget} states"]
 
 
 @pytest.mark.parametrize("family", ["p0mem", "p1mem", "p1trade", "bintrade", "streett"])

@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import (bisected_cost, random_cost_game, random_cost_streett, random_strategy,
-                      tracked_strategy_cost, unrolled_play_cost)
+                      strategy_walk, tracked_strategy_cost, unrolled_play_cost,
+                      walked_spoiler_cost)
 from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, generators, make_game,
                         optimal_cost, parse_cpg, play_cost, streett_from_cost_parity)
 from costparity.core import strategy_from_functions
 from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettTracker, decide_bounded_cost_streett,
-                                streett_strategy_cost)
+                                streett_spoiler_cost, streett_strategy_cost)
 from costparity.semantics import (_sccs, spoiler_cost, strategy_cost, strategy_product,
                                   validate_lasso)
 
@@ -123,17 +124,36 @@ def test_binary_strategy_cost_is_exact_at_a_large_edge_cost():
     assert strategy_cost(g, stay_strategy(g, 0)) == 5 + 10**9
 
 
-def test_player0_verifiers_build_one_untracked_product(monkeypatch):
-    # one walk over the σ-product, and no tracked product at any bound
+def _spy_products(monkeypatch):
+    """Records each strategy arena and each level product (its tracker's
+    bound and its size) that the verifier builds, and each bound its
+    search probes."""
     from costparity import semantics
 
-    built, real = [], semantics._product
+    arenas, levels, probed = [], [], []
 
-    def spy(game, strat, tracker=None):
-        built.append(tracker)
-        return real(game, strat, tracker)
+    class Arena(semantics._StrategyArena):
+        def __init__(self, game, strat):
+            super().__init__(game, strat)
+            arenas.append(self)
 
-    monkeypatch.setattr(semantics, "_product", spy)
+    class Level(semantics._LevelProduct):
+        def __init__(self, arena, tracker, budget, what):
+            super().__init__(arena, tracker, budget, what)
+            levels.append((tracker.bound, self.size))
+
+    def search(probe, lo, hi, real=semantics._least_bound):
+        return real(lambda b: probed.append(b) or probe(b), lo, hi)
+
+    monkeypatch.setattr(semantics, "_StrategyArena", Arena)
+    monkeypatch.setattr(semantics, "_LevelProduct", Level)
+    monkeypatch.setattr(semantics, "_least_bound", search)
+    return arenas, levels, probed
+
+
+def test_player0_verifiers_build_one_untracked_product(monkeypatch):
+    # one strategy arena, and no tracked product at any bound
+    arenas, levels, probed = _spy_products(monkeypatch)
     cases = [(strategy_cost, generators.p0_memory_family(2).game),
              (strategy_cost, generators.binary_tradeoff_family(2).game),
              (streett_strategy_cost, generators.streett_counter_family(1).game)]
@@ -143,9 +163,32 @@ def test_player0_verifiers_build_one_untracked_product(monkeypatch):
         else:
             strat = optimal_cost(g).witness
         assert strat.player == 0
-        built.clear()
+        arenas.clear()
         assert 0 < verify(g, strat) < INF
-        assert built == [None]
+        assert len(arenas) == 1
+        assert levels == probed == []
+
+
+def test_spoiler_verifier_builds_one_level_product_per_probed_bound(monkeypatch):
+    # one strategy arena per verification and one level product per
+    # probed bound, each as large as the walked τ-product at that bound
+    arenas, levels, probed = _spy_products(monkeypatch)
+    cases = [(spoiler_cost, inst.game, ref.strategy, Tracker)
+             for inst in (generators.p1_memory_family(3), generators.p1_tradeoff_family(3))
+             for ref in inst.reference_strategies]
+    counter = generators.streett_counter_family(2).game
+    cases.append((streett_spoiler_cost, counter,
+                  decide_bounded_cost_streett(counter, 10).certificate, StreettTracker))
+    for k, (verify, g, tau, tracker_class) in enumerate(cases):
+        assert tau.player == 1
+        del arenas[:], levels[:], probed[:]
+        cost = verify(g, tau)
+        assert len(arenas) == 1
+        assert [b for b, _ in levels] == probed
+        assert len(set(probed)) == len(probed) and cost in probed
+        for b, size in levels:
+            assert size == len(strategy_walk(g, tau, tracker_class(g, b))[0]), (k, b)
+
 
 def test_strategy_cost_rejects_wrong_player(delay_won):
     with pytest.raises(ValueError):
@@ -297,3 +340,29 @@ def test_player0_cost_matches_the_tracked_bound_search():
         checked += 1
         finite += cost < INF
     assert checked >= 1700 and finite >= 900
+
+
+def test_verifiers_match_the_walked_bound_searches():
+    """Random strategies of both players in unary, binary and cost-Streett
+    games cost what the bound searches over walked products give: the
+    spoiler search (``walked_spoiler_cost``) for Player 1 strategies and
+    ``tracked_strategy_cost`` for Player 0 strategies."""
+    rng = random.Random(23)
+    finite = [0, 0]
+    for i in range(1500):
+        if i % 3 == 0:
+            g = random_cost_game(rng, rng.randint(3, 6), 5)
+        elif i % 3 == 1:
+            g = random_cost_game(rng, rng.randint(3, 6), 5, max_cost=3, encoding="binary")
+        else:
+            g = random_cost_streett(rng)
+        streett = isinstance(g, CostStreettGame)
+        tracker_class = StreettTracker if streett else Tracker
+        for player, verify, oracle in (
+                (0, (strategy_cost, streett_strategy_cost)[streett], tracked_strategy_cost),
+                (1, (spoiler_cost, streett_spoiler_cost)[streett], walked_spoiler_cost)):
+            strat = random_strategy(rng, g, player, rng.randint(1, 3))
+            cost = verify(g, strat)
+            assert cost == oracle(g, strat, tracker_class), (i, player)
+            finite[player] += cost < INF
+    assert min(finite) >= 500, finite
