@@ -592,7 +592,7 @@ def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
     return strategy_from_product(game, 1, (0, tracker.initial_r(game.initial)), upd, nxt)
 
 
-def _least_bound(probe, lo: int, hi: int):
+def _least_bound(probe, lo: int, hi: int, guess=None):
     """Least b in [lo, hi] whose probe succeeds, searched upward from lo.
 
     ``probe(b)`` returns (ok, result), and it succeeds at every bound
@@ -601,7 +601,24 @@ def _least_bound(probe, lo: int, hi: int):
     bisected; so no probe lies above hi, nor above lo + 2(b − lo) for
     the answer b.  Returns b and the probe's result at b, or None and
     the result at hi when even hi fails.
+
+    ``guess``, if given, is a bound known to succeed, checked first: a
+    guess at most lo answers lo at once, else the probe runs at
+    guess − 1, and if that fails, the answer is the guess.  Both return
+    the result None, as the answer was never probed.  Otherwise the
+    search above runs on [lo, guess − 1] and reuses the success at
+    guess − 1.  A guess above hi is ignored.
     """
+    if guess is not None and guess <= hi:
+        if guess <= lo:
+            return lo, None
+        known = probe(guess - 1)
+        if not known[0]:
+            return guess, None
+        hi, fresh = guess - 1, probe
+
+        def probe(b):
+            return known if b == hi else fresh(b)
     b, step = lo, 1
     ok, res = probe(b)
     failed = lo - 1  # the greatest bound known to fail

@@ -10,8 +10,9 @@ open the target's own request.  Streett games track one entry per pair
 alike, and both game classes share the one step (``_MemoizedStep``).
 The tracker, the product and the certificates carry r as one int, a
 request word of open bits and cost fields, whose step is a few integer
-operations; code that reads single entries (prefixes, ``dominates``)
-works on the tuple of ⊥ or costs that ``unpack`` gives.
+operations; code that reads single entries (``TrackedPrefix``, the
+prefix rules' cycle tests and shortcut, ``dominates``) works on the
+tuple of ⊥ or costs that ``unpack`` gives.
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
@@ -138,9 +139,15 @@ class _MemoizedStep:
         self._memo: dict = {}
 
     def _fields(self, mask: int) -> int:
-        """The open bits and the fields of the pairs in ``mask``."""
-        return mask & self._low | sum(
-            self._field << s for i, s in enumerate(self._shifts) if mask >> i & 1)
+        """The open bits and the fields of the pairs in ``mask``, one set
+        bit at a time."""
+        mask &= self._low
+        word, field, shifts = mask, self._field, self._shifts
+        while mask:
+            bit = mask & -mask
+            word |= field << shifts[bit.bit_length() - 1]
+            mask ^= bit
+        return word
 
     def pack(self, values: Sequence[int | None]) -> int:
         """The request word of a tuple whose entries are ⊥ or in [0, b]."""
@@ -280,14 +287,15 @@ class SettleVerdict:
         return 1
 
 
-def _cycle_kind(color: Mapping[int, int], vertices: Sequence[int],
-                requests: Sequence[tuple], k: int, k2: int) -> str:
+def _cycle_kind(color: Mapping[int, int], vertices: Sequence[int], k: int, k2: int,
+                start: tuple, end: tuple) -> str:
     """even/odd dominating-cycle test of the infix k..k2, whose ends
-    share vertex and overflow below saturation; or none."""
+    share vertex and overflow below saturation and carry the request
+    tuples ``start`` and ``end``; or none."""
     top = max(color[vertices[i]] for i in range(k, k2 + 1))
     if top % 2 == 0:
-        return "even" if _r_dominated(requests[k2], requests[k]) else "none"
-    return "odd" if _r_dominated(requests[k], requests[k2]) else "none"
+        return "even" if _r_dominated(end, start) else "none"
+    return "odd" if _r_dominated(start, end) else "none"
 
 
 def classify_cycle(game: CostGame, bound: int, prefix: TrackedPrefix, k: int, k2: int) -> str:
@@ -298,7 +306,8 @@ def classify_cycle(game: CostGame, bound: int, prefix: TrackedPrefix, k: int, k2
         return "none"
     if prefix.overflows[k] != prefix.overflows[k2] or prefix.overflows[k] >= game.n:
         return "none"
-    return _cycle_kind(game.color, prefix.vertices, prefix.requests, k, k2)
+    return _cycle_kind(game.color, prefix.vertices, k, k2, prefix.requests[k],
+                       prefix.requests[k2])
 
 
 _UNSETTLED = SettleVerdict("unsettled")
@@ -310,8 +319,9 @@ class _PrefixStack:
     (vertex, overflow) in ascending order, cumulative costs, relevance
     masks, and the start of each maximal run of equal relevance masks.
     ``settled``, ``shortcut_step`` and the finite-duration engine all
-    run on it.  Its request functions are tuples: ``step`` packs the top
-    one for the tracker and unpacks the tracker's answer."""
+    run on it.  Its request functions are the tracker's words, unpacked
+    only where entries are read: the cycle tests of ``verdict`` and, in
+    binary games, the relevance masks and the shortcut."""
 
     def __init__(self, game: CostGame, bound: int):
         self.tracker = Tracker(game, bound)
@@ -321,16 +331,21 @@ class _PrefixStack:
         self.color = game.color
         self.vertices: list[int] = []
         self.overflows: list[int] = []
-        self.requests: list[tuple] = []
+        self.requests: list[int] = []
         self.cum: list[int] = []
         self.relm: list[int] = []
         self.runstart: list[int] = []
         self.via: list[bool] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
-    def push(self, v: int, o: int, r: tuple, cost: int, shortcut: bool = False) -> None:
+    def push(self, v: int, o: int, r: int, cost: int, shortcut: bool = False,
+             m: int | None = None) -> None:
+        """Pushes position (v, o, r) reached at ``cost``; ``m`` is the
+        relevance mask of r if known (``step`` gives it), read in binary
+        games only."""
         i = len(self.vertices)
-        m = _relevant_mask(r)
+        if m is None:
+            m = _relevant_mask(self.tracker.unpack(r)) if self.binary else 0
         self.vertices.append(v)
         self.overflows.append(o)
         self.requests.append(r)
@@ -352,54 +367,63 @@ class _PrefixStack:
         o = self.overflows[i]
         if o == self.n:
             return SettleVerdict("saturated", end=i)
+        unpack, requests = self.tracker.unpack, self.requests
+        end = None
         for k in self.buckets[(self.vertices[i], o)]:
             if k == i:
                 break
-            kind = _cycle_kind(self.color, self.vertices, self.requests, k, i)
+            if end is None:
+                end = unpack(requests[i])
+            kind = _cycle_kind(self.color, self.vertices, k, i, unpack(requests[k]), end)
             if kind != "none":
                 if self.via[i]:
                     return SettleVerdict("shortcut_settled", k, i, parity=kind)
                 return SettleVerdict(f"{kind}_cycle", k, i, parity=kind)
         return _UNSETTLED
 
-    def step(self, t: int, w: int) -> tuple[int, tuple, int, bool]:
+    def step(self, t: int, w: int) -> tuple[int, int, int, bool, int]:
         """The move from the top position to t at cost w: (o', r', the
-        charged cost, whether the shortcut fired).  In a binary game the
-        shortcut fast-forwards the latest cycle back to (t, o') that has
-        positive cost, keeps the relevance mask of r' throughout and fits
-        one more traversal under the bound."""
+        charged cost, whether the shortcut fired, the relevance mask of
+        r' in a binary game, else 0), r' a request word, so ``push``
+        takes it as it is.  In a binary game the shortcut fast-forwards
+        the latest cycle back to (t, o') that has positive cost, keeps the
+        relevance mask of r' throughout and fits one more traversal under
+        the bound; adding one amount to every open entry keeps the mask."""
         b = self.bound
         tr = self.tracker
-        o2, r2, _ = tr.update(self.overflows[-1], tr.pack(self.requests[-1]), w, t)
-        r2 = tr.unpack(r2)
-        m2 = _relevant_mask(r2) if self.binary else 0
+        o2, r2, _ = tr.update(self.overflows[-1], self.requests[-1], w, t)
+        if not self.binary:
+            return o2, r2, w, False, 0
+        values = tr.unpack(r2)
+        m2 = _relevant_mask(values)
         if not m2:
-            return o2, r2, w, False
+            return o2, r2, w, False, 0
         top = len(self.vertices) - 1
         lo = self.runstart[top] if self.relm[top] == m2 else top + 1
-        cstar = max(x for x in r2 if x is not None)
+        cstar = max(x for x in values if x is not None)
         for j in range(top, lo - 1, -1):
             if self.vertices[j] != t or self.overflows[j] != o2:
                 continue
             s = self.cum[top] - self.cum[j] + w
             if s > 0 and cstar + s <= b:
                 times = (b - cstar) // s
-                rstar = tuple(x if x is None else x + s * times for x in r2)
-                return o2, rstar, w + s * times, True
-        return o2, r2, w, False
+                rstar = tr.pack(tuple(x if x is None else x + s * times for x in values))
+                return o2, rstar, w + s * times, True, m2
+        return o2, r2, w, False, m2
 
 
-def _positions(prefix: TrackedPrefix):
-    """(vertex, overflow, requests, cost, via_shortcut) per position."""
-    return zip(prefix.vertices, prefix.overflows, prefix.requests, prefix.costs,
-               prefix.via_shortcut)
+def _positions(stack: _PrefixStack, prefix: TrackedPrefix):
+    """(vertex, overflow, request word, cost, via_shortcut) per position
+    of ``prefix``, its request tuples packed by the stack's tracker."""
+    return zip(prefix.vertices, prefix.overflows, map(stack.tracker.pack, prefix.requests),
+               prefix.costs, prefix.via_shortcut)
 
 
 def settled(game: CostGame, bound: int, prefix: TrackedPrefix) -> SettleVerdict:
     """Minimal verdict of a prefix: saturated overflow, or the first
     dominating cycle found scanning ends (and, per end, starts) upward."""
     stack = _PrefixStack(game, bound)
-    for position in _positions(prefix):
+    for position in _positions(stack, prefix):
         stack.push(*position)
         verdict = stack.verdict()
         if verdict.settled:
@@ -433,9 +457,10 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
     if edge.source != prefix.vertices[-1]:
         raise ValueError("edge does not extend the prefix")
     stack = _PrefixStack(game, bound)
-    for position in _positions(prefix):
+    for position in _positions(stack, prefix):
         stack.push(*position)
-    return prefix.extended(edge.target, *stack.step(edge.target, edge.cost))
+    o, r, cost, shortcut, _ = stack.step(edge.target, edge.cost)
+    return prefix.extended(edge.target, o, stack.tracker.unpack(r), cost, shortcut)
 
 
 # --- the tracked product ---------------------------------------------------

@@ -11,11 +11,14 @@ once (``_StrategyArena``).  A Player 0 strategy's cost is the most cost
 of a response path inside the SCCs of that arena, found in one pass.  A
 spoiler's is the least bound at which Player 0 finds a good lasso (SCC
 checks) in the arena tracked at that bound by ``reduction._LevelProduct``,
-the one search of tracked products for decisions and verification.
+the one search of tracked products for decisions and verification; on
+a cost-parity game the search first tries just below the cost of a
+cheap lasso of the untracked arena.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -255,9 +258,13 @@ def _subgraph(rows: Sequence[Sequence[int]], keep: list[int]) -> list[list[int]]
     return [[pos[j] for j in rows[i] if j in pos] for i in keep]
 
 
-def _good_cycle(game, verts, rows) -> bool:
-    """A cycle of ``rows`` on which every requested pair is also answered,
-    by nested SCC decomposition; row k sits at arena vertex verts[k]."""
+def _good_components(game, verts, rows, ids=None):
+    """The good components of ``rows``: by nested SCC decomposition, the
+    cyclic components on which every requested pair is also answered,
+    each yielded as a list of row ids (``ids[k]`` for row k, if given);
+    row k sits at arena vertex verts[k].  A component that requests a
+    pair it never answers is decomposed again without its vertices
+    that request such a pair."""
     request, answer = game.request_mask, game.answer_mask
     for comp in _cyclic_sccs(len(rows), rows):
         qhit = phit = 0
@@ -266,11 +273,67 @@ def _good_cycle(game, verts, rows) -> bool:
             phit |= answer[verts[k]]
         viol = qhit & ~phit
         if not viol:
-            return True
+            yield comp if ids is None else [ids[k] for k in comp]
+            continue
         keep = [k for k in comp if not request[verts[k]] & viol]
-        if keep and _good_cycle(game, [verts[k] for k in keep], _subgraph(rows, keep)):
-            return True
-    return False
+        if keep:
+            yield from _good_components(game, [verts[k] for k in keep], _subgraph(rows, keep),
+                                        keep if ids is None else [ids[k] for k in keep])
+
+
+def _good_cycle(game, verts, rows) -> bool:
+    """A cycle of ``rows`` on which every requested pair is also answered."""
+    return next(_good_components(game, verts, rows), None) is not None
+
+
+def _cheapest_lasso(game: CostGame, arena: _StrategyArena) -> CostValue:
+    """The cost of a cheap lasso of a cost-parity game's strategy arena,
+    ∞ if it has no good cycle.  In each good component (see
+    ``_good_components``) the top color is even, so a cycle through a
+    vertex s of that color answers every request on it.  One Dijkstra
+    from the component's least such s gives the least-weight cycle
+    through s, and the lasso that reaches s and repeats that cycle costs
+    its limsup (``_cycle_cost``).  The least over the components is the
+    cost of a real play, so it bounds the arena's cost from above; it is
+    not always the least."""
+    color, verts, succ = game.color, arena.verts, arena.successors
+    best: CostValue = INF
+    for comp in _good_components(arena, range(arena.n), arena.rows):
+        top = max(color[verts[k]] for k in comp)
+        s = min(k for k in comp if color[verts[k]] == top)
+        inside = set(comp)
+        dist, parent, heap = {s: 0}, {}, [(0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du == dist[u]:
+                for j, w in succ[u]:
+                    if j in inside and j != s and du + w < dist.get(j, INF):
+                        dist[j], parent[j] = du + w, u
+                        heapq.heappush(heap, (du + w, j))
+        _, last = min((dist[u] + w, u) for u in dist for j, w in succ[u] if j == s)
+        cycle = [last]
+        while cycle[-1] != s:
+            cycle.append(parent[cycle[-1]])
+        best = min(best, _cycle_cost(arena, cycle[::-1]))
+    return best
+
+
+def _cycle_cost(arena: _StrategyArena, cycle: list[int]) -> int:
+    """limsup cost of repeating ``cycle`` (arena ids, each with an edge
+    to the next and the last to the first) in a cost-parity arena: the
+    most cost from a request on it to its first answer.  The cycle
+    passes a vertex that answers every request on it."""
+    request, answer, n = arena.request_mask, arena.answer_mask, len(cycle)
+    weight = [dict(arena.successors[u])[cycle[(k + 1) % n]] for k, u in enumerate(cycle)]
+    worst = 0
+    for k, v in enumerate(cycle):
+        opened, total, j = request[v] & ~answer[v], 0, k
+        while opened:
+            total += weight[j % n]
+            j += 1
+            opened &= ~answer[cycle[j % n]]
+        worst = max(worst, total)
+    return worst
 
 
 def _response_cost(game, verts, rows) -> CostValue:
@@ -347,7 +410,12 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
     untracked τ-arena has no good cycle, since every good tracked cycle
     projects to one.  Bounds are searched upward from 0
     (``core._least_bound``); a τ that fits none up to the pumping cap
-    |arena|·W costs ∞.
+    |arena|·W costs ∞.  On a cost-parity game the search starts from a
+    guess: the cost U of a cheap lasso of the untracked τ-arena
+    (``_cheapest_lasso``), a play consistent with τ, so τ costs at most
+    U and needs no probe at U.  The probe at U − 1 comes first, and
+    when it fails, as it mostly does, τ costs U after one tracked
+    product.
     """
     require(game)
     _require_well_formed(game, strat)
@@ -356,14 +424,18 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
     arena = _StrategyArena(game, strat)
     if strat.player == 0:
         return _response_cost(game, arena.verts, arena.rows)
-    if not _good_cycle(game, arena.verts, arena.rows):
+    if isinstance(game, CostGame):
+        guess = _cheapest_lasso(game, arena)
+    else:
+        guess = None if _good_cycle(game, arena.verts, arena.rows) else INF
+    if guess == INF:
         return INF
 
     def fits(b):
         level = _LevelProduct(arena, tracker_class(arena, b), DEFAULT_PRODUCT_BUDGET,
                               "strategy product")
         return _good_cycle(arena, [i for i, _ in level.nodes], level.pred), None
-    value, _ = _least_bound(fits, 0, arena.n * max(1, game.max_cost))
+    value, _ = _least_bound(fits, 0, arena.n * max(1, game.max_cost), guess)
     return INF if value is None else value
 
 

@@ -4,7 +4,9 @@ Decisions solve the parity game on the tracked product one overflow
 level at a time on the layered engine, each level sink-first and for
 the winners only, until a level wins the initial state; the engine's
 level graph (``BoundedCostResult``, shared with Streett games) is the
-decision's result, and it builds its certificate on first use.  An
+decision's result, and it builds its certificate on first use.  The
+optimal cost is the least achievable bound, searched upward; on parity
+games one classical solve of the arena brackets it first.  An
 alternating search over annotated play prefixes stopped at settled
 prefixes (the finite-duration game, used as an oracle at small scale),
 which applies ``reduction``'s settle and shortcut rules, serves the
@@ -20,8 +22,10 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, UNARY, CostGame, StrategySpec, _least_bound,
-                   _reset_spoiler, require_valid, strategy_from_product)
+                   _reset_spoiler, require_valid, strategy_from_functions,
+                   strategy_from_product)
 from .reduction import Tracker, _LevelProduct, _PrefixStack
+from .semantics import strategy_cost
 
 INF = math.inf
 
@@ -545,7 +549,7 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     owner = game.owner
     nodes = 0
     o, r = stack.tracker.initial_state()
-    stack.push(game.initial, o, stack.tracker.unpack(r), 0)
+    stack.push(game.initial, o, r, 0)
 
     # frames: [owner, moves, next-index, value]
     frames: list[list] = [[owner[game.initial], succ[game.initial], 0, None]]
@@ -599,25 +603,64 @@ class OptimalResult:
 def optimal_cost(game: CostGame, *,
                  product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
     """Least b with an achievable bound, up to the regime cap
-    (``_least_achievable``); only the products the search probes are built."""
+    (``_least_achievable``), bracketed by the classical parity game of
+    the arena (``_classical_bracket``); only the products the search
+    probes are built."""
     require_valid(game)
     cap = clamp_bound(game, 10 ** 18)
     return _least_achievable(
-        lambda b: decide_bounded_cost(game, b, product_budget=product_budget), cap, cap)
+        lambda b: decide_bounded_cost(game, b, product_budget=product_budget), cap, cap,
+        _classical_bracket(game))
 
 
-def _least_achievable(decide, cap: int, regime_cap: int) -> OptimalResult:
+def _classical_bracket(game: CostGame) -> Optional[float]:
+    """One solve of the arena's classical parity game, costs ignored:
+    ∞ if Player 1 wins it, since a play that violates the parity
+    condition leaves some request unanswered forever and costs ∞.  Else
+    the exact cost of Player 0's positional winning strategy, an upper
+    bound on the optimum, or None when that strategy lets costs grow."""
+    ids = [v.id for v in game.vertices]
+    pos = {v: i for i, v in enumerate(ids)}
+    succ = tuple(tuple(pos[t] for t, _ in game.successors[v]) for v in ids)
+    res = solve_parity(ParityGame(tuple(map(game.owner.__getitem__, ids)),
+                                  tuple(map(game.color.__getitem__, ids)), succ,
+                                  pos[game.initial]))
+    if res.winner_from_initial == 1:
+        return INF
+    move = {ids[i]: ids[t] for i, t in res.player0_strategy.items()}
+    sigma = strategy_from_functions(game, 0, 0, lambda label, ek: 0,
+                                    lambda v, label: move.get(v, game.successors[v][0][0]))
+    cost = strategy_cost(game, sigma)
+    return None if cost == INF else cost
+
+
+def _least_achievable(decide, cap: int, regime_cap: int,
+                      guess: Optional[float] = None) -> OptimalResult:
     """Least b ≤ ``cap`` with ``decide(b)`` achievable, searched upward
     from 0 (``core._least_bound``; achievability is monotone in b), and
     the decision's certificate.  If the cap fails too: ∞ with the cap's
     certificate when it is ``regime_cap``, above which bounds are
     immaterial, else ``cap_hit``.  ``decide`` looks its decider up at
-    call time, so wrappers installed on the module see every probe."""
+    call time, so wrappers installed on the module see every probe.
+
+    ``guess`` is a game class's bracket of the value (parity games pass
+    ``_classical_bracket``): a bound known to be achievable, which the
+    search checks first (``core._least_bound``), or ∞ when the value is
+    proven ∞, so only the cap is decided, for its certificate.  A value
+    the search reads off its guess is decided once more, for the
+    certificate; so every result is the one the plain search gives."""
     def achieved(b):
         res = decide(b)
         return res.achievable, res
 
-    value, best = _least_bound(achieved, 0, cap)
-    if value is None and cap < regime_cap:
-        return OptimalResult(INF, None, True, cap)
+    if guess == INF:
+        value, best = None, decide(cap)
+        if best.achievable:
+            raise RuntimeError(f"bound {cap} achievable on a game proven to cost ∞")
+    else:
+        value, best = _least_bound(achieved, 0, cap, guess)
+        if value is None and cap < regime_cap:
+            return OptimalResult(INF, None, True, cap)
+        if best is None:
+            best = decide(value)
     return OptimalResult(INF if value is None else value, best.certificate, False, cap)

@@ -11,12 +11,13 @@ import random
 
 import pytest
 
-from costparity import QbfFormula, make_game, qbf_to_game
+from costparity import QbfFormula, generators, make_game, qbf_to_game
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
                              _least_bound, _reset_spoiler, strategy_from_product)
 from costparity.reduction import Tracker
 from costparity.semantics import INF, Lasso, _good_cycle, _sccs
-from costparity.solver import ParityGame, _ParityLevels, _solve_all
+from costparity.solver import (ParityGame, _least_achievable, _ParityLevels, _solve_all,
+                               clamp_bound, decide_bounded_cost)
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
                                 StreettTracker, _StreettLevels, build_streett_reduction,
                                 solve_streett)
@@ -537,6 +538,54 @@ def walked_spoiler_cost(game, strat: StrategySpec, tracker_class) -> float:
 
     value, _ = _least_bound(fits, 0, len(order) * max(1, game.max_cost))
     return INF if value is None else value
+
+
+def searched_optimal_cost(game, decisions=None):
+    """``optimal_cost``'s result by the plain upward search of
+    ``solver._least_achievable``, with no classical bracket: every bound
+    it probes is decided, and appended to ``decisions`` if given."""
+    cap = clamp_bound(game, 10 ** 18)
+
+    def decide(b):
+        if decisions is not None:
+            decisions.append(b)
+        return decide_bounded_cost(game, b)
+
+    return _least_achievable(decide, cap, cap)
+
+
+def parity_optimal_corpus(unary: int = 400, binary: int = 200):
+    """The parity games of the classical bracket's corpus: the 11
+    family games (p0mem d=1–3, p1mem d=1–4, p1trade d=2–3, bintrade
+    d=2–3), then the first ``unary`` of 400 unary games from
+    ``random.Random(7)`` and the first ``binary`` of 200 binary ones
+    from ``random.Random(8)``."""
+    for family, ds in ((generators.p0_memory_family, (1, 2, 3)),
+                       (generators.p1_memory_family, (1, 2, 3, 4)),
+                       (generators.p1_tradeoff_family, (2, 3)),
+                       (generators.binary_tradeoff_family, (2, 3))):
+        for d in ds:
+            yield family(d).game
+    rng = random.Random(7)
+    for _ in range(unary):
+        yield random_cost_game(rng, rng.randint(3, 8), 4)
+    rng = random.Random(8)
+    for _ in range(binary):
+        yield random_cost_game(rng, rng.randint(3, 6), 4, max_cost=3, encoding="binary")
+
+
+def spoiler_corpus():
+    """(game, Player 1 strategy) pairs of the lasso guess's corpus:
+    3,000 random 1–3-state strategies on ``random_cost_game(rng, 3–7,
+    5)`` from ``random.Random(11)``, alternately unary and binary with
+    costs up to 3."""
+    rng = random.Random(11)
+    for k in range(3000):
+        if k % 2:
+            game = random_cost_game(rng, rng.randint(3, 7), 5, max_cost=3, encoding="binary")
+        else:
+            game = random_cost_game(rng, rng.randint(3, 7), 5)
+        yield game, random_strategy(rng, game, 1, rng.randint(1, 3))
 
 
 def tracked_strategy_cost(game, strat: StrategySpec, tracker_class) -> float:

@@ -293,6 +293,18 @@ def test_least_bound_searches_upward_with_few_probes():
             if b is not None:
                 assert max(probes) <= min(hi, lo + 2 * (b - lo))
                 assert len(probes) <= 2 * math.ceil(math.log2(b - lo + 2)) + 1
+                # a guess g ≥ b, known to succeed: the same answer, the
+                # first probe at g − 1, none above it, and an exact guess
+                # answered from that one probe (none when it is lo)
+                for g in {b, rng.randint(b, hi), hi}:
+                    probes.clear()
+                    assert core._least_bound(probe, lo, hi, g) == \
+                        (b, None if g == b else ("result", b))
+                    assert probes[:1] == ([] if g == lo else [g - 1])
+                    assert len(set(probes)) == len(probes)
+                    assert all(lo <= p < g for p in probes)
+                    if g == b:
+                        assert len(probes) == (b > lo)
 
 
 def test_a_game_is_validated_once(monkeypatch):

@@ -178,6 +178,21 @@ def test_tracker_memo_answers_like_a_fresh_tracker():
         assert len(shared._memo) < len(queries)
 
 
+def test_fields_equals_the_all_shifts_formula():
+    # the set-bit walk against the sum over all d shifts, for every
+    # open mask at d ≤ 10 and bounds of several field widths
+    for d in range(1, 11):
+        g = make_game([(i, 0, 2 * i + 1) for i in range(d)],
+                      [(i, (i + 1) % d, 1) for i in range(d)], 0)
+        for b in (0, 1, 5, 300):
+            tr = Tracker(g, b)
+            assert tr.d == d
+            for mask in range(1 << d):
+                spread = mask | sum(tr._field << s for i, s in enumerate(tr._shifts)
+                                    if mask >> i & 1)
+                assert tr._fields(mask) == spread, (d, b, mask)
+
+
 def test_tracker_steps_like_the_color_based_parity_step():
     # the one mask-based step, read through the Streett image, against
     # the parity step written on colors

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from conftest import (bisected_cost, random_cost_game, random_cost_streett, random_strategy,
-                      strategy_walk, tracked_strategy_cost, unrolled_play_cost,
+                      spoiler_corpus, strategy_walk, tracked_strategy_cost, unrolled_play_cost,
                       walked_spoiler_cost)
 from costparity import (INF, Lasso, answers, cor, decide_bounded_cost, generators, make_game,
-                        optimal_cost, parse_cpg, play_cost, streett_from_cost_parity)
+                        optimal_cost, parse_cpg, play_cost, semantics, streett_from_cost_parity)
 from costparity.core import strategy_from_functions
 from costparity.reduction import Tracker
 from costparity.streett import (CostStreettGame, StreettTracker, decide_bounded_cost_streett,
@@ -142,8 +142,8 @@ def _spy_products(monkeypatch):
             super().__init__(arena, tracker, budget, what)
             levels.append((tracker.bound, self.size))
 
-    def search(probe, lo, hi, real=semantics._least_bound):
-        return real(lambda b: probed.append(b) or probe(b), lo, hi)
+    def search(probe, lo, hi, guess=None, real=semantics._least_bound):
+        return real(lambda b: probed.append(b) or probe(b), lo, hi, guess)
 
     monkeypatch.setattr(semantics, "_StrategyArena", Arena)
     monkeypatch.setattr(semantics, "_LevelProduct", Level)
@@ -171,23 +171,48 @@ def test_player0_verifiers_build_one_untracked_product(monkeypatch):
 
 def test_spoiler_verifier_builds_one_level_product_per_probed_bound(monkeypatch):
     # one strategy arena per verification and one level product per
-    # probed bound, each as large as the walked τ-product at that bound
+    # probed bound, each as large as the walked τ-product at that bound.
+    # A family spoiler's cheapest lasso costs exactly its value, so its
+    # one probe is at the value − 1; the Streett spoiler keeps the plain
+    # upward search.
     arenas, levels, probed = _spy_products(monkeypatch)
     cases = [(spoiler_cost, inst.game, ref.strategy, Tracker)
-             for inst in (generators.p1_memory_family(3), generators.p1_tradeoff_family(3))
+             for inst in (generators.p1_memory_family(3), generators.p1_memory_family(4),
+                          generators.p1_tradeoff_family(3))
              for ref in inst.reference_strategies]
     counter = generators.streett_counter_family(2).game
     cases.append((streett_spoiler_cost, counter,
                   decide_bounded_cost_streett(counter, 10).certificate, StreettTracker))
+    costs = []
     for k, (verify, g, tau, tracker_class) in enumerate(cases):
         assert tau.player == 1
         del arenas[:], levels[:], probed[:]
         cost = verify(g, tau)
+        costs.append(cost)
         assert len(arenas) == 1
         assert [b for b, _ in levels] == probed
-        assert len(set(probed)) == len(probed) and cost in probed
+        if verify is spoiler_cost:
+            assert probed == [cost - 1], k
+        else:
+            assert probed == [0, 1, 2, 4, 8, 16, 12, 10, 11]
         for b, size in levels:
             assert size == len(strategy_walk(g, tau, tracker_class(g, b))[0]), (k, b)
+    assert costs == [17, 22, 7, 12, 17, 11]
+
+
+def test_spoiler_costs_equal_the_upward_search_below_their_lasso():
+    # the guess-first verifier against the walked upward search on 3,000
+    # random spoilers; the cheapest lasso's cost U is never below the
+    # value, and ∞ exactly when the value is
+    exact = infinite = 0
+    for g, tau in spoiler_corpus():
+        cost = spoiler_cost(g, tau)
+        assert cost == walked_spoiler_cost(g, tau, Tracker)
+        u = semantics._cheapest_lasso(g, semantics._StrategyArena(g, tau))
+        assert u >= cost and (u == INF) == (cost == INF)
+        exact += u == cost < INF
+        infinite += cost == INF
+    assert (infinite, exact) == (889, 1954)
 
 
 def test_strategy_cost_rejects_wrong_player(delay_won):

@@ -7,12 +7,14 @@ from collections import Counter
 import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, flat_parity_game,
-                      layered_corpus, random_cost_game, random_level_rows)
+                      layered_corpus, parity_optimal_corpus, random_cost_game,
+                      random_level_rows, searched_optimal_cost)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
                         decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
                         format_strat, make_game, optimal_cost, p0_memory_family, p1_memory_family,
-                        semantics, solve_parity, solver, streett_from_cost_parity, subdivide_costs)
+                        p1_tradeoff_family, semantics, solve_parity, solver,
+                        streett_from_cost_parity, subdivide_costs)
 from costparity.generators import QbfFormula, qbf_to_game
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.solver import _ParityLevels, _sink_first_winners, _solve_all, clamp_bound
@@ -294,6 +296,68 @@ def test_optimal_witness_is_the_certificate_at_the_value():
         assert res.value == scan
         at = cap if scan == INF else scan
         assert format_strat(res.witness) == format_strat(decide_bounded_cost(g, at).certificate)
+
+
+def _counted_decisions(monkeypatch) -> list[int]:
+    """The bounds of the decisions ``optimal_cost`` makes from now on."""
+    bounds: list[int] = []
+    real = solver.decide_bounded_cost
+
+    def decide(game, bound, **kw):
+        bounds.append(bound)
+        return real(game, bound, **kw)
+
+    monkeypatch.setattr(solver, "decide_bounded_cost", decide)
+    return bounds
+
+
+def test_optimal_equals_the_plain_search_in_half_the_decisions(monkeypatch):
+    # the classical bracket against the guess-free search on a slice of
+    # the 611-game parity corpus (the whole corpus: 1,776 → 733
+    # decisions): the same value and witness bytes, U at least the
+    # value, ∞ wherever Player 1 wins the classical game, and at most
+    # half the decisions, a count that is the same on every machine
+    decisions = _counted_decisions(monkeypatch)
+    searched: list[int] = []
+    proven = exact = 0
+    for g in parity_optimal_corpus(unary=100, binary=50):
+        res = optimal_cost(g)
+        ref = searched_optimal_cost(g, searched)
+        assert res.value == ref.value
+        assert format_strat(res.witness) == format_strat(ref.witness)
+        u = solver._classical_bracket(g)
+        if u == INF:
+            assert ref.value == INF
+            proven += 1
+        elif u is not None:
+            assert u >= ref.value
+            exact += u == ref.value
+    assert proven >= 40 and exact >= 60
+    assert 2 * len(decisions) <= len(searched)
+
+
+def test_optimal_decisions_around_the_classical_bracket(monkeypatch):
+    decisions = _counted_decisions(monkeypatch)
+    # Player 1 wins the arena's parity game by returning to the request
+    # at vertex 0: ∞ at once, from one decision at the cap n·W = 15
+    # (the plain search decides at 0, 1, 2, 4, 8 and 15)
+    g = make_game([(0, 0, 1), (1, 1, 0), (2, 0, 2)],
+                  [(0, 1, 4), (1, 0, 5), (1, 2, 1), (2, 2, 0)], 0, "binary")
+    res = optimal_cost(g)
+    assert (res.value, decisions) == (INF, [15])
+    assert res.witness.player == 1
+    assert format_strat(res.witness) == format_strat(searched_optimal_cost(g).witness)
+    # a positional strategy as cheap as the optimum leaves one decision
+    # below it and the one at it (the plain search makes 11 each)
+    for inst in (p1_memory_family(3), p1_memory_family(4), p1_tradeoff_family(3)):
+        decisions.clear()
+        value = optimal_cost(inst.game).value
+        assert decisions == [value - 1, value]
+    # one above it (U = 17, value 15) decides at 16 first, then searches
+    # below, reusing 16: the plain search's 9 decisions in another order
+    decisions.clear()
+    assert optimal_cost(p0_memory_family(3).game).value == 15
+    assert decisions == [16, 0, 1, 2, 4, 8, 12, 14, 15]
 
 
 def test_certificates_verify():

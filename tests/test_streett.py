@@ -9,7 +9,7 @@ from conftest import (bisected_cost, brute_streett_winner, direct_tracked_produc
                       streett_initial_r, streett_step, streett_strategy_product,
                       tracker_queries)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
-                        decide_bounded_cost, format_strat)
+                        decide_bounded_cost, format_strat, streett)
 from costparity.core import DEAD_MEMORY
 from costparity.reduction import Tracker, _LevelProduct
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
@@ -222,6 +222,23 @@ def test_counter_family_optimal_d1():
     inst = streett_counter_family(1)
     res = optimal_cost_streett(inst.game)
     assert res.value == 5 and not res.cap_hit
+
+
+def test_optimal_streett_searches_without_a_guess(monkeypatch):
+    # Streett games pass no classical bracket: the plain upward search,
+    # probe for probe
+    bounds = []
+    real = streett.decide_bounded_cost_streett
+
+    def decide(game, bound, **kw):
+        bounds.append(bound)
+        return real(game, bound, **kw)
+
+    monkeypatch.setattr(streett, "decide_bounded_cost_streett", decide)
+    for d, want in ((1, [0, 1, 2, 4, 8, 6, 5]), (2, [0, 1, 2, 4, 8, 16, 12, 10, 11])):
+        bounds.clear()
+        assert optimal_cost_streett(streett_counter_family(d).game).value == want[-1]
+        assert bounds == want
 
 
 def test_streett_decide_monotone():
