@@ -466,80 +466,164 @@ def strategy_from_functions(game: CostGame, player: int, initial_label,
     return StrategySpec(player, tuple(labels), 0, update, next_move)
 
 
-class _DeadMemory:
-    """Absorbing memory state for vertex-inconsistent update queries."""
-
-    def __repr__(self):
-        return "<dead-memory>"
-
-
-DEAD_MEMORY = _DeadMemory()
+# merge work allowed per entry a certificate's DFS records
+_MERGE_WORK = 4
 
 
 def strategy_from_product(game: CostGame, player: int, initial_label,
                           update_fn, next_move_fn) -> StrategySpec:
-    """Tabulate a strategy over the plays consistent with it.
+    """Tabulate a strategy over the plays consistent with it, with
+    compatible memory states merged.
 
     A DFS walks the (vertex, memory) product from the initial vertex and
     ``initial_label``.  At a vertex of ``player`` it follows only the
     strategy's own move ``next_move_fn(v, m)``; at an opponent's vertex
-    it follows every successor.  The memory states are the labels it
-    meets, numbered in discovery order: exactly the memory values that
-    plays consistent with the strategy visit.  Each move is computed
-    once, during the DFS or, at the pairs it never reached, when the
-    move table is filled.
+    it follows every successor.  The labels it meets, numbered in
+    discovery order, are the memory values that consistent plays visit.
+    Per label it records only what those plays use: its move at each
+    visited vertex of ``player``, and its update along each edge
+    followed.  ``BudgetExceededError`` is raised as soon as the labels
+    found would need more than ``DEFAULT_PRODUCT_BUDGET`` entries in a
+    table over M × E.
 
-    The table stays total over M × E: every update whose result is not
-    a collected label goes to an absorbing dead state (``DEAD_MEMORY``).
-    A consistent play never reaches it.  By induction along the play,
-    each of its positions (v, m) is one the DFS visited: at an owned
-    vertex the play takes ``next_move_fn(v, m)``, the move the DFS
-    followed, and at an opponent's vertex the DFS followed every move,
-    so the next memory value was collected.  The consistent plays, and
-    so the cost, are those of a total table over every label the
-    update function can produce.  As in ``strategy_from_functions``,
-    ``BudgetExceededError`` is raised as soon as the labels found would
-    need more than ``DEFAULT_PRODUCT_BUDGET`` update entries.
+    ``_merge_compatible`` folds the labels into classes, and the table
+    is filled over them, numbered and labelled by their first members.
+    An update no member recorded stays in the class; a move no member
+    recorded is the vertex's first successor.
+
+    The result is exact.  Each position (v, C) of a play of the merged
+    table has a member m of C with (v, m) visited by the DFS: at the
+    start m is ``initial_label``.  At a vertex of ``player`` the table
+    takes m's move, which C holds; at an opponent's vertex the DFS
+    followed every edge from (v, m).  Either way m's update along the
+    edge taken was recorded and visited, and the table's update lands
+    in its class.  So the merged table's plays are the consistent plays
+    of ``update_fn`` and ``next_move_fn``, and every cost is theirs.
     """
     succ = game.successors
     key = game.update_key
-    edges = list(key.values())
     owner = game.owner
     index: dict = {initial_label: 0}
     labels = [initial_label]
-    moves: dict = {}
-    seen = {(game.initial, initial_label)}
-    stack = [(game.initial, initial_label)]
+    moves: list[dict] = [{}]  # per label: vertex → the move recorded there
+    steps: list[dict] = [{}]  # per label: edge key → the next label's number
+    seen = {(game.initial, 0)}
+    stack = [(game.initial, 0)]
     while stack:
-        v, m = stack.pop()
+        v, i = stack.pop()
+        m = labels[i]
         if owner[v] == player:
-            t = moves[(v, m)] = next_move_fn(v, m)
+            t = moves[i][v] = next_move_fn(v, m)
             targets = (t,)
         else:
             targets = [t for t, _ in succ[v]]
+        step = steps[i]
         for t in targets:
-            m2 = update_fn(m, key[(v, t)])
-            if m2 not in index:
-                if (len(labels) + 1) * len(edges) > DEFAULT_PRODUCT_BUDGET:
+            ek = key[(v, t)]
+            m2 = update_fn(m, ek)
+            j = index.get(m2)
+            if j is None:
+                if (len(labels) + 1) * len(key) > DEFAULT_PRODUCT_BUDGET:
                     raise BudgetExceededError(
                         f"strategy update table exceeds budget {DEFAULT_PRODUCT_BUDGET} entries")
-                index[m2] = len(labels)
+                j = index[m2] = len(labels)
                 labels.append(m2)
-            if (t, m2) not in seen:
-                seen.add((t, m2))
-                stack.append((t, m2))
-    dead = len(labels)
-    get = index.get
-    update = {(i, ek): get(update_fn(m, ek), dead)
-              for i, m in enumerate(labels) for ek in edges}
-    owned = [v for v, o in owner.items() if o == player]
-    next_move = {(v, i): moves[(v, m)] if (v, m) in moves else next_move_fn(v, m)
-                 for v in owned for i, m in enumerate(labels)}
-    if dead in update.values():
-        labels.append(DEAD_MEMORY)
-        update.update(((dead, ek), dead) for ek in edges)
-        next_move.update(((v, dead), succ[v][0][0]) for v in owned)
-    return StrategySpec(player, tuple(labels), 0, update, next_move)
+                moves.append({})
+                steps.append({})
+            step[ek] = j
+            if (t, j) not in seen:
+                seen.add((t, j))
+                stack.append((t, j))
+    root = _merge_compatible(moves, steps)
+    roots = [i for i, r in enumerate(root) if r == i]
+    number = {r: k for k, r in enumerate(roots)}
+    cls = [number[r] for r in root]
+    update = {(k, ek): cls[steps[r][ek]] if ek in steps[r] else k
+              for k, r in enumerate(roots) for ek in key.values()}
+    next_move = {(v, k): moves[r].get(v, succ[v][0][0])
+                 for v, o in owner.items() if o == player for k, r in enumerate(roots)}
+    return StrategySpec(player, tuple(labels[r] for r in roots), 0, update, next_move)
+
+
+def _merge_compatible(moves: list[dict], steps: list[dict]) -> list[int]:
+    """Merges compatible memory labels, in place; returns each label's
+    class, named by its least label.
+
+    ``moves[i]`` maps vertices to label i's moves, ``steps[i]`` edge
+    keys to its next labels.  Two classes merge when their moves agree
+    at every vertex both hold; their next labels along a shared edge
+    must then merge too, and a conflict anywhere undoes the attempt
+    (union-find with an undo log).  Labels are tried in discovery order
+    against the classes so far, first fit.  Afterwards ``moves[r]`` and
+    ``steps[r]`` hold the entries of all of r's class.
+
+    The work, counted in pairs of classes merged, failed attempts
+    included, stops at ``_MERGE_WORK`` times the entries recorded; the
+    labels not yet tried then stay as they are.  Every class formed by
+    then is compatible, so the result is exact either way.
+    """
+    parent = list(range(len(moves)))
+    budget = _MERGE_WORK * sum(len(m) + len(s) for m, s in zip(moves, steps))
+    work = 0
+    log: list = []  # undo: (table, key) of an added entry, (None, label) of a parent set
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(a, b) -> bool:
+        """Merges the classes of a and b and all that it forces; False
+        on a conflict or when the work runs out, with the log to undo."""
+        nonlocal work
+        pending = [(a, b)]
+        while pending:
+            a, b = sorted(map(find, pending.pop()))
+            if a == b:
+                continue
+            work += 1
+            if work > budget:
+                return False
+            parent[b] = a
+            log.append((None, b))
+            move, step = moves[a], steps[a]
+            for v, t in moves[b].items():
+                u = move.get(v)
+                if u is None:
+                    move[v] = t
+                    log.append((move, v))
+                elif u != t:
+                    return False
+            for ek, j in steps[b].items():
+                k = step.get(ek)
+                if k is None:
+                    step[ek] = j
+                    log.append((step, ek))
+                else:
+                    pending.append((k, j))
+        return True
+
+    classes: list[int] = []
+    for x in range(len(moves)):
+        if work > budget:
+            break
+        if find(x) != x:
+            continue  # forced into the class of an earlier label
+        for c in classes:
+            if parent[c] == c and union(c, x):
+                break
+            while log:
+                table, k = log.pop()
+                if table is None:
+                    parent[k] = k
+                else:
+                    del table[k]
+            if work > budget:
+                break
+        else:
+            classes.append(x)
+        log.clear()
+    return [find(i) for i in range(len(moves))]
 
 
 def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:

@@ -496,8 +496,8 @@ def extract_player0_strategy(levels: BoundedCostResult) -> StrategySpec:
         return move
 
     strat = strategy_from_product(game, 0, tr.initial_state(), upd, nxt)
-    # the dead state only exists when the reachable set is strict, so
-    # the raw bound still holds
+    # the merged states are classes of reachable tracking states, so
+    # the raw bound holds
     limit = (game.n + 1) * (bound + 2) ** game.d
     if strat.size > limit:
         raise RuntimeError(f"certificate has {strat.size} memory states, "

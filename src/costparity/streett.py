@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .core import (DEAD_MEMORY, DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
+from .core import (DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
                    Vertex, _Arena, _arena_report, _known_edges, _parse_vertex_line,
                    _read_header, _reset_spoiler, strategy_from_functions,
                    strategy_from_product)
@@ -230,6 +230,10 @@ def _lifted_pairs(game: CostStreettGame, vertices, saturated) -> tuple[tuple, tu
 
 
 # --- classical Streett solving (Zielonka-tree recursion) -----------------------
+
+# absorbing cell state for vertex-inconsistent update queries
+DEAD_MEMORY = "<dead-memory>"
+
 
 class _LeafCell:
     def __init__(self, moves: dict[int, int]):

@@ -6,12 +6,13 @@ reachable cycle, play costs from literally unrolling the lasso, and
 Streett winners from enumerating positional spoilers.
 """
 
+import contextlib
 import itertools
 import random
 
 import pytest
 
-from costparity import QbfFormula, generators, make_game, qbf_to_game
+from costparity import QbfFormula, core, generators, make_game, qbf_to_game, solver, streett
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
                              _least_bound, _reset_spoiler, strategy_from_product)
 from costparity.reduction import Tracker
@@ -679,3 +680,69 @@ def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
 
     o0, r0 = tr.initial_state()
     return strategy_from_product(game, 0, (o0, r0, cell.init(0)), upd, nxt)
+
+
+# --- oracle: certificates tabulated without merging ---------------------------
+
+DEAD_LABEL = "<dead>"
+
+
+def dead_state_tabulation(game, player: int, initial_label, update_fn,
+                          next_move_fn) -> StrategySpec:
+    """``core.strategy_from_product`` before it merged memory states:
+    the labels that consistent plays visit, numbered in discovery order,
+    and a table total over M × E.  An update whose result is not a
+    collected label goes to an absorbing dead state, labelled
+    ``DEAD_LABEL``; the moves at pairs the DFS never reached are
+    ``next_move_fn``'s own."""
+    succ, key, owner = game.successors, game.update_key, game.owner
+    edges = list(key.values())
+    index = {initial_label: 0}
+    labels = [initial_label]
+    moves = {}
+    seen = {(game.initial, initial_label)}
+    stack = [(game.initial, initial_label)]
+    while stack:
+        v, m = stack.pop()
+        if owner[v] == player:
+            t = moves[(v, m)] = next_move_fn(v, m)
+            targets = (t,)
+        else:
+            targets = [t for t, _ in succ[v]]
+        for t in targets:
+            m2 = update_fn(m, key[(v, t)])
+            if m2 not in index:
+                if (len(labels) + 1) * len(edges) > DEFAULT_PRODUCT_BUDGET:
+                    raise BudgetExceededError(
+                        f"strategy update table exceeds budget {DEFAULT_PRODUCT_BUDGET} entries")
+                index[m2] = len(labels)
+                labels.append(m2)
+            if (t, m2) not in seen:
+                seen.add((t, m2))
+                stack.append((t, m2))
+    dead = len(labels)
+    update = {(i, ek): index.get(update_fn(m, ek), dead)
+              for i, m in enumerate(labels) for ek in edges}
+    owned = [v for v, o in owner.items() if o == player]
+    next_move = {(v, i): moves[(v, m)] if (v, m) in moves else next_move_fn(v, m)
+                 for v in owned for i, m in enumerate(labels)}
+    if dead in update.values():
+        labels.append(DEAD_LABEL)
+        update.update(((dead, ek), dead) for ek in edges)
+        next_move.update(((v, dead), succ[v][0][0]) for v in owned)
+    return StrategySpec(player, tuple(labels), 0, update, next_move)
+
+
+@contextlib.contextmanager
+def unmerged_certificates():
+    """Within the block, every certificate is tabulated by
+    ``dead_state_tabulation`` instead of ``strategy_from_product``."""
+    modules = (core, solver, streett)
+    saved = [m.strategy_from_product for m in modules]
+    for m in modules:
+        m.strategy_from_product = dead_state_tabulation
+    try:
+        yield
+    finally:
+        for m, fn in zip(modules, saved):
+            m.strategy_from_product = fn

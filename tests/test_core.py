@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_cost_game, random_cost_streett
+from conftest import (dead_state_tabulation, parity_optimal_corpus, random_cost_game,
+                      random_cost_streett)
 from costparity import (BudgetExceededError, Edge, FormatError, Vertex, core,
                         decide_bounded_cost, export_dot, format_cpg, format_strat,
                         generators, make_game, optimal_cost, parse_cpg, parse_strat,
@@ -253,19 +254,65 @@ def test_certificates_verify_like_their_dense_tables(monkeypatch):
                                       encoding="binary"))
         games.append(random_cost_streett(rng))
     calls = _spy_tabulations(monkeypatch)
-    kinds, smaller, checked = set(), 0, 0
+    kinds = Counter()
     for g in games:
         _certify_around_optimum(g)
-        for (game, player, label, upd, nxt), cert in calls:
-            dense = parse_strat(format_strat(_dense_table(game, player, label, upd, nxt)))
-            assert validate_strategy(game, dense) == []
-            assert _verified_cost(game, dense) == _verified_cost(game, cert)
-            assert cert.size <= dense.size
-            kinds.add((type(game), player))
-            smaller += cert.size < dense.size
-            checked += 1
-        calls.clear()  # the closures hold the solved products
-    assert len(kinds) == 4 and smaller > checked // 4
+        _check_against(_dense_table, calls, kinds)
+    smaller = kinds.pop("smaller")
+    assert len(kinds) == 4 and smaller > sum(kinds.values()) // 4
+
+
+def _check_against(reference, calls, kinds):
+    """Each recorded certificate and the table ``reference`` builds of
+    the same functions, read back from its .strat text, are valid and
+    verify at exactly the same cost, and the certificate has at most as
+    many states.  Counts the certificates per (game class, player), and
+    the strictly smaller ones under "smaller"."""
+    for (game, player, label, upd, nxt), cert in calls:
+        table = parse_strat(format_strat(reference(game, player, label, upd, nxt)))
+        assert validate_strategy(game, cert) == validate_strategy(game, table) == []
+        assert _verified_cost(game, cert) == _verified_cost(game, table)
+        assert cert.size <= table.size
+        kinds[(type(game), player)] += 1
+        kinds["smaller"] += cert.size < table.size
+    calls.clear()  # the closures hold the solved products
+
+
+def test_merged_certificates_cost_what_their_unmerged_tables_cost(monkeypatch):
+    """The differential test of the merge: over half of
+    ``parity_optimal_corpus`` (the 11 family games, 200 unary and 100
+    binary ones), each game's optimal witness and one decision at a
+    random bound in 0–12; and 100 games of ``random_cost_streett`` from
+    ``random.Random(5)``, one decision each."""
+    calls = _spy_tabulations(monkeypatch)
+    kinds = Counter()
+    bounds = random.Random(29)
+    for g in parity_optimal_corpus(unary=200, binary=100):
+        optimal_cost(g)
+        decide_bounded_cost(g, bounds.randint(0, 12)).certificate
+        _check_against(dead_state_tabulation, calls, kinds)
+    rng = random.Random(5)
+    for _ in range(100):
+        g = random_cost_streett(rng)
+        streett.decide_bounded_cost_streett(g, bounds.randint(0, 12)).certificate
+        _check_against(dead_state_tabulation, calls, kinds)
+    assert len(kinds) == 5 and min(kinds.values()) >= 20, kinds
+
+
+def test_a_merge_out_of_work_stays_exact(monkeypatch):
+    """The Streett counter d=2 witness runs the merge out of its work
+    bound: it keeps more states than an unbounded merge, fewer than the
+    unmerged table, and costs what the unmerged table costs."""
+    calls = _spy_tabulations(monkeypatch)
+    g = generators.streett_counter_family(2).game
+    opt = streett.optimal_cost_streett(g)
+    (args, cert), = [(args, cert) for args, cert in calls if cert is opt.witness]
+    unmerged = dead_state_tabulation(*args)
+    monkeypatch.setattr(core, "_MERGE_WORK", 10 ** 9)
+    unbounded = core.strategy_from_product(*args)
+    assert unbounded.size < cert.size < unmerged.size
+    assert streett.streett_strategy_cost(g, cert) == \
+        streett.streett_strategy_cost(g, unmerged) == opt.value
 
 
 def test_least_bound_searches_upward_with_few_probes():

@@ -33,8 +33,8 @@ INSTANCES = [("p0mem", 1), ("p0mem", 2), ("p1mem", 1), ("p1mem", 2),
 
 GOLDEN_DIGEST = "4c5d20748ef99524fb6e99534151518e282429ae967561b51c6ff983049e10aa"
 # GOLDEN_DIGEST also pins each certificate's cost, through ``verify``
-PARITY_CERT_DIGEST = "a929512a1d8743eaefd5d4790589360aec396f728fe8400e0a2bb0d0ceee7eab"
-STREETT_CERT_DIGEST = "635639e769a018bfd5dddc80de69bb451394449ad6ee806b84b67eb0d0f88142"
+PARITY_CERT_DIGEST = "0bfe355d8fac3df2e19d6433c85e8e366f0e4d09611a0ed986364abe393453c6"
+STREETT_CERT_DIGEST = "8e78e39cd8ee4c0b706f90130f675ccd0d0a893ed99833f4a45c7f2d7517ab29"
 
 # certificates written by ``optimal --output`` and ``solve --output``
 _CERTIFICATE = re.compile(r"\.(opt|b\d+)\.strat$")

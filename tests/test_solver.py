@@ -406,13 +406,32 @@ def test_binary_matches_subdivision():
 
 
 @pytest.mark.parametrize("family, d, states", [
-    (p0_memory_family, 2, 26), (p1_memory_family, 3, 23), (binary_tradeoff_family, 2, 18)])
+    (p0_memory_family, 2, 2), (p1_memory_family, 3, 1), (binary_tradeoff_family, 2, 2)])
 def test_optimal_certificates_hold_the_memory_consistent_plays_visit(family, d, states):
     """Pinned memory sizes of the optimal certificates, which hold only
-    what plays consistent with them visit: a change that collects memory
-    under moves the certificate never makes fails here."""
+    what plays consistent with them visit, with compatible states
+    merged: a change that collects memory under moves the certificate
+    never makes, or merges less, fails here."""
     witness = optimal_cost(family(d).game).witness
     assert (witness.player, witness.size) == (0, states)
+
+
+def test_certificates_meet_the_papers_memory_bounds():
+    """The merged certificates of the lower-bound families sit near the
+    paper's memory bounds: p0mem d=3's optimal certificate within 10
+    states (the bound is 2^(d−1) = 4), every p1mem optimal certificate
+    positional, as Player 0 needs no memory there, and the p1mem
+    spoilers one below the optimum within 2^d states."""
+    witness = optimal_cost(p0_memory_family(3).game).witness
+    assert witness.player == 0 and witness.size <= 10
+    for d in (1, 2, 3, 4):
+        game = p1_memory_family(d).game
+        opt = optimal_cost(game)
+        assert (opt.witness.player, opt.witness.size) == (0, 1)
+        if d <= 3:
+            spoiler = decide_bounded_cost(game, opt.value - 1).certificate
+            assert spoiler.player == 1 and spoiler.size <= 2 ** d, d
+            assert spoiler_cost(game, spoiler) == opt.value
 
 
 def test_dropped_results_free_their_level_graphs(delay_won, delay_lost):

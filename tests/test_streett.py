@@ -3,14 +3,13 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import (bisected_cost, brute_streett_winner, direct_tracked_product,
+from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, direct_tracked_product,
                       flat_streett_certificate, random_cost_game, random_cost_streett,
                       random_level_rows, random_strategy, random_streett_game,
                       streett_initial_r, streett_step, streett_strategy_product,
-                      tracker_queries)
+                      tracker_queries, unmerged_certificates)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat, streett)
-from costparity.core import DEAD_MEMORY
 from costparity.reduction import Tracker, _LevelProduct
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 StreettPair, StreettTracker, _StreettLevels,
@@ -361,12 +360,15 @@ def _overflow_landings(g, res) -> int:
     """Checks that Player 0's certificate restarts its memory on every
     overflow move: the memory after the move depends only on the state
     (t, o, r) it lands in, as the cell restarts at the entered node.
-    Returns the number of overflow moves checked."""
-    cert = res.certificate
+    The certificate is tabulated without merging, so that its states
+    are the labels (o, r, cell state).  Returns the number of overflow
+    moves checked."""
+    with unmerged_certificates():
+        cert = streett._compose_p0_certificate(res)
     tr = StreettTracker(g, res.bound)
     landed: dict = {}
     for m, label in enumerate(cert.states):
-        if label is DEAD_MEMORY:
+        if label is DEAD_LABEL:
             continue
         o, r, _ = label
         for (src, t), ek in g.update_key.items():
