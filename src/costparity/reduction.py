@@ -7,12 +7,12 @@ capped by the active bound b.  Traversing an edge updates (o, r) in four
 steps: add the edge cost to open requests, reset everything and bump o
 on an excess over b, close requests answered by the target's color, and
 open the target's own request.  Streett games track one entry per pair
-alike, and both game classes share the one step (``_MemoizedStep``).
+alike, and both game classes share the one step (``_RequestTracker``).
 The tracker, the product and the certificates carry r as one int, a
-request word of open bits and cost fields, whose step is a few integer
-operations; code that reads single entries (``TrackedPrefix``, the
-prefix rules' cycle tests and shortcut, ``dominates``) works on the
-tuple of ⊥ or costs that ``unpack`` gives.
+request word of open bits and cost fields, whose step is a few table
+lookups and integer operations; code that reads single entries
+(``TrackedPrefix``, the prefix rules' cycle tests and shortcut,
+``dominates``) works on the tuple of ⊥ or costs that ``unpack`` gives.
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
@@ -88,7 +88,7 @@ def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
     return _r_dominated(ra, rb)
 
 
-class _MemoizedStep:
+class _RequestTracker:
     """The request tracker of both game classes: entry i of r belongs
     to pair i of the Streett image (``request_mask`` / ``answer_mask``).
 
@@ -102,15 +102,16 @@ class _MemoizedStep:
     changed nothing.  A field thus never exceeds 2b+1 < 2^F, so no carry
     crosses fields, and one add of 2^(F−1)−1−b to every field
     (``_bias``) sets a field's top bit (``_tops``) iff it exceeds b.
-    Then the target's class closes the pairs it answers (``& keep``)
-    and opens its fresh requests at 0 (``| fresh``).
+    An overflow resets the word; then the target closes the pairs it
+    answers (``& keep``) and opens its fresh requests at 0 (``| fresh``).
 
-    The step changes r using only the edge cost and the target's class
-    ``answer mask | fresh mask << d``, and changes o only by the bump on
-    an overflow.  So ``_step(r, cost, class)`` -> (r', overflowed) runs
-    once per distinct key and is looked up afterwards.  The memo belongs
-    to the tracker and grows only with its distinct steps, which the
-    product it explores bounds.
+    So a step is a few table lookups and integer operations: the
+    (keep, fresh) pair of each vertex, built up front, and two tables
+    filled on first use, each entry a pure function of its int key (or
+    Streett cost tuple): the fields word of an open mask (``_spans``)
+    and the clamped charge of an edge cost (``_clamped``).  The tables
+    belong to the tracker and grow only with the distinct open masks
+    and costs its steps meet.
     """
 
     def __init__(self, game, bound: int):
@@ -121,22 +122,19 @@ class _MemoizedStep:
         self.n = game.n
         self.d = d = game.d
         width = bound.bit_length() + 1
-        self._field = field = (1 << width) - 1
+        self._field = (1 << width) - 1
         self._shifts = shifts = tuple(d + i * width for i in range(d))
         self._ones = ones = sum(1 << s for s in shifts)
         self._bias = ((1 << width - 1) - 1 - bound) * ones
         self._tops = ones << width - 1
         self._low = low = (1 << d) - 1
-        qmask = game.request_mask
-        self.target_class = {v: a | (qmask[v] & ~a) << d
-                             for v, a in game.answer_mask.items()}
-        # per class, the word mask of the pairs a step keeps (those it
-        # does not close), and the open bits of the pairs it opens
-        self._classes = {tc: (self._fields(low & ~tc), tc >> d)
-                         for tc in set(self.target_class.values())}
-        # per (open mask, edge cost), what a step adds to the word
-        self._charges: dict = {}
-        self._memo: dict = {}
+        qmask, amask = game.request_mask, game.answer_mask
+        # per vertex, the word mask of the pairs a step into it keeps
+        # (those it does not close), and the open bits it sets
+        keeps = {a: self._fields(low & ~a) for a in set(amask.values())}
+        self._targets = {v: (keeps[a], qmask[v] & ~a) for v, a in amask.items()}
+        self._spans: dict[int, int] = {}
+        self._clamped: dict = {}
 
     def _fields(self, mask: int) -> int:
         """The open bits and the fields of the pairs in ``mask``, one set
@@ -151,6 +149,8 @@ class _MemoizedStep:
 
     def pack(self, values: Sequence[int | None]) -> int:
         """The request word of a tuple whose entries are ⊥ or in [0, b]."""
+        if len(values) != self.d:
+            raise ValueError(f"request tuple of length {len(values)} for {self.d} pairs")
         word = 0
         for i, (x, s) in enumerate(zip(values, self._shifts)):
             if x is not None:
@@ -169,39 +169,29 @@ class _MemoizedStep:
         return (0, self.initial_r(self.game.initial))
 
     def initial_r(self, vertex: int) -> int:
-        return self.target_class[vertex] >> self.d
+        return self._targets[vertex][1]
 
     def update(self, o: int, r: int, cost, target: int) -> tuple[int, int, bool]:
         """One memory step; returns (o', r', overflowed)."""
-        tc = self.target_class[target]
-        key = (r, cost, tc)
-        step = self._memo.get(key)
-        if step is None:
-            step = self._memo[key] = self._step(r, cost, tc)
-        r, overflow = step
-        if overflow:
-            o = min(o + 1, self.n)
-        return o, r, overflow
+        charge = self._clamped.get(cost)
+        if charge is None:
+            charge = self._clamped[cost] = self._packed(cost)
+        span = self._spans.get(r & self._low)
+        if span is None:
+            span = self._spans[r & self._low] = self._fields(r)
+        r += charge & span
+        keep, fresh = self._targets[target]
+        if r + self._bias & self._tops:
+            return min(o + 1, self.n), fresh, True
+        return o, r & keep | fresh, False
 
     def _packed(self, costs: tuple[int, ...]) -> int:
         """Each pair's own edge cost, clamped to b+1, in its field."""
         cap = self.bound + 1
         return sum(min(w, cap) << s for w, s in zip(costs, self._shifts))
 
-    def _step(self, r: int, cost, tc: int) -> tuple[int, bool]:
-        key = (r & self._low, cost)
-        charge = self._charges.get(key)
-        if charge is None:
-            charge = self._charges[key] = self._packed(cost) & self._fields(key[0])
-        r += charge
-        overflow = r + self._bias & self._tops != 0
-        if overflow:
-            r = 0
-        keep, fresh = self._classes[tc]
-        return r & keep | fresh, overflow
 
-
-class Tracker(_MemoizedStep):
+class Tracker(_RequestTracker):
     """The tracker of a cost-parity game: r is indexed by the odd colors
     ``colors`` (read off ``game`` on use, so an arena without colors
     works too), and one edge cost applies to every pair."""

@@ -42,7 +42,7 @@ from .core import (DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
                    Vertex, _Arena, _arena_report, _known_edges, _parse_vertex_line,
                    _read_header, _reset_spoiler, strategy_from_functions,
                    strategy_from_product)
-from .reduction import _LevelProduct, _MemoizedStep
+from .reduction import _LevelProduct, _RequestTracker
 from .semantics import Lasso, _cost_of_response, _limsup, _verified_cost
 from .solver import (BoundedCostResult, OptimalResult, _attractor, _least_achievable,
                      _predecessors, _progress_moves)
@@ -178,7 +178,7 @@ def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
 
 # --- per-pair request tracking ------------------------------------------------
 
-class StreettTracker(_MemoizedStep):
+class StreettTracker(_RequestTracker):
     """Request tracking with one counter per Streett pair.
 
     The state is (o, r) as in ``reduction.Tracker``, with r holding one

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,13 +8,16 @@ from hypothesis import strategies as st
 
 from conftest import (direct_tracked_product, flat_parity_game, parity_initial_r, parity_step,
                       random_cost_game, random_cost_streett, streett_step, tracker_queries)
-from costparity import (Edge, Vertex, classify_cycle, dominates, make_game, relevant_requests,
-                        settled, settled_bound, shortcut_step, track_play)
-from costparity.generators import QbfFormula, qbf_to_game, streett_counter_family
+from costparity import (INF, Edge, Vertex, classify_cycle, dominates, make_game,
+                        relevant_requests, semantics, settled, settled_bound, shortcut_step,
+                        track_play)
+from costparity.generators import (QbfFormula, p1_memory_family, qbf_to_game,
+                                    streett_counter_family)
 from costparity.reduction import Tracker, _LevelProduct, start_prefix
 from costparity.solver import decide_bounded_cost
+from costparity.semantics import spoiler_cost
 from costparity.streett import (CostStreettGame, StreettEdge, StreettPair, StreettTracker,
-                                decide_bounded_cost_streett)
+                                decide_bounded_cost_streett, streett_spoiler_cost)
 
 
 def test_initial_request_function():
@@ -166,7 +170,7 @@ def test_update_never_exceeds_bounds():
             assert all(x is None or 0 <= x <= b for x in tr.unpack(r))
 
 
-def test_tracker_memo_answers_like_a_fresh_tracker():
+def test_tracker_tables_answer_like_a_fresh_tracker():
     rng = random.Random(17)
     for _ in range(40):
         g = random_cost_game(rng, rng.randint(1, 4), 5, max_cost=3, encoding="binary")
@@ -175,7 +179,9 @@ def test_tracker_memo_answers_like_a_fresh_tracker():
         shared = Tracker(g, b)
         for q in queries:
             assert shared.update(*q) == Tracker(g, b).update(*q), q
-        assert len(shared._memo) < len(queries)
+        # one table entry per distinct open mask and edge cost queried
+        assert len(shared._spans) <= len({r & (1 << shared.d) - 1 for _, r, _, _ in queries})
+        assert len(shared._clamped) <= len({cost for _, _, cost, _ in queries})
 
 
 def test_fields_equals_the_all_shifts_formula():
@@ -281,15 +287,39 @@ def test_pack_is_one_to_one_and_unpack_inverts_it():
                         tr.pack((bad,) + (None,) * (d - 1))
 
 
-def test_decisions_step_the_tracker_once_per_product_move(monkeypatch):
-    # the traced benchmark counts tracker steps by wrapping the trackers'
-    # update: a decision's product must call it once per level-graph move
-    calls = {}
-    for cls in (Tracker, StreettTracker):
+def test_prefixes_with_request_tuples_of_the_wrong_length_are_rejected():
+    # pack checks the length as dominates does, so neither a settle
+    # verdict nor a shortcut step is read off a truncated or padded word
+    g = make_game([(0, 0, 1), (1, 1, 3), (2, 0, 0)],
+                  [(0, 1, 1), (1, 2, 1), (2, 1, 0), (2, 0, 1)], 0, "binary")
+    prefix = track_play(g, 3, [0, 1, 2, 1])
+    assert prefix.requests[-1] == (2, 1)
+    for bad in ((0, None, 5), (0,), ()):
+        wrong = dataclasses.replace(prefix, requests=prefix.requests[:-1] + (bad,))
+        with pytest.raises(ValueError, match=f"length {len(bad)} for 2 pairs"):
+            settled(g, 3, wrong)
+        with pytest.raises(ValueError, match=f"length {len(bad)} for 2 pairs"):
+            shortcut_step(g, 3, wrong, Edge(1, 2, 1))
+    assert settled(g, 3, prefix).kind == "odd_cycle"
+    assert shortcut_step(g, 3, prefix, Edge(1, 2, 1)).requests[-1] == (3, 2)
+
+
+def _count_updates(monkeypatch) -> dict:
+    """Counts the calls of each tracker class's update, as the traced
+    benchmark does by wrapping it."""
+    calls = {Tracker: 0, StreettTracker: 0}
+    for cls in calls:
         def counted(self, *args, update=cls.update, cls=cls):
             calls[cls] += 1
             return update(self, *args)
         monkeypatch.setattr(cls, "update", counted)
+    return calls
+
+
+def test_decisions_step_the_tracker_once_per_product_move(monkeypatch):
+    # the traced benchmark counts tracker steps by wrapping the trackers'
+    # update: a decision's product must call it once per level-graph move
+    calls = _count_updates(monkeypatch)
     formula = QbfFormula(("e", "a", "e"), ((1, -2, 3), (-1, 2, 3), (-3, 2, 1)))
     inst = qbf_to_game(formula)
     counter = streett_counter_family(2).game
@@ -300,6 +330,32 @@ def test_decisions_step_the_tracker_once_per_product_move(monkeypatch):
         moves = sum(len(row) for row in res.succ)
         assert moves > 50
         assert calls[cls] == sum(calls.values()) == moves
+
+
+def test_spoiler_probes_step_the_tracker_once_per_product_move(monkeypatch):
+    # the verifier's tracked probes count alike: a parity and a Streett
+    # spoiler call update once per move of each level product they build
+    calls = _count_updates(monkeypatch)
+    moves = []
+
+    class Level(semantics._LevelProduct):
+        def __init__(self, arena, tracker, budget, what):
+            super().__init__(arena, tracker, budget, what)
+            moves.append(sum(len(row) for row in self.succ))
+
+    monkeypatch.setattr(semantics, "_LevelProduct", Level)
+    family = p1_memory_family(3)
+    counter = streett_counter_family(2).game
+    for verify, game, strat, cls in (
+            (spoiler_cost, family.game, family.reference_strategies[0].strategy, Tracker),
+            (streett_spoiler_cost, counter,
+             decide_bounded_cost_streett(counter, 10).certificate, StreettTracker)):
+        assert strat.player == 1
+        calls.update({Tracker: 0, StreettTracker: 0})
+        del moves[:]
+        assert verify(game, strat) < INF
+        assert moves and min(moves) > 10
+        assert calls[cls] == sum(calls.values()) == sum(moves)
 
 
 def test_level_product_rows_are_the_arena_moves():

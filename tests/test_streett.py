@@ -488,7 +488,7 @@ def test_streett_reduction_equals_the_direct_search():
             (levels.nodes, levels.index, levels.succ, levels.pred, levels.overflow), b
 
 
-def test_streett_tracker_memo_answers_like_a_fresh_tracker():
+def test_streett_tracker_tables_answer_like_a_fresh_tracker():
     rng = random.Random(71)
     for _ in range(40):
         g = random_cost_streett(rng)
@@ -498,7 +498,9 @@ def test_streett_tracker_memo_answers_like_a_fresh_tracker():
         shared = StreettTracker(g, b)
         for q in queries:
             assert shared.update(*q) == StreettTracker(g, b).update(*q), q
-        assert len(shared._memo) < len(queries)
+        # one table entry per distinct open mask and edge cost queried
+        assert len(shared._spans) <= len({r & (1 << shared.d) - 1 for _, r, _, _ in queries})
+        assert len(shared._clamped) <= len({cost for _, _, cost, _ in queries})
 
 
 def test_streett_tracker_steps_like_the_pair_based_step():
