@@ -10,7 +10,9 @@ open the target's own request.  Streett games track one entry per pair
 alike, and both game classes share the one step (``_RequestTracker``).
 The tracker, the product and the certificates carry r as one int, a
 request word of open bits and cost fields, whose step is a few table
-lookups and integer operations; code that reads single entries
+lookups and integer operations; the table of fields words is shared by
+every tracker with the same number of pairs and field width, since its
+entries do not depend on the bound.  Code that reads single entries
 (``TrackedPrefix``, the prefix rules' cycle tests and shortcut,
 ``dominates``) works on the tuple of ⊥ or costs that ``unpack`` gives.
 
@@ -88,6 +90,12 @@ def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
     return _r_dominated(ra, rb)
 
 
+# open mask → fields word, one table per (d, field width), shared by
+# every tracker of that shape
+_SPANS: dict[tuple[int, int], dict[int, int]] = {}
+_SPAN_LIMIT = 1 << 12
+
+
 class _RequestTracker:
     """The request tracker of both game classes: entry i of r belongs
     to pair i of the Streett image (``request_mask`` / ``answer_mask``).
@@ -107,11 +115,13 @@ class _RequestTracker:
 
     So a step is a few table lookups and integer operations: the
     (keep, fresh) pair of each vertex, built up front, and two tables
-    filled on first use, each entry a pure function of its int key (or
-    Streett cost tuple): the fields word of an open mask (``_spans``)
-    and the clamped charge of an edge cost (``_clamped``).  The tables
-    belong to the tracker and grow only with the distinct open masks
-    and costs its steps meet.
+    filled on first use, each entry a pure function of its key: the
+    fields word of an open mask (``_spans``) and the clamped charge of
+    an edge cost, an int or a Streett cost tuple (``_clamped``).  The
+    fields word does not depend on b, so every tracker with the same d
+    and field width F reads one module-level span table (``_SPANS``),
+    which is cleared once it holds ``_SPAN_LIMIT`` entries; the charge
+    table belongs to the tracker.
     """
 
     def __init__(self, game, bound: int):
@@ -131,10 +141,10 @@ class _RequestTracker:
         qmask, amask = game.request_mask, game.answer_mask
         # per vertex, the word mask of the pairs a step into it keeps
         # (those it does not close), and the open bits it sets
-        keeps = {a: self._fields(low & ~a) for a in set(amask.values())}
-        self._targets = {v: (keeps[a], qmask[v] & ~a) for v, a in amask.items()}
-        self._spans: dict[int, int] = {}
+        self._spans = _SPANS.setdefault((d, width), {})
         self._clamped: dict = {}
+        keeps = {a: self._span(low & ~a) for a in set(amask.values())}
+        self._targets = {v: (keeps[a], qmask[v] & ~a) for v, a in amask.items()}
 
     def _fields(self, mask: int) -> int:
         """The open bits and the fields of the pairs in ``mask``, one set
@@ -146,6 +156,17 @@ class _RequestTracker:
             word |= field << shifts[bit.bit_length() - 1]
             mask ^= bit
         return word
+
+    def _span(self, mask: int) -> int:
+        """The fields word of an open mask from the shared table, filled
+        on a miss; a full table is cleared first."""
+        spans = self._spans
+        span = spans.get(mask)
+        if span is None:
+            if len(spans) >= _SPAN_LIMIT:
+                spans.clear()
+            span = spans[mask] = self._fields(mask)
+        return span
 
     def pack(self, values: Sequence[int | None]) -> int:
         """The request word of a tuple whose entries are ⊥ or in [0, b]."""
@@ -173,13 +194,13 @@ class _RequestTracker:
 
     def update(self, o: int, r: int, cost, target: int) -> tuple[int, int, bool]:
         """One memory step; returns (o', r', overflowed)."""
-        charge = self._clamped.get(cost)
-        if charge is None:
-            charge = self._clamped[cost] = self._packed(cost)
-        span = self._spans.get(r & self._low)
-        if span is None:
-            span = self._spans[r & self._low] = self._fields(r)
-        r += charge & span
+        try:
+            r += self._clamped[cost] & self._spans[r & self._low]
+        except KeyError:  # fill whichever table missed
+            charge = self._clamped.get(cost)
+            if charge is None:
+                charge = self._clamped[cost] = self._packed(cost)
+            r += charge & self._span(r & self._low)
         keep, fresh = self._targets[target]
         if r + self._bias & self._tops:
             return min(o + 1, self.n), fresh, True
@@ -481,10 +502,9 @@ class _LevelProduct:
         order: list[tuple[int, int]] = [(game.initial, r0)]
         succ: list[tuple[int, ...]] = []
         pred: list[list[int]] = [[]]
-        overflow: dict[int, frozenset[int]] = {}
+        over: dict[int, list[int]] = {}  # the rows with an overflow move
         for i, (v, r) in enumerate(order):  # grows while it is walked
             row = []
-            over = []
             for t, w in moves[v]:
                 _, r2, ovf = update(0, r, w, t)
                 key = (t, r2)
@@ -497,18 +517,16 @@ class _LevelProduct:
                     order.append(key)
                     pred.append([])
                 if ovf:
-                    over.append(j)
+                    over.setdefault(i, []).append(j)
                 else:
                     pred[j].append(i)
                 row.append(j)
             succ.append(tuple(row))
-            if over:
-                overflow[i] = frozenset(over)
         self.nodes = order
         self.index = index
         self.succ = tuple(succ)
         self.pred = tuple(pred)
-        self.overflow = overflow
+        self.overflow = {i: frozenset(js) for i, js in over.items()}
 
     @property
     def size(self) -> int:

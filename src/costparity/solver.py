@@ -258,7 +258,7 @@ class BoundedCostResult(_LevelProduct):
     contains the one before.  Level 0 reads the last iterate, so node 0
     won in any iterate means ``achievable``.  The remaining iterates are
     solved by the same loop, resumed the first time anything reads
-    ``iterates`` (``winner``, ``move``, ``level_solve``, certificates).
+    ``iterates`` (``move``, ``level_solve``, certificates).
 
     Each level is solved sink-first for Player 0's winners only
     (``solve_level``): the sinks' attractors over the whole level graph
@@ -371,16 +371,6 @@ class BoundedCostResult(_LevelProduct):
 
     def _iterate_index(self, o: int) -> int:
         return min(self.game.n - 1 - o, len(self.iterates) - 1)
-
-    def winner(self, v: int, o: int, r: int) -> int:
-        """Who wins the state (v, o, r), r a request word of the
-        decision's tracker; KeyError if (v, r) is not a node."""
-        if o >= self.game.n:
-            return 1
-        node = self.index.get((v, r))
-        if node is None:
-            raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
-        return 0 if node in self.iterates[self._iterate_index(o)][0] else 1
 
     def prev(self, k: int) -> frozenset[int]:
         """Player 0's winning set one level up from iterate k's level."""

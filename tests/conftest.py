@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from costparity import QbfFormula, core, generators, make_game, qbf_to_game, solver, streett
+from costparity import (QbfFormula, core, generators, make_game, qbf_to_game, reduction, solver,
+                        streett)
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
                              _least_bound, _reset_spoiler, strategy_from_product)
 from costparity.reduction import Tracker
@@ -153,6 +154,56 @@ def tracker_queries(rng, tracker, steps):
     return queries
 
 
+def fresh_tracker(make_tracker, game, bound):
+    """``make_tracker(game, bound)`` built against empty span tables, so
+    every entry it reads it fills itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_SPANS", {})
+        return make_tracker(game, bound)
+
+
+def check_span_tables(rng, make_tracker, cases, monkeypatch):
+    """Trackers made by ``make_tracker`` over ``cases`` ((game, bound,
+    steps) triples) answer every ``tracker_queries`` query like a fresh
+    tracker, through the span tables they share: one table per (d, field
+    width), each entry the fields word of its mask, each table within
+    ``_SPAN_LIMIT``.  Run once with the real limit and once with a limit
+    of 2, past which the tables are cleared on the way.  Returns the
+    shapes seen, each with one of its trackers."""
+    for limit in (reduction._SPAN_LIMIT, 2):
+        monkeypatch.setattr(reduction, "_SPANS", {})
+        monkeypatch.setattr(reduction, "_SPAN_LIMIT", limit)
+        shapes = {}
+        cleared = False
+        for g, b, steps in cases:
+            queries = tracker_queries(rng, make_tracker(g, b), steps)
+            shared = make_tracker(g, b)
+            for q in queries:
+                assert shared.update(*q) == fresh_tracker(make_tracker, g, b).update(*q), q
+                assert len(shared._spans) <= limit
+            # one charge entry per distinct edge cost queried
+            assert len(shared._clamped) <= len({cost for _, _, cost, _ in queries})
+            shape = (shared.d, shared._field.bit_length())
+            assert shared._spans is reduction._SPANS[shape]
+            shapes.setdefault(shape, shared)
+            cleared |= len({r & shared._low for _, r, _, _ in queries}) > limit
+        # trackers of different shapes never share a table
+        assert set(reduction._SPANS) == set(shapes)
+        assert len({id(table) for table in reduction._SPANS.values()}) == len(shapes)
+        for shape, table in reduction._SPANS.items():
+            tr = shapes[shape]
+            assert all(0 <= mask <= tr._low and word == tr._fields(mask)
+                       for mask, word in table.items())
+        assert cleared == (limit == 2)
+    # a full table is cleared before the next entry goes in
+    tr = next(tr for tr in shapes.values() if tr.d >= 2)
+    tr._spans.clear()
+    spans = [tr._span(mask) for mask in (0, 1, 2)]
+    assert spans == [tr._fields(mask) for mask in (0, 1, 2)]
+    assert tr._spans == {2: tr._fields(2)}
+    return shapes
+
+
 # --- oracles: the tracked product and the parity tracker step ----------------
 
 def direct_tracked_product(game, tracker):
@@ -242,9 +293,21 @@ def flat_parity_game(game, bound: int):
     return states, ParityGame(owners, colors, succ, 0)
 
 
+def product_winner(res, v: int, o: int, r: int) -> int:
+    """Who wins the state (v, o, r) of a layered decision ``res`` (parity
+    or Streett), r a request word of its tracker, read off the iterate
+    that serves level o; KeyError if (v, r) is not a node."""
+    if o >= res.game.n:
+        return 1
+    node = res.index.get((v, r))
+    if node is None:
+        raise KeyError(f"state ({v},{o},{r}) not reachable in the product")
+    return 0 if node in res.iterates[res._iterate_index(o)][0] else 1
+
+
 class FlatSolveInfo:
-    """The layered engine's ``winner``, backed by the flat product of
-    every overflow level (``flat_parity_game``), solved whole."""
+    """``product_winner`` of the layered engine, backed by the flat
+    product of every overflow level (``flat_parity_game``), solved whole."""
 
     def __init__(self, game, bound: int):
         self.states, pg = flat_parity_game(game, bound)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import walked_spoiler_cost
 
 from costparity import (QbfFormula, binary_tradeoff_family,
                         decide_bounded_cost, eval_qbf, format_qdimacs,
@@ -10,6 +11,7 @@ from costparity import (QbfFormula, binary_tradeoff_family,
                         qbf_to_game, streett_counter_family, validate_game)
 from costparity.core import FormatError
 from costparity.generators import _qbf_arena, _qbf_distance_audit
+from costparity.reduction import Tracker
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.streett import (streett_strategy_cost, validate_streett_game)
 
@@ -174,6 +176,37 @@ def test_binary_tradeoff_published_values():
     assert strategy_cost(inst.game, by_name["sigma2"].strategy) == 12
     assert by_name["sigma1"].strategy.size < by_name["sigma2"].strategy.size
     assert inst.game.max_cost == 2 ** 2
+
+
+def test_synthesized_certificates_trade_memory_for_cost():
+    # Player 0's gradual trade-off, read off the decisions' own
+    # certificates: a larger bound needs fewer memory states, and each
+    # certificate costs exactly its bound.  The sizes are what the
+    # certificate merge reaches today; a stronger merge may shrink them.
+    for d, curve in ((3, {36: 6, 38: 4, 40: 2, 42: 1}), (2, {12: 2, 14: 1})):
+        game = binary_tradeoff_family(d).game
+        for b, size in curve.items():
+            res = decide_bounded_cost(game, b)
+            assert res.achievable, (d, b)
+            cert = res.certificate
+            assert (cert.size, strategy_cost(game, cert)) == (size, b), (d, b)
+
+
+def test_p1trade_references_are_not_a_tradeoff_frontier():
+    # τ1 (2 states) and τ2 (4 states) force 7 and 12, but a positional
+    # spoiler forces more than either: the decisions at 10 and 15 are
+    # lost, and their 1-state certificates force 11 and 16
+    inst = p1_tradeoff_family(3)
+    claims = {r.name: (r.claimed_cost, r.claimed_size) for r in inst.reference_strategies}
+    assert claims == {"tau1": (7, 2), "tau2": (12, 4), "tau3": (17, 8)}
+    for name, b, forced in (("tau1", 10, 11), ("tau2", 15, 16)):
+        res = decide_bounded_cost(inst.game, b)
+        assert not res.achievable
+        spoiler = res.certificate
+        assert (spoiler.player, spoiler.size) == (1, 1)
+        assert spoiler_cost(inst.game, spoiler) == forced
+        assert walked_spoiler_cost(inst.game, spoiler, Tracker) == forced
+        assert forced > claims[name][0]
 
 
 def test_binary_tradeoff_d1_degenerate():

@@ -23,7 +23,7 @@ import io
 import random
 import re
 
-from conftest import layered_corpus, random_cost_game, random_streett_game
+from conftest import layered_corpus, product_winner, random_cost_game, random_streett_game
 from costparity import decide_bounded_cost, decide_bounded_cost_finite_duration, format_strat
 from costparity.cli import run
 from costparity.streett import solve_streett
@@ -122,8 +122,8 @@ LAYERED_DIGEST = "33912c02a40d0d4e8382804753cd71ea0d75dc8b7ffe5b29d07b820a72ca63
 
 def _hash_layered_solve(h, game, bound):
     res = decide_bounded_cost(game, bound)
-    winner, move = res.winner, res.move
-    rows = [[(winner(v, o, r), move(0, v, o, r), move(1, v, o, r))
+    move = res.move
+    rows = [[(product_winner(res, v, o, r), move(0, v, o, r), move(1, v, o, r))
              for o in range(game.n + 1)] for v, r in res.nodes]
     h.update(repr(rows).encode() + b"\1")
 

@@ -1,14 +1,17 @@
 import dataclasses
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (direct_tracked_product, flat_parity_game, parity_initial_r, parity_step,
-                      random_cost_game, random_cost_streett, streett_step, tracker_queries)
-from costparity import (INF, Edge, Vertex, classify_cycle, dominates, make_game,
+from conftest import (check_span_tables, direct_tracked_product, flat_parity_game,
+                      fresh_tracker, parity_initial_r, parity_step, random_cost_game,
+                      random_cost_streett, streett_step, tracker_queries)
+from costparity import (INF, Edge, Vertex, classify_cycle, dominates, make_game, reduction,
                         relevant_requests, semantics, settled, settled_bound, shortcut_step,
                         track_play)
 from costparity.generators import (QbfFormula, p1_memory_family, qbf_to_game,
@@ -170,18 +173,53 @@ def test_update_never_exceeds_bounds():
             assert all(x is None or 0 <= x <= b for x in tr.unpack(r))
 
 
-def test_tracker_tables_answer_like_a_fresh_tracker():
+def test_tracker_tables_answer_like_a_fresh_tracker(monkeypatch):
     rng = random.Random(17)
+    cases = []
     for _ in range(40):
         g = random_cost_game(rng, rng.randint(1, 4), 5, max_cost=3, encoding="binary")
-        b = rng.randint(0, 3)
-        queries = tracker_queries(rng, Tracker(g, b), [(e.cost, e.target) for e in g.edges])
-        shared = Tracker(g, b)
-        for q in queries:
-            assert shared.update(*q) == Tracker(g, b).update(*q), q
-        # one table entry per distinct open mask and edge cost queried
-        assert len(shared._spans) <= len({r & (1 << shared.d) - 1 for _, r, _, _ in queries})
-        assert len(shared._clamped) <= len({cost for _, _, cost, _ in queries})
+        cases.append((g, rng.randint(0, 3), [(e.cost, e.target) for e in g.edges]))
+    shapes = check_span_tables(rng, Tracker, cases, monkeypatch)
+    # bounds 2 and 3 share a field width, so their trackers share a table
+    assert len(shapes) < len({(g.d, b) for g, b, _ in cases})
+
+
+def test_trackers_on_threads_answer_like_a_fresh_tracker(monkeypatch):
+    # threads step trackers of one shape at once; with a limit of 2 they
+    # clear the shared span table under each other, and every answer
+    # must still be a fresh tracker's
+    monkeypatch.setattr(reduction, "_SPANS", {})
+    monkeypatch.setattr(reduction, "_SPAN_LIMIT", 2)
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 6:
+        g = random_cost_game(rng, 4, 7, max_cost=3, encoding="binary")
+        if g.d == 3:
+            queries = tracker_queries(rng, fresh_tracker(Tracker, g, 3),
+                                      [(e.cost, e.target) for e in g.edges])
+            expected = [fresh_tracker(Tracker, g, 3).update(*q) for q in queries]
+            cases.append((g, queries, expected))
+    answers: dict[int, list] = {}
+
+    def work(k):
+        answers[k] = [[Tracker(g, 3).update(*q) for q in queries] for g, queries, _ in cases]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert answers == {k: [expected for _, _, expected in cases] for k in range(4)}
+    (table,) = reduction._SPANS.values()
+    assert len(table) <= 2 + len(threads)
+    fields = Tracker(cases[0][0], 3)._fields
+    assert all(word == fields(mask) for mask, word in table.items())
 
 
 def test_fields_equals_the_all_shifts_formula():

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, flat_parity_game,
-                      layered_corpus, parity_optimal_corpus, random_cost_game,
+                      layered_corpus, parity_optimal_corpus, product_winner, random_cost_game,
                       random_level_rows, searched_optimal_cost)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
@@ -181,7 +181,7 @@ def test_decide_layered_equals_flat():
         assert layered.achievable == (flat.winner(*initial) == 0)
         # every overflow level, the ones the last fixpoint iterate serves included
         for v, o, r in flat.states:
-            assert layered.winner(v, o, r) == flat.winner(v, o, r)
+            assert product_winner(layered, v, o, r) == flat.winner(v, o, r)
 
 
 def test_decide_clamps_to_regime_bound():
@@ -514,8 +514,9 @@ def test_reads_after_an_early_stop_match_the_completed_fixpoint():
     Player 0 wins only by moving on to the cost-0 loop at vertex 2 while
     vertex 0's request is open, which overflows once.  Iterate 0 sends
     that overflow to the lost sink, so node 0 is first won in iterate 1,
-    and the decision stops there.  Whichever of ``winner``, ``move`` and
-    ``certificate`` is read first completes the fixpoint, and all three
+    and the decision stops there.  Whichever of a state's winner
+    (``product_winner``), ``move`` and ``certificate`` is read first
+    completes the fixpoint, and all three
     read as on a decision whose iterates were completed before any read."""
     g = make_game([(0, 1, 3), (1, 0, 2), (2, 0, 0)],
                   [(0, 1, 1), (1, 2, 1), (1, 0, 1), (2, 2, 0)], 0)
@@ -527,13 +528,14 @@ def test_reads_after_an_early_stop_match_the_completed_fixpoint():
         res = decide_bounded_cost(g, 1)
         assert res.achievable and len(res._levels) == 2 and "iterates" not in vars(res)
         if first == "winner":
-            res.winner(*states[0])
+            product_winner(res, *states[0])
         elif first == "move":
             res.move(1, *states[0])
         cert = res.certificate
         assert len(res._levels) == 3
         assert cert == complete.certificate and strategy_cost(g, cert) <= 1
         for v, o, r in states:
-            assert res.winner(v, o, r) == complete.winner(v, o, r) == flat.winner(v, o, r)
+            assert product_winner(res, v, o, r) == product_winner(complete, v, o, r) \
+                == flat.winner(v, o, r)
             for player in (0, 1):
                 assert res.move(player, v, o, r) == complete.move(player, v, o, r)

@@ -3,11 +3,11 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, direct_tracked_product,
-                      flat_streett_certificate, random_cost_game, random_cost_streett,
-                      random_level_rows, random_strategy, random_streett_game,
-                      streett_initial_r, streett_step, streett_strategy_product,
-                      tracker_queries, unmerged_certificates)
+from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_span_tables,
+                      direct_tracked_product, flat_streett_certificate, product_winner,
+                      random_cost_game, random_cost_streett, random_level_rows, random_strategy,
+                      random_streett_game, streett_initial_r, streett_step,
+                      streett_strategy_product, unmerged_certificates)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat, streett)
 from costparity.reduction import Tracker, _LevelProduct
@@ -260,7 +260,7 @@ def _levels_against_flat(g, b) -> tuple[int, int]:
     lowest = g.n - len(res.iterates)
     served = 0
     for i, (v, o, r) in enumerate(red.states):
-        assert res.winner(v, o, r) == (0 if i in flat.win0 else 1), (b, v, o, r)
+        assert product_winner(res, v, o, r) == (0 if i in flat.win0 else 1), (b, v, o, r)
         served += o < lowest
     return len(red.states), served
 
@@ -488,19 +488,13 @@ def test_streett_reduction_equals_the_direct_search():
             (levels.nodes, levels.index, levels.succ, levels.pred, levels.overflow), b
 
 
-def test_streett_tracker_tables_answer_like_a_fresh_tracker():
+def test_streett_tracker_tables_answer_like_a_fresh_tracker(monkeypatch):
     rng = random.Random(71)
+    cases = []
     for _ in range(40):
         g = random_cost_streett(rng)
-        b = rng.randint(0, 3)
-        steps = [(e.costs, e.target) for e in g.edges]
-        queries = tracker_queries(rng, StreettTracker(g, b), steps)
-        shared = StreettTracker(g, b)
-        for q in queries:
-            assert shared.update(*q) == StreettTracker(g, b).update(*q), q
-        # one table entry per distinct open mask and edge cost queried
-        assert len(shared._spans) <= len({r & (1 << shared.d) - 1 for _, r, _, _ in queries})
-        assert len(shared._clamped) <= len({cost for _, _, cost, _ in queries})
+        cases.append((g, rng.randint(0, 3), [(e.costs, e.target) for e in g.edges]))
+    check_span_tables(rng, StreettTracker, cases, monkeypatch)
 
 
 def test_streett_tracker_steps_like_the_pair_based_step():
@@ -681,4 +675,4 @@ def test_streett_certificates_after_an_early_stop():
     assert streett_strategy_cost(g, early.certificate) == 11
     for v, r in early.nodes:
         for o in range(g.n + 1):
-            assert early.winner(v, o, r) == complete.winner(v, o, r)
+            assert product_winner(early, v, o, r) == product_winner(complete, v, o, r)
