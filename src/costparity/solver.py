@@ -396,18 +396,29 @@ class BoundedCostResult(_LevelProduct):
             self._solved[k] = kept
         return kept
 
+    def move_function(self, player: int):
+        """The player's level-solve moves as a function (v, o, r) →
+        ``move(player, v, o, r)``, which looks each level's moves up
+        once per overflow value o."""
+        n, index, tables = self.game.n, self.index, {}
+
+        def move(v, o, r):
+            node = index.get((v, r))
+            if o >= n or node is None:
+                return None
+            table = tables.get(o)
+            if table is None:
+                table = tables[o] = self.level_solve(self._iterate_index(o))[player]
+            return table.get(node)
+        return move
+
     def move(self, player: int, v: int, o: int, r: int) -> Optional[int]:
         """The level solve's positional move at (v, o, r), r a request
         word, as an arena successor; None off the nodes.  On a
         Streett game Player 0 has none: her level strategies need memory,
         so ``move(0, …)`` raises ValueError there; ``certificate`` holds
         her moves."""
-        if o >= self.game.n:
-            return None
-        node = self.index.get((v, r))
-        if node is None:
-            return None
-        return self.level_solve(self._iterate_index(o))[player].get(node)
+        return self.move_function(player)(v, o, r)
 
 
 class _ParityLevels(BoundedCostResult):
@@ -472,6 +483,7 @@ def extract_player0_strategy(levels: BoundedCostResult) -> StrategySpec:
     project the positional product strategy."""
     game, bound = levels.game, levels.bound
     tr = Tracker(game, bound)
+    move = levels.move_function(0)
 
     def upd(label, ek):
         s, w, t = ek
@@ -479,11 +491,8 @@ def extract_player0_strategy(levels: BoundedCostResult) -> StrategySpec:
         return (o2, r2)
 
     def nxt(v, label):
-        o, r = label
-        move = levels.move(0, v, o, r)
-        if move is None:
-            move = game.successors[v][0][0]
-        return move
+        t = move(v, *label)
+        return game.successors[v][0][0] if t is None else t
 
     strat = strategy_from_product(game, 0, tr.initial_state(), upd, nxt)
     # the merged states are classes of reachable tracking states, so
@@ -504,7 +513,7 @@ def extract_player1_strategy(levels: BoundedCostResult) -> StrategySpec:
     strategy} instead of incrementing (see ``core._reset_spoiler``).
     """
     return _reset_spoiler(levels.game, Tracker(levels.game, levels.bound),
-                          lambda v, o, r: levels.move(1, v, o, r))
+                          levels.move_function(1))
 
 
 # --- finite-duration engine ---------------------------------------------------

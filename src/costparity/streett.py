@@ -10,9 +10,11 @@ arena extended with per-pair request tracking plus one extra pair that
 fires once the overflow counter saturates.  Decisions solve that game
 level by level over the overflow counter, on the layered engine shared
 with parity games, whose level graph (``solver.BoundedCostResult``) is
-the decision's result; certificates read the same level games'
-classical solves: playing optimally needs nothing beyond winning each
-level.  The flat reduction
+the decision's result.  A decision builds only what it reads: the
+nodes' pair masks once, shared by every level, and each level's
+winners, with no strategy cells; certificates read the same level
+games' classical solves with cells: playing optimally needs nothing
+beyond winning each level.  The flat reduction
 (``build_streett_reduction``), that level graph unrolled over the
 counter, is kept as the tests' reference.  Classical Streett games are
 solved directly by a Zielonka-tree recursion over the request/answer
@@ -104,21 +106,35 @@ def _pair_masks(ids, sides) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class StreettGame:
-    """Classical Streett game (all costs implicitly zero)."""
+    """Classical Streett game (all costs implicitly zero), its d pairs
+    given per vertex: bit c of ``qmask[v]`` (``pmask[v]``) is set iff v
+    is in Q_c (P_c).  ``from_pairs`` builds one from the pairs' sets."""
 
     owners: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
-    pairs_q: tuple[frozenset[int], ...]
-    pairs_p: tuple[frozenset[int], ...]
+    qmask: tuple[int, ...]
+    pmask: tuple[int, ...]
+    d: int
     initial: int
+
+    @classmethod
+    def from_pairs(cls, owners, succ, pairs_q, pairs_p, initial: int) -> StreettGame:
+        """The game whose pairs are (``pairs_q[c]``, ``pairs_p[c]``)."""
+        ids = range(len(owners))
+        return cls(owners, succ, tuple(_pair_masks(ids, pairs_q).values()),
+                   tuple(_pair_masks(ids, pairs_p).values()), len(pairs_q), initial)
 
     @property
     def n(self) -> int:
         return len(self.owners)
 
-    @property
-    def d(self) -> int:
-        return len(self.pairs_q)
+    @cached_property
+    def pairs_q(self) -> tuple[frozenset[int], ...]:
+        return _mask_sets(self.qmask, self.d)
+
+    @cached_property
+    def pairs_p(self) -> tuple[frozenset[int], ...]:
+        return _mask_sets(self.pmask, self.d)
 
     @cached_property
     def owner(self) -> dict[int, int]:
@@ -134,12 +150,24 @@ class StreettGame:
         return _predecessors(self.succ)
 
     @cached_property
-    def qmask(self) -> tuple[int, ...]:
-        return tuple(_pair_masks(range(self.n), self.pairs_q).values())
+    def patterns(self) -> tuple[list[int], list[int], list[int]]:
+        """(pattern_of, pat_q, pat_p): the distinct (request, answer)
+        mask pairs numbered in order of first appearance over the
+        vertices, each vertex's number, and each number's two masks."""
+        return _numbered_patterns(self.qmask, self.pmask)
 
-    @cached_property
-    def pmask(self) -> tuple[int, ...]:
-        return tuple(_pair_masks(range(self.n), self.pairs_p).values())
+
+def _numbered_patterns(qmask, pmask) -> tuple[list[int], list[int], list[int]]:
+    """``StreettGame.patterns`` of the masks ``qmask`` and ``pmask``."""
+    index: dict[tuple[int, int], int] = {}
+    pattern_of = [index.setdefault(key, len(index)) for key in zip(qmask, pmask)]
+    return pattern_of, [q for q, _ in index], [p for _, p in index]
+
+
+def _mask_sets(masks, d: int) -> tuple[frozenset[int], ...]:
+    """Per bit c < d, the frozenset of the ids whose mask has bit c."""
+    return tuple(frozenset(i for i, mask in enumerate(masks) if mask >> c & 1)
+                 for c in range(d))
 
 
 def validate_streett_game(game: CostStreettGame) -> list[str]:
@@ -212,21 +240,12 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
     states, rows = _LevelProduct(game, StreettTracker(game, bound), budget,
                                  "streett reduction").unroll()
     owners = tuple(game.owner[v] for v, _, _ in states)
-    pairs_q, pairs_p = _lifted_pairs(game, [v for v, _, _ in states],
-                                     (i for i, (_, o, _) in enumerate(states) if o >= game.n))
-    sg = StreettGame(owners, rows, pairs_q, pairs_p, 0)
+    request, answer, saturation = game.request_mask, game.answer_mask, 1 << game.d
+    qmask = tuple(request[v] | saturation if o >= game.n else request[v] for v, o, _ in states)
+    pmask = tuple(answer[v] for v, _, _ in states)
+    sg = StreettGame(owners, rows, qmask, pmask, game.d + 1, 0)
     index = {state: i for i, state in enumerate(states)}
     return StreettReduction(game, bound, sg, states, index)
-
-
-def _lifted_pairs(game: CostStreettGame, vertices, saturated) -> tuple[tuple, tuple]:
-    """(Q, P): the game's pairs lifted to the product ids i with arena
-    vertex ``vertices[i]``, then the saturation pair (``saturated``, ∅)."""
-    def lift(mask):
-        return tuple(frozenset(i for i, v in enumerate(vertices) if mask[v] >> c & 1)
-                     for c in range(game.d))
-    return (lift(game.request_mask) + (frozenset(saturated),),
-            lift(game.answer_mask) + (frozenset(),))
 
 
 # --- classical Streett solving (Zielonka-tree recursion) -----------------------
@@ -340,14 +359,10 @@ class _PieceCell:
 
 
 class _StreettSolver:
-    def __init__(self, sg: StreettGame):
+    def __init__(self, sg: StreettGame, cells: bool):
         self.sg = sg
-        # distinct (request-mask, answer-mask) patterns, numbered in order of appearance
-        pat_index: dict[tuple[int, int], int] = {}
-        self.pattern_of = [pat_index.setdefault(key, len(pat_index))
-                           for key in zip(sg.qmask, sg.pmask)]
-        self.pat_q = [q for q, _ in pat_index]
-        self.pat_p = [p for _, p in pat_index]
+        self.pattern_of, self.pat_q, self.pat_p = sg.patterns
+        self.cells = cells  # build both players' cells, or the winners only
 
     def _violated(self, colors: frozenset[int]) -> int:
         q = p = 0
@@ -374,7 +389,8 @@ class _StreettSolver:
         return [cur] if cur else []
 
     def solve(self, verts: list[int], colors: frozenset[int], active: list[bool]):
-        """Returns (win0, win1, cell0, cell1) on the subgame on ``verts``.
+        """Returns (win0, win1, cell0, cell1) on the subgame on ``verts``;
+        both cells are None when the solver builds no cells.
 
         ``verts`` is sorted, and ``active`` is a membership buffer shared
         by the whole recursion that marks exactly ``verts`` on entry; it
@@ -383,15 +399,15 @@ class _StreettSolver:
         sg = self.sg
         if not verts:
             return set(), set(), None, None
-        owners, succ, pattern_of = sg.owners, sg.succ, self.pattern_of
+        owners, succ, pattern_of, keep = sg.owners, sg.succ, self.pattern_of, self.cells
         fav = 0 if not self._violated(colors) else 1
         opp = 1 - fav
         children = self._children(colors, fav)
+        cells = [None, None]
         if not children:
-            moves = {v: min(s for s in succ[v] if active[s])
-                     for v in verts if owners[v] == fav}
-            cells = [None, None]
-            cells[fav] = _LeafCell(moves)
+            if keep:
+                cells[fav] = _LeafCell({v: min(s for s in succ[v] if active[s])
+                                        for v in verts if owners[v] == fav})
             wins = [set(), set()]
             wins[fav] = set(verts)
             return wins[0], wins[1], cells[0], cells[1]
@@ -409,9 +425,11 @@ class _StreettSolver:
                 for v in attr:
                     active[v] = False
                 zone = [v for v in verts if active[v]]
-                entry = {"targets": set(targets), "attr_region": set(attr),
-                         "attr_moves": _progress_moves(sg, fav, attr, arank),
-                         "zone": set(zone) or None, "subcell": None}
+                if keep:
+                    entry = {"targets": set(targets), "attr_region": set(attr),
+                             "attr_moves": _progress_moves(sg, fav, attr, arank),
+                             "zone": set(zone) or None, "subcell": None}
+                    recorded.append(entry)
                 if zone:
                     w0, w1, c0, c1 = self.solve(zone, cu, active)
                 for v in attr:
@@ -420,30 +438,30 @@ class _StreettSolver:
                     wopp = (w0, w1)[opp]
                     if wopp:
                         region, drank = _attractor(sg, opp, sorted(wopp), active)
-                        idx = len(pieces)
-                        pieces.append({"sub_region": set(wopp),
-                                       "attr_moves": _progress_moves(sg, opp, region, drank),
-                                       "subcell": (c0, c1)[opp]})
+                        if keep:
+                            piece_of.update(dict.fromkeys(region, len(pieces)))
+                            pieces.append({"sub_region": set(wopp),
+                                           "attr_moves": _progress_moves(sg, opp, region, drank),
+                                           "subcell": (c0, c1)[opp]})
                         for v in region:
-                            piece_of[v] = idx
                             active[v] = False
                         opp_total.update(region)
                         removed.extend(region)
                         verts = [v for v in verts if active[v]]
                         progressed = True
                         break
-                    entry["subcell"] = (c0, c1)[fav]
-                recorded.append(entry)
+                    if keep:
+                        entry["subcell"] = (c0, c1)[fav]
             if not progressed:
                 break
-        for entry in recorded:
-            entry["stay"] = {v: min(s for s in succ[v] if active[s])
-                             for v in entry["targets"] if owners[v] == fav}
-        cells = [None, None]
-        if verts:
-            cells[fav] = _RotateCell(recorded)
-        if opp_total:
-            cells[opp] = _PieceCell(pieces, piece_of)
+        if keep:
+            for entry in recorded:
+                entry["stay"] = {v: min(s for s in succ[v] if active[s])
+                                 for v in entry["targets"] if owners[v] == fav}
+            if verts:
+                cells[fav] = _RotateCell(recorded)
+            if opp_total:
+                cells[opp] = _PieceCell(pieces, piece_of)
         wins = [None, None]
         wins[fav] = set(verts)
         wins[opp] = opp_total
@@ -454,7 +472,8 @@ class _StreettSolver:
 
 class StreettSolveResult:
     """Winner, regions, both players' cells (None for a player who wins
-    nowhere), and lazily materialized winner strategy."""
+    nowhere, and both None after a winners-only solve, which has no
+    strategies), and lazily materialized winner strategy."""
 
     def __init__(self, sg: StreettGame, winner: int, win0, win1, cells):
         self.sg = sg
@@ -491,10 +510,12 @@ def _cell_move(sg: StreettGame, cell, v: int, state) -> int:
     return min(sg.succ[v]) if mv is None else mv
 
 
-def solve_streett(sg: StreettGame, verts: Optional[list[int]] = None) -> StreettSolveResult:
+def solve_streett(sg: StreettGame, verts: Optional[list[int]] = None, *,
+                  cells: bool = True) -> StreettSolveResult:
     """Winner and strategies of a classical Streett game, or of its
-    subgame on ``verts`` (sorted, each vertex with a successor in it)."""
-    solver = _StreettSolver(sg)
+    subgame on ``verts`` (sorted, each vertex with a successor in it);
+    with ``cells`` off, the same winners only, building no cell."""
+    solver = _StreettSolver(sg, cells)
     colors = frozenset(range(len(solver.pat_q)))
     verts = list(range(sg.n)) if verts is None else verts
     active = [False] * sg.n
@@ -520,26 +541,34 @@ class _StreettLevels(BoundedCostResult):
     nodes and two sinks: the game's pairs lifted to the nodes, plus the
     saturation pair of ``build_streett_reduction``, which only the lost
     sink requests and nothing answers; the won sink requests nothing.
-    The decision solves it sink-first for the winners only, the rest by
-    ``solve_streett`` on the rest's vertices.  A certificate's whole solve
-    of a level keeps Player 0's cell, and Player 1's positional moves:
-    his cell's states are functions of the node, so the state he enters
-    a node with carries his choice there.
+    None of this depends on the level, so the nodes' request and answer
+    masks and their numbered patterns are computed once per decision,
+    from the arena's masks, and every level's game shares them.  The
+    decision solves a level sink-first for the winners only, the rest by
+    ``solve_streett`` on the rest's vertices with no cells built.  A
+    certificate's whole solve of a level keeps Player 0's cell, and
+    Player 1's positional moves: his cell's states are functions of the
+    node, so the state he enters a node with carries his choice there.
     """
 
     def __init__(self, game: CostStreettGame, bound: int, budget: int):
         super().__init__(game, StreettTracker(game, bound), budget, "level graph")
-        self.pairs = _lifted_pairs(game, self.vertex_of, {self.size + 1})
+        request, answer = game.request_mask, game.answer_mask
+        # the nodes' masks, then the won sink's and the lost sink's
+        self.qmask = tuple(map(request.__getitem__, self.vertex_of)) + (0, 1 << game.d)
+        self.pmask = tuple(map(answer.__getitem__, self.vertex_of)) + (0, 0)
+        self.patterns = _numbered_patterns(self.qmask, self.pmask)
         self.solve()
 
     def classical_game(self, succ, pred) -> StreettGame:
-        sg = StreettGame(self.owners, succ, *self.pairs, 0)
-        vars(sg)["pred"] = pred  # seed the cached predecessor lists
+        sg = StreettGame(self.owners, succ, self.qmask, self.pmask, self.game.d + 1, 0)
+        # seed the cached predecessor lists and patterns
+        vars(sg).update(pred=pred, patterns=self.patterns)
         return sg
 
     @staticmethod
     def solve_rest(sg: StreettGame, rest: list[int], active: list[bool]) -> frozenset[int]:
-        return solve_streett(sg, rest).win0
+        return solve_streett(sg, rest, cells=False).win0
 
     def solve_whole(self, succ, pred, prev):
         m, owners = self.size, self.owners
@@ -550,10 +579,10 @@ class _StreettLevels(BoundedCostResult):
              for j in [cell.move(i, cell.init(i))] if j is not None}, prev)
         return frozenset(v for v in res.win0 if v < m), (res.cells[0], moves1)
 
-    def move(self, player: int, v: int, o: int, r: int) -> Optional[int]:
+    def move_function(self, player: int):
         if player == 0:
             raise ValueError("Player 0 has no positional Streett moves: read certificate")
-        return super().move(player, v, o, r)
+        return super().move_function(player)
 
     @cached_property
     def certificate(self) -> StrategySpec:
@@ -619,7 +648,7 @@ def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
     reachable under the level solves' positional moves
     (``core._reset_spoiler``)."""
     return _reset_spoiler(levels.game, StreettTracker(levels.game, levels.bound),
-                          lambda v, o, r: levels.move(1, v, o, r))
+                          levels.move_function(1))
 
 
 # --- strategy verification ---------------------------------------------------------

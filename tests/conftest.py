@@ -9,6 +9,7 @@ Streett winners from enumerating positional spoilers.
 import contextlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -105,7 +106,7 @@ def random_streett_game(rng):
                     for _ in range(d))
     pairs_p = tuple(frozenset(v for v in range(n) if rng.random() < 0.4)
                     for _ in range(d))
-    return StreettGame(owners, succ, pairs_q, pairs_p, 0)
+    return StreettGame.from_pairs(owners, succ, pairs_q, pairs_p, 0)
 
 
 def random_cost_streett(rng):
@@ -351,6 +352,40 @@ def eager_streett_levels(game, bound: int) -> list[tuple]:
     """The layered Streett engine's iterates with every level game
     solved whole by ``solve_streett``: (Player 0's winners,) per level."""
     return _EagerStreettLevels(game, bound, DEFAULT_PRODUCT_BUDGET).iterates
+
+
+def lifted_pairs(game: CostStreettGame, vertices, saturated) -> tuple[tuple, tuple]:
+    """(Q, P): the game's pairs lifted to the product ids i with arena
+    vertex ``vertices[i]`` as frozensets, then the saturation pair
+    (``saturated``, ∅)."""
+    def lift(mask):
+        return tuple(frozenset(i for i, v in enumerate(vertices) if mask[v] >> c & 1)
+                     for c in range(game.d))
+    return (lift(game.request_mask) + (frozenset(saturated),),
+            lift(game.answer_mask) + (frozenset(),))
+
+
+def lifted_streett_view(n: int, pairs_q, pairs_p) -> dict:
+    """What a classical Streett game on ids 0..n−1 with the pairs
+    (``pairs_q[c]``, ``pairs_p[c]``) shows its readers, derived from the
+    pairs' sets alone: the pairs, each id's request and answer masks,
+    and the (request, answer) patterns numbered in order of first
+    appearance over the ids, with each id's number."""
+    def masks(sides):
+        return tuple(sum(1 << c for c, side in enumerate(sides) if i in side)
+                     for i in range(n))
+    qmask, pmask = masks(pairs_q), masks(pairs_p)
+    number: dict[tuple[int, int], int] = {}
+    pattern_of = [number.setdefault(key, len(number)) for key in zip(qmask, pmask)]
+    return {"pairs_q": tuple(pairs_q), "pairs_p": tuple(pairs_p), "d": len(pairs_q),
+            "qmask": qmask, "pmask": pmask,
+            "patterns": (pattern_of, [q for q, _ in number], [p for _, p in number])}
+
+
+def streett_view(sg: StreettGame) -> dict:
+    """``lifted_streett_view``'s fields as ``sg`` reads them."""
+    return {"pairs_q": sg.pairs_q, "pairs_p": sg.pairs_p, "d": sg.d, "qmask": sg.qmask,
+            "pmask": sg.pmask, "patterns": sg.patterns}
 
 
 # --- oracle: play cost by unrolling ------------------------------------------
@@ -809,3 +844,40 @@ def unmerged_certificates():
     finally:
         for m, fn in zip(modules, saved):
             m.strategy_from_product = fn
+
+
+# --- check: certificate move tables -------------------------------------------
+
+def check_move_tables(res, players) -> int:
+    """``res.move_function(player)`` of a layered decision answers like
+    ``res.move`` and like a direct read of the table of the level solve
+    that serves o, at every node and overflow level and off the nodes,
+    and it reads each level's table once.  Returns how many of its
+    answers were moves."""
+    n = res.game.n
+    words = {r for _, r in res.nodes}
+    off = [(v, r) for v in res.game.owner for r in sorted(words) if (v, r) not in res.index][:20]
+    states = [(v, o, r) for o in reversed(range(n + 2)) for v, r in list(res.nodes) + off]
+    moves = 0
+    for player in players:
+        reads = Counter()
+        level_solve = res.level_solve
+
+        def counted(k):
+            reads[k] += 1
+            return level_solve(k)
+
+        res.level_solve = counted  # shadows the method on this instance
+        try:
+            move = res.move_function(player)
+            got = [move(v, o, r) for v, o, r in states]
+        finally:
+            del res.level_solve
+        assert sum(reads.values()) <= n
+        moves += sum(t is not None for t in got)
+        for (v, o, r), t in zip(states, got):
+            node = res.index.get((v, r))
+            want = None if o >= n or node is None else \
+                res.level_solve(res._iterate_index(o))[player].get(node)
+            assert t == want == res.move(player, v, o, r), (player, v, o, r)
+    return moves

@@ -6,9 +6,9 @@ from collections import Counter
 
 import pytest
 
-from conftest import (FlatSolveInfo, brute_parity_winner, eager_parity_levels, flat_parity_game,
-                      layered_corpus, parity_optimal_corpus, product_winner, random_cost_game,
-                      random_level_rows, searched_optimal_cost)
+from conftest import (FlatSolveInfo, brute_parity_winner, check_move_tables, eager_parity_levels,
+                      flat_parity_game, layered_corpus, parity_optimal_corpus, product_winner,
+                      random_cost_game, random_level_rows, searched_optimal_cost)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
                         decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
@@ -140,6 +140,20 @@ def test_moves_on_demand_equal_the_eager_solve():
             for node, (v, r) in enumerate(res.nodes):
                 assert res.move(0, v, o, r) == s0.get(node)
                 assert res.move(1, v, o, r) == s1.get(node)
+
+
+def test_move_tables_answer_like_move_on_parity_decisions():
+    rng = random.Random(71)
+    seen = Counter()
+    for i in range(60):
+        if i % 2:
+            g = random_cost_game(rng, rng.randint(1, 5), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3, encoding="binary")
+        res = decide_bounded_cost(g, rng.randint(0, 6))
+        seen[res.achievable] += 1
+        seen["moves"] += check_move_tables(res, (0, 1))
+    assert min(seen.values()) >= 15, seen
 
 
 @pytest.mark.parametrize("decide", [decide_bounded_cost, decide_bounded_cost_finite_duration,

@@ -3,11 +3,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_span_tables,
-                      direct_tracked_product, flat_streett_certificate, product_winner,
+from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_move_tables,
+                      check_span_tables, direct_tracked_product, flat_streett_certificate,
+                      lifted_pairs, lifted_streett_view, product_winner,
                       random_cost_game, random_cost_streett, random_level_rows, random_strategy,
                       random_streett_game, streett_initial_r, streett_step,
-                      streett_strategy_product, unmerged_certificates)
+                      streett_strategy_product, streett_view, unmerged_certificates)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat, streett)
 from costparity.reduction import Tracker, _LevelProduct
@@ -70,9 +71,9 @@ def test_counter_optimal_play_cost():
 
 
 def test_solve_streett_trivial():
-    sg = StreettGame((0,), ((0,),), (frozenset(),), (frozenset(),), 0)
+    sg = StreettGame.from_pairs((0,), ((0,),), (frozenset(),), (frozenset(),), 0)
     assert solve_streett(sg).winner_from_initial == 0
-    sg2 = StreettGame((0,), ((0,),), (frozenset({0}),), (frozenset(),), 0)
+    sg2 = StreettGame.from_pairs((0,), ((0,),), (frozenset({0}),), (frozenset(),), 0)
     assert solve_streett(sg2).winner_from_initial == 1
 
 
@@ -184,6 +185,80 @@ def test_streett_verifiers_reject_the_other_players_strategy():
         streett_strategy_cost(inst.game, tau)
 
 
+def test_solve_streett_without_cells_gives_the_full_solves_winners():
+    rng = random.Random(89)
+    for _ in range(1000):
+        sg = random_streett_game(rng)
+        full, lean = solve_streett(sg), solve_streett(sg, cells=False)
+        assert (lean.winner_from_initial, lean.win0, lean.win1) == \
+            (full.winner_from_initial, full.win0, full.win1), sg
+        assert lean.cells == (None, None)
+
+
+def test_level_games_show_the_lifted_pairs():
+    """The level games share masks and patterns computed once per
+    decision, and the flat reduction computes its masks directly; both
+    show their readers what the pairs lifted as frozensets over the
+    nodes show (``conftest.lifted_pairs``): the pairs, d, the masks and
+    the patterns' numbering."""
+    rng = random.Random(97)
+    cases = [(streett_counter_family(d).game, b, d < 3)
+             for d, bounds in ((1, (3, 4, 5, 6)), (2, (9, 10, 11, 12)), (3, (22, 23)))
+             for b in bounds]
+    cases += [(random_cost_streett(rng), rng.randint(0, 4), True) for _ in range(200)]
+    for g, b, flat in cases:
+        res = decide_bounded_cost_streett(g, b)
+        m = res.size
+        want = lifted_streett_view(m + 2, *lifted_pairs(g, res.vertex_of, {m + 1}))
+        for k in range(len(res.iterates)):
+            assert streett_view(res.classical_game(*res._level_game(res.prev(k)))) == want
+        if flat:
+            red = build_streett_reduction(g, res.bound)
+            saturated = (i for i, (_, o, _) in enumerate(red.states) if o >= g.n)
+            lifted = lifted_pairs(g, [v for v, _, _ in red.states], saturated)
+            assert streett_view(red.streett) == lifted_streett_view(red.size, *lifted)
+
+
+def test_decisions_build_no_cell(monkeypatch):
+    """A decision solves the rest of its levels for the winners only: no
+    cell and no progress move is built until a certificate is read."""
+    counts = Counter()
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    builders = ("_LeafCell", "_RotateCell", "_PieceCell", "_progress_moves")
+    for name in builders[:3]:
+        cls = getattr(streett, name)
+        monkeypatch.setattr(cls, "__init__", counting(name, cls.__init__))
+    for name in builders[3:] + ("solve_streett",):
+        monkeypatch.setattr(streett, name, counting(name, getattr(streett, name)))
+    rests = 0
+    for d, b in ((1, 5), (2, 10), (2, 11), (3, 22), (3, 23)):
+        counts.clear()
+        res = decide_bounded_cost_streett(streett_counter_family(d).game, b)
+        assert not any(counts[name] for name in builders), (d, b, counts)
+        rests += counts["solve_streett"]
+        if d < 3 or not res.achievable:
+            res.certificate
+            assert counts["_progress_moves"] > 0 and any(counts[name] for name in builders[:3])
+    assert rests > 0
+
+
+def test_move_tables_answer_like_move_on_streett_spoilers():
+    for d, bounds in ((2, (9, 10)), (3, (22,))):
+        g = streett_counter_family(d).game
+        for b in bounds:
+            res = decide_bounded_cost_streett(g, b)
+            assert not res.achievable
+            assert check_move_tables(res, (1,)) > 0
+            with pytest.raises(ValueError, match="read certificate"):
+                res.move_function(0)
+
+
 def test_player0_has_no_positional_streett_move():
     # Player 0's level strategies are cells with memory: her moves are
     # read off the certificate; Player 1's stay positional
@@ -289,7 +364,8 @@ def test_sink_first_winners_equal_the_whole_streett_solve(monkeypatch):
     """Sink-first winners against ``solve_streett(sg).win0``: on seeded
     random level-shaped Streett games (the won sink requests nothing,
     the lost sink requests a pair nothing answers), both where the sinks
-    decide every node and where a rest is left; and at every level the
+    decide every node and where a rest is left, where the winners-only
+    solve also gives the full solve's regions; and at every level the
     counter family's decisions solve, with a rest left at some."""
     rng = random.Random(83)
     seen = Counter()
@@ -305,9 +381,11 @@ def test_sink_first_winners_equal_the_whole_streett_solve(monkeypatch):
         d = rng.randint(1, 2)
         q, p = ([frozenset(v for v in range(m) if rng.random() < 0.4) for _ in range(d)]
                 for _ in range(2))
-        sg = StreettGame(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0), rows,
-                         tuple(q) + (frozenset({m + 1}),), tuple(p) + (frozenset(),), 0)
-        whole = frozenset(v for v in solve_streett(sg).win0 if v < m)
+        sg = StreettGame.from_pairs(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0), rows,
+                                    tuple(q) + (frozenset({m + 1}),), tuple(p) + (frozenset(),), 0)
+        full, lean = solve_streett(sg), solve_streett(sg, cells=False)
+        assert (lean.win0, lean.win1) == (full.win0, full.win1), sg
+        whole = frozenset(v for v in full.win0 if v < m)
         assert _sink_first_winners(sg, solve_rest) == whole, sg
     seen["sinks decide all"] = 1500 - seen["rest solved"]
     assert min(seen.values()) >= 500, seen
