@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, Mapping
 
 UNARY = "unary"
@@ -68,6 +68,17 @@ class _Arena:
         return {u: tuple(sorted(ts)) for u, ts in out.items()}
 
     @cached_property
+    def pass_through(self) -> frozenset[int]:
+        """The pass-through vertices (``_pass_through``)."""
+        return _pass_through(self.successors, self.request_mask, self.answer_mask)
+
+    @cached_property
+    def exits(self) -> dict[int, tuple]:
+        """``successors`` with each move into a pass-through vertex walked
+        on to its exit (``_exit_rows``)."""
+        return _exit_rows(self.successors, self.pass_through)
+
+    @cached_property
     def edge_cost(self) -> dict[tuple[int, int], object]:
         """(source, target) → the edge's cost."""
         return {(e.source, e.target): self._cost(e) for e in self.edges}
@@ -87,6 +98,63 @@ class _Arena:
             if report:
                 raise ValueError(f"invalid {what}: " + "; ".join(report))
             vars(self)["_valid"] = True
+
+
+def _pass_through(successors: Mapping[int, tuple], request: Mapping[int, int],
+                  answer: Mapping[int, int]) -> frozenset[int]:
+    """The vertices with one successor that request and answer nothing;
+    in a cost-parity game, those of an even color below every odd color
+    in use.  The tracker's step into one opens and closes nothing."""
+    return frozenset(v for v, row in successors.items()
+                     if len(row) == 1 and not request[v] and not answer[v])
+
+
+def _plus(a, b):
+    """The sum of two edge costs: ints, or Streett cost tuples pair by pair."""
+    return a + b if isinstance(a, int) else tuple(map(add, a, b))
+
+
+def _exit_rows(successors: Mapping[int, tuple], through: frozenset[int]) -> dict[int, tuple]:
+    """id → ((target, cost), ...), aligned with ``successors``: a move
+    into a pass-through vertex of ``through`` walks on to its exit, the
+    first vertex on the way that is not one, at the chain's summed cost.
+    Two kinds of move keep their own target: one whose chain ends in a
+    cycle of pass-through vertices, and one whose exit would repeat
+    another target of its row, so a row's targets stay distinct.
+
+    The tracked product takes a walked move in one tracker step
+    (``reduction._LevelProduct``), and that is exact.  No vertex on the
+    chain opens or closes a request, and costs are non-negative, so the
+    chain overflows iff the summed step does; after an overflow nothing
+    is open until the exit, so both routes give (min(o+1, n), the
+    exit's fresh requests).  Skipped vertices decide no cycle: their
+    parity colors lie below every odd color, their pair masks are empty.
+    """
+    # pass-through vertex → (its exit, the chain's cost from it), None on a cycle
+    ahead: dict[int, tuple | None] = {}
+    for p in through:
+        path = []
+        v = p
+        while v in through and v not in ahead:
+            ahead[v] = None  # met again on this walk, it closes a cycle
+            path.append(v)
+            v = successors[v][0][0]
+        end = ahead[v] if v in through else (v, None)
+        for q in reversed(path):
+            if end is not None:
+                w = successors[q][0][1]
+                end = (end[0], w if end[1] is None else _plus(w, end[1]))
+            ahead[q] = end
+    rows = {}
+    for u, row in successors.items():
+        out = [(ahead[t][0], _plus(w, ahead[t][1])) if ahead.get(t) else (t, w)
+               for t, w in row]
+        targets = [t for t, _ in out]
+        if len(set(targets)) < len(targets):
+            out = [move if move[0] == t or targets.count(move[0]) == 1 else (t, w)
+                   for move, (t, w) in zip(out, row)]
+        rows[u] = tuple(out)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,10 @@ cycles, settled prefixes, the shortcut rule for binary-cost games, and
 the reachable product with the tracking memory, whose parity winner
 characterizes bounded-cost strategy existence.  It is explored once
 over (vertex, request function) nodes (``_LevelProduct``), one copy per
-overflow level; ``unroll`` flattens the copies for the classical
-Streett reduction, and the verifier's spoiler probes run on it too.
+overflow level, and steps over pass-through vertices (one successor,
+no request, no answer) in one move; ``unroll`` flattens the copies for
+the classical Streett reduction, and the verifier's spoiler probes run
+on it too.
 The settle and shortcut rules exist once, on an incremental prefix
 (``_PrefixStack``) that ``settled``, ``shortcut_step`` and the
 finite-duration engine in ``solver`` share.
@@ -479,23 +481,26 @@ def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
 class _LevelProduct:
     """The tracked product, explored once over (vertex, request word)
     nodes: the one such search, for decisions and the verifier's spoiler
-    probes alike.  It reads ``initial`` and ``successors`` (id →
-    ((target, cost), ...)) of ``game``, a CostGame, a CostStreettGame or
-    a ``semantics._StrategyArena``; its tracker also reads ``n``, ``d``,
-    ``request_mask`` and ``answer_mask``.  A tracker step never depends
-    on o apart from the saturation clamp, so the product with the memory
-    (o, r) is n+1 copies of this graph, with overflow edges one level
-    up.  ``succ[i]`` lists node i's successors, one per arena move in
-    move order; a move into j targets ``nodes[j][0]``, as no two arena
-    edges share both ends.  ``overflow[i]`` is the set of ids that i's
-    overflow moves reach (for the rows with one), ``pred[j]`` the
-    ascending sources of j's other moves."""
+    probes alike.  It reads ``initial`` and ``exits`` of ``game``, a
+    CostGame, a CostStreettGame or a ``semantics._StrategyArena``: the
+    arena's moves, each move into a pass-through vertex walked on to its
+    exit at the chain's summed cost (``core._exit_rows``), so one
+    tracker step covers the chain and no node is made for the vertices
+    it skips.  The tracker also reads ``n``, ``d``, ``request_mask`` and
+    ``answer_mask``.  A tracker step never depends on o apart from the
+    saturation clamp, so the product with the memory (o, r) is n+1
+    copies of this graph, with overflow edges one level up.  ``succ[i]``
+    lists node i's successors, one per arena move in move order; a move
+    into j targets ``nodes[j][0]``, its exit, which no other move of the
+    row shares.  ``overflow[i]`` is the set of ids that i's overflow
+    moves reach (for the rows with one), ``pred[j]`` the ascending
+    sources of j's other moves."""
 
     def __init__(self, game, tracker, budget: int, what: str):
         self.game = game
         self.budget = budget
         self.what = what
-        moves = game.successors
+        moves = game.exits
         update = tracker.update
         _, r0 = tracker.initial_state()
         index: dict[tuple[int, int], int] = {(game.initial, r0): 0}

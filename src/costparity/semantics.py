@@ -22,10 +22,12 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, CostGame, StrategySpec,
-                   _least_bound, make_game, require_valid, validate_strategy)
+                   _exit_rows, _least_bound, _pass_through, make_game, require_valid,
+                   validate_strategy)
 from .reduction import Tracker, _LevelProduct
 
 INF = math.inf
@@ -132,7 +134,8 @@ class _StrategyArena:
     breadth-first, at arena vertex ``verts[i]``, with the arena's moves in
     move order, the owner's cut to ``next_move``; ``rows[i]`` holds the
     successor ids.  It carries what ``_LevelProduct`` and the trackers
-    read of an arena, by id: ``initial``, ``successors``, ``n``, ``d``,
+    read of an arena, by id: ``initial``, ``successors``, ``exits`` (its
+    walked rows, computed once for every probe), ``n``, ``d``,
     ``request_mask`` and ``answer_mask``.  Reaching
     ``DEFAULT_PRODUCT_BUDGET`` vertices raises ``BudgetExceededError``."""
 
@@ -170,6 +173,11 @@ class _StrategyArena:
         request, answer = game.request_mask, game.answer_mask
         self.request_mask = {i: request[v] for i, v in enumerate(verts)}
         self.answer_mask = {i: answer[v] for i, v in enumerate(verts)}
+
+    @cached_property
+    def exits(self) -> dict[int, tuple]:
+        rows = dict(enumerate(self.successors))
+        return _exit_rows(rows, _pass_through(rows, self.request_mask, self.answer_mask))
 
 
 def _require_well_formed(game, strat: StrategySpec) -> None:

@@ -118,16 +118,17 @@ def _progress_moves(pg: ParityGame, player: int, region: list[int],
     return moves
 
 
-def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
+def _zielonka(pg: ParityGame, verts: list[int], active: list[bool], moves: bool = True
               ) -> tuple[set[int], set[int], dict[int, int], dict[int, int]]:
     """Recursive attractor-based solve of the subgame on ``verts``.
 
     ``verts`` is sorted, and ``active`` is a membership buffer shared by
     the whole recursion that marks exactly ``verts`` on entry; it is
     restored before returning, so a call costs time in its subgame only.
-    Returns winning sets and positional strategies for both players.
-    The loop peels opponent dominions so recursion depth is bounded by
-    the number of distinct colors.
+    Returns winning sets and positional strategies for both players;
+    with ``moves`` off, the same winning sets and empty strategies, for
+    which no progress move is built.  The loop peels opponent dominions
+    so recursion depth is bounded by the number of distinct colors.
     """
     colors, owners, succ = pg.colors, pg.owners, pg.succ
     win = ({}, {})  # accumulated strategies
@@ -140,32 +141,33 @@ def _zielonka(pg: ParityGame, verts: list[int], active: list[bool]
         region_a, rank_a = _attractor(pg, sigma, tops, active)
         for v in region_a:
             active[v] = False
-        w0, w1, s0, s1 = _zielonka(pg, [v for v in verts if active[v]], active)
+        w0, w1, s0, s1 = _zielonka(pg, [v for v in verts if active[v]], active, moves)
         for v in region_a:
             active[v] = True
         opp = w1 if sigma == 0 else w0
         if not opp:
-            mine = acc[sigma]
-            mine.update(verts)
-            strat = win[sigma]
-            strat.update((s0, s1)[sigma])
-            strat.update(_progress_moves(pg, sigma, region_a, rank_a))
-            for v in tops:
-                if owners[v] == sigma and v not in strat:
-                    strat[v] = min(s for s in succ[v] if active[s])
+            acc[sigma].update(verts)
+            if moves:
+                strat = win[sigma]
+                strat.update((s0, s1)[sigma])
+                strat.update(_progress_moves(pg, sigma, region_a, rank_a))
+                for v in tops:
+                    if owners[v] == sigma and v not in strat:
+                        strat[v] = min(s for s in succ[v] if active[s])
             break
         region_b, rank_b = _attractor(pg, 1 - sigma, sorted(opp), active)
         theirs = acc[1 - sigma]
-        strat = win[1 - sigma]
         for v in region_b:
             theirs.add(v)
             active[v] = False
         removed.extend(region_b)
-        strat.update(_progress_moves(pg, 1 - sigma, region_b, rank_b))
-        opp_strat = (s0, s1)[1 - sigma]
-        for v in opp:
-            if v in opp_strat:
-                strat[v] = opp_strat[v]
+        if moves:
+            strat = win[1 - sigma]
+            strat.update(_progress_moves(pg, 1 - sigma, region_b, rank_b))
+            opp_strat = (s0, s1)[1 - sigma]
+            for v in opp:
+                if v in opp_strat:
+                    strat[v] = opp_strat[v]
         verts = [v for v in verts if active[v]]
     for v in removed:
         active[v] = True
@@ -355,14 +357,14 @@ class BoundedCostResult(_LevelProduct):
         return (_sink_first_winners(self.classical_game(succ, pred), self.solve_rest),)
 
     def project(self, i: int, j: int, prev: frozenset[int]) -> int:
-        """The level-game move i → j as an arena successor; a sink
-        stands for the least target of the overflow moves sent there."""
-        nodes = self.nodes
-        m = len(nodes)
-        if j < m:
-            return nodes[j][0]
-        want0 = j == m
-        return min(nodes[k][0] for k in self.overflow[i] if (k in prev) == want0)
+        """The level-game move i → j as an arena successor, the first hop
+        of a move walked on through pass-through vertices; a sink stands
+        for the least first hop of the overflow moves sent there."""
+        row, hops = self.succ[i], self.game.successors[self.vertex_of[i]]
+        if j < len(self.nodes):
+            return hops[row.index(j)][0]
+        over, want0 = self.overflow[i], j == len(self.nodes)
+        return min(t for (t, _), k in zip(hops, row) if k in over and (k in prev) == want0)
 
     def project_moves(self, strat: dict[int, int], prev: frozenset[int]) -> dict[int, int]:
         """Positional level-game choices of the nodes, projected."""
@@ -426,8 +428,9 @@ class _ParityLevels(BoundedCostResult):
     colored 0 and the lost sink 1; the decision is made on construction.
 
     Each level is solved sink-first for Player 0's winners only, the
-    rest by ``_zielonka``.  When a certificate asks, a level is solved
-    whole by ``_solve_all`` for both players' positional moves.
+    rest by ``_zielonka`` with no moves built.  When a certificate asks,
+    a level is solved whole by ``_solve_all`` for both players'
+    positional moves.
     """
 
     def __init__(self, game: CostGame, bound: int, budget: int):
@@ -442,7 +445,7 @@ class _ParityLevels(BoundedCostResult):
 
     @staticmethod
     def solve_rest(pg: ParityGame, rest: list[int], active: list[bool]) -> set[int]:
-        return _zielonka(pg, rest, active)[0]
+        return _zielonka(pg, rest, active, moves=False)[0]
 
     def solve_whole(self, succ, pred, prev):
         m = self.size

@@ -611,10 +611,21 @@ def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
     move into node j that does not overflow steps the cell; an overflow
     move restarts it at j in the cell of level o+1: the level game sent
     that move to the won sink, so j is won there.
+
+    The level graph walks a move into a pass-through vertex on to its
+    exit, and gives a pass-through node one move.  So a move from
+    another vertex into a pass-through one steps the cell along the
+    level moves up to the node of the next vertex that is not
+    pass-through, and the labels on the way carry that cell state.  An
+    overflow, on such a move or on the way, restarts the cell at that
+    node: no request is open after it, so the node is the exit's with
+    its fresh requests, and it is won one level up.
     """
     game = levels.game
     tr = StreettTracker(game, levels.bound)
-    index = levels.index
+    index, nodes, succ, overflow = levels.index, levels.nodes, levels.succ, levels.overflow
+    successors, through, exits = game.successors, game.pass_through, game.exits
+    hop = {(u, t): k for u, row in successors.items() for k, (t, _) in enumerate(row)}
     cells = {game.n: None}  # o → the cell of level o, looked up once
 
     def cell(o):
@@ -622,25 +633,57 @@ def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
             cells[o] = levels.level_solve(levels._iterate_index(o))[0]
         return cells[o]
 
+    def restart(o, t):
+        """The cell state of level o after an overflow move into t: its
+        start at the node of t's exit (t's own past a cycle)."""
+        if t in through and exits[t][0][0] not in through:
+            t = exits[t][0][0]
+        c, j = cell(o), index.get((t, tr.initial_r(t)))
+        return None if c is None or j is None else c.init(j)
+
+    def enter(o, s, i, j):
+        """The cell state after the level move i → j at level o and the
+        moves of the pass-through nodes that follow."""
+        walk = []
+        while j not in walk:
+            if j in overflow.get(i, ()):
+                return restart(min(o + 1, game.n), nodes[j][0])
+            walk.append(j)
+            if nodes[j][0] not in through:
+                break
+            i, j = j, succ[j][0]
+        c = cell(o)
+        for j in walk:
+            s = None if c is None or s is None else c.step(s, j)
+        return s
+
     def upd(label, ek):
         o, r, s = label
         src, _, t = ek
         o2, r2, overflowed = tr.update(o, r, game.edge_cost[(src, t)], t)
+        if overflowed:
+            return (o2, r2, restart(o2, t))
+        if src in through:
+            return (o2, r2, s)
+        if t in through:
+            i = index.get((src, r))
+            return (o2, r2, None if i is None else enter(o, s, i, succ[i][hop[(src, t)]]))
         c, j = cell(o2), index.get((t, r2))
-        if c is None or j is None or (s is None and not overflowed):
-            return (o2, r2, None)
-        return (o2, r2, c.init(j) if overflowed else c.step(s, j))
+        return (o2, r2, None if c is None or j is None or s is None else c.step(s, j))
 
     def nxt(v, label):
         o, r, s = label
         c, i = cell(o), index.get((v, r))
-        j = None if c is None or i is None or s is None else c.move(i, s)
+        j = None if v in through or c is None or i is None or s is None else c.move(i, s)
         if j is None:
-            return game.successors[v][0][0]
+            return successors[v][0][0]
         return levels.project(i, j, levels.prev(levels._iterate_index(o)))
 
     o0, r0 = tr.initial_state()
-    return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
+    s0 = cell(o0).init(0)
+    if game.initial in through:
+        s0 = enter(o0, s0, 0, succ[0][0])
+    return strategy_from_product(game, 0, (o0, r0, s0), upd, nxt)
 
 
 def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:

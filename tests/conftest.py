@@ -17,13 +17,13 @@ from costparity import (QbfFormula, core, generators, make_game, qbf_to_game, re
                         streett)
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
                              _least_bound, _reset_spoiler, strategy_from_product)
-from costparity.reduction import Tracker
+from costparity.reduction import Tracker, _LevelProduct
 from costparity.semantics import INF, Lasso, _good_cycle, _sccs
 from costparity.solver import (ParityGame, _least_achievable, _ParityLevels, _solve_all,
                                clamp_bound, decide_bounded_cost)
 from costparity.streett import (CostStreettGame, StreettEdge, StreettGame, StreettPair,
-                                StreettTracker, _StreettLevels, build_streett_reduction,
-                                solve_streett)
+                                StreettReduction, StreettTracker, _StreettLevels,
+                                build_streett_reduction, solve_streett)
 
 
 def delay_game(free_idling: bool):
@@ -126,6 +126,61 @@ def random_cost_streett(rng):
         0)
 
 
+def with_pass_through(rng, game):
+    """``game`` (a CostGame or a CostStreettGame) with pass-through
+    vertices added, each of a random owner, in no pair and of color 0,
+    their edges' costs drawn like the game's: about a third of the
+    edges, and every edge into the initial vertex, subdivided into
+    chains of one to three; a chain of one beside a random edge to the
+    same target (parallel exits); a cycle of two hung off a random
+    vertex; and in about a third of the games a new initial vertex
+    that leads to the old one."""
+    streett_game = isinstance(game, CostStreettGame)
+    if streett_game:
+        def cost():
+            return tuple(rng.randint(0, 2) for _ in range(game.d))
+        old_edges = [(e.source, e.target, tuple(e.costs)) for e in game.edges]
+    else:
+        top = 1 if game.encoding == "unary" else 3
+        def cost():
+            return rng.randint(0, top)
+        old_edges = [(e.source, e.target, e.cost) for e in game.edges]
+    owners = dict(game.owner)
+    colors = {v.id: v.color for v in game.vertices}
+    edges = []
+
+    def vertex():
+        v = len(owners)
+        owners[v], colors[v] = rng.randint(0, 1), 0
+        return v
+
+    def chain(u, t, length, w):
+        for _ in range(length):
+            p = vertex()
+            edges.append((u, p, w))
+            u, w = p, cost()
+        edges.append((u, t, w))
+
+    for u, t, w in old_edges:
+        if t == game.initial or rng.random() < 0.3:
+            chain(u, t, rng.randint(1, 3), w)
+        else:
+            edges.append((u, t, w))
+    u, t, _ = rng.choice(old_edges)
+    chain(u, t, 1, cost())
+    u, p, q = rng.choice(sorted(game.owner)), vertex(), vertex()
+    edges += [(u, p, cost()), (p, q, cost()), (q, p, cost())]
+    initial = game.initial
+    if rng.random() < 0.33:
+        initial = vertex()
+        edges.append((initial, game.initial, cost()))
+    if streett_game:
+        return CostStreettGame(tuple(Vertex(v, o, 0) for v, o in owners.items()),
+                               tuple(StreettEdge(*e) for e in edges), game.pairs, initial)
+    return make_game([(v, o, colors[v]) for v, o in owners.items()], edges, initial,
+                     game.encoding)
+
+
 def random_strategy(rng, game, player: int, size: int) -> StrategySpec:
     """A random ``size``-state strategy of ``player`` in ``game`` (a
     CostGame or a CostStreettGame): random updates and moves."""
@@ -207,19 +262,63 @@ def check_span_tables(rng, make_tracker, cases, monkeypatch):
 
 # --- oracles: the tracked product and the parity tracker step ----------------
 
-def direct_tracked_product(game, tracker):
+def oracle_quiet(game) -> frozenset[int]:
+    """The vertices that request and answer nothing, read off colors
+    and pairs: in a cost-parity game those of an even color with no odd
+    color in use below it, in a cost-Streett game those in no pair."""
+    if isinstance(game, CostStreettGame):
+        paired = set().union(*(p.requests | p.answers for p in game.pairs))
+        return frozenset(v for v in game.owner if v not in paired)
+    return frozenset(v for v, c in game.color.items()
+                     if c % 2 == 0 and not any(o < c for o in game.odd_colors))
+
+
+def oracle_pass_through(game) -> frozenset[int]:
+    """The pass-through vertices: quiet ones (``oracle_quiet``) with one
+    successor."""
+    return frozenset(v for v in oracle_quiet(game) if len(game.successors[v]) == 1)
+
+
+def walked_row(game, tracker, through, o, r, moves):
+    """(target, o', r', overflowed) per move (t, w) from (o, r), each
+    move into a vertex of ``through`` stepped on, edge by edge, to the
+    first vertex that is not one; overflowed if any step did.  A move
+    whose walk meets a cycle of them, or whose end another move of the
+    row reaches too, keeps its own target."""
+    first = [(t, *tracker.update(o, r, w, t)) for t, w in moves]
+    walked = []
+    for t, o2, r2, over in first:
+        v, seen = t, {t}
+        while v in through:
+            v, w = game.successors[v][0]
+            if v in seen:  # a cycle of pass-through vertices
+                v = None
+                break
+            seen.add(v)
+            o2, r2, step_over = tracker.update(o2, r2, w, v)
+            over |= step_over
+        walked.append(None if v is None else (v, o2, r2, over))
+    ends = Counter(t if end is None else end[0] for end, (t, *_) in zip(walked, first))
+    return [end if end is not None and (end[0] == t or ends[end[0]] == 1) else (t, *rest)
+            for end, (t, *rest) in zip(walked, first)]
+
+
+def direct_tracked_product(game, tracker, skip: bool = False):
     """The flat tracked product by a direct breadth-first search over
     (v, o, r) from (v_I, 0, r_{v_I}), stepping ``tracker`` on every
-    state: (states, successor rows, overflow edges (i, j))."""
+    edge: (states, successor rows, overflow edges (i, j)).  With
+    ``skip``, moves are walked on through pass-through vertices
+    (``oracle_pass_through``, ``walked_row``), as the level product
+    takes them."""
+    through = oracle_pass_through(game) if skip else frozenset()
     start = (game.initial, *tracker.initial_state())
     index = {start: 0}
     order = [start]
     succ, overflow_edges = [], set()
     for i, (v, o, r) in enumerate(order):  # grows while it is walked
         row = []
-        for t, w in game.successors[v]:
-            o2, r2, overflowed = tracker.update(o, r, w, t)
-            key = (t, o2, r2)
+        for key in walked_row(game, tracker, through, o, r, game.successors[v]):
+            key, overflowed = key[:3], key[3]
             if key not in index:
                 index[key] = len(order)
                 order.append(key)
@@ -229,6 +328,72 @@ def direct_tracked_product(game, tracker):
             row.append(j)
         succ.append(tuple(row))
     return tuple(order), tuple(succ), frozenset(overflow_edges)
+
+
+class FullLevelProduct(_LevelProduct):
+    """The level product searched without the pass-through skip: a node
+    per (vertex, request word) that a step along one arena edge reaches,
+    kept as the oracle of the search that walks moves on to their exits."""
+
+    def __init__(self, game, tracker, budget: int, what: str):
+        self.game = game
+        self.budget = budget
+        self.what = what
+        moves = game.successors
+        update = tracker.update
+        _, r0 = tracker.initial_state()
+        index: dict[tuple[int, int], int] = {(game.initial, r0): 0}
+        order: list[tuple[int, int]] = [(game.initial, r0)]
+        succ: list[tuple[int, ...]] = []
+        pred: list[list[int]] = [[]]
+        over: dict[int, list[int]] = {}  # the rows with an overflow move
+        for i, (v, r) in enumerate(order):  # grows while it is walked
+            row = []
+            for t, w in moves[v]:
+                _, r2, ovf = update(0, r, w, t)
+                key = (t, r2)
+                j = index.get(key)
+                if j is None:
+                    j = len(order)
+                    if j >= budget:
+                        raise BudgetExceededError(f"{what} exceeds budget {budget} states")
+                    index[key] = j
+                    order.append(key)
+                    pred.append([])
+                if ovf:
+                    over.setdefault(i, []).append(j)
+                else:
+                    pred[j].append(i)
+                row.append(j)
+            succ.append(tuple(row))
+        self.nodes = order
+        self.index = index
+        self.succ = tuple(succ)
+        self.pred = tuple(pred)
+        self.overflow = {i: frozenset(js) for i, js in over.items()}
+
+
+def full_level_product(game, tracker) -> FullLevelProduct:
+    return FullLevelProduct(game, tracker, DEFAULT_PRODUCT_BUDGET, "full level product")
+
+
+class FullParityLevels(_ParityLevels, FullLevelProduct):
+    """The layered parity engine on the full level product."""
+
+
+class FullStreettLevels(_StreettLevels, FullLevelProduct):
+    """The layered Streett engine on the full level product."""
+
+
+def full_streett_reduction(game: CostStreettGame, bound: int) -> StreettReduction:
+    """``build_streett_reduction`` on the full level product."""
+    states, rows = full_level_product(game, StreettTracker(game, bound)).unroll()
+    request, answer, saturation = game.request_mask, game.answer_mask, 1 << game.d
+    qmask = tuple(request[v] | saturation if o >= game.n else request[v] for v, o, _ in states)
+    pmask = tuple(answer[v] for v, _, _ in states)
+    sg = StreettGame(tuple(game.owner[v] for v, _, _ in states), rows, qmask, pmask,
+                     game.d + 1, 0)
+    return StreettReduction(game, bound, sg, states, {st: i for i, st in enumerate(states)})
 
 
 def parity_initial_r(game, vertex):
@@ -297,8 +462,23 @@ def flat_parity_game(game, bound: int):
 def product_winner(res, v: int, o: int, r: int) -> int:
     """Who wins the state (v, o, r) of a layered decision ``res`` (parity
     or Streett), r a request word of its tracker, read off the iterate
-    that serves level o; KeyError if (v, r) is not a node."""
-    if o >= res.game.n:
+    that serves level o.  A state at a pass-through vertex that is no
+    node is read where its chain leads, stepped edge by edge; KeyError
+    if that is not a node."""
+    game = res.game
+    through = game.pass_through  # equal to ``oracle_pass_through`` (test_reduction)
+    if (v, r) not in res.index and v in through:
+        tracker = (StreettTracker if isinstance(game, CostStreettGame) else Tracker)(
+            game, res.bound)
+        seen = {v}
+        while (v, r) not in res.index and v in through:
+            t, w = game.successors[v][0]
+            o, r, _ = tracker.update(o, r, w, t)
+            v = t
+            if v in seen:
+                break
+            seen.add(v)
+    if o >= game.n:
         return 1
     node = res.index.get((v, r))
     if node is None:
@@ -571,7 +751,7 @@ def bisected_cost(decide, product) -> float:
 
 # --- oracles: strategy costs by bound searches on walked strategy products ---
 
-def strategy_walk(game, strat: StrategySpec, tracker=None):
+def strategy_walk(game, strat: StrategySpec, tracker=None, skip: bool = False):
     """Reachable product of ``game`` (a CostGame or a CostStreettGame)
     under ``strat``, breadth-first from the initial state, with the
     owner's moves fixed: states (vertex, memory, r), rows of successor
@@ -579,14 +759,40 @@ def strategy_walk(game, strat: StrategySpec, tracker=None):
     request word of ``tracker`` at its bound, with the overflow
     counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
     None without a tracker.  Every edge is explored, overflow edges too.
-    Reaching ``DEFAULT_PRODUCT_BUDGET`` states raises
-    ``BudgetExceededError``.  The oracles' own BFS, independent of the
-    verifier's ``reduction._LevelProduct``.
+    With ``skip``, a move into a pass-through (vertex, memory) pair, one
+    with a single move at a vertex of ``oracle_quiet``, walks on edge by
+    edge to the first pair that is not one, overflowing if any step
+    does; a move whose walk meets a cycle of them, or whose end another
+    move of the row reaches too, keeps its own target.  Reaching
+    ``DEFAULT_PRODUCT_BUDGET`` states raises ``BudgetExceededError``.
+    The oracles' own BFS, independent of the verifier's
+    ``reduction._LevelProduct``.
     """
     succ = game.successors
     owner = game.owner
     key = game.update_key
     cost = game.edge_cost
+    quiet = oracle_quiet(game) if skip else frozenset()
+
+    def moves_of(v, m):
+        return [strat.next_move[(v, m)]] if owner[v] == strat.player else [t for t, _ in succ[v]]
+
+    def step(v, m, r, t):
+        r2, over = r, False
+        if tracker is not None:
+            _, r2, over = tracker.update(0, r, cost[(v, t)], t)
+        return (t, strat.update[(m, key[(v, t)])], r2), over
+
+    def walk(state, over):
+        seen = {state[:2]}
+        while state[0] in quiet and len(moves_of(*state[:2])) == 1:
+            state, step_over = step(*state, moves_of(*state[:2])[0])
+            if state[:2] in seen:
+                return None
+            seen.add(state[:2])
+            over |= step_over
+        return state, over
+
     start = (game.initial, strat.initial,
              None if tracker is None else tracker.initial_state()[1])
     index = {start: 0}
@@ -594,16 +800,15 @@ def strategy_walk(game, strat: StrategySpec, tracker=None):
     rows: list[list[int]] = []
     ovf: list[list[bool]] = []
     for v, m, r in order:  # grows while it is walked
-        if owner[v] == strat.player:
-            moves = [strat.next_move[(v, m)]]
-        else:
-            moves = [t for t, _ in succ[v]]
+        first = [step(v, m, r, t) for t in moves_of(v, m)]
+        ends = [walk(*move) for move in first]
+        hits = Counter((state if end is None else end[0])[:2]
+                       for end, (state, _) in zip(ends, first))
         row, orow = [], []
-        for t in moves:
-            r2, over = r, False
-            if tracker is not None:
-                _, r2, over = tracker.update(0, r, cost[(v, t)], t)
-            state = (t, strat.update[(m, key[(v, t)])], r2)
+        for end, move in zip(ends, first):
+            if end is not None and (end[0][:2] == move[0][:2] or hits[end[0][:2]] == 1):
+                move = end
+            state, over = move
             j = index.get(state)
             if j is None:
                 j = len(order)
@@ -743,12 +948,13 @@ def streett_strategy_product(game: CostStreettGame, strat: StrategySpec) -> Cost
 # --- oracle: Streett certificates on the flat reduction ---------------------
 
 def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
-    """The winner's certificate read off the flat reduction at ``bound``,
+    """The winner's certificate read off the full flat reduction at ``bound``
+    (``full_streett_reduction``, pass-through vertices included),
     solved whole by ``solve_streett``.  Player 0's memory is the tracker
     state × her cell's state over the flat product, with her moves
     projected to the arena; Player 1 plays his cell's positional flat
     moves, with the overflow counter reset as in ``core._reset_spoiler``."""
-    red = build_streett_reduction(game, bound)
+    red = full_streett_reduction(game, bound)
     sol = solve_streett(red.streett)
     tr = StreettTracker(game, bound)
     succ = game.successors
@@ -778,6 +984,43 @@ def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
 
     o0, r0 = tr.initial_state()
     return strategy_from_product(game, 0, (o0, r0, cell.init(0)), upd, nxt)
+
+
+def stepwise_streett_certificate(levels) -> StrategySpec:
+    """Player 0's certificate of a won layered Streett decision with her
+    cell stepped at the node each edge enters, as on a level product
+    with a node per edge step (``FullStreettLevels``): tracking memory ×
+    the cell state of the level serving o; an overflow move restarts the
+    cell at the node entered, in the cell one level up."""
+    game = levels.game
+    tr = StreettTracker(game, levels.bound)
+    index = levels.index
+    cells = {game.n: None}
+
+    def cell(o):
+        if o not in cells:
+            cells[o] = levels.level_solve(levels._iterate_index(o))[0]
+        return cells[o]
+
+    def upd(label, ek):
+        o, r, s = label
+        src, _, t = ek
+        o2, r2, overflowed = tr.update(o, r, game.edge_cost[(src, t)], t)
+        c, j = cell(o2), index.get((t, r2))
+        if c is None or j is None or (s is None and not overflowed):
+            return (o2, r2, None)
+        return (o2, r2, c.init(j) if overflowed else c.step(s, j))
+
+    def nxt(v, label):
+        o, r, s = label
+        c, i = cell(o), index.get((v, r))
+        j = None if c is None or i is None or s is None else c.move(i, s)
+        if j is None:
+            return game.successors[v][0][0]
+        return levels.project(i, j, levels.prev(levels._iterate_index(o)))
+
+    o0, r0 = tr.initial_state()
+    return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
 
 
 # --- oracle: certificates tabulated without merging ---------------------------

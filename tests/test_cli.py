@@ -500,15 +500,23 @@ def test_negative_vertex_count_in_cst_is_a_format_error(tmp_path, text):
 
 
 def test_budget_errors_name_the_level_graph(tmp_path):
-    # both game classes decide on the layered engine's level graph
+    # both game classes decide on the layered engine's level graph, whose
+    # nodes sit at vertices that are not pass-through: p0mem d=1 has 3
+    # at every bound (6 with its 4 pass-through vertices), so a budget
+    # of 3 decides it and 2 does not
     gen = str(tmp_path / "gen")
     for family in ("p0mem", "streett"):
         assert invoke("generate", family, "--d", "1", "--outdir", gen)[0] == 0
-    for game in (f"{gen}/p0mem-d1.cpg", f"{gen}/streett-d1.cst"):
+    p0mem = f"{gen}/p0mem-d1.cpg"
+    cert = tmp_path / "b5.strat"
+    code, out, _ = invoke("solve", "--bound", "5", "--product-budget", "3", "--output",
+                          str(cert), p0mem)
+    assert (code, out) == (0, f"ACHIEVABLE\nwrote {cert}\n")
+    for game in (p0mem, f"{gen}/streett-d1.cst"):
         for argv in (("solve", "--bound", "5"), ("optimal",)):
-            code, out, err = invoke(*argv, "--product-budget", "3", game)
+            code, out, err = invoke(*argv, "--product-budget", "2", game)
             assert (code, out) == (2, "")
-            assert err.splitlines() == ["error: budget: level graph exceeds budget 3 states"]
+            assert err.splitlines() == ["error: budget: level graph exceeds budget 2 states"]
 
 
 def test_rarely_taken_error_branches(tmp_path, delay_path):

@@ -117,7 +117,7 @@ def test_engine_and_streett_strategies_match_golden_digest():
     assert h.hexdigest() == ENGINE_DIGEST
 
 
-LAYERED_DIGEST = "33912c02a40d0d4e8382804753cd71ea0d75dc8b7ffe5b29d07b820a72ca63ac"
+LAYERED_DIGEST = "76ed44ecaea26be7205e064dd29da5ff6cb4b5883ce527682efe61dd431dc1df"
 
 
 def _hash_layered_solve(h, game, bound):

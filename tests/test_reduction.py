@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (check_span_tables, direct_tracked_product, flat_parity_game,
-                      fresh_tracker, parity_initial_r, parity_step, random_cost_game,
-                      random_cost_streett, streett_step, tracker_queries)
+                      fresh_tracker, oracle_pass_through, parity_initial_r, parity_step,
+                      random_cost_game, random_cost_streett, streett_step, tracker_queries,
+                      walked_row, with_pass_through)
 from costparity import (INF, Edge, Vertex, classify_cycle, dominates, make_game, reduction,
                         relevant_requests, semantics, settled, settled_bound, shortcut_step,
                         track_play)
@@ -397,18 +398,25 @@ def test_spoiler_probes_step_the_tracker_once_per_product_move(monkeypatch):
 
 
 def test_level_product_rows_are_the_arena_moves():
-    # succ lists one node per arena move in move order, overflow holds
-    # exactly the ids of the overflowing moves, pred the other moves'
-    # sources in ascending order
+    # succ lists one node per arena move in move order: the state that
+    # stepping the tracker edge by edge along the move reaches, walked on
+    # through pass-through vertices (the oracle's own skip); overflow
+    # holds exactly the ids of the moves with an overflowing step, pred
+    # the other moves' sources in ascending order.  Half the games get
+    # chains, cycles and parallel exits of pass-through vertices.
     rng = random.Random(83)
     games = []
     for k in range(150):
         binary = k % 2
-        games.append((random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
-                                       encoding="binary" if binary else "unary"), Tracker))
-        games.append((random_cost_streett(rng), StreettTracker))
-    overflowing = 0
+        g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
+                             encoding="binary" if binary else "unary")
+        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, Tracker))
+        g = random_cost_streett(rng)
+        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, StreettTracker))
+    overflowing = walked = kept = 0
     for g, tracker_class in games:
+        through = oracle_pass_through(g)
+        assert g.pass_through == through
         for b in range(4):
             tracker = tracker_class(g, b)
             levels = _LevelProduct(g, tracker, 10 ** 6, "level product")
@@ -417,35 +425,45 @@ def test_level_product_rows_are_the_arena_moves():
             pred = [[] for _ in nodes]
             for i, ((v, r), row) in enumerate(zip(nodes, succ)):
                 moves = g.successors[v]
-                assert [nodes[j][0] for j in row] == [t for t, _ in moves]
+                ends = walked_row(g, tracker, through, 0, r, moves)
+                assert [nodes[j] for j in row] == [(t, r2) for t, _, r2, _ in ends]
+                assert [t for t, _ in g.exits[v]] == [t for t, *_ in ends]
+                assert len(set(row)) == len(row)
                 over = overflow.get(i, frozenset())
                 assert over <= set(row) and (i not in overflow or over)
-                for j, (t, w) in zip(row, moves):
-                    assert (j in over) == tracker.update(0, r, w, t)[2]
+                for j, (t, _, _, overflowed), (hop, _) in zip(row, ends, moves):
+                    assert (j in over) == overflowed
+                    walked += t != hop
+                    kept += t == hop in through
                     if j not in over:
                         pred[j].append(i)
             assert list(map(list, levels.pred)) == pred
             overflowing += len(overflow)
-    assert overflowing > 200
+    assert overflowing > 200 and walked > 1000 and kept > 100, (overflowing, walked, kept)
 
 
 def test_unrolled_level_product_equals_the_direct_search():
     # the flat product is the level product unrolled over o, with no
-    # tracker step; a search that steps the tracker on every state of
-    # the flat product must find the same states in the same order, for
-    # both game classes
+    # tracker step; a search that steps the tracker on every edge of the
+    # flat product, walking moves on through pass-through vertices by
+    # its own skip, must find the same states in the same order, for
+    # both game classes, on games with and without such vertices
     rng = random.Random(29)
     games = []
     for k in range(200):
         binary = k % 2
-        games.append((random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
-                                       encoding="binary" if binary else "unary"), Tracker))
+        g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
+                             encoding="binary" if binary else "unary")
+        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, Tracker))
     streett_rng = random.Random(31)
-    games += [(random_cost_streett(streett_rng), StreettTracker) for _ in range(160)]
+    for k in range(160):
+        g = random_cost_streett(streett_rng)
+        games.append((with_pass_through(streett_rng, g) if k % 2 else g, StreettTracker))
     for k, (g, tracker_class) in enumerate(games):
         for b in range(5):
             unrolled = _LevelProduct(g, tracker_class(g, b), 10 ** 6, "level product").unroll()
-            assert unrolled == direct_tracked_product(g, tracker_class(g, b))[:2], (k, b)
+            assert unrolled == direct_tracked_product(g, tracker_class(g, b), skip=True)[:2], \
+                (k, b)
             if tracker_class is Tracker:  # n vertices x (n+1) overflows x (b+2)^d requests
                 assert len(unrolled[0]) <= g.n * (g.n + 1) * (b + 2) ** g.d, (k, b)
 

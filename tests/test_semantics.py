@@ -171,7 +171,9 @@ def test_player0_verifiers_build_one_untracked_product(monkeypatch):
 
 def test_spoiler_verifier_builds_one_level_product_per_probed_bound(monkeypatch):
     # one strategy arena per verification and one level product per
-    # probed bound, each as large as the walked τ-product at that bound.
+    # probed bound, each as large as the walked τ-product at that bound
+    # with its own skip of pass-through (vertex, memory) pairs, and so
+    # smaller than the walk without it.
     # A family spoiler's cheapest lasso costs exactly its value, so its
     # one probe is at the value − 1; the Streett spoiler keeps the plain
     # upward search.
@@ -183,7 +185,7 @@ def test_spoiler_verifier_builds_one_level_product_per_probed_bound(monkeypatch)
     counter = generators.streett_counter_family(2).game
     cases.append((streett_spoiler_cost, counter,
                   decide_bounded_cost_streett(counter, 10).certificate, StreettTracker))
-    costs = []
+    costs, skipped = [], 0
     for k, (verify, g, tau, tracker_class) in enumerate(cases):
         assert tau.player == 1
         del arenas[:], levels[:], probed[:]
@@ -196,8 +198,11 @@ def test_spoiler_verifier_builds_one_level_product_per_probed_bound(monkeypatch)
         else:
             assert probed == [0, 1, 2, 4, 8, 16, 12, 10, 11]
         for b, size in levels:
-            assert size == len(strategy_walk(g, tau, tracker_class(g, b))[0]), (k, b)
+            walked = strategy_walk(g, tau, tracker_class(g, b), skip=True)[0]
+            assert size == len(walked), (k, b)
+            skipped += len(strategy_walk(g, tau, tracker_class(g, b))[0]) - size
     assert costs == [17, 22, 7, 12, 17, 11]
+    assert skipped > 0
 
 
 def test_spoiler_costs_equal_the_upward_search_below_their_lasso():

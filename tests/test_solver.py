@@ -7,8 +7,9 @@ from collections import Counter
 import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, check_move_tables, eager_parity_levels,
-                      flat_parity_game, layered_corpus, parity_optimal_corpus, product_winner,
-                      random_cost_game, random_level_rows, searched_optimal_cost)
+                      flat_parity_game, full_level_product, layered_corpus, parity_optimal_corpus, product_winner,
+                      random_cost_game, random_level_rows, searched_optimal_cost,
+                      with_pass_through)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         binary_tradeoff_family, decide_bounded_cost,
                         decide_bounded_cost_finite_duration, decide_bounded_cost_streett,
@@ -17,6 +18,7 @@ from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
                         streett_from_cost_parity, subdivide_costs)
 from costparity.generators import QbfFormula, qbf_to_game
 from costparity.semantics import spoiler_cost, strategy_cost
+from costparity.reduction import Tracker
 from costparity.solver import _ParityLevels, _sink_first_winners, _solve_all, clamp_bound
 
 
@@ -99,27 +101,67 @@ def test_sink_first_winners_equal_the_whole_solve():
 
 
 def test_parity_decisions_compute_no_sccs(monkeypatch):
-    """A parity decision never computes SCCs, and on one fixed QBF
-    decision it calls ``_zielonka`` and ``_attractor`` no more often
-    than the SCC-by-SCC solve did (10 times each)."""
+    """A parity decision never computes SCCs and builds no progress
+    move, and on one fixed QBF decision it calls ``_zielonka`` and
+    ``_attractor`` no more often than the SCC-by-SCC solve did (10 times
+    each).  Its level graph has 440 nodes: the 1,030 of the full level
+    product less the 590 at pass-through vertices.  A certificate does
+    build progress moves, so the spy sees them."""
     def no_sccs(*args):
         raise AssertionError("a parity decision computed SCCs")
 
     monkeypatch.setattr(semantics, "_sccs", no_sccs)
     assert not hasattr(solver, "_sccs")
     calls = Counter()
-    for name in ("_zielonka", "_attractor"):
-        def spy(*args, _name=name, _original=getattr(solver, name)):
+    for name in ("_zielonka", "_attractor", "_progress_moves"):
+        def spy(*args, _name=name, _original=getattr(solver, name), **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
         monkeypatch.setattr(solver, name, spy)
     inst = qbf_to_game(QbfFormula(("e", "e", "a"), ((-3, -2, 3), (-3, -2, 2), (3, -1, 3),
                                                    (-2, -1, 1), (1, -1, 1))))
     res = decide_bounded_cost(inst.game, inst.target_bound)
-    assert res.achievable and res.product_states == 1030 and len(res.iterates) == 2
+    assert res.achievable and res.product_states == 440 and len(res.iterates) == 2
+    full = full_level_product(inst.game, Tracker(inst.game, inst.target_bound))
+    assert full.size == 1030
+    assert sum(v in inst.game.pass_through for v, _ in full.nodes) == 590
     assert calls["_zielonka"] <= 10 and calls["_attractor"] <= 10, calls
+    rests = calls["_zielonka"]
     for game, bound in layered_corpus():
         decide_bounded_cost(game, bound)
+    assert calls["_zielonka"] > rests and calls["_progress_moves"] == 0, calls
+    assert res.certificate.player == 0 and calls["_progress_moves"] > 0
+
+
+def test_winners_only_zielonka_equals_the_full_solve():
+    """``_zielonka`` with ``moves`` off: the full solve's winning sets,
+    empty strategies and no progress move, and the membership buffer
+    restored, on seeded random parity games, whole and on subgames."""
+    rng = random.Random(41)
+    subgames = 0
+    for _ in range(1200):
+        n = rng.randint(1, 9)
+        succ = tuple(tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 3)))))
+                     for _ in range(n))
+        pg = ParityGame(tuple(rng.randint(0, 1) for _ in range(n)),
+                        tuple(rng.randint(0, 5) for _ in range(n)), succ, 0)
+        verts = list(range(n))
+        if rng.random() < 0.3:  # a trap for Player 1 of a random target set
+            region, _ = solver._attractor(pg, 0, rng.sample(verts, rng.randint(1, n)),
+                                          [True] * n)
+            verts = sorted(set(verts) - set(region))
+            subgames += bool(verts)
+        if not verts:
+            continue
+        active = [v in verts for v in range(n)]
+        w0, w1, s0, s1 = solver._zielonka(pg, verts, active)
+        assert active == [v in verts for v in range(n)]
+        assert solver._zielonka(pg, verts, active, moves=False) == (w0, w1, {}, {})
+        assert active == [v in verts for v in range(n)]
+        assert w0 | w1 == set(verts) and not w0 & w1
+        if len(verts) == n and n <= 5:
+            assert (0 if 0 in w0 else 1) == brute_parity_winner(pg.owners, pg.colors, succ, 0)
+    assert subgames >= 100
 
 
 def test_moves_on_demand_equal_the_eager_solve():
@@ -181,13 +223,20 @@ def test_decide_delay_games(delay_won, delay_lost):
 
 
 def test_decide_layered_equals_flat():
+    # the flat product is the full one, pass-through vertices included;
+    # a state at one that is no node is read where its chain leads
+    # (``product_winner``).  Half the games get chains, cycles and
+    # parallel exits of such vertices.
     rng = random.Random(6)
-    for _ in range(120):
+    skipped = 0
+    for k in range(120):
         if rng.random() < 0.5:
             g = random_cost_game(rng, rng.randint(1, 4), 4)
         else:
             g = random_cost_game(rng, rng.randint(1, 4), 4, max_cost=3,
                                  encoding="binary")
+        if k % 2:
+            g = with_pass_through(rng, g)
         b = rng.randint(0, 4)
         layered = decide_bounded_cost(g, b)
         flat = FlatSolveInfo(g, layered.bound)
@@ -196,6 +245,8 @@ def test_decide_layered_equals_flat():
         # every overflow level, the ones the last fixpoint iterate serves included
         for v, o, r in flat.states:
             assert product_winner(layered, v, o, r) == flat.winner(v, o, r)
+            skipped += (v, r) not in layered.index
+    assert skipped > 1000
 
 
 def test_decide_clamps_to_regime_bound():

@@ -5,10 +5,12 @@ from dataclasses import replace
 import pytest
 from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_move_tables,
                       check_span_tables, direct_tracked_product, flat_streett_certificate,
-                      lifted_pairs, lifted_streett_view, product_winner,
-                      random_cost_game, random_cost_streett, random_level_rows, random_strategy,
+                      full_level_product, lifted_pairs, lifted_streett_view,
+                      oracle_pass_through, product_winner, random_cost_game,
+                      random_cost_streett, random_level_rows, random_strategy,
                       random_streett_game, streett_initial_r, streett_step,
-                      streett_strategy_product, streett_view, unmerged_certificates)
+                      streett_strategy_product, streett_view, unmerged_certificates,
+                      with_pass_through)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat, streett)
 from costparity.reduction import Tracker, _LevelProduct
@@ -404,11 +406,16 @@ def test_sink_first_winners_equal_the_whole_streett_solve(monkeypatch):
 def test_budget_caps_the_decision_and_the_certificate(monkeypatch):
     g = streett_counter_family(1).game
     res = decide_bounded_cost_streett(g, 5)
-    assert (res.product_states, build_streett_reduction(g, 5).size) == (22, 220)
+    # the budget counts the level graph's nodes, which skip the one
+    # pass-through vertex: 2 of the 22 full nodes sit there
+    assert g.pass_through == oracle_pass_through(g) == {5}
+    assert full_level_product(g, StreettTracker(g, 5)).size == 22
+    assert (res.product_states, build_streett_reduction(g, 5).size) == (20, 200)
+    assert decide_bounded_cost_streett(g, 5, product_budget=20).product_states == 20
     with pytest.raises(BudgetExceededError):
-        decide_bounded_cost_streett(g, 5, product_budget=21)
+        decide_bounded_cost_streett(g, 5, product_budget=19)
     res = decide_bounded_cost_streett(g, 5, product_budget=100)
-    assert res.achievable and res.product_states == 22
+    assert res.achievable and res.product_states == 20
     # the certificate reads the level solves, under the decision's
     # budget; its update table meets the table budget
     assert streett_strategy_cost(g, res.certificate) <= 5
@@ -437,8 +444,9 @@ def test_streett_certificates_verify():
 def _overflow_landings(g, res) -> int:
     """Checks that Player 0's certificate restarts its memory on every
     overflow move: the memory after the move depends only on the state
-    (t, o, r) it lands in, as the cell restarts at the entered node.
-    The certificate is tabulated without merging, so that its states
+    (t, o, r) it lands in, as the cell restarts at the node entered, or
+    at the node of t's exit when t is a pass-through vertex.  The
+    certificate is tabulated without merging, so that its states
     are the labels (o, r, cell state).  Returns the number of overflow
     moves checked."""
     with unmerged_certificates():
@@ -459,9 +467,10 @@ def _overflow_landings(g, res) -> int:
 
 def test_layered_certificates_against_the_flat_route():
     # every certificate read off the level solves holds its side of the
-    # bound, and Player 0's restarts its memory on overflow moves; on
-    # the counter each costs what the flat reduction's certificate
-    # costs, and every optimal witness costs the value
+    # bound, and Player 0's restarts its memory on overflow moves, on
+    # random games and on the same games with pass-through vertices
+    # added; on the counter each costs what the full flat reduction's
+    # certificate costs, and every optimal witness costs the value
     def cost(g, cert):
         verify = streett_strategy_cost if cert.player == 0 else streett_spoiler_cost
         return verify(g, cert)
@@ -469,8 +478,10 @@ def test_layered_certificates_against_the_flat_route():
     rng = random.Random(97)
     checked = [0, 0]
     landings = 0
-    for _ in range(300):
+    for k in range(300):
         g = random_cost_streett(rng)
+        if k % 2:
+            g = with_pass_through(rng, g)
         for b in range(7):
             res = decide_bounded_cost_streett(g, b)
             c = cost(g, res.certificate)
@@ -540,10 +551,12 @@ def test_list_costs_decide_like_tuple_costs():
 
 def test_streett_reduction_equals_the_direct_search():
     # the flat reduction against a search that steps the tracker on
-    # every flat state, and the decision's level product against a
-    # fresh one
+    # every edge, walking moves on through pass-through vertices with
+    # its own skip, and the decision's level product against a fresh one;
+    # half the games have chains, cycles and parallel exits of them
     rng = random.Random(31)
     games = [random_cost_streett(rng) for _ in range(120)]
+    games = [with_pass_through(rng, g) if k % 2 else g for k, g in enumerate(games)]
     cases = [(g, b) for g in games for b in range(5)]
     cases.append((streett_counter_family(2).game, 11))
     def overflow_edges(red, levels):
@@ -556,14 +569,17 @@ def test_streett_reduction_equals_the_direct_search():
             for j, k in zip(levels.succ[node], red.streett.succ[i])
             if j in overflow.get(node, ()))
 
+    skipped = 0
     for g, b in cases:
-        expected = direct_tracked_product(g, StreettTracker(g, b))
+        expected = direct_tracked_product(g, StreettTracker(g, b), skip=True)
+        skipped += len(direct_tracked_product(g, StreettTracker(g, b))[0]) > len(expected[0])
         red = build_streett_reduction(g, b)
         levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product")
         assert (red.states, red.streett.succ, overflow_edges(red, levels)) == expected, b
         decided = decide_bounded_cost_streett(g, b)
         assert (decided.nodes, decided.index, decided.succ, decided.pred, decided.overflow) == \
             (levels.nodes, levels.index, levels.succ, levels.pred, levels.overflow), b
+    assert skipped > 200
 
 
 def test_streett_tracker_tables_answer_like_a_fresh_tracker(monkeypatch):
