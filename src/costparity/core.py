@@ -634,6 +634,7 @@ def _merge_compatible(moves: list[dict], steps: list[dict]) -> list[int]:
     budget = _MERGE_WORK * sum(len(m) + len(s) for m, s in zip(moves, steps))
     work = 0
     log: list = []  # undo: (table, key) of an added entry, (None, label) of a parent set
+    logged = log.append
 
     def find(a):
         while parent[a] != a:
@@ -645,37 +646,44 @@ def _merge_compatible(moves: list[dict], steps: list[dict]) -> list[int]:
         on a conflict or when the work runs out, with the log to undo."""
         nonlocal work
         pending = [(a, b)]
+        pop, push = pending.pop, pending.append
         while pending:
-            a, b = sorted(map(find, pending.pop()))
+            a, b = pop()
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
             if a == b:
                 continue
+            if b < a:
+                a, b = b, a
             work += 1
             if work > budget:
                 return False
             parent[b] = a
-            log.append((None, b))
+            logged((None, b))
             move, step = moves[a], steps[a]
             for v, t in moves[b].items():
                 u = move.get(v)
                 if u is None:
                     move[v] = t
-                    log.append((move, v))
+                    logged((move, v))
                 elif u != t:
                     return False
             for ek, j in steps[b].items():
                 k = step.get(ek)
                 if k is None:
                     step[ek] = j
-                    log.append((step, ek))
+                    logged((step, ek))
                 else:
-                    pending.append((k, j))
+                    push((k, j))
         return True
 
     classes: list[int] = []
     for x in range(len(moves)):
         if work > budget:
             break
-        if find(x) != x:
+        if parent[x] != x:
             continue  # forced into the class of an earlier label
         for c in classes:
             if parent[c] == c and union(c, x):
@@ -694,7 +702,7 @@ def _merge_compatible(moves: list[dict], steps: list[dict]) -> list[int]:
     return [find(i) for i in range(len(moves))]
 
 
-def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
+def _reset_spoiler(game: CostGame, tracker, move, share) -> StrategySpec:
     """Spoiler strategy with the overflow counter reset to the least
     value reachable under the product strategy.
 
@@ -704,33 +712,15 @@ def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
     follows the tracker's update except at overflow positions, where
     the counter restarts at o_v = min{o : (v, o, r_v) reachable under
     the product strategy} instead of incrementing.
+
+    o_v is found one overflow level at a time (``_first_levels``);
+    ``share(o)`` names the class of level o: levels of one class have
+    the same moves.
     """
     succ = game.successors
-    owner = game.owner
     cost = game.edge_cost
     n = game.n
-    o0, r0 = tracker.initial_state()
-    start = (game.initial, o0, r0)
-    seen = {start}
-    stack = [start]
-    o_min: dict[int, int] = {}
-    while stack:
-        v, o, r = stack.pop()
-        if r == tracker.initial_r(v):
-            o_min[v] = min(o, o_min.get(v, n))
-        if o >= n:
-            continue
-        if owner[v] == 1:
-            t = move(v, o, r)
-            moves = [t] if t is not None else [succ[v][0][0]]
-        else:
-            moves = [t for t, _ in succ[v]]
-        for t in moves:
-            o2, r2, _ = tracker.update(o, r, cost[(v, t)], t)
-            key = (t, o2, r2)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
+    o_min = _first_levels(game, tracker, move, share)
 
     def upd(label, ek):
         s, _, t = ek
@@ -742,6 +732,65 @@ def _reset_spoiler(game: CostGame, tracker, move) -> StrategySpec:
         return t if t is not None else succ[v][0][0]
 
     return strategy_from_product(game, 1, (0, tracker.initial_r(game.initial)), upd, nxt)
+
+
+def _first_levels(game: CostGame, tracker, move, share) -> dict[int, int]:
+    """v → o_v, the least o with (v, o, r_v) reachable from the initial
+    state under ``move`` (see ``_reset_spoiler``), for every v that the
+    spoiler's plays reach by an overflow.
+
+    A step that does not overflow keeps o, and one that does enters
+    level o+1 at (t, r_t).  So level o's states are the closure of its
+    entry set, the (t, r_t) that level o−1's overflow steps reach,
+    under the steps that do not; the levels are walked in turn, each
+    over (v, r) pairs, and o_v is the first level that meets (v, r_v).
+    Within a class of ``share`` the closure is a function of the entry
+    set.  So the walk stops at a level o whose entry set repeats one of
+    an earlier level of its class: level o meets no (v, r_v) first, and
+    the spoiler's plays reach no level from o on.  They start at level
+    0, a step that does not overflow keeps the level, and an overflow
+    from a level below o lands at o_t ≤ o, which is not o.  Neither is
+    level n walked: a vertex first met there has o_v = n, the value
+    ``_reset_spoiler`` reads for a vertex missing here.
+    """
+    succ, owner, cost, n = game.successors, game.owner, game.edge_cost, game.n
+    update, initial_r = tracker.update, tracker.initial_r
+    o_min: dict[int, int] = {}
+
+    def walk(o, entry):
+        """Walks level o from ``entry``; returns the next one's entry set."""
+        up = set()
+        seen = set(entry)
+        stack = list(entry)
+        while stack:
+            v, r = stack.pop()
+            if v not in o_min and r == initial_r(v):
+                o_min[v] = o
+            if owner[v] == 1:
+                t = move(v, o, r)
+                moves = (succ[v][0][0] if t is None else t,)
+            else:
+                moves = [t for t, _ in succ[v]]
+            for t in moves:
+                _, r2, ovf = update(o, r, cost[(v, t)], t)
+                if ovf:
+                    up.add((t, r2))
+                elif (t, r2) not in seen:
+                    seen.add((t, r2))
+                    stack.append((t, r2))
+        return frozenset(up)
+
+    o, entry = 0, frozenset([(game.initial, initial_r(game.initial))])
+    cls, met = None, set()  # the class walked, the entry sets of its levels
+    while entry and o < n:
+        if share(o) != cls:
+            cls, met = share(o), set()
+        elif entry in met:
+            break
+        met.add(entry)
+        entry = walk(o, entry)
+        o += 1
+    return o_min
 
 
 def _least_bound(probe, lo: int, hi: int, guess=None):

@@ -516,7 +516,7 @@ def extract_player1_strategy(levels: BoundedCostResult) -> StrategySpec:
     strategy} instead of incrementing (see ``core._reset_spoiler``).
     """
     return _reset_spoiler(levels.game, Tracker(levels.game, levels.bound),
-                          levels.move_function(1))
+                          levels.move_function(1), levels._iterate_index)
 
 
 # --- finite-duration engine ---------------------------------------------------

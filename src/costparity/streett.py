@@ -691,7 +691,7 @@ def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
     reachable under the level solves' positional moves
     (``core._reset_spoiler``)."""
     return _reset_spoiler(levels.game, StreettTracker(levels.game, levels.bound),
-                          levels.move_function(1))
+                          levels.move_function(1), levels._iterate_index)
 
 
 # --- strategy verification ---------------------------------------------------------

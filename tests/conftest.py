@@ -109,13 +109,16 @@ def random_streett_game(rng):
     return StreettGame.from_pairs(owners, succ, pairs_q, pairs_p, 0)
 
 
-def random_cost_streett(rng):
-    n = rng.randint(1, 4)
-    d = rng.randint(1, 2)
+def random_cost_streett(rng, most: int = 4, pairs: int = 2, moves: int | None = None):
+    """A random cost-Streett game of 1 to ``most`` vertices and 1 to
+    ``pairs`` pairs, each vertex with 1 to ``moves`` successors (up to
+    all of them by default), costs 0–2."""
+    n = rng.randint(1, most)
+    d = rng.randint(1, pairs)
     verts = [(i, rng.randint(0, 1)) for i in range(n)]
     edges = []
     for i in range(n):
-        for t in rng.sample(range(n), rng.randint(1, n)):
+        for t in rng.sample(range(n), rng.randint(1, min(n, moves or n))):
             edges.append((i, t, tuple(rng.randint(0, 2) for _ in range(d))))
     pairs = [(set(v for v in range(n) if rng.random() < 0.4),
               set(v for v in range(n) if rng.random() < 0.4)) for _ in range(d)]
@@ -953,7 +956,8 @@ def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
     solved whole by ``solve_streett``.  Player 0's memory is the tracker
     state × her cell's state over the flat product, with her moves
     projected to the arena; Player 1 plays his cell's positional flat
-    moves, with the overflow counter reset as in ``core._reset_spoiler``."""
+    moves, with the overflow counter reset as in ``core._reset_spoiler``,
+    each level a class of its own."""
     red = full_streett_reduction(game, bound)
     sol = solve_streett(red.streett)
     tr = StreettTracker(game, bound)
@@ -966,7 +970,7 @@ def flat_streett_certificate(game: CostStreettGame, bound: int) -> StrategySpec:
             j = None if i is None else cell.move(i, cell.init(i))
             return None if j is None else red.states[j][0]
 
-        return _reset_spoiler(game, tr, move)
+        return _reset_spoiler(game, tr, move, lambda o: o)
     cell = sol.cells[0]
 
     def upd(label, ek):
@@ -1021,6 +1025,132 @@ def stepwise_streett_certificate(levels) -> StrategySpec:
 
     o0, r0 = tr.initial_state()
     return strategy_from_product(game, 0, (o0, r0, cell(o0).init(0)), upd, nxt)
+
+
+# --- oracles: the spoiler's o_min in one walk, and the merge with sorted unions --
+
+def walked_o_min(game, tracker, move, entries=None) -> dict[int, int]:
+    """o_min as ``core._reset_spoiler`` found it before it searched level
+    by level: v → the least o with (v, o, r_v) reachable under ``move``,
+    in one walk over every reachable (v, o, r) state, one copy of the
+    level graph per overflow value.  If ``entries`` is a dict, it
+    collects per level o the entry set the per-level search starts
+    from: the (t, r) pairs that overflow steps from level o−1 reach
+    ((v_I, r_{v_I}) at level 0)."""
+    succ = game.successors
+    owner = game.owner
+    cost = game.edge_cost
+    n = game.n
+    o0, r0 = tracker.initial_state()
+    start = (game.initial, o0, r0)
+    if entries is not None:
+        entries.setdefault(o0, set()).add((game.initial, r0))
+    seen = {start}
+    stack = [start]
+    o_min: dict[int, int] = {}
+    while stack:
+        v, o, r = stack.pop()
+        if r == tracker.initial_r(v):
+            o_min[v] = min(o, o_min.get(v, n))
+        if o >= n:
+            continue
+        if owner[v] == 1:
+            t = move(v, o, r)
+            moves = [t] if t is not None else [succ[v][0][0]]
+        else:
+            moves = [t for t, _ in succ[v]]
+        for t in moves:
+            o2, r2, ovf = tracker.update(o, r, cost[(v, t)], t)
+            if ovf and entries is not None:
+                entries.setdefault(o2, set()).add((t, r2))
+            key = (t, o2, r2)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return o_min
+
+
+def walked_reset_spoiler(game, tracker, move, entries=None) -> StrategySpec:
+    """``core._reset_spoiler`` with o_min from ``walked_o_min``."""
+    succ, cost, n = game.successors, game.edge_cost, game.n
+    o_min = walked_o_min(game, tracker, move, entries)
+
+    def upd(label, ek):
+        s, _, t = ek
+        o2, r2, ovf = tracker.update(label[0], label[1], cost[(s, t)], t)
+        return (o_min.get(t, n), r2) if ovf else (o2, r2)
+
+    def nxt(v, label):
+        t = move(v, *label)
+        return t if t is not None else succ[v][0][0]
+
+    return strategy_from_product(game, 1, (0, tracker.initial_r(game.initial)), upd, nxt)
+
+
+def reference_merge(moves: list[dict], steps: list[dict]) -> list[int]:
+    """``core._merge_compatible`` with a ``find`` function and a sorted
+    pair per union: the merge the inlined loop replaced.  It reads the
+    work factor from ``core._MERGE_WORK`` on each call, as the merge does."""
+    parent = list(range(len(moves)))
+    budget = core._MERGE_WORK * sum(len(m) + len(s) for m, s in zip(moves, steps))
+    work = 0
+    log: list = []  # undo: (table, key) of an added entry, (None, label) of a parent set
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(a, b) -> bool:
+        nonlocal work
+        pending = [(a, b)]
+        while pending:
+            a, b = sorted(map(find, pending.pop()))
+            if a == b:
+                continue
+            work += 1
+            if work > budget:
+                return False
+            parent[b] = a
+            log.append((None, b))
+            move, step = moves[a], steps[a]
+            for v, t in moves[b].items():
+                u = move.get(v)
+                if u is None:
+                    move[v] = t
+                    log.append((move, v))
+                elif u != t:
+                    return False
+            for ek, j in steps[b].items():
+                k = step.get(ek)
+                if k is None:
+                    step[ek] = j
+                    log.append((step, ek))
+                else:
+                    pending.append((k, j))
+        return True
+
+    classes: list[int] = []
+    for x in range(len(moves)):
+        if work > budget:
+            break
+        if find(x) != x:
+            continue  # forced into the class of an earlier label
+        for c in classes:
+            if parent[c] == c and union(c, x):
+                break
+            while log:
+                table, k = log.pop()
+                if table is None:
+                    parent[k] = k
+                else:
+                    del table[k]
+            if work > budget:
+                break
+        else:
+            classes.append(x)
+        log.clear()
+    return [find(i) for i in range(len(moves))]
 
 
 # --- oracle: certificates tabulated without merging ---------------------------

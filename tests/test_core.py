@@ -1,3 +1,5 @@
+import copy
+import itertools
 import math
 import random
 from collections import Counter
@@ -5,12 +7,14 @@ from collections import Counter
 import pytest
 
 from conftest import (dead_state_tabulation, parity_optimal_corpus, random_cost_game,
-                      random_cost_streett)
-from costparity import (BudgetExceededError, Edge, FormatError, Vertex, core,
+                      random_cost_streett, reference_merge, walked_o_min,
+                      walked_reset_spoiler, with_pass_through)
+from costparity import (BudgetExceededError, Edge, FormatError, Vertex, cli, core,
                         decide_bounded_cost, export_dot, format_cpg, format_strat,
                         generators, make_game, optimal_cost, parse_cpg, parse_strat,
                         solver, streett, subdivide_costs, validate_game)
 from costparity.core import CostGame, strategy_from_functions, validate_strategy
+from costparity.reduction import Tracker
 from costparity.semantics import spoiler_cost, strategy_cost
 
 
@@ -313,6 +317,214 @@ def test_a_merge_out_of_work_stays_exact(monkeypatch):
     assert unbounded.size < cert.size < unmerged.size
     assert streett.streett_strategy_cost(g, cert) == \
         streett.streett_strategy_cost(g, unmerged) == opt.value
+
+
+def _merged(merge, moves, steps):
+    """``merge`` run on copies of the tables: (the roots, the merged
+    moves and steps as item lists, in their order)."""
+    moves, steps = copy.deepcopy(moves), copy.deepcopy(steps)
+    root = merge(moves, steps)
+    return root, [list(m.items()) for m in moves], [list(s.items()) for s in steps]
+
+
+def _random_merge_tables(rng):
+    """Random tabulation input: per label a few moves out of two per
+    vertex and a few steps to random labels, so that some merges hold
+    and some conflict."""
+    size = rng.randint(2, 40)
+    moves = [{v: rng.randrange(2) for v in rng.sample(range(6), rng.randint(0, 4))}
+             for _ in range(size)]
+    steps = [{(0, 0, ek): rng.randrange(size) for ek in rng.sample(range(8), rng.randint(0, 4))}
+             for _ in range(size)]
+    return moves, steps
+
+
+def test_merge_equals_the_reference_merge(monkeypatch):
+    """The merge against ``conftest.reference_merge``, the loop with a
+    ``find`` function and sorted pairs that it replaced: equal roots and
+    equal merged tables on the tabulation inputs of every certificate
+    the ``families-cli`` benchmark writes (the families' optimal
+    witnesses), of the Streett counter's d=2 optimal search and of its
+    d=3 spoiler at 22, and on 600 random tables, two thirds of them with
+    a work factor of 1 or 2 instead of 4.  An input runs out of work
+    when an unbounded merge gives other roots: the d=2 witness does,
+    and so do some random tables."""
+    inputs = []
+    real = core._merge_compatible
+
+    def recorded(moves, steps):
+        inputs.append(copy.deepcopy((moves, steps)))
+        return real(moves, steps)
+
+    monkeypatch.setattr(core, "_merge_compatible", recorded)
+    for family, d in (("p0mem", 1), ("p0mem", 2), ("p0mem", 3), ("p1mem", 3), ("p1mem", 4),
+                      ("p1trade", 3), ("bintrade", 2), ("bintrade", 3)):
+        optimal_cost(parse_cpg(format_cpg(cli._FAMILIES[family](d).game)))
+    witness = streett.optimal_cost_streett(generators.streett_counter_family(2).game).witness
+    witness_input = inputs[-1]
+    spoiler = streett.decide_bounded_cost_streett(generators.streett_counter_family(3).game, 22)
+    assert spoiler.certificate.player == 1 and witness.player == 0
+    monkeypatch.setattr(core, "_merge_compatible", real)
+
+    def out_of_work(moves, steps, root):
+        with monkeypatch.context() as m:
+            m.setattr(core, "_MERGE_WORK", 10 ** 9)
+            return _merged(reference_merge, moves, steps)[0] != root
+
+    seen = Counter()
+    for moves, steps in inputs:
+        got = _merged(real, moves, steps)
+        assert got == _merged(reference_merge, moves, steps)
+        seen["merged", len(set(got[0])) < len(moves)] += 1
+    assert out_of_work(*witness_input, _merged(real, *witness_input)[0])
+    rng = random.Random(71)
+    for k in range(600):
+        moves, steps = _random_merge_tables(rng)
+        with monkeypatch.context() as m:
+            m.setattr(core, "_MERGE_WORK", (1, 2, 4)[k % 3])
+            got = _merged(real, moves, steps)
+            assert got == _merged(reference_merge, moves, steps)
+            seen["random merged", len(set(got[0])) < len(moves)] += 1
+            seen["random out of work"] += out_of_work(moves, steps, got[0])
+    assert len(inputs) == seen["merged", True] == 10, seen
+    assert seen["random merged", True] >= 300 and seen["random out of work"] >= 50, seen
+
+
+class _CountedTracker:
+    """A tracker that counts its update steps."""
+
+    def __init__(self, tracker):
+        self.tracker = tracker
+        self.updates = 0
+
+    def update(self, *args):
+        self.updates += 1
+        return self.tracker.update(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.tracker, name)
+
+
+def _stop(entries, share, n):
+    """Where the per-level search stops, read off the walk's entry sets:
+    (the first level below n whose entry set repeats one of an earlier
+    level of its class of ``share``, the distance between the two), or
+    None if it walks every level up to n or to an empty entry set."""
+    cls, first = None, {}
+    for o in range(n):
+        entry = frozenset(entries.get(o, ()))
+        if not entry:
+            return None
+        if share(o) != cls:
+            cls, first = share(o), {}
+        if entry in first:
+            return o, o - first[entry]
+        first[entry] = o
+    return None
+
+
+def _lost_decisions(rng, count):
+    """(game, lost decision) pairs: random cost-parity (unary and
+    binary) and cost-Streett games, half with pass-through vertices
+    added, at bounds 0–4, until ``count`` decisions are lost."""
+    lost = 0
+    for k in itertools.count():
+        streett_game = k % 2
+        if streett_game:
+            g = random_cost_streett(rng)
+        elif k % 3:
+            g = random_cost_game(rng, rng.randint(1, 5), 4)
+        else:
+            g = random_cost_game(rng, rng.randint(1, 5), 4, max_cost=3, encoding="binary")
+        if k % 4 < 2:
+            g = with_pass_through(rng, g)
+        decide = streett.decide_bounded_cost_streett if streett_game else decide_bounded_cost
+        res = decide(g, rng.randint(0, 4))
+        if not res.achievable:
+            yield g, res
+            lost += 1
+            if lost == count:
+                return
+
+
+def _check_o_min(g, tracker, move, share, *certs):
+    """Checks the spoiler certificate of ``move``, and ``certs``, against
+    the walk's (``conftest.walked_reset_spoiler``), and that the
+    per-level search makes fewer tracker steps than the walk exactly
+    when it stops at a repeated entry set: else it expands the same
+    states.  Returns where it stops (``_stop``) and the walk's o_min."""
+    walked, levelled = _CountedTracker(tracker), _CountedTracker(tracker)
+    entries: dict = {}
+    old = walked_reset_spoiler(g, walked, move, entries)
+    new = core._reset_spoiler(g, levelled, move, share)
+    for cert in (new, *certs):
+        assert (cert.player, cert.initial) == (old.player, old.initial) == (1, 0)
+        assert (cert.states, cert.update, cert.next_move) == \
+            (old.states, old.update, old.next_move)
+    # both tabulate the same table, so the difference is the searches'
+    saved = walked.updates - levelled.updates
+    stop = _stop(entries, share, g.n)
+    assert saved > 0 if stop else saved == 0, (g, stop, saved)
+    return stop, walked_o_min(g, tracker, move)
+
+
+def test_spoiler_o_min_level_by_level_equals_the_walk():
+    """The spoiler certificate, with o_min found one overflow level at a
+    time, against the walk over every (v, o, r) state: equal states,
+    updates and moves on 1,200 random lost decisions and on the Streett
+    counter d=3 at 22, the decisions' own certificates included.
+    Decisions of 1, 2 and 3 iterates, stops at repeats of period 1 and
+    2 and decisions that walk every level all occur."""
+    seen = Counter()
+    cases = list(_lost_decisions(random.Random(67), 1200))
+    counter = generators.streett_counter_family(3).game
+    cases.append((counter, streett.decide_bounded_cost_streett(counter, 22)))
+    for g, res in cases:
+        make = streett.StreettTracker if isinstance(g, streett.CostStreettGame) else Tracker
+        stop, _ = _check_o_min(g, make(g, res.bound), res.move_function(1), res._iterate_index,
+                               res.certificate)
+        seen["iterates", len(res.iterates)] += 1
+        seen["period", stop and stop[1]] += 1
+    assert stop == (2, 1)  # the counter: level 2 repeats level 1
+    assert all(seen["iterates", k] >= 20 for k in (1, 2, 3)), seen
+    assert all(seen["period", p] >= 10 for p in (1, 2, None)), seen
+
+
+def test_spoiler_o_min_stops_within_any_level_classes():
+    """The same against the walk on 2,000 random games, with and without
+    pass-through vertices, at bounds 0–2: Player 1's moves a fixed
+    function of (v, r) and the level's class, the levels partitioned
+    at random into runs.  Searches stop at repeats of period 1 and 2,
+    in classes after the first, and before levels where the walk still
+    meets vertices first: the spoiler's plays never reach them."""
+    rng = random.Random(73)
+    seen = Counter()
+    for k in range(2000):
+        if k % 2:
+            g = random_cost_streett(rng)
+            make = streett.StreettTracker
+        else:
+            g = random_cost_game(rng, rng.randint(1, 5), 4)
+            make = Tracker
+        if k % 4 < 2:
+            g = with_pass_through(rng, g)
+        cuts = sorted(rng.sample(range(1, g.n + 1), rng.randint(0, min(3, g.n))))
+
+        def share(o, cuts=cuts):
+            return sum(o >= c for c in cuts)
+
+        def move(v, o, r, g=g, salt=k):
+            row = g.successors[v]
+            return row[hash((salt, v, r, share(o))) % len(row)][0]
+
+        stop, o_min = _check_o_min(g, make(g, rng.randint(0, 2)), move, share)
+        if stop:
+            level, period = stop
+            seen["period", period] += 1
+            seen["stop in a later class"] += share(level) > 0
+            seen["met first after the stop"] += max(o_min.values()) > level
+    assert seen["period", 1] >= 100 and seen["period", 2] >= 5, seen
+    assert seen["stop in a later class"] >= 100 and seen["met first after the stop"] >= 50, seen
 
 
 def test_least_bound_searches_upward_with_few_probes():

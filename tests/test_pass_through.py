@@ -15,8 +15,8 @@ from collections import Counter
 from conftest import (FullParityLevels, FullStreettLevels, layered_corpus, oracle_pass_through,
                       random_cost_game, random_cost_streett, stepwise_streett_certificate,
                       with_pass_through)
-from costparity import decide_bounded_cost
-from costparity.core import DEFAULT_PRODUCT_BUDGET
+from costparity import decide_bounded_cost, streett
+from costparity.core import DEFAULT_PRODUCT_BUDGET, Vertex
 from costparity.reduction import Tracker
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.streett import (CostStreettGame, StreettEdge, StreettTracker,
@@ -202,3 +202,101 @@ def test_engine_equals_the_full_level_product_with_chains():
         seen[type(g).__name__, res.achievable] += 1
     assert seen["skipped"] > 10_000 and min(seen.values()) >= 100, seen
     assert differs == {"better": 55, "worse": 41}, differs
+
+
+def _cells_along_level_moves(res, initial, upd, nxt) -> Counter:
+    """Walks the plays consistent with Player 0's Streett certificate,
+    given by its initial label and its functions ``upd`` and ``nxt``,
+    beside an oracle that steps the cell of the level serving o once
+    per level move, as the play leaves the move's source node: the
+    move's target is ``succ[i][k]`` for the arena move's hop k, and a
+    play inside a walked chain is at no node and steps nothing.  On an
+    overflow it restarts as the certificate does, at the node of the
+    target's exit.  At every vertex that is not pass-through the label
+    must carry the oracle's (o, r, cell state).  Counts the oracle's
+    steps out of a pass-through node, and of the initial node, that
+    change the cell state."""
+    g = res.game
+    tr = StreettTracker(g, res.bound)
+    through, exits, index = g.pass_through, g.exits, res.index
+    hop = {(u, t): k for u, row in g.successors.items() for k, (t, _) in enumerate(row)}
+    cells = {}
+
+    def cell(o):
+        if o not in cells:
+            cells[o] = None if o >= g.n else res.level_solve(res._iterate_index(o))[0]
+        return cells[o]
+
+    def step(state, u, t):
+        o, r, s, i = state
+        o2, r2, overflowed = tr.update(o, r, g.edge_cost[(u, t)], t)
+        if overflowed:
+            if t in through and exits[t][0][0] not in through:
+                t = exits[t][0][0]
+            c, j = cell(o2), index.get((t, tr.initial_r(t)))
+            return (o2, r2, None if c is None or j is None else c.init(j), j), None
+        if i is None or res.nodes[i][0] != u:
+            return (o2, r2, s, i), None
+        c, j = cell(o), res.succ[i][hop[(u, t)]]
+        s2 = None if c is None or s is None else c.step(s, j)
+        changed = u in through and s2 != s and ("initial" if i == 0 else "kept node")
+        return (o2, r2, s2, j), changed
+
+    o0, r0 = tr.initial_state()
+    start = (g.initial, initial, (o0, r0, cell(o0).init(0), 0))
+    seen, stack, counts = {start}, [start], Counter()
+    while stack:
+        v, label, state = stack.pop()
+        if v not in through:
+            assert label == state[:3], (g, res.bound, v, label, state)
+            counts["compared"] += 1
+        targets = [nxt(v, label)] if g.owner[v] == 0 else [t for t, _ in g.successors[v]]
+        for t in targets:
+            state2, changed = step(state, v, t)
+            counts[changed] += 1
+            key = (t, upd(label, g.update_key[(v, t)]), state2)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return counts
+
+
+def _with_initial_in_front(g: CostStreettGame) -> CostStreettGame:
+    """``g`` with a new initial vertex, pass-through, leading to the old one."""
+    v = g.n
+    return CostStreettGame(g.vertices + (Vertex(v, 0, 0),),
+                           g.edges + (StreettEdge(v, g.initial, (1,) * g.d),), g.pairs, v)
+
+
+def test_player0_cells_step_along_every_level_move(monkeypatch):
+    # Player 0's Streett certificate on games with chains: at every
+    # vertex that is not pass-through, each label carries the cell state
+    # that stepping the cell once per level move gives, also after the
+    # moves of pass-through nodes that a move's chain keeps and after a
+    # pass-through initial vertex
+    tabulations = []
+    real = streett.strategy_from_product
+
+    def recorded(*args):
+        tabulations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(streett, "strategy_from_product", recorded)
+    rng = random.Random(61)
+    seen = Counter()
+    for k in range(800):
+        # a step out of the initial node changes the cell state in about
+        # 1% of the won decisions on the larger games, and was not seen
+        # to on the small ones
+        g = random_cost_streett(rng, 6, 3, 3) if k % 2 else random_cost_streett(rng)
+        g = with_pass_through(rng, g)
+        if g.initial not in g.pass_through:
+            g = _with_initial_in_front(g)
+        for b in range(6):
+            res = decide_bounded_cost_streett(g, b)
+            if res.achievable:
+                assert res.certificate.player == 0
+                (_, _, initial, upd, nxt), = tabulations
+                seen += _cells_along_level_moves(res, initial, upd, nxt)
+                tabulations.clear()
+    assert seen["initial"] >= 10 and seen["kept node"] >= 100, seen
