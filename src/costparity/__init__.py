@@ -6,9 +6,6 @@ from .core import (BINARY, UNARY, BudgetExceededError, CostGame, Edge,
                    subdivide_costs, validate_game, validate_strategy)
 from .semantics import (INF, Lasso, answers, cor, play_cost, spoiler_cost,
                         strategy_cost)
-from .reduction import (SettleVerdict, TrackedPrefix, classify_cycle, dominates,
-                        relevant_requests, settled, settled_bound,
-                        shortcut_step, track_play)
 from .solver import (BoundedCostResult, FiniteDurationResult, OptimalResult,
                      ParityGame, SolveResult, decide_bounded_cost,
                      decide_bounded_cost_finite_duration,

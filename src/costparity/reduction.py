@@ -13,8 +13,8 @@ request word of open bits and cost fields, whose step is a few table
 lookups and integer operations; the table of fields words is shared by
 every tracker with the same number of pairs and field width, since its
 entries do not depend on the bound.  Code that reads single entries
-(``TrackedPrefix``, the prefix rules' cycle tests and shortcut,
-``dominates``) works on the tuple of ⊥ or costs that ``unpack`` gives.
+(the prefix rules' cycle tests and shortcut) works on the tuple of ⊥ or
+costs that ``unpack`` gives.
 
 On top of the tracking sit the domination preorder ⊑, dominating
 cycles, settled prefixes, the shortcut rule for binary-cost games, and
@@ -26,17 +26,15 @@ no request, no answer) in one move; ``unroll`` flattens the copies for
 the classical Streett reduction, and the verifier's spoiler probes run
 on it too.
 The settle and shortcut rules exist once, on an incremental prefix
-(``_PrefixStack``) that ``settled``, ``shortcut_step`` and the
-finite-duration engine in ``solver`` share.
+(``_PrefixStack``) that the finite-duration engine in ``solver`` grows
+and shrinks: its verdict is the winner of a settled prefix.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import BINARY, UNARY, BudgetExceededError, CostGame, Edge
+from .core import BINARY, BudgetExceededError, CostGame
 
 BOT = None  # ⊥
 
@@ -55,41 +53,18 @@ def _relevant_mask(values: Sequence[int | None]) -> int:
 
 
 def _r_dominated(values_a: Sequence[int | None], values_b: Sequence[int | None]) -> bool:
-    """r_a ⊑ r_b on aligned value tuples."""
-    mask_b = _relevant_mask(values_b)
-    suffix_best = -1
-    ok = True
-    mask_a = _relevant_mask(values_a)
+    """r_a ⊑ r_b on aligned value tuples: every relevant request of r_a
+    is covered by a relevant request of r_b at least as large in index
+    and incurred cost.  On memory states, (o, r) ⊑ (o', r') iff o < o',
+    or o = o' and r ⊑ r'."""
+    mask_a, mask_b = _relevant_mask(values_a), _relevant_mask(values_b)
+    best = -1  # the largest relevant entry of r_b at index i or above
     for i in range(len(values_a) - 1, -1, -1):
-        if mask_b >> i & 1:
-            val = values_b[i]
-            if val is not None and val > suffix_best:
-                suffix_best = val
-        if mask_a >> i & 1 and values_a[i] > suffix_best:
-            ok = False
-            break
-    return ok
-
-
-def relevant_requests(r: Mapping[int, int | None]) -> frozenset[int]:
-    """{c : r(c) ≠ ⊥ and no c' > c has r(c') ≥ r(c)}."""
-    colors = sorted(r)
-    mask = _relevant_mask([r[c] for c in colors])
-    return frozenset(c for i, c in enumerate(colors) if mask >> i & 1)
-
-
-def dominates(a: tuple[int, tuple], b: tuple[int, tuple]) -> bool:
-    """(o, r) ⊑ (o', r'): larger overflow dominates; at equal overflow
-    every relevant request of r is covered by a relevant request of r'
-    that is at least as large in color and incurred cost.  r and r' are
-    tuples (``unpack`` of one tracker's words), compared entry by entry;
-    only a difference in length is caught."""
-    (oa, ra), (ob, rb) = a, b
-    if oa != ob:
-        return oa < ob
-    if len(ra) != len(rb):
-        raise ValueError("request functions over different color sets")
-    return _r_dominated(ra, rb)
+        if mask_b >> i & 1 and values_b[i] > best:
+            best = values_b[i]
+        if mask_a >> i & 1 and values_a[i] > best:
+            return False
+    return True
 
 
 # open mask → fields word, one table per (d, field width), shared by
@@ -215,115 +190,26 @@ class _RequestTracker:
 
 
 class Tracker(_RequestTracker):
-    """The tracker of a cost-parity game: r is indexed by the odd colors
-    ``colors`` (read off ``game`` on use, so an arena without colors
-    works too), and one edge cost applies to every pair."""
-
-    @property
-    def colors(self) -> tuple[int, ...]:
-        return self.game.odd_colors
+    """The tracker of a cost-parity game: entry i of r belongs to the
+    i-th odd color in ascending order (``game.odd_colors``), and one
+    edge cost applies to every pair."""
 
     def _packed(self, cost: int) -> int:
         return min(cost, self.bound + 1) * self._ones
 
 
-# --- annotated prefixes, dominating cycles, settledness ---------------------
-
-@dataclass(frozen=True)
-class TrackedPrefix:
-    """Play prefix annotated with memory states and transition costs.
-
-    ``costs[i]`` is the cost charged for the step into position i
-    (0 at position 0); shortcuts inflate it by their fast-forward
-    amount.  ``via_shortcut[i]`` marks shortcut destinations.
-    """
-
-    vertices: tuple[int, ...]
-    overflows: tuple[int, ...]
-    requests: tuple[tuple, ...]
-    costs: tuple[int, ...]
-    via_shortcut: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def state_at(self, i: int) -> tuple[int, tuple]:
-        """The memory state (o, r) at position i."""
-        return self.overflows[i], self.requests[i]
-
-    def extended(self, v: int, o: int, r: tuple, cost: int,
-                 shortcut: bool = False) -> "TrackedPrefix":
-        return TrackedPrefix(self.vertices + (v,), self.overflows + (o,),
-                             self.requests + (r,), self.costs + (cost,),
-                             self.via_shortcut + (shortcut,))
-
-
-def start_prefix(game: CostGame, bound: int) -> TrackedPrefix:
-    tr = Tracker(game, bound)
-    o, r = tr.initial_state()
-    return TrackedPrefix((game.initial,), (o,), (tr.unpack(r),), (0,), (False,))
-
-
-def track_play(game: CostGame, bound: int, vertices: Sequence[int]) -> TrackedPrefix:
-    """Annotate a concrete vertex sequence (no shortcuts applied)."""
-    if list(vertices[:1]) != [game.initial]:
-        raise ValueError("prefix must start at the initial vertex")
-    tr = Tracker(game, bound)
-    prefix = start_prefix(game, bound)
-    o, r = tr.initial_state()
-    for u, v in zip(vertices, vertices[1:]):
-        w = game.edge_cost.get((u, v))
-        if w is None:
-            raise ValueError(f"missing edge {u}->{v}")
-        o, r, _ = tr.update(o, r, w, v)
-        prefix = prefix.extended(v, o, tr.unpack(r), w)
-    return prefix
-
-
-@dataclass(frozen=True)
-class SettleVerdict:
-    kind: str  # unsettled | saturated | even_cycle | odd_cycle | shortcut_settled
-    start: int | None = None
-    end: int | None = None
-    parity: str | None = None  # even | odd, for shortcut_settled
-
-    @property
-    def settled(self) -> bool:
-        return self.kind != "unsettled"
-
-    @property
-    def winner(self) -> int | None:
-        if self.kind == "unsettled":
-            return None
-        if self.kind == "even_cycle" or (self.kind == "shortcut_settled" and self.parity == "even"):
-            return 0
-        return 1
-
+# --- dominating cycles and settled prefixes ---------------------------------
 
 def _cycle_kind(color: Mapping[int, int], vertices: Sequence[int], k: int, k2: int,
-                start: tuple, end: tuple) -> str:
-    """even/odd dominating-cycle test of the infix k..k2, whose ends
-    share vertex and overflow below saturation and carry the request
-    tuples ``start`` and ``end``; or none."""
+                start: tuple, end: tuple) -> int | None:
+    """The winner of the infix k..k2 if it is a dominating cycle: 0 for
+    an even one, 1 for an odd one, else None.  Its ends share vertex and
+    overflow below saturation and carry the request tuples ``start`` and
+    ``end``."""
     top = max(color[vertices[i]] for i in range(k, k2 + 1))
     if top % 2 == 0:
-        return "even" if _r_dominated(end, start) else "none"
-    return "odd" if _r_dominated(start, end) else "none"
-
-
-def classify_cycle(game: CostGame, bound: int, prefix: TrackedPrefix, k: int, k2: int) -> str:
-    """even/odd dominating-cycle classification of the infix k..k2, or none."""
-    if not 0 <= k < k2 < len(prefix):
-        raise IndexError(f"bad cycle indices {k}, {k2}")
-    if prefix.vertices[k] != prefix.vertices[k2]:
-        return "none"
-    if prefix.overflows[k] != prefix.overflows[k2] or prefix.overflows[k] >= game.n:
-        return "none"
-    return _cycle_kind(game.color, prefix.vertices, k, k2, prefix.requests[k],
-                       prefix.requests[k2])
-
-
-_UNSETTLED = SettleVerdict("unsettled")
+        return 0 if _r_dominated(end, start) else None
+    return 1 if _r_dominated(start, end) else None
 
 
 class _PrefixStack:
@@ -331,14 +217,13 @@ class _PrefixStack:
     what the settle and shortcut rules read: the positions of each
     (vertex, overflow) in ascending order, cumulative costs, relevance
     masks, and the start of each maximal run of equal relevance masks.
-    ``settled``, ``shortcut_step`` and the finite-duration engine all
-    run on it.  Its request functions are the tracker's words, unpacked
-    only where entries are read: the cycle tests of ``verdict`` and, in
-    binary games, the relevance masks and the shortcut."""
+    The finite-duration engine runs on it.  Its request functions are
+    the tracker's words, unpacked only where entries are read: the cycle
+    tests of ``verdict`` and, in binary games, the relevance masks and
+    the shortcut."""
 
     def __init__(self, game: CostGame, bound: int):
         self.tracker = Tracker(game, bound)
-        self.bound = bound
         self.binary = game.encoding == BINARY
         self.n = game.n
         self.color = game.color
@@ -348,11 +233,9 @@ class _PrefixStack:
         self.cum: list[int] = []
         self.relm: list[int] = []
         self.runstart: list[int] = []
-        self.via: list[bool] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
-    def push(self, v: int, o: int, r: int, cost: int, shortcut: bool = False,
-             m: int | None = None) -> None:
+    def push(self, v: int, o: int, r: int, cost: int, m: int | None = None) -> None:
         """Pushes position (v, o, r) reached at ``cost``; ``m`` is the
         relevance mask of r if known (``step`` gives it), read in binary
         games only."""
@@ -365,21 +248,21 @@ class _PrefixStack:
         self.cum.append(self.cum[-1] + cost if i else cost)
         self.runstart.append(self.runstart[-1] if i and self.relm[-1] == m else i)
         self.relm.append(m)
-        self.via.append(shortcut)
         self.buckets.setdefault((v, o), []).append(i)
 
     def pop(self) -> None:
         self.buckets[(self.vertices.pop(), self.overflows.pop())].pop()
-        for column in (self.requests, self.cum, self.relm, self.runstart, self.via):
+        for column in (self.requests, self.cum, self.relm, self.runstart):
             column.pop()
 
-    def verdict(self) -> SettleVerdict:
-        """Saturation at the top position, or the dominating cycle that
-        ends there with the earliest start; else unsettled."""
+    def verdict(self) -> int | None:
+        """The winner of the prefix once it is settled, else None: 1 at
+        saturation of the top position, or the winner of the dominating
+        cycle that ends there with the earliest start."""
         i = len(self.vertices) - 1
         o = self.overflows[i]
         if o == self.n:
-            return SettleVerdict("saturated", end=i)
+            return 1
         unpack, requests = self.tracker.unpack, self.requests
         end = None
         for k in self.buckets[(self.vertices[i], o)]:
@@ -387,30 +270,30 @@ class _PrefixStack:
                 break
             if end is None:
                 end = unpack(requests[i])
-            kind = _cycle_kind(self.color, self.vertices, k, i, unpack(requests[k]), end)
-            if kind != "none":
-                if self.via[i]:
-                    return SettleVerdict("shortcut_settled", k, i, parity=kind)
-                return SettleVerdict(f"{kind}_cycle", k, i, parity=kind)
-        return _UNSETTLED
+            winner = _cycle_kind(self.color, self.vertices, k, i, unpack(requests[k]), end)
+            if winner is not None:
+                return winner
+        return None
 
-    def step(self, t: int, w: int) -> tuple[int, int, int, bool, int]:
+    def step(self, t: int, w: int) -> tuple[int, int, int, int]:
         """The move from the top position to t at cost w: (o', r', the
-        charged cost, whether the shortcut fired, the relevance mask of
-        r' in a binary game, else 0), r' a request word, so ``push``
-        takes it as it is.  In a binary game the shortcut fast-forwards
-        the latest cycle back to (t, o') that has positive cost, keeps the
-        relevance mask of r' throughout and fits one more traversal under
-        the bound; adding one amount to every open entry keeps the mask."""
-        b = self.bound
+        charged cost, the relevance mask of r' in a binary game, else 0),
+        r' a request word, so ``push`` takes it as it is.  In a binary
+        game the shortcut fast-forwards the latest cycle back to (t, o')
+        that has positive cost, keeps the relevance mask of r' throughout
+        and fits one more traversal under the bound: it adds s·k to every
+        open entry, s the cycle's cost and k maximal with c* + s·k ≤ b
+        for the largest open entry c* (one amount added to every open
+        entry keeps the mask), and charges w + s·k."""
         tr = self.tracker
+        b = tr.bound
         o2, r2, _ = tr.update(self.overflows[-1], self.requests[-1], w, t)
         if not self.binary:
-            return o2, r2, w, False, 0
+            return o2, r2, w, 0
         values = tr.unpack(r2)
         m2 = _relevant_mask(values)
         if not m2:
-            return o2, r2, w, False, 0
+            return o2, r2, w, 0
         top = len(self.vertices) - 1
         lo = self.runstart[top] if self.relm[top] == m2 else top + 1
         cstar = max(x for x in values if x is not None)
@@ -421,59 +304,8 @@ class _PrefixStack:
             if s > 0 and cstar + s <= b:
                 times = (b - cstar) // s
                 rstar = tr.pack(tuple(x if x is None else x + s * times for x in values))
-                return o2, rstar, w + s * times, True, m2
-        return o2, r2, w, False, m2
-
-
-def _positions(stack: _PrefixStack, prefix: TrackedPrefix):
-    """(vertex, overflow, request word, cost, via_shortcut) per position
-    of ``prefix``, its request tuples packed by the stack's tracker."""
-    return zip(prefix.vertices, prefix.overflows, map(stack.tracker.pack, prefix.requests),
-               prefix.costs, prefix.via_shortcut)
-
-
-def settled(game: CostGame, bound: int, prefix: TrackedPrefix) -> SettleVerdict:
-    """Minimal verdict of a prefix: saturated overflow, or the first
-    dominating cycle found scanning ends (and, per end, starts) upward."""
-    stack = _PrefixStack(game, bound)
-    for position in _positions(stack, prefix):
-        stack.push(*position)
-        verdict = stack.verdict()
-        if verdict.settled:
-            return verdict
-    return _UNSETTLED
-
-
-def settled_bound(game: CostGame) -> int:
-    """ℓ = (n+1)^6 for unary games; (⌈log₂(nW)⌉+1)·(n+1)^6 for binary."""
-    base = (game.n + 1) ** 6
-    if game.encoding == UNARY:
-        return base
-    nw = max(1, game.n * game.max_cost)
-    return (math.ceil(math.log2(nw)) + 1) * base
-
-
-def shortcut_step(game: CostGame, bound: int, prefix: TrackedPrefix,
-                  edge: Edge) -> TrackedPrefix:
-    """Extend a prefix by one move, fast-forwarding a shortcut cycle when
-    the criterion mandates it.
-
-    The criterion holds for the infix from j' to the new position if the
-    arena vertex and overflow repeat, the relevant requests are stable
-    and non-empty throughout, the infix has positive cost, and another
-    full traversal would still not overflow; the maximal such j' is
-    taken.  The fast-forward adds s·t to every open request, where s is
-    the infix cost and t is maximal with r'(c*) + s·t ≤ b.
-    """
-    if game.encoding != BINARY:
-        raise ValueError("shortcut_step is only meaningful for binary-encoded games")
-    if edge.source != prefix.vertices[-1]:
-        raise ValueError("edge does not extend the prefix")
-    stack = _PrefixStack(game, bound)
-    for position in _positions(stack, prefix):
-        stack.push(*position)
-    o, r, cost, shortcut, _ = stack.step(edge.target, edge.cost)
-    return prefix.extended(edge.target, o, stack.tracker.unpack(r), cost, shortcut)
+                return o2, rstar, w + s * times, m2
+        return o2, r2, w, m2
 
 
 # --- the tracked product ---------------------------------------------------

@@ -9,8 +9,8 @@ optimal cost is the least achievable bound, searched upward; on parity
 games one classical solve of the arena brackets it first.  An
 alternating search over annotated play prefixes stopped at settled
 prefixes (the finite-duration game, used as an oracle at small scale),
-which applies ``reduction``'s settle and shortcut rules, serves the
-tests as an independent reference.
+which runs ``reduction``'s settle and shortcut rules on one
+``_PrefixStack``, serves the tests as an independent reference.
 """
 
 from __future__ import annotations
@@ -539,37 +539,34 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
     Each branch stops at its minimal settled prefix: an even dominating
     cycle wins the branch for Player 0, saturation or an odd dominating
     cycle wins it for Player 1.  Binary-encoded games apply the shortcut
-    rule when generating successors.  Both rules are the ones
-    ``reduction.settled`` and ``shortcut_step`` apply, run incrementally
-    on one ``reduction._PrefixStack``.  The search is exact but only
-    intended for desk-scale oracle runs; it reports budget exhaustion
-    instead of guessing.
+    rule when generating successors.  Both rules run incrementally on
+    one ``reduction._PrefixStack``: ``step`` applies the shortcut, and
+    ``verdict`` is the winner of a settled prefix.  The search is exact
+    but only intended for desk-scale oracle runs; it reports budget
+    exhaustion instead of guessing.
     """
     require_valid(game)
     stack = _PrefixStack(game, clamp_bound(game, bound))
-    succ = game.successors
-    owner = game.owner
+    succ, owner = game.successors, game.owner
     nodes = 0
-    o, r = stack.tracker.initial_state()
-    stack.push(game.initial, o, r, 0)
+    stack.push(game.initial, *stack.tracker.initial_state(), 0)
 
-    # frames: [owner, moves, next-index, value]
+    # frames: [owner, moves, next-index, winner once the owner wins]
     frames: list[list] = [[owner[game.initial], succ[game.initial], 0, None]]
     result: Optional[bool] = None  # stays None when the budget runs out
     while frames:
         fr = frames[-1]
-        own, moves, idx, value = fr
-        if value is not None or idx >= len(moves):
-            if value is None:
-                value = own == 1  # all children lost for the mover
+        own, moves, idx, winner = fr
+        if winner is not None or idx >= len(moves):
+            if winner is None:
+                winner = 1 - own  # every move lost for the mover
             stack.pop()
             frames.pop()
             if not frames:
-                result = value
+                result = winner == 0
                 break
-            parent = frames[-1]
-            if (parent[0] == 0 and value) or (parent[0] == 1 and not value):
-                parent[3] = value
+            if frames[-1][0] == winner:
+                frames[-1][3] = winner
             continue
         fr[2] += 1
         t, w = moves[idx]
@@ -577,12 +574,11 @@ def decide_bounded_cost_finite_duration(game: CostGame, bound: int,
         if nodes > node_budget:
             break
         stack.push(t, *stack.step(t, w))
-        verdict = stack.verdict()
-        if verdict.settled:
+        winner = stack.verdict()
+        if winner is not None:
             stack.pop()
-            value = verdict.winner == 0
-            if (own == 0 and value) or (own == 1 and not value):
-                fr[3] = value
+            if winner == own:
+                fr[3] = winner
         else:
             frames.append([owner[t], succ[t], 0, None])
     return FiniteDurationResult(result, nodes)

@@ -17,7 +17,7 @@ from costparity import (QbfFormula, core, generators, make_game, qbf_to_game, re
                         streett)
 from costparity.core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, StrategySpec, Vertex,
                              _least_bound, _reset_spoiler, strategy_from_product)
-from costparity.reduction import Tracker, _LevelProduct
+from costparity.reduction import Tracker, _LevelProduct, _PrefixStack
 from costparity.semantics import INF, Lasso, _good_cycle, _sccs
 from costparity.solver import (ParityGame, _least_achievable, _ParityLevels, _solve_all,
                                clamp_bound, decide_bounded_cost)
@@ -397,6 +397,21 @@ def full_streett_reduction(game: CostStreettGame, bound: int) -> StreettReductio
     sg = StreettGame(tuple(game.owner[v] for v, _, _ in states), rows, qmask, pmask,
                      game.d + 1, 0)
     return StreettReduction(game, bound, sg, states, {st: i for i, st in enumerate(states)})
+
+
+def pushed_play(game, bound: int, vertices) -> _PrefixStack:
+    """The play ``vertices`` from the initial vertex on a
+    ``reduction._PrefixStack``, each step tracked at its edge's cost and
+    no shortcut taken."""
+    assert vertices[0] == game.initial
+    stack = _PrefixStack(game, bound)
+    o, r = stack.tracker.initial_state()
+    stack.push(game.initial, o, r, 0)
+    for u, v in zip(vertices, vertices[1:]):
+        w = game.edge_cost[(u, v)]
+        o, r, _ = stack.tracker.update(o, r, w, v)
+        stack.push(v, o, r, w)
+    return stack
 
 
 def parity_initial_r(game, vertex):

@@ -7,15 +7,14 @@ import itertools
 import random
 import time
 
-from conftest import delay_game, random_cost_game
+from conftest import delay_game, pushed_play, random_cost_game
 from costparity import (INF, QbfFormula, binary_tradeoff_family,
                         decide_bounded_cost, decide_bounded_cost_finite_duration,
                         eval_qbf, make_game, optimal_cost, p0_memory_family,
                         p1_memory_family, p1_tradeoff_family, qbf_to_game,
-                        settled_bound, streett_counter_family, subdivide_costs,
-                        track_play)
+                        streett_counter_family, subdivide_costs)
 from costparity.core import strategy_from_functions
-from costparity.reduction import Tracker, _r_dominated, _relevant_mask
+from costparity.reduction import Tracker, _PrefixStack, _r_dominated
 from costparity.semantics import spoiler_cost, strategy_cost
 from costparity.streett import (decide_bounded_cost_streett,
                                 optimal_cost_streett, streett_spoiler_cost,
@@ -42,12 +41,13 @@ def test_02_tracking_trace():
     costs = [0, 1, 1, 0, 1, 1, 1]
     g = make_game([(i, 0, c) for i, c in enumerate(colors)],
                   [(i, i + 1, w) for i, w in enumerate(costs)] + [(7, 7, 1)], 0)
-    prefix = track_play(g, 2, range(8))
+    stack = pushed_play(g, 2, range(8))
     table = [  # (o, r(1), r(3)) row for row
         (0, None, 0), (0, None, 0), (0, 0, 1), (0, 1, 2),
         (0, None, 2), (1, None, None), (1, 0, None), (1, 1, None)]
     for i, (o, r1, r3) in enumerate(table):
-        assert prefix.state_at(i) == (o, (r1, r3)), i
+        assert (stack.overflows[i], stack.tracker.unpack(stack.requests[i])) == \
+            (o, (r1, r3)), i
     assert time.time() - t0 < 1
     report(2, "request tracking reproduces the eight-step reference trace", t0)
 
@@ -230,12 +230,9 @@ def test_11_domination_stability():
         b = rng.randint(0, 2)
         tr = Tracker(g, b)
         values = [None] + list(range(b + 1))
-        rs = [()]
-        for _ in tr.colors:
-            rs = [r + (v,) for r in rs for v in values]
+        rs = list(itertools.product(values, repeat=tr.d))
         states = [(o, r) for o in range(g.n + 1) for r in rs]
         for o1, r1 in states:
-            rel1 = _relevant_mask(r1)
             for o2, r2 in states:
                 if o2 >= g.n:
                     continue
@@ -251,33 +248,37 @@ def test_11_domination_stability():
     report(11, f"⊑ stability under every edge, {checked_pairs} ⊑-pairs checked", t0)
 
 
-def _walk_settles(game, bound, rng, max_len):
+def _walk_settles(game, bound, rng, max_len, stack=None):
     """Random annotated walk with incremental settledness detection;
-    returns the number of steps taken before settling, or None."""
+    returns the number of steps taken before settling and the winner
+    (1 at saturation or on an odd dominating cycle, 0 on an even one),
+    or None.  A ``_PrefixStack`` given as ``stack`` takes every move too,
+    and its verdict must be the walk's at every step."""
     tr = Tracker(game, bound)
     o, r = tr.initial_state()
     verts = [game.initial]
-    os_ = [o]
     rs = [tr.unpack(r)]
     buckets = {(game.initial, o): [0]}
     color = game.color
-    n = game.n
+    if stack is not None:
+        stack.push(game.initial, o, r, 0)
     for step in range(1, max_len + 1):
         t, w = rng.choice(game.successors[verts[-1]])
         o, r, _ = tr.update(o, r, w, t)
         verts.append(t)
-        os_.append(o)
         rs.append(tr.unpack(r))
         i = len(verts) - 1
-        if o == n:
-            return step
-        for k in buckets.get((t, o), ()):
-            top = max(color[verts[j]] for j in range(k, i + 1))
-            if top % 2 == 0:
-                if _r_dominated(rs[i], rs[k]):
-                    return step
-            elif _r_dominated(rs[k], rs[i]):
-                return step
+        winner = 1 if o == game.n else None
+        for k in buckets.get((t, o), ()) if winner is None else ():
+            odd = max(color[verts[j]] for j in range(k, i + 1)) % 2
+            if _r_dominated(rs[k], rs[i]) if odd else _r_dominated(rs[i], rs[k]):
+                winner = odd
+                break
+        if stack is not None:
+            stack.push(t, *stack.step(t, w))
+            assert stack.verdict() == winner, (step, winner)
+        if winner is not None:
+            return step, winner
         buckets.setdefault((t, o), []).append(i)
     return None
 
@@ -289,13 +290,30 @@ def test_12_settledness_bound():
     for _ in range(20):
         g = random_cost_game(rng, rng.randint(1, 3), rng.randint(0, 4))
         b = rng.randint(0, 2)
-        limit = settled_bound(g) + 1
+        limit = (g.n + 1) ** 6 + 1  # ℓ + 1 for a unary game
         for _ in range(1000):
             assert _walk_settles(g, b, rng, limit) is not None
             walks += 1
     assert walks == 20_000
     assert time.time() - t0 < 300
     report(12, "20k random walks all settled within (n+1)^6 + 1 steps", t0)
+
+
+def test_12b_prefix_stack_verdicts_match_the_walk_oracle():
+    # the engine's prefix stack beside the oracle: no verdict, then its winner
+    t0 = time.time()
+    rng = random.Random(1202)
+    winners = [0, 0]
+    while sum(winners) < 2_000:
+        g = random_cost_game(rng, rng.randint(1, 4), rng.randint(0, 5))
+        b = rng.randint(0, 3)
+        for _ in range(40):
+            _, winner = _walk_settles(g, b, rng, (g.n + 1) ** 6 + 1, _PrefixStack(g, b))
+            winners[winner] += 1
+    assert min(winners) > 300, winners
+    assert time.time() - t0 < 120
+    report(12, f"prefix stack settles {sum(winners)} walks as the oracle does"
+               f" (winners 0/1: {winners[0]}/{winners[1]})", t0)
 
 
 def test_13_streett_counter_family():

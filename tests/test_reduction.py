@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -10,14 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import (check_span_tables, direct_tracked_product, flat_parity_game,
                       fresh_tracker, oracle_pass_through, parity_initial_r, parity_step,
-                      random_cost_game, random_cost_streett, streett_step, tracker_queries,
-                      walked_row, with_pass_through)
-from costparity import (INF, Edge, Vertex, classify_cycle, dominates, make_game, reduction,
-                        relevant_requests, semantics, settled, settled_bound, shortcut_step,
-                        track_play)
+                      pushed_play, random_cost_game, random_cost_streett, streett_step,
+                      tracker_queries, walked_row, with_pass_through)
+from costparity import INF, Vertex, make_game, reduction, semantics
 from costparity.generators import (QbfFormula, p1_memory_family, qbf_to_game,
                                     streett_counter_family)
-from costparity.reduction import Tracker, _LevelProduct, start_prefix
+from costparity.reduction import (Tracker, _cycle_kind, _LevelProduct, _PrefixStack,
+                                  _r_dominated, _relevant_mask)
 from costparity.solver import decide_bounded_cost
 from costparity.semantics import spoiler_cost
 from costparity.streett import (CostStreettGame, StreettEdge, StreettPair, StreettTracker,
@@ -29,7 +27,7 @@ def test_initial_request_function():
     g = make_game([(0, 0, 0), (1, 1, 3), (2, 0, 2), (3, 1, 1)],
                   [(i, (i + 1) % 4, 1) for i in range(4)], 0)
     tr = Tracker(g, 0)
-    assert tr.colors == (1, 3)
+    assert g.odd_colors == (1, 3)
     assert tr.unpack(tr.initial_r(0)) == (None, None)
     assert tr.unpack(tr.initial_r(1)) == (None, 0)
     assert tr.unpack(tr.initial_r(2)) == (None, None)
@@ -46,7 +44,7 @@ def eight_vertex_trace_game():
 def test_update_track_state_steps():
     g = eight_vertex_trace_game()
     tr = Tracker(g, 2)
-    assert tr.colors == (1, 3)
+    assert g.odd_colors == (1, 3)
 
     def step(o, r, w, t):
         o2, r2, overflowed = tr.update(o, tr.pack(r), w, t)
@@ -62,29 +60,40 @@ def test_update_track_state_steps():
 
 def test_track_play_reproduces_reference_rows():
     g = eight_vertex_trace_game()
-    prefix = track_play(g, 2, range(8))
+    stack = pushed_play(g, 2, range(8))
+    unpack = stack.tracker.unpack
     want_o = [0, 0, 0, 0, 0, 1, 1, 1]
     want_r1 = [None, None, 0, 1, None, None, 0, 1]
     want_r3 = [0, 0, 1, 2, 2, None, None, None]
     for i in range(8):
-        assert prefix.state_at(i) == (want_o[i], (want_r1[i], want_r3[i]))
+        assert (stack.overflows[i], unpack(stack.requests[i])) == \
+            (want_o[i], (want_r1[i], want_r3[i]))
+    assert stack.cum == [0, 0, 1, 2, 2, 3, 4, 5]
 
 
 def test_relevant_requests():
-    assert relevant_requests({1: 2, 3: 1}) == {1, 3}
-    assert relevant_requests({1: 1, 3: 2}) == {3}
-    assert relevant_requests({1: None, 3: None}) == set()
-    assert relevant_requests({1: 1, 3: 1}) == {3}  # equal cost: larger dominates
+    # entries over the odd colors (1, 3); bit i is the i-th color
+    assert _relevant_mask((2, 1)) == 0b11
+    assert _relevant_mask((1, 2)) == 0b10
+    assert _relevant_mask((None, None)) == 0
+    assert _relevant_mask((1, 1)) == 0b10  # equal cost: larger dominates
+
+
+def dominated(a, b) -> bool:
+    """(o, r) ⊑ (o', r') on memory states with request tuples."""
+    (oa, ra), (ob, rb) = a, b
+    return oa < ob or oa == ob and _r_dominated(ra, rb)
 
 
 def test_dominates_examples():
     # states (o, r) with r over the odd colors (1,) or (1, 3)
-    assert dominates((0, (None,)), (0, (0,)))
-    assert dominates((0, (2,)), (1, (None,)))
-    assert dominates((0, (2, None)), (0, (None, 2)))
-    assert not dominates((0, (None, 2)), (0, (2, None)))
-    with pytest.raises(ValueError):
-        dominates((0, (None,)), (0, (None, 2)))
+    assert dominated((0, (None,)), (0, (0,)))
+    assert dominated((0, (2,)), (1, (None,)))
+    assert not dominated((1, (None,)), (0, (2,)))
+    assert dominated((0, (2, None)), (0, (None, 2)))
+    assert not dominated((0, (None, 2)), (0, (2, None)))
+    assert dominated((0, (1, 2)), (0, (None, 2)))  # 1 at cost 1 is not relevant
+    assert not dominated((0, (3, 2)), (0, (None, 2)))
 
 
 reqvals = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
@@ -100,37 +109,37 @@ def states(draw):
 @settings(max_examples=200, deadline=None)
 @given(states())
 def test_domination_reflexive(a):
-    assert dominates(a, a)
+    assert dominated(a, a)
 
 
 @settings(max_examples=200, deadline=None)
 @given(states(), states(), states())
 def test_domination_transitive(a, b, c):
-    if dominates(a, b) and dominates(b, c):
-        assert dominates(a, c)
+    if dominated(a, b) and dominated(b, c):
+        assert dominated(a, c)
 
 
 @settings(max_examples=200, deadline=None)
 @given(states(), states())
 def test_equivalent_states_share_relevant_requests(a, b):
-    if a[0] == b[0] and dominates(a, b) and dominates(b, a):
-        ra, rb = dict(zip(COLORS, a[1])), dict(zip(COLORS, b[1]))
-        rel = relevant_requests(ra)
-        assert rel == relevant_requests(rb)
-        assert all(ra[c] == rb[c] for c in rel)
+    if a[0] == b[0] and dominated(a, b) and dominated(b, a):
+        rel = _relevant_mask(a[1])
+        assert rel == _relevant_mask(b[1])
+        assert all(a[1][i] == b[1][i] for i in range(len(COLORS)) if rel >> i & 1)
 
 
 def test_largest_and_costliest_requests_always_relevant():
+    # entries over the odd colors (1, 3, 5), by index
     rng = random.Random(9)
     for _ in range(300):
-        vals = {c: rng.choice([None, 0, 1, 2, 3]) for c in (1, 3, 5)}
-        if all(v is None for v in vals.values()):
+        vals = tuple(rng.choice([None, 0, 1, 2, 3]) for _ in range(3))
+        if all(v is None for v in vals):
             continue
-        rel = relevant_requests(vals)
-        open_colors = [c for c, v in vals.items() if v is not None]
-        assert max(open_colors) in rel
-        costliest = max(open_colors, key=lambda c: (vals[c], c))
-        assert costliest in rel
+        rel = _relevant_mask(vals)
+        open_entries = [i for i, v in enumerate(vals) if v is not None]
+        assert rel >> max(open_entries) & 1
+        costliest = max(open_entries, key=lambda i: (vals[i], i))
+        assert rel >> costliest & 1
 
 
 def test_stability_under_concatenation_exhaustive():
@@ -142,20 +151,18 @@ def test_stability_under_concatenation_exhaustive():
         b = rng.randint(0, 2)
         tr = Tracker(g, b)
         values = [None] + list(range(b + 1))
-        rs = [()]
-        for _ in tr.colors:
-            rs = [r + (v,) for r in rs for v in values]
+        rs = list(itertools.product(values, repeat=tr.d))
         states_all = [(o, r) for o in range(g.n + 1) for r in rs]
         for o1, r1 in states_all:
             for o2, r2 in states_all:
                 if o2 >= g.n:
                     continue
-                if not dominates((o1, r1), (o2, r2)):
+                if not dominated((o1, r1), (o2, r2)):
                     continue
                 for e in g.edges:
                     o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
                     o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
-                    assert dominates((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
+                    assert dominated((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
                         (r1, r2, o1, o2, e)
 
 
@@ -327,20 +334,19 @@ def test_pack_is_one_to_one_and_unpack_inverts_it():
 
 
 def test_prefixes_with_request_tuples_of_the_wrong_length_are_rejected():
-    # pack checks the length as dominates does, so neither a settle
-    # verdict nor a shortcut step is read off a truncated or padded word
+    # pack checks the length, so no request word is made of a truncated
+    # or padded tuple; the prefix rules read the stack's own words
     g = make_game([(0, 0, 1), (1, 1, 3), (2, 0, 0)],
                   [(0, 1, 1), (1, 2, 1), (2, 1, 0), (2, 0, 1)], 0, "binary")
-    prefix = track_play(g, 3, [0, 1, 2, 1])
-    assert prefix.requests[-1] == (2, 1)
+    stack = pushed_play(g, 3, [0, 1, 2, 1])
+    tr = stack.tracker
+    assert tr.unpack(stack.requests[-1]) == (2, 1)
     for bad in ((0, None, 5), (0,), ()):
-        wrong = dataclasses.replace(prefix, requests=prefix.requests[:-1] + (bad,))
         with pytest.raises(ValueError, match=f"length {len(bad)} for 2 pairs"):
-            settled(g, 3, wrong)
-        with pytest.raises(ValueError, match=f"length {len(bad)} for 2 pairs"):
-            shortcut_step(g, 3, wrong, Edge(1, 2, 1))
-    assert settled(g, 3, prefix).kind == "odd_cycle"
-    assert shortcut_step(g, 3, prefix, Edge(1, 2, 1)).requests[-1] == (3, 2)
+            tr.pack(bad)
+    assert stack.verdict() == 1  # the odd cycle 1, 2, 1
+    _, r, cost, _ = stack.step(2, 1)
+    assert tr.unpack(r) == (3, 2) and cost == 1
 
 
 def _count_updates(monkeypatch) -> dict:
@@ -468,117 +474,153 @@ def test_unrolled_level_product_equals_the_direct_search():
                 assert len(unrolled[0]) <= g.n * (g.n + 1) * (b + 2) ** g.d, (k, b)
 
 
-def test_classify_cycle():
-    g = eight_vertex_trace_game()
-    # artificial annotated prefix via a real walk on the color-0 tail
-    walk = track_play(g, 2, [0, 1, 2, 3, 4, 5, 6, 7, 7, 7])
-    assert classify_cycle(g, 2, walk, 8, 9) in ("even", "odd", "none")
-    with pytest.raises(IndexError):
-        classify_cycle(g, 2, walk, 5, 99)
-
-
 def test_classify_cycle_equal_states_even():
     g = make_game([(0, 0, 0), (1, 1, 0)], [(0, 1, 0), (1, 0, 0)], 0)
-    walk = track_play(g, 1, [0, 1, 0])
-    assert classify_cycle(g, 1, walk, 0, 2) == "even"
+    stack = pushed_play(g, 1, [0, 1, 0])
+    assert stack.requests[0] == stack.requests[2]
+    assert _cycle_kind(g.color, stack.vertices, 0, 2, (), ()) == 0
+    assert stack.verdict() == 0
+    # an even cycle needs the end dominated by the start, not the reverse
+    even = {0: 2, 1: 1}
+    assert _cycle_kind(even, [0, 1, 0], 0, 2, (None, 2), (0, None)) == 0
+    assert _cycle_kind(even, [0, 1, 0], 0, 2, (0, None), (None, 2)) is None
 
 
 def test_classify_cycle_odd_growth():
     g = make_game([(0, 0, 1), (1, 1, 0)], [(0, 1, 1), (1, 0, 1)], 0)
-    walk = track_play(g, 3, [0, 1, 0])
+    stack = pushed_play(g, 3, [0, 1, 0])
     # request for 1 grows from 0 to 2 across the cycle; max color 1 odd
-    assert classify_cycle(g, 3, walk, 0, 2) == "odd"
+    assert list(map(stack.tracker.unpack, stack.requests)) == [(0,), (1,), (2,)]
+    assert _cycle_kind(g.color, stack.vertices, 0, 2, (0,), (2,)) == 1
+    assert _cycle_kind(g.color, stack.vertices, 0, 2, (2,), (0,)) is None
+    assert stack.verdict() == 1
 
 
 def test_classify_cycle_overflow_mismatch():
+    # positions 0 and 2 share vertex 0 but not the overflow, so they close
+    # no cycle, though their colors and requests make the infix odd
     g = make_game([(0, 0, 1), (1, 1, 0)], [(0, 1, 1), (1, 0, 1)], 0)
-    walk = track_play(g, 0, [0, 1, 0, 1, 0])
-    for k in range(2):
-        for k2 in range(k + 1, 5):
-            if walk.overflows[k] != walk.overflows[k2]:
-                assert classify_cycle(g, 0, walk, k, k2) == "none"
+    stack = pushed_play(g, 0, [0, 1, 0])
+    assert stack.overflows == [0, 1, 1]
+    start, end = map(stack.tracker.unpack, (stack.requests[0], stack.requests[2]))
+    assert _cycle_kind(g.color, stack.vertices, 0, 2, start, end) == 1
+    assert stack.verdict() is None
+
+
+def test_verdict_takes_the_earliest_cycle_start():
+    # colors 0, 3, 0, 2, 0, requests (None,), (0,) from position 1 on: the
+    # odd cycle 0..4 and the even cycle 2..4 end at the top.  Only a
+    # non-minimal prefix can end two such cycles (0..2 settles this one)
+    g = make_game([(0, 0, 0), (1, 0, 3), (2, 0, 2)],
+                  [(0, 1, 0), (1, 0, 0), (0, 2, 0), (2, 0, 0)], 0)
+    stack = pushed_play(g, 0, [0, 1, 0, 2, 0])
+    assert _cycle_kind(g.color, stack.vertices, 0, 4, (None,), (0,)) == 1
+    assert _cycle_kind(g.color, stack.vertices, 2, 4, (0,), (0,)) == 0
+    assert list(map(stack.tracker.unpack, stack.requests)) == [(None,)] + [(0,)] * 4
+    assert stack.verdict() == 1 == pushed_play(g, 0, [0, 1, 0]).verdict()
 
 
 def test_settled_saturation_and_verdicts():
     g = make_game([(0, 0, 1), (1, 1, 0)], [(0, 1, 1), (1, 0, 1)], 0)
-    walk = track_play(g, 0, [0, 1] * (g.n + 2))
-    verdict = settled(g, 0, walk)
-    assert verdict.settled
-    walk1 = start_prefix(g, 0)
-    assert settled(g, 0, walk1).kind == "unsettled"
-
-
-def test_settled_bound_values():
-    g4 = make_game([(i, 0, 0) for i in range(4)],
-                   [(i, (i + 1) % 4, 1) for i in range(4)], 0)
-    assert settled_bound(g4) == 15625
-    g4b = make_game([(i, 0, 0) for i in range(4)],
-                    [(i, (i + 1) % 4, 2) for i in range(4)], 0, "binary")
-    assert settled_bound(g4b) == 4 * 15625
-    g1 = make_game([(0, 0, 0)], [(0, 0, 1)], 0)
-    assert settled_bound(g1) == 64
+    walk = [0, 1] * (g.n + 2)
+    verdicts = [pushed_play(g, 0, walk[:i + 1]).verdict() for i in range(len(walk))]
+    # the overflow reaches n = 2 at position 3, before any cycle closes
+    assert verdicts[:4] == [None, None, None, 1]
+    assert pushed_play(g, 0, walk[:4]).overflows == [0, 1, 1, 2]
 
 
 def test_long_prefixes_are_settled():
-    # walks in tiny games never stay unsettled past ℓ
+    # walks in tiny unary games never stay unsettled past ℓ = (n+1)^6
     rng = random.Random(17)
     for _ in range(20):
         g = random_cost_game(rng, rng.randint(1, 2), 3)
-        b = rng.randint(0, 1)
-        bound = settled_bound(g)
-        walk = [g.initial]
-        prefix = start_prefix(g, b)
-        tr = Tracker(g, b)
-        for _ in range(bound + 1):
-            t, w = rng.choice(g.successors[walk[-1]])
-            o, r, _ = tr.update(prefix.overflows[-1], tr.pack(prefix.requests[-1]), w, t)
-            prefix = prefix.extended(t, o, tr.unpack(r), w)
-            walk.append(t)
-            if settled(g, b, prefix).settled:
+        stack = _PrefixStack(g, rng.randint(0, 1))
+        stack.push(g.initial, *stack.tracker.initial_state(), 0)
+        for _ in range((g.n + 1) ** 6 + 1):
+            t, w = rng.choice(g.successors[stack.vertices[-1]])
+            stack.push(t, *stack.step(t, w))
+            if stack.verdict() is not None:
                 break
         else:
-            pytest.fail("prefix exceeded the settled bound")
+            pytest.fail("prefix exceeded ℓ = (n+1)^6")
 
 
 def test_shortcut_fastforward_near_bound():
-    g = make_game([(0, 0, 1), (1, 1, 0), (2, 1, 0)],
-                  [(0, 1, 2), (1, 2, 1), (2, 1, 0), (1, 0, 0)], 0, "binary")
+    verts = [(0, 0, 1), (1, 1, 0), (2, 1, 0)]
+    g = make_game(verts, [(0, 1, 2), (1, 2, 1), (2, 1, 0), (1, 0, 0)], 0, "binary")
     b = 10
-    prefix = track_play(g, b, [0, 1, 2])
-    assert prefix.requests[-1] == (3,)
-    extended = shortcut_step(g, b, prefix, Edge(2, 1, 0))
-    # infix 1,2,1 repeats vertex 1 with stable relevant requests, cost 1:
-    # the open request fast-forwards as close to b as full traversals allow
-    assert extended.via_shortcut[-1]
-    s, cstar = 1, 3
-    t = (b - cstar) // s
-    assert t == 7
-    assert extended.requests[-1] == (cstar + s * t,)
-    assert extended.requests[-1][0] == b
-    assert extended.costs[-1] == 0 + s * t  # transition cost Cst(v_j,v') + s·t
+    stack = pushed_play(g, b, [0, 1, 2])
+    tr = stack.tracker
+    assert tr.unpack(stack.requests[-1]) == (3,)
+    # infix 1,2,1 repeats vertex 1 with stable relevant requests, cost
+    # s = 1: the open request c* = 3 fast-forwards by s·t, t = (b − c*) // s
+    # = 7, to b, and the step is charged Cst(v_j, v') + s·t = 0 + 7
+    o, r, cost, m = stack.step(1, 0)
+    assert (o, tr.unpack(r), cost, m) == (0, (b,), 7, 0b1)
+    unary = make_game(verts, [(0, 1, 1), (1, 2, 1), (2, 1, 0), (1, 0, 0)], 0)
+    _, r, cost, m = pushed_play(unary, b, [0, 1, 2]).step(1, 0)  # a unary game steps plainly
+    assert (r, cost, m) == (Tracker(unary, b).pack((2,)), 0, 0)
 
 
 def test_shortcut_multiplier_arithmetic():
-    # the fast-forward multiplier from the criterion: with b=10, an open
-    # maximum of 2 and an infix cost of 3, two more traversals fit
-    b, cstar, s = 10, 2, 3
-    t = (b - cstar) // s
-    assert t == max(t2 for t2 in range(1, b + 1) if cstar + s * t2 <= b)
-    assert t == 2 and cstar + s * t == 8
+    # the multiplier is the largest t with c* + s·t ≤ b: on the cycle
+    # 1, 2, 1 of cost s = 3 the open request stands at c* = 4 once back
+    # at 1; at b = 11 two more traversals fit (10) and a third would not
+    # (13), and at b = 7 exactly one fits, reaching b
+    g = make_game([(0, 0, 1), (1, 1, 0), (2, 1, 0)],
+                  [(0, 1, 1), (1, 2, 2), (2, 1, 1), (1, 0, 0)], 0, "binary")
+    for b, t in ((11, 2), (7, 1)):
+        _, r, cost, _ = pushed_play(g, b, [0, 1, 2]).step(1, 1)
+        assert (r, cost) == (Tracker(g, b).pack((4 + 3 * t,)), 1 + 3 * t), b
 
 
 def test_shortcut_zero_cost_infix_is_ordinary():
     g = make_game([(0, 0, 1), (1, 1, 0), (2, 1, 0)],
                   [(0, 1, 2), (1, 2, 0), (2, 1, 0), (1, 0, 0)], 0, "binary")
-    prefix = track_play(g, 10, [0, 1, 2])
-    extended = shortcut_step(g, 10, prefix, Edge(2, 1, 0))
-    assert not extended.via_shortcut[-1]
+    stack = pushed_play(g, 10, [0, 1, 2])
+    o, r, cost, _ = stack.step(1, 0)
+    assert (o, r, cost) == (*stack.tracker.update(0, stack.requests[-1], 0, 1)[:2], 0)
 
 
-def test_shortcut_rejects_unary_games(delay_won):
-    prefix = start_prefix(delay_won, 2)
-    with pytest.raises(ValueError):
-        shortcut_step(delay_won, 2, prefix, Edge(0, 1, 1))
+def test_shortcut_steps_follow_the_rule_on_random_walks():
+    # every step of random walks in binary games against the rule read
+    # off its definition, relevance recomputed at every position: the
+    # latest j' at (t, o') with the same non-empty relevant requests from
+    # j' on and after the step, infix cost s > 0 and c* + s ≤ b adds s·k
+    # to every open request, k maximal with c* + s·k ≤ b
+    def relevant(r):
+        return {c for c, x in enumerate(r)
+                if x is not None and all(y is None or y < x for y in r[c + 1:])}
+
+    rng = random.Random(43)
+    steps = fired = 0
+    for _ in range(400):
+        g = random_cost_game(rng, rng.randint(1, 4), 5, max_cost=3, encoding="binary")
+        stack = _PrefixStack(g, rng.randint(0, 12))
+        tr, b = stack.tracker, stack.tracker.bound
+        o, r = tr.initial_state()
+        stack.push(g.initial, o, r, 0)
+        seen = [(g.initial, o, tr.unpack(r), 0)]  # (v, o, r tuple, charged cost)
+        for _ in range(rng.randint(1, 30)):
+            t, w = rng.choice(g.successors[stack.vertices[-1]])
+            o2, r2, _ = tr.update(o, tr.pack(seen[-1][2]), w, t)
+            want = o2, tr.unpack(r2), w
+            rel, cstar = relevant(want[1]), max((x for x in want[1] if x is not None), default=0)
+            for j in range(len(seen) - 1, -1, -1):
+                if not rel or relevant(seen[j][2]) != rel:
+                    break
+                s = sum(cost for *_, cost in seen[j + 1:]) + w
+                if seen[j][:2] == (t, o2) and s > 0 and cstar + s <= b:
+                    k = max(k for k in range(1, b + 1) if cstar + s * k <= b)
+                    want = o2, tuple(x if x is None else x + s * k for x in want[1]), w + s * k
+                    break
+            o, r, cost, m = stack.step(t, w)
+            assert (o, tr.unpack(r), cost, m) == (*want, _relevant_mask(want[1]))
+            stack.push(t, o, r, cost, m)
+            seen.append((t, *want))
+            fired += cost != w
+            steps += 1
+    assert steps > 4_000 and fired > 200, (steps, fired)
 
 
 def test_saturated_region_stays_color_one():
