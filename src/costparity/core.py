@@ -11,10 +11,11 @@ functions and safe to call concurrently on shared games.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 UNARY = "unary"
 BINARY = "binary"
@@ -31,24 +32,32 @@ class BudgetExceededError(RuntimeError):
     """Raised when a construction would exceed its vertex budget."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
+    """A vertex: a named tuple, so it equals the plain tuple (id, owner,
+    color), and ``_replace`` makes a changed copy."""
+
     id: int
     owner: int
     color: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """An edge: a named tuple, equal to the plain tuple (source, target, cost)."""
+
     source: int
     target: int
     cost: int
 
 
+_new_vertex = partial(tuple.__new__, Vertex)
+_new_edge = partial(tuple.__new__, Edge)
+
+
 class _Arena:
     """The views that a CostGame and a CostStreettGame derive alike from
-    their vertices and edges.  A subclass says how an edge's cost reads
-    (``_cost``) and what its update keys hold as cost (``_key_cost``)."""
+    their vertices and edges.  A subclass gives its edges as (source,
+    target, cost) triples (``_triples``) and says what its update keys
+    hold as cost (``_key_cost``)."""
 
     @cached_property
     def n(self) -> int:
@@ -56,16 +65,16 @@ class _Arena:
 
     @cached_property
     def owner(self) -> dict[int, int]:
-        return {v.id: v.owner for v in self.vertices}
+        return {i: o for i, o, _ in self.vertices}
 
     @cached_property
     def successors(self) -> dict[int, tuple]:
         """id → ((target, cost), ...), targets in ascending order."""
-        out: dict[int, list] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            if e.source in out:
-                out[e.source].append((e.target, self._cost(e)))
-        return {u: tuple(sorted(ts)) for u, ts in out.items()}
+        out: dict[int, list] = {u: [] for u in self.owner}
+        for s, t, w in self._triples:
+            if s in out:
+                out[s].append((t, w))
+        return {u: tuple(row) if len(row) < 2 else tuple(sorted(row)) for u, row in out.items()}
 
     @cached_property
     def pass_through(self) -> frozenset[int]:
@@ -81,7 +90,7 @@ class _Arena:
     @cached_property
     def edge_cost(self) -> dict[tuple[int, int], object]:
         """(source, target) → the edge's cost."""
-        return {(e.source, e.target): self._cost(e) for e in self.edges}
+        return {(s, t): w for s, t, w in self._triples}
 
     @cached_property
     def update_key(self) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -129,25 +138,47 @@ def _exit_rows(successors: Mapping[int, tuple], through: frozenset[int]) -> dict
     is open until the exit, so both routes give (min(o+1, n), the
     exit's fresh requests).  Skipped vertices decide no cycle: their
     parity colors lie below every odd color, their pair masks are empty.
+
+    A pass-through vertex's own row is its one move walked on, which is
+    the chain end the walk computes for it: ((exit, chain cost),), or
+    its successors row when the chain ends in a cycle.
     """
-    # pass-through vertex → (its exit, the chain's cost from it), None on a cycle
+    # pass-through vertex → its exit row, None on a cycle
     ahead: dict[int, tuple | None] = {}
+    looped = []  # the pass-through vertices whose chain ends in a cycle
     for p in through:
+        if p in ahead:
+            continue
         path = []
         v = p
         while v in through and v not in ahead:
             ahead[v] = None  # met again on this walk, it closes a cycle
             path.append(v)
             v = successors[v][0][0]
-        end = ahead[v] if v in through else (v, None)
+        if v in through:
+            row = ahead[v]
+            if row is None:
+                looped += path
+                continue
+        else:  # the last vertex walked moves straight to the exit
+            q = path.pop()
+            row = ahead[q] = successors[q]
+        ((x, c),) = row
         for q in reversed(path):
-            if end is not None:
-                w = successors[q][0][1]
-                end = (end[0], w if end[1] is None else _plus(w, end[1]))
-            ahead[q] = end
-    rows = {}
-    for u, row in successors.items():
-        out = [(ahead[t][0], _plus(w, ahead[t][1])) if ahead.get(t) else (t, w)
+            c = _plus(successors[q][0][1], c)
+            ahead[q] = ((x, c),)
+    rows = {**successors, **ahead}
+    for u in looped:
+        rows[u] = successors[u]
+    # the other rows change where a move enters a chain
+    for u in successors.keys() - through:
+        row = successors[u]
+        if len(row) == 1:
+            end = ahead.get(row[0][0])
+            if end:
+                rows[u] = ((end[0][0], _plus(row[0][1], end[0][1])),)
+            continue
+        out = [(end[0][0], _plus(w, end[0][1])) if (end := ahead.get(t)) else (t, w)
                for t, w in row]
         targets = [t for t, _ in out]
         if len(set(targets)) < len(targets):
@@ -171,16 +202,20 @@ class CostGame(_Arena):
     initial: int
     encoding: str = UNARY
 
-    _cost = _key_cost = staticmethod(attrgetter("cost"))
+    _key_cost = staticmethod(attrgetter("cost"))
+
+    @property
+    def _triples(self) -> tuple[Edge, ...]:
+        return self.edges
 
     @cached_property
     def color(self) -> dict[int, int]:
-        return {v.id: v.color for v in self.vertices}
+        return {i: c for i, _, c in self.vertices}
 
     @cached_property
     def odd_colors(self) -> tuple[int, ...]:
         """D, the odd colors in use, ascending."""
-        return tuple(sorted({v.color for v in self.vertices if v.color % 2 == 1}))
+        return tuple(sorted(c for c in set(self.color.values()) if c % 2 == 1))
 
     @property
     def d(self) -> int:
@@ -191,15 +226,19 @@ class CostGame(_Arena):
         """id → bit i set iff the vertex requests the i-th odd color (pair
         i of the Streett image ``streett.streett_from_cost_parity``)."""
         bit = {c: 1 << i for i, c in enumerate(self.odd_colors)}
-        return {v.id: bit.get(v.color, 0) for v in self.vertices}
+        return self._by_color(lambda c: bit.get(c, 0))
 
     @cached_property
     def answer_mask(self) -> dict[int, int]:
         """id → bit i set iff the vertex's even color answers the i-th odd color."""
         odd = self.odd_colors
-        mask = {c: 0 if c % 2 else sum(1 << i for i, o in enumerate(odd) if o < c)
-                for c in set(self.color.values())}
-        return {v: mask[c] for v, c in self.color.items()}
+        return self._by_color(lambda c: 0 if c % 2 else (1 << bisect_left(odd, c)) - 1)
+
+    def _by_color(self, of_color) -> dict[int, int]:
+        """id → ``of_color(c)`` for the vertex's color c, computed once per color."""
+        color = self.color
+        table = {c: of_color(c) for c in set(color.values())}
+        return {v: table[c] for v, c in color.items()}
 
     @cached_property
     def max_cost(self) -> int:
@@ -234,67 +273,81 @@ def make_game(vertices: Iterable[tuple[int, int, int]],
               edges: Iterable[tuple[int, int, int]],
               initial: int,
               encoding: str = UNARY) -> CostGame:
-    """Build a CostGame from (id, owner, color) and (source, target, cost) triples."""
-    return CostGame(
-        vertices=tuple(Vertex(i, o, c) for i, o, c in vertices),
-        edges=tuple(Edge(s, t, w) for s, t, w in edges),
-        initial=initial,
-        encoding=encoding,
-    )
+    """Build a CostGame from (id, owner, color) and (source, target, cost)
+    triples.  Each becomes a Vertex or an Edge by ``tuple.__new__``, with
+    no Python-level call; a tuple of another length is kept as it is,
+    and the first view that reads it (``require_valid`` reads all) raises
+    ValueError."""
+    return CostGame(tuple(map(_new_vertex, vertices)), tuple(map(_new_edge, edges)),
+                    initial, encoding)
 
 
-def _arena_report(game: _Arena) -> list[str]:
+def _arena_report(game: _Arena) -> tuple[list[str], Sequence]:
     """The violations of the rules every arena keeps, parity or Streett:
     distinct ids, owners 0 or 1, an existing initial vertex, edges
     between known vertices, at most one edge from a vertex to another,
-    and a successor for every vertex."""
+    and a successor for every vertex.  Also the edges between known
+    vertices: the ones a class's own checks read, as this report names
+    the others.
+
+    The vertex rules and the edge rules are each checked on the whole
+    arena at once, the edge rules on ``successors`` (every edge with a
+    known source lies in its source's row); only a group that fails is
+    walked one by one, to name its violations in order."""
     report: list[str] = []
-    ids: set[int] = set()
-    for v in game.vertices:
-        if v.id in ids:
-            report.append(f"vertex {v.id}: duplicate id")
-        ids.add(v.id)
-        if v.owner not in (0, 1):
-            report.append(f"vertex {v.id}: owner must be 0 or 1, got {v.owner}")
+    ids = game.owner
+    if len(ids) < len(game.vertices) or not {*ids.values()} <= {0, 1}:
+        seen_ids: set[int] = set()
+        for v in game.vertices:
+            if v.id in seen_ids:
+                report.append(f"vertex {v.id}: duplicate id")
+            seen_ids.add(v.id)
+            if v.owner not in (0, 1):
+                report.append(f"vertex {v.id}: owner must be 0 or 1, got {v.owner}")
     if game.initial not in ids:
         report.append(f"game: initial vertex {game.initial} does not exist")
-    seen: set[tuple[int, int]] = set()
-    for e in game.edges:
-        if e.source not in ids:
-            report.append(f"edge {e.source}->{e.target}: unknown source")
-        elif e.target not in ids:
-            report.append(f"edge {e.source}->{e.target}: unknown target")
-        elif (e.source, e.target) in seen:
-            report.append(f"edge {e.source}->{e.target}: parallel edge")
-        else:
-            seen.add((e.source, e.target))
-    sources = {s for s, _ in seen}
-    report.extend(f"vertex {i}: terminal vertex (no outgoing edge)"
-                  for i in sorted(ids - sources))
-    return report
-
-
-def _known_edges(game: _Arena) -> list:
-    """The edges between known vertices: the ones a class's own checks
-    read, as ``_arena_report`` names the others."""
-    ids = game.owner
-    return [e for e in game.edges if e.source in ids and e.target in ids]
+    edges, succ = game.edges, game.successors
+    if (sum(map(len, succ.values())) == len(edges)
+            and ids.keys() >= {*map(attrgetter("target"), edges)}
+            and not any(a[0] == b[0] for row in succ.values() if len(row) > 1
+                        for a, b in zip(row, row[1:]))):
+        terminal = [] if all(succ.values()) else [u for u, row in succ.items() if not row]
+        known = edges
+    else:
+        seen: set[tuple[int, int]] = set()
+        for e in edges:
+            if e.source not in ids:
+                report.append(f"edge {e.source}->{e.target}: unknown source")
+            elif e.target not in ids:
+                report.append(f"edge {e.source}->{e.target}: unknown target")
+            elif (e.source, e.target) in seen:
+                report.append(f"edge {e.source}->{e.target}: parallel edge")
+            else:
+                seen.add((e.source, e.target))
+        terminal = ids.keys() - {s for s, _ in seen}
+        known = [e for e in edges if e.source in ids and e.target in ids]
+    report.extend(f"vertex {i}: terminal vertex (no outgoing edge)" for i in sorted(terminal))
+    return report, known
 
 
 def validate_game(game: CostGame) -> list[str]:
     """Violations (empty = valid): the arena rules (``_arena_report``),
     then the encoding, the colors and the costs."""
-    report = _arena_report(game) if game.vertices else ["game: no vertices"]
+    report, edges = _arena_report(game) if game.vertices else (["game: no vertices"], ())
     if game.encoding not in (UNARY, BINARY):
         report.append(f"game: unknown encoding {game.encoding!r}")
-    report.extend(f"vertex {v.id}: negative color {v.color}"
-                  for v in game.vertices if v.color < 0)
-    for e in _known_edges(game):
-        if e.cost < 0:
-            report.append(f"edge {e.source}->{e.target}: negative cost {e.cost}")
-        elif game.encoding == UNARY and e.cost > 1:
-            report.append(
-                f"edge {e.source}->{e.target}: non-abstract cost {e.cost} in unary game")
+    color = game.color  # one color per id: all of them unless an id repeats
+    if len(color) < len(game.vertices) or min(color.values(), default=0) < 0:
+        report.extend(f"vertex {v.id}: negative color {v.color}"
+                      for v in game.vertices if v.color < 0)
+    costs = list(map(attrgetter("cost"), edges))
+    if min(costs, default=0) < 0 or game.encoding == UNARY and max(costs, default=0) > 1:
+        for e in edges:
+            if e.cost < 0:
+                report.append(f"edge {e.source}->{e.target}: negative cost {e.cost}")
+            elif game.encoding == UNARY and e.cost > 1:
+                report.append(
+                    f"edge {e.source}->{e.target}: non-abstract cost {e.cost} in unary game")
     return report
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Union
 
 from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame,
@@ -47,8 +48,9 @@ class GeneratedInstance:
 
 @dataclass(frozen=True)
 class QbfFormula:
-    """Closed QBF in prenex 3-CNF: quantifiers over variables 1..n, each
-    clause exactly three literals (±variable index)."""
+    """Closed QBF in prenex 3-CNF: quantifiers over variables 1..n, at
+    least one clause, each clause exactly three literals (±variable
+    index)."""
 
     prefix: tuple[str, ...]  # 'e' or 'a' per variable, in order
     clauses: tuple[tuple[int, int, int], ...]
@@ -62,6 +64,8 @@ class QbfFormula:
         return len(self.clauses)
 
     def check(self) -> None:
+        if not self.clauses:
+            raise ValueError("a formula needs at least one clause")
         for q in self.prefix:
             if q not in ("e", "a"):
                 raise ValueError(f"bad quantifier {q!r}")
@@ -96,7 +100,7 @@ def normalize_qbf(phi: QbfFormula) -> QbfFormula:
     if out[-1][0] == "a":
         out.append(("e", None))
     remap = {old: new + 1 for new, (_, old) in enumerate(out) if old is not None}
-    clauses = tuple(tuple(int(math.copysign(remap[abs(l)], l)) for l in cl)
+    clauses = tuple(tuple(remap[l] if l > 0 else -remap[-l] for l in cl)
                     for cl in phi.clauses)
     return QbfFormula(tuple(q for q, _ in out), clauses)
 
@@ -157,6 +161,8 @@ def parse_qdimacs(text: str) -> QbfFormula:
             clauses.append(tuple(lits))
     if nvars is None:
         raise FormatError("missing problem line")
+    if not clauses:
+        raise FormatError("no clause line: a formula needs at least one clause")
     declared = [v for _, v in order]
     if sorted(declared) != list(range(1, nvars + 1)):
         raise FormatError("scope lines must declare each variable exactly once")
@@ -166,7 +172,7 @@ def parse_qdimacs(text: str) -> QbfFormula:
                 raise FormatError(f"literal {lit} out of range for {nvars} variables")
     remap = {v: i + 1 for i, v in enumerate(declared)}
     prefix = tuple(q for q, _ in order)
-    remapped = tuple(tuple(int(math.copysign(remap[abs(l)], l)) for l in cl)
+    remapped = tuple(tuple(remap[l] if l > 0 else -remap[-l] for l in cl)
                      for cl in clauses)
     return QbfFormula(prefix, remapped)
 
@@ -200,72 +206,52 @@ def _qbf_arena(phi: QbfFormula):
     """The game of a normalized formula, with the vertices the distance
     audit reads: the clause-picking vertex ψ, the true- and false-request
     vertices of each variable, and the entry of each literal's check
-    gadget."""
+    gadget.
+
+    Ids are handed out in order: the entries a_1..a_n, ψ, four vertices
+    per variable (false request, its middle vertex, true-request entry,
+    true request), one path per literal's check gadget, then one vertex
+    per clause.  Every edge costs 1."""
     n = phi.n
-    vertices: list[tuple[int, int, int]] = []
+    # a_j entry vertices, then ψ
+    vertices = [(j, 0 if q == "e" else 1, 0) for j, q in enumerate(phi.prefix)]
+    vertices.append((n, 1, 0))
+    psi = n
     edges: list[tuple[int, int, int]] = []
-
-    def add_vertex(owner: int, color: int) -> int:
-        vid = len(vertices)
-        vertices.append((vid, owner, color))
-        return vid
-
-    def add_edge(u: int, v: int) -> None:
-        edges.append((u, v, 1))
-
-    a = []  # a_j entry vertices
     treq = {}  # j -> color 4j+3 vertex
     fneg = {}  # j -> color 4j+1 vertex
     for j in range(1, n + 1):
-        owner = 0 if phi.prefix[j - 1] == "e" else 1
-        a.append(add_vertex(owner, 0))
-    psi = add_vertex(1, 0)
-    for j in range(1, n + 1):
-        aj = a[j - 1]
-        fneg[j] = add_vertex(1, 4 * j + 1)
-        fmid = add_vertex(1, 0)
-        tin = add_vertex(1, 0)
-        treq[j] = add_vertex(1, 4 * j + 3)
-        exit_j = a[j] if j < n else psi
-        add_edge(aj, fneg[j])
-        add_edge(aj, tin)
-        add_edge(fneg[j], fmid)
-        add_edge(tin, treq[j])
-        add_edge(treq[j], exit_j)
-        add_edge(fmid, exit_j)
+        aj, exit_j = j - 1, j if j < n else psi
+        f = fneg[j] = len(vertices)  # then fmid, tin, treq
+        t = treq[j] = f + 3
+        vertices += ((f, 1, 4 * j + 1), (f + 1, 1, 0), (f + 2, 1, 0), (t, 1, 4 * j + 3))
+        edges += ((aj, f, 1), (aj, f + 2, 1), (f, f + 1, 1), (f + 2, t, 1),
+                  (t, exit_j, 1), (f + 1, exit_j, 1))
 
-    # one check gadget per distinct literal occurring in the formula
+    # one check gadget per distinct literal occurring in the formula: a
+    # path from its entry, through the 3j subdivision vertices of the
+    # 3j+1-step approach and w1, w2, w3, back to a_1
     literals = sorted({l for cl in phi.clauses for l in cl},
                       key=lambda l: (abs(l), l < 0))
     entry_of: dict[int, int] = {}
     for lit in literals:
         j = abs(lit)
-        entry = add_vertex(1, 4 * j)
-        prev = entry
-        for _ in range(3 * j):  # subdivision of the 3j+1-step approach
-            node = add_vertex(1, 0)
-            add_edge(prev, node)
-            prev = node
-        if lit > 0:
-            w1 = add_vertex(1, 4 * j)
-            w2 = add_vertex(1, 4 * j + 4)
-        else:
-            w1 = add_vertex(1, 4 * j + 2)
-            w2 = add_vertex(1, 4 * j + 2)
-        w3 = add_vertex(1, 4 * (n + 1))
-        add_edge(prev, w1)
-        add_edge(w1, w2)
-        add_edge(w2, w3)
-        add_edge(w3, a[0])
-        entry_of[lit] = entry
+        entry = entry_of[lit] = len(vertices)
+        w1, w2 = (4 * j, 4 * j + 4) if lit > 0 else (4 * j + 2, 4 * j + 2)
+        colors = (4 * j,) + (0,) * (3 * j) + (w1, w2, 4 * (n + 1))
+        w3 = entry + len(colors) - 1
+        vertices += zip(range(entry, w3 + 1), repeat(1), colors)
+        edges += zip(range(entry, w3), range(entry + 1, w3 + 1), repeat(1))
+        edges.append((w3, 0, 1))
 
     for cl in phi.clauses:
-        cv = add_vertex(0, 0)
-        add_edge(psi, cv)
-        for lit in sorted(set(cl)):  # repeated literals share one edge
-            add_edge(cv, entry_of[lit])
+        cv = len(vertices)
+        vertices.append((cv, 0, 0))
+        edges.append((psi, cv, 1))
+        # repeated literals share one edge
+        edges += [(cv, entry_of[lit], 1) for lit in sorted(set(cl))]
 
-    game = make_game(vertices, edges, a[0], UNARY)
+    game = make_game(vertices, edges, 0, UNARY)
     require_valid(game)
     return game, psi, treq, fneg, entry_of
 
@@ -274,47 +260,56 @@ def _qbf_distance_audit(game: CostGame, phi: QbfFormula, psi, treq, fneg,
                         entry_of) -> None:
     """The proof's step counts, enforced: a true-request reaches the
     clause-picking vertex in 3(n−j)+1 steps, a false-request in
-    3(n−j)+2, and every check gadget answers its own literal after
-    3j+2 (positive) or 3j+1 (negative) steps.
+    3(n−j)+2, and every check gadget first answers its own literal
+    after 3j+2 (positive) or 3j+1 (negative) steps: the nearest vertex
+    of the answering color lies exactly that far from the entry.
 
     Only the distances these checks read are searched: once backward
-    from ψ, and once forward from each gadget entry, each search cut at
-    the most steps it checks."""
+    from ψ, along each vertex's in-edges, and once forward from each
+    gadget entry along ``game.successors``, each search cut at the most
+    steps it checks."""
     n = phi.n
-    pred: dict[int, list[int]] = {v.id: [] for v in game.vertices}
-    for e in game.edges:
-        pred[e.target].append(e.source)
-    to_psi = _bfs_dist(pred, psi, 3 * n - 1)
+    to_psi = _bfs_dist(_in_edges(game), psi, 3 * n - 1)
     for j in range(1, n + 1):
         if to_psi.get(treq[j]) != 3 * (n - j) + 1:
             raise AssertionError(f"true-request distance broken at {j}")
         if to_psi.get(fneg[j]) != 3 * (n - j) + 2:
             raise AssertionError(f"false-request distance broken at {j}")
-    succ = {u: [t for t, _ in moves] for u, moves in game.successors.items()}
-    color = game.color
+    succ, color = game.successors, game.color
     for lit, entry in entry_of.items():
         j = abs(lit)
         want_color = 4 * j + 4 if lit > 0 else 4 * j + 2
         steps = 3 * j + 2 if lit > 0 else 3 * j + 1
-        answer = [v for v, dd in _bfs_dist(succ, entry, steps).items()
-                  if dd == steps and color[v] == want_color]
-        if not answer:
+        first = min((dd for v, dd in _bfs_dist(succ, entry, steps).items()
+                     if color[v] == want_color), default=None)
+        if first != steps:
             raise AssertionError(f"check gadget broken for literal {lit}")
 
 
-def _bfs_dist(neighbours, source: int, depth: int) -> dict[int, int]:
-    """Step distances from ``source`` along ``neighbours`` (vertex →
-    vertices) to every vertex it reaches within ``depth`` steps."""
+def _in_edges(game: CostGame) -> dict[int, list]:
+    """id → the edges into the vertex, in edge order."""
+    into: dict[int, list] = {u: [] for u in game.owner}
+    for e in game.edges:
+        into[e.target].append(e)
+    return into
+
+
+def _bfs_dist(rows, source: int, depth: int) -> dict[int, int]:
+    """Step distances from ``source`` along ``rows`` to every vertex it
+    reaches within ``depth`` steps.  ``rows`` maps a vertex to tuples
+    whose first item is a next vertex: its successor row (target, cost),
+    or its in-edges (source, target, cost) for a backward search."""
     dist = {source: 0}
-    frontier = [source]
-    for k in range(1, depth + 1):
-        nxt = []
-        for u in frontier:
-            for t in neighbours[u]:
-                if t not in dist:
-                    dist[t] = k
-                    nxt.append(t)
-        frontier = nxt
+    queue = [source]
+    for u in queue:  # grows while it is walked, in order of distance
+        k = dist[u] + 1
+        if k > depth:
+            break
+        for move in rows[u]:
+            t = move[0]
+            if t not in dist:
+                dist[t] = k
+                queue.append(t)
     return dist
 
 

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
-                   Vertex, _Arena, _arena_report, _known_edges, _parse_vertex_line,
+                   Vertex, _Arena, _arena_report, _parse_vertex_line,
                    _read_header, _reset_spoiler, strategy_from_functions,
                    strategy_from_product)
 from .reduction import _LevelProduct, _RequestTracker
@@ -70,9 +70,9 @@ class CostStreettGame(_Arena):
     pairs: tuple[StreettPair, ...]
     initial: int
 
-    @staticmethod
-    def _cost(e: StreettEdge) -> tuple[int, ...]:
-        return tuple(e.costs)
+    @property
+    def _triples(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        return [(e.source, e.target, tuple(e.costs)) for e in self.edges]
 
     @staticmethod
     def _key_cost(e: StreettEdge) -> int:
@@ -173,10 +173,10 @@ def _mask_sets(masks, d: int) -> tuple[frozenset[int], ...]:
 def validate_streett_game(game: CostStreettGame) -> list[str]:
     """The arena rules (``core._arena_report``), then the pair count,
     the cost arity, negative costs and the pairs' vertices."""
-    report = _arena_report(game)
+    report, edges = _arena_report(game)
     if game.d < 1:
         report.append("game: needs at least one Streett pair")
-    for e in _known_edges(game):
+    for e in edges:
         if len(e.costs) != game.d:
             report.append(f"edge {e.source}->{e.target}: expected {game.d} costs")
         if any(w < 0 for w in e.costs):

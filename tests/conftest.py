@@ -8,6 +8,7 @@ Streett winners from enumerating positional spoilers.
 
 import contextlib
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -280,6 +281,130 @@ def oracle_pass_through(game) -> frozenset[int]:
     """The pass-through vertices: quiet ones (``oracle_quiet``) with one
     successor."""
     return frozenset(v for v in oracle_quiet(game) if len(game.successors[v]) == 1)
+
+
+# --- the arena views derived view by view, the way ``core._Arena`` and the
+# QBF distance audit derived them before the views shared their passes;
+# kept as oracles of the leaner derivations (test_arena_views) ----------------
+
+def _oracle_plus(a, b):
+    return a + b if isinstance(a, int) else tuple(map(operator.add, a, b))
+
+
+def oracle_successors(game) -> dict[int, tuple]:
+    """id → ((target, cost), ...), targets ascending: a list per vertex
+    filled edge by edge and sorted; a Streett edge's cost is its cost
+    tuple."""
+    streett_game = isinstance(game, CostStreettGame)
+    out = {v.id: [] for v in game.vertices}
+    for e in game.edges:
+        if e.source in out:
+            out[e.source].append((e.target, tuple(e.costs) if streett_game else e.cost))
+    return {u: tuple(sorted(ts)) for u, ts in out.items()}
+
+
+def oracle_masks(game) -> tuple[dict, dict]:
+    """(request mask, answer mask) per id: in a cost-parity game bit i
+    is the i-th odd color in use, requested by a vertex of that color and
+    answered by one of an even color above it; in a cost-Streett game
+    bit c is pair c, requested (answered) by the vertices of Q_c (P_c)."""
+    ids = [v.id for v in game.vertices]
+    if isinstance(game, CostStreettGame):
+        request, answer = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
+        for c, pair in enumerate(game.pairs):
+            for v in pair.requests:
+                request[v] |= 1 << c
+            for v in pair.answers:
+                answer[v] |= 1 << c
+        return request, answer
+    odd = sorted({v.color for v in game.vertices if v.color % 2 == 1})
+    bit = {c: 1 << i for i, c in enumerate(odd)}
+    color = {v.id: v.color for v in game.vertices}
+    mask = {c: 0 if c % 2 else sum(1 << i for i, o in enumerate(odd) if o < c)
+            for c in set(color.values())}
+    return ({v.id: bit.get(v.color, 0) for v in game.vertices},
+            {v: mask[c] for v, c in color.items()})
+
+
+def oracle_exit_rows(successors, through) -> dict[int, tuple]:
+    """``core._exit_rows`` as it walked each chain from every
+    pass-through vertex and rebuilt every row move by move."""
+    ahead = {}  # pass-through vertex → (its exit, the chain's cost from it), None on a cycle
+    for p in through:
+        path = []
+        v = p
+        while v in through and v not in ahead:
+            ahead[v] = None  # met again on this walk, it closes a cycle
+            path.append(v)
+            v = successors[v][0][0]
+        end = ahead[v] if v in through else (v, None)
+        for q in reversed(path):
+            if end is not None:
+                w = successors[q][0][1]
+                end = (end[0], w if end[1] is None else _oracle_plus(w, end[1]))
+            ahead[q] = end
+    rows = {}
+    for u, row in successors.items():
+        out = [(ahead[t][0], _oracle_plus(w, ahead[t][1])) if ahead.get(t) else (t, w)
+               for t, w in row]
+        targets = [t for t, _ in out]
+        if len(set(targets)) < len(targets):
+            out = [move if move[0] == t or targets.count(move[0]) == 1 else (t, w)
+                   for move, (t, w) in zip(out, row)]
+        rows[u] = tuple(out)
+    return rows
+
+
+def oracle_views(game) -> dict:
+    """Every view of ``core._Arena`` (and a CostGame's odd colors), each
+    derived on its own from the vertices and edges."""
+    successors = oracle_successors(game)
+    request, answer = oracle_masks(game)
+    through = frozenset(v for v, row in successors.items()
+                        if len(row) == 1 and not request[v] and not answer[v])
+    streett_game = isinstance(game, CostStreettGame)
+    views = {
+        "owner": {v.id: v.owner for v in game.vertices},
+        "successors": successors,
+        "request_mask": request,
+        "answer_mask": answer,
+        "pass_through": through,
+        "exits": oracle_exit_rows(successors, through),
+        "edge_cost": {(e.source, e.target): tuple(e.costs) if streett_game else e.cost
+                      for e in game.edges},
+        "update_key": {(e.source, e.target): (e.source, 0 if streett_game else e.cost, e.target)
+                       for e in game.edges},
+    }
+    if not streett_game:
+        views["color"] = {v.id: v.color for v in game.vertices}
+        views["odd_colors"] = tuple(sorted({v.color for v in game.vertices if v.color % 2}))
+    return views
+
+
+def oracle_audit_maps(game) -> tuple[dict, dict]:
+    """(predecessors, successors) as the QBF distance audit built them:
+    id → the sources of its edges, and id → its successors' targets."""
+    pred = {v.id: [] for v in game.vertices}
+    for e in game.edges:
+        pred[e.target].append(e.source)
+    succ = {u: [t for t, _ in moves] for u, moves in oracle_successors(game).items()}
+    return pred, succ
+
+
+def oracle_bfs_dist(neighbours, source: int, depth: int) -> dict[int, int]:
+    """Step distances from ``source`` along ``neighbours`` (vertex →
+    vertices), one frontier list per step, up to ``depth`` steps."""
+    dist = {source: 0}
+    frontier = [source]
+    for k in range(1, depth + 1):
+        nxt = []
+        for u in frontier:
+            for t in neighbours[u]:
+                if t not in dist:
+                    dist[t] = k
+                    nxt.append(t)
+        frontier = nxt
+    return dist
 
 
 def walked_row(game, tracker, through, o, r, moves):

@@ -388,12 +388,14 @@ def test_error_protocol(tmp_path, delay_path, monkeypatch):
     qdimacs = tmp_path / "bad.qdimacs"
     for body in ("p cnf 1 1\ne 1 0\n1 0 1 0\n", "p cnf 1 1\ne 1 0\n2 1 1 0\n",
                  "p cnf x 1\ne 1 0\n1 0\n", "p cnf 1 1\ne y 0\n1 0\n",
-                 "p cnf 1 1\ne 1 0\n1 z 0\n"):
+                 "p cnf 1 1\ne 1 0\n1 z 0\n", "p cnf 1 0\ne 1 0\n"):
         qdimacs.write_text(body)
         code, _, err = invoke("generate", "qbf", "--qdimacs", str(qdimacs),
                               "--outdir", str(tmp_path / "q"))
         assert code == 2 and err.startswith("error: format: ")
         assert len(err.splitlines()) == 1
+    # the last body has no clause: refused as such, not as a broken game
+    assert err.endswith(": no clause line: a formula needs at least one clause\n")
 
 
 @pytest.mark.parametrize("vertex_lines", ["0 0 0 1:0\n1 0 0 1:0\n1 0 1 0:1\n",

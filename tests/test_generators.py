@@ -5,7 +5,7 @@ import pytest
 from conftest import walked_spoiler_cost
 
 from costparity import (QbfFormula, binary_tradeoff_family,
-                        decide_bounded_cost, eval_qbf, format_qdimacs,
+                        decide_bounded_cost, eval_qbf, format_qdimacs, make_game,
                         normalize_qbf, optimal_cost, p0_memory_family,
                         p1_memory_family, p1_tradeoff_family, parse_qdimacs,
                         qbf_to_game, streett_counter_family, validate_game)
@@ -51,6 +51,10 @@ def test_qbf_rejects_malformed_clauses():
         QbfFormula(("e",), ((1, 1),)).check()
     with pytest.raises(ValueError):
         QbfFormula(("e",), ((1, 2, 1),)).check()
+    with pytest.raises(ValueError, match="at least one clause"):
+        QbfFormula(("e",), ()).check()
+    with pytest.raises(ValueError, match="at least one clause"):
+        qbf_to_game(QbfFormula(("e", "a"), ()))
 
 
 def test_qbf_game_bounds_and_size():
@@ -98,6 +102,27 @@ def test_narrowed_distance_audit_catches_tampered_maps():
         _qbf_distance_audit(game, phi, psi, treq, fneg, shifted)
 
 
+def test_distance_audit_catches_a_gadget_chain_one_step_short():
+    # each gadget of the game in turn loses the last vertex of its
+    # approach chain: the game stays valid, and the audit, reading the
+    # tampered game's own views, finds the literal's first answer a step
+    # early.  An answer at exactly the right distance would not show it:
+    # a negative literal's gadget answers on two vertices in a row, and
+    # the last variable's positive gadget has w2's color on w3 too.
+    phi = normalize_qbf(QbfFormula(("e", "a", "e"), ((1, -2, 3), (-1, 2, -3))))
+    game, psi, treq, fneg, entry_of = _qbf_arena(phi)
+    for lit, entry in entry_of.items():
+        last = entry + 3 * abs(lit)  # the approach's last vertex, before w1
+        vertices = [v for v in game.vertices if v.id != last]
+        edges = [(s, t, w) for s, t, w in game.edges if last not in (s, t)]
+        edges.append((last - 1, last + 1, 1))
+        short = make_game(vertices, edges, game.initial, game.encoding)
+        assert validate_game(short) == []
+        with pytest.raises(AssertionError, match=f"check gadget broken for literal {lit}$"):
+            _qbf_distance_audit(short, phi, psi, treq, fneg, entry_of)
+    assert len(entry_of) == 6
+
+
 def test_qdimacs_roundtrip():
     phi = QbfFormula(("e", "a", "e"), ((1, -2, 3), (3, 3, 3)))
     assert parse_qdimacs(format_qdimacs(phi)) == phi
@@ -105,6 +130,8 @@ def test_qdimacs_roundtrip():
         parse_qdimacs("e 1 0\n1 0\n")  # missing problem line
     with pytest.raises(FormatError):
         parse_qdimacs("p cnf 1 1\ne 1 0\n1 1 1 1 0\n")  # 4 literals
+    with pytest.raises(FormatError, match="at least one clause"):
+        parse_qdimacs("p cnf 1 0\ne 1 0\n")
     padded = parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 -2 0\n")
     assert padded.clauses == ((1, -2, -2),)
 

@@ -149,7 +149,7 @@ def test_validate_streett():
     v0, v1 = g.vertices
     dup = CostStreettGame((v0, v1, v1), g.edges, g.pairs, 0)
     assert validate_streett_game(dup) == ["vertex 1: duplicate id"]
-    owners = CostStreettGame((replace(v0, owner=2), replace(v1, owner=5)),
+    owners = CostStreettGame((v0._replace(owner=2), v1._replace(owner=5)),
                              g.edges, g.pairs, 0)
     assert validate_streett_game(owners) == ["vertex 0: owner must be 0 or 1, got 2",
                                              "vertex 1: owner must be 0 or 1, got 5"]
