@@ -283,9 +283,9 @@ def oracle_pass_through(game) -> frozenset[int]:
     return frozenset(v for v in oracle_quiet(game) if len(game.successors[v]) == 1)
 
 
-# --- the arena views derived view by view, the way ``core._Arena`` and the
-# QBF distance audit derived them before the views shared their passes;
-# kept as oracles of the leaner derivations (test_arena_views) ----------------
+# --- the arena views derived one by one, straight from the vertices and
+# edges: the oracles of ``core._Arena``'s shared passes and of the QBF
+# distance audit's searches (test_arena_views) --------------------------------
 
 def _oracle_plus(a, b):
     return a + b if isinstance(a, int) else tuple(map(operator.add, a, b))
@@ -327,8 +327,8 @@ def oracle_masks(game) -> tuple[dict, dict]:
 
 
 def oracle_exit_rows(successors, through) -> dict[int, tuple]:
-    """``core._exit_rows`` as it walked each chain from every
-    pass-through vertex and rebuilt every row move by move."""
+    """``core._exit_rows`` the plain way: a chain walked from every
+    pass-through vertex, and every row rebuilt move by move."""
     ahead = {}  # pass-through vertex → (its exit, the chain's cost from it), None on a cycle
     for p in through:
         path = []
@@ -382,8 +382,8 @@ def oracle_views(game) -> dict:
 
 
 def oracle_audit_maps(game) -> tuple[dict, dict]:
-    """(predecessors, successors) as the QBF distance audit built them:
-    id → the sources of its edges, and id → its successors' targets."""
+    """The QBF distance audit's two maps, built directly: id → the
+    sources of the edges into it, and id → its successors' targets."""
     pred = {v.id: [] for v in game.vertices}
     for e in game.edges:
         pred[e.target].append(e.source)

@@ -41,6 +41,9 @@ def test_validate_catches_structural_problems():
     assert any("duplicate id" in line for line in report)
     assert any("unknown target" in line for line in report)
     assert any("initial vertex 9" in line for line in report)
+    # a negative color is named even where a later vertex repeats its id
+    hidden = CostGame((Vertex(0, 0, -1), Vertex(0, 0, 2)), (Edge(0, 0, 0),), 0)
+    assert validate_game(hidden) == ["vertex 0: duplicate id", "vertex 0: negative color -1"]
 
 
 def test_validate_rejects_parallel_edges():
