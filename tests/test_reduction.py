@@ -58,6 +58,19 @@ def test_update_track_state_steps():
     assert step(0, (None, 2), 1, 5) == (1, (None, None), True)
 
 
+def test_track_play_reproduces_reference_rows():
+    g = eight_vertex_trace_game()
+    stack = pushed_play(g, 2, range(8))
+    unpack = stack.tracker.unpack
+    want_o = [0, 0, 0, 0, 0, 1, 1, 1]
+    want_r1 = [None, None, 0, 1, None, None, 0, 1]
+    want_r3 = [0, 0, 1, 2, 2, None, None, None]
+    for i in range(8):
+        assert (stack.overflows[i], unpack(stack.requests[i])) == \
+            (want_o[i], (want_r1[i], want_r3[i]))
+    assert stack.cum == [0, 0, 1, 2, 2, 3, 4, 5]
+
+
 def test_relevant_requests():
     # entries over the odd colors (1, 3); bit i is the i-th color
     assert _relevant_mask((2, 1)) == 0b11
@@ -127,6 +140,30 @@ def test_largest_and_costliest_requests_always_relevant():
         assert rel >> max(open_entries) & 1
         costliest = max(open_entries, key=lambda i: (vals[i], i))
         assert rel >> costliest & 1
+
+
+def test_stability_under_concatenation_exhaustive():
+    # domination is preserved by every memory step, enumerated over all state pairs and
+    # all edges of random games with d ≤ 2, b ≤ 2, n ≤ 3
+    rng = random.Random(11)
+    for _ in range(50):
+        g = random_cost_game(rng, rng.randint(1, 3), 4)
+        b = rng.randint(0, 2)
+        tr = Tracker(g, b)
+        values = [None] + list(range(b + 1))
+        rs = list(itertools.product(values, repeat=tr.d))
+        states_all = [(o, r) for o in range(g.n + 1) for r in rs]
+        for o1, r1 in states_all:
+            for o2, r2 in states_all:
+                if o2 >= g.n:
+                    continue
+                if not dominated((o1, r1), (o2, r2)):
+                    continue
+                for e in g.edges:
+                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
+                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
+                    assert dominated((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
+                        (r1, r2, o1, o2, e)
 
 
 def test_update_never_exceeds_bounds():
