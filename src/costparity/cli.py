@@ -23,18 +23,21 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_game(path: str):
-    p = Path(path)
+def _parse_file(path: str, parse):
+    """``parse`` of the file's text: an unreadable file is an ``io``
+    error, a text that ``parse`` rejects a ``format`` error."""
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc}") from exc
     try:
-        if p.suffix == ".cst":
-            return streett.parse_cst(text)
-        return core.parse_cpg(text)
-    except (core.FormatError, ValueError) as exc:
+        return parse(text)
+    except ValueError as exc:  # FormatError included
         raise CliError("format", f"{path}: {exc}") from exc
+
+
+def _load_game(path: str):
+    return _parse_file(path, streett.parse_cst if Path(path).suffix == ".cst" else core.parse_cpg)
 
 
 def _write(path: Path, text: str, out) -> None:
@@ -97,12 +100,7 @@ def cmd_optimal(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     game = _load_game(args.file)
-    try:
-        strat = core.parse_strat(Path(args.strategy).read_text())
-    except OSError as exc:
-        raise CliError("io", f"cannot read {args.strategy}: {exc}") from exc
-    except core.FormatError as exc:
-        raise CliError("format", f"{args.strategy}: {exc}") from exc
+    strat = _parse_file(args.strategy, core.parse_strat)
     # a player outside {0, 1} fails the verifiers' well-formedness check
     if isinstance(game, streett.CostStreettGame):
         verify = streett.streett_spoiler_cost if strat.player == 1 else streett.streett_strategy_cost
@@ -130,13 +128,7 @@ def cmd_generate(args, out) -> int:
     if args.family == "qbf":
         if not args.qdimacs:
             raise CliError("usage", "generate qbf requires --qdimacs")
-        try:
-            phi = generators.parse_qdimacs(Path(args.qdimacs).read_text())
-        except OSError as exc:
-            raise CliError("io", f"cannot read {args.qdimacs}: {exc}") from exc
-        except core.FormatError as exc:
-            raise CliError("format", f"{args.qdimacs}: {exc}") from exc
-        inst = generators.qbf_to_game(phi)
+        inst = generators.qbf_to_game(_parse_file(args.qdimacs, generators.parse_qdimacs))
     else:
         try:
             inst = _FAMILIES[args.family](args.d)

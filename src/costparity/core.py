@@ -461,14 +461,11 @@ def parse_cpg(text: str) -> CostGame:
     return game
 
 
-def format_cpg(game: CostGame, comments: Mapping[int, str] | None = None) -> str:
+def format_cpg(game: CostGame) -> str:
     lines = [f"costparity {game.n} {game.initial} {game.encoding}"]
     for v in sorted(game.vertices, key=lambda v: v.id):
         succs = ",".join(f"{t}:{w}" for t, w in game.successors[v.id])
-        line = f"{v.id} {v.color} {v.owner} {succs}"
-        if comments and v.id in comments:
-            line += f"  # {comments[v.id]}"
-        lines.append(line)
+        lines.append(f"{v.id} {v.color} {v.owner} {succs}")
     return "\n".join(lines) + "\n"
 
 

@@ -383,16 +383,12 @@ def _p0_strategy(d: int, j: int, game: CostGame,
         return clamp(seq[:g - 1] + tail)
 
     def nxt(v, seq):
-        row, g, x, _ = role[v]
-        gadget = g - d  # her gadgets are d+1..2d
-        target_col = (seq[gadget - 1] - 1) // 2
-        succs = game.successors[v]
-        down = min(t for t, _ in succs if role[t][0] == "mid") \
-            if any(role[t][0] == "mid" for t, _ in succs) else None
-        right = min((t for t, _ in succs if role[t][0] == "top"), default=None)
-        if x < target_col and right is not None:
-            return right
-        return down if down is not None else succs[0][0]
+        # she owns only her gadgets' tops (gadgets d+1..2d): right up to
+        # the column of the wanted entry, an odd number at most 2d−1,
+        # then down; a top left of that column has a right move
+        _, g, x, _ = role[v]
+        want = "top" if x < (seq[g - d - 1] - 1) // 2 else "mid"
+        return min(t for t, _ in game.successors[v] if role[t][0] == want)
 
     return strategy_from_functions(game, 0, m_init, upd, nxt)
 
@@ -537,16 +533,11 @@ def _p1_strategy_functions(d: int, info: dict, v_init: int):
             succs = game.successors[v]
             if jj is None:
                 return succs[0][0]
+            # the entry A1 moves to B1 (color 4j−2) or E1 (color 0).
             # request 4j−3 open: take the long way to the late 4j−2;
             # request 4j−1 open: take the long way to the 4j answer
-            lower = mask >> (jj - 1) & 1
-            color = game.color
-            targets = sorted(succs)
-            e_branch = [t for t, _ in succs if color[t] == 0]
-            b_branch = [t for t, _ in succs if color[t] != 0]
-            if lower:
-                return e_branch[0] if e_branch else targets[0][0]
-            return b_branch[0] if b_branch else targets[0][0]
+            lower = bool(mask >> (jj - 1) & 1)
+            return min(t for t, _ in succs if (game.color[t] == 0) == lower)
         return nxt
 
     return upd, make_nxt

@@ -260,7 +260,8 @@ class BoundedCostResult(_LevelProduct):
     contains the one before.  Level 0 reads the last iterate, so node 0
     won in any iterate means ``achievable``.  The remaining iterates are
     solved by the same loop, resumed the first time anything reads
-    ``iterates`` (``move``, ``level_solve``, certificates).
+    ``iterates`` (``move_function``'s moves, ``level_solve``,
+    certificates).
 
     Each level is solved sink-first for Player 0's winners only
     (``solve_level``): the sinks' attractors over the whole level graph
@@ -281,6 +282,7 @@ class BoundedCostResult(_LevelProduct):
 
     def __init__(self, game, tracker, budget: int, what: str):
         super().__init__(game, tracker, budget, what)
+        self.tracker = tracker  # the certificates' tracker too
         self.bound = tracker.bound
         self.product_states = self.size
         self.vertex_of = list(map(itemgetter(0), self.nodes))  # node → arena vertex
@@ -382,11 +384,11 @@ class BoundedCostResult(_LevelProduct):
         """What ``solve_whole(succ, pred, prev)`` keeps of the game of
         the k-th iterate, whose overflow edges lead to the sinks by
         ``prev(k)``, built on first use: a pair, indexed by player, of
-        what each player's certificate reads (``move`` reads positional
-        moves from an entry by ``get(node)``).  The game is the one
-        ``solve`` solved, predecessor lists included, so the whole solve
-        picks the moves the level's solve would have picked, and the
-        winners it returns with the pair must be the stored ones."""
+        what each player's certificate reads (``move_function`` reads
+        positional moves from an entry by ``get(node)``).  The game is
+        the one ``solve`` solved, predecessor lists included, so the
+        whole solve picks the moves the level's solve would have picked,
+        and the winners it returns with the pair must be the stored ones."""
         kept = self._solved.get(k)
         if kept is None:
             # solved whole: the sinks' attractor moves plus the rest's
@@ -399,9 +401,12 @@ class BoundedCostResult(_LevelProduct):
         return kept
 
     def move_function(self, player: int):
-        """The player's level-solve moves as a function (v, o, r) →
-        ``move(player, v, o, r)``, which looks each level's moves up
-        once per overflow value o."""
+        """The player's level-solve moves as a function: (v, o, r), r a
+        request word, → the positional move there as an arena successor,
+        None off the nodes.  It looks each level's moves up once per
+        overflow value o.  On a Streett game Player 0 has none: her level
+        strategies need memory, so ``move_function(0)`` raises
+        ValueError there; ``certificate`` holds her moves."""
         n, index, tables = self.game.n, self.index, {}
 
         def move(v, o, r):
@@ -413,14 +418,6 @@ class BoundedCostResult(_LevelProduct):
                 table = tables[o] = self.level_solve(self._iterate_index(o))[player]
             return table.get(node)
         return move
-
-    def move(self, player: int, v: int, o: int, r: int) -> Optional[int]:
-        """The level solve's positional move at (v, o, r), r a request
-        word, as an arena successor; None off the nodes.  On a
-        Streett game Player 0 has none: her level strategies need memory,
-        so ``move(0, …)`` raises ValueError there; ``certificate`` holds
-        her moves."""
-        return self.move_function(player)(v, o, r)
 
 
 class _ParityLevels(BoundedCostResult):
@@ -484,8 +481,7 @@ def extract_player0_strategy(levels: BoundedCostResult) -> StrategySpec:
     """Finite-state strategy from a won decision on a cost-parity game:
     memory is the closure of the tracking states under Upd, next moves
     project the positional product strategy."""
-    game, bound = levels.game, levels.bound
-    tr = Tracker(game, bound)
+    game, bound, tr = levels.game, levels.bound, levels.tracker
     move = levels.move_function(0)
 
     def upd(label, ek):
@@ -515,8 +511,8 @@ def extract_player1_strategy(levels: BoundedCostResult) -> StrategySpec:
     restarts at o_v = min{o : (v, o, r_v) reachable under the product
     strategy} instead of incrementing (see ``core._reset_spoiler``).
     """
-    return _reset_spoiler(levels.game, Tracker(levels.game, levels.bound),
-                          levels.move_function(1), levels._iterate_index)
+    return _reset_spoiler(levels.game, levels.tracker, levels.move_function(1),
+                          levels._iterate_index)
 
 
 # --- finite-duration engine ---------------------------------------------------

@@ -108,7 +108,7 @@ def _pair_masks(ids, sides) -> dict[int, int]:
 class StreettGame:
     """Classical Streett game (all costs implicitly zero), its d pairs
     given per vertex: bit c of ``qmask[v]`` (``pmask[v]``) is set iff v
-    is in Q_c (P_c).  ``from_pairs`` builds one from the pairs' sets."""
+    is in Q_c (P_c)."""
 
     owners: tuple[int, ...]
     succ: tuple[tuple[int, ...], ...]
@@ -117,24 +117,9 @@ class StreettGame:
     d: int
     initial: int
 
-    @classmethod
-    def from_pairs(cls, owners, succ, pairs_q, pairs_p, initial: int) -> StreettGame:
-        """The game whose pairs are (``pairs_q[c]``, ``pairs_p[c]``)."""
-        ids = range(len(owners))
-        return cls(owners, succ, tuple(_pair_masks(ids, pairs_q).values()),
-                   tuple(_pair_masks(ids, pairs_p).values()), len(pairs_q), initial)
-
     @property
     def n(self) -> int:
         return len(self.owners)
-
-    @cached_property
-    def pairs_q(self) -> tuple[frozenset[int], ...]:
-        return _mask_sets(self.qmask, self.d)
-
-    @cached_property
-    def pairs_p(self) -> tuple[frozenset[int], ...]:
-        return _mask_sets(self.pmask, self.d)
 
     @cached_property
     def owner(self) -> dict[int, int]:
@@ -162,12 +147,6 @@ def _numbered_patterns(qmask, pmask) -> tuple[list[int], list[int], list[int]]:
     index: dict[tuple[int, int], int] = {}
     pattern_of = [index.setdefault(key, len(index)) for key in zip(qmask, pmask)]
     return pattern_of, [q for q, _ in index], [p for _, p in index]
-
-
-def _mask_sets(masks, d: int) -> tuple[frozenset[int], ...]:
-    """Per bit c < d, the frozenset of the ids whose mask has bit c."""
-    return tuple(frozenset(i for i, mask in enumerate(masks) if mask >> c & 1)
-                 for c in range(d))
 
 
 def validate_streett_game(game: CostStreettGame) -> list[str]:
@@ -621,8 +600,7 @@ def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
     node: no request is open after it, so the node is the exit's with
     its fresh requests, and it is won one level up.
     """
-    game = levels.game
-    tr = StreettTracker(game, levels.bound)
+    game, tr = levels.game, levels.tracker
     index, nodes, succ, overflow = levels.index, levels.nodes, levels.succ, levels.overflow
     successors, through, exits = game.successors, game.pass_through, game.exits
     hop = {(u, t): k for u, row in successors.items() for k, (t, _) in enumerate(row)}
@@ -643,7 +621,7 @@ def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
 
     def enter(o, s, i, j):
         """The cell state after the level move i → j at level o and the
-        moves of the pass-through nodes that follow."""
+        moves of the pass-through nodes that follow, if any."""
         walk = []
         while j not in walk:
             if j in overflow.get(i, ()):
@@ -665,11 +643,8 @@ def _compose_p0_certificate(levels: BoundedCostResult) -> StrategySpec:
             return (o2, r2, restart(o2, t))
         if src in through:
             return (o2, r2, s)
-        if t in through:
-            i = index.get((src, r))
-            return (o2, r2, None if i is None else enter(o, s, i, succ[i][hop[(src, t)]]))
-        c, j = cell(o2), index.get((t, r2))
-        return (o2, r2, None if c is None or j is None or s is None else c.step(s, j))
+        i = index.get((src, r))
+        return (o2, r2, None if i is None else enter(o, s, i, succ[i][hop[(src, t)]]))
 
     def nxt(v, label):
         o, r, s = label
@@ -690,8 +665,8 @@ def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
     """Spoiler memory with the overflow counter reset to the least value
     reachable under the level solves' positional moves
     (``core._reset_spoiler``)."""
-    return _reset_spoiler(levels.game, StreettTracker(levels.game, levels.bound),
-                          levels.move_function(1), levels._iterate_index)
+    return _reset_spoiler(levels.game, levels.tracker, levels.move_function(1),
+                          levels._iterate_index)
 
 
 # --- strategy verification ---------------------------------------------------------

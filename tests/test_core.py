@@ -44,6 +44,11 @@ def test_validate_catches_structural_problems():
     # a negative color is named even where a later vertex repeats its id
     hidden = CostGame((Vertex(0, 0, -1), Vertex(0, 0, 2)), (Edge(0, 0, 0),), 0)
     assert validate_game(hidden) == ["vertex 0: duplicate id", "vertex 0: negative color -1"]
+    # a negative cost is named in either encoding, before a unary game's cost above 1
+    for encoding in ("unary", "binary"):
+        costly = make_game([(0, 0, 0), (1, 0, 0)], [(0, 1, -1), (1, 0, 2)], 0, encoding)
+        assert validate_game(costly) == ["edge 0->1: negative cost -1"] + \
+            ["edge 1->0: non-abstract cost 2 in unary game"] * (encoding == "unary")
 
 
 def test_validate_rejects_parallel_edges():

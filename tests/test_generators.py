@@ -53,6 +53,8 @@ def test_qbf_rejects_malformed_clauses():
         QbfFormula(("e",), ((1, 2, 1),)).check()
     with pytest.raises(ValueError, match="at least one clause"):
         QbfFormula(("e",), ()).check()
+    with pytest.raises(ValueError, match="^bad quantifier 'x'$"):
+        QbfFormula(("e", "x"), ((1, 2, 1),)).check()
     with pytest.raises(ValueError, match="at least one clause"):
         qbf_to_game(QbfFormula(("e", "a"), ()))
 
@@ -92,6 +94,10 @@ def test_narrowed_distance_audit_catches_tampered_maps():
     _qbf_distance_audit(game, phi, psi, treq, fneg, entry_of)
     with pytest.raises(AssertionError, match="true-request distance broken at 1"):
         _qbf_distance_audit(game, phi, psi, fneg, treq, entry_of)
+    # the last false-request vertex moved to its own true-request vertex
+    moved = {**fneg, phi.n: treq[phi.n]}
+    with pytest.raises(AssertionError, match=f"false-request distance broken at {phi.n}"):
+        _qbf_distance_audit(game, phi, psi, treq, moved, entry_of)
     # each literal's entry pointing at its negation's gadget, then at
     # another variable's gadget
     swapped = {lit: entry_of[-lit] for lit in entry_of}
@@ -134,6 +140,9 @@ def test_qdimacs_roundtrip():
         parse_qdimacs("p cnf 1 0\ne 1 0\n")
     padded = parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 -2 0\n")
     assert padded.clauses == ((1, -2, -2),)
+    # blank lines and c comment lines are skipped wherever they stand
+    commented = "c a comment\n\np cnf 3 2\n  \ne 1 0\nc another\na 2 0\ne 3 0\n1 -2 3 0\n3 3 3 0\n\n"
+    assert parse_qdimacs(commented) == phi
 
 
 def test_p0_family_published_values():

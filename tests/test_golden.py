@@ -122,8 +122,8 @@ LAYERED_DIGEST = "76ed44ecaea26be7205e064dd29da5ff6cb4b5883ce527682efe61dd431dc1
 
 def _hash_layered_solve(h, game, bound):
     res = decide_bounded_cost(game, bound)
-    move = res.move
-    rows = [[(product_winner(res, v, o, r), move(0, v, o, r), move(1, v, o, r))
+    move0, move1 = res.move_function(0), res.move_function(1)
+    rows = [[(product_winner(res, v, o, r), move0(v, o, r), move1(v, o, r))
              for o in range(game.n + 1)] for v, r in res.nodes]
     h.update(repr(rows).encode() + b"\1")
 

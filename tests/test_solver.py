@@ -177,11 +177,12 @@ def test_moves_on_demand_equal_the_eager_solve():
         res = decide_bounded_cost(g, rng.randint(0, 6))
         eager = eager_parity_levels(g, res.bound)
         assert len(res.iterates) == len(eager)
+        move0, move1 = res.move_function(0), res.move_function(1)
         for k, (_, s0, s1) in enumerate(eager):
             o = g.n - 1 - k
             for node, (v, r) in enumerate(res.nodes):
-                assert res.move(0, v, o, r) == s0.get(node)
-                assert res.move(1, v, o, r) == s1.get(node)
+                assert move0(v, o, r) == s0.get(node)
+                assert move1(v, o, r) == s1.get(node)
 
 
 def test_move_tables_answer_like_move_on_parity_decisions():
@@ -595,7 +596,7 @@ def test_reads_after_an_early_stop_match_the_completed_fixpoint():
         if first == "winner":
             product_winner(res, *states[0])
         elif first == "move":
-            res.move(1, *states[0])
+            res.move_function(1)(*states[0])
         cert = res.certificate
         assert len(res._levels) == 3
         assert cert == complete.certificate and strategy_cost(g, cert) <= 1
@@ -603,4 +604,5 @@ def test_reads_after_an_early_stop_match_the_completed_fixpoint():
             assert product_winner(res, v, o, r) == product_winner(complete, v, o, r) \
                 == flat.winner(v, o, r)
             for player in (0, 1):
-                assert res.move(player, v, o, r) == complete.move(player, v, o, r)
+                assert res.move_function(player)(v, o, r) == \
+                    complete.move_function(player)(v, o, r)

@@ -6,7 +6,7 @@ import pytest
 from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_move_tables,
                       check_span_tables, direct_tracked_product, flat_streett_certificate,
                       full_level_product, lifted_pairs, lifted_streett_view,
-                      oracle_pass_through, product_winner, random_cost_game,
+                      oracle_pass_through, pair_masks, product_winner, random_cost_game,
                       random_cost_streett, random_level_rows, random_strategy,
                       random_streett_game, streett_initial_r, streett_step,
                       streett_strategy_product, streett_view, unmerged_certificates,
@@ -73,9 +73,9 @@ def test_counter_optimal_play_cost():
 
 
 def test_solve_streett_trivial():
-    sg = StreettGame.from_pairs((0,), ((0,),), (frozenset(),), (frozenset(),), 0)
+    sg = StreettGame((0,), ((0,),), (0,), (0,), 1, 0)
     assert solve_streett(sg).winner_from_initial == 0
-    sg2 = StreettGame.from_pairs((0,), ((0,),), (frozenset({0}),), (frozenset(),), 0)
+    sg2 = StreettGame((0,), ((0,),), (1,), (0,), 1, 0)
     assert solve_streett(sg2).winner_from_initial == 1
 
 
@@ -267,10 +267,10 @@ def test_player0_has_no_positional_streett_move():
     g = streett_counter_family(1).game
     for bound in (4, 5):
         res = decide_bounded_cost_streett(g, bound)
-        for v, r in res.nodes:
-            with pytest.raises(ValueError, match="read certificate"):
-                res.move(0, v, 0, r)
-        moves = {(v, r): res.move(1, v, 0, r) for v, r in res.nodes if g.owner[v] == 1}
+        with pytest.raises(ValueError, match="read certificate"):
+            res.move_function(0)
+        move = res.move_function(1)
+        moves = {(v, r): move(v, 0, r) for v, r in res.nodes if g.owner[v] == 1}
         assert all(t is None or (v, t) in g.edge_cost for (v, _), t in moves.items())
         assert any(t is not None for t in moves.values()) == (not res.achievable)
 
@@ -283,9 +283,9 @@ def test_reduction_shape():
     assert red.size <= n * (n + 1) * (5 + 2) ** inst.game.d
     assert red.states[0][1] == 0
     # the extra pair fires exactly on saturated states and has no answers
-    extra_q = red.streett.pairs_q[-1]
-    assert all(red.states[i][1] >= n for i in extra_q)
-    assert red.streett.pairs_p[-1] == frozenset()
+    saturation = 1 << inst.game.d
+    assert [bool(q & saturation) for q in red.streett.qmask] == [o >= n for _, o, _ in red.states]
+    assert not any(p & saturation for p in red.streett.pmask)
 
 
 def test_counter_family_decide():
@@ -383,8 +383,9 @@ def test_sink_first_winners_equal_the_whole_streett_solve(monkeypatch):
         d = rng.randint(1, 2)
         q, p = ([frozenset(v for v in range(m) if rng.random() < 0.4) for _ in range(d)]
                 for _ in range(2))
-        sg = StreettGame.from_pairs(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0), rows,
-                                    tuple(q) + (frozenset({m + 1}),), tuple(p) + (frozenset(),), 0)
+        sg = StreettGame(tuple(rng.randint(0, 1) for _ in range(m)) + (1, 0), rows,
+                         pair_masks(m + 2, q + [frozenset({m + 1})]),
+                         pair_masks(m + 2, p + [frozenset()]), d + 1, 0)
         full, lean = solve_streett(sg), solve_streett(sg, cells=False)
         assert (lean.win0, lean.win1) == (full.win0, full.win1), sg
         whole = frozenset(v for v in full.win0 if v < m)
@@ -411,6 +412,10 @@ def test_budget_caps_the_decision_and_the_certificate(monkeypatch):
     assert g.pass_through == oracle_pass_through(g) == {5}
     assert full_level_product(g, StreettTracker(g, 5)).size == 22
     assert (res.product_states, build_streett_reduction(g, 5).size) == (20, 200)
+    # the flat reduction's budget caps the unrolled product, past the level graph
+    assert build_streett_reduction(g, 5, budget=200).size == 200
+    with pytest.raises(BudgetExceededError, match="^streett reduction exceeds budget 199 states$"):
+        build_streett_reduction(g, 5, budget=199)
     assert decide_bounded_cost_streett(g, 5, product_budget=20).product_states == 20
     with pytest.raises(BudgetExceededError):
         decide_bounded_cost_streett(g, 5, product_budget=19)
