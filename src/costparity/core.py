@@ -14,6 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from operator import add, attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -78,14 +79,34 @@ class _Arena:
 
     @cached_property
     def pass_through(self) -> frozenset[int]:
-        """The pass-through vertices (``_pass_through``)."""
-        return _pass_through(self.successors, self.request_mask, self.answer_mask)
+        """The vertices with one successor that request and answer nothing;
+        in a cost-parity game, those of an even color below every odd color
+        in use.  The tracker's step into one opens and closes nothing."""
+        answer = self.answer_mask
+        return frozenset(v for v in _forced(self.successors, self.request_mask) if not answer[v])
 
     @cached_property
     def exits(self) -> dict[int, tuple]:
         """``successors`` with each move into a pass-through vertex walked
-        on to its exit (``_exit_rows``)."""
-        return _exit_rows(self.successors, self.pass_through)
+        on to its exit (``_walk_rows``): the rows certificates read."""
+        return _walk_rows(self.successors, self.pass_through, self.answer_mask)[1]
+
+    @cached_property
+    def _walks(self) -> tuple[frozenset[int], dict[int, tuple]]:
+        return _walk_rows(self.successors, _forced(self.successors, self.request_mask),
+                          self.answer_mask, self.initial)
+
+    @cached_property
+    def walked(self) -> frozenset[int]:
+        """The walked vertices (``_walk_rows``), the pass-through ones among them."""
+        return self._walks[0]
+
+    @cached_property
+    def walked_exits(self) -> dict[int, tuple]:
+        """``successors`` with each move into a walked vertex walked on to
+        its exit (``_walk_rows``), own rows only where a product from
+        ``initial`` reads them: the rows decisions read."""
+        return self._walks[1]
 
     @cached_property
     def edge_cost(self) -> dict[tuple[int, int], object]:
@@ -109,13 +130,9 @@ class _Arena:
             vars(self)["_valid"] = True
 
 
-def _pass_through(successors: Mapping[int, tuple], request: Mapping[int, int],
-                  answer: Mapping[int, int]) -> frozenset[int]:
-    """The vertices with one successor that request and answer nothing;
-    in a cost-parity game, those of an even color below every odd color
-    in use.  The tracker's step into one opens and closes nothing."""
-    return frozenset(v for v, row in successors.items()
-                     if len(row) == 1 and not request[v] and not answer[v])
+def _forced(successors: Mapping[int, tuple], request: Mapping[int, int]) -> frozenset[int]:
+    """The vertices with one successor that request nothing."""
+    return frozenset(v for v, row in successors.items() if len(row) == 1 and not request[v])
 
 
 def _plus(a, b):
@@ -123,69 +140,132 @@ def _plus(a, b):
     return a + b if isinstance(a, int) else tuple(map(add, a, b))
 
 
-def _exit_rows(successors: Mapping[int, tuple], through: frozenset[int]) -> dict[int, tuple]:
-    """id → ((target, cost), ...), aligned with ``successors``: a move
-    into a pass-through vertex of ``through`` walks on to its exit, the
-    first vertex on the way that is not one, at the chain's summed cost.
-    Two kinds of move keep their own target: one whose chain ends in a
-    cycle of pass-through vertices, and one whose exit would repeat
-    another target of its row, so a row's targets stay distinct.
+def _walk_rows(successors: Mapping[int, tuple], forced: frozenset[int],
+               answer: Mapping[int, int], initial: int | None = None
+               ) -> tuple[frozenset[int], dict[int, tuple]]:
+    """(the walked vertices of ``forced``, the rows): id → ((target,
+    charge), ...), aligned with ``successors``, where a move into a
+    walked vertex walks on to its exit.  Two kinds of move keep their
+    own target: one whose chain ends in a cycle of walked vertices, and
+    one whose exit would repeat another target of its row, so a row's
+    targets stay distinct.
+
+    ``forced`` holds vertices with one successor that request nothing: the
+    pass-through vertices, or all such vertices (``_forced``).  A forced
+    vertex's chain runs from it along the successors of forced vertices.
+    It is walked if it answers only pairs that its exit answers too, its
+    exit being the first vertex after it on its chain that is not
+    walked; so each chain is settled once, backward from its end, the
+    first vertex on it that is not forced.  A chain that ends in a cycle
+    of forced vertices has no end: there, as before this rule, exactly
+    the vertices that answer nothing are walked, on to the first
+    answering vertex ahead, if any (a second round over them alone).  So
+    every pass-through vertex is walked.
+
+    A walked move's charge says what each pair pays: the cost it incurs
+    until the chain first answers it, or the move's whole cost to the
+    exit when nothing on the chain does.  It is that total cost (an int,
+    or a Streett cost tuple pair by pair) when no vertex on the chain
+    answers, else (total, cuts).  The cuts are a (pairs mask, cost) per
+    answering vertex on the chain, in chain order: the pairs it answers
+    and its cost to the exit.  A pair pays the total less the cost of the
+    first cut that holds it, if any (``reduction._RequestTracker._packed``).
+    Each vertex's cost to the exit is summed from the next one's, and its
+    cuts are the next one's, with one more in front where it answers; so
+    the moves that enter a chain between the same answering vertices
+    share their cuts, and a parity charge hashes in a few items however
+    many pairs there are.
 
     The tracked product takes a walked move in one tracker step
     (``reduction._LevelProduct``), and that is exact.  No vertex on the
-    chain opens or closes a request, and costs are non-negative, so the
-    chain overflows iff the summed step does; after an overflow nothing
-    is open until the exit, so both routes give (min(o+1, n), the
-    exit's fresh requests).  Skipped vertices decide no cycle: their
-    parity colors lie below every odd color, their pair masks are empty.
+    chain opens a request, each pair it answers the exit answers too,
+    and costs are non-negative.  So the chain overflows iff some open
+    pair passes the bound before the chain answers it, which is iff the
+    one step's charge takes it past; after an overflow nothing is open
+    until the exit, so both routes give (min(o+1, n), the exit's fresh
+    requests), and otherwise both close at the exit every pair that the
+    chain answers.  Skipped vertices decide no cycle: they request
+    nothing, and each cycle through them passes their exit, whose
+    answers cover theirs (for parity, no odd color lies between a
+    skipped even color and the exit's).
 
-    A pass-through vertex's own row is its one move walked on, which is
-    the chain end the walk computes for it: ((exit, chain cost),), or
-    its successors row when the chain ends in a cycle.
+    A walked vertex's own row is its one move walked on, ((exit,
+    charge),), or its successors row when its chain ends in a cycle.
+    With ``initial`` given, the own rows are built only where a tracked
+    product from ``initial`` reads them, at ``initial`` and at the
+    targets that rows keep; every other walked vertex is no node of such
+    a product, and its row stays its successors row.
     """
-    # pass-through vertex → its exit row, None on a cycle
-    ahead: dict[int, tuple | None] = {}
-    looped = []  # the pass-through vertices whose chain ends in a cycle
-    for p in through:
-        if p in ahead:
-            continue
-        path = []
-        v = p
-        while v in through and v not in ahead:
-            ahead[v] = None  # met again on this walk, it closes a cycle
-            path.append(v)
-            v = successors[v][0][0]
-        if v in through:
-            row = ahead[v]
-            if row is None:
+    rows = dict(successors)
+    # forced vertex → (its exit, its cost to it, the cuts after it, the
+    # cuts from it on) if it is walked, False if not, None on a cycle's chain
+    ahead: dict[int, tuple | bool | None] = {}
+    # parity costs are ints, summed inline; Streett costs are tuples (``_plus``)
+    ints = all(isinstance(successors[v][0][1], int) for v in islice(forced, 1))
+    while True:
+        looped = []
+        for p in forced:
+            if p in ahead:
+                continue
+            path = []
+            v = p
+            while v in forced and v not in ahead:
+                ahead[v] = None  # met again on this walk, it closes a cycle
+                path.append(v)
+                v = successors[v][0][0]
+            end = ahead[v] if v in forced else False
+            if end is None:
                 looped += path
                 continue
-        else:  # the last vertex walked moves straight to the exit
-            q = path.pop()
-            row = ahead[q] = successors[q]
-        ((x, c),) = row
-        for q in reversed(path):
-            c = _plus(successors[q][0][1], c)
-            ahead[q] = ((x, c),)
-    rows = {**successors, **ahead}
-    for u in looped:
-        rows[u] = successors[u]
+            x, dist, _, cuts = end or (v, None, (), ())
+            mask = answer[x]
+            for q in reversed(path):
+                a = answer[q]
+                if a & ~mask:  # q is not walked: the vertices before it stop at q
+                    ahead[q] = False
+                    x, dist, cuts, mask = q, None, (), a
+                    continue
+                w = successors[q][0][1]
+                dist = w if dist is None else w + dist if ints else _plus(w, dist)
+                after = cuts
+                if a:
+                    cuts = ((a, dist),) + after
+                ahead[q] = (x, dist, after, cuts)
+        if not any(answer[v] for v in looped):
+            break
+        forced = frozenset(v for v in looped if not answer[v])
+        for v in looped:
+            if answer[v]:
+                ahead[v] = False
+            else:
+                del ahead[v]
+    walked = [v for v, end in ahead.items() if end]
+    own = walked if initial is None else [initial]
+    walked = frozenset(walked + looped)
     # the other rows change where a move enters a chain
-    for u in successors.keys() - through:
+    for u in successors.keys() - walked:
         row = successors[u]
         if len(row) == 1:
-            end = ahead.get(row[0][0])
+            t, w = row[0]
+            end = ahead.get(t)
             if end:
-                rows[u] = ((end[0][0], _plus(row[0][1], end[0][1])),)
+                x, dist, _, cuts = end
+                dist = w + dist if ints else _plus(w, dist)
+                rows[u] = ((x, (dist, cuts) if cuts else dist),)
             continue
-        out = [(end[0][0], _plus(w, end[0][1])) if (end := ahead.get(t)) else (t, w)
-               for t, w in row]
+        out = [(end[0], (_plus(w, end[1]), end[3]) if end[3] else _plus(w, end[1]))
+               if (end := ahead.get(t)) else (t, w) for t, w in row]
         targets = [t for t, _ in out]
         if len(set(targets)) < len(targets):
             out = [move if move[0] == t or targets.count(move[0]) == 1 else (t, w)
                    for move, (t, w) in zip(out, row)]
+            own += [t for t, _ in out if t in walked]
         rows[u] = tuple(out)
-    return rows
+    for q in own:
+        if end := ahead.get(q):
+            x, dist, after, _ = end
+            rows[q] = ((x, (dist, after) if after else dist),)
+    return walked, rows
 
 
 @dataclass(frozen=True)

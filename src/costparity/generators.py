@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Union
 
-from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame,
-                   FormatError, StrategySpec, Vertex, make_game, require_valid,
+from .core import (BINARY, DEFAULT_PRODUCT_BUDGET, UNARY, BudgetExceededError, CostGame, Edge,
+                   FormatError, StrategySpec, Vertex, _new_edge, _new_vertex, require_valid,
                    strategy_from_functions)
 from .streett import CostStreettGame, StreettEdge, StreettPair, require_valid_streett
 
@@ -211,22 +211,26 @@ def _qbf_arena(phi: QbfFormula):
     Ids are handed out in order: the entries a_1..a_n, ψ, four vertices
     per variable (false request, its middle vertex, true-request entry,
     true request), one path per literal's check gadget, then one vertex
-    per clause.  Every edge costs 1."""
+    per clause.  Every edge costs 1.  Each vertex and edge is built once,
+    as a ``Vertex`` or an ``Edge`` (the check gadgets' from zipped
+    columns), and the game holds them as they are."""
     n = phi.n
     # a_j entry vertices, then ψ
-    vertices = [(j, 0 if q == "e" else 1, 0) for j, q in enumerate(phi.prefix)]
-    vertices.append((n, 1, 0))
+    vertices = list(map(_new_vertex, zip(range(n), (0 if q == "e" else 1 for q in phi.prefix),
+                                         repeat(0))))
+    vertices.append(_new_vertex((n, 1, 0)))
     psi = n
-    edges: list[tuple[int, int, int]] = []
+    edges: list[Edge] = []
     treq = {}  # j -> color 4j+3 vertex
     fneg = {}  # j -> color 4j+1 vertex
     for j in range(1, n + 1):
         aj, exit_j = j - 1, j if j < n else psi
         f = fneg[j] = len(vertices)  # then fmid, tin, treq
         t = treq[j] = f + 3
-        vertices += ((f, 1, 4 * j + 1), (f + 1, 1, 0), (f + 2, 1, 0), (t, 1, 4 * j + 3))
-        edges += ((aj, f, 1), (aj, f + 2, 1), (f, f + 1, 1), (f + 2, t, 1),
-                  (t, exit_j, 1), (f + 1, exit_j, 1))
+        vertices += map(_new_vertex, ((f, 1, 4 * j + 1), (f + 1, 1, 0), (f + 2, 1, 0),
+                                      (t, 1, 4 * j + 3)))
+        edges += map(_new_edge, ((aj, f, 1), (aj, f + 2, 1), (f, f + 1, 1), (f + 2, t, 1),
+                                 (t, exit_j, 1), (f + 1, exit_j, 1)))
 
     # one check gadget per distinct literal occurring in the formula: a
     # path from its entry, through the 3j subdivision vertices of the
@@ -240,18 +244,19 @@ def _qbf_arena(phi: QbfFormula):
         w1, w2 = (4 * j, 4 * j + 4) if lit > 0 else (4 * j + 2, 4 * j + 2)
         colors = (4 * j,) + (0,) * (3 * j) + (w1, w2, 4 * (n + 1))
         w3 = entry + len(colors) - 1
-        vertices += zip(range(entry, w3 + 1), repeat(1), colors)
-        edges += zip(range(entry, w3), range(entry + 1, w3 + 1), repeat(1))
-        edges.append((w3, 0, 1))
+        vertices += map(_new_vertex, zip(range(entry, w3 + 1), repeat(1), colors))
+        edges += map(_new_edge, zip(range(entry, w3), range(entry + 1, w3 + 1), repeat(1)))
+        edges.append(_new_edge((w3, 0, 1)))
 
     for cl in phi.clauses:
         cv = len(vertices)
-        vertices.append((cv, 0, 0))
-        edges.append((psi, cv, 1))
+        vertices.append(_new_vertex((cv, 0, 0)))
+        edges.append(_new_edge((psi, cv, 1)))
         # repeated literals share one edge
-        edges += [(cv, entry_of[lit], 1) for lit in sorted(set(cl))]
+        edges += map(_new_edge, zip(repeat(cv), map(entry_of.__getitem__, sorted(set(cl))),
+                                    repeat(1)))
 
-    game = make_game(vertices, edges, 0, UNARY)
+    game = CostGame(tuple(vertices), tuple(edges), 0, UNARY)
     require_valid(game)
     return game, psi, treq, fneg, entry_of
 
@@ -315,17 +320,17 @@ def _bfs_dist(rows, source: int, depth: int) -> dict[int, int]:
 
 # --- Player 0 memory / tradeoff family -----------------------------------------
 
-def _p0_arena(d: int) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]],
+def _p0_arena(d: int) -> tuple[list[Vertex], list[tuple[int, int]],
                                dict[int, tuple[str, int, int, int]], int]:
     """2d gadgets of d columns × 3 rows; requests 1..2d−1 in Player 1's
     gadgets, answers 2..2d in Player 0's, every path d+2 steps long."""
-    vertices: list[tuple[int, int, int]] = []
+    vertices: list[Vertex] = []
     edges: list[tuple[int, int]] = []
     role: dict[int, tuple[str, int, int, int]] = {}  # id -> (row, gadget, column, color)
 
     def add_vertex(owner, color, row, g, x):
         vid = len(vertices)
-        vertices.append((vid, owner, color))
+        vertices.append(Vertex(vid, owner, color))
         role[vid] = (row, g, x, color)
         return vid
 
@@ -409,7 +414,7 @@ def p0_memory_family(d: int) -> GeneratedInstance:
     if d < 1:
         raise ValueError("d must be at least 1")
     vertices, raw_edges, role, initial = _p0_arena(d)
-    game = make_game(vertices, [(u, v, 1) for u, v in raw_edges], initial, UNARY)
+    game = CostGame(tuple(vertices), tuple(Edge(u, v, 1) for u, v in raw_edges), initial, UNARY)
     require_valid(game)
     return GeneratedInstance("p0mem", d, game, d * d + 2 * d,
                              _p0_references(d, game, role, lambda j: d * d + 3 * d - j))
@@ -442,8 +447,8 @@ def binary_tradeoff_family(d: int) -> GeneratedInstance:
             w = 2 ** (d - 1)  # inter-gadget edge
         else:
             w = 0
-        edges.append((u, v, w))
-    game = make_game(vertices, edges, initial, BINARY)
+        edges.append(Edge(u, v, w))
+    game = CostGame(tuple(vertices), tuple(edges), initial, BINARY)
     require_valid(game)
     refs = _p0_references(d, game, role, lambda j: (d + 1) * 2 ** d + d * 2 ** (d - 1) - 2 ** j)
     return GeneratedInstance("bintrade", d, game, (d + 1) * 2 ** d + (d - 2) * 2 ** (d - 1), refs)
@@ -455,13 +460,13 @@ def _p1_arena(d: int, id_base: int = 0) -> tuple[list, list, dict, int]:
     """Spoiler-memory arena: d request gadgets for Player 0, a chain of choice
     vertices with cost-5 edges (subdivision vertices colored like the
     edge's target, as the proof prescribes), and d answer gadgets."""
-    vertices: list[tuple[int, int, int]] = []
+    vertices: list[Vertex] = []
     edges: list[tuple[int, int]] = []
     info: dict[str, dict] = {"G0_hi": {}, "G0_lo": {}, "G1_entry": {}, "c": {}}
 
     def add_vertex(owner, color):
         vid = id_base + len(vertices)
-        vertices.append((vid, owner, color))
+        vertices.append(Vertex(vid, owner, color))
         return vid
 
     v_init = add_vertex(0, 4 * d)
@@ -548,7 +553,7 @@ def p1_memory_family(d: int) -> GeneratedInstance:
     if d < 1:
         raise ValueError("d must be at least 1")
     vertices, raw_edges, info, v_init = _p1_arena(d)
-    game = make_game(vertices, [(u, v, 1) for u, v in raw_edges], v_init, UNARY)
+    game = CostGame(tuple(vertices), tuple(Edge(u, v, 1) for u, v in raw_edges), v_init, UNARY)
     require_valid(game)
     _require_family_budget(game, [2 ** d])
     upd, make_nxt = _p1_strategy_functions(d, info, v_init)
@@ -563,7 +568,7 @@ def p1_tradeoff_family(d: int) -> GeneratedInstance:
     realizes cost 5(j−1)+7 with 2^j states."""
     if d < 1:
         raise ValueError("d must be at least 1")
-    vertices: list[tuple[int, int, int]] = [(0, 1, 0)]  # union root, Player 1
+    vertices = [Vertex(0, 1, 0)]  # union root, Player 1
     edges: list[tuple[int, int]] = []
     sub = []
     base = 1
@@ -574,7 +579,7 @@ def p1_tradeoff_family(d: int) -> GeneratedInstance:
         edges.append((0, v_init))
         sub.append((jj, info, v_init))
         base += len(vs)
-    game = make_game(vertices, [(u, v, 1) for u, v in edges], 0, UNARY)
+    game = CostGame(tuple(vertices), tuple(Edge(u, v, 1) for u, v in edges), 0, UNARY)
     require_valid(game)
     _require_family_budget(game, [2 ** jj for jj, _, _ in sub])
     refs = []

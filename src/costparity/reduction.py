@@ -21,8 +21,9 @@ cycles, settled prefixes, the shortcut rule for binary-cost games, and
 the reachable product with the tracking memory, whose parity winner
 characterizes bounded-cost strategy existence.  It is explored once
 over (vertex, request function) nodes (``_LevelProduct``), one copy per
-overflow level, and steps over pass-through vertices (one successor,
-no request, no answer) in one move; ``unroll`` flattens the copies for
+overflow level, and steps over walked vertices (one successor, no
+request, no answer that the chain's exit does not give too) in one
+move; ``unroll`` flattens the copies for
 the classical Streett reduction, and the verifier's spoiler probes run
 on it too.
 The settle and shortcut rules exist once, on an incremental prefix
@@ -94,7 +95,7 @@ class _RequestTracker:
     (keep, fresh) pair of each vertex, built up front, and two tables
     filled on first use, each entry a pure function of its key: the
     fields word of an open mask (``_spans``) and the clamped charge of
-    an edge cost, an int or a Streett cost tuple (``_clamped``).  The
+    an edge cost or of a walked move (``core._walk_rows``; ``_clamped``).  The
     fields word does not depend on b, so every tracker with the same d
     and field width F reads one module-level span table (``_SPANS``),
     which is cleared once it holds ``_SPAN_LIMIT`` entries; the charge
@@ -183,19 +184,36 @@ class _RequestTracker:
             return min(o + 1, self.n), fresh, True
         return o, r & keep | fresh, False
 
-    def _packed(self, costs: tuple[int, ...]) -> int:
-        """Each pair's own edge cost, clamped to b+1, in its field."""
+    def _packed(self, costs) -> int:
+        """Each pair's own edge cost, clamped to b+1, in its field; of a
+        walked move's (total, cuts), each pair's total less the cost of
+        the first cut that holds it (``core._walk_rows``)."""
         cap = self.bound + 1
+        if costs and isinstance(costs[-1], tuple):
+            total, cuts = costs
+            costs = [w - next((cut[i] for m, cut in cuts if m >> i & 1), 0)
+                     for i, w in enumerate(total)]
         return sum(min(w, cap) << s for w, s in zip(costs, self._shifts))
 
 
 class Tracker(_RequestTracker):
     """The tracker of a cost-parity game: entry i of r belongs to the
     i-th odd color in ascending order (``game.odd_colors``), and one
-    edge cost applies to every pair."""
+    edge cost applies to every pair.  A walked move's charge may differ
+    by pair; it comes as (total, cuts) (``core._walk_rows``)."""
 
-    def _packed(self, cost: int) -> int:
-        return min(cost, self.bound + 1) * self._ones
+    def _packed(self, cost) -> int:
+        cap = self.bound + 1
+        if isinstance(cost, int):
+            return min(cost, cap) * self._ones
+        # each pair's total less its first cut's cost: the cuts are laid
+        # over the total from the last, each over the fields of its pairs
+        total, cuts = cost
+        word = min(total, cap) * self._ones
+        for m, cut in reversed(cuts):
+            fields = self._span(m) & ~self._low
+            word = word & ~fields | min(total - cut, cap) * (fields // self._field)
+        return word
 
 
 # --- dominating cycles and settled prefixes ---------------------------------
@@ -313,26 +331,26 @@ class _PrefixStack:
 class _LevelProduct:
     """The tracked product, explored once over (vertex, request word)
     nodes: the one such search, for decisions and the verifier's spoiler
-    probes alike.  It reads ``initial`` and ``exits`` of ``game``, a
-    CostGame, a CostStreettGame or a ``semantics._StrategyArena``: the
-    arena's moves, each move into a pass-through vertex walked on to its
-    exit at the chain's summed cost (``core._exit_rows``), so one
-    tracker step covers the chain and no node is made for the vertices
-    it skips.  The tracker also reads ``n``, ``d``, ``request_mask`` and
-    ``answer_mask``.  A tracker step never depends on o apart from the
-    saturation clamp, so the product with the memory (o, r) is n+1
-    copies of this graph, with overflow edges one level up.  ``succ[i]``
-    lists node i's successors, one per arena move in move order; a move
-    into j targets ``nodes[j][0]``, its exit, which no other move of the
-    row shares.  ``overflow[i]`` is the set of ids that i's overflow
-    moves reach (for the rows with one), ``pred[j]`` the ascending
-    sources of j's other moves."""
+    probes alike.  It reads ``initial`` of ``game``, a CostGame, a
+    CostStreettGame or a ``semantics._StrategyArena``, and ``rows``, the
+    arena's moves with each move into a walked vertex walked on to its
+    exit at the chain's per-pair charge (``game.walked_exits``, or
+    ``game.exits`` for the pass-through vertices alone; see
+    ``core._walk_rows``), so one tracker step covers the chain and no
+    node is made for the vertices it skips.  The tracker also reads
+    ``n``, ``d``, ``request_mask`` and ``answer_mask``.  A tracker step
+    never depends on o apart from the saturation clamp, so the product
+    with the memory (o, r) is n+1 copies of this graph, with overflow
+    edges one level up.  ``succ[i]`` lists node i's successors, one per
+    arena move in move order; a move into j targets ``nodes[j][0]``, its
+    exit, which no other move of the row shares.  ``overflow[i]`` is the
+    set of ids that i's overflow moves reach (for the rows with one),
+    ``pred[j]`` the ascending sources of j's other moves."""
 
-    def __init__(self, game, tracker, budget: int, what: str):
+    def __init__(self, game, tracker, budget: int, what: str, rows):
         self.game = game
         self.budget = budget
         self.what = what
-        moves = game.exits
         update = tracker.update
         _, r0 = tracker.initial_state()
         index: dict[tuple[int, int], int] = {(game.initial, r0): 0}
@@ -342,7 +360,7 @@ class _LevelProduct:
         over: dict[int, list[int]] = {}  # the rows with an overflow move
         for i, (v, r) in enumerate(order):  # grows while it is walked
             row = []
-            for t, w in moves[v]:
+            for t, w in rows[v]:
                 _, r2, ovf = update(0, r, w, t)
                 key = (t, r2)
                 j = index.get(key)

@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, CostGame, StrategySpec,
-                   _exit_rows, _least_bound, _pass_through, make_game, require_valid,
+                   _forced, _least_bound, _walk_rows, make_game, require_valid,
                    validate_strategy)
 from .reduction import Tracker, _LevelProduct
 
@@ -134,8 +134,8 @@ class _StrategyArena:
     breadth-first, at arena vertex ``verts[i]``, with the arena's moves in
     move order, the owner's cut to ``next_move``; ``rows[i]`` holds the
     successor ids.  It carries what ``_LevelProduct`` and the trackers
-    read of an arena, by id: ``initial``, ``successors``, ``exits`` (its
-    walked rows, computed once for every probe), ``n``, ``d``,
+    read of an arena, by id: ``initial``, ``successors``, ``walked_exits``
+    (its walked rows, computed once for every probe), ``n``, ``d``,
     ``request_mask`` and ``answer_mask``.  Reaching
     ``DEFAULT_PRODUCT_BUDGET`` vertices raises ``BudgetExceededError``."""
 
@@ -175,9 +175,9 @@ class _StrategyArena:
         self.answer_mask = {i: answer[v] for i, v in enumerate(verts)}
 
     @cached_property
-    def exits(self) -> dict[int, tuple]:
+    def walked_exits(self) -> dict[int, tuple]:
         rows = dict(enumerate(self.successors))
-        return _exit_rows(rows, _pass_through(rows, self.request_mask, self.answer_mask))
+        return _walk_rows(rows, _forced(rows, self.request_mask), self.answer_mask, 0)[1]
 
 
 def _require_well_formed(game, strat: StrategySpec) -> None:
@@ -441,7 +441,7 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
 
     def fits(b):
         level = _LevelProduct(arena, tracker_class(arena, b), DEFAULT_PRODUCT_BUDGET,
-                              "strategy product")
+                              "strategy product", arena.walked_exits)
         return _good_cycle(arena, [i for i, _ in level.nodes], level.pred), None
     value, _ = _least_bound(fits, 0, arena.n * max(1, game.max_cost), guess)
     return INF if value is None else value

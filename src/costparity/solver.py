@@ -278,10 +278,18 @@ class BoundedCostResult(_LevelProduct):
     ``solve_whole`` a whole level for certificates (see
     ``level_solve``); its ``certificate`` is built from the latter on
     first use.
+
+    A decision's level graph walks past every walked vertex
+    (``game.walked_exits``); the certificate is read off ``certified``,
+    the engine on the pass-through rows (``game.exits``), so that it is
+    the strategy that the pass-through product gives.  With ``walk``
+    off, the engine itself runs on the pass-through rows.
     """
 
-    def __init__(self, game, tracker, budget: int, what: str):
-        super().__init__(game, tracker, budget, what)
+    def __init__(self, game, tracker, budget: int, what: str, walk: bool):
+        super().__init__(game, tracker, budget, what, game.walked_exits if walk else game.exits)
+        # whether this level graph skips vertices that the certificates' keeps
+        self.walks = walk and any(map(game.answer_mask.__getitem__, game.walked))
         self.tracker = tracker  # the certificates' tracker too
         self.bound = tracker.bound
         self.product_states = self.size
@@ -360,7 +368,7 @@ class BoundedCostResult(_LevelProduct):
 
     def project(self, i: int, j: int, prev: frozenset[int]) -> int:
         """The level-game move i → j as an arena successor, the first hop
-        of a move walked on through pass-through vertices; a sink stands
+        of a move walked on past walked vertices; a sink stands
         for the least first hop of the overflow moves sent there."""
         row, hops = self.succ[i], self.game.successors[self.vertex_of[i]]
         if j < len(self.nodes):
@@ -400,6 +408,26 @@ class BoundedCostResult(_LevelProduct):
             self._solved[k] = kept
         return kept
 
+    @property
+    def certified(self) -> "BoundedCostResult":
+        """The engine whose level solves certificates read: this one,
+        unless its level graph walks past a vertex that is not
+        pass-through; then this engine's class on the pass-through rows
+        (``_twin``).  A level solve breaks ties by node ids and attractor
+        ranks, which the walked vertices change, so certificates read
+        off the walked product could differ from the pass-through
+        product's, at the same side of the bound."""
+        return self._twin if self.walks else self
+
+    @cached_property
+    def _twin(self) -> "BoundedCostResult":
+        """``type(self)(game, bound, budget, walk=False)``, built and
+        decided on first read; its decision must be this one's."""
+        twin = type(self)(self.game, self.bound, self.budget, walk=False)
+        if twin.achievable != self.achievable:
+            raise RuntimeError("the pass-through product decided otherwise than the walked one")
+        return twin
+
     def move_function(self, player: int):
         """The player's level-solve moves as a function: (v, o, r), r a
         request word, → the positional move there as an arena successor,
@@ -430,8 +458,8 @@ class _ParityLevels(BoundedCostResult):
     positional moves.
     """
 
-    def __init__(self, game: CostGame, bound: int, budget: int):
-        super().__init__(game, Tracker(game, bound), budget, "level graph")
+    def __init__(self, game: CostGame, bound: int, budget: int, walk: bool = True):
+        super().__init__(game, Tracker(game, bound), budget, "level graph", walk)
         self.colors = tuple(map(game.color.__getitem__, self.vertex_of)) + (0, 1)
         self.solve()
 
@@ -452,9 +480,10 @@ class _ParityLevels(BoundedCostResult):
 
     @cached_property
     def certificate(self) -> StrategySpec:
-        if self.achievable:
-            return extract_player0_strategy(self)
-        return extract_player1_strategy(self)
+        levels = self.certified
+        if levels.achievable:
+            return extract_player0_strategy(levels)
+        return extract_player1_strategy(levels)
 
 
 def clamp_bound(game: CostGame, bound: int) -> int:

@@ -217,7 +217,7 @@ def build_streett_reduction(game: CostStreettGame, bound: int,
     extra pair (saturated states, ∅) dooms Player 0 past n overflows."""
     require_valid_streett(game)
     states, rows = _LevelProduct(game, StreettTracker(game, bound), budget,
-                                 "streett reduction").unroll()
+                                 "streett reduction", game.walked_exits).unroll()
     owners = tuple(game.owner[v] for v, _, _ in states)
     request, answer, saturation = game.request_mask, game.answer_mask, 1 << game.d
     qmask = tuple(request[v] | saturation if o >= game.n else request[v] for v, o, _ in states)
@@ -530,8 +530,8 @@ class _StreettLevels(BoundedCostResult):
     node, so the state he enters a node with carries his choice there.
     """
 
-    def __init__(self, game: CostStreettGame, bound: int, budget: int):
-        super().__init__(game, StreettTracker(game, bound), budget, "level graph")
+    def __init__(self, game: CostStreettGame, bound: int, budget: int, walk: bool = True):
+        super().__init__(game, StreettTracker(game, bound), budget, "level graph", walk)
         request, answer = game.request_mask, game.answer_mask
         # the nodes' masks, then the won sink's and the lost sink's
         self.qmask = tuple(map(request.__getitem__, self.vertex_of)) + (0, 1 << game.d)
@@ -565,9 +565,10 @@ class _StreettLevels(BoundedCostResult):
 
     @cached_property
     def certificate(self) -> StrategySpec:
-        if self.achievable:
-            return _compose_p0_certificate(self)
-        return _extract_p1_certificate(self)
+        levels = self.certified
+        if levels.achievable:
+            return _compose_p0_certificate(levels)
+        return _extract_p1_certificate(levels)
 
 
 def decide_bounded_cost_streett(game: CostStreettGame, bound: int, *,

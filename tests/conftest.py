@@ -190,6 +190,77 @@ def with_pass_through(rng, game):
                      game.encoding)
 
 
+def with_answering_chains(rng, game):
+    """``game`` (a CostGame or a CostStreettGame) with forced chains
+    added whose vertices answer requests: new vertices of a random owner
+    that request nothing, their edges' costs drawn like the game's.
+    About a third of the edges, and every edge into the initial vertex,
+    are subdivided into chains of one to three whose vertices answer
+    part of what the edge's target answers: in a cost-parity game an even
+    color no higher than the target's, in a cost-Streett game a random
+    part of the target's answer mask.  Such a vertex is walked when its
+    answers lie within its exit's; the target may be walked itself, or
+    odd, so some are not.  A random vertex leads into a chain of one
+    that runs into a cycle of two, each of the three answering at
+    random, and in about a third of the games a new initial vertex,
+    answering nothing, leads to the old one."""
+    streett_game = isinstance(game, CostStreettGame)
+    owners = dict(game.owner)
+    if streett_game:
+        def cost():
+            return tuple(rng.randint(0, 2) for _ in range(game.d))
+        old_edges = [(e.source, e.target, tuple(e.costs)) for e in game.edges]
+        answers = dict(game.answer_mask)
+    else:
+        top = 1 if game.encoding == "unary" else 3
+        def cost():
+            return rng.randint(0, top)
+        old_edges = [(e.source, e.target, e.cost) for e in game.edges]
+        colors = dict(game.color)
+    edges = []
+
+    def vertex(like=None):
+        """A new vertex answering part of what ``like`` answers, or at
+        random among all answers if ``like`` is None, or nothing if it
+        is the new vertex itself (-1)."""
+        v = len(owners)
+        owners[v] = rng.randint(0, 1)
+        if streett_game:
+            most = (1 << game.d) - 1 if like is None else 0 if like == -1 else answers[like]
+            answers[v] = rng.randint(0, (1 << game.d) - 1) & most
+        else:
+            most = max(colors.values()) if like is None else 0 if like == -1 else colors[like]
+            colors[v] = 2 * rng.randint(0, most // 2)
+        return v
+
+    def chain(u, t, length, w):
+        for _ in range(length):
+            p = vertex(t)
+            edges.append((u, p, w))
+            u, w = p, cost()
+        edges.append((u, t, w))
+
+    for u, t, w in old_edges:
+        if t == game.initial or rng.random() < 0.3:
+            chain(u, t, rng.randint(1, 3), w)
+        else:
+            edges.append((u, t, w))
+    u, p, q, x = rng.choice(sorted(game.owner)), vertex(), vertex(), vertex()
+    edges += [(u, x, cost()), (x, p, cost()), (p, q, cost()), (q, p, cost())]
+    initial = game.initial
+    if rng.random() < 0.33:
+        initial = vertex(-1)
+        edges.append((initial, game.initial, cost()))
+    if streett_game:
+        pairs = tuple(StreettPair(pair.requests, frozenset(v for v, a in answers.items()
+                                                           if a >> c & 1))
+                      for c, pair in enumerate(game.pairs))
+        return CostStreettGame(tuple(Vertex(v, o, 0) for v, o in owners.items()),
+                               tuple(StreettEdge(*e) for e in edges), pairs, initial)
+    return make_game([(v, o, colors[v]) for v, o in owners.items()], edges, initial,
+                     game.encoding)
+
+
 def random_strategy(rng, game, player: int, size: int) -> StrategySpec:
     """A random ``size``-state strategy of ``player`` in ``game`` (a
     CostGame or a CostStreettGame): random updates and moves."""
@@ -288,6 +359,119 @@ def oracle_pass_through(game) -> frozenset[int]:
     return frozenset(v for v in oracle_quiet(game) if len(game.successors[v]) == 1)
 
 
+def oracle_exit(v, forced_next, answer):
+    """The exit of ``v`` if the walked rule walks it, else None, read
+    off v's forced chain alone.  ``forced_next(u)`` is u's one successor
+    if u is forced (one successor, no request), else None, and
+    ``answer(u)`` is u's answer mask.  The chain is listed forward from
+    v until it meets a vertex that is not forced, its end, or repeats
+    one.  With an end, it is settled backward: each forced vertex is
+    walked iff its answers lie within those of the first vertex after
+    it that is not walked, which is its exit.  A chain that repeats a
+    vertex runs into a cycle: there v is walked iff it answers nothing
+    and some vertex ahead of it answers something, the first of which
+    is its exit."""
+    u = forced_next(v)
+    if u is None:
+        return None
+    chain = [v]
+    while forced_next(u) is not None and u not in chain:
+        chain.append(u)
+        u = forced_next(u)
+    if u in chain:
+        return None if answer(v) else next((x for x in chain[1:] if answer(x)), None)
+    exit_of = {}
+    for x in reversed(chain):
+        if answer(x) & ~answer(u):
+            u = x
+        else:
+            exit_of[x] = u
+    return exit_of.get(v)
+
+
+def _forced_next(game):
+    request, succ = oracle_masks(game)[0], oracle_successors(game)
+    return lambda u: succ[u][0][0] if len(succ[u]) == 1 and not request[u] else None
+
+
+def oracle_walked(game) -> frozenset[int]:
+    """The walked vertices, each settled on its own chain
+    (``oracle_exit``), and the pass-through ones (``oracle_pass_through``),
+    which count as walked also on a cycle of them, where moves into them
+    keep their targets."""
+    answer = oracle_masks(game)[1]
+    forced_next = _forced_next(game)
+    return frozenset(v for v in game.owner
+                     if oracle_exit(v, forced_next, answer.__getitem__) is not None) \
+        | oracle_pass_through(game)
+
+
+def per_pair(charge, d: int) -> tuple:
+    """A row charge of ``core._walk_rows`` as a tuple of one cost per
+    pair: an int is every pair's and a Streett cost tuple has one
+    already; of (total, cuts), each pair pays the total (the int, or its
+    entry) less the cost of the first cut whose mask holds it, if any."""
+    if isinstance(charge, int):
+        return (charge,) * d
+    if not isinstance(charge[-1], tuple):
+        return tuple(charge)
+    total, cuts = charge
+    totals = (total,) * d if isinstance(total, int) else total
+    out = []
+    for c in range(d):
+        cut = next((cut for m, cut in cuts if m >> c & 1), 0)
+        out.append(totals[c] - (cut if isinstance(cut, int) else cut[c]))
+    return tuple(out)
+
+
+def oracle_charge_rows(successors, answer, d: int, through, initial=None) -> dict[int, tuple]:
+    """``core._walk_rows`` of the rows ``successors`` (id → ((target,
+    cost), ...)) with ``answer`` masks over the vertices ``through``,
+    each charge per pair (``per_pair``): every move walked edge by edge
+    to the first vertex that is not in ``through``, each pair charged
+    the costs up to the first vertex on the way that answers it, or all
+    of them.  A move whose walk meets a cycle, or whose end another move
+    of the row reaches too, keeps its own target.  With ``initial``
+    given, the row of a vertex of ``through`` is walked only if it is
+    ``initial`` or a target that some row keeps, and is its successors
+    row otherwise."""
+    def costs(w):
+        return per_pair(w, d)
+
+    rows = {}
+    for u, row in successors.items():
+        walks = []
+        for t, w in row:
+            path, x, seen = [(t, costs(w))], t, {t}
+            while x in through:
+                x, w2 = successors[x][0]
+                if x in seen:
+                    path = None
+                    break
+                seen.add(x)
+                path.append((x, costs(w2)))
+            if path is None:
+                walks.append(None)
+                continue
+            charge = []
+            for c in range(d):
+                total = 0
+                for x, cs in path:
+                    total += cs[c]
+                    if answer[x] >> c & 1:
+                        break
+                charge.append(total)
+            walks.append((path[-1][0], tuple(charge)))
+        ends = Counter(t if walk is None else walk[0] for walk, (t, _) in zip(walks, row))
+        rows[u] = tuple(walk if walk is not None and (walk[0] == t or ends[walk[0]] == 1)
+                        else (t, costs(w)) for walk, (t, w) in zip(walks, row))
+    if initial is not None:
+        kept = {t for row in rows.values() for t, _ in row} | {initial}
+        for u in through - kept:
+            rows[u] = tuple((t, costs(w)) for t, w in successors[u])
+    return rows
+
+
 # --- the arena views derived one by one, straight from the vertices and
 # edges: the oracles of ``core._Arena``'s shared passes and of the QBF
 # distance audit's searches (test_arena_views) --------------------------------
@@ -332,7 +516,7 @@ def oracle_masks(game) -> tuple[dict, dict]:
 
 
 def oracle_exit_rows(successors, through) -> dict[int, tuple]:
-    """``core._exit_rows`` the plain way: a chain walked from every
+    """``core._walk_rows`` the plain way: a chain walked from every
     pass-through vertex, and every row rebuilt move by move."""
     ahead = {}  # pass-through vertex → (its exit, the chain's cost from it), None on a cycle
     for p in through:
@@ -362,7 +546,8 @@ def oracle_exit_rows(successors, through) -> dict[int, tuple]:
 
 def oracle_views(game) -> dict:
     """Every view of ``core._Arena`` (and a CostGame's odd colors), each
-    derived on its own from the vertices and edges."""
+    derived on its own from the vertices and edges; the charges of
+    ``walked_exits`` per pair (``per_pair``)."""
     successors = oracle_successors(game)
     request, answer = oracle_masks(game)
     through = frozenset(v for v, row in successors.items()
@@ -375,11 +560,14 @@ def oracle_views(game) -> dict:
         "answer_mask": answer,
         "pass_through": through,
         "exits": oracle_exit_rows(successors, through),
+        "walked": oracle_walked(game),
         "edge_cost": {(e.source, e.target): tuple(e.costs) if streett_game else e.cost
                       for e in game.edges},
         "update_key": {(e.source, e.target): (e.source, 0 if streett_game else e.cost, e.target)
                        for e in game.edges},
     }
+    views["walked_exits"] = oracle_charge_rows(successors, answer, game.d, views["walked"],
+                                               game.initial)
     if not streett_game:
         views["color"] = {v.id: v.color for v in game.vertices}
         views["odd_colors"] = tuple(sorted({v.color for v in game.vertices if v.color % 2}))
@@ -440,10 +628,10 @@ def direct_tracked_product(game, tracker, skip: bool = False):
     """The flat tracked product by a direct breadth-first search over
     (v, o, r) from (v_I, 0, r_{v_I}), stepping ``tracker`` on every
     edge: (states, successor rows, overflow edges (i, j)).  With
-    ``skip``, moves are walked on through pass-through vertices
-    (``oracle_pass_through``, ``walked_row``), as the level product
+    ``skip``, moves are walked on through walked vertices
+    (``oracle_walked``, ``walked_row``), as the level product
     takes them."""
-    through = oracle_pass_through(game) if skip else frozenset()
+    through = oracle_walked(game) if skip else frozenset()
     start = (game.initial, *tracker.initial_state())
     index = {start: 0}
     order = [start]
@@ -466,9 +654,10 @@ def direct_tracked_product(game, tracker, skip: bool = False):
 class FullLevelProduct(_LevelProduct):
     """The level product searched without the pass-through skip: a node
     per (vertex, request word) that a step along one arena edge reaches,
-    kept as the oracle of the search that walks moves on to their exits."""
+    kept as the oracle of the search that walks moves on to their exits.
+    It takes the rows argument of ``_LevelProduct`` and ignores it."""
 
-    def __init__(self, game, tracker, budget: int, what: str):
+    def __init__(self, game, tracker, budget: int, what: str, rows=None):
         self.game = game
         self.budget = budget
         self.what = what
@@ -511,11 +700,17 @@ def full_level_product(game, tracker) -> FullLevelProduct:
 
 
 class FullParityLevels(_ParityLevels, FullLevelProduct):
-    """The layered parity engine on the full level product."""
+    """The layered parity engine on the full level product, which its
+    certificates read too."""
+
+    certified = property(lambda self: self)
 
 
 class FullStreettLevels(_StreettLevels, FullLevelProduct):
-    """The layered Streett engine on the full level product."""
+    """The layered Streett engine on the full level product, which its
+    certificates read too."""
+
+    certified = property(lambda self: self)
 
 
 def full_streett_reduction(game: CostStreettGame, bound: int) -> StreettReduction:
@@ -610,11 +805,12 @@ def flat_parity_game(game, bound: int):
 def product_winner(res, v: int, o: int, r: int) -> int:
     """Who wins the state (v, o, r) of a layered decision ``res`` (parity
     or Streett), r a request word of its tracker, read off the iterate
-    that serves level o.  A state at a pass-through vertex that is no
-    node is read where its chain leads, stepped edge by edge; KeyError
-    if that is not a node."""
+    that serves level o.  A state at a walked vertex that is no node is
+    read where its chain leads, stepped edge by edge; KeyError if that
+    is not a node.  The walked vertices include the pass-through ones,
+    so this reads an engine on either kind of rows."""
     game = res.game
-    through = game.pass_through  # equal to ``oracle_pass_through`` (test_reduction)
+    through = game.walked  # equal to ``oracle_walked`` (test_arena_views)
     if (v, r) not in res.index and v in through:
         tracker = (StreettTracker if isinstance(game, CostStreettGame) else Tracker)(
             game, res.bound)
@@ -902,11 +1098,12 @@ def strategy_walk(game, strat: StrategySpec, tracker=None, skip: bool = False):
     request word of ``tracker`` at its bound, with the overflow
     counter held at 0 (``Tracker`` or ``streett.StreettTracker``), or
     None without a tracker.  Every edge is explored, overflow edges too.
-    With ``skip``, a move into a pass-through (vertex, memory) pair, one
-    with a single move at a vertex of ``oracle_quiet``, walks on edge by
-    edge to the first pair that is not one, overflowing if any step
-    does; a move whose walk meets a cycle of them, or whose end another
-    move of the row reaches too, keeps its own target.  Reaching
+    With ``skip``, a move into a walked (vertex, memory) pair walks on
+    edge by edge to its exit, overflowing if any step does: the walked
+    rule (``oracle_exit``) on the pairs, a pair forced if it has a
+    single move and its vertex requests nothing, with its vertex's
+    answers; a move whose end another move of the row reaches too keeps
+    its own target.  Reaching
     ``DEFAULT_PRODUCT_BUDGET`` states raises ``BudgetExceededError``.
     The oracles' own BFS, independent of the verifier's
     ``reduction._LevelProduct``.
@@ -915,10 +1112,16 @@ def strategy_walk(game, strat: StrategySpec, tracker=None, skip: bool = False):
     owner = game.owner
     key = game.update_key
     cost = game.edge_cost
-    quiet = oracle_quiet(game) if skip else frozenset()
+    request, answer = oracle_masks(game)
 
     def moves_of(v, m):
         return [strat.next_move[(v, m)]] if owner[v] == strat.player else [t for t, _ in succ[v]]
+
+    def forced_next(pair):
+        moves = moves_of(*pair)
+        if len(moves) != 1 or request[pair[0]]:
+            return None
+        return moves[0], strat.update[(pair[1], key[(pair[0], moves[0])])]
 
     def step(v, m, r, t):
         r2, over = r, False
@@ -927,12 +1130,11 @@ def strategy_walk(game, strat: StrategySpec, tracker=None, skip: bool = False):
         return (t, strat.update[(m, key[(v, t)])], r2), over
 
     def walk(state, over):
-        seen = {state[:2]}
-        while state[0] in quiet and len(moves_of(*state[:2])) == 1:
+        end = oracle_exit(state[:2], forced_next, lambda pair: answer[pair[0]]) if skip else None
+        if end is None:
+            return None
+        while state[:2] != end:
             state, step_over = step(*state, moves_of(*state[:2])[0])
-            if state[:2] in seen:
-                return None
-            seen.add(state[:2])
             over |= step_over
         return state, over
 

@@ -14,11 +14,12 @@ decides.
 import importlib.util
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
-from conftest import (oracle_audit_maps, oracle_bfs_dist, oracle_exit_rows, oracle_views,
-                      random_cost_game, random_cost_streett, random_strategy,
-                      with_pass_through)
+from conftest import (oracle_audit_maps, oracle_bfs_dist, oracle_charge_rows, oracle_exit,
+                      oracle_views, per_pair, random_cost_game, random_cost_streett,
+                      random_strategy, with_answering_chains, with_pass_through)
 
 import costparity
 from costparity import format_cpg, make_game, parse_cpg
@@ -33,45 +34,71 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 def check_views(game) -> None:
     for name, want in oracle_views(game).items():
         got = getattr(game, name)
+        if name == "walked_exits":
+            got = per_pair_rows(got, game.d)
         assert got == want, name
         if isinstance(want, dict):
             assert list(got) == list(want), name
 
 
+def per_pair_rows(rows, d: int) -> dict:
+    """``rows`` with each charge per pair (``per_pair``), after checking
+    that a charge (total, cuts) has cuts with non-empty masks within the
+    pairs, and costs that fall along the chain from at most the total."""
+    for row in rows.values():
+        for _, c in row:
+            if not isinstance(c, int) and isinstance(c[-1], tuple):
+                total, cuts = c
+                costs = [total] + [cut for _, cut in cuts]
+                assert cuts and all(0 < m < 1 << d for m, _ in cuts)
+                assert all(x >= y if isinstance(x, int) else all(map(int.__ge__, x, y))
+                           for x, y in zip(costs, costs[1:]))
+    return {u: tuple((t, per_pair(c, d)) for t, c in row) for u, row in rows.items()}
+
+
 def random_games(seed: int, count: int):
     """``count`` random games of each kind: unary and binary cost-parity
-    games and cost-Streett games, every other one with pass-through
-    chains, a cycle of them and a parallel exit added."""
+    games and cost-Streett games, a third of them as they are, a third
+    with pass-through chains, a cycle of them and a parallel exit added,
+    and a third with forced answering chains and an answering cycle."""
     rng = random.Random(seed)
     for k in range(count):
         games = (random_cost_game(rng, rng.randint(1, 7), 6),
                  random_cost_game(rng, rng.randint(1, 7), 6, max_cost=4, encoding="binary"),
                  random_cost_streett(rng, most=6, pairs=rng.randint(1, 3)))
         for g in games:
-            yield with_pass_through(rng, g) if k % 2 else g
+            yield (g, with_pass_through(rng, g), with_answering_chains(rng, g))[k % 3]
 
 
 def test_views_match_the_oracles_on_random_games():
-    kinds = set()
+    kinds, answering = set(), Counter()
     for g in random_games(31, 150):
         check_views(g)
         kinds.add((type(g).__name__, bool(g.pass_through)))
+        answering[type(g).__name__] += len(g.walked - g.pass_through)
     assert kinds == {(cls, chains) for cls in ("CostGame", "CostStreettGame")
                      for chains in (False, True)}
+    assert min(answering.values()) > 100, answering
 
 
 def test_strategy_arena_exits_match_the_oracle():
-    # the verifier's one-player products walk their chains the same way
+    # the verifier's one-player products walk their chains the same way,
+    # by the walked rule on (vertex, memory) pairs
     rng = random.Random(32)
-    walked = 0
+    walked = answering = 0
     for g in random_games(33, 60):
         arena = _StrategyArena(g, random_strategy(rng, g, rng.randint(0, 1), rng.randint(1, 3)))
         rows = dict(enumerate(arena.successors))
+        request, answer = arena.request_mask, arena.answer_mask
         through = frozenset(i for i, row in rows.items() if len(row) == 1
-                            and not arena.request_mask[i] and not arena.answer_mask[i])
-        assert arena.exits == oracle_exit_rows(rows, through)
-        walked += arena.exits != rows
-    assert walked > 20
+                            and not request[i] and not answer[i])
+        forced = {i: row[0][0] for i, row in rows.items() if len(row) == 1 and not request[i]}
+        through |= {i for i in rows if oracle_exit(i, forced.get, answer.__getitem__) is not None}
+        got = per_pair_rows(arena.walked_exits, arena.d)
+        assert got == oracle_charge_rows(rows, answer, arena.d, through, 0)
+        walked += arena.walked_exits != rows
+        answering += any(answer[i] for i in through)
+    assert walked > 20 and answering > 10, (walked, answering)
 
 
 def scattered(rng, game):

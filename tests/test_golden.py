@@ -121,7 +121,7 @@ LAYERED_DIGEST = "76ed44ecaea26be7205e064dd29da5ff6cb4b5883ce527682efe61dd431dc1
 
 
 def _hash_layered_solve(h, game, bound):
-    res = decide_bounded_cost(game, bound)
+    res = decide_bounded_cost(game, bound).certified
     move0, move1 = res.move_function(0), res.move_function(1)
     rows = [[(product_winner(res, v, o, r), move0(v, o, r), move1(v, o, r))
              for o in range(game.n + 1)] for v, r in res.nodes]
@@ -130,7 +130,10 @@ def _hash_layered_solve(h, game, bound):
 
 def test_layered_solve_matches_golden_digest():
     """Pins every overflow level's winners and both players' moves,
-    including the levels served by the last fixpoint iterate."""
+    including the levels served by the last fixpoint iterate, on the
+    pass-through product that certificates read (``certified``); the
+    decisions' walked product is checked against it and the full one in
+    test_pass_through."""
     h = hashlib.sha256()
     for game, bound in layered_corpus():
         _hash_layered_solve(h, game, bound)

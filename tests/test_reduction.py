@@ -2,15 +2,17 @@ import itertools
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (check_span_tables, direct_tracked_product, flat_parity_game,
-                      fresh_tracker, oracle_pass_through, parity_initial_r, parity_step,
-                      pushed_play, random_cost_game, random_cost_streett, streett_step,
-                      tracker_queries, walked_row, with_pass_through)
+                      fresh_tracker, oracle_pass_through, oracle_walked, parity_initial_r,
+                      parity_step, pushed_play, random_cost_game, random_cost_streett,
+                      streett_step, tracker_queries, walked_row, with_answering_chains,
+                      with_pass_through)
 from costparity import INF, Vertex, make_game, reduction, semantics
 from costparity.generators import (QbfFormula, p1_memory_family, qbf_to_game,
                                     streett_counter_family)
@@ -384,8 +386,8 @@ def test_spoiler_probes_step_the_tracker_once_per_product_move(monkeypatch):
     moves = []
 
     class Level(semantics._LevelProduct):
-        def __init__(self, arena, tracker, budget, what):
-            super().__init__(arena, tracker, budget, what)
+        def __init__(self, arena, tracker, budget, what, rows):
+            super().__init__(arena, tracker, budget, what, rows)
             moves.append(sum(len(row) for row in self.succ))
 
     monkeypatch.setattr(semantics, "_LevelProduct", Level)
@@ -406,68 +408,88 @@ def test_spoiler_probes_step_the_tracker_once_per_product_move(monkeypatch):
 def test_level_product_rows_are_the_arena_moves():
     # succ lists one node per arena move in move order: the state that
     # stepping the tracker edge by edge along the move reaches, walked on
-    # through pass-through vertices (the oracle's own skip); overflow
-    # holds exactly the ids of the moves with an overflowing step, pred
-    # the other moves' sources in ascending order.  Half the games get
-    # chains, cycles and parallel exits of pass-through vertices.
+    # through pass-through vertices, or through walked ones, by the
+    # oracle's own rule, for the product on each of the two row views;
+    # overflow holds exactly the ids of the moves with an overflowing
+    # step, pred the other moves' sources in ascending order.  A quarter
+    # of the games get chains, cycles and parallel exits of pass-through
+    # vertices, a quarter forced answering chains.
     rng = random.Random(83)
     games = []
     for k in range(150):
+        chains = (None, None, with_pass_through, with_answering_chains)[k % 4]
         binary = k % 2
         g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
                              encoding="binary" if binary else "unary")
-        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, Tracker))
+        games.append((chains(rng, g) if chains else g, Tracker))
         g = random_cost_streett(rng)
-        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, StreettTracker))
-    overflowing = walked = kept = 0
+        games.append((chains(rng, g) if chains else g, StreettTracker))
+    seen = Counter()
     for g, tracker_class in games:
-        through = oracle_pass_through(g)
-        assert g.pass_through == through
-        for b in range(4):
-            tracker = tracker_class(g, b)
-            levels = _LevelProduct(g, tracker, 10 ** 6, "level product")
-            nodes, succ, overflow = levels.nodes, levels.succ, levels.overflow
-            assert len(succ) == len(nodes) == len(levels.pred)
-            pred = [[] for _ in nodes]
-            for i, ((v, r), row) in enumerate(zip(nodes, succ)):
-                moves = g.successors[v]
-                ends = walked_row(g, tracker, through, 0, r, moves)
-                assert [nodes[j] for j in row] == [(t, r2) for t, _, r2, _ in ends]
-                assert [t for t, _ in g.exits[v]] == [t for t, *_ in ends]
-                assert len(set(row)) == len(row)
-                over = overflow.get(i, frozenset())
-                assert over <= set(row) and (i not in overflow or over)
-                for j, (t, _, _, overflowed), (hop, _) in zip(row, ends, moves):
-                    assert (j in over) == overflowed
-                    walked += t != hop
-                    kept += t == hop in through
-                    if j not in over:
-                        pred[j].append(i)
-            assert list(map(list, levels.pred)) == pred
-            overflowing += len(overflow)
-    assert overflowing > 200 and walked > 1000 and kept > 100, (overflowing, walked, kept)
+        assert g.pass_through == oracle_pass_through(g) and g.walked == oracle_walked(g)
+        for through, rows in ((g.pass_through, g.exits), (g.walked, g.walked_exits)):
+            seen += _check_level_rows(g, tracker_class, through, rows)
+    assert seen["overflowing"] > 400 and seen["walked"] > 2000 and seen["kept"] > 200 \
+        and seen["answered"] > 100, seen
+
+
+def _check_level_rows(g, tracker_class, through, rows) -> Counter:
+    """Checks the level products of ``g`` on ``rows``, the exit rows over
+    ``through``, at bounds 0–3 (see the caller); counts the rows with an
+    overflow, the moves walked, the moves that keep a target in
+    ``through``, and the moves walked past a vertex that answers a pair."""
+    seen = Counter()
+    for b in range(4):
+        tracker = tracker_class(g, b)
+        levels = _LevelProduct(g, tracker, 10 ** 6, "level product", rows)
+        nodes, succ, overflow = levels.nodes, levels.succ, levels.overflow
+        assert len(succ) == len(nodes) == len(levels.pred)
+        pred = [[] for _ in nodes]
+        for i, ((v, r), row) in enumerate(zip(nodes, succ)):
+            moves = g.successors[v]
+            ends = walked_row(g, tracker, through, 0, r, moves)
+            assert [nodes[j] for j in row] == [(t, r2) for t, _, r2, _ in ends]
+            assert [t for t, _ in rows[v]] == [t for t, *_ in ends]
+            seen["answered"] += sum(t != hop and bool(g.answer_mask[hop])
+                                    for (t, *_), (hop, _) in zip(ends, moves))
+            assert len(set(row)) == len(row)
+            over = overflow.get(i, frozenset())
+            assert over <= set(row) and (i not in overflow or over)
+            for j, (t, _, _, overflowed), (hop, _) in zip(row, ends, moves):
+                assert (j in over) == overflowed
+                seen["walked"] += t != hop
+                seen["kept"] += t == hop in through
+                if j not in over:
+                    pred[j].append(i)
+        assert list(map(list, levels.pred)) == pred
+        seen["overflowing"] += len(overflow)
+    return seen
 
 
 def test_unrolled_level_product_equals_the_direct_search():
     # the flat product is the level product unrolled over o, with no
     # tracker step; a search that steps the tracker on every edge of the
-    # flat product, walking moves on through pass-through vertices by
-    # its own skip, must find the same states in the same order, for
-    # both game classes, on games with and without such vertices
+    # flat product, walking moves on through walked vertices by its own
+    # rule, must find the same states in the same order as the decisions'
+    # product, for both game classes, on games with and without
+    # pass-through chains or answering ones
     rng = random.Random(29)
     games = []
     for k in range(200):
+        chains = (None, None, with_pass_through, with_answering_chains)[k % 4]
         binary = k % 2
         g = random_cost_game(rng, rng.randint(1, 5), 5, max_cost=3 if binary else 1,
                              encoding="binary" if binary else "unary")
-        games.append((with_pass_through(rng, g) if k % 4 > 1 else g, Tracker))
+        games.append((chains(rng, g) if chains else g, Tracker))
     streett_rng = random.Random(31)
     for k in range(160):
+        chains = (None, with_pass_through, None, with_answering_chains)[k % 4]
         g = random_cost_streett(streett_rng)
-        games.append((with_pass_through(streett_rng, g) if k % 2 else g, StreettTracker))
+        games.append((chains(streett_rng, g) if chains else g, StreettTracker))
     for k, (g, tracker_class) in enumerate(games):
         for b in range(5):
-            unrolled = _LevelProduct(g, tracker_class(g, b), 10 ** 6, "level product").unroll()
+            unrolled = _LevelProduct(g, tracker_class(g, b), 10 ** 6, "level product",
+                                     g.walked_exits).unroll()
             assert unrolled == direct_tracked_product(g, tracker_class(g, b), skip=True)[:2], \
                 (k, b)
             if tracker_class is Tracker:  # n vertices x (n+1) overflows x (b+2)^d requests

@@ -138,8 +138,8 @@ def _spy_products(monkeypatch):
             arenas.append(self)
 
     class Level(semantics._LevelProduct):
-        def __init__(self, arena, tracker, budget, what):
-            super().__init__(arena, tracker, budget, what)
+        def __init__(self, arena, tracker, budget, what, rows):
+            super().__init__(arena, tracker, budget, what, rows)
             levels.append((tracker.bound, self.size))
 
     def search(probe, lo, hi, guess=None, real=semantics._least_bound):

@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from conftest import (FlatSolveInfo, brute_parity_winner, check_move_tables, eager_parity_levels,
-                      flat_parity_game, full_level_product, layered_corpus, parity_optimal_corpus, product_winner,
+                      flat_parity_game, full_level_product, layered_corpus, oracle_pass_through,
+                      oracle_walked, parity_optimal_corpus, product_winner,
                       random_cost_game, random_level_rows, searched_optimal_cost,
                       with_pass_through)
 from costparity import (INF, BoundedCostResult, BudgetExceededError, ParityGame,
@@ -104,9 +105,9 @@ def test_parity_decisions_compute_no_sccs(monkeypatch):
     """A parity decision never computes SCCs and builds no progress
     move, and on one fixed QBF decision it calls ``_zielonka`` and
     ``_attractor`` no more often than the SCC-by-SCC solve did (10 times
-    each).  Its level graph has 440 nodes: the 1,030 of the full level
-    product less the 590 at pass-through vertices.  A certificate does
-    build progress moves, so the spy sees them."""
+    each).  Its level graph has 291 nodes: the 1,030 of the full level
+    product less the 739 at walked vertices, 590 of them pass-through.
+    A certificate does build progress moves, so the spy sees them."""
     def no_sccs(*args):
         raise AssertionError("a parity decision computed SCCs")
 
@@ -121,10 +122,11 @@ def test_parity_decisions_compute_no_sccs(monkeypatch):
     inst = qbf_to_game(QbfFormula(("e", "e", "a"), ((-3, -2, 3), (-3, -2, 2), (3, -1, 3),
                                                    (-2, -1, 1), (1, -1, 1))))
     res = decide_bounded_cost(inst.game, inst.target_bound)
-    assert res.achievable and res.product_states == 440 and len(res.iterates) == 2
+    assert res.achievable and res.product_states == 291 and len(res.iterates) == 2
     full = full_level_product(inst.game, Tracker(inst.game, inst.target_bound))
     assert full.size == 1030
-    assert sum(v in inst.game.pass_through for v, _ in full.nodes) == 590
+    assert sum(v in oracle_walked(inst.game) for v, _ in full.nodes) == 739
+    assert sum(v in oracle_pass_through(inst.game) for v, _ in full.nodes) == 590
     assert calls["_zielonka"] <= 10 and calls["_attractor"] <= 10, calls
     rests = calls["_zielonka"]
     for game, bound in layered_corpus():

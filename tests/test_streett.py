@@ -10,7 +10,7 @@ from conftest import (DEAD_LABEL, bisected_cost, brute_streett_winner, check_mov
                       random_cost_streett, random_level_rows, random_strategy,
                       random_streett_game, streett_initial_r, streett_step,
                       streett_strategy_product, streett_view, unmerged_certificates,
-                      with_pass_through)
+                      with_answering_chains, with_pass_through)
 from costparity import (INF, BudgetExceededError, Lasso, StrategySpec, core,
                         decide_bounded_cost, format_strat, streett)
 from costparity.reduction import Tracker, _LevelProduct
@@ -556,12 +556,14 @@ def test_list_costs_decide_like_tuple_costs():
 
 def test_streett_reduction_equals_the_direct_search():
     # the flat reduction against a search that steps the tracker on
-    # every edge, walking moves on through pass-through vertices with
-    # its own skip, and the decision's level product against a fresh one;
-    # half the games have chains, cycles and parallel exits of them
+    # every edge, walking moves on through walked vertices by its own
+    # rule, and the decision's level product against a fresh one; a
+    # quarter of the games have chains, cycles and parallel exits of
+    # pass-through vertices, a quarter forced answering chains
     rng = random.Random(31)
     games = [random_cost_streett(rng) for _ in range(120)]
-    games = [with_pass_through(rng, g) if k % 2 else g for k, g in enumerate(games)]
+    games = [(g, with_pass_through(rng, g), g, with_answering_chains(rng, g))[k % 4]
+             for k, g in enumerate(games)]
     cases = [(g, b) for g in games for b in range(5)]
     cases.append((streett_counter_family(2).game, 11))
     def overflow_edges(red, levels):
@@ -579,7 +581,8 @@ def test_streett_reduction_equals_the_direct_search():
         expected = direct_tracked_product(g, StreettTracker(g, b), skip=True)
         skipped += len(direct_tracked_product(g, StreettTracker(g, b))[0]) > len(expected[0])
         red = build_streett_reduction(g, b)
-        levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product")
+        levels = _LevelProduct(g, StreettTracker(g, b), 10 ** 6, "level product",
+                               g.walked_exits)
         assert (red.states, red.streett.succ, overflow_edges(red, levels)) == expected, b
         decided = decide_bounded_cost_streett(g, b)
         assert (decided.nodes, decided.index, decided.succ, decided.pred, decided.overflow) == \
