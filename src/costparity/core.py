@@ -23,6 +23,8 @@ BINARY = "binary"
 
 # states a tracked product may reach: the solver's, and the verifier's
 DEFAULT_PRODUCT_BUDGET = 5_000_000
+# vertices a subdivided game may have
+SUBDIVISION_BUDGET = 1_000_000
 
 
 class FormatError(ValueError):
@@ -157,10 +159,10 @@ def _walk_rows(successors: Mapping[int, tuple], forced: frozenset[int],
     exit being the first vertex after it on its chain that is not
     walked; so each chain is settled once, backward from its end, the
     first vertex on it that is not forced.  A chain that ends in a cycle
-    of forced vertices has no end: there, as before this rule, exactly
-    the vertices that answer nothing are walked, on to the first
-    answering vertex ahead, if any (a second round over them alone).  So
-    every pass-through vertex is walked.
+    of forced vertices has no end: there, exactly the vertices that
+    answer nothing are walked, on to the first answering vertex ahead,
+    if any (a second round over them alone).  So every pass-through
+    vertex is walked.
 
     A walked move's charge says what each pair pays: the cost it incurs
     until the chain first answers it, or the move's whole cost to the
@@ -435,7 +437,7 @@ def require_valid(game: CostGame) -> None:
     game._require(validate_game, "game")
 
 
-def subdivide_costs(game: CostGame, vertex_budget: int = 1_000_000) -> CostGame:
+def subdivide_costs(game: CostGame) -> CostGame:
     """Replace every cost-w edge (w ≥ 2) by a path of w increment edges.
 
     The w−1 fresh vertices get color 0 and the source's owner (no player
@@ -444,9 +446,9 @@ def subdivide_costs(game: CostGame, vertex_budget: int = 1_000_000) -> CostGame:
     """
     require_valid(game)
     extra = sum(e.cost - 1 for e in game.edges if e.cost >= 2)
-    if game.n + extra > vertex_budget:
-        raise BudgetExceededError(
-            f"subdivision blow-up: needs {game.n + extra} vertices, budget {vertex_budget}")
+    if game.n + extra > SUBDIVISION_BUDGET:
+        raise BudgetExceededError(f"subdivision blow-up: needs {game.n + extra} vertices, "
+                                  f"budget {SUBDIVISION_BUDGET}")
     vertices = list(game.vertices)
     edges: list[Edge] = []
     next_id = max(v.id for v in game.vertices) + 1

@@ -95,8 +95,6 @@ def normalize_qbf(phi: QbfFormula) -> QbfFormula:
         elif out[-1][0] == q:
             out.append(("a" if q == "e" else "e", None))
         out.append((q, i + 1))
-    if not out:
-        out.append(("e", None))
     if out[-1][0] == "a":
         out.append(("e", None))
     remap = {old: new + 1 for new, (_, old) in enumerate(out) if old is not None}
@@ -514,8 +512,9 @@ def _p1_arena(d: int, id_base: int = 0) -> tuple[list, list, dict, int]:
     return vertices, edges, info, v_init
 
 
-def _p1_strategy_functions(d: int, info: dict, v_init: int):
-    """τ remembers which request Player 0 posed in each of her gadgets
+def _p1_strategy_functions(game: CostGame, info: dict, v_init: int):
+    """τ on the spoiler-memory arena of ``info`` inside ``game``: it
+    remembers which request Player 0 posed in each of her d gadgets
     (2^d states) and answers the one in the entered gadget as late as
     the arena allows."""
     hi_of = {v: jj for jj, v in info["G0_hi"].items()}
@@ -532,20 +531,18 @@ def _p1_strategy_functions(d: int, info: dict, v_init: int):
             return mask & ~(1 << (lo_of[t] - 1))
         return mask
 
-    def make_nxt(game: CostGame):
-        def nxt(v, mask):
-            jj = entry_of.get(v)
-            succs = game.successors[v]
-            if jj is None:
-                return succs[0][0]
-            # the entry A1 moves to B1 (color 4j−2) or E1 (color 0).
-            # request 4j−3 open: take the long way to the late 4j−2;
-            # request 4j−1 open: take the long way to the 4j answer
-            lower = bool(mask >> (jj - 1) & 1)
-            return min(t for t, _ in succs if (game.color[t] == 0) == lower)
-        return nxt
+    def nxt(v, mask):
+        jj = entry_of.get(v)
+        succs = game.successors[v]
+        if jj is None:
+            return succs[0][0]
+        # the entry A1 moves to B1 (color 4j−2) or E1 (color 0).
+        # request 4j−3 open: take the long way to the late 4j−2;
+        # request 4j−1 open: take the long way to the 4j answer
+        lower = bool(mask >> (jj - 1) & 1)
+        return min(t for t, _ in succs if (game.color[t] == 0) == lower)
 
-    return upd, make_nxt
+    return upd, nxt
 
 
 def p1_memory_family(d: int) -> GeneratedInstance:
@@ -556,8 +553,8 @@ def p1_memory_family(d: int) -> GeneratedInstance:
     game = CostGame(tuple(vertices), tuple(Edge(u, v, 1) for u, v in raw_edges), v_init, UNARY)
     require_valid(game)
     _require_family_budget(game, [2 ** d])
-    upd, make_nxt = _p1_strategy_functions(d, info, v_init)
-    tau = strategy_from_functions(game, 1, 0, upd, make_nxt(game))
+    upd, nxt = _p1_strategy_functions(game, info, v_init)
+    tau = strategy_from_functions(game, 1, 0, upd, nxt)
     bound = 5 * (d - 1) + 7
     return GeneratedInstance("p1mem", d, game, bound,
                              (ReferenceStrategy("tau", tau, bound, 2 ** d),))
@@ -584,8 +581,7 @@ def p1_tradeoff_family(d: int) -> GeneratedInstance:
     _require_family_budget(game, [2 ** jj for jj, _, _ in sub])
     refs = []
     for jj, info, v_init in sub:
-        upd_j, make_nxt_j = _p1_strategy_functions(jj, info, v_init)
-        nxt_j = make_nxt_j(game)
+        upd_j, nxt_j = _p1_strategy_functions(game, info, v_init)
 
         def nxt(v, mask, nxt_j=nxt_j, v_init=v_init):
             if v == 0:

@@ -358,7 +358,8 @@ class BoundedCostResult(_LevelProduct):
     def iterates(self) -> list[tuple]:
         """What ``solve_level`` returned for each level solved, from
         level n−1 down to the fixpoint; the levels a decision skipped
-        are solved on first read."""
+        are solved on first read.  They are this engine's iterates, on
+        the walked product; ``certificate`` reads ``certified``'s."""
         self._run(stop_at_win=False)
         return self._levels
 
@@ -396,7 +397,9 @@ class BoundedCostResult(_LevelProduct):
         positional moves from an entry by ``get(node)``).  The game is
         the one ``solve`` solved, predecessor lists included, so the
         whole solve picks the moves the level's solve would have picked,
-        and the winners it returns with the pair must be the stored ones."""
+        and the winners it returns with the pair must be the stored ones.
+        It solves this engine's level, on the walked product;
+        ``certificate`` reads ``certified``'s."""
         kept = self._solved.get(k)
         if kept is None:
             # solved whole: the sinks' attractor moves plus the rest's
@@ -434,7 +437,9 @@ class BoundedCostResult(_LevelProduct):
         None off the nodes.  It looks each level's moves up once per
         overflow value o.  On a Streett game Player 0 has none: her level
         strategies need memory, so ``move_function(0)`` raises
-        ValueError there; ``certificate`` holds her moves."""
+        ValueError there; ``certificate`` holds her moves.  The moves are
+        this engine's, on the walked product; ``certificate`` reads
+        ``certified``'s, so where ``walks`` holds, they can differ."""
         n, index, tables = self.game.n, self.index, {}
 
         def move(v, o, r):

@@ -257,7 +257,7 @@ class _RotateCell:
 
     def _enter(self, idx, w):
         ch = self.children[idx]
-        if ch["zone"] is not None and w in ch["zone"]:
+        if w in ch["zone"]:
             return (idx, ch["subcell"].init(w))
         return (idx, None)
 
@@ -271,7 +271,7 @@ class _RotateCell:
         ch = self.children[idx]
         if w in ch["targets"]:
             return self._enter((idx + 1) % len(self.children), w)
-        if ch["zone"] is not None and w in ch["zone"]:
+        if w in ch["zone"]:
             if sub is None:
                 return (idx, ch["subcell"].init(w))
             return (idx, ch["subcell"].step(sub, w))
@@ -286,7 +286,7 @@ class _RotateCell:
         ch = self.children[idx]
         if v in ch["targets"]:
             return ch["stay"].get(v)
-        if ch["zone"] is not None and v in ch["zone"]:
+        if v in ch["zone"]:
             # inconsistent (vertex, state) pairs can be probed during
             # tabulation; they never occur along consistent plays
             return ch["subcell"].move(v, sub) if sub is not None else None
@@ -301,7 +301,7 @@ class _PieceCell:
         self.pieces = pieces  # sub_region, attr_moves, subcell
         self.piece_of = piece_of
 
-    def _enter(self, v):
+    def init(self, v):
         idx = self.piece_of.get(v)
         if idx is None:
             return DEAD_MEMORY
@@ -310,15 +310,12 @@ class _PieceCell:
             return (idx, pc["subcell"].init(v))
         return (idx, None)
 
-    def init(self, v):
-        return self._enter(v)
-
     def step(self, state, w):
         idx2 = self.piece_of.get(w)
         if idx2 is None:
             return DEAD_MEMORY
         if state is DEAD_MEMORY or state[0] != idx2:
-            return self._enter(w)
+            return self.init(w)
         idx, sub = state
         pc = self.pieces[idx]
         if w in pc["sub_region"]:
@@ -407,7 +404,7 @@ class _StreettSolver:
                 if keep:
                     entry = {"targets": set(targets), "attr_region": set(attr),
                              "attr_moves": _progress_moves(sg, fav, attr, arank),
-                             "zone": set(zone) or None, "subcell": None}
+                             "zone": set(zone), "subcell": None}
                     recorded.append(entry)
                 if zone:
                     w0, w1, c0, c1 = self.solve(zone, cu, active)
@@ -687,22 +684,20 @@ def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
 # --- optimal cost ----------------------------------------------------------------
 
 def optimal_cost_streett(game: CostStreettGame, *,
-                         practical_cap: Optional[int] = None,
                          product_budget: int = DEFAULT_PRODUCT_BUDGET) -> OptimalResult:
     """Least achievable bound, searched upward from 0 (``solver._least_achievable``).
 
     The theoretical cap nW·2^d·(2d)! is astronomically large, so the
-    search stops at a practical cap (default n·W·2^d) and reports
-    ``cap_hit`` when even that bound is not achievable — the true value
-    then exceeds the cap but Player 0 is not proven to lose.
+    search stops at the practical cap n·W·2^d (or the regime cap, if
+    lower) and reports ``cap_hit`` when even that bound is not
+    achievable — the true value then exceeds the cap but Player 0 is not
+    proven to lose.
     """
     require_valid_streett(game)
     regime_cap = streett_regime_cap(game)
-    cap = practical_cap if practical_cap is not None else \
-        game.n * max(1, game.max_cost) * 2 ** game.d
     return _least_achievable(
         lambda b: decide_bounded_cost_streett(game, b, product_budget=product_budget),
-        min(cap, regime_cap), regime_cap)
+        min(game.n * max(1, game.max_cost) * 2 ** game.d, regime_cap), regime_cap)
 
 
 # --- bridges and file format -------------------------------------------------------

@@ -96,9 +96,11 @@ def test_subdivide_always_valid_and_color_preserving():
 
 
 def test_subdivide_budget():
-    g = make_game([(0, 0, 0), (1, 0, 0)], [(0, 1, 100), (1, 0, 0)], 0, "binary")
-    with pytest.raises(BudgetExceededError):
-        subdivide_costs(g, vertex_budget=10)
+    # one cost-2,000,000 edge needs 1,999,999 fresh vertices; the budget
+    # is checked before any of them is built
+    g = make_game([(0, 0, 0), (1, 0, 0)], [(0, 1, 2_000_000), (1, 0, 0)], 0, "binary")
+    with pytest.raises(BudgetExceededError, match="needs 2000001 vertices, budget 1000000$"):
+        subdivide_costs(g)
 
 
 def test_export_dot_deterministic(delay_won):

@@ -32,6 +32,12 @@ def test_qbf_normalization():
     assert phi2.prefix == ("e", "a", "e")
     assert phi2.clauses == ((2, 2, 2),)
     assert eval_qbf(phi2) == eval_qbf(QbfFormula(("a",), ((1, 1, 1),)))
+    for prefix in (("e", "e"), ("a", "e"), ("e", "a"), ()):
+        assert not QbfFormula(prefix, ((1, 1, 1),)).normalized
+    # with no variables every literal is out of range: ``check`` rejects
+    # the formula before anything is built
+    with pytest.raises(ValueError, match="^literal 1 out of range$"):
+        normalize_qbf(QbfFormula((), ((1, 1, 1),)))
 
 
 def test_qbf_normalization_preserves_value():

@@ -22,7 +22,7 @@ from costparity.streett import (CostStreettGame, StreettEdge, StreettGame,
                                 streett_play_cost, streett_spoiler_cost,
                                 streett_strategy_cost, validate_streett_game)
 from costparity.generators import streett_counter_family
-from costparity.solver import _sink_first_winners
+from costparity.solver import _least_achievable, _sink_first_winners
 from conftest import eager_streett_levels
 
 
@@ -680,9 +680,10 @@ def test_all_pairs_empty_optimal_zero():
 def test_streett_optimal_proven_loss_vs_cap_hit():
     # a permanently unanswerable pair: every bound fails
     g = tiny_streett(pairs=[({0}, set())], edges=[(0, 0, 1)], owners=[0])
-    capped = optimal_cost_streett(g)  # default practical cap < theoretical
+    capped = optimal_cost_streett(g)  # practical cap < regime cap
     assert capped.cap_hit and capped.value == INF and capped.witness is None
-    proven = optimal_cost_streett(g, practical_cap=streett_regime_cap(g))
+    regime = streett_regime_cap(g)
+    proven = _least_achievable(lambda b: decide_bounded_cost_streett(g, b), regime, regime)
     assert not proven.cap_hit and proven.value == INF
     assert proven.witness is not None and proven.witness.player == 1
     assert streett_spoiler_cost(g, proven.witness) == INF
@@ -713,7 +714,7 @@ def test_streett_optimal_witness_is_the_certificate_at_the_value():
         regime = streett_regime_cap(g)
         if regime > 192:
             continue
-        proven = optimal_cost_streett(g, practical_cap=regime)
+        proven = _least_achievable(lambda b: decide_bounded_cost_streett(g, b), regime, regime)
         top = decide_bounded_cost_streett(g, regime)
         assert not proven.cap_hit and proven.searched_up_to == regime
         if top.achievable:
