@@ -543,11 +543,16 @@ def parse_cpg(text: str) -> CostGame:
     return game
 
 
+def _vertex_lines(game: _Arena, cost_text) -> list[str]:
+    """The vertex lines of a .cpg or .cst file, in id order: id, color,
+    owner and the successors as ``target:cost``, ``cost_text(cost)``."""
+    return [f"{v.id} {v.color} {v.owner} "
+            + ",".join(f"{t}:{cost_text(w)}" for t, w in game.successors[v.id])
+            for v in sorted(game.vertices, key=lambda v: v.id)]
+
+
 def format_cpg(game: CostGame) -> str:
-    lines = [f"costparity {game.n} {game.initial} {game.encoding}"]
-    for v in sorted(game.vertices, key=lambda v: v.id):
-        succs = ",".join(f"{t}:{w}" for t, w in game.successors[v.id])
-        lines.append(f"{v.id} {v.color} {v.owner} {succs}")
+    lines = [f"costparity {game.n} {game.initial} {game.encoding}", *_vertex_lines(game, str)]
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,9 @@ capped by the active bound b.  Traversing an edge updates (o, r) in four
 steps: add the edge cost to open requests, reset everything and bump o
 on an excess over b, close requests answered by the target's color, and
 open the target's own request.  Streett games track one entry per pair
-alike, and both game classes share the one step (``_RequestTracker``).
+alike, and both game classes share the one step and its one charge
+decoder (``_RequestTracker``); ``Tracker`` and ``StreettTracker`` name
+it per class.
 The tracker, the product and the certificates carry r as one int, a
 request word of open bits and cost fields, whose step is a few table
 lookups and integer operations; the table of fields words is shared by
@@ -33,6 +35,7 @@ and shrinks: its verdict is the winner of a settled prefix.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Mapping, Sequence
 
 from .core import BINARY, BudgetExceededError, CostGame
@@ -184,16 +187,31 @@ class _RequestTracker:
             return min(o + 1, self.n), fresh, True
         return o, r & keep | fresh, False
 
-    def _packed(self, costs) -> int:
-        """Each pair's own edge cost, clamped to b+1, in its field; of a
-        walked move's (total, cuts), each pair's total less the cost of
-        the first cut that holds it (``core._walk_rows``)."""
+    def _packed(self, cost) -> int:
+        """The charge word of an edge cost or of a walked move's (total,
+        cuts) (``core._walk_rows``): each pair's charge, clamped to b+1,
+        in its field.  Under cuts a pair pays the total less the cost of
+        the first cut that holds it, so the cuts claim the fields of their
+        pairs in chain order (from the shared span table), each only the
+        fields that no earlier cut claimed, and the total fills the rest."""
+        word = claimed = 0
+        if isinstance(cost, tuple) and cost and isinstance(cost[-1], tuple):
+            cost, cuts = cost
+            for m, cut in cuts:
+                fields = self._span(m) & ~self._low & ~claimed
+                if fields:
+                    rest = cost - cut if isinstance(cost, int) else tuple(map(sub, cost, cut))
+                    word |= self._spread(rest) & fields
+                    claimed |= fields
+        return word | self._spread(cost) & ~claimed
+
+    def _spread(self, cost) -> int:
+        """A cost clamped to b+1 in every field: a parity cost, one int
+        for every pair, or a Streett cost tuple, pair by pair."""
         cap = self.bound + 1
-        if costs and isinstance(costs[-1], tuple):
-            total, cuts = costs
-            costs = [w - next((cut[i] for m, cut in cuts if m >> i & 1), 0)
-                     for i, w in enumerate(total)]
-        return sum(min(w, cap) << s for w, s in zip(costs, self._shifts))
+        if isinstance(cost, int):
+            return min(cost, cap) * self._ones
+        return sum(min(w, cap) << s for w, s in zip(cost, self._shifts))
 
 
 class Tracker(_RequestTracker):
@@ -202,18 +220,14 @@ class Tracker(_RequestTracker):
     edge cost applies to every pair.  A walked move's charge may differ
     by pair; it comes as (total, cuts) (``core._walk_rows``)."""
 
-    def _packed(self, cost) -> int:
-        cap = self.bound + 1
-        if isinstance(cost, int):
-            return min(cost, cap) * self._ones
-        # each pair's total less its first cut's cost: the cuts are laid
-        # over the total from the last, each over the fields of its pairs
-        total, cuts = cost
-        word = min(total, cap) * self._ones
-        for m, cut in reversed(cuts):
-            fields = self._span(m) & ~self._low
-            word = word & ~fields | min(total - cut, cap) * (fields // self._field)
-        return word
+
+class StreettTracker(_RequestTracker):
+    """The tracker of a cost-Streett game, one entry per pair: ⊥, or the
+    cost the oldest open request of that pair has incurred under the
+    pair's own cost function, each in its field of the request word.  A
+    target in P_c closes pair c, and one in Q_c (outside P_c) opens it.
+    It differs from ``Tracker`` in name only, so that the two classes'
+    steps can be counted apart; ``streett`` re-exports it."""
 
 
 # --- dominating cycles and settled prefixes ---------------------------------
@@ -233,12 +247,12 @@ def _cycle_kind(color: Mapping[int, int], vertices: Sequence[int], k: int, k2: i
 class _PrefixStack:
     """An annotated prefix that grows and shrinks at its end, kept with
     what the settle and shortcut rules read: the positions of each
-    (vertex, overflow) in ascending order, cumulative costs, relevance
-    masks, and the start of each maximal run of equal relevance masks.
-    The finite-duration engine runs on it.  Its request functions are
-    the tracker's words, unpacked only where entries are read: the cycle
-    tests of ``verdict`` and, in binary games, the relevance masks and
-    the shortcut."""
+    (vertex, overflow) in ascending order, cumulative costs and
+    relevance masks, whose run back from the top bounds the shortcut's
+    scan (``step``).  The finite-duration engine runs on it.  Its
+    request functions are the tracker's words, unpacked only where
+    entries are read: the cycle tests of ``verdict`` and, in binary
+    games, the relevance masks and the shortcut."""
 
     def __init__(self, game: CostGame, bound: int):
         self.tracker = Tracker(game, bound)
@@ -250,7 +264,6 @@ class _PrefixStack:
         self.requests: list[int] = []
         self.cum: list[int] = []
         self.relm: list[int] = []
-        self.runstart: list[int] = []
         self.buckets: dict[tuple[int, int], list[int]] = {}
 
     def push(self, v: int, o: int, r: int, cost: int, m: int | None = None) -> None:
@@ -264,13 +277,12 @@ class _PrefixStack:
         self.overflows.append(o)
         self.requests.append(r)
         self.cum.append(self.cum[-1] + cost if i else cost)
-        self.runstart.append(self.runstart[-1] if i and self.relm[-1] == m else i)
         self.relm.append(m)
         self.buckets.setdefault((v, o), []).append(i)
 
     def pop(self) -> None:
         self.buckets[(self.vertices.pop(), self.overflows.pop())].pop()
-        for column in (self.requests, self.cum, self.relm, self.runstart):
+        for column in (self.requests, self.cum, self.relm):
             column.pop()
 
     def verdict(self) -> int | None:
@@ -299,10 +311,11 @@ class _PrefixStack:
         r' a request word, so ``push`` takes it as it is.  In a binary
         game the shortcut fast-forwards the latest cycle back to (t, o')
         that has positive cost, keeps the relevance mask of r' throughout
-        and fits one more traversal under the bound: it adds s·k to every
-        open entry, s the cycle's cost and k maximal with c* + s·k ≤ b
-        for the largest open entry c* (one amount added to every open
-        entry keeps the mask), and charges w + s·k."""
+        and fits one more traversal under the bound, so the scan back
+        for it stops at the first position with another relevance mask:
+        it adds s·k to every open entry, s the cycle's cost and k maximal
+        with c* + s·k ≤ b for the largest open entry c* (one amount added
+        to every open entry keeps the mask), and charges w + s·k."""
         tr = self.tracker
         b = tr.bound
         o2, r2, _ = tr.update(self.overflows[-1], self.requests[-1], w, t)
@@ -312,17 +325,16 @@ class _PrefixStack:
         m2 = _relevant_mask(values)
         if not m2:
             return o2, r2, w, 0
-        top = len(self.vertices) - 1
-        lo = self.runstart[top] if self.relm[top] == m2 else top + 1
+        top = j = len(self.vertices) - 1
         cstar = max(x for x in values if x is not None)
-        for j in range(top, lo - 1, -1):
-            if self.vertices[j] != t or self.overflows[j] != o2:
-                continue
-            s = self.cum[top] - self.cum[j] + w
-            if s > 0 and cstar + s <= b:
-                times = (b - cstar) // s
-                rstar = tr.pack(tuple(x if x is None else x + s * times for x in values))
-                return o2, rstar, w + s * times, m2
+        while j >= 0 and self.relm[j] == m2:
+            if self.vertices[j] == t and self.overflows[j] == o2:
+                s = self.cum[top] - self.cum[j] + w
+                if s > 0 and cstar + s <= b:
+                    times = (b - cstar) // s
+                    rstar = tr.pack(tuple(x if x is None else x + s * times for x in values))
+                    return o2, rstar, w + s * times, m2
+            j -= 1
         return o2, r2, w, m2
 
 

@@ -28,7 +28,7 @@ from typing import Sequence
 from .core import (DEFAULT_PRODUCT_BUDGET, BudgetExceededError, CostGame, StrategySpec,
                    _forced, _least_bound, _walk_rows, make_game, require_valid,
                    validate_strategy)
-from .reduction import Tracker, _LevelProduct
+from .reduction import StreettTracker, Tracker, _LevelProduct
 
 INF = math.inf
 
@@ -70,29 +70,20 @@ def answers(request_color: int, candidate: int) -> bool:
     return candidate % 2 == 0 and candidate >= request_color
 
 
-def cor(game: CostGame, lasso: Lasso, j: int) -> CostValue:
-    """Cost of the infix from position j to its first answer; ∞ if never answered.
-
-    j must lie in the canonical range [0, |prefix|+|cycle|); later
-    positions repeat one of these by periodicity.
-    """
-    return _cost_of_response(game, lasso, j, _shared_cost)
-
-
-def _shared_cost(cost: int, c: int) -> int:
-    return cost  # every pair of a parity game reads the edge's one cost
-
-
-def _cost_of_response(game, lasso: Lasso, j: int, pair_cost) -> CostValue:
-    """Max over the pairs c opened at position j (``request_mask`` less
-    ``answer_mask``) of the summed ``pair_cost(edge cost, c)`` up to the
-    next vertex answering c, ∞ if none does; ``game`` is a CostGame or a
-    CostStreettGame.  An answer, if any, occurs within one further full
-    cycle unrolling."""
+def cor(game, lasso: Lasso, j: int) -> CostValue:
+    """Cost of the infix from position j to its first answer, in a
+    CostGame or a CostStreettGame (``streett.stcor`` is this function):
+    the max over the pairs c opened at j (``request_mask`` less
+    ``answer_mask``) of the summed pair-c edge cost up to the next vertex
+    answering c, ∞ if none does; 0 if nothing is opened.  j must lie in
+    the canonical range [0, |prefix|+|cycle|); later positions repeat
+    one of these by periodicity.  An answer, if any, occurs within one
+    further full cycle unrolling."""
     validate_lasso(game, lasso)
     if not 0 <= j < len(lasso):
         raise ValueError(f"position {j} outside canonical range [0, {len(lasso)})")
     amask, costs = game.answer_mask, game.edge_cost
+    pair_cost = (lambda w, c: w) if isinstance(game, CostGame) else operator.getitem
     v = lasso.vertex_at(j)
     opened = game.request_mask[v] & ~amask[v]
     worst: CostValue = 0
@@ -111,19 +102,14 @@ def _cost_of_response(game, lasso: Lasso, j: int, pair_cost) -> CostValue:
     return worst
 
 
-def play_cost(game: CostGame, lasso: Lasso) -> CostValue:
-    """limsup of Cor over positions = max of Cor over one cycle period."""
-    return _limsup(game, lasso, _shared_cost)
-
-
-def _limsup(game, lasso: Lasso, pair_cost) -> CostValue:
-    """limsup of ``_cost_of_response`` over positions = its max over one
-    cycle period: prefix positions occur once, and each cycle position
-    recurs with the same cost-of-response forever."""
+def play_cost(game, lasso: Lasso) -> CostValue:
+    """limsup of ``cor`` over positions = its max over one cycle period:
+    prefix positions occur once, and each cycle position recurs with
+    the same cost-of-response forever (``streett.streett_play_cost`` is
+    this function)."""
     validate_lasso(game, lasso)
     p = len(lasso.prefix)
-    return max(_cost_of_response(game, lasso, p + i, pair_cost)
-               for i in range(len(lasso.cycle)))
+    return max(cor(game, lasso, p + i) for i in range(len(lasso.cycle)))
 
 
 # --- strategy cost ----------------------------------------------------------
@@ -206,9 +192,7 @@ def strategy_product(game: CostGame, strat: StrategySpec) -> tuple[CostGame, dic
 # --- strategy cost: response paths and lasso analysis on one-player products --
 #
 # Both game classes share this verifier: a CostGame's odd colors act as
-# Streett pairs (``CostGame.request_mask``/``answer_mask``), and the caller
-# passes the request tracker of its class (``Tracker`` or
-# ``streett.StreettTracker``).
+# Streett pairs (``CostGame.request_mask``/``answer_mask``).
 
 def _sccs(n: int, rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative: the strongly connected components,
@@ -361,7 +345,7 @@ def _response_cost(game, verts, rows) -> CostValue:
     ``_sccs`` emits the components, so successors come first.
     """
     request, answer, cost = game.request_mask, game.answer_mask, game.edge_cost
-    pair_cost = _shared_cost if isinstance(game, CostGame) else operator.getitem
+    pair_cost = (lambda w, c: w) if isinstance(game, CostGame) else operator.getitem
     worst: CostValue = 0
     for comp in _cyclic_sccs(len(rows), rows):
         inside = set(comp)
@@ -399,11 +383,11 @@ def _response_cost(game, verts, rows) -> CostValue:
     return worst
 
 
-def _verified_cost(game, strat: StrategySpec, player: int, require,
-                   tracker_class) -> CostValue:
+def _verified_cost(game, strat: StrategySpec, player: int, require) -> CostValue:
     """Cst of ``strat`` in ``game`` (a CostGame or a CostStreettGame):
     the one checked body of the four verifiers.  ``require`` validates
-    the game and ``tracker_class`` is the request tracker of its class.
+    the game, and the game's class picks the request tracker
+    (``Tracker`` or ``StreettTracker``) and the Player 1 search's guess.
     The checks run in this order: the game is valid, the strategy is
     well-formed (so a player outside {0, 1} is reported as ill-formed),
     and it is a strategy of ``player``.
@@ -433,14 +417,15 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
     if strat.player == 0:
         return _response_cost(game, arena.verts, arena.rows)
     if isinstance(game, CostGame):
-        guess = _cheapest_lasso(game, arena)
+        guess, make_tracker = _cheapest_lasso(game, arena), Tracker
     else:
         guess = None if _good_cycle(game, arena.verts, arena.rows) else INF
+        make_tracker = StreettTracker
     if guess == INF:
         return INF
 
     def fits(b):
-        level = _LevelProduct(arena, tracker_class(arena, b), DEFAULT_PRODUCT_BUDGET,
+        level = _LevelProduct(arena, make_tracker(arena, b), DEFAULT_PRODUCT_BUDGET,
                               "strategy product", arena.walked_exits)
         return _good_cycle(arena, [i for i, _ in level.nodes], level.pred), None
     value, _ = _least_bound(fits, 0, arena.n * max(1, game.max_cost), guess)
@@ -450,11 +435,11 @@ def _verified_cost(game, strat: StrategySpec, player: int, require,
 def strategy_cost(game: CostGame, strat: StrategySpec) -> CostValue:
     """Cst(σ) = sup over plays consistent with σ of the play cost, by
     lasso analysis on the σ-restricted one-player product."""
-    return _verified_cost(game, strat, 0, require_valid, Tracker)
+    return _verified_cost(game, strat, 0, require_valid)
 
 
 def spoiler_cost(game: CostGame, strat: StrategySpec) -> CostValue:
     """Cst(τ) = inf over plays consistent with the Player 1 strategy τ:
     the least b for which Player 0 finds a good lasso in the τ-restricted
     product."""
-    return _verified_cost(game, strat, 1, require_valid, Tracker)
+    return _verified_cost(game, strat, 1, require_valid)

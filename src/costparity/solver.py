@@ -286,8 +286,9 @@ class BoundedCostResult(_LevelProduct):
     off, the engine itself runs on the pass-through rows.
     """
 
-    def __init__(self, game, tracker, budget: int, what: str, walk: bool):
-        super().__init__(game, tracker, budget, what, game.walked_exits if walk else game.exits)
+    def __init__(self, game, tracker, budget: int, walk: bool):
+        rows = game.walked_exits if walk else game.exits
+        super().__init__(game, tracker, budget, "level graph", rows)
         # whether this level graph skips vertices that the certificates' keeps
         self.walks = walk and any(map(game.answer_mask.__getitem__, game.walked))
         self.tracker = tracker  # the certificates' tracker too
@@ -464,7 +465,7 @@ class _ParityLevels(BoundedCostResult):
     """
 
     def __init__(self, game: CostGame, bound: int, budget: int, walk: bool = True):
-        super().__init__(game, Tracker(game, bound), budget, "level graph", walk)
+        super().__init__(game, Tracker(game, bound), budget, walk)
         self.colors = tuple(map(game.color.__getitem__, self.vertex_of)) + (0, 1)
         self.solve()
 

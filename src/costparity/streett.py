@@ -26,26 +26,27 @@ bounds.
 
 The rest is shared with parity games: ``core`` derives the arena's
 views and tabulates strategies (the classical solver's too, through
-``StreettGame.update_key``); ``semantics`` evaluates lassos and
-verifies strategies, given this module's tracker, whose step is
-``reduction``'s; ``solver`` runs the layered decisions and the one
-optimal-cost search.  This module adds the reductions and the solver.
+``StreettGame.update_key``); ``semantics`` evaluates lassos (``stcor``
+and ``streett_play_cost`` are its ``cor`` and ``play_cost``) and
+verifies strategies; ``reduction`` tracks requests (``StreettTracker``
+is its tracker of this class, re-exported here); ``solver`` runs the
+layered decisions and the one optimal-cost search.  This module adds
+the reductions and the solver.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (DEFAULT_PRODUCT_BUDGET, CostGame, FormatError, StrategySpec,
                    Vertex, _Arena, _arena_report, _parse_vertex_line,
-                   _read_header, _reset_spoiler, strategy_from_functions,
-                   strategy_from_product)
-from .reduction import _LevelProduct, _RequestTracker
-from .semantics import Lasso, _cost_of_response, _limsup, _verified_cost
+                   _read_header, _reset_spoiler, _vertex_lines,
+                   strategy_from_functions, strategy_from_product)
+from .reduction import StreettTracker, _LevelProduct
+from .semantics import _verified_cost, cor as stcor, play_cost as streett_play_cost
 from .solver import (BoundedCostResult, OptimalResult, _attractor, _least_achievable,
                      _predecessors, _progress_moves)
 
@@ -169,33 +170,6 @@ def require_valid_streett(game: CostStreettGame) -> None:
     game._require(validate_streett_game, "Streett game")
 
 
-# --- cost semantics on lassos ------------------------------------------------
-
-def stcor(game: CostStreettGame, lasso: Lasso, j: int) -> float:
-    """max over pairs of the cost (under that pair's cost function) from
-    position j to the first later answer of a request opened there; 0 if
-    nothing is opened, ∞ if some opened request is never answered."""
-    return _cost_of_response(game, lasso, j, operator.getitem)
-
-
-def streett_play_cost(game: CostStreettGame, lasso: Lasso) -> float:
-    """limsup of StCor over positions = max over one cycle period."""
-    return _limsup(game, lasso, operator.getitem)
-
-
-# --- per-pair request tracking ------------------------------------------------
-
-class StreettTracker(_RequestTracker):
-    """Request tracking with one counter per Streett pair.
-
-    The state is (o, r) as in ``reduction.Tracker``, with r holding one
-    entry per pair: ⊥, or the cost the oldest open request of that pair
-    has incurred under the pair's own cost function, each in its field
-    of the request word.  A target in P_c closes pair c, and one in Q_c
-    (outside P_c) opens it.
-    """
-
-
 # --- reduction to a classical Streett game ------------------------------------
 
 @dataclass(frozen=True)
@@ -271,12 +245,10 @@ class _RotateCell:
         ch = self.children[idx]
         if w in ch["targets"]:
             return self._enter((idx + 1) % len(self.children), w)
-        if w in ch["zone"]:
-            if sub is None:
-                return (idx, ch["subcell"].init(w))
+        if sub is not None and w in ch["zone"]:
             return (idx, ch["subcell"].step(sub, w))
-        if w in ch["attr_region"]:
-            return (idx, None)
+        if w in ch["zone"] or w in ch["attr_region"]:
+            return self._enter(idx, w)  # a fresh sub-state where there is none
         return DEAD_MEMORY
 
     def move(self, v, state):
@@ -311,16 +283,12 @@ class _PieceCell:
         return (idx, None)
 
     def step(self, state, w):
-        idx2 = self.piece_of.get(w)
-        if idx2 is None:
-            return DEAD_MEMORY
-        if state is DEAD_MEMORY or state[0] != idx2:
+        # a step that keeps no sub-state starts afresh at w
+        if state is DEAD_MEMORY or state[1] is None or state[0] != self.piece_of.get(w):
             return self.init(w)
         idx, sub = state
         pc = self.pieces[idx]
         if w in pc["sub_region"]:
-            if sub is None:
-                return (idx, pc["subcell"].init(w))
             return (idx, pc["subcell"].step(sub, w))
         return (idx, None)
 
@@ -393,7 +361,6 @@ class _StreettSolver:
         opp_total: set = set()
         removed: list[int] = []  # opponent pieces peeled off in this call
         while True:
-            progressed = False
             recorded: list[dict] = []
             for cu in children:
                 targets = [v for v in verts if pattern_of[v] not in cu]
@@ -424,11 +391,10 @@ class _StreettSolver:
                         opp_total.update(region)
                         removed.extend(region)
                         verts = [v for v in verts if active[v]]
-                        progressed = True
                         break
                     if keep:
                         entry["subcell"] = (c0, c1)[fav]
-            if not progressed:
+            else:
                 break
         if keep:
             for entry in recorded:
@@ -528,7 +494,7 @@ class _StreettLevels(BoundedCostResult):
     """
 
     def __init__(self, game: CostStreettGame, bound: int, budget: int, walk: bool = True):
-        super().__init__(game, StreettTracker(game, bound), budget, "level graph", walk)
+        super().__init__(game, StreettTracker(game, bound), budget, walk)
         request, answer = game.request_mask, game.answer_mask
         # the nodes' masks, then the won sink's and the lost sink's
         self.qmask = tuple(map(request.__getitem__, self.vertex_of)) + (0, 1 << game.d)
@@ -672,13 +638,13 @@ def _extract_p1_certificate(levels: BoundedCostResult) -> StrategySpec:
 def streett_strategy_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     """Cst(σ) = sup over consistent plays, by lasso analysis on the
     σ-restricted one-player product (``semantics._verified_cost``)."""
-    return _verified_cost(game, strat, 0, require_valid_streett, StreettTracker)
+    return _verified_cost(game, strat, 0, require_valid_streett)
 
 
 def streett_spoiler_cost(game: CostStreettGame, strat: StrategySpec) -> float:
     """Cst(τ) = inf over consistent plays: least b for which Player 0
     finds a good lasso in the τ-restricted product."""
-    return _verified_cost(game, strat, 1, require_valid_streett, StreettTracker)
+    return _verified_cost(game, strat, 1, require_valid_streett)
 
 
 # --- optimal cost ----------------------------------------------------------------
@@ -755,11 +721,8 @@ def parse_cst(text: str) -> CostStreettGame:
 
 
 def format_cst(game: CostStreettGame) -> str:
-    lines = [f"coststreett {game.n} {game.initial} {game.d}"]
-    for v in sorted(game.vertices, key=lambda v: v.id):
-        succs = ",".join(f"{t}:" + "|".join(map(str, cs))
-                         for t, cs in game.successors[v.id])
-        lines.append(f"{v.id} {v.color} {v.owner} {succs}")
+    lines = [f"coststreett {game.n} {game.initial} {game.d}",
+             *_vertex_lines(game, lambda costs: "|".join(map(str, costs)))]
     for c, p in enumerate(game.pairs):
         q = " ".join(map(str, sorted(p.requests)))
         a = " ".join(map(str, sorted(p.answers)))

@@ -739,6 +739,63 @@ def pushed_play(game, bound: int, vertices) -> _PrefixStack:
     return stack
 
 
+def eight_vertex_trace_game():
+    """A Player 0 path 0 → 1 → … → 7 with a self-loop at 7: colors
+    3, 0, 1, 1, 2, 4, 1, 0 and edge costs 0, 1, 1, 0, 1, 1, 1 (and 1)."""
+    colors = [3, 0, 1, 1, 2, 4, 1, 0]
+    costs = [0, 1, 1, 0, 1, 1, 1]
+    verts = [(i, 0, c) for i, c in enumerate(colors)]
+    edges = [(i, i + 1, w) for i, w in enumerate(costs)] + [(7, 7, 1)]
+    return make_game(verts, edges, 0)
+
+
+def check_tracking_trace() -> None:
+    """The play 0, 1, …, 7 of ``eight_vertex_trace_game`` pushed at
+    bound 2 (``pushed_play``) reproduces the reference trace: the
+    overflow count and the entries of the odd colors 1 and 3 at every
+    position, and the cumulative costs."""
+    stack = pushed_play(eight_vertex_trace_game(), 2, range(8))
+    table = [  # (o, r(1), r(3)) row for row
+        (0, None, 0), (0, None, 0), (0, 0, 1), (0, 1, 2),
+        (0, None, 2), (1, None, None), (1, 0, None), (1, 1, None)]
+    for i, (o, r1, r3) in enumerate(table):
+        assert (stack.overflows[i], stack.tracker.unpack(stack.requests[i])) == \
+            (o, (r1, r3)), i
+    assert stack.cum == [0, 0, 1, 2, 2, 3, 4, 5]
+
+
+def dominated(a, b) -> bool:
+    """(o, r) ⊑ (o', r') on memory states with request tuples."""
+    (oa, ra), (ob, rb) = a, b
+    return oa < ob or oa == ob and reduction._r_dominated(ra, rb)
+
+
+def check_domination_stability(rng: random.Random) -> int:
+    """⊑ is kept by every memory step: for 50 random games from ``rng``
+    with n ≤ 3, colors ≤ 4 (so d ≤ 2) and b ≤ 2, every pair of memory
+    states (o1, r1) ⊑ (o2, r2), o2 below saturation, steps along every
+    edge to a pair in ⊑.  Returns the number of ⊑-pairs checked."""
+    checked = 0
+    for _ in range(50):
+        g = random_cost_game(rng, rng.randint(1, 3), 4)
+        b = rng.randint(0, 2)
+        tr = Tracker(g, b)
+        values = [None] + list(range(b + 1))
+        rs = list(itertools.product(values, repeat=tr.d))
+        states = [(o, r) for o in range(g.n + 1) for r in rs]
+        for o1, r1 in states:
+            for o2, r2 in states:
+                if o2 >= g.n or not dominated((o1, r1), (o2, r2)):
+                    continue
+                checked += 1
+                for e in g.edges:
+                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
+                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
+                    assert dominated((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
+                        (r1, r2, o1, o2, e)
+    return checked
+
+
 def parity_initial_r(game, vertex):
     """r_v on colors: Ω(v) ↦ 0 for an odd Ω(v), every other color ⊥."""
     return tuple(0 if c == game.color[vertex] else None for c in game.odd_colors)

@@ -7,10 +7,11 @@ import itertools
 import random
 import time
 
-from conftest import delay_game, pushed_play, random_cost_game
+from conftest import (check_domination_stability, check_tracking_trace, delay_game,
+                      random_cost_game)
 from costparity import (INF, QbfFormula, binary_tradeoff_family,
                         decide_bounded_cost, decide_bounded_cost_finite_duration,
-                        eval_qbf, make_game, optimal_cost, p0_memory_family,
+                        eval_qbf, optimal_cost, p0_memory_family,
                         p1_memory_family, p1_tradeoff_family, qbf_to_game,
                         streett_counter_family, subdivide_costs)
 from costparity.core import strategy_from_functions
@@ -37,17 +38,7 @@ def test_01_delay_game_optimal_costs():
 
 def test_02_tracking_trace():
     t0 = time.time()
-    colors = [3, 0, 1, 1, 2, 4, 1, 0]
-    costs = [0, 1, 1, 0, 1, 1, 1]
-    g = make_game([(i, 0, c) for i, c in enumerate(colors)],
-                  [(i, i + 1, w) for i, w in enumerate(costs)] + [(7, 7, 1)], 0)
-    stack = pushed_play(g, 2, range(8))
-    table = [  # (o, r(1), r(3)) row for row
-        (0, None, 0), (0, None, 0), (0, 0, 1), (0, 1, 2),
-        (0, None, 2), (1, None, None), (1, 0, None), (1, 1, None)]
-    for i, (o, r1, r3) in enumerate(table):
-        assert (stack.overflows[i], stack.tracker.unpack(stack.requests[i])) == \
-            (o, (r1, r3)), i
+    check_tracking_trace()
     assert time.time() - t0 < 1
     report(2, "request tracking reproduces the eight-step reference trace", t0)
 
@@ -223,27 +214,7 @@ def test_10_cost_cap():
 
 def test_11_domination_stability():
     t0 = time.time()
-    rng = random.Random(1101)
-    checked_pairs = 0
-    for _ in range(50):
-        g = random_cost_game(rng, rng.randint(1, 3), 4)  # colors ≤ 4: d ≤ 2
-        b = rng.randint(0, 2)
-        tr = Tracker(g, b)
-        values = [None] + list(range(b + 1))
-        rs = list(itertools.product(values, repeat=tr.d))
-        states = [(o, r) for o in range(g.n + 1) for r in rs]
-        for o1, r1 in states:
-            for o2, r2 in states:
-                if o2 >= g.n:
-                    continue
-                if o1 > o2 or (o1 == o2 and not _r_dominated(r1, r2)):
-                    continue
-                checked_pairs += 1
-                for e in g.edges:
-                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
-                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
-                    assert o1n < o2n or (o1n == o2n and _r_dominated(tr.unpack(r1n),
-                                                                     tr.unpack(r2n)))
+    checked_pairs = check_domination_stability(random.Random(1101))
     assert time.time() - t0 < 120
     report(11, f"⊑ stability under every edge, {checked_pairs} ⊑-pairs checked", t0)
 

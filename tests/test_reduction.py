@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_span_tables, direct_tracked_product, flat_parity_game,
-                      fresh_tracker, oracle_pass_through, oracle_walked, parity_initial_r,
-                      parity_step, pushed_play, random_cost_game, random_cost_streett,
-                      streett_step, tracker_queries, walked_row, with_answering_chains,
-                      with_pass_through)
+from conftest import (check_domination_stability, check_span_tables, check_tracking_trace,
+                      direct_tracked_product, dominated, eight_vertex_trace_game,
+                      flat_parity_game, fresh_tracker, oracle_pass_through, oracle_walked,
+                      parity_initial_r, parity_step, pushed_play, random_cost_game,
+                      random_cost_streett, streett_step, tracker_queries, walked_row,
+                      with_answering_chains, with_pass_through)
 from costparity import INF, Vertex, make_game, reduction, semantics
 from costparity.generators import (QbfFormula, p1_memory_family, qbf_to_game,
                                     streett_counter_family)
 from costparity.reduction import (Tracker, _cycle_kind, _LevelProduct, _PrefixStack,
-                                  _r_dominated, _relevant_mask)
+                                  _relevant_mask)
 from costparity.solver import decide_bounded_cost
 from costparity.semantics import spoiler_cost
 from costparity.streett import (CostStreettGame, StreettEdge, StreettPair, StreettTracker,
@@ -33,14 +34,6 @@ def test_initial_request_function():
     assert tr.unpack(tr.initial_r(0)) == (None, None)
     assert tr.unpack(tr.initial_r(1)) == (None, 0)
     assert tr.unpack(tr.initial_r(2)) == (None, None)
-
-
-def eight_vertex_trace_game():
-    colors = [3, 0, 1, 1, 2, 4, 1, 0]
-    costs = [0, 1, 1, 0, 1, 1, 1]
-    verts = [(i, 0, c) for i, c in enumerate(colors)]
-    edges = [(i, i + 1, w) for i, w in enumerate(costs)] + [(7, 7, 1)]
-    return make_game(verts, edges, 0)
 
 
 def test_update_track_state_steps():
@@ -61,16 +54,7 @@ def test_update_track_state_steps():
 
 
 def test_track_play_reproduces_reference_rows():
-    g = eight_vertex_trace_game()
-    stack = pushed_play(g, 2, range(8))
-    unpack = stack.tracker.unpack
-    want_o = [0, 0, 0, 0, 0, 1, 1, 1]
-    want_r1 = [None, None, 0, 1, None, None, 0, 1]
-    want_r3 = [0, 0, 1, 2, 2, None, None, None]
-    for i in range(8):
-        assert (stack.overflows[i], unpack(stack.requests[i])) == \
-            (want_o[i], (want_r1[i], want_r3[i]))
-    assert stack.cum == [0, 0, 1, 2, 2, 3, 4, 5]
+    check_tracking_trace()
 
 
 def test_relevant_requests():
@@ -79,12 +63,6 @@ def test_relevant_requests():
     assert _relevant_mask((1, 2)) == 0b10
     assert _relevant_mask((None, None)) == 0
     assert _relevant_mask((1, 1)) == 0b10  # equal cost: larger dominates
-
-
-def dominated(a, b) -> bool:
-    """(o, r) ⊑ (o', r') on memory states with request tuples."""
-    (oa, ra), (ob, rb) = a, b
-    return oa < ob or oa == ob and _r_dominated(ra, rb)
 
 
 def test_dominates_examples():
@@ -147,25 +125,7 @@ def test_largest_and_costliest_requests_always_relevant():
 def test_stability_under_concatenation_exhaustive():
     # domination is preserved by every memory step, enumerated over all state pairs and
     # all edges of random games with d ≤ 2, b ≤ 2, n ≤ 3
-    rng = random.Random(11)
-    for _ in range(50):
-        g = random_cost_game(rng, rng.randint(1, 3), 4)
-        b = rng.randint(0, 2)
-        tr = Tracker(g, b)
-        values = [None] + list(range(b + 1))
-        rs = list(itertools.product(values, repeat=tr.d))
-        states_all = [(o, r) for o in range(g.n + 1) for r in rs]
-        for o1, r1 in states_all:
-            for o2, r2 in states_all:
-                if o2 >= g.n:
-                    continue
-                if not dominated((o1, r1), (o2, r2)):
-                    continue
-                for e in g.edges:
-                    o1n, r1n, _ = tr.update(o1, tr.pack(r1), e.cost, e.target)
-                    o2n, r2n, _ = tr.update(o2, tr.pack(r2), e.cost, e.target)
-                    assert dominated((o1n, tr.unpack(r1n)), (o2n, tr.unpack(r2n))), \
-                        (r1, r2, o1, o2, e)
+    check_domination_stability(random.Random(11))
 
 
 def test_update_never_exceeds_bounds():

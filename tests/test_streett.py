@@ -75,6 +75,9 @@ def test_counter_optimal_play_cost():
 def test_solve_streett_trivial():
     sg = StreettGame((0,), ((0,),), (0,), (0,), 1, 0)
     assert solve_streett(sg).winner_from_initial == 0
+    for cells in (True, False):  # the subgame on no vertex: no region and no cell
+        res = solve_streett(sg, [], cells=cells)
+        assert (res.win0, res.win1, res.cells) == (frozenset(), frozenset(), (None, None))
     sg2 = StreettGame((0,), ((0,),), (1,), (0,), 1, 0)
     assert solve_streett(sg2).winner_from_initial == 1
 

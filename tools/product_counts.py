@@ -1,14 +1,15 @@
 """Level-graph nodes and tracker steps of the benchmark's decisions.
 
 For round 0 of the ``qbf-decide`` workload at a seed, its formulas read
-from ``perfbench/workloads.py`` (imported, not changed, and no bytecode
-is written there), and for the Streett counter's d=3 decisions at the
-bounds 21–24 of the ``streett-counter`` workload, it prints the nodes
-and the moves of two level graphs per decision: the decision's own,
-which walks past every walked vertex (``walked_exits``), and the one on
-the pass-through rows (``exits``) that certificates read.  A decision
-steps the tracker once per move of its level graph, so the moves are
-its tracker steps.  Stdlib only; run it from anywhere as
+from ``perfbench/workloads.py`` (loaded by ``bench_workloads.py`` beside
+this file: imported, not changed, and no bytecode is written there),
+and for the Streett counter's d=3 decisions at the bounds 21–24 of the
+``streett-counter`` workload, it prints the nodes and the moves of two
+level graphs per decision: the decision's own, which walks past every
+walked vertex (``walked_exits``), and the one on the pass-through rows
+(``exits``) that certificates read.  A decision steps the tracker once
+per move of its level graph, so the moves are its tracker steps.
+Stdlib only; run it from anywhere as
 
     python tools/product_counts.py [--seed N]
 """
@@ -16,14 +17,14 @@ its tracker steps.  Stdlib only; run it from anywhere as
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "tools"), str(ROOT / "src")]
 
 import costparity  # noqa: E402
+from bench_workloads import load_workloads  # noqa: E402
 from costparity.core import DEFAULT_PRODUCT_BUDGET  # noqa: E402
 from costparity.generators import streett_counter_family  # noqa: E402
 from costparity.reduction import Tracker, _LevelProduct  # noqa: E402
@@ -57,18 +58,7 @@ def qbf_cases(formulas):
 
 def qbf_round(seed: int) -> list:
     """The formulas of round 0 of the ``qbf-decide`` workload at ``seed``."""
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-        del sys.modules[spec.name]
-    workload = module.QbfDecide(seed, Path("."))
+    workload = load_workloads().QbfDecide(seed, Path("."))
     workload.setup(costparity)
     return workload.pool[0]
 

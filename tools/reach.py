@@ -2,8 +2,9 @@
 
 It traces, with ``sys.setprofile``, the import of the package, one round
 of each benchmark workload, set-up included (``perfbench/workloads.py``,
-imported, not changed, and no bytecode is written there), and every CLI
-command on small generated games.  It prints each named function of
+loaded by ``bench_workloads.py`` beside this file: imported, not
+changed, and no bytecode is written there), and every CLI command on
+small generated games.  It prints each named function of
 ``src/costparity`` that none of them called, as ``module.qualname`` in
 source order.  A closure is a function of its own, named by its code's
 ``co_qualname`` (``_p1_strategy_functions.<locals>.nxt``); lambdas and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import io
 import sys
 import tempfile
@@ -28,6 +28,9 @@ from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "costparity"
+sys.path.insert(0, str(ROOT / "tools"))
+
+from bench_workloads import load_workloads  # noqa: E402
 
 # (family, d) of each game the CLI commands run on, small enough that
 # the finite-duration engine, exponential in the game, ends at bound 10
@@ -75,22 +78,10 @@ def reached(run) -> set[str]:
             if not code.co_name.startswith("<") and Path(code.co_filename).resolve().parent == SRC}
 
 
-def _load_workloads():
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 def run_workloads(cp, workdir: Path, seed: int) -> None:
     """Set-up and round 0 of each workload, each operation checked; a
     failed check is printed to stderr."""
-    for workload in _load_workloads().WORKLOADS.values():
+    for workload in load_workloads().WORKLOADS.values():
         bench = workload(seed, workdir / workload.name)
         bench.setup(cp)
         for op in bench.round(0):
